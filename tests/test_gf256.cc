@@ -1,5 +1,7 @@
 /** @file GF(2^8) field axiom property tests. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "erasure/gf256.h"
@@ -141,6 +143,39 @@ TEST(Gf256, MulAddByZeroIsNoop)
     gf256::mulAdd(dst, src, 0, 2);
     EXPECT_EQ(dst[0], 9);
     EXPECT_EQ(dst[1], 9);
+}
+
+TEST(Gf256, MulAddMatchesBytewiseMul)
+{
+    // mulAdd against the scalar field multiply for every coefficient,
+    // lengths 0..97 (empty, sub-vector, one and several 32-byte vector
+    // bodies plus every tail length) and src/dst misaligned by 0..3.
+    // src is sized exactly, so an over-read trips ASan; dst carries a
+    // guard tail that must come back untouched.
+    constexpr std::size_t kGuard = 32;
+    for (unsigned c = 0; c < 256; c++) {
+        const auto coef = static_cast<std::uint8_t>(c);
+        for (std::size_t n = 0; n <= 97; n++) {
+            for (std::size_t so = 0; so < 4; so++) {
+                for (std::size_t doff = 0; doff < 4; doff++) {
+                    std::vector<std::uint8_t> src(so + n);
+                    std::vector<std::uint8_t> dst(doff + n + kGuard);
+                    for (std::size_t i = 0; i < src.size(); i++)
+                        src[i] = static_cast<std::uint8_t>(i * 37 + c + n);
+                    for (std::size_t i = 0; i < dst.size(); i++)
+                        dst[i] = static_cast<std::uint8_t>(i * 11 + 0x5a);
+                    std::vector<std::uint8_t> want = dst;
+                    for (std::size_t i = 0; i < n; i++)
+                        want[doff + i] ^= gf256::mul(coef, src[so + i]);
+                    gf256::mulAdd(dst.data() + doff, src.data() + so, coef,
+                                  n);
+                    ASSERT_EQ(dst, want) << "c=" << c << " n=" << n
+                                         << " src+" << so << " dst+"
+                                         << doff;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
