@@ -17,6 +17,7 @@
 #include "consistency/data_object.h"
 #include "core/object_handle.h"
 #include "crypto/keys.h"
+#include "crypto/sha1.h"
 #include "runner.h"
 
 using namespace oceanstore;
@@ -227,7 +228,28 @@ encryptLoop(bench::BenchContext &ctx)
         total += handle().encryptBlock(pos++, plain).size();
     ctx.endMeasured();
     ctx.addEvents(static_cast<std::uint64_t>(iters));
+    ctx.addBytes(static_cast<std::uint64_t>(iters) * plain.size());
     ctx.metric("cipher_bytes", "B", static_cast<double>(total));
+}
+
+/** Compute kernel: SHA-1 over 16 KiB, the fragment size of a 256 KiB
+ *  object at rate 1/2 with 16 data fragments. */
+void
+sha1Loop(bench::BenchContext &ctx)
+{
+    Bytes data(16 << 10);
+    for (std::size_t i = 0; i < data.size(); i++)
+        data[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8));
+    const int iters = ctx.smoke() ? 20 : 5000;
+    std::uint8_t sink = 0;
+    ctx.beginMeasured();
+    for (int i = 0; i < iters; i++) {
+        data[0] = sink; // chain the calls so none is hoisted
+        sink = Sha1::hash(data)[0];
+    }
+    ctx.endMeasured();
+    ctx.addEvents(static_cast<std::uint64_t>(iters));
+    ctx.addBytes(static_cast<std::uint64_t>(iters) * data.size());
 }
 
 } // namespace
@@ -238,6 +260,7 @@ main(int argc, char **argv)
     std::vector<bench::BenchCase> cases{
         {"compare_block", predicateLoop},
         {"encrypt_block", encryptLoop},
+        {"sha1", sha1Loop},
     };
     return bench::runBenchMain(
         argc, argv, "bench_ciphertext_ops", cases,

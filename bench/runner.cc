@@ -217,6 +217,10 @@ class Runner
                 record(samples, "events_per_sec", "1/s",
                        static_cast<double>(ctx.events_) / denom);
             }
+            if (ctx.bytes_ > 0 && denom > 0) {
+                record(samples, "mb_s", "MB/s",
+                       static_cast<double>(ctx.bytes_) / denom / 1e6);
+            }
             for (const auto &[name, us] : ctx.metrics_)
                 record(samples, name, us.first, us.second);
         }

@@ -77,6 +77,13 @@ class BenchContext
     void addEvents(std::uint64_t n) { events_ += n; }
 
     /**
+     * Count payload bytes processed during this repeat; the runner
+     * derives an "mb_s" metric (10^6 bytes per second of measured
+     * time), the layer throughput of a data-plane case.
+     */
+    void addBytes(std::uint64_t n) { bytes_ += n; }
+
+    /**
      * Mark the start/end of the measured region.  Setup work (tier
      * construction, key generation) outside the region is excluded
      * from the throughput denominator; wall_ms still covers the whole
@@ -91,6 +98,7 @@ class BenchContext
     bool smoke_ = false;
     std::uint64_t seed_ = 0;
     std::uint64_t events_ = 0;
+    std::uint64_t bytes_ = 0;
     double measured_ = 0.0;
     bool inRegion_ = false;
     std::chrono::steady_clock::time_point regionStart_;

@@ -1,5 +1,6 @@
 #include "core/object_handle.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace oceanstore {
@@ -15,6 +16,18 @@ deriveKey(const KeyPair &owner, const std::string &name,
     h.update(std::string_view(label));
     h.update(name);
     return digestToBytes(h.finish());
+}
+
+/** The cipher position in a stored block's 8-byte header. */
+std::uint64_t
+blockPosition(const Bytes &cipher)
+{
+    if (cipher.size() < 8)
+        throw std::invalid_argument("decryptBlock: truncated block");
+    std::uint64_t position = 0;
+    for (int i = 0; i < 8; i++)
+        position = (position << 8) | cipher[i];
+    return position;
 }
 
 } // namespace
@@ -54,31 +67,33 @@ ObjectHandle::encryptBlock(std::uint64_t position,
     out.reserve(8 + plain.size());
     for (int i = 0; i < 8; i++)
         out.push_back(static_cast<std::uint8_t>(position >> (56 - 8 * i)));
-    Bytes body = readCipher_.encrypt(position, plain);
-    out.insert(out.end(), body.begin(), body.end());
+    readCipher_.encryptAppend(position, plain.data(), plain.size(), out);
     return out;
 }
 
 Bytes
 ObjectHandle::decryptBlock(const Bytes &cipher) const
 {
-    if (cipher.size() < 8)
-        throw std::invalid_argument("decryptBlock: truncated block");
-    std::uint64_t position = 0;
-    for (int i = 0; i < 8; i++)
-        position = (position << 8) | cipher[i];
-    Bytes body(cipher.begin() + 8, cipher.end());
-    return readCipher_.decrypt(position, body);
+    std::uint64_t position = blockPosition(cipher);
+    Bytes out;
+    readCipher_.decryptAppend(position, cipher.data() + 8,
+                              cipher.size() - 8, out);
+    return out;
 }
 
 Bytes
 ObjectHandle::decryptContent(
     const std::vector<Bytes> &logical_blocks) const
 {
+    std::size_t total = 0;
+    for (const auto &block : logical_blocks)
+        total += block.size() - std::min<std::size_t>(block.size(), 8);
     Bytes out;
+    out.reserve(total);
     for (const auto &block : logical_blocks) {
-        Bytes plain = decryptBlock(block);
-        out.insert(out.end(), plain.begin(), plain.end());
+        std::uint64_t position = blockPosition(block);
+        readCipher_.decryptAppend(position, block.data() + 8,
+                                  block.size() - 8, out);
     }
     return out;
 }

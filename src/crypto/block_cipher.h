@@ -52,13 +52,29 @@ class BlockCipher
     Bytes decrypt(std::uint64_t block_index,
                   const Bytes &ciphertext) const;
 
+    /**
+     * encrypt() of the @p n bytes at @p plaintext, appended to @p out:
+     * lets a caller build a framed block without an intermediate copy.
+     */
+    void encryptAppend(std::uint64_t block_index,
+                       const std::uint8_t *plaintext, std::size_t n,
+                       Bytes &out) const;
+
+    /** decrypt() of the @p n bytes at @p ciphertext, appended to @p out. */
+    void decryptAppend(std::uint64_t block_index,
+                       const std::uint8_t *ciphertext, std::size_t n,
+                       Bytes &out) const;
+
     /** The read key this cipher was constructed with. */
     const Bytes &key() const { return key_; }
 
   private:
-    Bytes xorStream(std::uint64_t block_index, const Bytes &in) const;
+    /** out[j] = in[j] ^ keystream byte j of block @p block_index. */
+    void xorStream(std::uint64_t block_index, const std::uint8_t *in,
+                   std::size_t n, std::uint8_t *out) const;
 
     Bytes key_;
+    Sha1 keyed_; //!< SHA-1 midstate after absorbing key_
 };
 
 } // namespace oceanstore

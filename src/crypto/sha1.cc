@@ -1,17 +1,208 @@
 #include "crypto/sha1.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
-#include "util/check.h"
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace oceanstore {
 
 namespace {
 
-std::uint32_t
+inline std::uint32_t
 rotl32(std::uint32_t x, int k)
 {
     return (x << k) | (x >> (32 - k));
+}
+
+inline std::uint32_t
+loadBe32(const std::uint8_t *p)
+{
+    return (static_cast<std::uint32_t>(p[0]) << 24) |
+           (static_cast<std::uint32_t>(p[1]) << 16) |
+           (static_cast<std::uint32_t>(p[2]) << 8) |
+           static_cast<std::uint32_t>(p[3]);
+}
+
+/**
+ * Round @p I of the compression function.  The five working variables
+ * never move: round I reads a..e from v[] rotated by I mod 5, so after
+ * inlining every index is a constant and v[] lives in registers.  The
+ * message schedule is a 16-word ring, w[i mod 16] overwritten by
+ * w[i] = rotl1(w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]) as it is needed.
+ */
+template <int I>
+[[gnu::always_inline]] inline void
+sha1Round(std::uint32_t (&v)[5], std::uint32_t (&w)[16])
+{
+    constexpr int r = I % 5;
+    const std::uint32_t a = v[(5 - r) % 5];
+    std::uint32_t &b = v[(6 - r) % 5];
+    const std::uint32_t c = v[(7 - r) % 5];
+    const std::uint32_t d = v[(8 - r) % 5];
+    std::uint32_t &e = v[(9 - r) % 5];
+
+    std::uint32_t wi;
+    if constexpr (I < 16) {
+        wi = w[I];
+    } else {
+        wi = rotl32(w[(I + 13) & 15] ^ w[(I + 8) & 15] ^ w[(I + 2) & 15] ^
+                        w[I & 15],
+                    1);
+        w[I & 15] = wi;
+    }
+
+    std::uint32_t f;
+    std::uint32_t k;
+    if constexpr (I < 20) {
+        f = d ^ (b & (c ^ d)); // choose
+        k = 0x5a827999u;
+    } else if constexpr (I < 40) {
+        f = b ^ c ^ d; // parity
+        k = 0x6ed9eba1u;
+    } else if constexpr (I < 60) {
+        f = (b & c) | (d & (b | c)); // majority
+        k = 0x8f1bbcdcu;
+    } else {
+        f = b ^ c ^ d;
+        k = 0xca62c1d6u;
+    }
+    e += rotl32(a, 5) + f + k + wi;
+    b = rotl32(b, 30);
+}
+
+template <std::size_t... I>
+[[gnu::always_inline]] inline void
+sha1Rounds(std::uint32_t (&v)[5], std::uint32_t (&w)[16],
+           std::index_sequence<I...>)
+{
+    (sha1Round<static_cast<int>(I)>(v, w), ...);
+}
+
+} // namespace
+
+void
+sha1CompressPortable(std::uint32_t (&h)[5], const std::uint8_t *data,
+                     std::size_t count)
+{
+    for (; count > 0; count--, data += 64) {
+        std::uint32_t w[16];
+        for (int i = 0; i < 16; i++)
+            w[i] = loadBe32(data + 4 * i);
+
+        std::uint32_t v[5] = {h[0], h[1], h[2], h[3], h[4]};
+        sha1Rounds(v, w, std::make_index_sequence<80>{});
+
+        for (int i = 0; i < 5; i++)
+            h[i] += v[i];
+    }
+}
+
+namespace {
+
+#if defined(__x86_64__)
+/**
+ * Rounds 4G..4G+3 with the SHA extensions.  m[G mod 4] holds
+ * W[4G..4G+3] on entry; the same step advances the schedule for the
+ * groups that follow (msg1 / xor / msg2 feed groups G+3, G+2, G+1),
+ * and e[] alternates between the E carried into this group and the
+ * one saved for the next.
+ */
+template <int G>
+[[gnu::always_inline]] __attribute__((target("sha,sse4.1"))) inline void
+shaNiGroup(__m128i &abcd, __m128i (&e)[2], __m128i (&m)[4],
+           const std::uint8_t *block, __m128i bswap)
+{
+    __m128i &cur = m[G % 4];
+    if constexpr (G < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(block + 16 * G)),
+            bswap);
+    }
+    if constexpr (G == 0)
+        e[0] = _mm_add_epi32(e[0], cur);
+    else
+        e[G % 2] = _mm_sha1nexte_epu32(e[G % 2], cur);
+    e[(G + 1) % 2] = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e[G % 2], G / 5);
+    if constexpr (G >= 1 && G <= 16)
+        m[(G + 3) % 4] = _mm_sha1msg1_epu32(m[(G + 3) % 4], cur);
+    if constexpr (G >= 2 && G <= 17)
+        m[(G + 2) % 4] = _mm_xor_si128(m[(G + 2) % 4], cur);
+    if constexpr (G >= 3 && G <= 18)
+        m[(G + 1) % 4] = _mm_sha1msg2_epu32(m[(G + 1) % 4], cur);
+}
+
+template <std::size_t... G>
+[[gnu::always_inline]] __attribute__((target("sha,sse4.1"))) inline void
+shaNiGroups(__m128i &abcd, __m128i (&e)[2], __m128i (&m)[4],
+            const std::uint8_t *block, __m128i bswap,
+            std::index_sequence<G...>)
+{
+    (shaNiGroup<static_cast<int>(G)>(abcd, e, m, block, bswap), ...);
+}
+
+/** Compression with the x86 SHA extensions; same output as above. */
+__attribute__((target("sha,sse4.1"))) void
+compressShaNi(std::uint32_t (&h)[5], const std::uint8_t *data,
+              std::size_t count)
+{
+    // Reverses all 16 bytes: big-endian words, W0 in the top lane.
+    const __m128i bswap =
+        _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+    __m128i abcd = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(h)), 0x1b);
+    __m128i e0 = _mm_set_epi32(static_cast<int>(h[4]), 0, 0, 0);
+    for (; count > 0; count--, data += 64) {
+        const __m128i abcd_save = abcd;
+        const __m128i e0_save = e0;
+        __m128i e[2] = {e0, e0};
+        __m128i m[4];
+        shaNiGroups(abcd, e, m, data, bswap, std::make_index_sequence<20>{});
+        e0 = _mm_sha1nexte_epu32(e[0], e0_save);
+        abcd = _mm_add_epi32(abcd, abcd_save);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(h),
+                     _mm_shuffle_epi32(abcd, 0x1b));
+    h[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e0, 3));
+}
+#endif
+
+using CompressFn = void (*)(std::uint32_t (&)[5], const std::uint8_t *,
+                            std::size_t);
+
+CompressFn
+pickCompress()
+{
+#if defined(__x86_64__)
+    // CPUID leaf 7 EBX bit 29: SHA extensions; leaf 1 ECX bit 19:
+    // SSE4.1.  (Read directly: not every compiler's
+    // __builtin_cpu_supports knows "sha".)
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    bool sha = __get_cpuid_count(7, 0, &a, &b, &c, &d) &&
+               ((b >> 29) & 1u) != 0;
+    bool sse41 = __get_cpuid(1, &a, &b, &c, &d) && ((c >> 19) & 1u) != 0;
+    if (sha && sse41)
+        return compressShaNi;
+#endif
+    return sha1CompressPortable;
+}
+
+/**
+ * Compress @p count blocks with the implementation for this CPU, picked
+ * on first use (a function-local static, so hashing from another
+ * translation unit's static initialiser is safe).
+ */
+void
+compress(std::uint32_t (&h)[5], const std::uint8_t *data, std::size_t count)
+{
+    static const CompressFn fn = pickCompress();
+    fn(h, data, count);
 }
 
 } // namespace
@@ -26,66 +217,31 @@ Sha1::Sha1()
     h_[4] = 0xc3d2e1f0u;
 }
 
-void
-Sha1::processBlock(const std::uint8_t *block)
-{
-    std::uint32_t w[80];
-    for (int i = 0; i < 16; i++) {
-        w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-               (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-               (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-               static_cast<std::uint32_t>(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 80; i++)
-        w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-
-    std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-
-    for (int i = 0; i < 80; i++) {
-        std::uint32_t f, k;
-        if (i < 20) {
-            f = (b & c) | (~b & d);
-            k = 0x5a827999u;
-        } else if (i < 40) {
-            f = b ^ c ^ d;
-            k = 0x6ed9eba1u;
-        } else if (i < 60) {
-            f = (b & c) | (b & d) | (c & d);
-            k = 0x8f1bbcdcu;
-        } else {
-            f = b ^ c ^ d;
-            k = 0xca62c1d6u;
-        }
-        std::uint32_t temp = rotl32(a, 5) + f + e + k + w[i];
-        e = d;
-        d = c;
-        c = rotl32(b, 30);
-        b = a;
-        a = temp;
-    }
-
-    h_[0] += a;
-    h_[1] += b;
-    h_[2] += c;
-    h_[3] += d;
-    h_[4] += e;
-}
 
 void
 Sha1::update(const std::uint8_t *data, std::size_t n)
 {
+    if (n == 0)
+        return;
     totalLen_ += n;
-    while (n > 0) {
+    if (bufferLen_ > 0) {
         std::size_t take = std::min(n, sizeof(buffer_) - bufferLen_);
         std::memcpy(buffer_ + bufferLen_, data, take);
         bufferLen_ += take;
         data += take;
         n -= take;
-        if (bufferLen_ == sizeof(buffer_)) {
-            processBlock(buffer_);
-            bufferLen_ = 0;
-        }
+        if (bufferLen_ < sizeof(buffer_))
+            return;
+        compress(h_, buffer_, 1);
+        bufferLen_ = 0;
     }
+    // Whole blocks straight from the caller's buffer.
+    std::size_t blocks = n / sizeof(buffer_);
+    compress(h_, data, blocks);
+    data += blocks * sizeof(buffer_);
+    n -= blocks * sizeof(buffer_);
+    std::memcpy(buffer_, data, n);
+    bufferLen_ = n;
 }
 
 void
@@ -100,21 +256,18 @@ Sha1::finish()
     std::uint64_t bit_len = totalLen_ * 8;
 
     // Append the 0x80 terminator, then zero-pad so 8 bytes remain for
-    // the length field in the final block.
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0x00;
-    while (bufferLen_ != 56)
-        update(&zero, 1);
-
-    std::uint8_t len_bytes[8];
+    // the length field in the final block (spilling into one more
+    // block when fewer than 8 are left).
+    buffer_[bufferLen_++] = 0x80;
+    if (bufferLen_ > 56) {
+        std::memset(buffer_ + bufferLen_, 0, sizeof(buffer_) - bufferLen_);
+        compress(h_, buffer_, 1);
+        bufferLen_ = 0;
+    }
+    std::memset(buffer_ + bufferLen_, 0, 56 - bufferLen_);
     for (int i = 0; i < 8; i++)
-        len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    // Bypass update() so totalLen_ bookkeeping is irrelevant now.
-    OS_DCHECK(bufferLen_ == 56, "SHA-1 padding left bufferLen_=",
-              bufferLen_);
-    std::memcpy(buffer_ + bufferLen_, len_bytes, 8);
-    processBlock(buffer_);
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    compress(h_, buffer_, 1);
 
     Sha1Digest out;
     for (int i = 0; i < 5; i++) {

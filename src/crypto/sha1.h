@@ -43,7 +43,11 @@ class Sha1
     /** Absorb the raw characters of a string. */
     void update(std::string_view s);
 
-    /** Apply padding and produce the final digest. */
+    /**
+     * Apply padding and produce the final digest.  Copying a Sha1
+     * before this snapshots its midstate, so a shared prefix can be
+     * absorbed once and resumed many times.
+     */
     Sha1Digest finish();
 
     /** One-shot convenience: digest of a single buffer. */
@@ -53,13 +57,20 @@ class Sha1
     static Sha1Digest hash(std::string_view s);
 
   private:
-    void processBlock(const std::uint8_t *block);
-
     std::uint32_t h_[5];
     std::uint8_t buffer_[64];
     std::size_t bufferLen_;
     std::uint64_t totalLen_;
 };
+
+/**
+ * The portable SHA-1 compression function: folds @p count 64-byte
+ * blocks at @p blocks into the chaining state @p h.  Sha1 uses the x86
+ * SHA extensions instead when the CPU has them; this entry point lets
+ * tests hold the portable code to the same known answers there.
+ */
+void sha1CompressPortable(std::uint32_t (&h)[5], const std::uint8_t *blocks,
+                          std::size_t count);
 
 /** Convert a digest to a Bytes buffer. */
 Bytes digestToBytes(const Sha1Digest &d);

@@ -5,12 +5,14 @@
  *
  * Field elements are bytes; addition is XOR; multiplication uses
  * log/antilog tables over the primitive polynomial x^8+x^4+x^3+x^2+1
- * (0x11d).
+ * (0x11d).  The bulk kernel mulAdd() uses split-nibble product tables
+ * instead, with an AVX2 body chosen once at start-up (DESIGN.md).
  */
 
 #ifndef OCEANSTORE_ERASURE_GF256_H
 #define OCEANSTORE_ERASURE_GF256_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace oceanstore {

@@ -1,5 +1,6 @@
 #include "erasure/reed_solomon.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "erasure/gf256.h"
@@ -12,22 +13,27 @@ ReedSolomonCode::ReedSolomonCode(unsigned k, unsigned t)
 {
     if (k == 0 || t <= k || t > 256)
         fatal("ReedSolomonCode: need 1 <= k < t <= 256");
+    // Cauchy rows: 1 / (x ^ y_j) with x = row, y_j = j.  The index sets
+    // {k..t-1} and {0..k-1} are disjoint bytes, so x ^ y_j is never
+    // zero and every square submatrix is invertible.
+    parity_.resize(static_cast<std::size_t>(t - k) * k);
+    for (unsigned row = k; row < t; row++) {
+        auto x = static_cast<std::uint8_t>(row);
+        for (unsigned j = 0; j < k; j++)
+            parity_[(row - k) * k + j] =
+                gf256::inv(x ^ static_cast<std::uint8_t>(j));
+    }
 }
 
 std::vector<std::uint8_t>
 ReedSolomonCode::generatorRow(unsigned row) const
 {
-    std::vector<std::uint8_t> r(k_, 0);
-    if (row < k_) {
-        r[row] = 1; // systematic identity row
-    } else {
-        // Cauchy row: 1 / (x ^ y_j) with x = row, y_j = j.  The index
-        // sets {k..t-1} and {0..k-1} are disjoint bytes, so x ^ y_j
-        // is never zero and every square submatrix is invertible.
-        auto x = static_cast<std::uint8_t>(row);
-        for (unsigned j = 0; j < k_; j++)
-            r[j] = gf256::inv(x ^ static_cast<std::uint8_t>(j));
+    if (row >= k_) {
+        auto first = parity_.begin() + (row - k_) * k_;
+        return std::vector<std::uint8_t>(first, first + k_);
     }
+    std::vector<std::uint8_t> r(k_, 0);
+    r[row] = 1; // systematic identity row
     return r;
 }
 
@@ -39,17 +45,16 @@ ReedSolomonCode::encode(const Bytes &data) const
         frag_size = 1;
 
     std::vector<Bytes> frags(t_, Bytes(frag_size, 0));
-    // Data stripes.
+    // Data stripes; the last one is zero-padded.
     for (unsigned j = 0; j < k_; j++) {
-        std::size_t off = static_cast<std::size_t>(j) * frag_size;
-        for (std::size_t i = 0; i < frag_size && off + i < data.size();
-             i++) {
-            frags[j][i] = data[off + i];
-        }
+        std::size_t off =
+            std::min(static_cast<std::size_t>(j) * frag_size, data.size());
+        std::size_t len = std::min(frag_size, data.size() - off);
+        std::copy_n(data.begin() + off, len, frags[j].begin());
     }
     // Parity stripes.
     for (unsigned row = k_; row < t_; row++) {
-        auto coeffs = generatorRow(row);
+        const std::uint8_t *coeffs = &parity_[(row - k_) * k_];
         for (unsigned j = 0; j < k_; j++) {
             gf256::mulAdd(frags[row].data(), frags[j].data(), coeffs[j],
                           frag_size);
@@ -91,10 +96,17 @@ ReedSolomonCode::decode(
         }
     }
 
-    std::vector<Bytes> stripes(k_);
+    Bytes out;
+    out.reserve(original_size);
+    // Append a stripe, stopping at original_size.
+    auto append = [&](const Bytes &stripe) {
+        std::size_t len = std::min(frag_size, original_size - out.size());
+        out.insert(out.end(), stripe.begin(), stripe.begin() + len);
+    };
+
     if (all_data) {
-        for (unsigned j = 0; j < k_; j++)
-            stripes[j] = *fragments[j];
+        for (unsigned j = 0; j < k_ && out.size() < original_size; j++)
+            append(*fragments[j]);
     } else {
         // Build the k x k decode matrix and invert it (Gauss-Jordan
         // over GF(256)).
@@ -129,25 +141,24 @@ ReedSolomonCode::decode(
                 }
             }
         }
-        // stripe[j] = sum_r ainv[j][r] * fragment(rows[r]).
-        for (unsigned j = 0; j < k_; j++) {
-            stripes[j].assign(frag_size, 0);
-            for (unsigned r = 0; r < k_; r++) {
-                gf256::mulAdd(stripes[j].data(),
-                              fragments[rows[r]]->data(), ainv[j][r],
-                              frag_size);
+        // stripe[j] = sum_r ainv[j][r] * fragment(rows[r]).  A data
+        // stripe that survived is its own fragment (its ainv row is a
+        // unit vector), so only the lost ones are recomputed.
+        Bytes stripe;
+        for (unsigned j = 0; j < k_ && out.size() < original_size; j++) {
+            if (fragments[j].has_value()) {
+                append(*fragments[j]);
+                continue;
             }
+            stripe.assign(frag_size, 0);
+            for (unsigned r = 0; r < k_; r++) {
+                gf256::mulAdd(stripe.data(), fragments[rows[r]]->data(),
+                              ainv[j][r], frag_size);
+            }
+            append(stripe);
         }
     }
 
-    Bytes out;
-    out.reserve(original_size);
-    for (unsigned j = 0; j < k_ && out.size() < original_size; j++) {
-        for (std::size_t i = 0;
-             i < frag_size && out.size() < original_size; i++) {
-            out.push_back(stripes[j][i]);
-        }
-    }
     if (out.size() != original_size)
         return std::nullopt; // original_size inconsistent with frags
     return out;

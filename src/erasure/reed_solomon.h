@@ -42,6 +42,8 @@ class ReedSolomonCode : public ErasureCodec
 
     unsigned k_;
     unsigned t_;
+    /** Cauchy rows k..t-1 of the generator, row-major, built once. */
+    std::vector<std::uint8_t> parity_;
 };
 
 } // namespace oceanstore
