@@ -9,8 +9,8 @@
  *
  *   sim_serve       SimRuntime, sequential clients, virtual time
  *   threaded_serve  ThreadedRuntime, genuinely concurrent client
- *                   threads against the live strand (only registered
- *                   in an OCEANSTORE_THREADED build)
+ *                   threads against the wall-clock event loop (only
+ *                   registered in an OCEANSTORE_THREADED build)
  *   threaded_serve_traced
  *                   threaded_serve with a Tracer + FlightRecorder
  *                   attached for the whole run — measures the
@@ -21,9 +21,10 @@
  *
  * All latencies are *wall-clock* milliseconds on both backends, so
  * the two cases are directly comparable: the sim number is the cost
- * of computing the protocol, the threaded number adds real queueing,
- * wheel-tick quantisation and cross-thread handoff.  Throughput is
- * committed writes per wall second over the measured region.
+ * of computing the protocol, the threaded number adds the modeled
+ * loopback latency, real queueing and cross-thread handoff.
+ * Throughput is committed writes per wall second over the measured
+ * region.
  */
 
 #include <cstdio>
@@ -65,7 +66,9 @@ struct ClientRun
 };
 
 /** One client's serve loop: write, then read back until the committed
- *  version is visible and the decrypted bytes match. */
+ *  version is visible and the decrypted bytes match.  A read served by
+ *  a holder the tree push has not reached yet waits (runUntil) for
+ *  that holder's committed version, never for a fixed sleep. */
 ClientRun
 serveClient(Universe &universe, const ObjectHandle &doc, unsigned id,
             unsigned writes)
@@ -86,12 +89,19 @@ serveClient(Universe &universe, const ObjectHandle &doc, unsigned id,
 
         double r0 = wallNow();
         std::size_t from = (id * 7 + w) % universe.numServers();
-        ReadResult rr;
-        for (int attempt = 0; attempt < 200; attempt++) {
+        ReadResult rr = universe.readSync(from, doc.guid());
+        for (int attempt = 0;
+             attempt < 8 && rr.found && rr.version < wr.version;
+             attempt++) {
+            SecondaryReplica &holder =
+                universe.secondaryTier().replica(rr.servedBy);
+            universe.runUntil(
+                [&]() {
+                    return holder.committedObject(doc.guid())
+                               .version() >= wr.version;
+                },
+                universe.rt().now() + 60.0);
             rr = universe.readSync(from, doc.guid());
-            if (rr.found && rr.version >= wr.version)
-                break;
-            universe.advance(0.01);
         }
         run.readWall.push_back(wallNow() - r0);
         if (rr.found &&
@@ -138,7 +148,6 @@ runServe(RuntimeKind kind, unsigned clients, unsigned writes,
     cfg.archiveOnCommit = false;
     cfg.seed = seed;
     cfg.runtime = kind;
-    cfg.threaded.workers = 4;
     Universe universe(cfg);
 
     std::vector<ObjectHandle> docs;

@@ -3,15 +3,16 @@
  * oscluster: a live OceanStore cluster served by the threaded runtime.
  *
  * Boots a Universe on the ThreadedRuntime backend (DESIGN.md section
- * 15) — real worker threads, a wall-clock timer wheel and the framed
- * loopback transport — then hammers it with concurrent client
- * threads, each owning one object and issuing signed writes through
- * the Byzantine primary tier followed by byte-verified reads through
- * the two-tier locator.  Every client checks that what it reads back
- * is exactly what it committed, so the run fails loudly on any
- * consistency violation.  Shutdown is graceful: clients join, the
- * worker pool drains, and the universe tears down cleanly (the run
- * is TSan-clean in an OCEANSTORE_SANITIZE=thread build).
+ * 15) — the simulator's event loop paced by the wall clock on its own
+ * thread, over the framed loopback network — then hammers it with
+ * concurrent client threads, each owning one object and issuing
+ * signed writes through the Byzantine primary tier followed by
+ * byte-verified reads through the two-tier locator.  Every client
+ * checks that what it reads back is exactly what it committed, so the
+ * run fails loudly on any consistency violation.  Shutdown is
+ * graceful: clients join, the loop thread stops, and the universe
+ * tears down cleanly (the run is TSan-clean in an
+ * OCEANSTORE_SANITIZE=thread build).
  *
  * In a tree built without OCEANSTORE_THREADED the same workload runs
  * sequentially on the deterministic sim backend and exits 0, so the
@@ -78,14 +79,22 @@ runClient(Universe &universe, const ObjectHandle &doc, unsigned id,
         // Read back from a server picked by the client id and verify
         // every committed block byte-for-byte.  Commitment reaches
         // the floating replicas through the dissemination tree, so
-        // allow a few runtime ticks for propagation.
+        // when the serving holder is still behind, wait until its
+        // committed version catches up and read again.
         std::size_t from = (id * 7 + w) % universe.numServers();
-        ReadResult rr;
-        for (int attempt = 0; attempt < 200; attempt++) {
+        ReadResult rr = universe.readSync(from, doc.guid());
+        for (int attempt = 0;
+             attempt < 8 && rr.found && rr.version < wr.version;
+             attempt++) {
+            SecondaryReplica &holder =
+                universe.secondaryTier().replica(rr.servedBy);
+            universe.runUntil(
+                [&]() {
+                    return holder.committedObject(doc.guid())
+                               .version() >= wr.version;
+                },
+                universe.rt().now() + 60.0);
             rr = universe.readSync(from, doc.guid());
-            if (rr.found && rr.version >= wr.version)
-                break;
-            universe.advance(0.01);
         }
         // Blocks travel as ciphertext (client-side encryption,
         // Section 3.1); decrypt with the object's read key and
@@ -128,10 +137,8 @@ main(int argc, char **argv)
     cfg.numServers = 16;
     cfg.archiveOnCommit = false; // keep the serving path hot
     const bool threaded = ThreadedRuntime::available();
-    if (threaded) {
+    if (threaded)
         cfg.runtime = RuntimeKind::Threaded;
-        cfg.threaded.workers = 4;
-    }
     std::printf("== oscluster: %s backend, %u clients x %u writes ==\n",
                 threaded ? "threaded" : "sim (fallback)", clients,
                 writes);
@@ -175,8 +182,8 @@ main(int argc, char **argv)
 #ifdef OCEANSTORE_THREADED
     if (threaded) {
         // The real deal: concurrent client threads against the live
-        // cluster API.  Every entry point joins the runtime strand,
-        // so no client-side locking is needed.
+        // cluster API.  Every entry point runs inside execute(), so
+        // no client-side locking is needed.
         std::vector<std::thread> pool;
         for (unsigned c = 0; c < clients; c++) {
             pool.emplace_back([&, c]() {
@@ -225,6 +232,6 @@ main(int argc, char **argv)
               verified == committed;
     std::printf("%s\n", ok ? "OK: cluster served all clients"
                            : "FAILED: verification errors");
-    // ~Universe stops the worker pool before tearing the tiers down.
+    // ~Universe stops the loop thread before tearing the tiers down.
     return ok ? 0 : 1;
 }

@@ -47,21 +47,23 @@ Universe::Universe(UniverseConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), registry_(cfg.seed ^ 0x5a5a5a5au),
       semantic_(4), prefetcher_(2, 2), replicaMgr_(cfg.replicaPolicy)
 {
-    // 0. Runtime backend (DESIGN.md section 15).  Sim mode wraps an
-    //    owned simulator/network pair in the zero-cost adapter, so
-    //    everything below is byte-identical to the pre-Runtime tree;
-    //    threaded mode swaps in the worker-pool backend wholesale.
+    // 0. Runtime backend (DESIGN.md section 15).  Both modes own a
+    //    simulator/network pair; sim mode wraps it in the zero-cost
+    //    adapter, so everything below is byte-identical to the
+    //    pre-Runtime tree, and threaded mode paces it by the wall
+    //    clock over the loopback link model.
+    sim_ = std::make_unique<Simulator>();
     if (cfg_.runtime == RuntimeKind::Sim) {
-        sim_ = std::make_unique<Simulator>();
         net_ = std::make_unique<Network>(*sim_, cfg_.network);
         rt_ = std::make_unique<SimRuntime>(*sim_, *net_, cfg_.seed);
     } else {
-        rt_ = std::make_unique<ThreadedRuntime>(cfg_.threaded);
+        net_ = std::make_unique<Network>(*sim_, loopbackNetwork);
+        rt_ = std::make_unique<ThreadedRuntime>(*sim_, *net_, cfg_.seed);
     }
 
-    // Assemble on the strand: in threaded mode this keeps worker and
-    // timer callbacks from interleaving with construction; in sim
-    // mode execute() is a plain call.
+    // Assemble inside execute(): in threaded mode this keeps loop
+    // callbacks from interleaving with construction; in sim mode
+    // execute() is a plain call.
     rt_->execute([&]() { assemble(); });
 }
 
@@ -164,9 +166,9 @@ Universe::assemble()
 
 Universe::~Universe()
 {
-    // Threaded mode: stop the worker pool and timer wheel before any
-    // protocol tier (a registered endpoint) is torn down, so no
-    // runtime thread can call into a half-destroyed node.
+    // Threaded mode: stop the loop thread before any protocol tier (a
+    // registered endpoint) is torn down, so no event can call into a
+    // half-destroyed node.
     if (cfg_.runtime == RuntimeKind::Threaded)
         static_cast<ThreadedRuntime &>(*rt_).shutdown();
 }
@@ -242,7 +244,7 @@ Universe::executeUpdate(unsigned rank, const Bytes &payload,
 KeyPair
 Universe::makeUser()
 {
-    // Every public entry point below joins the runtime strand, so in
+    // Every public entry point below runs inside execute(), so in
     // threaded mode any number of client threads may call the
     // Universe API concurrently; in sim mode execute() is a plain
     // call and nothing changes.
@@ -683,9 +685,10 @@ Universe::restoreSync(const Guid &archive_guid)
 {
     ReconstructResult result;
     bool fired = false;
-    // Kick off the reconstruction on the strand; the completion also
-    // runs there, and runUntil evaluates the predicate on the strand,
-    // so `fired`/`result` are never touched concurrently.
+    // Kick off the reconstruction inside execute(); the completion
+    // runs on the loop, and runUntil evaluates the predicate under
+    // the same mutex, so `fired`/`result` are never touched
+    // concurrently.
     rt_->execute([&]() {
         archive_->reconstruct(*archiveClient_, archive_guid,
                               [&](const ReconstructResult &r) {
@@ -955,8 +958,8 @@ Universe::statusReport()
     RuntimeStats stats;
     std::size_t nodes = 0;
     std::size_t objects = 0;
-    // Snapshot on the strand so depths and counts are consistent
-    // even while workers are serving clients.
+    // Snapshot inside execute() so depths and counts are consistent
+    // even while the loop is serving clients.
     rt_->execute([&]() {
         stats = rt_->stats();
         nodes = rt_->nodeCount();

@@ -84,13 +84,13 @@ struct UniverseConfig
 
     /**
      * Runtime backend (DESIGN.md section 15).  Sim keeps the historic
-     * byte-exact behavior; Threaded serves the same API from a real
-     * worker pool + timer wheel and requires OCEANSTORE_THREADED.
+     * byte-exact behavior; Threaded paces the same simulator and
+     * network by the wall clock and requires OCEANSTORE_THREADED.
      */
     RuntimeKind runtime = RuntimeKind::Sim;
-    /** Tunables for the threaded backend (ignored in Sim mode). */
-    ThreadedConfig threaded;
 
+    /** The simulated WAN (Sim mode; Threaded mode always models the
+     *  loopbackNetwork of runtime/threaded_runtime.h). */
     NetworkConfig network;
     BloomLocationConfig bloom;
     PlaxtonConfig plaxton;
@@ -143,21 +143,14 @@ class Universe : public NodeLifecycle
     /** The runtime backend every tier is wired through. */
     Runtime &rt() { return *rt_; }
 
-    /** Sim-mode only: the underlying discrete-event simulator. */
-    Simulator &
-    sim()
-    {
-        OS_CHECK(sim_ != nullptr, "Universe::sim(): threaded mode");
-        return *sim_;
-    }
+    /** The discrete-event simulator under the runtime.  In threaded
+     *  mode touch it only inside rt().execute(). */
+    Simulator &sim() { return *sim_; }
 
-    /** Sim-mode only: the underlying simulated network. */
-    Network &
-    net()
-    {
-        OS_CHECK(net_ != nullptr, "Universe::net(): threaded mode");
-        return *net_;
-    }
+    /** The network under the runtime (partitions, fault injectors,
+     *  accounting).  In threaded mode touch it only inside
+     *  rt().execute(). */
+    Network &net() { return *net_; }
 
     KeyRegistry &registry() { return registry_; }
     PbftCluster &primaryTier() { return *pbft_; }
@@ -355,8 +348,8 @@ class Universe : public NodeLifecycle
     /**
      * One-line JSON health report (DESIGN.md section 16): backend
      * kind, tier shape, and the runtime's live RuntimeStats.  The
-     * snapshot is taken on the strand, so it is consistent even while
-     * worker threads serve clients; the `runtime.*` gauges are
+     * snapshot is taken inside execute(), so it is consistent even
+     * while the loop serves clients; the `runtime.*` gauges are
      * published as a side effect.  Deterministic byte layout on the
      * sim backend (fixed key order, %.12g doubles).
      */
@@ -374,7 +367,7 @@ class Universe : public NodeLifecycle
     void advance(double seconds) { rt_->advance(seconds); }
 
   private:
-    /** Build every tier against rt_ (runs on the runtime strand). */
+    /** Build every tier against rt_ (runs inside execute()). */
     void assemble();
 
     /** Strand-side halves of the wrapped public entry points. */
@@ -395,8 +388,8 @@ class Universe : public NodeLifecycle
 
     UniverseConfig cfg_;
     Rng rng_;
-    /** Sim mode owns a simulator + network wrapped by a SimRuntime;
-     *  threaded mode owns only a ThreadedRuntime (sim_/net_ null). */
+    /** Both modes own a simulator + network, wrapped by a SimRuntime
+     *  or a ThreadedRuntime. */
     std::unique_ptr<Simulator> sim_;
     std::unique_ptr<Network> net_;
     std::unique_ptr<Runtime> rt_;

@@ -7,7 +7,7 @@
  * thereafter increments through a dense integer id — a single
  * relaxed atomic add on the hot path, cheap enough to stay always-on
  * in the simulator event loop and race-free under ThreadedRuntime
- * workers.  Names follow the `component.event` scheme (DESIGN.md
+ * threads.  Names follow the `component.event` scheme (DESIGN.md
  * section 11): `sim.events_fired`, `net.drops`, `pbft.view_changes`,
  * `plaxton.lookup_hops`, ...
  *

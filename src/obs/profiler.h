@@ -21,7 +21,7 @@
  * check per event when detached.
  *
  * Thread contract: buckets are fixed-capacity relaxed atomics, so
- * onEventFired() is lock-free from any ThreadedRuntime worker; the
+ * onEventFired() is lock-free from any ThreadedRuntime thread; the
  * ambient label is thread-local; interning takes a (no-op until
  * OCEANSTORE_THREADED) mutex.
  */

@@ -14,7 +14,7 @@ namespace {
 
 /** Each thread's ambient causal position.  Shared across Tracer
  *  instances (exactly one is active at a time), per thread so
- *  concurrent strand callbacks never race on it. */
+ *  concurrent runtime threads never race on it. */
 thread_local TraceContext tlCurrent;
 thread_local std::vector<TraceContext> tlScopeStack;
 

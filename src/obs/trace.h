@@ -18,11 +18,12 @@
  * fault-injector contract from DESIGN.md section 10).
  *
  * Thread contract: the buffer is sharded into per-thread arenas, so
- * concurrent appends from ThreadedRuntime workers never contend on a
- * shared lock; span ids come from one atomic counter, giving a total
- * allocation order that snapshot() uses as its deterministic merge
- * key.  The ambient context is thread-local — each worker carries its
- * own causal position, installed around each strand callback.
+ * concurrent appends from the threaded runtime's loop and client
+ * threads never contend on a shared lock; span ids come from one
+ * atomic counter, giving a total allocation order that snapshot()
+ * uses as its deterministic merge key.  The ambient context is
+ * thread-local — each thread carries its own causal position,
+ * installed around each event callback.
  *
  * Determinism: tracing only *observes*.  It consumes no randomness,
  * schedules no events and never branches protocol behaviour, so a
@@ -108,7 +109,7 @@ struct SpanRecord
  * Per-run span storage, sharded into per-thread arenas.
  *
  * Each appending thread gets its own arena (created lazily, cached
- * thread-locally), so appends from concurrent ThreadedRuntime workers
+ * thread-locally), so appends from concurrent ThreadedRuntime threads
  * take only the arena's own lock — which a single writer never
  * contends on.  Span ids are drawn from one atomic counter shared by
  * all arenas; because each arena's appends are serialized, ids are
@@ -188,9 +189,9 @@ class TraceBuffer
  * tracks the ambient causal context, and owns the TraceBuffer.
  *
  * Exactly one Tracer may be active at a time (see TraceScope); the
- * simulator, network and threaded runtime consult Tracer::active()
- * on their hot paths.  The ambient context is *per thread* (each
- * ThreadedRuntime worker carries its own causal position); on the
+ * simulator and network consult Tracer::active() on their hot
+ * paths.  The ambient context is *per thread* (each ThreadedRuntime
+ * thread carries its own causal position); on the
  * single-threaded sim backend that is indistinguishable from the
  * old process-wide context.
  */
@@ -215,8 +216,8 @@ class Tracer
     const TraceContext &current() const;
 
     /** Install / clear the calling thread's ambient context.  Used
-     *  by the simulator when firing an event, by the network when
-     *  delivering, and by ThreadedRuntime around strand callbacks. */
+     *  by the simulator when firing an event and by the network
+     *  when delivering, on both runtime backends. */
     void setCurrent(const TraceContext &ctx);
     void clearCurrent();
 

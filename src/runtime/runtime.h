@@ -6,29 +6,29 @@
  * tier, the Plaxton mesh, archival, the failure detector, the
  * Universe itself — drives its clock, timers and transport through
  * this narrow interface instead of binding to sim::Simulator
- * directly.  Two implementations exist:
+ * directly.  Both implementations wrap the same discrete-event
+ * Simulator + Network pair; they differ only in who drives it:
  *
- *  - SimRuntime (sim_runtime.h): a zero-cost adapter over the
- *    deterministic discrete-event Simulator/Network pair.  Every
- *    call forwards unchanged, so a protocol stack running on
- *    SimRuntime is byte-identical (same seeds, same trace hashes)
- *    to one wired to the simulator directly.
+ *  - SimRuntime (sim_runtime.h): the caller steps the loop
+ *    (runUntil/advance), in virtual time.  A protocol stack on
+ *    SimRuntime is byte-identical (same seeds, same trace hashes) to
+ *    one wired to the simulator directly.
  *
- *  - ThreadedRuntime (threaded_runtime.h): a real asynchronous
- *    runtime — worker thread pool, hashed timer wheel, in-process
- *    loopback transport with per-link FIFO queues and socket-ready
- *    framing — compiled functional only under OCEANSTORE_THREADED.
+ *  - ThreadedRuntime (threaded_runtime.h): a loop thread fires events
+ *    as the wall clock reaches them, while client threads enter
+ *    through execute(); compiled functional only under
+ *    OCEANSTORE_THREADED.
  *
  * The interface reuses the simulator's vocabulary types (SimTime in
- * seconds, EventId, Message, SimNode) so the adapter adds no
- * translation layer; on the threaded backend SimTime is wall-clock
- * seconds since runtime start and EventId names a wheel timer.
+ * seconds, EventId, Message, SimNode), so neither adapter adds a
+ * translation layer; on the threaded backend SimTime tracks wall
+ * seconds since runtime start.
  *
  * Threading contract: on SimRuntime everything is single-threaded.
  * On ThreadedRuntime, timer callbacks, message handlers and posted
- * tasks all run on the runtime's strand (mutually exclusive, FIFO),
- * so protocol objects need no locking of their own; execute() lets
- * an external thread join that strand for a synchronous section.
+ * tasks all run on the loop thread under one mutex, and execute()
+ * (like every other Runtime call) takes that mutex for a client
+ * thread, so protocol objects need no locking of their own.
  */
 
 #ifndef OCEANSTORE_RUNTIME_RUNTIME_H
@@ -56,10 +56,9 @@ mixSeed64(std::uint64_t base, std::uint64_t salt)
 
 /**
  * Health snapshot of a Runtime backend (DESIGN.md section 16): how
- * deep its queues are and how busy its machinery is *right now*.
- * Fields with no analogue on a backend stay zero (the sim has no
- * worker pool or per-link queues; its event queue is the timer
- * surface).  Published as `runtime.*` gauges by
+ * much work is waiting and how busy the loop is *right now*.  Fields
+ * with no analogue on a backend stay zero (on the sim the caller's
+ * thread is the loop).  Published as `runtime.*` gauges by
  * publishRuntimeStats() (runtime/stats.h) and rendered into
  * Universe::statusReport().
  */
@@ -67,23 +66,19 @@ struct RuntimeStats
 {
     /** Clock seconds since the runtime started (sim time / wall). */
     double uptime = 0.0;
-    /** Tasks queued for the strand, not yet started. */
+    /** Events already due but not yet fired (never future timers). */
     std::size_t strandQueueDepth = 0;
-    /** Timers scheduled and not yet fired or cancelled. */
+    /** Events scheduled and not yet fired or cancelled, deliveries
+     *  included. */
     std::size_t timersPending = 0;
-    /** Timer-wheel slots currently holding >= 1 timer (threaded). */
-    std::size_t wheelSlotsOccupied = 0;
-    /** Links with >= 1 queued delivery (threaded). */
-    std::size_t linksActive = 0;
-    /** Messages accepted but not yet delivered or dropped. */
+    /** Messages accepted but not yet delivered or dropped
+     *  (Network::inFlight()). */
     std::size_t linkQueuedMessages = 0;
-    /** Payload+header bytes across all link queues (threaded). */
-    std::uint64_t linkQueuedBytes = 0;
-    /** Worker threads serving the task queue (0 on sim). */
+    /** Loop threads firing events (1 threaded, 0 on sim). */
     std::size_t workers = 0;
-    /** Callbacks (tasks/events) executed since start. */
+    /** Callbacks (events) executed since start. */
     std::uint64_t tasksExecuted = 0;
-    /** Fraction of worker capacity spent running callbacks, [0, 1]
+    /** Share of wall time the loop spent firing events, [0, 1]
      *  (0 on sim, whose event loop is the caller's thread). */
     double workerUtilization = 0.0;
 };
@@ -104,7 +99,8 @@ class Runtime
      */
     virtual EventId schedule(SimTime delay, EventFn fn) = 0;
 
-    /** Run @p fn at absolute time @p when (clamped to now). */
+    /** Run @p fn at absolute time @p when; a deadline in the past
+     *  is clamped to now on both backends. */
     virtual EventId scheduleAt(SimTime when, EventFn fn) = 0;
 
     /** Cancel a pending timer; ignores ids that already fired. */
@@ -129,10 +125,13 @@ class Runtime
 
     /**
      * Send @p msg from @p from to @p to over the (from, to) link.
-     * Delivery is asynchronous, after the modeled link latency, and
-     * per-link FIFO: two sends on the same link are handled in send
-     * order.  Bytes are counted at send time even if the destination
-     * is down on arrival (the sender cannot know).
+     * Delivery is asynchronous, after the modeled link latency.  It
+     * is per-link FIFO only when the network has jitter 0 and
+     * bandwidth 0 (threaded mode's loopbackNetwork): with either term
+     * set, Network draws a latency per message and may reorder, and
+     * the sim's default NetworkConfig sets both.  Bytes are counted
+     * at send time even if the destination is down on arrival (the
+     * sender cannot know).
      */
     virtual void send(NodeId from, NodeId to, Message msg) = 0;
 
@@ -175,7 +174,8 @@ class Runtime
     /**
      * A monotone activity stamp used to salt uniqueness-sensitive
      * hashes (request ids).  Sim: the executed-event count, so the
-     * value is deterministic; threaded: a per-runtime counter.
+     * value is deterministic; threaded: a per-runtime counter, so two
+     * client threads never share a stamp.
      */
     virtual std::uint64_t uniqueStamp() const = 0;
 
@@ -190,9 +190,9 @@ class Runtime
 
     // --- introspection --------------------------------------------
     /**
-     * Live health snapshot: queue depths, timer occupancy, worker
-     * utilization.  Cheap (one lock, no allocation beyond the
-     * struct) and callable from any thread, including the strand.
+     * Live health snapshot: due and pending events, messages in
+     * flight, loop utilization.  Callable from any thread, including
+     * runtime callbacks.
      */
     virtual RuntimeStats stats() const = 0;
 
@@ -203,9 +203,10 @@ class Runtime
     /**
      * Drive the runtime until @p pred returns true or the clock
      * passes @p deadline (absolute seconds).  On the sim backend
-     * this steps the event loop; on the threaded backend it polls
-     * @p pred on the strand while real time passes.  Returns the
-     * final pred() value.
+     * this steps the event loop; on the threaded backend it
+     * re-evaluates @p pred under the loop mutex after every event
+     * the loop fires while real time passes.  Returns the final
+     * pred() value.
      */
     virtual bool runUntil(const std::function<bool()> &pred,
                           SimTime deadline) = 0;
@@ -217,7 +218,7 @@ class Runtime
      * Run @p fn exclusively with respect to all runtime callbacks —
      * the entry point for external threads touching protocol state.
      * On SimRuntime this is a plain call; on ThreadedRuntime it
-     * acquires the strand (reentrant from within a callback).
+     * takes the loop mutex (reentrant from within a callback).
      */
     virtual void execute(const std::function<void()> &fn) = 0;
 };

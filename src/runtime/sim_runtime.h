@@ -1,72 +1,105 @@
 /**
  * @file
- * Deterministic Runtime backend: a thin adapter over the existing
- * discrete-event Simulator and Network.
+ * The Runtime over a Simulator + Network pair, and its deterministic
+ * backend.
  *
- * Every call forwards unchanged to the wrapped pair — no extra
- * scheduling, no reordering, no added randomness — so protocol code
- * re-plumbed from (Simulator&, Network&) to Runtime& behaves
- * byte-identically: the same seeds produce the same event order,
- * metric values and trace hashes as before the seam existed.
+ * SimBackedRuntime holds the pair and forwards the clock, timer and
+ * transport calls both backends share.  Derived::Hold is held across
+ * each call: nothing on SimRuntime, the loop mutex on ThreadedRuntime
+ * (threaded_runtime.h), which paces the same pair by the wall clock.
  *
- * The adapter does not own the simulator or network; tests and the
- * Universe keep constructing those directly (for partitions, fault
- * injectors, flight accounting) and wrap them when handing a Runtime
- * to the protocol tiers.
+ * SimRuntime is stepped by the caller (runUntil/advance).  Every call
+ * forwards unchanged — no extra scheduling, no reordering, no added
+ * randomness — so protocol code re-plumbed from (Simulator&, Network&)
+ * to Runtime& behaves byte-identically: the same seeds produce the
+ * same event order, metric values and trace hashes as before the seam
+ * existed.  The one adjustment is scheduleAt(), which clamps a past
+ * deadline to now as the Runtime contract promises (the Simulator
+ * itself still rejects one).
+ *
+ * Neither backend owns the pair; tests and the Universe construct it
+ * directly (for partitions, fault injectors, flight accounting) and
+ * wrap it when handing a Runtime to the protocol tiers.
  */
 
 #ifndef OCEANSTORE_RUNTIME_SIM_RUNTIME_H
 #define OCEANSTORE_RUNTIME_SIM_RUNTIME_H
+
+#include <algorithm>
 
 #include "runtime/runtime.h"
 #include "sim/simulator.h"
 
 namespace oceanstore {
 
-/** Runtime implementation over Simulator + Network (deterministic). */
-class SimRuntime final : public Runtime
+/** The Runtime calls both backends forward to Simulator + Network;
+ *  @p Derived supplies the Hold type guarding each one. */
+template <typename Derived>
+class SimBackedRuntime : public Runtime
 {
   public:
-    /** Wrap an existing simulator/network; neither is owned. */
-    SimRuntime(Simulator &sim, Network &net,
-               std::uint64_t seed = 0x05eedull)
-        : sim_(sim), net_(net), seed_(seed)
-    {
-    }
-
     // --- clock & timers -------------------------------------------
-    SimTime now() const override { return sim_.now(); }
+    SimTime
+    now() const override
+    {
+        typename Derived::Hold h(self());
+        return sim_.now();
+    }
 
     EventId
     schedule(SimTime delay, EventFn fn) override
     {
+        typename Derived::Hold h(self());
         return sim_.schedule(delay, std::move(fn));
     }
 
     EventId
     scheduleAt(SimTime when, EventFn fn) override
     {
-        return sim_.scheduleAt(when, std::move(fn));
+        typename Derived::Hold h(self());
+        return sim_.scheduleAt(std::max(when, sim_.now()), std::move(fn));
     }
 
-    void cancel(EventId id) override { sim_.cancel(id); }
+    void
+    cancel(EventId id) override
+    {
+        typename Derived::Hold h(self());
+        sim_.cancel(id);
+    }
 
-    void post(EventFn fn) override { sim_.schedule(0.0, std::move(fn)); }
+    void
+    post(EventFn fn) override
+    {
+        typename Derived::Hold h(self());
+        sim_.schedule(0.0, std::move(fn));
+    }
 
     // --- transport ------------------------------------------------
     NodeId
     addNode(SimNode *node, double x, double y) override
     {
+        typename Derived::Hold h(self());
         return net_.addNode(node, x, y);
     }
 
-    void removeNode(NodeId id) override { net_.removeNode(id); }
+    void
+    removeNode(NodeId id) override
+    {
+        typename Derived::Hold h(self());
+        net_.removeNode(id);
+    }
 
-    std::size_t nodeCount() const override { return net_.size(); }
+    std::size_t
+    nodeCount() const override
+    {
+        typename Derived::Hold h(self());
+        return net_.size();
+    }
 
     void
     send(NodeId from, NodeId to, Message msg) override
     {
+        typename Derived::Hold h(self());
         net_.send(from, to, std::move(msg));
     }
 
@@ -74,42 +107,78 @@ class SimRuntime final : public Runtime
     multicast(NodeId from, const std::vector<NodeId> &tos,
               Message msg) override
     {
+        typename Derived::Hold h(self());
         net_.multicast(from, tos, std::move(msg));
     }
 
     double
     latency(NodeId a, NodeId b) const override
     {
+        typename Derived::Hold h(self());
         return net_.latency(a, b);
     }
 
     double
     distance(NodeId a, NodeId b) const override
     {
+        typename Derived::Hold h(self());
         return net_.distance(a, b);
     }
 
-    double xOf(NodeId n) const override { return net_.xOf(n); }
-    double yOf(NodeId n) const override { return net_.yOf(n); }
+    double
+    xOf(NodeId n) const override
+    {
+        typename Derived::Hold h(self());
+        return net_.xOf(n);
+    }
 
-    void setDown(NodeId n) override { net_.setDown(n); }
-    void setUp(NodeId n) override { net_.setUp(n); }
-    bool isUp(NodeId n) const override { return net_.isUp(n); }
+    double
+    yOf(NodeId n) const override
+    {
+        typename Derived::Hold h(self());
+        return net_.yOf(n);
+    }
 
-    std::uint64_t totalBytes() const override { return net_.totalBytes(); }
+    void
+    setDown(NodeId n) override
+    {
+        typename Derived::Hold h(self());
+        net_.setDown(n);
+    }
+
+    void
+    setUp(NodeId n) override
+    {
+        typename Derived::Hold h(self());
+        net_.setUp(n);
+    }
+
+    bool
+    isUp(NodeId n) const override
+    {
+        typename Derived::Hold h(self());
+        return net_.isUp(n);
+    }
+
+    std::uint64_t
+    totalBytes() const override
+    {
+        typename Derived::Hold h(self());
+        return net_.totalBytes();
+    }
 
     std::uint64_t
     totalMessages() const override
     {
+        typename Derived::Hold h(self());
         return net_.totalMessages();
     }
 
-    std::size_t inFlight() const override { return net_.inFlight(); }
-
-    std::uint64_t
-    uniqueStamp() const override
+    std::size_t
+    inFlight() const override
     {
-        return sim_.eventsExecuted();
+        typename Derived::Hold h(self());
+        return net_.inFlight();
     }
 
     // --- seeded rng -----------------------------------------------
@@ -119,16 +188,54 @@ class SimRuntime final : public Runtime
         return mixSeed64(seed_, salt);
     }
 
+  protected:
+    /** Wrap an existing simulator/network; neither is owned. */
+    SimBackedRuntime(Simulator &sim, Network &net, std::uint64_t seed)
+        : sim_(sim), net_(net), seed_(seed)
+    {
+    }
+
+    Simulator &sim_;
+    Network &net_;
+    std::uint64_t seed_;
+
+  private:
+    const Derived &self() const { return static_cast<const Derived &>(*this); }
+};
+
+/** Deterministic Runtime: the caller's thread steps the loop. */
+class SimRuntime final : public SimBackedRuntime<SimRuntime>
+{
+  public:
+    /** Nothing to hold: everything runs on the caller's thread. */
+    struct Hold
+    {
+        explicit Hold(const SimRuntime &) {}
+    };
+
+    /** Wrap an existing simulator/network; neither is owned. */
+    SimRuntime(Simulator &sim, Network &net,
+               std::uint64_t seed = 0x05eedull)
+        : SimBackedRuntime(sim, net, seed)
+    {
+    }
+
+    std::uint64_t
+    uniqueStamp() const override
+    {
+        return sim_.eventsExecuted();
+    }
+
     // --- introspection --------------------------------------------
     /** Trivially derived from the wrapped pair: the event queue is
-     *  the timer surface, delivery flights are the "link queue", and
-     *  pool/wheel/utilization fields stay zero (no threads). */
+     *  the timer surface and delivery flights are the "link queue";
+     *  the caller's thread runs the loop, so nothing is ever waiting
+     *  to fire and the loop-thread fields stay zero. */
     RuntimeStats
     stats() const override
     {
         RuntimeStats s;
         s.uptime = sim_.now();
-        s.strandQueueDepth = 0; // events run inline on the caller
         s.timersPending = sim_.pending();
         s.linkQueuedMessages = net_.inFlight();
         s.tasksExecuted = sim_.eventsExecuted();
@@ -154,17 +261,6 @@ class SimRuntime final : public Runtime
     void advance(SimTime seconds) override { sim_.runUntil(sim_.now() + seconds); }
 
     void execute(const std::function<void()> &fn) override { fn(); }
-
-    /** The wrapped simulator, for sim-only instrumentation. */
-    Simulator &sim() { return sim_; }
-
-    /** The wrapped network, for partitions/faults/accounting. */
-    Network &net() { return net_; }
-
-  private:
-    Simulator &sim_;
-    Network &net_;
-    std::uint64_t seed_;
 };
 
 } // namespace oceanstore

@@ -11,19 +11,14 @@ namespace {
 struct StatGaugeIds
 {
     MetricsRegistry *reg;
-    MetricsRegistry::Id strandQueueDepth, timersPending,
-        wheelSlotsOccupied, linksActive, linkQueueDepth,
-        linkQueueBytes, workers, workerUtilization;
+    MetricsRegistry::Id strandQueueDepth, timersPending, linkQueueDepth,
+        workers, workerUtilization;
 
     StatGaugeIds()
         : reg(&MetricsRegistry::global()),
           strandQueueDepth(reg->gauge("runtime.strand_queue_depth")),
           timersPending(reg->gauge("runtime.timers_pending")),
-          wheelSlotsOccupied(
-              reg->gauge("runtime.wheel_slots_occupied")),
-          linksActive(reg->gauge("runtime.links_active")),
           linkQueueDepth(reg->gauge("runtime.link_queue_depth")),
-          linkQueueBytes(reg->gauge("runtime.link_queue_bytes")),
           workers(reg->gauge("runtime.workers")),
           workerUtilization(reg->gauge("runtime.worker_utilization"))
     {
@@ -55,13 +50,8 @@ publishRuntimeStats(const RuntimeStats &s)
     g.reg->set(g.strandQueueDepth,
                static_cast<double>(s.strandQueueDepth));
     g.reg->set(g.timersPending, static_cast<double>(s.timersPending));
-    g.reg->set(g.wheelSlotsOccupied,
-               static_cast<double>(s.wheelSlotsOccupied));
-    g.reg->set(g.linksActive, static_cast<double>(s.linksActive));
     g.reg->set(g.linkQueueDepth,
                static_cast<double>(s.linkQueuedMessages));
-    g.reg->set(g.linkQueueBytes,
-               static_cast<double>(s.linkQueuedBytes));
     g.reg->set(g.workers, static_cast<double>(s.workers));
     g.reg->set(g.workerUtilization, s.workerUtilization);
 }
@@ -72,10 +62,7 @@ writeRuntimeStatsJson(const RuntimeStats &s, std::ostream &out)
     out << "{\"uptime\": " << jsonDouble(s.uptime)
         << ", \"strand_queue_depth\": " << s.strandQueueDepth
         << ", \"timers_pending\": " << s.timersPending
-        << ", \"wheel_slots_occupied\": " << s.wheelSlotsOccupied
-        << ", \"links_active\": " << s.linksActive
         << ", \"link_queue_depth\": " << s.linkQueuedMessages
-        << ", \"link_queue_bytes\": " << s.linkQueuedBytes
         << ", \"workers\": " << s.workers
         << ", \"tasks_executed\": " << s.tasksExecuted
         << ", \"worker_utilization\": "
@@ -114,7 +101,7 @@ PeriodicStatsExporter::stop()
         return;
     auto running = running_;
     running_.reset();
-    // Disarm on the strand so we serialize with any in-flight tick:
+    // Disarm under execute() so we serialize with any in-flight tick:
     // after execute() returns, the flag is visible and the pending
     // timer (if any) is cancelled or will see the flag and bail.
     rt_.execute([this, running] {

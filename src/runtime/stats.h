@@ -14,7 +14,7 @@
  *  - PeriodicStatsExporter re-snapshots on a fixed period from the
  *    runtime's own timer machinery, publishing gauges and handing
  *    (stats, metrics snapshot) to an optional sink.  All exporter
- *    work runs on the runtime strand, so sinks need no locking
+ *    work runs as runtime callbacks, so sinks need no locking
  *    against protocol callbacks.
  *
  * This lives in src/runtime (not src/obs) because it must see the
@@ -46,7 +46,7 @@ void writeRuntimeStatsJson(const RuntimeStats &s, std::ostream &out);
  *
  * Each tick (every @p period runtime seconds): take rt.stats(),
  * publish the gauges, and — when a sink is set — hand it the stats
- * plus a fresh MetricsSnapshot.  Ticks run on the runtime strand.
+ * plus a fresh MetricsSnapshot.  Ticks run as runtime callbacks.
  *
  * The exporter must be stop()ped (or destroyed, which stops it)
  * before the runtime shuts down, and must outlive its last tick;

@@ -1,48 +1,31 @@
 #include "runtime/threaded_runtime.h"
 
-#include "util/logging.h"
-
-#ifdef OCEANSTORE_THREADED
-
 #include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
 #include "runtime/framing.h"
 #include "util/check.h"
+#include "util/logging.h"
 
 namespace oceanstore {
 
 namespace {
 
-/** Interned metric ids for the threaded backend (thread-safe: the
- *  registry locks internally and ids are interned once). */
+/** Interned metric ids for the threaded backend.  Transport and timer
+ *  totals are the Network's `net.*` and the Simulator's `sim.*`
+ *  counters, which this backend drives like the sim does. */
 struct RtMetricIds
 {
     MetricsRegistry *reg;
-    MetricsRegistry::Id tasks, timersSet, timersFired, timersCancelled,
-        sends, bytes, drops, arrivalDrops, delivered, frameBytes,
-        frameErrors, taskDelay;
+    MetricsRegistry::Id tasks, timersFired, frameBytes, frameErrors;
 
     RtMetricIds()
         : reg(&MetricsRegistry::global()),
           tasks(reg->counter("runtime.tasks")),
-          timersSet(reg->counter("runtime.timers_set")),
           timersFired(reg->counter("runtime.timers_fired")),
-          timersCancelled(reg->counter("runtime.timers_cancelled")),
-          sends(reg->counter("runtime.sends")),
-          bytes(reg->counter("runtime.bytes")),
-          drops(reg->counter("runtime.drops")),
-          arrivalDrops(reg->counter("runtime.arrival_drops")),
-          delivered(reg->counter("runtime.delivered")),
           frameBytes(reg->counter("runtime.frame_bytes")),
-          frameErrors(reg->counter("runtime.frame_errors")),
-          // Enqueue->run latency; the sim backend feeds the same
-          // histogram with schedule->fire delays, so one dashboard
-          // reads both.
-          taskDelay(reg->histogram("runtime.task_delay", 0.0, 2.5, 50))
+          frameErrors(reg->counter("runtime.frame_errors"))
     {
     }
 };
@@ -54,27 +37,29 @@ rtMetrics()
     return ids;
 }
 
-std::uint64_t
-linkKey(NodeId from, NodeId to)
+/** @p seconds as a steady_clock duration (capped far beyond any run,
+ *  so an event at +infinity cannot overflow the tick count). */
+std::chrono::steady_clock::duration
+wallSpan(double seconds)
 {
-    return (static_cast<std::uint64_t>(from) << 32) | to;
+    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+        std::chrono::duration<double>(std::min(seconds, 1e9)));
 }
 
 } // namespace
 
-ThreadedRuntime::ThreadedRuntime(ThreadedConfig cfg)
-    : cfg_(cfg),
-      start_(std::chrono::steady_clock::now()),
-      rng_(cfg.seed),
-      wheel_(wheelSlots)
+ThreadedRuntime::ThreadedRuntime(Simulator &sim, Network &net,
+                                 std::uint64_t seed)
+    : SimBackedRuntime(sim, net, seed)
 {
-    OS_CHECK(cfg_.workers >= 1, "ThreadedRuntime: needs >= 1 worker");
-    OS_CHECK(cfg_.tick > 0.0, "ThreadedRuntime: tick must be > 0");
-    rtMetrics(); // intern ids before threads exist
-    timerThread_ = std::thread([this] { timerLoop(); });
-    workers_.reserve(cfg_.workers);
-    for (unsigned i = 0; i < cfg_.workers; i++)
-        workers_.emplace_back([this] { workerLoop(); });
+    if (!available())
+        fatal("ThreadedRuntime requires an OCEANSTORE_THREADED build "
+              "(cmake -DOCEANSTORE_THREADED=ON)");
+    // The wall reads whatever the simulator clock reads right now.
+    start_ = std::chrono::steady_clock::now() - wallSpan(sim_.now());
+    rtMetrics(); // intern ids before the loop thread exists
+    net_.setFrameCodec(this);
+    loop_ = std::thread([this] { loop(); });
 }
 
 ThreadedRuntime::~ThreadedRuntime() { shutdown(); }
@@ -87,542 +72,129 @@ ThreadedRuntime::shutdown()
         if (stop_)
             return;
         stop_ = true;
+        net_.setFrameCodec(nullptr);
     }
-    timerCv_.notify_all();
-    workCv_.notify_all();
-    if (timerThread_.joinable())
-        timerThread_.join();
-    for (auto &w : workers_)
-        if (w.joinable())
-            w.join();
+    loopCv_.notify_all();
+    if (loop_.joinable())
+        loop_.join();
 }
 
 double
-ThreadedRuntime::nowImpl() const
+ThreadedRuntime::wallNow() const
 {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start_)
         .count();
 }
 
-SimTime ThreadedRuntime::now() const { return nowImpl(); }
-
-std::uint64_t
-ThreadedRuntime::tickOf(double when) const
+std::chrono::steady_clock::time_point
+ThreadedRuntime::wallAt(double t) const
 {
-    double t = std::ceil(when / cfg_.tick);
-    return t <= 0.0 ? 0 : static_cast<std::uint64_t>(t);
-}
-
-EventId
-ThreadedRuntime::scheduleLocked(double when, EventFn fn, bool profile)
-{
-    EventId id = nextId_++;
-    Timer t;
-    t.when = when;
-    t.fn = std::move(fn);
-    t.alive = std::make_shared<std::atomic<bool>>(true);
-    t.scheduledAt = nowImpl();
-    t.profile = profile;
-    // Capture the ambient observability context so the timer fires
-    // inside the trace/phase of the code scheduling it, exactly as
-    // the simulator captures it into event slots.  Runtime-internal
-    // timers (link drains) skip the capture: they are plumbing, not
-    // protocol work, and must not inherit or attribute a phase.
-    if (profile) {
-        if (const Tracer *tr = Tracer::active())
-            t.ctx = tr->current();
-        if (const PhaseProfiler *pp = PhaseProfiler::active())
-            t.label = pp->currentLabel();
-    }
-    std::size_t slot = tickOf(when) % wheelSlots;
-    aliveOf_.emplace(id, t.alive);
-    wheel_[slot].emplace(id, std::move(t));
-    slotOf_.emplace(id, slot);
-    return id;
-}
-
-EventId
-ThreadedRuntime::schedule(SimTime delay, EventFn fn)
-{
-    double when = nowImpl() + std::max(delay, 0.0);
-    EventId id;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        id = scheduleLocked(when, std::move(fn));
-    }
-    rtMetrics().reg->inc(rtMetrics().timersSet);
-    timerCv_.notify_one();
-    return id;
-}
-
-EventId
-ThreadedRuntime::scheduleAt(SimTime when, EventFn fn)
-{
-    return schedule(when - nowImpl(), std::move(fn));
+    return start_ + wallSpan(t);
 }
 
 void
-ThreadedRuntime::cancel(EventId id)
+ThreadedRuntime::loop()
 {
-    if (id == invalidEventId)
-        return;
-    bool erased = false;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        // The tombstone outlives the wheel entry: a due timer that
-        // timerLoop already moved into tasks_ is still cancellable
-        // until runTask checks the flag on the strand.
-        auto ait = aliveOf_.find(id);
-        if (ait != aliveOf_.end()) {
-            ait->second->store(false, std::memory_order_release);
-            aliveOf_.erase(ait);
-            erased = true;
+    RtMetricIds &rm = rtMetrics();
+    const std::thread::id self = std::this_thread::get_id();
+    std::unique_lock<std::mutex> lk(mu_);
+    while (!stop_) {
+        if (waiting_.load(std::memory_order_acquire) > 0) {
+            // One event per hold: clients queued to enter go first,
+            // so a read never waits behind a burst of due events.
+            handoff_ = true;
+            loopCv_.wait(lk, [this] {
+                return stop_ ||
+                       waiting_.load(std::memory_order_acquire) == 0;
+            });
+            handoff_ = false;
+            continue;
         }
-        auto it = slotOf_.find(id);
-        if (it != slotOf_.end()) {
-            wheel_[it->second].erase(id);
-            slotOf_.erase(it);
+        double next = sim_.nextEventTime();
+        if (next > wallNow()) {
+            sleepUntil_ = next;
+            if (std::isinf(next))
+                loopCv_.wait(lk);
+            else
+                loopCv_.wait_until(lk, wallAt(next));
+            continue;
         }
+        owner_.store(self, std::memory_order_release);
+        auto t0 = std::chrono::steady_clock::now();
+        sim_.step();
+        busyNanos_.fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count()),
+            std::memory_order_relaxed);
+        owner_.store(std::thread::id{}, std::memory_order_release);
+        rm.reg->inc(rm.tasks);
+        rm.reg->inc(rm.timersFired);
+        {
+            std::lock_guard<std::mutex> g(firedMu_);
+            fired_++;
+        }
+        firedCv_.notify_all();
     }
-    if (erased)
-        rtMetrics().reg->inc(rtMetrics().timersCancelled);
-}
-
-void
-ThreadedRuntime::post(EventFn fn)
-{
-    Task t;
-    t.fn = std::move(fn);
-    t.scheduledAt = t.enqueuedAt = nowImpl();
-    if (const Tracer *tr = Tracer::active())
-        t.ctx = tr->current();
-    if (const PhaseProfiler *pp = PhaseProfiler::active())
-        t.label = pp->currentLabel();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        tasks_.push_back(std::move(t));
-    }
-    workCv_.notify_one();
-}
-
-NodeId
-ThreadedRuntime::addNode(SimNode *node, double x, double y)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    nodes_.push_back(node);
-    pos_.emplace_back(x, y);
-    up_.push_back(true);
-    return static_cast<NodeId>(nodes_.size() - 1);
-}
-
-void
-ThreadedRuntime::removeNode(NodeId id)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    OS_CHECK(id < nodes_.size(), "ThreadedRuntime: unknown node");
-    nodes_[id] = nullptr;
-}
-
-std::size_t
-ThreadedRuntime::nodeCount() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return nodes_.size();
-}
-
-double
-ThreadedRuntime::latencyLocked(NodeId a, NodeId b) const
-{
-    if (a == b)
-        return 0.0;
-    double dx = pos_[a].first - pos_[b].first;
-    double dy = pos_[a].second - pos_[b].second;
-    return cfg_.baseLatency +
-           cfg_.latencyPerUnit * std::sqrt(dx * dx + dy * dy);
-}
-
-double
-ThreadedRuntime::latency(NodeId a, NodeId b) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return latencyLocked(a, b);
-}
-
-double
-ThreadedRuntime::distance(NodeId a, NodeId b) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    double dx = pos_[a].first - pos_[b].first;
-    double dy = pos_[a].second - pos_[b].second;
-    return std::sqrt(dx * dx + dy * dy);
-}
-
-double
-ThreadedRuntime::xOf(NodeId n) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return pos_[n].first;
-}
-
-double
-ThreadedRuntime::yOf(NodeId n) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return pos_[n].second;
-}
-
-void
-ThreadedRuntime::setDown(NodeId n)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    up_[n] = false;
-}
-
-void
-ThreadedRuntime::setUp(NodeId n)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    up_[n] = true;
-}
-
-bool
-ThreadedRuntime::isUp(NodeId n) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return up_[n];
-}
-
-std::uint64_t
-ThreadedRuntime::totalBytes() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return totalBytes_;
-}
-
-std::uint64_t
-ThreadedRuntime::totalMessages() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return totalMessages_;
-}
-
-std::size_t
-ThreadedRuntime::inFlight() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return inFlight_;
-}
-
-std::uint64_t
-ThreadedRuntime::mixSeed(std::uint64_t salt) const
-{
-    return mixSeed64(cfg_.seed, salt);
 }
 
 std::uint64_t
 ThreadedRuntime::uniqueStamp() const
 {
-    return stamp_.fetch_add(1, std::memory_order_relaxed);
+    Hold h(*this);
+    return stamp_++;
 }
 
 RuntimeStats
 ThreadedRuntime::stats() const
 {
     RuntimeStats s;
-    s.uptime = nowImpl();
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        s.strandQueueDepth = tasks_.size();
-        s.timersPending = slotOf_.size();
-        for (const auto &bucket : wheel_)
-            if (!bucket.empty())
-                s.wheelSlotsOccupied++;
-        for (const auto &kv : links_)
-            if (!kv.second.q.empty())
-                s.linksActive++;
-        s.linkQueuedMessages = inFlight_;
-        s.linkQueuedBytes = linkQueuedBytes_;
+        Hold h(*this);
+        s.uptime = wallNow();
+        s.strandQueueDepth = sim_.dueBy(s.uptime);
+        s.timersPending = sim_.pending();
+        s.linkQueuedMessages = net_.inFlight();
+        std::lock_guard<std::mutex> g(firedMu_);
+        s.tasksExecuted = fired_;
     }
-    s.workers = cfg_.workers;
-    s.tasksExecuted = tasksRun_.load(std::memory_order_relaxed);
+    s.workers = 1;
     double busy =
-        static_cast<double>(
-            busyNanos_.load(std::memory_order_relaxed)) *
+        static_cast<double>(busyNanos_.load(std::memory_order_relaxed)) *
         1e-9;
-    double capacity = s.uptime * static_cast<double>(cfg_.workers);
-    if (capacity > 0.0)
-        s.workerUtilization = std::min(1.0, busy / capacity);
+    if (s.uptime > 0.0)
+        s.workerUtilization = std::min(1.0, busy / s.uptime);
     return s;
-}
-
-double
-ThreadedRuntime::drawDueLocked(NodeId from, NodeId to,
-                               std::size_t bytes)
-{
-    // The jitter draw happens here, before any tracing decision, so
-    // the rng_ stream is identical whether or not a tracer is
-    // attached — mirroring the sim network's draw-then-trace order.
-    double lat = latencyLocked(from, to);
-    if (cfg_.jitter > 0)
-        lat *= rng_.uniform(1.0 - cfg_.jitter, 1.0 + cfg_.jitter);
-    if (cfg_.bandwidth > 0)
-        lat += static_cast<double>(bytes) / cfg_.bandwidth;
-    return nowImpl() + lat;
-}
-
-void
-ThreadedRuntime::enqueueDelivery(
-    NodeId from, NodeId to, const std::shared_ptr<const Message> &msg,
-    const std::shared_ptr<const Bytes> &frame, double due)
-{
-    std::uint64_t key = linkKey(from, to);
-    bool armed = false;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        Pending p;
-        p.msg = msg;
-        p.frame = frame;
-        p.due = due;
-        p.sentAt = nowImpl();
-        p.to = to;
-        Link &l = links_[key];
-        l.q.push_back(std::move(p));
-        inFlight_++;
-        linkQueuedBytes_ += msg->totalBytes();
-        // The drain timer is re-armed from drainLink for each
-        // subsequent queue head; only an idle link arms here.
-        if (!l.armed) {
-            l.armed = true;
-            armLinkLocked(key, l.q.front().due);
-            armed = true;
-        }
-    }
-    if (armed)
-        timerCv_.notify_one();
-}
-
-void
-ThreadedRuntime::armLinkLocked(std::uint64_t key, double due)
-{
-    // profile=false: the drain timer is transport plumbing; phase
-    // attribution happens once per delivery in deliverPending, the
-    // way the sim attributes each delivery event exactly once.
-    scheduleLocked(due, [this, key] { drainLink(key); },
-                   /*profile=*/false);
-}
-
-void
-ThreadedRuntime::drainLink(std::uint64_t key)
-{
-    // Runs on the strand (all timers do).  Delivers every due head
-    // in FIFO order, then either disarms or re-arms for the next
-    // head's deadline.
-    for (;;) {
-        Pending p;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            Link &l = links_[key];
-            if (l.q.empty()) {
-                l.armed = false;
-                return;
-            }
-            if (l.q.front().due > nowImpl() + 1e-9) {
-                armLinkLocked(key, l.q.front().due);
-                return;
-            }
-            p = std::move(l.q.front());
-            l.q.pop_front();
-            inFlight_--;
-            linkQueuedBytes_ -= p.msg->totalBytes();
-        }
-        deliverPending(p);
-    }
-}
-
-void
-ThreadedRuntime::deliverPending(const Pending &p)
-{
-    RtMetricIds &rm = rtMetrics();
-    // One phase attribution per delivery, keyed by message type and
-    // charged the send->handle wall latency — the threaded analogue
-    // of the sim network's per-delivery ScopedPhase.
-    PhaseProfiler *pp = PhaseProfiler::active();
-    PhaseProfiler::Label label = 0;
-    if (pp) {
-        label = pp->labelForMessageType(p.msg->type);
-        pp->onEventFired(label, nowImpl() - p.sentAt);
-    }
-    ScopedPhase phase(pp, label);
-    // Decode + verify the frame exactly as a socket receiver would
-    // before trusting any field of the out-of-band payload.
-    auto head = decodeFrame(*p.frame);
-    if (!head || head->type != p.msg->type ||
-        head->src != p.msg->src || head->nonce != p.msg->nonce) {
-        rm.reg->inc(rm.frameErrors);
-        return;
-    }
-    SimNode *dest = nullptr;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (p.to < nodes_.size() && up_[p.to])
-            dest = nodes_[p.to];
-    }
-    if (dest == nullptr) {
-        rm.reg->inc(rm.arrivalDrops);
-        return;
-    }
-    rm.reg->inc(rm.delivered);
-    Tracer *tr = Tracer::active();
-    bool traced = tr && p.msg->trace.valid();
-    if (traced)
-        tr->setCurrent(p.msg->trace);
-    dest->handleMessage(*p.msg);
-    if (traced)
-        tr->clearCurrent();
-}
-
-void
-ThreadedRuntime::send(NodeId from, NodeId to, Message msg)
-{
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (from >= nodes_.size() || to >= nodes_.size())
-            fatal("ThreadedRuntime::send: unknown node");
-    }
-    msg.src = from;
-    std::size_t bytes = msg.totalBytes();
-    RtMetricIds &rm = rtMetrics();
-    bool sender_up;
-    bool dropped = false;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        totalBytes_ += bytes;
-        totalMessages_++;
-        byType_.bump(msg.type, bytes);
-        sender_up = up_[from];
-        if (sender_up && cfg_.dropRate > 0 &&
-            rng_.chance(cfg_.dropRate))
-            dropped = true;
-    }
-    rm.reg->inc(rm.sends);
-    rm.reg->inc(rm.bytes, bytes);
-    Tracer *tr = Tracer::active();
-    if (!sender_up || dropped) {
-        rm.reg->inc(rm.drops);
-        if (tr) {
-            double t = nowImpl();
-            tr->messageSpan(msg.type, from, to, bytes, t, t,
-                            SpanKind::Send, SpanStatus::Dropped);
-        }
-        return;
-    }
-    double due;
-    double sendT = nowImpl();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        due = drawDueLocked(from, to, bytes);
-    }
-    if (tr)
-        msg.trace = tr->messageSpan(msg.type, from, to, bytes, sendT,
-                                    due, SpanKind::Send,
-                                    SpanStatus::Ok);
-    auto frame = std::make_shared<const Bytes>(encodeFrame(msg));
-    rm.reg->inc(rm.frameBytes, frame->size());
-    auto shared = std::make_shared<const Message>(std::move(msg));
-    enqueueDelivery(from, to, shared, frame, due);
-}
-
-void
-ThreadedRuntime::multicast(NodeId from, const std::vector<NodeId> &tos,
-                           Message msg)
-{
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (from >= nodes_.size())
-            fatal("ThreadedRuntime::multicast: unknown node");
-        for (NodeId to : tos)
-            if (to >= nodes_.size())
-                fatal("ThreadedRuntime::multicast: unknown node");
-    }
-    if (tos.empty())
-        return;
-    msg.src = from;
-    std::size_t bytes = msg.totalBytes();
-    RtMetricIds &rm = rtMetrics();
-    bool sender_up;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        totalBytes_ += bytes * tos.size();
-        totalMessages_ += tos.size();
-        byType_.bump(msg.type, bytes * tos.size());
-        sender_up = up_[from];
-    }
-    rm.reg->inc(rm.sends, tos.size());
-    rm.reg->inc(rm.bytes, bytes * tos.size());
-    Tracer *tr = Tracer::active();
-    if (!sender_up) {
-        rm.reg->inc(rm.drops, tos.size());
-        if (tr) {
-            double t = nowImpl();
-            tr->messageSpan(msg.type, from,
-                            static_cast<std::uint32_t>(tos.size()),
-                            bytes, t, t, SpanKind::Multicast,
-                            SpanStatus::Dropped);
-        }
-        return;
-    }
-    // One span for the whole fan-out (peer = destination count),
-    // extended to the latest leg's delivery time as legs enqueue —
-    // the same shape the sim network records.
-    std::uint32_t fanoutSpan = 0;
-    double sendT = nowImpl();
-    if (tr) {
-        msg.trace = tr->messageSpan(
-            msg.type, from, static_cast<std::uint32_t>(tos.size()),
-            bytes, sendT, sendT, SpanKind::Multicast, SpanStatus::Ok);
-        fanoutSpan = msg.trace.spanId;
-    }
-    // One payload, one frame, shared by every destination — the
-    // loopback analogue of the sim network's pooled flights.
-    auto frame = std::make_shared<const Bytes>(encodeFrame(msg));
-    rm.reg->inc(rm.frameBytes, frame->size() * tos.size());
-    auto shared = std::make_shared<const Message>(std::move(msg));
-    for (NodeId to : tos) {
-        double due;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            due = drawDueLocked(from, to, bytes);
-        }
-        if (tr)
-            tr->setSpanEnd(fanoutSpan, due);
-        enqueueDelivery(from, to, shared, frame, due);
-    }
 }
 
 bool
 ThreadedRuntime::runUntil(const std::function<bool()> &pred,
                           SimTime deadline)
 {
-    // Polling from a strand callback can never succeed: the
-    // reentrant execute keeps the strand held, so the completion
-    // task that would satisfy pred cannot run — the call would spin
-    // until the deadline.  Fail fast instead: sync wrappers
-    // (readSync/writeSync/restoreSync) must only be called from
-    // client threads, never from runtime callbacks.
-    OS_CHECK(strandOwner_.load(std::memory_order_acquire) !=
+    // Waiting while holding the loop mutex could never succeed: the
+    // event that would satisfy pred cannot fire.  Fail fast instead:
+    // sync wrappers (readSync/writeSync/restoreSync) must only be
+    // called from client threads, never from runtime callbacks.
+    OS_CHECK(owner_.load(std::memory_order_acquire) !=
                  std::this_thread::get_id(),
-             "ThreadedRuntime::runUntil called from a runtime "
-             "callback; sync wrappers must not run on the strand");
+             "ThreadedRuntime::runUntil called from a runtime callback "
+             "or execute(); sync wrappers must run on client threads");
     for (;;) {
-        bool ok = false;
-        execute([&] { ok = pred(); });
-        if (ok)
-            return true;
-        if (nowImpl() > deadline)
-            return false;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(cfg_.tick));
+        std::uint64_t seen;
+        {
+            Hold h(*this);
+            if (pred())
+                return true;
+            if (wallNow() > deadline)
+                return false;
+            std::lock_guard<std::mutex> g(firedMu_);
+            seen = fired_;
+        }
+        std::unique_lock<std::mutex> lk(firedMu_);
+        firedCv_.wait_until(lk, wallAt(deadline),
+                            [&] { return fired_ != seen; });
     }
 }
 
@@ -635,230 +207,31 @@ ThreadedRuntime::advance(SimTime seconds)
 }
 
 void
-ThreadedRuntime::runOnStrand(const std::function<void()> &fn)
+ThreadedRuntime::execute(const std::function<void()> &fn)
 {
-    std::thread::id self = std::this_thread::get_id();
-    if (strandOwner_.load(std::memory_order_acquire) == self) {
-        fn(); // reentrant: already on the strand
-        return;
-    }
-    std::lock_guard<std::mutex> lk(strandMu_);
-    strandOwner_.store(self, std::memory_order_release);
-    // Clear ownership on unwind too: a stale owner id would let this
-    // thread's next execute() take the reentrant path without holding
-    // strandMu_, racing whoever legitimately owns the strand.
-    struct OwnerReset
-    {
-        std::atomic<std::thread::id> &owner;
-        ~OwnerReset()
-        {
-            owner.store(std::thread::id{},
-                        std::memory_order_release);
-        }
-    } reset{strandOwner_};
+    Hold h(*this);
     fn();
 }
 
 void
-ThreadedRuntime::execute(const std::function<void()> &fn)
+ThreadedRuntime::encode(const Message &msg, Bytes &out)
 {
-    runOnStrand(fn);
+    out = encodeFrame(msg);
 }
 
-void
-ThreadedRuntime::timerLoop()
+bool
+ThreadedRuntime::verify(const Bytes &frame, const Message &msg)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-        double t = nowImpl();
-        std::uint64_t cur = tickOf(t);
-        // Visit every slot whose tick came due since the last pass,
-        // *including* the current tick's slot again (a zero-delay
-        // timer lands in it while lastTick_ == cur); a long sleep
-        // visits each slot at most once.
-        std::uint64_t span = std::min<std::uint64_t>(
-            cur - lastTick_ + 1, wheelSlots);
-        std::vector<std::pair<std::pair<double, EventId>, Task>>
-            due;
-        for (std::uint64_t i = 0; i < span; i++) {
-            std::size_t slot =
-                (lastTick_ + i) % wheelSlots;
-            auto &bucket = wheel_[slot];
-            for (auto it = bucket.begin(); it != bucket.end();) {
-                if (tickOf(it->second.when) <= cur) {
-                    Task task;
-                    task.fn = std::move(it->second.fn);
-                    task.ctx = it->second.ctx;
-                    task.alive = std::move(it->second.alive);
-                    task.timerId = it->first;
-                    task.scheduledAt = it->second.scheduledAt;
-                    task.enqueuedAt = t;
-                    task.label = it->second.label;
-                    task.profile = it->second.profile;
-                    due.emplace_back(
-                        std::make_pair(it->second.when, it->first),
-                        std::move(task));
-                    slotOf_.erase(it->first);
-                    it = bucket.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-        lastTick_ = cur;
-        if (!due.empty()) {
-            // Deterministic tie-break within a batch: fire in
-            // (deadline, schedule-order) order like the sim's queue.
-            std::sort(due.begin(), due.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.first < b.first;
-                      });
-            for (auto &d : due)
-                tasks_.push_back(std::move(d.second));
-            rtMetrics().reg->inc(rtMetrics().timersFired, due.size());
-            workCv_.notify_all();
-        }
-        timerCv_.wait_for(
-            lk, std::chrono::duration<double>(cfg_.tick),
-            [this] { return stop_; });
-    }
-}
-
-void
-ThreadedRuntime::runTask(Task &task)
-{
-    // Timer work checks its tombstone here, on the strand and
-    // immediately before invoking: a cancel() issued any time up to
-    // this point (including from another strand callback after the
-    // timer left the wheel) suppresses the body, matching the
-    // sim's cancel-prevents-fire contract that RpcCall and the
-    // failure detectors rely on.
-    if (task.alive && !task.alive->load(std::memory_order_acquire))
-        return;
-    // Restore the causal context captured when the work was queued,
-    // exactly as the simulator does around every event callback, and
-    // attribute the schedule->run delay to the captured phase
-    // (cancelled timers, skipped above, are never attributed).
-    Tracer *tr = Tracer::active();
-    bool traced = tr && task.ctx.valid();
-    if (traced)
-        tr->setCurrent(task.ctx);
-    PhaseProfiler *pp = task.profile ? PhaseProfiler::active() : nullptr;
-    if (pp) {
-        pp->onEventFired(task.label, nowImpl() - task.scheduledAt);
-        pp->setCurrent(task.label);
-    }
-    task.fn();
-    if (pp)
-        pp->setCurrent(0);
-    if (traced)
-        tr->clearCurrent();
-}
-
-void
-ThreadedRuntime::workerLoop()
-{
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            workCv_.wait(lk, [this] {
-                return stop_ || !tasks_.empty();
-            });
-            if (tasks_.empty()) {
-                if (stop_)
-                    return; // drained: graceful exit
-                continue;
-            }
-        }
-        // Take the strand BEFORE popping: if workers popped first
-        // and then raced for the strand, two queued tasks could run
-        // out of queue order, breaking the FIFO guarantees (posted
-        // work, same-batch timer order) the conformance suite pins.
-        runOnStrand([this] {
-            Task task;
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                if (tasks_.empty())
-                    return; // another worker drained it first
-                task = std::move(tasks_.front());
-                tasks_.pop_front();
-            }
-            RtMetricIds &rm = rtMetrics();
-            rm.reg->inc(rm.tasks);
-            rm.reg->observe(rm.taskDelay,
-                            nowImpl() - task.enqueuedAt);
-            auto t0 = std::chrono::steady_clock::now();
-            runTask(task);
-            busyNanos_.fetch_add(
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()),
-                std::memory_order_relaxed);
-            tasksRun_.fetch_add(1, std::memory_order_relaxed);
-            if (task.timerId != invalidEventId) {
-                // The callback ran (or was tombstone-skipped); from
-                // here on cancel(timerId) is a no-op by design.
-                std::lock_guard<std::mutex> lk(mu_);
-                aliveOf_.erase(task.timerId);
-            }
-        });
-    }
-}
-
-} // namespace oceanstore
-
-#else // !OCEANSTORE_THREADED — stubs so the symbol set is stable.
-
-namespace oceanstore {
-
-ThreadedRuntime::ThreadedRuntime(ThreadedConfig cfg) : cfg_(cfg)
-{
-    fatal("ThreadedRuntime requires an OCEANSTORE_THREADED build "
-          "(cmake -DOCEANSTORE_THREADED=ON)");
-}
-
-ThreadedRuntime::~ThreadedRuntime() = default;
-
-void ThreadedRuntime::shutdown() {}
-
-SimTime ThreadedRuntime::now() const { return 0.0; }
-EventId ThreadedRuntime::schedule(SimTime, EventFn) { return 0; }
-EventId ThreadedRuntime::scheduleAt(SimTime, EventFn) { return 0; }
-void ThreadedRuntime::cancel(EventId) {}
-void ThreadedRuntime::post(EventFn) {}
-NodeId ThreadedRuntime::addNode(SimNode *, double, double) { return 0; }
-void ThreadedRuntime::removeNode(NodeId) {}
-std::size_t ThreadedRuntime::nodeCount() const { return 0; }
-void ThreadedRuntime::send(NodeId, NodeId, Message) {}
-void ThreadedRuntime::multicast(NodeId, const std::vector<NodeId> &,
-                                Message)
-{
-}
-double ThreadedRuntime::latency(NodeId, NodeId) const { return 0.0; }
-double ThreadedRuntime::distance(NodeId, NodeId) const { return 0.0; }
-double ThreadedRuntime::xOf(NodeId) const { return 0.0; }
-double ThreadedRuntime::yOf(NodeId) const { return 0.0; }
-void ThreadedRuntime::setDown(NodeId) {}
-void ThreadedRuntime::setUp(NodeId) {}
-bool ThreadedRuntime::isUp(NodeId) const { return false; }
-std::uint64_t ThreadedRuntime::totalBytes() const { return 0; }
-std::uint64_t ThreadedRuntime::totalMessages() const { return 0; }
-std::size_t ThreadedRuntime::inFlight() const { return 0; }
-std::uint64_t ThreadedRuntime::mixSeed(std::uint64_t) const
-{
-    return 0;
-}
-std::uint64_t ThreadedRuntime::uniqueStamp() const { return 0; }
-RuntimeStats ThreadedRuntime::stats() const { return RuntimeStats{}; }
-bool ThreadedRuntime::runUntil(const std::function<bool()> &, SimTime)
-{
+    RtMetricIds &rm = rtMetrics();
+    rm.reg->inc(rm.frameBytes, frame.size());
+    // Decode + verify the frame exactly as a socket receiver would
+    // before trusting any field of the out-of-band payload.
+    auto head = decodeFrame(frame);
+    if (head && head->type == msg.type && head->src == msg.src &&
+        head->nonce == msg.nonce)
+        return true;
+    rm.reg->inc(rm.frameErrors);
     return false;
 }
-void ThreadedRuntime::advance(SimTime) {}
-void ThreadedRuntime::execute(const std::function<void()> &) {}
 
 } // namespace oceanstore
-
-#endif // OCEANSTORE_THREADED

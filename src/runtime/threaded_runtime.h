@@ -1,85 +1,69 @@
 /**
  * @file
- * Real asynchronous Runtime backend (DESIGN.md section 15).
+ * Wall-clock Runtime backend (DESIGN.md section 15).
  *
- * ThreadedRuntime runs the same protocol stack the simulator runs,
- * but against wall-clock time and real threads:
+ * ThreadedRuntime wraps the same Simulator + Network pair SimRuntime
+ * wraps, but paces it by the wall clock instead of letting the caller
+ * step it:
  *
- *  - a worker thread pool executes timer callbacks, message
- *    deliveries and posted tasks;
- *  - a hashed timer wheel (fixed tick, slot = due-tick modulo wheel
- *    size) provides schedule/cancel without a global priority queue;
- *  - an in-process loopback transport models per-link latency from
- *    the same geometric positions the sim uses, with one FIFO queue
- *    per (src, dst) link so two sends on a link can never reorder,
- *    and socket-ready framing (runtime/framing.h) encoded at send
- *    and decoded + CRC-verified at delivery;
- *  - every protocol callback runs on the runtime's *strand*: workers
- *    acquire a single strand mutex around handlers, timers and
- *    execute() sections, so protocol objects written for the
- *    single-threaded simulator stay correct unmodified.  The pool
- *    and the strand give an event-loop shard served by real threads;
- *    concurrency comes from client threads, the timer thread and
- *    the transport plumbing, not from splitting protocol state.
+ *  - one loop thread fires due events from the simulator's pooled
+ *    event store, one event per hold of the loop mutex, and otherwise
+ *    sleeps until the next event's deadline or a client's signal;
+ *  - client threads enter through execute() or any other Runtime
+ *    call, which takes the same mutex and moves the simulator clock
+ *    to min(wall, next event) without firing anything — so protocol
+ *    objects written for the single-threaded simulator need no locks
+ *    of their own, and a loop that fires one event at a time lets a
+ *    waiting client in between any two events;
+ *  - transport, latency, drops and partitions are the Network's, so
+ *    FaultInjector, ChurnInjector and Universe::net() work unchanged;
+ *  - every transmission is framed once (runtime/framing.h) and every
+ *    delivery decodes and CRC-verifies that frame before the handler
+ *    sees the message.
+ *
+ * Clock: wall seconds since the runtime started while the loop keeps
+ * up; while it runs late the clock is the fired event's deadline, so
+ * it trails the wall by the backlog and never runs ahead of it.
  *
  * The class is only functional when the tree is built with
  * OCEANSTORE_THREADED (which also arms util::Mutex); in a plain sim
  * build construction aborts with a clear message and available() is
  * false, so callers can gate demos and tests at runtime.
  *
- * Determinism caveat: timers fire on wheel-tick boundaries of real
- * time and thread interleavings vary run to run, so the threaded
- * backend makes no replay guarantee.  Seeded decisions (latency
- * jitter, mixSeed) remain reproducible; ordering does not.
+ * Determinism caveat: event order follows the simulator's (deadline,
+ * schedule order) rule, but when clients enter depends on the OS, so
+ * the threaded backend makes no replay guarantee.
  */
 
 #ifndef OCEANSTORE_RUNTIME_THREADED_RUNTIME_H
 #define OCEANSTORE_RUNTIME_THREADED_RUNTIME_H
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <vector>
-
-#ifdef OCEANSTORE_THREADED
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <mutex>
 #include <thread>
-#endif
 
-#include "runtime/runtime.h"
-#include "util/bytes.h"
-#include "util/random.h"
-#include "util/stats.h"
+#include "runtime/sim_runtime.h"
 
 namespace oceanstore {
 
-/** Tunables for the threaded backend. */
-struct ThreadedConfig
-{
-    /** Worker threads servicing the task queue. */
-    unsigned workers = 4;
-    /** Timer-wheel tick (seconds of wall time). */
-    double tick = 0.0005;
-    /** Loopback link latency floor, seconds (wall). */
-    double baseLatency = 0.0003;
-    /** Extra latency per unit of geometric distance, seconds. */
-    double latencyPerUnit = 0.002;
-    /** Link bandwidth in bytes/second (0 = infinite). */
-    double bandwidth = 0.0;
-    /** Fractional latency jitter (uniform +/-). */
-    double jitter = 0.0;
-    /** Probability an individual message is silently dropped. */
-    double dropRate = 0.0;
-    /** Seed for jitter/drop draws and mixSeed derivation. */
-    std::uint64_t seed = 0x7468726eull;
+/** The loopback link model of threaded mode: a 0.3 ms floor plus
+ *  2 ms per unit of distance, no bandwidth term, no jitter and no
+ *  drops (faults come from a FaultInjector). */
+inline constexpr NetworkConfig loopbackNetwork{
+    .baseLatency = 0.0003,
+    .latencyPerUnit = 0.002,
+    .bandwidth = 0.0,
+    .jitter = 0.0,
+    .dropRate = 0.0,
 };
 
-/** Runtime implementation over real threads and wall-clock time. */
-class ThreadedRuntime final : public Runtime
+/** Runtime implementation over Simulator + Network, paced by the
+ *  wall clock from one loop thread. */
+class ThreadedRuntime final : public SimBackedRuntime<ThreadedRuntime>,
+                              private FrameCodec
 {
   public:
     /** True when the build can actually run this backend. */
@@ -93,184 +77,128 @@ class ThreadedRuntime final : public Runtime
 #endif
     }
 
-    /** Starts the timer thread and worker pool immediately. */
-    explicit ThreadedRuntime(ThreadedConfig cfg = {});
+    /**
+     * Wrap an existing simulator/network (neither is owned) and start
+     * the loop thread.  From here on touch either only through this
+     * runtime: a Runtime call or an execute() section.
+     */
+    ThreadedRuntime(Simulator &sim, Network &net,
+                    std::uint64_t seed = 0x05eedull);
 
-    /** Joins all threads (calls shutdown() if still running). */
+    /** Stops the loop (calls shutdown() if still running). */
     ~ThreadedRuntime() override;
 
     ThreadedRuntime(const ThreadedRuntime &) = delete;
     ThreadedRuntime &operator=(const ThreadedRuntime &) = delete;
 
     /**
-     * Graceful stop: the timer wheel stops firing, workers drain the
-     * task queue, then every thread is joined.  Idempotent; must be
-     * called (or the destructor run) before any registered endpoint
-     * is destroyed.
+     * Stop firing events and join the loop thread; events still
+     * pending never run.  Idempotent; must be called (or the
+     * destructor run) before any registered endpoint is destroyed.
      */
     void shutdown();
 
-    // --- Runtime interface ----------------------------------------
-    SimTime now() const override;
-    EventId schedule(SimTime delay, EventFn fn) override;
-    EventId scheduleAt(SimTime when, EventFn fn) override;
-    void cancel(EventId id) override;
-    void post(EventFn fn) override;
-
-    NodeId addNode(SimNode *node, double x, double y) override;
-    void removeNode(NodeId id) override;
-    std::size_t nodeCount() const override;
-    void send(NodeId from, NodeId to, Message msg) override;
-    void multicast(NodeId from, const std::vector<NodeId> &tos,
-                   Message msg) override;
-    double latency(NodeId a, NodeId b) const override;
-    double distance(NodeId a, NodeId b) const override;
-    double xOf(NodeId n) const override;
-    double yOf(NodeId n) const override;
-    void setDown(NodeId n) override;
-    void setUp(NodeId n) override;
-    bool isUp(NodeId n) const override;
-    std::uint64_t totalBytes() const override;
-    std::uint64_t totalMessages() const override;
-    std::size_t inFlight() const override;
+    // --- Runtime interface beyond the shared forwarding -----------
     std::uint64_t uniqueStamp() const override;
-
-    std::uint64_t mixSeed(std::uint64_t salt) const override;
-
     RuntimeStats stats() const override;
-
     bool deterministic() const override { return false; }
     bool runUntil(const std::function<bool()> &pred,
                   SimTime deadline) override;
     void advance(SimTime seconds) override;
     void execute(const std::function<void()> &fn) override;
 
-#ifdef OCEANSTORE_THREADED
   private:
-    /** One queued (encoded, latency-stamped) delivery on a link. */
-    struct Pending
+    friend class SimBackedRuntime<ThreadedRuntime>;
+
+    /**
+     * A client thread's hold of the loop mutex, taken around every
+     * Runtime call.  On the thread that already holds it (the loop
+     * inside a callback, or a nested execute()) it does nothing, so
+     * every call is reentrant.
+     */
+    class Hold
     {
-        std::shared_ptr<const Message> msg;
-        std::shared_ptr<const Bytes> frame;
-        double due = 0.0;
-        double sentAt = 0.0; //!< Send time, for phase attribution.
-        NodeId to = invalidNode;
+      public:
+        explicit Hold(const ThreadedRuntime &rt)
+            : rt_(rt), nested_(rt.owner_.load(std::memory_order_acquire) ==
+                               std::this_thread::get_id())
+        {
+            if (nested_)
+                return;
+            // Announce the wait first: between two events the loop
+            // steps aside while anyone is queued here.
+            rt_.waiting_.fetch_add(1, std::memory_order_acq_rel);
+            rt_.mu_.lock();
+            rt_.waiting_.fetch_sub(1, std::memory_order_acq_rel);
+            rt_.owner_.store(std::this_thread::get_id(),
+                             std::memory_order_release);
+            // Catch an idle clock up with the wall (never past a
+            // pending event), so what the client schedules is timed
+            // from now.
+            rt_.sim_.advanceTo(rt_.wallNow());
+        }
+
+        ~Hold()
+        {
+            if (nested_)
+                return;
+            // Wake the loop only if it waits on us or now has an
+            // earlier deadline than the one it sleeps until.
+            bool wake = rt_.handoff_ ||
+                        rt_.sim_.nextEventTime() < rt_.sleepUntil_;
+            rt_.owner_.store(std::thread::id{},
+                             std::memory_order_release);
+            rt_.mu_.unlock();
+            if (wake)
+                rt_.loopCv_.notify_one();
+        }
+
+        Hold(const Hold &) = delete;
+        Hold &operator=(const Hold &) = delete;
+
+      private:
+        const ThreadedRuntime &rt_;
+        bool nested_;
     };
 
-    /** Per-(src,dst) FIFO delivery queue. */
-    struct Link
-    {
-        std::deque<Pending> q;
-        /** True while a drain timer or drain pass owns the link. */
-        bool armed = false;
-    };
+    double wallNow() const;
+    std::chrono::steady_clock::time_point wallAt(double t) const;
+    void loop();
 
-    /** A queued unit of strand work (+ its causal context).  Work
-     *  that originated as a timer carries the timer's tombstone so
-     *  cancel() stays effective until the callback actually runs. */
-    struct Task
-    {
-        EventFn fn;
-        TraceContext ctx;
-        std::shared_ptr<std::atomic<bool>> alive;
-        EventId timerId = invalidEventId;
-        /** When the originating schedule()/post() ran (wall). */
-        double scheduledAt = 0.0;
-        /** When the task entered tasks_ (runtime.task_delay base). */
-        double enqueuedAt = 0.0;
-        /** Ambient phase label captured at scheduling. */
-        std::uint16_t label = 0;
-        /** False for runtime-internal work (link drains), which the
-         *  profiler must not attribute to a protocol phase. */
-        bool profile = true;
-    };
+    // FrameCodec: runtime/framing.h on every transmission.
+    void encode(const Message &msg, Bytes &out) override;
+    bool verify(const Bytes &frame, const Message &msg) override;
 
-    /** A wheel timer waiting to fire. */
-    struct Timer
-    {
-        double when = 0.0;
-        EventFn fn;
-        TraceContext ctx;
-        std::shared_ptr<std::atomic<bool>> alive;
-        double scheduledAt = 0.0;
-        std::uint16_t label = 0;
-        bool profile = true;
-    };
-
-    static constexpr std::size_t wheelSlots = 512;
-
-    double nowImpl() const;
-    std::uint64_t tickOf(double when) const;
-    /** "Locked" members require mu_ held by the caller.
-     *  profile=false marks runtime-internal timers (link drains):
-     *  no trace/phase capture, no profiler attribution. */
-    EventId scheduleLocked(double when, EventFn fn,
-                           bool profile = true);
-    void armLinkLocked(std::uint64_t key, double due);
-    double latencyLocked(NodeId a, NodeId b) const;
-    /** Draw the jittered delivery deadline for one leg (consumes
-     *  rng_ exactly once per jittered link, traced or not). */
-    double drawDueLocked(NodeId from, NodeId to, std::size_t bytes);
-    void enqueueDelivery(NodeId from, NodeId to,
-                         const std::shared_ptr<const Message> &msg,
-                         const std::shared_ptr<const Bytes> &frame,
-                         double due);
-    void drainLink(std::uint64_t key);
-    void deliverPending(const Pending &p);
-    void runOnStrand(const std::function<void()> &fn);
-    void runTask(Task &task);
-    void timerLoop();
-    void workerLoop();
-
-    ThreadedConfig cfg_;
+    /** Wall instant at which the simulator clock reads 0. */
     std::chrono::steady_clock::time_point start_;
 
-    /** Guards every mutable member below (queues, wheel, registry,
-     *  counters, rng).  Never held while running user callbacks. */
+    /** The loop mutex: held while an event fires and while a client
+     *  is inside a Hold; guards sim_, net_ and the fields below. */
     mutable std::mutex mu_;
-    std::condition_variable workCv_;
-    std::condition_variable timerCv_;
+    /** Wakes the loop: a client scheduled something earlier than its
+     *  sleep target, left after a handoff, or shutdown began. */
+    mutable std::condition_variable loopCv_;
+    /** Threads blocked entering mu_; the loop yields to them. */
+    mutable std::atomic<int> waiting_{0};
+    /** Thread holding mu_ (reentrancy check), default when none. */
+    mutable std::atomic<std::thread::id> owner_{};
+    /** Deadline the loop sleeps until. */
+    double sleepUntil_ = 0.0;
+    /** True while the loop waits for waiting clients to pass. */
+    bool handoff_ = false;
     bool stop_ = false;
+    mutable std::uint64_t stamp_ = 0;
 
-    /** Serializes protocol callbacks; taken before mu_, never after. */
-    std::mutex strandMu_;
-    std::atomic<std::thread::id> strandOwner_{};
-    mutable std::atomic<std::uint64_t> stamp_{0};
+    /** Events fired by the loop; firedCv_ signals runUntil waiters
+     *  after every one. */
+    mutable std::mutex firedMu_;
+    std::condition_variable firedCv_;
+    std::uint64_t fired_ = 0;
 
-    Rng rng_;
-    std::vector<SimNode *> nodes_;
-    std::vector<std::pair<double, double>> pos_;
-    std::vector<bool> up_;
-    std::uint64_t totalBytes_ = 0;
-    std::uint64_t totalMessages_ = 0;
-    std::size_t inFlight_ = 0;
-    /** Bytes sitting in link queues right now (guarded by mu_). */
-    std::uint64_t linkQueuedBytes_ = 0;
-    Counters byType_;
-
-    /** Strand callbacks completed since start. */
-    std::atomic<std::uint64_t> tasksRun_{0};
-    /** Wall nanoseconds workers spent inside callbacks. */
+    /** Wall nanoseconds the loop spent firing events. */
     std::atomic<std::uint64_t> busyNanos_{0};
 
-    std::deque<Task> tasks_;
-    std::map<std::uint64_t, Link> links_;
-
-    std::vector<std::map<EventId, Timer>> wheel_;
-    std::map<EventId, std::size_t> slotOf_;
-    /** Tombstones for every scheduled-but-not-yet-run timer,
-     *  including those already moved off the wheel into tasks_;
-     *  cancel() clears the flag here and runTask skips the body. */
-    std::map<EventId, std::shared_ptr<std::atomic<bool>>> aliveOf_;
-    std::uint64_t lastTick_ = 0;
-    EventId nextId_ = 1;
-
-    std::thread timerThread_;
-    std::vector<std::thread> workers_;
-#else
-  private:
-    ThreadedConfig cfg_;
-#endif
+    std::thread loop_;
 };
 
 } // namespace oceanstore

@@ -87,14 +87,18 @@ std::uint32_t
 Network::allocFlight(Message &&msg)
 {
     MutexLock lock(mu_);
+    std::uint32_t f;
     if (!freeFlights_.empty()) {
-        std::uint32_t f = freeFlights_.back();
+        f = freeFlights_.back();
         freeFlights_.pop_back();
         flights_[f].msg = std::move(msg);
-        return f;
+    } else {
+        f = static_cast<std::uint32_t>(flights_.size());
+        flights_.push_back(Flight{std::move(msg), 0, {}});
     }
-    flights_.push_back(Flight{std::move(msg), 0});
-    return static_cast<std::uint32_t>(flights_.size() - 1);
+    if (codec_)
+        codec_->encode(flights_[f].msg, flights_[f].frame);
+    return f;
 }
 
 void
@@ -132,11 +136,11 @@ Network::pinFlight(std::uint32_t flight)
     flights_[flight].refs++;
 }
 
-const Message &
-Network::flightMsg(std::uint32_t flight) const
+const Network::Flight &
+Network::flightOf(std::uint32_t flight) const
 {
     MutexLock lock(mu_);
-    return flights_[flight].msg;
+    return flights_[flight];
 }
 
 void
@@ -158,7 +162,7 @@ Network::scheduleDelivery(std::uint32_t flight, NodeId to, double lat)
     // event-loop phase breakdown per protocol layer.
     PhaseProfiler *pp = PhaseProfiler::active();
     ScopedPhase phase(
-        pp, pp ? pp->labelForMessageType(flightMsg(flight).type) : 0);
+        pp, pp ? pp->labelForMessageType(flightOf(flight).msg.type) : 0);
     // Captures 12 bytes: stays in EventFn's inline buffer, so the
     // whole send costs no heap allocation.  Delivery events carry no
     // cancellation token by design: they *are* the simulated network,
@@ -178,9 +182,11 @@ Network::deliver(std::uint32_t flight, NodeId to)
     }
     NetMetricIds &nm = netMetrics();
     nm.reg->set(nm.inFlight, static_cast<double>(nowInFlight));
-    const Message &m = flightMsg(flight);
+    const Flight &fl = flightOf(flight);
+    const Message &m = fl.msg;
     if (nodes_[to] != nullptr && up_[to] &&
-        partition_[m.src] == partition_[to]) {
+        partition_[m.src] == partition_[to] &&
+        (!codec_ || codec_->verify(fl.frame, m))) {
         nm.reg->inc(nm.delivered);
         // Make the message's span the ambient causal parent for
         // everything the handler does (nested sends, timers).

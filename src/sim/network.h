@@ -27,6 +27,7 @@
 
 #include "sim/message.h"
 #include "sim/simulator.h"
+#include "util/bytes.h"
 #include "util/mutex.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -47,6 +48,21 @@ class SimNode
      * one pooled payload); copy whatever must outlive it.
      */
     virtual void handleMessage(const Message &msg) = 0;
+};
+
+/** Wire framing hook, implemented by the threaded runtime: each
+ *  transmission is encoded once and every delivery is verified before
+ *  the handler runs.  Declared here so sim/ does not depend on runtime/. */
+class FrameCodec
+{
+  public:
+    virtual ~FrameCodec() = default;
+
+    /** Encode @p msg's frame into @p out. */
+    virtual void encode(const Message &msg, Bytes &out) = 0;
+
+    /** Check @p frame against @p msg; false drops the delivery. */
+    virtual bool verify(const Bytes &frame, const Message &msg) = 0;
 };
 
 /** Tunables for the network model. */
@@ -163,6 +179,10 @@ class Network
     /** The attached fault injector (nullptr when faults are off). */
     FaultInjector *faultInjector() const { return fault_; }
 
+    /** Attach (or with nullptr detach) a frame codec; when none is
+     *  attached the send and delivery paths pay one null check. */
+    void setFrameCodec(FrameCodec *c) { codec_ = c; }
+
     /** Total payload+header bytes sent so far. */
     std::uint64_t totalBytes() const { return totalBytes_; }
 
@@ -192,17 +212,18 @@ class Network
     {
         Message msg;
         std::uint32_t refs = 0;
+        /** Encoded frame, shared by every leg (codec attached only). */
+        Bytes frame;
     };
 
     std::uint32_t allocFlight(Message &&msg) OS_EXCLUDES(mu_);
     void releaseFlight(std::uint32_t flight) OS_EXCLUDES(mu_);
     /** Add one delivery reference to a pooled flight. */
     void pinFlight(std::uint32_t flight) OS_EXCLUDES(mu_);
-    /** The pooled payload of @p flight.  The reference stays valid
-     *  across reentrant sends (deque slots are stable) and is only
-     *  mutated once the last reference is released. */
-    const Message &flightMsg(std::uint32_t flight) const
-        OS_EXCLUDES(mu_);
+    /** The pooled flight @p flight.  The reference stays valid across
+     *  reentrant sends (deque slots are stable) and is only mutated
+     *  once the last reference is released. */
+    const Flight &flightOf(std::uint32_t flight) const OS_EXCLUDES(mu_);
     /** Jitter/bandwidth-adjusted delivery latency; consumes rng. */
     double deliveryLatency(NodeId from, NodeId to, std::size_t bytes);
     void scheduleDelivery(std::uint32_t flight, NodeId to, double lat);
@@ -212,6 +233,7 @@ class Network
     NetworkConfig cfg_;
     Rng rng_;
     FaultInjector *fault_ = nullptr;
+    FrameCodec *codec_ = nullptr;
     std::vector<SimNode *> nodes_;
     std::vector<std::pair<double, double>> pos_;
     std::vector<bool> up_;

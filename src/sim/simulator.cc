@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -22,9 +24,9 @@ struct SimMetricIds
           scheduled(reg->counter("sim.events_scheduled")),
           fired(reg->counter("sim.events_fired")),
           cancelled(reg->counter("sim.events_cancelled")),
-          // Schedule->fire latency, the sim half of the runtime
-          // health surface (the threaded backend feeds the same
-          // histogram with wall-clock queue delays).
+          // Schedule->fire latency, the runtime health surface of
+          // both backends (the threaded one fires these same slots,
+          // paced by the wall clock).
           taskDelay(reg->histogram("runtime.task_delay", 0.0, 2.5, 50))
     {
     }
@@ -231,17 +233,7 @@ Simulator::runUntil(SimTime until)
         bool fire;
         {
             MutexLock lock(mu_);
-            // Drop stale entries so the time check below sees the
-            // next event that will actually fire.
-            while (!queue_.empty()) {
-                const QueueEntry &top = queue_.top();
-                const Slot &s = pool_[top.slot];
-                if (s.seq == top.seq && s.armed)
-                    break;
-                staleEntries_--;
-                queue_.pop();
-            }
-            fire = !queue_.empty() && queue_.top().when <= until;
+            fire = nextEventTimeLocked() <= until && !queue_.empty();
         }
         if (!fire)
             break;
@@ -252,6 +244,49 @@ Simulator::runUntil(SimTime until)
         auditDrainedLocked();
     if (now_ < until)
         now_ = until;
+}
+
+SimTime
+Simulator::nextEventTimeLocked()
+{
+    // Drop stale entries so the head is the next event that will
+    // actually fire.
+    while (!queue_.empty()) {
+        const QueueEntry &top = queue_.top();
+        const Slot &s = pool_[top.slot];
+        if (s.seq == top.seq && s.armed)
+            return top.when;
+        staleEntries_--;
+        queue_.pop();
+    }
+    return std::numeric_limits<SimTime>::infinity();
+}
+
+SimTime
+Simulator::nextEventTime()
+{
+    MutexLock lock(mu_);
+    return nextEventTimeLocked();
+}
+
+void
+Simulator::advanceTo(SimTime t)
+{
+    MutexLock lock(mu_);
+    SimTime target = std::min(t, nextEventTimeLocked());
+    if (target > now_)
+        now_ = target;
+}
+
+std::size_t
+Simulator::dueBy(SimTime t) const
+{
+    MutexLock lock(mu_);
+    std::size_t n = 0;
+    for (const Slot &s : pool_)
+        if (s.armed && s.when <= t)
+            n++;
+    return n;
 }
 
 void

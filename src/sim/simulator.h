@@ -104,6 +104,20 @@ class Simulator
     /** Run until the queue drains or the clock passes @p until. */
     void runUntil(SimTime until) OS_EXCLUDES(mu_);
 
+    /** Next live event's deadline; +infinity when none is pending. */
+    SimTime nextEventTime() OS_EXCLUDES(mu_);
+
+    /**
+     * Move the clock forward to min(@p t, nextEventTime()) without
+     * firing anything; never moves it backwards.  This is how a
+     * wall-clock driver (runtime/threaded_runtime.h) lets an idle
+     * clock catch up with real time before a client schedules.
+     */
+    void advanceTo(SimTime t) OS_EXCLUDES(mu_);
+
+    /** Live events due at or before @p t (O(pool size)). */
+    std::size_t dueBy(SimTime t) const OS_EXCLUDES(mu_);
+
     /** Number of events executed so far. */
     std::uint64_t
     eventsExecuted() const OS_EXCLUDES(mu_)
@@ -186,6 +200,8 @@ class Simulator
 
     EventId scheduleAtLocked(SimTime when, EventFn fn)
         OS_REQUIRES(mu_);
+    /** Pop stale heads; the live head's deadline or +infinity. */
+    SimTime nextEventTimeLocked() OS_REQUIRES(mu_);
     std::uint32_t allocSlotLocked() OS_REQUIRES(mu_);
     void reclaimSlotLocked(std::uint32_t slot) OS_REQUIRES(mu_);
     void auditDrainedLocked() const OS_REQUIRES(mu_);

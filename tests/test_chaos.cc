@@ -642,6 +642,92 @@ TEST(Chaos, CommittedUpdatesSurviveLossyTreePush)
 }
 
 // ---------------------------------------------------------------------------
+// Scenario A on the threaded backend: PBFT drops, duplication and a
+// partition/heal cycle against a wall-clock Universe, with the lossy
+// tree push behind it.  Interleavings vary run to run, so the test
+// asserts the invariants, never a trace hash.
+// ---------------------------------------------------------------------------
+
+TEST(Chaos, ThreadedCommitsSurviveDropsAndPartition)
+{
+    if (!ThreadedRuntime::available())
+        GTEST_SKIP() << "threaded backend needs OCEANSTORE_THREADED";
+    UniverseConfig ucfg;
+    ucfg.runtime = RuntimeKind::Threaded;
+    ucfg.numServers = 16;
+    ucfg.archiveOnCommit = false;
+    // Loopback links are two orders of magnitude faster than the
+    // sim's WAN; shrink the retry schedules to match.
+    ucfg.pbft.clientRetry = RetryPolicy{0.05, 1.5, 0.4, 10, 0.05};
+    ucfg.secondary.pushRetry = RetryPolicy{0.02, 2.0, 0.2, 4, 0.1};
+    Universe universe(ucfg);
+    KeyPair owner = universe.makeUser();
+    ObjectHandle doc = universe.createObject(owner, "chaos/threaded");
+
+    // Armed inside execute(): the injector schedules its partition
+    // cycle on the simulator, at offsets from the runtime's now().
+    std::unique_ptr<FaultInjector> inj;
+    universe.rt().execute([&] {
+        FaultPlan plan;
+        plan.drop = 0.08;
+        plan.duplicate = 0.05;
+        plan.delayJitter = 0.002;
+        double t = universe.rt().now();
+        PbftCluster &tier = universe.primaryTier();
+        plan.partitions.push_back(
+            {t + 0.01, t + 0.3,
+             {tier.replica(2).nodeId(), tier.replica(3).nodeId()}});
+        inj = std::make_unique<FaultInjector>(universe.sim(),
+                                              universe.net(), plan);
+        inj->arm();
+    });
+
+    // Safety and liveness: every write commits exactly once, in
+    // order, through the drops and the partition.  contentAt[v] is
+    // the object's plaintext at version v.
+    constexpr unsigned kWrites = 6;
+    std::vector<std::string> contentAt{""};
+    for (unsigned w = 0; w < kWrites; w++) {
+        std::string text = "w" + std::to_string(w);
+        WriteResult wr = universe.writeSync(doc.makeAppendUpdate(
+            toBytes(text), /*expected_version=*/w, Timestamp{w + 1, 1}));
+        EXPECT_TRUE(wr.completed && wr.committed) << "write " << w;
+        EXPECT_EQ(wr.version, w + 1) << "write " << w;
+        contentAt.push_back(contentAt.back() + text);
+    }
+    // No committed update lost in the tree: every floating replica
+    // converges on the version the tree root was handed.  The root
+    // hears of a commit only from primary rank 0, and the client
+    // returns after m + 1 replies, so when drops leave rank 0 behind
+    // on the last write nothing re-sends it; the target is therefore
+    // the root's version, not kWrites.
+    SecondaryTier &tier = universe.secondaryTier();
+    std::vector<std::size_t> hosts = universe.hosts(doc.guid());
+    auto versionAt = [&](std::size_t r) {
+        return tier.replica(r).committedObject(doc.guid()).version();
+    };
+    EXPECT_TRUE(universe.runUntil(
+        [&] {
+            for (std::size_t h : hosts)
+                if (versionAt(h) != versionAt(0))
+                    return false;
+            return versionAt(0) > 0;
+        },
+        universe.rt().now() + 30.0));
+    // A read serves some committed version, byte-exact.
+    ReadResult rr = universe.readSync(0, doc.guid());
+    EXPECT_TRUE(rr.found);
+    EXPECT_LE(rr.version, kWrites);
+    if (rr.found && rr.version <= kWrites)
+        EXPECT_EQ(toString(doc.decryptContent(rr.blocks)),
+                  contentAt[rr.version]);
+    universe.rt().execute([&] {
+        EXPECT_GT(inj->dropped(), 0u);
+        inj.reset();
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Default-disabled plan: arming an all-zero FaultPlan must not
 // disturb the deterministic message stream.
 // ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@
  *
  * Threaded cases use generous wall-clock budgets; predicates that
  * read handler state are evaluated through Runtime::runUntil, which
- * polls on the strand, so no extra synchronization is needed.
+ * holds the loop mutex while it evaluates them, so no extra
+ * synchronization is needed.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,7 +26,6 @@
 
 #ifdef OCEANSTORE_THREADED
 #include <atomic>
-#include <chrono>
 #include <thread>
 #endif
 
@@ -34,11 +35,12 @@
 #include "runtime/sim_runtime.h"
 #include "runtime/stats.h"
 #include "runtime/threaded_runtime.h"
+#include "sim/fault.h"
 
 namespace oceanstore {
 namespace {
 
-/** Records every delivered message (handlers run on the strand). */
+/** Records every delivered message (handlers run on the loop). */
 class Sink : public SimNode
 {
   public:
@@ -51,18 +53,23 @@ class Sink : public SimNode
     std::vector<Message> received;
 };
 
-/** A backend under test: owns the runtime and its substrate. */
+/** A backend under test: owns the runtime and the Simulator +
+ *  Network pair it wraps. */
 struct Backend
 {
+    explicit Backend(NetworkConfig cfg) : net(sim, cfg) {}
     virtual ~Backend() = default;
     virtual Runtime &rt() = 0;
     /** Stop all callback sources (before the test's nodes die). */
     virtual void stop() {}
+
+    Simulator sim;
+    Network net;
 };
 
 struct SimBackend final : Backend
 {
-    SimBackend() : net(sim, netCfg()), r(sim, net, 0x5eedu) {}
+    SimBackend() : Backend(netCfg()), r(sim, net, 0x5eedu) {}
 
     static NetworkConfig
     netCfg()
@@ -76,23 +83,12 @@ struct SimBackend final : Backend
 
     Runtime &rt() override { return r; }
 
-    Simulator sim;
-    Network net;
     SimRuntime r;
 };
 
 struct ThreadedBackend final : Backend
 {
-    ThreadedBackend() : r(quickCfg()) {}
-
-    static ThreadedConfig
-    quickCfg()
-    {
-        ThreadedConfig cfg;
-        cfg.workers = 4;
-        cfg.seed = 0x5eedu;
-        return cfg;
-    }
+    ThreadedBackend() : Backend(loopbackNetwork), r(sim, net, 0x5eedu) {}
 
     Runtime &rt() override { return r; }
     void stop() override { r.shutdown(); }
@@ -146,8 +142,8 @@ class RuntimeConformance
 
 TEST_P(RuntimeConformance, SelfSendStillAsynchronous)
 {
-    // Delivery must never run inside send(): the strand (or the sim
-    // event loop) is held across this whole block, so any inline
+    // Delivery must never run inside send(): the loop mutex (or the
+    // sim event loop) is held across this whole block, so any inline
     // delivery would land in received before the check.
     bool delivered_inline = true;
     rt().execute([&]() {
@@ -160,9 +156,8 @@ TEST_P(RuntimeConformance, SelfSendStillAsynchronous)
 
 TEST_P(RuntimeConformance, SelfSendsDeliverInFifoOrder)
 {
-    // Equal-latency messages on one link must arrive in send order
-    // (the sim breaks timestamp ties FIFO; the threaded transport
-    // keeps one FIFO queue per link).
+    // Equal-latency messages on one link must arrive in send order:
+    // with no jitter the simulator breaks timestamp ties FIFO.
     rt().execute([&]() {
         for (int i = 0; i < 8; i++)
             rt().send(a_, a_, makeMessage("t", i, 1));
@@ -252,10 +247,11 @@ TEST_P(RuntimeConformance, CancelledTimerNeverFires)
 TEST_P(RuntimeConformance, CancelFromCoDueCallbackPreventsFiring)
 {
     // Two timers due at the same instant: the first cancels the
-    // second after both may already have left the timer wheel for
-    // the task queue (threaded backend).  RpcCall destructors and
-    // the failure detectors rely on cancel-prevents-fire in exactly
-    // this window — a fired-but-not-run victim must stay dead.
+    // second after both are already due (threaded backend: both past
+    // their deadline before the loop fires either).  RpcCall
+    // destructors and the failure detectors rely on
+    // cancel-prevents-fire in exactly this window — a due-but-not-run
+    // victim must stay dead.
     bool cancelled_fired = false;
     bool marker_fired = false;
     EventId victim = invalidEventId;
@@ -400,14 +396,10 @@ TEST_P(RuntimeConformance, StatsExposeLiveBackendHealth)
         RuntimeStats mid = rt().stats();
         EXPECT_GE(mid.timersPending, 1u);
         EXPECT_GE(mid.linkQueuedMessages, 1u);
-        if (!rt().deterministic()) {
-            // Threaded-only surfaces: wheel occupancy, per-link
-            // queues, the worker pool.
-            EXPECT_GE(mid.wheelSlotsOccupied, 1u);
-            EXPECT_GE(mid.linksActive, 1u);
-            EXPECT_GT(mid.linkQueuedBytes, 0u);
-            EXPECT_EQ(mid.workers, 4u);
-        }
+        // Only events already due count as queued work: the 5 s timer
+        // and the in-flight delivery are still in the future.
+        EXPECT_EQ(mid.strandQueueDepth, 0u);
+        EXPECT_EQ(mid.workers, rt().deterministic() ? 0u : 1u);
         rt().schedule(0.0, [&]() { fired = true; });
     });
     ASSERT_TRUE(
@@ -415,7 +407,6 @@ TEST_P(RuntimeConformance, StatsExposeLiveBackendHealth)
 
     RuntimeStats after = rt().stats();
     EXPECT_EQ(after.linkQueuedMessages, 0u);
-    EXPECT_EQ(after.linkQueuedBytes, 0u);
     EXPECT_GE(after.tasksExecuted, 1u);
     EXPECT_GE(after.uptime, 0.0);
     EXPECT_GE(after.timersPending, 1u); // the 5 s timer
@@ -432,6 +423,90 @@ TEST_P(RuntimeConformance, StatsExposeLiveBackendHealth)
               std::string::npos);
     EXPECT_NE(out.str().find("\"worker_utilization\": "),
               std::string::npos);
+}
+
+TEST_P(RuntimeConformance, ScheduleAtInThePastRunsPromptly)
+{
+    // Runtime::scheduleAt clamps a past deadline to now on both
+    // backends (the Simulator itself still rejects one).
+    rt().advance(0.01);
+    bool fired = false;
+    double calledNow = 0.0, firedNow = -1.0;
+    rt().execute([&]() {
+        calledNow = rt().now();
+        rt().scheduleAt(calledNow - 0.005, [&]() {
+            firedNow = rt().now();
+            fired = true;
+        });
+    });
+    ASSERT_TRUE(drive([&]() { return fired; }));
+    EXPECT_GE(firedNow, calledNow);
+    EXPECT_LT(firedNow - calledNow, 1.0);
+}
+
+TEST_P(RuntimeConformance, IdleClockCatchesUpBeforeClientSchedules)
+{
+    // After an idle stretch, a timer a client thread schedules must
+    // be timed from the present, not from the last event the loop
+    // fired: a stale clock would fire it early.
+    bool warm = false;
+    rt().execute([&]() { rt().schedule(0.0, [&warm]() { warm = true; }); });
+    ASSERT_TRUE(drive([&]() { return warm; }));
+    rt().advance(0.05);
+
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point calledAt = Clock::now(), firedAt{};
+    double calledNow = rt().now(), firedNow = -1.0;
+    bool fired = false;
+    rt().schedule(0.02, [&]() {
+        firedAt = Clock::now();
+        firedNow = rt().now();
+        fired = true;
+    });
+    ASSERT_TRUE(drive([&]() { return fired; }));
+    EXPECT_GE(firedNow - calledNow, 0.02 - 1e-9);
+    if (!rt().deterministic()) {
+        EXPECT_GE(firedAt - calledAt, std::chrono::milliseconds(20));
+    }
+}
+
+TEST_P(RuntimeConformance, FaultPlanDropsAndPartitionsThroughNetwork)
+{
+    // A FaultPlan reaches the transport on both backends: a per-link
+    // drop of 1.0 silences a->b, and one partition/heal cycle loses
+    // a->c traffic only while c is split away.  The partition times
+    // are offsets from now(), and the injector is armed and destroyed
+    // inside execute().
+    std::unique_ptr<FaultInjector> inj;
+    bool healedSend = false;
+    rt().execute([&]() {
+        double t = rt().now();
+        FaultPlan plan;
+        plan.links.push_back({a_, b_, 1.0});
+        plan.partitions.push_back({t + 0.05, t + 0.3, {c_}});
+        inj = std::make_unique<FaultInjector>(be_->sim, be_->net, plan);
+        inj->arm();
+        for (int i = 0; i < 4; i++)
+            rt().send(a_, b_, makeMessage("t", i, 8));
+        // Arrives before the heal on both link models: lost.
+        rt().schedule(0.06, [&]() {
+            rt().send(a_, c_, makeMessage("t", 1, 8));
+        });
+        rt().schedule(0.35, [&]() {
+            rt().send(a_, c_, makeMessage("t", 2, 8));
+            healedSend = true;
+        });
+    });
+    ASSERT_TRUE(drive([&]() {
+        return healedSend && nc_.received.size() == 1 &&
+               rt().inFlight() == 0;
+    }));
+    rt().execute([&]() {
+        EXPECT_TRUE(nb_.received.empty());
+        EXPECT_EQ(messageBody<int>(nc_.received[0]), 2);
+        EXPECT_EQ(inj->dropped(), 4u);
+        inj.reset();
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformance,
@@ -478,10 +553,9 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
     Tracer tracer;
     FlightRecorder recorder(1024);
     std::vector<Sink> sinks(kClients);
-    ThreadedConfig cfg;
-    cfg.workers = 4;
-    cfg.seed = 0x5eedu;
-    ThreadedRuntime rt(cfg);
+    Simulator sim;
+    Network net(sim, loopbackNetwork);
+    ThreadedRuntime rt(sim, net, 0x5eedu);
     std::vector<NodeId> ids;
     for (int i = 0; i < kClients; i++)
         ids.push_back(rt.addNode(&sinks[i], 0.2 * i, 0.5));
@@ -533,7 +607,6 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
 
     RuntimeStats fin = rt.stats();
     EXPECT_EQ(fin.linkQueuedMessages, 0u);
-    EXPECT_EQ(fin.linkQueuedBytes, 0u);
     EXPECT_GE(fin.tasksExecuted, 1u);
     EXPECT_GT(fin.workerUtilization, 0.0);
 }
@@ -541,8 +614,9 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
 #endif // OCEANSTORE_THREADED
 
 // ---------------------------------------------------------------------
-// Framing: the socket-ready wire format used by the threaded
-// transport (encode at send, decode + CRC-verify at delivery).
+// Framing: the socket-ready wire format the threaded runtime attaches
+// to the Network (encode per transmission, decode + CRC-verify at
+// every delivery).
 
 Message
 sampleMessage()
