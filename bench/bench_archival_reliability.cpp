@@ -15,24 +15,28 @@
  * random machine failures.
  */
 
-#include <cstdio>
+#include <string>
 
 #include "erasure/availability.h"
 #include "runner.h"
 
 using namespace oceanstore;
 
-static int
-reportMain()
+/**
+ * The Section 4.5 table: closed-form availability of each scheme,
+ * checked against a Monte-Carlo draw (all rows share one Rng, in row
+ * order), then the 2-replica vs 16-fragment sweep over the fraction
+ * of machines down.
+ */
+static void
+reliabilityTable(oceanstore::bench::BenchContext &ctx)
 {
-    std::printf("=== Section 4.5: deep archival reliability ===\n\n");
-
     const std::uint64_t machines = 1'000'000;
     const std::uint64_t down = 100'000; // 10%
 
     struct Row
     {
-        const char *scheme;
+        const char *key;
         std::uint64_t f;  //!< fragments (or replicas)
         std::uint64_t rf; //!< tolerable unavailable fragments
         double storage;   //!< relative to one plain copy
@@ -40,56 +44,39 @@ reportMain()
     // Rate-1/2 coding into f fragments: any f/2 reconstruct; total
     // storage = 2x the object, the same as two full replicas.
     const Row rows[] = {
-        {"1 replica (baseline)", 1, 0, 1.0},
-        {"2 replicas", 2, 1, 2.0},
-        {"4 replicas", 4, 3, 4.0},
-        {"rate-1/2 RS, 8 frags", 8, 4, 2.0},
-        {"rate-1/2 RS, 16 frags", 16, 8, 2.0},
-        {"rate-1/2 RS, 32 frags", 32, 16, 2.0},
-        {"rate-1/2 RS, 64 frags", 64, 32, 2.0},
-        {"rate-1/4 RS, 32 frags", 32, 24, 4.0},
+        {"1rep", 1, 0, 1.0},      {"2rep", 2, 1, 2.0},
+        {"4rep", 4, 3, 4.0},      {"rs8", 8, 4, 2.0},
+        {"rs16", 16, 8, 2.0},     {"rs32", 32, 16, 2.0},
+        {"rs64", 64, 32, 2.0},    {"rs32_rate4", 32, 24, 4.0},
     };
 
-    std::printf("1,000,000 machines, 10%% down:\n\n");
-    std::printf("  %-24s %8s %14s %8s %12s\n", "scheme", "storage",
-                "P(available)", "nines", "monte-carlo");
-
-    Rng rng(0xa11ab1e);
-    double p16 = 0, p32 = 0;
+    Rng rng(ctx.seed(0xa11ab1e));
     for (const Row &r : rows) {
+        std::string k = r.key;
         double p = documentAvailability(machines, down, r.f, r.rf);
-        double sim = simulateAvailability(machines, down, r.f, r.rf,
-                                          200000, rng);
-        std::printf("  %-24s %7.1fx %14.8f %8.2f %12.6f\n", r.scheme,
-                    r.storage, p, nines(p), sim);
-        if (r.f == 16 && r.rf == 8)
-            p16 = p;
-        if (r.f == 32 && r.rf == 16)
-            p32 = p;
+        ctx.metric("storage_" + k, "x", r.storage);
+        ctx.metric("p_" + k, "p", p);
+        ctx.metric("nines_" + k, "nines", nines(p));
+        ctx.metric("mc_" + k, "p",
+                   simulateAvailability(machines, down, r.f, r.rf,
+                                        200000, rng));
     }
+    // Paper anchors: two nines for 2 replicas, 0.999994 for 16
+    // fragments, and ~4000x fewer failures again with 32.
+    double p16 = documentAvailability(machines, down, 16, 8);
+    double p32 = documentAvailability(machines, down, 32, 16);
+    ctx.metric("improvement_32_vs_16", "x", (1.0 - p16) / (1.0 - p32));
+    ctx.metric("claim_rs16_five_nines", "bool", p16 >= 0.99999);
 
-    std::printf("\npaper anchor checks:\n");
-    double p2 = replicationAvailability(machines, down, 2);
-    std::printf("  2 replicas:    %.4f (paper: two nines, 0.99)\n", p2);
-    std::printf("  16 fragments:  %.6f (paper: 0.999994)\n", p16);
-    std::printf("  32 vs 16 improvement: %.0fx (paper: ~4000x)\n",
-                (1.0 - p16) / (1.0 - p32));
-
-    // --- sweep: fraction of machines down --------------------------------
-    std::printf("\navailability vs fraction of machines down "
-                "(16-fragment rate-1/2 vs 2 replicas):\n\n");
-    std::printf("  %8s %16s %16s\n", "down", "2 replicas",
-                "16 fragments");
-    for (double frac : {0.05, 0.10, 0.15, 0.20, 0.30, 0.40}) {
-        auto m = static_cast<std::uint64_t>(frac * machines);
-        std::printf("  %7.0f%% %16.8f %16.8f\n", frac * 100,
-                    replicationAvailability(machines, m, 2),
-                    documentAvailability(machines, m, 16, 8));
+    // Fragmentation wins until failure rates approach the code rate.
+    for (int pct : {5, 10, 15, 20, 30, 40}) {
+        auto m = static_cast<std::uint64_t>(pct / 100.0 * machines);
+        std::string k = "_down" + std::to_string(pct);
+        ctx.metric("p_2rep" + k, "p",
+                   replicationAvailability(machines, m, 2));
+        ctx.metric("p_rs16" + k, "p",
+                   documentAvailability(machines, m, 16, 8));
     }
-    std::printf("\n  (fragmentation wins until failure rates approach "
-                "the code rate -- the law of\n   large numbers "
-                "argument of Section 4.5)\n");
-    return 0;
 }
 
 /** Compute kernel: closed-form availability + Monte-Carlo check for
@@ -116,8 +103,8 @@ int
 main(int argc, char **argv)
 {
     std::vector<oceanstore::bench::BenchCase> cases{
-        {"availability", availabilityKernel}};
+        {"availability", availabilityKernel},
+        {"reliability_table", reliabilityTable}};
     return oceanstore::bench::runBenchMain(
-        argc, argv, "bench_archival_reliability", cases,
-        [](int, char **) { return reportMain(); });
+        argc, argv, "bench_archival_reliability", cases);
 }

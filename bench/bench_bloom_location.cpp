@@ -13,7 +13,7 @@
  * Sweep 3: per-node storage cost vs depth (constant in object count).
  */
 
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bloom/location_service.h"
@@ -23,39 +23,30 @@
 
 using namespace oceanstore;
 
-static int
-reportMain()
+/** The three Figure 2 sweeps over one 256-node topology, sharing one
+ *  Rng in sweep order. */
+static void
+locationTable(bench::BenchContext &ctx)
 {
-    std::printf("=== Figure 2 / Sec 5: probabilistic location via "
-                "attenuated Bloom filters ===\n\n");
-
-    Rng rng(0xb100f);
+    Rng rng(ctx.seed(0xb100f));
     const std::size_t n = 256;
     auto topo = makeGeometricTopology(n, 4, rng);
-
-    // --- sweep 1: success and hops vs distance, per depth -------------
-    std::printf("success rate / mean hops vs object distance "
-                "(256 nodes, degree ~4):\n\n");
-    std::printf("%8s", "dist");
-    for (unsigned depth : {2u, 3u, 4u, 5u})
-        std::printf("      D=%u        ", depth);
-    std::printf("\n");
-
-    const unsigned max_dist = 6;
-    std::vector<std::vector<std::string>> cells(max_dist + 1);
-
-    for (unsigned depth : {2u, 3u, 4u, 5u}) {
+    auto config = [](unsigned depth) {
         BloomLocationConfig cfg;
         cfg.depth = depth;
         cfg.bits = 4096;
         cfg.ttl = 16;
-        BloomLocationService svc(topo, cfg);
+        return cfg;
+    };
 
-        // Place objects and index queries by hop distance.
+    // Sweep 1: success rate and mean hops vs object distance, per
+    // attenuation depth D (the filter horizon).
+    const unsigned max_dist = 6;
+    for (unsigned depth : {2u, 3u, 4u, 5u}) {
+        BloomLocationService svc(topo, config(depth));
         std::vector<Accumulator> hops(max_dist + 1);
         std::vector<unsigned> tried(max_dist + 1, 0);
         std::vector<unsigned> found(max_dist + 1, 0);
-
         for (int trial = 0; trial < 400; trial++) {
             Guid g = Guid::random(rng);
             NodeId holder = static_cast<NodeId>(rng.below(n));
@@ -63,47 +54,31 @@ reportMain()
             auto dist = topo.hopDistances(holder);
             NodeId from = static_cast<NodeId>(rng.below(n));
             unsigned d = static_cast<unsigned>(dist[from]);
-            if (d > max_dist) {
-                svc.removeObject(holder, g);
-                continue;
-            }
-            auto res = svc.query(from, g);
-            tried[d]++;
-            if (res.found) {
-                found[d]++;
-                hops[d].add(res.hops);
+            if (d <= max_dist) {
+                auto res = svc.query(from, g);
+                tried[d]++;
+                if (res.found) {
+                    found[d]++;
+                    hops[d].add(res.hops);
+                }
             }
             svc.removeObject(holder, g);
         }
-
         for (unsigned d = 0; d <= max_dist; d++) {
-            char buf[32];
-            if (tried[d] == 0) {
-                std::snprintf(buf, sizeof(buf), "      -    ");
-            } else {
-                std::snprintf(buf, sizeof(buf), "%3.0f%% %5.2fh",
-                              100.0 * found[d] / tried[d],
-                              hops[d].count() ? hops[d].mean() : 0.0);
-            }
-            cells[d].push_back(buf);
+            if (tried[d] == 0)
+                continue;
+            std::string k = "_D" + std::to_string(depth) + "_dist" +
+                            std::to_string(d);
+            ctx.metric("hit_pct" + k, "%", 100.0 * found[d] / tried[d]);
+            ctx.metric("hops" + k, "hops",
+                       hops[d].count() ? hops[d].mean() : 0.0);
         }
     }
-    for (unsigned d = 0; d <= max_dist; d++) {
-        std::printf("%8u", d);
-        for (const auto &c : cells[d])
-            std::printf("  %-15s", c.c_str());
-        std::printf("\n");
-    }
 
-    // --- sweep 2: stretch within the horizon ---------------------------
-    std::printf("\nrouting stretch for objects within the D=4 "
-                "horizon:\n");
+    // Sweep 2: routing stretch for objects within the D=4 horizon
+    // ("finds nearby objects with near-optimal efficiency").
     {
-        BloomLocationConfig cfg;
-        cfg.depth = 4;
-        cfg.bits = 4096;
-        cfg.ttl = 16;
-        BloomLocationService svc(topo, cfg);
+        BloomLocationService svc(topo, config(4));
         Accumulator stretch;
         unsigned exact = 0, total = 0;
         for (int trial = 0; trial < 600; trial++) {
@@ -124,29 +99,21 @@ reportMain()
             }
             svc.removeObject(holder, g);
         }
-        std::printf("  mean stretch %.3f   p95 %.3f   optimal-path "
-                    "queries %.0f%%\n",
-                    stretch.mean(), stretch.percentile(95),
-                    100.0 * exact / total);
-        std::printf("  (paper: \"finds nearby objects with "
-                    "near-optimal efficiency\")\n");
+        ctx.metric("stretch_mean", "x", stretch.mean());
+        ctx.metric("stretch_p95", "x", stretch.percentile(95));
+        ctx.metric("optimal_path_pct", "%", 100.0 * exact / total);
     }
 
-    // --- sweep 3: storage per node ---------------------------------------
-    std::printf("\nper-node filter storage (constant per node, "
-                "Section 4.3.2):\n");
+    // Sweep 3: per-node filter storage, constant per node (Section
+    // 4.3.2).
     for (unsigned depth : {2u, 3u, 4u, 5u}) {
-        BloomLocationConfig cfg;
-        cfg.depth = depth;
-        cfg.bits = 4096;
-        BloomLocationService svc(topo, cfg);
+        BloomLocationService svc(topo, config(depth));
         Accumulator storage;
         for (NodeId i = 0; i < n; i++)
             storage.add(static_cast<double>(svc.storagePerNode(i)));
-        std::printf("  D=%u: mean %6.1f kB per node\n", depth,
-                    storage.mean() / 1024.0);
+        ctx.metric("storage_kb_D" + std::to_string(depth), "kB",
+                   storage.mean() / 1024.0);
     }
-    return 0;
 }
 
 /** Throughput kernel: add/query/remove cycles against one D=4
@@ -187,8 +154,8 @@ queryLoop(bench::BenchContext &ctx)
 int
 main(int argc, char **argv)
 {
-    std::vector<bench::BenchCase> cases{{"query", queryLoop}};
+    std::vector<bench::BenchCase> cases{
+        {"query", queryLoop}, {"location_table", locationTable}};
     return bench::runBenchMain(argc, argv, "bench_bloom_location",
-                               cases,
-                               [](int, char **) { return reportMain(); });
+                               cases);
 }

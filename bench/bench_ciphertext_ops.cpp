@@ -2,17 +2,18 @@
  * @file
  * Figure 4 reproduction: server-side operations on ciphertext.
  *
- * google-benchmark timings for every predicate and action a replica
- * can run without key material — compare-version/size/block, search,
- * replace/insert/delete/append — plus a wire-cost table showing that
- * the Figure 4 pointer-block insert ships O(1) bytes while a naive
- * re-upload would re-ship the whole object.
+ * Timings for every predicate and action a replica can run without
+ * key material — compare-version/size/block, search, replace/insert/
+ * delete/append and search-index replacement — plus a wire-cost
+ * table showing that the Figure 4 pointer-block insert ships O(1)
+ * bytes while a naive re-upload would re-ship the whole object.
  *
  * Blocks are 256 B here so the timings isolate the server's pointer
  * and hashing work rather than memcpy of large payloads.
  */
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <string>
 
 #include "consistency/data_object.h"
 #include "core/object_handle.h"
@@ -58,33 +59,14 @@ baseObject(std::size_t blocks)
     return it->second;
 }
 
-void
-BM_CompareBlockPredicate(benchmark::State &state)
+/** A replica-side object whose search index holds @p tokens words
+ *  ("word0 word1 ..."). */
+DataObject
+searchObject(int tokens)
 {
-    const DataObject &obj = baseObject(64);
-    CompareBlock cb = handle().expectBlock(5, 5, Bytes(kBlock, 0x41));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(obj.evaluate(cb));
-}
-BENCHMARK(BM_CompareBlockPredicate);
-
-void
-BM_CompareVersionPredicate(benchmark::State &state)
-{
-    const DataObject &obj = baseObject(64);
-    CompareVersion cv{1};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(obj.evaluate(cv));
-}
-BENCHMARK(BM_CompareVersionPredicate);
-
-void
-BM_SearchPredicate(benchmark::State &state)
-{
-    // Search over a ciphertext index of `range` words.
     DataObject obj(handle().guid());
     std::string doc;
-    for (int i = 0; i < state.range(0); i++)
+    for (int i = 0; i < tokens; i++)
         doc += "word" + std::to_string(i) + " ";
     Update u;
     u.objectGuid = handle().guid();
@@ -93,126 +75,74 @@ BM_SearchPredicate(benchmark::State &state)
         SetSearchIndex{handle().buildSearchIndex(doc)});
     u.clauses.push_back(clause);
     obj.apply(u);
-
-    SearchPredicate sp;
-    sp.trapdoor = handle().searchTrapdoor("word7");
-    sp.expectPresent = true;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(obj.evaluate(sp));
-    state.SetItemsProcessed(state.iterations() * state.range(0));
+    return obj;
 }
-BENCHMARK(BM_SearchPredicate)->Arg(64)->Arg(512)->Arg(4096);
 
-/** Copy the base object and apply one action (copy cost included,
- *  identical across the action benchmarks, so deltas are the ops). */
-template <typename MakeAction>
+/** The shared timing loop: @p iters calls of @p op (1/200 of that
+ *  under --smoke) in the measured region, one event each.  @return
+ *  the number of calls made. */
+template <typename Op>
+int
+timed(bench::BenchContext &ctx, int iters, Op op)
+{
+    if (ctx.smoke())
+        iters = std::max(1, iters / 200);
+    ctx.beginMeasured();
+    for (int i = 0; i < iters; i++)
+        op(i);
+    ctx.endMeasured();
+    ctx.addEvents(static_cast<std::uint64_t>(iters));
+    return iters;
+}
+
+/** Compute kernel: server-side evaluation of one predicate. */
 void
-applyBench(benchmark::State &state, std::size_t blocks,
-           MakeAction make_action)
+predicateLoop(bench::BenchContext &ctx, const DataObject &obj,
+              const Predicate &pred, int iters)
+{
+    volatile bool sink = false;
+    timed(ctx, iters, [&](int) { sink = obj.evaluate(pred); });
+    (void)sink;
+}
+
+/** Compute kernel: copy a @p blocks-block object and apply one
+ *  action (the copy is identical across the action cases, so deltas
+ *  between them are the ops).  Insert moves pointers, O(1) physical
+ *  work; its growth with size is the copy and index refresh. */
+void
+applyLoop(bench::BenchContext &ctx, std::size_t blocks, Action action)
 {
     const DataObject &base = baseObject(blocks);
     Update u;
     u.objectGuid = handle().guid();
     UpdateClause clause;
-    clause.actions.push_back(make_action());
+    clause.actions.push_back(std::move(action));
     u.clauses.push_back(clause);
-    for (auto _ : state) {
+    volatile bool sink = false;
+    timed(ctx, static_cast<int>(200000 / blocks), [&](int) {
         DataObject obj = base;
-        benchmark::DoNotOptimize(obj.apply(u));
-    }
-}
-
-void
-BM_InsertBlockAction(benchmark::State &state)
-{
-    // Figure 4: insert via pointer blocks — O(1) physical work
-    // regardless of object size (the per-size growth below is the
-    // object copy + logical-index refresh, not the insert).
-    applyBench(state, static_cast<std::size_t>(state.range(0)), [] {
-        return Action{InsertBlock{
-            1, handle().encryptBlock(999, Bytes(kBlock, 0x42))}};
+        sink = obj.apply(u).committed;
     });
+    (void)sink;
 }
-BENCHMARK(BM_InsertBlockAction)->Arg(16)->Arg(256)->Arg(1024);
 
+/** The Figure 4 wire-cost table: one 4 kB block inserted into an
+ *  encrypted object vs re-uploading every block. */
 void
-BM_ReplaceBlockAction(benchmark::State &state)
+insertWireTable(bench::BenchContext &ctx)
 {
-    applyBench(state, 64, [] {
-        return Action{ReplaceBlock{
-            3, handle().encryptBlock(888, Bytes(kBlock, 0x43))}};
-    });
-}
-BENCHMARK(BM_ReplaceBlockAction);
-
-void
-BM_DeleteBlockAction(benchmark::State &state)
-{
-    applyBench(state, 64, [] { return Action{DeleteBlock{3}}; });
-}
-BENCHMARK(BM_DeleteBlockAction);
-
-void
-BM_AppendBlockAction(benchmark::State &state)
-{
-    applyBench(state, 64, [] {
-        return Action{AppendBlock{
-            handle().encryptBlock(777, Bytes(kBlock, 0x44))}};
-    });
-}
-BENCHMARK(BM_AppendBlockAction);
-
-void
-BM_ClientEncryptBlock(benchmark::State &state)
-{
-    Bytes plain(4096, 0x50);
-    std::uint64_t pos = 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(handle().encryptBlock(pos++, plain));
-    state.SetBytesProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_ClientEncryptBlock);
-
-/** Figure 4 semantics check + update-size table. */
-void
-printInsertTable()
-{
-    std::printf("\n=== Figure 4: insert-on-ciphertext wire cost "
-                "===\n\n");
-    std::printf("inserting one 4 kB block into an encrypted object "
-                "(vs re-uploading all blocks):\n\n");
-    std::printf("%14s %18s %20s\n", "object blocks", "insert update B",
-                "full re-upload B");
     KeyPair owner = g_registry.generate();
     ObjectHandle h(owner, "wire-cost", 4096);
     for (std::size_t blocks : {16u, 64u, 256u, 1024u}) {
         Update ins = h.makeInsertUpdate(1, Bytes(4096, 0x42),
                                         /*expected_version=*/1,
                                         Timestamp{1, 1});
-        std::size_t full = blocks * (4096 + 8) + 200; // all blocks
-        std::printf("%14zu %18zu %20zu\n", blocks, ins.wireSize(),
-                    full);
+        std::string k = "_blocks" + std::to_string(blocks);
+        ctx.metric("insert_update_b" + k, "B",
+                   static_cast<double>(ins.wireSize()));
+        ctx.metric("reupload_b" + k, "B",
+                   static_cast<double>(blocks * (4096 + 8) + 200));
     }
-    std::printf("\n  (the server moves pointers over opaque blocks; "
-                "it \"learns nothing about\n   the contents of any of "
-                "the blocks\" and the update cost is O(1), not "
-                "O(object))\n");
-}
-
-/** Compute kernel: server-side predicate evaluation rate. */
-void
-predicateLoop(bench::BenchContext &ctx)
-{
-    const DataObject &obj = baseObject(64);
-    CompareBlock cb = handle().expectBlock(5, 5, Bytes(kBlock, 0x41));
-    const int iters = ctx.smoke() ? 1000 : 200000;
-    volatile bool sink = false;
-    ctx.beginMeasured();
-    for (int i = 0; i < iters; i++)
-        sink = obj.evaluate(cb);
-    ctx.endMeasured();
-    (void)sink;
-    ctx.addEvents(static_cast<std::uint64_t>(iters));
 }
 
 /** Compute kernel: client-side position-dependent block encryption. */
@@ -220,14 +150,11 @@ void
 encryptLoop(bench::BenchContext &ctx)
 {
     Bytes plain(4096, 0x50);
-    const int iters = ctx.smoke() ? 100 : 20000;
-    std::uint64_t pos = 0;
     std::size_t total = 0;
-    ctx.beginMeasured();
-    for (int i = 0; i < iters; i++)
-        total += handle().encryptBlock(pos++, plain).size();
-    ctx.endMeasured();
-    ctx.addEvents(static_cast<std::uint64_t>(iters));
+    int iters = timed(ctx, 20000, [&](int i) {
+        auto pos = static_cast<std::uint64_t>(i);
+        total += handle().encryptBlock(pos, plain).size();
+    });
     ctx.addBytes(static_cast<std::uint64_t>(iters) * plain.size());
     ctx.metric("cipher_bytes", "B", static_cast<double>(total));
 }
@@ -240,15 +167,11 @@ sha1Loop(bench::BenchContext &ctx)
     Bytes data(16 << 10);
     for (std::size_t i = 0; i < data.size(); i++)
         data[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8));
-    const int iters = ctx.smoke() ? 20 : 5000;
     std::uint8_t sink = 0;
-    ctx.beginMeasured();
-    for (int i = 0; i < iters; i++) {
+    int iters = timed(ctx, 5000, [&](int) {
         data[0] = sink; // chain the calls so none is hoisted
         sink = Sha1::hash(data)[0];
-    }
-    ctx.endMeasured();
-    ctx.addEvents(static_cast<std::uint64_t>(iters));
+    });
     ctx.addBytes(static_cast<std::uint64_t>(iters) * data.size());
 }
 
@@ -257,17 +180,66 @@ sha1Loop(bench::BenchContext &ctx)
 int
 main(int argc, char **argv)
 {
-    std::vector<bench::BenchCase> cases{
-        {"compare_block", predicateLoop},
+    using bench::BenchCase;
+    using bench::BenchContext;
+    std::vector<BenchCase> cases{
+        {"compare_block",
+         [](BenchContext &ctx) {
+             predicateLoop(ctx, baseObject(64),
+                           handle().expectBlock(5, 5, Bytes(kBlock, 0x41)),
+                           200000);
+         }},
+        {"compare_version",
+         [](BenchContext &ctx) {
+             predicateLoop(ctx, baseObject(64), CompareVersion{1},
+                           200000);
+         }},
+        {"compare_size",
+         [](BenchContext &ctx) {
+             predicateLoop(ctx, baseObject(64), CompareSize{64}, 200000);
+         }},
+        {"replace_block",
+         [](BenchContext &ctx) {
+             applyLoop(ctx, 64,
+                       ReplaceBlock{3, handle().encryptBlock(
+                                           888, Bytes(kBlock, 0x43))});
+         }},
+        {"delete_block",
+         [](BenchContext &ctx) { applyLoop(ctx, 64, DeleteBlock{3}); }},
+        {"append_block",
+         [](BenchContext &ctx) {
+             applyLoop(ctx, 64, AppendBlock{handle().encryptBlock(
+                                    777, Bytes(kBlock, 0x44))});
+         }},
+        {"set_search_index",
+         [](BenchContext &ctx) {
+             applyLoop(ctx, 64,
+                       SetSearchIndex{handle().buildSearchIndex(
+                           "word0 word1 word2 word3")});
+         }},
         {"encrypt_block", encryptLoop},
         {"sha1", sha1Loop},
+        {"insert_wire_table", insertWireTable},
     };
-    return bench::runBenchMain(
-        argc, argv, "bench_ciphertext_ops", cases,
-        [](int argc2, char **argv2) {
-            benchmark::Initialize(&argc2, argv2);
-            benchmark::RunSpecifiedBenchmarks();
-            printInsertTable();
-            return 0;
-        });
+    // Search cost grows with the index; insert with the object copy.
+    for (int tokens : {64, 512, 4096}) {
+        cases.push_back(
+            {"search_" + std::to_string(tokens),
+             [tokens](BenchContext &ctx) {
+                 SearchPredicate sp;
+                 sp.trapdoor = handle().searchTrapdoor("word7");
+                 predicateLoop(ctx, searchObject(tokens), sp,
+                               500000 / tokens);
+             }});
+    }
+    for (std::size_t blocks : {16u, 256u, 1024u}) {
+        cases.push_back(
+            {"insert_" + std::to_string(blocks),
+             [blocks](BenchContext &ctx) {
+                 applyLoop(ctx, blocks,
+                           InsertBlock{1, handle().encryptBlock(
+                                              999, Bytes(kBlock, 0x42))});
+             }});
+    }
+    return bench::runBenchMain(argc, argv, "bench_ciphertext_ops", cases);
 }

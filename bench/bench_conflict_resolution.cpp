@@ -23,7 +23,7 @@
  * intent, across contention levels.
  */
 
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/universe.h"
@@ -40,12 +40,19 @@ struct RunStats
     unsigned rounds = 0;
 };
 
+/**
+ * Land @p total_intents on one hot object, @p writers per round, each
+ * conditioning on the version read at the start of the round.  Only
+ * the rounds are measured (Universe construction excluded).
+ */
 RunStats
-runWorkload(unsigned writers, bool with_merge_clause, int total_intents)
+runWorkload(bench::BenchContext &ctx, unsigned writers,
+            bool with_merge_clause, int total_intents)
 {
     UniverseConfig cfg;
     cfg.numServers = 16;
     cfg.archiveOnCommit = false;
+    cfg.seed = ctx.seed(cfg.seed);
     Universe uni(cfg);
     KeyPair owner = uni.makeUser();
     ObjectHandle obj = uni.createObject(owner, "hot-spot");
@@ -55,6 +62,8 @@ runWorkload(unsigned writers, bool with_merge_clause, int total_intents)
     int landed = 0;
     int next_payload = 0;
 
+    ctx.beginMeasured();
+    std::uint64_t ev0 = uni.sim().eventsExecuted();
     while (landed < total_intents && stats.rounds < 500) {
         stats.rounds++;
         // Everyone observes the same version (the out-of-date-cache
@@ -98,102 +107,62 @@ runWorkload(unsigned writers, bool with_merge_clause, int total_intents)
         // from staleness).
         uni.advance(5.0);
     }
+    ctx.addEvents(uni.sim().eventsExecuted() - ev0);
+    ctx.endMeasured();
     return stats;
 }
 
+double
+abortsPer100(const RunStats &s)
+{
+    return s.intents ? 100.0 * s.aborts / s.intents : 0.0;
+}
+
 /** Throughput kernel: the merge-clause hot-spot workload with 4
- *  writers; Universe construction excluded. */
+ *  writers. */
 void
 mergeCommitLoop(bench::BenchContext &ctx)
 {
-    UniverseConfig cfg;
-    cfg.numServers = 16;
-    cfg.archiveOnCommit = false;
-    cfg.seed = ctx.seed(cfg.seed);
-    Universe uni(cfg);
-    KeyPair owner = uni.makeUser();
-    ObjectHandle obj = uni.createObject(owner, "hot-spot");
+    RunStats st = runWorkload(ctx, 4, true, ctx.smoke() ? 4 : 24);
+    ctx.metric("aborts_per_100", "aborts", abortsPer100(st));
+    ctx.metric("rounds", "rounds", st.rounds);
+}
 
-    const int intents = ctx.smoke() ? 4 : 24;
-    unsigned aborts = 0, submitted = 0;
-    std::uint64_t ts = 0;
-    int landed = 0, rounds = 0;
-
-    ctx.beginMeasured();
-    std::uint64_t ev0 = uni.sim().eventsExecuted();
-    while (landed < intents && rounds < 500) {
-        rounds++;
-        ReadResult rr = uni.readSync(0, obj.guid());
-        VersionNum seen = rr.found ? rr.version : 0;
-        unsigned batch = std::min<unsigned>(
-            4, static_cast<unsigned>(intents - landed));
-        for (unsigned w = 0; w < batch; w++) {
-            Bytes cipher = obj.encryptBlock(
-                (seen + 1) * (1ull << 20) + w,
-                toBytes("intent-" + std::to_string(landed + w)));
-            UpdateClause fast;
-            fast.predicates.push_back(CompareVersion{seen});
-            fast.actions.push_back(AppendBlock{cipher});
-            UpdateClause merge;
-            merge.actions.push_back(AppendBlock{cipher});
-            Update u = obj.makeUpdate({fast, merge}, {++ts, w});
-            submitted++;
-            WriteResult wr = uni.writeSync(u);
-            if (wr.completed && wr.committed)
-                landed++;
-            else
-                aborts++;
-        }
-        uni.advance(5.0);
+/**
+ * The A4 table: aborts per 100 intents and rounds to land 48 intents,
+ * detection-only vs with a merge clause, across contention levels.
+ * Detection-only aborts grow with contention (all but one writer per
+ * round loses); the merge clause commits every intent on first
+ * submission -- zero aborts, W-fold fewer rounds.  This is why
+ * OceanStore adopts Bayou-style conflict resolution over plain
+ * optimistic concurrency.
+ */
+void
+abortTable(bench::BenchContext &ctx)
+{
+    bool merge_never_aborts = true;
+    for (unsigned writers : {2u, 4u, 8u, 16u}) {
+        RunStats det = runWorkload(ctx, writers, false, 48);
+        RunStats mrg = runWorkload(ctx, writers, true, 48);
+        std::string k = "_w" + std::to_string(writers);
+        ctx.metric("detection_aborts_per_100" + k, "aborts",
+                   abortsPer100(det));
+        ctx.metric("detection_rounds" + k, "rounds", det.rounds);
+        ctx.metric("merge_aborts_per_100" + k, "aborts",
+                   abortsPer100(mrg));
+        ctx.metric("merge_rounds" + k, "rounds", mrg.rounds);
+        merge_never_aborts &= mrg.aborts == 0;
     }
-    ctx.addEvents(uni.sim().eventsExecuted() - ev0);
-    ctx.endMeasured();
-
-    ctx.metric("aborts_per_100", "aborts",
-               submitted ? 100.0 * aborts / submitted : 0);
-    ctx.metric("rounds", "rounds", rounds);
+    ctx.metric("claim_merge_zero_aborts", "bool", merge_never_aborts);
 }
 
 } // namespace
-
-static int
-reportMain()
-{
-    std::printf("=== ablation: merge clauses vs detection-only "
-                "aborts ===\n\n");
-    std::printf("W writers per round share one hot object; every "
-                "writer conditions on the same\nobserved version "
-                "(out-of-date caches); 48 intents total per cell\n\n");
-
-    std::printf("%8s | %21s | %21s\n", "writers",
-                "detection-only", "with merge clause");
-    std::printf("%8s | %10s %10s | %10s %10s\n", "",
-                "aborts/100", "rounds", "aborts/100", "rounds");
-
-    for (unsigned writers : {2u, 4u, 8u, 16u}) {
-        RunStats det = runWorkload(writers, false, 48);
-        RunStats mrg = runWorkload(writers, true, 48);
-        std::printf("%8u | %10.1f %10u | %10.1f %10u\n", writers,
-                    100.0 * det.aborts / det.intents, det.rounds,
-                    100.0 * mrg.aborts / mrg.intents, mrg.rounds);
-    }
-
-    std::printf("\n  expected shape: detection-only aborts grow with "
-                "contention (all but one\n  writer per round loses); "
-                "the merge clause commits every intent on first\n  "
-                "submission -- zero aborts, W-fold fewer rounds.  "
-                "This is why OceanStore\n  adopts Bayou-style "
-                "conflict resolution over plain optimistic "
-                "concurrency.\n");
-    return 0;
-}
 
 int
 main(int argc, char **argv)
 {
     std::vector<bench::BenchCase> cases{
-        {"merge_commit", mergeCommitLoop}};
+        {"merge_commit", mergeCommitLoop}, {"abort_table", abortTable}};
     return bench::runBenchMain(argc, argv, "bench_conflict_resolution",
-                               cases,
-                               [](int, char **) { return reportMain(); });
+                               cases);
 }

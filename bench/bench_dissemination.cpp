@@ -12,8 +12,8 @@
  * bandwidth saving for large updates.
  */
 
-#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "consistency/secondary.h"
@@ -25,122 +25,34 @@ using namespace oceanstore;
 
 namespace {
 
-struct Result
+/** What to push through a secondary tier, and how. */
+struct Push
 {
-    double seconds = -1.0;
-    double kilobytes = 0.0;
-    std::uint64_t events = 0;
+    std::size_t replicas = 0;
+    int updates = 1;                //!< committed versions pushed
+    bool treePush = true;           //!< false: anti-entropy only
+    bool invalidate = false;        //!< invalidations at the leaves
+    std::size_t updateBytes = 4096;
+    bool antiEntropy = true;
+    bool noopInjector = false;      //!< arm an all-zero FaultPlan
 };
 
-Result
-propagate(std::size_t replicas, bool tree_push, bool invalidate,
-          std::size_t update_bytes, bool anti_entropy = true)
+struct Result
 {
-    Simulator sim;
-    NetworkConfig ncfg;
-    ncfg.jitter = 0.05;
-    Network net(sim, ncfg);
-
-    Rng rng(0xd15e + replicas);
-    std::vector<std::pair<double, double>> pos;
-    for (std::size_t i = 0; i < replicas; i++)
-        pos.emplace_back(rng.uniform(), rng.uniform());
-
-    SecondaryConfig cfg;
-    cfg.treePush = tree_push;
-    cfg.invalidateAtLeaves = invalidate;
-    cfg.antiEntropyPeriod = 0.5;
-    SimRuntime rt(sim, net);
-    SecondaryTier tier(rt, pos, cfg);
-    if (anti_entropy)
-        tier.startAntiEntropy();
-
-    Guid obj = Guid::hashOf("bench-object");
-    Update u;
-    u.objectGuid = obj;
-    UpdateClause clause;
-    clause.actions.push_back(AppendBlock{Bytes(update_bytes, 0x77)});
-    u.clauses.push_back(clause);
-    u.timestamp = {1, 1};
-
-    net.resetCounters();
-    double start = sim.now();
-    tier.injectCommitted(u, 1);
-
-    Result out;
-    const double deadline = anti_entropy ? 300.0 : 30.0;
-    while (sim.now() < deadline) {
-        sim.runUntil(sim.now() + 0.25);
-        if (tier.allCommitted(obj, 1)) {
-            out.seconds = sim.now() - start;
-            break;
-        }
-    }
-    if (!anti_entropy && out.seconds < 0)
-        sim.runUntil(30.0); // fixed window for byte accounting
-    tier.stopAntiEntropy();
-    out.kilobytes = static_cast<double>(net.totalBytes()) / 1024.0;
-    out.events = sim.eventsExecuted();
-    return out;
-}
-
-} // namespace
-
-static int
-reportMain()
-{
-    std::printf("=== A1: dissemination tree vs pure epidemic ===\n\n");
-    std::printf("time and bytes until ALL secondary replicas hold a "
-                "4 kB committed update\n(anti-entropy period 0.5 s "
-                "runs in both modes):\n\n");
-    std::printf("%10s |  %22s |  %22s\n", "replicas",
-                "tree push (Fig 5c)", "epidemic only");
-    std::printf("%10s |  %10s %10s |  %10s %10s\n", "", "seconds",
-                "kB", "seconds", "kB");
-
-    for (std::size_t n : {16u, 32u, 64u, 128u, 256u}) {
-        Result tree = propagate(n, true, false, 4096);
-        Result epi = propagate(n, false, false, 4096);
-        std::printf("%10zu |  %10.2f %10.0f |  %10.2f %10.0f\n", n,
-                    tree.seconds, tree.kilobytes, epi.seconds,
-                    epi.kilobytes);
-    }
-    std::printf("\n  expected shape: the tree delivers in "
-                "O(depth) x link latency with one copy\n  per edge; "
-                "anti-entropy alone takes many rounds and re-ships "
-                "digests, growing\n  markedly worse with tier size -- "
-                "why the paper builds dissemination trees.\n");
-
-    // --- invalidation at the leaves ------------------------------------
-    std::printf("\ninvalidation-at-leaves bandwidth (64 replicas):\n\n");
-    std::printf("%12s | %14s | %18s\n", "update size", "full push kB",
-                "invalidate-leaf kB");
-    for (std::size_t bytes : {1u << 10, 16u << 10, 64u << 10,
-                              256u << 10}) {
-        Result full = propagate(64, true, false, bytes, false);
-        Result inval = propagate(64, true, true, bytes, false);
-        std::printf("%11zuk | %14.0f | %18.0f\n", bytes >> 10,
-                    full.kilobytes, inval.kilobytes);
-    }
-    std::printf("\n  (Section 4.4.3: \"dissemination trees transform "
-                "updates into invalidations\n   ... exploited at the "
-                "leaves of the network where bandwidth is "
-                "limited\")\n");
-    return 0;
-}
-
-namespace {
+    double seconds = -1.0;   //!< until every replica held the last
+                             //!< version (-1: never)
+    double kilobytes = 0.0;
+};
 
 /**
- * Event-loop throughput kernel: push @p updates committed versions
- * through a @p replicas-wide tier (tree push or epidemic-only) with
- * anti-entropy running, and measure only the event-processing region
- * (tier construction excluded).
+ * Inject @p p.updates committed versions one after another into a
+ * @p p.replicas-wide tier and run each until every replica holds it
+ * (or a deadline passes: 300 s with anti-entropy, else 30 s).  Only
+ * the event-processing region is measured (tier construction
+ * excluded).
  */
-void
-pushMany(bench::BenchContext &ctx, std::size_t replicas,
-         int updates, bool tree_push, std::size_t update_bytes,
-         bool arm_noop_injector = false)
+Result
+propagate(bench::BenchContext &ctx, const Push &p)
 {
     Simulator sim;
     NetworkConfig ncfg;
@@ -152,50 +64,106 @@ pushMany(bench::BenchContext &ctx, std::size_t replicas,
     // check plus a no-op verdict — comparing this case's p50 against
     // the plain tree_push case proves the hooks are free when off.
     std::unique_ptr<FaultInjector> inj;
-    if (arm_noop_injector) {
+    if (p.noopInjector) {
         inj = std::make_unique<FaultInjector>(sim, net, FaultPlan{});
         inj->arm();
     }
 
-    Rng rng(ctx.seed(0xd15e) + replicas);
+    Rng rng(ctx.seed(0xd15e) + p.replicas);
     std::vector<std::pair<double, double>> pos;
-    for (std::size_t i = 0; i < replicas; i++)
+    for (std::size_t i = 0; i < p.replicas; i++)
         pos.emplace_back(rng.uniform(), rng.uniform());
 
     SecondaryConfig cfg;
-    cfg.treePush = tree_push;
+    cfg.treePush = p.treePush;
+    cfg.invalidateAtLeaves = p.invalidate;
     cfg.antiEntropyPeriod = 0.5;
     SimRuntime rt(sim, net);
     SecondaryTier tier(rt, pos, cfg);
-    tier.startAntiEntropy();
+    if (p.antiEntropy)
+        tier.startAntiEntropy();
 
     Guid obj = Guid::hashOf("bench-object");
-    double done_s = -1.0;
-
+    net.resetCounters();
+    Result out;
     ctx.beginMeasured();
     std::uint64_t ev0 = sim.eventsExecuted();
-    for (int v = 1; v <= updates; v++) {
+    for (int v = 1; v <= p.updates; v++) {
         Update u;
         u.objectGuid = obj;
         UpdateClause clause;
-        clause.actions.push_back(AppendBlock{Bytes(update_bytes, 0x77)});
+        clause.actions.push_back(AppendBlock{Bytes(p.updateBytes, 0x77)});
         u.clauses.push_back(clause);
         u.timestamp = {static_cast<std::uint64_t>(v), 1};
-        tier.injectCommitted(u, static_cast<VersionNum>(v));
-        double deadline = sim.now() + (tree_push ? 30.0 : 120.0);
-        while (sim.now() < deadline &&
-               !tier.allCommitted(obj, static_cast<VersionNum>(v)))
+        auto version = static_cast<VersionNum>(v);
+        tier.injectCommitted(u, version);
+        double deadline = sim.now() + (p.antiEntropy ? 300.0 : 30.0);
+        out.seconds = -1.0;
+        while (sim.now() < deadline && out.seconds < 0) {
             sim.runUntil(sim.now() + 0.25);
+            if (tier.allCommitted(obj, version))
+                out.seconds = sim.now();
+        }
     }
-    if (tier.allCommitted(obj, static_cast<VersionNum>(updates)))
-        done_s = sim.now();
     ctx.addEvents(sim.eventsExecuted() - ev0);
     ctx.endMeasured();
     tier.stopAntiEntropy();
+    out.kilobytes = static_cast<double>(net.totalBytes()) / 1024.0;
+    return out;
+}
 
-    ctx.metric("all_committed_s", "s", done_s);
-    ctx.metric("bytes_kb", "kB",
-               static_cast<double>(net.totalBytes()) / 1024.0);
+/** Throughput kernel: push @p p through the tier and report when the
+ *  last version landed everywhere and the bytes it took. */
+void
+pushMany(bench::BenchContext &ctx, const Push &p)
+{
+    Result r = propagate(ctx, p);
+    ctx.metric("all_committed_s", "s", r.seconds);
+    ctx.metric("bytes_kb", "kB", r.kilobytes);
+}
+
+/**
+ * The A1 table: seconds and kB until every replica holds one 4 kB
+ * committed update, tree push (Figure 5c) vs epidemic only, with the
+ * 0.5 s anti-entropy running in both.  The tree delivers in O(depth)
+ * x link latency with one copy per edge; anti-entropy alone takes
+ * many rounds and re-ships digests, growing worse with tier size --
+ * why the paper builds dissemination trees.
+ */
+void
+treeVsEpidemicTable(bench::BenchContext &ctx)
+{
+    for (std::size_t n : {16u, 32u, 64u, 128u, 256u}) {
+        std::string k = "_n" + std::to_string(n);
+        for (bool tree : {true, false}) {
+            Result r = propagate(ctx, {.replicas = n, .treePush = tree});
+            std::string mode = tree ? "tree" : "epidemic";
+            ctx.metric(mode + "_s" + k, "s", r.seconds);
+            ctx.metric(mode + "_kb" + k, "kB", r.kilobytes);
+        }
+    }
+}
+
+/**
+ * Invalidation-at-leaves bandwidth on 64 replicas without
+ * anti-entropy (Section 4.4.3: "dissemination trees transform updates
+ * into invalidations ... exploited at the leaves of the network where
+ * bandwidth is limited").
+ */
+void
+invalidationTable(bench::BenchContext &ctx)
+{
+    for (std::size_t kb : {1u, 16u, 64u, 256u}) {
+        std::string k = "_" + std::to_string(kb) + "k";
+        for (bool inval : {false, true}) {
+            Result r = propagate(ctx, {.replicas = 64,
+                                       .invalidate = inval,
+                                       .updateBytes = kb << 10,
+                                       .antiEntropy = false});
+            ctx.metric((inval ? "invalidate_kb" : "full_push_kb") + k,
+                       "kB", r.kilobytes);
+        }
+    }
 }
 
 } // namespace
@@ -208,21 +176,23 @@ main(int argc, char **argv)
     std::vector<BenchCase> cases{
         {"tree_push",
          [](BenchContext &ctx) {
-             pushMany(ctx, ctx.smoke() ? 16 : 128,
-                      ctx.smoke() ? 2 : 40, true, 4096);
+             pushMany(ctx, {.replicas = ctx.smoke() ? 16u : 128u,
+                            .updates = ctx.smoke() ? 2 : 40});
          }},
         {"epidemic",
          [](BenchContext &ctx) {
-             pushMany(ctx, ctx.smoke() ? 8 : 64,
-                      ctx.smoke() ? 2 : 10, false, 4096);
+             pushMany(ctx, {.replicas = ctx.smoke() ? 8u : 64u,
+                            .updates = ctx.smoke() ? 2 : 10,
+                            .treePush = false});
          }},
         {"tree_push_fault_hooks_off",
          [](BenchContext &ctx) {
-             pushMany(ctx, ctx.smoke() ? 16 : 128,
-                      ctx.smoke() ? 2 : 40, true, 4096,
-                      /*arm_noop_injector=*/true);
+             pushMany(ctx, {.replicas = ctx.smoke() ? 16u : 128u,
+                            .updates = ctx.smoke() ? 2 : 40,
+                            .noopInjector = true});
          }},
+        {"tree_vs_epidemic_table", treeVsEpidemicTable},
+        {"invalidation_table", invalidationTable},
     };
-    return bench::runBenchMain(argc, argv, "bench_dissemination", cases,
-                               [](int, char **) { return reportMain(); });
+    return bench::runBenchMain(argc, argv, "bench_dissemination", cases);
 }

@@ -14,9 +14,9 @@
  * returns past ~2x.
  */
 
-#include <cstdio>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "archive/archival.h"
@@ -38,9 +38,11 @@ struct Run
     double meanBytes = 0.0;
 };
 
+/** @p trials reconstructions of a fresh 32 kB dispersal each; only
+ *  the reconstruction (not dispersal/setup) is measured. */
 Run
-measure(double overfactor, double drop_rate, int trials,
-        bench::BenchContext *ctx = nullptr)
+measure(bench::BenchContext &ctx, double overfactor, double drop_rate,
+        int trials)
 {
     Run out;
     Accumulator lat, reqs, bytes;
@@ -51,7 +53,7 @@ measure(double overfactor, double drop_rate, int trials,
         NetworkConfig ncfg;
         ncfg.jitter = 0.05;
         ncfg.dropRate = 0.0; // dispersal must succeed
-        std::uint64_t base = ctx ? ctx->seed(0xf00d) : 0xf00d;
+        std::uint64_t base = ctx.seed(0xf00d);
         ncfg.seed = base + t;
         Network net(sim, ncfg);
 
@@ -81,16 +83,13 @@ measure(double overfactor, double drop_rate, int trials,
         net.setDropRate(drop_rate);
         net.resetCounters();
         std::optional<ReconstructResult> res;
-        if (ctx)
-            ctx->beginMeasured();
+        ctx.beginMeasured();
         std::uint64_t ev0 = sim.eventsExecuted();
         sys.reconstruct(*client, archive,
                         [&](const ReconstructResult &r) { res = r; });
         sim.runUntil(sim.now() + 60.0);
-        if (ctx) {
-            ctx->addEvents(sim.eventsExecuted() - ev0);
-            ctx->endMeasured();
-        }
+        ctx.addEvents(sim.eventsExecuted() - ev0);
+        ctx.endMeasured();
 
         if (res && res->success) {
             ok++;
@@ -112,71 +111,52 @@ measure(double overfactor, double drop_rate, int trials,
 void
 reconstructLoop(bench::BenchContext &ctx)
 {
-    Run r = measure(1.5, 0.1, ctx.smoke() ? 1 : 8, &ctx);
+    Run r = measure(ctx, 1.5, 0.1, ctx.smoke() ? 1 : 8);
     ctx.metric("reconstruct_ms", "ms",
                r.meanLatency >= 0 ? r.meanLatency * 1e3 : -1);
     ctx.metric("success_pct", "%", r.successRate);
 }
 
-} // namespace
-
-static int
-reportMain()
+/**
+ * The Section 5 table: mean/p95 reconstruction latency and success
+ * per request over-factor and drop rate (15 trials a cell), then the
+ * bandwidth cost of over-requesting without drops (5 trials).  The
+ * over=1.0 column pays the retry timeout as soon as any request
+ * drops; extra requests "proved beneficial due to dropped requests".
+ */
+void
+overfactorTable(bench::BenchContext &ctx)
 {
-    std::printf("=== Section 5: requesting extra fragments under "
-                "drops ===\n\n");
-    std::printf("reed-solomon(16/32), 32 kB objects, 48 servers; "
-                "retry timeout 4 s\n\n");
-
-    const std::vector<double> overfactors = {1.0, 1.25, 1.5, 2.0};
-    const std::vector<double> drops = {0.0, 0.1, 0.2, 0.3, 0.4};
-    const int trials = 15;
-
-    std::printf("%6s |", "drop");
-    for (double of : overfactors)
-        std::printf("      over=%.2f       |", of);
-    std::printf("\n%6s |", "");
-    for (std::size_t i = 0; i < overfactors.size(); i++)
-        std::printf("  mean ms  p95 ms  ok%% |");
-    std::printf("\n");
-
-    for (double drop : drops) {
-        std::printf("%5.0f%% |", drop * 100);
+    const double overfactors[] = {1.0, 1.25, 1.5, 2.0};
+    for (int drop_pct : {0, 10, 20, 30, 40}) {
         for (double of : overfactors) {
-            Run r = measure(of, drop, trials);
-            if (r.meanLatency < 0) {
-                std::printf(" %7s %7s %4.0f |", "-", "-",
-                            r.successRate);
-            } else {
-                std::printf(" %7.0f %7.0f %4.0f |",
-                            r.meanLatency * 1e3, r.p95Latency * 1e3,
-                            r.successRate);
-            }
+            Run r = measure(ctx, of, drop_pct / 100.0, 15);
+            std::string k = "_drop" + std::to_string(drop_pct) + "_over" +
+                            std::to_string(static_cast<int>(of * 100));
+            ctx.metric("mean_ms" + k, "ms",
+                       r.meanLatency < 0 ? -1 : r.meanLatency * 1e3);
+            ctx.metric("p95_ms" + k, "ms",
+                       r.p95Latency < 0 ? -1 : r.p95Latency * 1e3);
+            ctx.metric("ok_pct" + k, "%", r.successRate);
         }
-        std::printf("\n");
     }
-
-    std::printf("\nbandwidth cost of over-requesting (no drops):\n");
     for (double of : overfactors) {
-        Run r = measure(of, 0.0, 5);
-        std::printf("  over=%.2f: %5.1f requests, %6.1f kB per "
-                    "reconstruction\n",
-                    of, r.meanRequests, r.meanBytes / 1024.0);
+        Run r = measure(ctx, of, 0.0, 5);
+        std::string k =
+            "_over" + std::to_string(static_cast<int>(of * 100));
+        ctx.metric("requests" + k, "requests", r.meanRequests);
+        ctx.metric("kb_per_reconstruct" + k, "kB", r.meanBytes / 1024.0);
     }
-
-    std::printf("\n  (paper: extra requests \"proved beneficial due "
-                "to dropped requests\" --\n   the over=1.0 column "
-                "pays the retry timeout as soon as any request "
-                "drops)\n");
-    return 0;
 }
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<bench::BenchCase> cases{
-        {"reconstruct", reconstructLoop}};
+        {"reconstruct", reconstructLoop},
+        {"overfactor_table", overfactorTable}};
     return bench::runBenchMain(argc, argv, "bench_fragment_requests",
-                               cases,
-                               [](int, char **) { return reportMain(); });
+                               cases);
 }

@@ -13,8 +13,11 @@
  *   root vs salted replicated roots, before and after repair.
  */
 
-#include <cstdio>
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "plaxton/mesh.h"
@@ -65,177 +68,170 @@ struct World
     std::unique_ptr<PlaxtonMesh> mesh;
 };
 
-} // namespace
-
-static int
-reportMain()
-{
-    std::printf("=== Figure 3 / Sec 4.3.3: the global location mesh "
-                "===\n\n");
-
-    // --- sweep 1: locality --------------------------------------------
-    {
-        World w(512, 3, 0x9a9a);
-        std::printf("locality (512 nodes): locate latency vs distance "
-                    "to closest replica\n\n");
-        std::printf("%18s %10s %10s %9s %8s\n", "optimal latency",
-                    "locate", "stretch", "queries", "hops");
-
-        // Buckets of optimal latency.
-        const std::vector<double> edges = {0.0,  0.02, 0.04, 0.06,
-                                           0.09, 0.12, 0.20};
-        std::vector<Accumulator> locate_lat(edges.size() - 1);
-        std::vector<Accumulator> stretch(edges.size() - 1);
-        std::vector<Accumulator> hops(edges.size() - 1);
-
-        for (int trial = 0; trial < 1500; trial++) {
-            Guid g = Guid::random(w.rng);
-            NodeId storer = w.rng.pick(w.members);
-            w.mesh->publish(g, storer);
-            NodeId from = w.rng.pick(w.members);
-            double optimal = w.net.latency(from, storer);
-            auto res = w.mesh->locate(from, g);
-            if (res.found && optimal > 1e-9) {
-                for (std::size_t b = 0; b + 1 < edges.size(); b++) {
-                    if (optimal >= edges[b] && optimal < edges[b + 1]) {
-                        locate_lat[b].add(res.latency);
-                        stretch[b].add(res.latency / optimal);
-                        hops[b].add(res.hops);
-                    }
-                }
-            }
-            w.mesh->unpublish(g, storer);
-        }
-        for (std::size_t b = 0; b + 1 < edges.size(); b++) {
-            if (locate_lat[b].count() == 0)
-                continue;
-            std::printf("  %5.0f - %4.0f ms   %7.0f ms %9.2fx %8zu "
-                        "%7.1f\n",
-                        edges[b] * 1e3, edges[b + 1] * 1e3,
-                        locate_lat[b].mean() * 1e3, stretch[b].mean(),
-                        locate_lat[b].count(), hops[b].mean());
-        }
-        std::printf("\n  (paper: distance traveled proportional to "
-                    "distance to the closest replica --\n"
-                    "   stretch settles to a small constant as "
-                    "distance grows)\n");
-    }
-
-    // --- sweep 2: scaling ------------------------------------------------
-    std::printf("\nscaling: mesh hops vs network size (expect "
-                "O(log16 n)):\n\n");
-    std::printf("%8s %14s %14s\n", "nodes", "publish hops/salt",
-                "locate hops");
-    for (std::size_t n : {64u, 128u, 256u, 512u, 1024u}) {
-        World w(n, 1, 0x5ca1e + n);
-        Accumulator pub, loc;
-        for (int trial = 0; trial < 150; trial++) {
-            Guid g = Guid::random(w.rng);
-            NodeId storer = w.rng.pick(w.members);
-            unsigned hops = w.mesh->publish(g, storer);
-            pub.add(hops);
-            auto res = w.mesh->locate(w.rng.pick(w.members), g);
-            if (res.found)
-                loc.add(res.hops);
-            w.mesh->unpublish(g, storer);
-        }
-        std::printf("%8zu %14.2f %14.2f\n", n, pub.mean(), loc.mean());
-    }
-
-    // --- sweep 3: fault tolerance (single vs salted roots) ---------------
-    std::printf("\nfault tolerance (A3): locate success rate under "
-                "node failures\n(256 nodes, 60 objects, failures "
-                "exclude storers):\n\n");
-    std::printf("%8s %12s %12s %14s\n", "killed", "1 root",
-                "3 salted", "3 + repair");
-    for (double frac : {0.1, 0.2, 0.3, 0.4, 0.5}) {
-        double rates[3] = {0, 0, 0};
-        int variant = 0;
-        for (unsigned salts : {1u, 3u}) {
-            for (int repaired = 0; repaired < (salts == 3 ? 2 : 1);
-                 repaired++) {
-                World w(256, salts, 0xdead + salts);
-                std::vector<Guid> objs;
-                std::vector<NodeId> storers;
-                for (int i = 0; i < 60; i++) {
-                    Guid g = Guid::random(w.rng);
-                    NodeId s = w.rng.pick(w.members);
-                    w.mesh->publish(g, s);
-                    objs.push_back(g);
-                    storers.push_back(s);
-                }
-                // Kill a fraction of non-storer nodes.
-                unsigned to_kill = static_cast<unsigned>(
-                    frac * w.members.size());
-                unsigned killed = 0;
-                for (NodeId nid : w.members) {
-                    if (killed >= to_kill)
-                        break;
-                    bool is_storer = false;
-                    for (NodeId s : storers)
-                        is_storer |= (s == nid);
-                    if (is_storer)
-                        continue;
-                    w.net.setDown(nid);
-                    w.mesh->removeNode(nid);
-                    killed++;
-                }
-                if (repaired)
-                    w.mesh->repair();
-
-                unsigned found = 0, total = 0;
-                for (std::size_t i = 0; i < objs.size(); i++) {
-                    for (int q = 0; q < 3; q++) {
-                        NodeId from = w.rng.pick(w.members);
-                        if (!w.mesh->alive(from))
-                            continue;
-                        total++;
-                        if (w.mesh->locate(from, objs[i]).found)
-                            found++;
-                    }
-                }
-                rates[variant++] =
-                    total ? 100.0 * found / total : 0.0;
-            }
-        }
-        std::printf("%7.0f%% %11.1f%% %11.1f%% %13.1f%%\n",
-                    frac * 100, rates[0], rates[1], rates[2]);
-    }
-    std::printf("\n  (paper: salted replicated roots remove the "
-                "single point of failure;\n   repair restores "
-                "locate success)\n");
-    return 0;
-}
-
-namespace {
-
-/** Throughput kernel: publish/locate/unpublish round-trips on one
- *  mesh, mesh construction excluded from the measured region. */
+/**
+ * The shared loop: @p trials publish/locate/unpublish round-trips of
+ * fresh objects on @p w, each locate from a random member, handed to
+ * @p on_locate(publish hops, from, storer, result).  Only the rounds
+ * are measured (mesh construction excluded).
+ */
+template <typename OnLocate>
 void
-locateLoop(bench::BenchContext &ctx)
+locateRounds(bench::BenchContext &ctx, World &w, int trials,
+             OnLocate on_locate)
 {
-    World w(ctx.smoke() ? 64 : 256, 1, ctx.seed(0x9a9a));
-    const int trials = ctx.smoke() ? 10 : 300;
-
-    Accumulator hops, lat;
     ctx.beginMeasured();
     std::uint64_t ev0 = w.sim.eventsExecuted();
     for (int t = 0; t < trials; t++) {
         Guid g = Guid::random(w.rng);
         NodeId storer = w.rng.pick(w.members);
-        w.mesh->publish(g, storer);
-        auto res = w.mesh->locate(w.rng.pick(w.members), g);
-        if (res.found) {
-            hops.add(res.hops);
-            lat.add(res.latency);
-        }
+        unsigned published = w.mesh->publish(g, storer);
+        NodeId from = w.rng.pick(w.members);
+        on_locate(published, from, storer, w.mesh->locate(from, g));
         w.mesh->unpublish(g, storer);
     }
     ctx.addEvents(w.sim.eventsExecuted() - ev0);
     ctx.endMeasured();
+}
 
+/** Throughput kernel: round-trips on one 256-node mesh. */
+void
+locateLoop(bench::BenchContext &ctx)
+{
+    World w(ctx.smoke() ? 64 : 256, 1, ctx.seed(0x9a9a));
+    Accumulator hops, lat;
+    locateRounds(ctx, w, ctx.smoke() ? 10 : 300,
+                 [&](unsigned, NodeId, NodeId, const LocateResult &r) {
+                     if (r.found) {
+                         hops.add(r.hops);
+                         lat.add(r.latency);
+                     }
+                 });
     ctx.metric("locate_hops", "hops", hops.count() ? hops.mean() : 0);
     ctx.metric("locate_ms", "ms", lat.count() ? lat.mean() * 1e3 : 0);
+}
+
+/**
+ * Sweep 1 (locality, 512 nodes, 3 salts): locate latency, stretch,
+ * query count and hops per bucket of latency to the closest replica.
+ * The paper: "the average distance traveled is proportional to the
+ * distance between the source of the query and the closest replica"
+ * -- stretch settles to a small constant as distance grows.
+ */
+void
+localityTable(bench::BenchContext &ctx)
+{
+    World w(512, 3, ctx.seed(0x9a9a));
+    const std::vector<double> edges = {0.0,  0.02, 0.04, 0.06,
+                                       0.09, 0.12, 0.20};
+    const std::size_t buckets = edges.size() - 1;
+    std::vector<Accumulator> locate_lat(buckets), stretch(buckets),
+        hops(buckets);
+    locateRounds(ctx, w, 1500,
+                 [&](unsigned, NodeId from, NodeId storer,
+                     const LocateResult &r) {
+                     double optimal = w.net.latency(from, storer);
+                     if (!r.found || optimal <= 1e-9)
+                         return;
+                     for (std::size_t b = 0; b < buckets; b++) {
+                         if (optimal >= edges[b] &&
+                             optimal < edges[b + 1]) {
+                             locate_lat[b].add(r.latency);
+                             stretch[b].add(r.latency / optimal);
+                             hops[b].add(r.hops);
+                         }
+                     }
+                 });
+    for (std::size_t b = 0; b < buckets; b++) {
+        if (locate_lat[b].count() == 0)
+            continue;
+        std::string k =
+            "_" + std::to_string(std::lround(edges[b] * 1e3)) + "_" +
+            std::to_string(std::lround(edges[b + 1] * 1e3)) + "ms";
+        ctx.metric("locate_ms" + k, "ms", locate_lat[b].mean() * 1e3);
+        ctx.metric("stretch" + k, "x", stretch[b].mean());
+        ctx.metric("queries" + k, "count",
+                   static_cast<double>(locate_lat[b].count()));
+        ctx.metric("hops" + k, "hops", hops[b].mean());
+    }
+}
+
+/** Sweep 2 (scaling): publish hops per salt and locate hops vs
+ *  network size, expected O(log16 n). */
+void
+scalingTable(bench::BenchContext &ctx)
+{
+    for (std::size_t n : {64u, 128u, 256u, 512u, 1024u}) {
+        World w(n, 1, ctx.seed(0x5ca1e) + n);
+        Accumulator pub, loc;
+        locateRounds(ctx, w, 150,
+                     [&](unsigned published, NodeId, NodeId,
+                         const LocateResult &r) {
+                         pub.add(published);
+                         if (r.found)
+                             loc.add(r.hops);
+                     });
+        std::string k = "_n" + std::to_string(n);
+        ctx.metric("publish_hops" + k, "hops", pub.mean());
+        ctx.metric("locate_hops" + k, "hops", loc.mean());
+    }
+}
+
+/**
+ * Sweep 3 (A3 ablation, 256 nodes, 60 objects): locate success under
+ * failures of non-storer nodes, one root vs 3 salted roots, and 3
+ * salted roots after repair.  Salted replicated roots remove the
+ * single point of failure; repair restores locate success.
+ */
+void
+faultTable(bench::BenchContext &ctx)
+{
+    for (int pct : {10, 20, 30, 40, 50}) {
+        for (auto [salts, repaired, name] :
+             {std::tuple{1u, false, "1root"},
+              std::tuple{3u, false, "3salted"},
+              std::tuple{3u, true, "3salted_repair"}}) {
+            World w(256, salts, ctx.seed(0xdead) + salts);
+            std::vector<Guid> objs;
+            std::vector<NodeId> storers;
+            for (int i = 0; i < 60; i++) {
+                Guid g = Guid::random(w.rng);
+                NodeId s = w.rng.pick(w.members);
+                w.mesh->publish(g, s);
+                objs.push_back(g);
+                storers.push_back(s);
+            }
+            // Kill a fraction of non-storer nodes.
+            auto to_kill =
+                static_cast<unsigned>(pct / 100.0 * w.members.size());
+            unsigned killed = 0;
+            for (NodeId nid : w.members) {
+                if (killed >= to_kill)
+                    break;
+                if (std::find(storers.begin(), storers.end(), nid) !=
+                    storers.end())
+                    continue;
+                w.net.setDown(nid);
+                w.mesh->removeNode(nid);
+                killed++;
+            }
+            if (repaired)
+                w.mesh->repair();
+
+            unsigned found = 0, total = 0;
+            for (const Guid &g : objs) {
+                for (int q = 0; q < 3; q++) {
+                    NodeId from = w.rng.pick(w.members);
+                    if (!w.mesh->alive(from))
+                        continue;
+                    total++;
+                    found += w.mesh->locate(from, g).found;
+                }
+            }
+            ctx.metric("ok_pct_killed" + std::to_string(pct) + "_" +
+                           name,
+                       "%", total ? 100.0 * found / total : 0.0);
+        }
+    }
 }
 
 } // namespace
@@ -243,8 +239,11 @@ locateLoop(bench::BenchContext &ctx)
 int
 main(int argc, char **argv)
 {
-    std::vector<bench::BenchCase> cases{{"locate", locateLoop}};
+    std::vector<bench::BenchCase> cases{
+        {"locate", locateLoop},
+        {"locality_table", localityTable},
+        {"scaling_table", scalingTable},
+        {"fault_table", faultTable}};
     return bench::runBenchMain(argc, argv, "bench_plaxton_locality",
-                               cases,
-                               [](int, char **) { return reportMain(); });
+                               cases);
 }

@@ -27,17 +27,14 @@
  * region.
  */
 
-#include <cstdio>
+#include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <chrono>
 
 #ifdef OCEANSTORE_THREADED
 #include <thread>
 #endif
-
-#include <memory>
 
 #include "core/universe.h"
 #include "obs/flight_recorder.h"
@@ -127,9 +124,8 @@ struct ServeResult
  *  the whole run executes under an attached Tracer + FlightRecorder,
  *  exactly like `oscluster --trace`. */
 ServeResult
-runServe(RuntimeKind kind, unsigned clients, unsigned writes,
-         std::uint64_t seed, bench::BenchContext *ctx = nullptr,
-         bool traced = false)
+runServe(bench::BenchContext &ctx, RuntimeKind kind, unsigned clients,
+         unsigned writes, bool traced)
 {
     // Declared before the Universe so the scopes (and their hooks)
     // outlive every runtime thread that might record a span.
@@ -146,7 +142,7 @@ runServe(RuntimeKind kind, unsigned clients, unsigned writes,
     UniverseConfig cfg;
     cfg.numServers = 16;
     cfg.archiveOnCommit = false;
-    cfg.seed = seed;
+    cfg.seed = ctx.seed(0x5eedu);
     cfg.runtime = kind;
     Universe universe(cfg);
 
@@ -158,8 +154,7 @@ runServe(RuntimeKind kind, unsigned clients, unsigned writes,
     }
 
     std::vector<ClientRun> runs(clients);
-    if (ctx)
-        ctx->beginMeasured();
+    ctx.beginMeasured();
     double t0 = wallNow();
 #ifdef OCEANSTORE_THREADED
     if (kind == RuntimeKind::Threaded) {
@@ -177,8 +172,7 @@ runServe(RuntimeKind kind, unsigned clients, unsigned writes,
             runs[c] = serveClient(universe, docs[c], c, writes);
     }
     double wall = wallNow() - t0;
-    if (ctx)
-        ctx->endMeasured();
+    ctx.endMeasured();
 
     ServeResult res;
     res.measuredWall = wall;
@@ -194,9 +188,14 @@ runServe(RuntimeKind kind, unsigned clients, unsigned writes,
     return res;
 }
 
+/** Serve 4 clients x 6 writes (2 x 2 under --smoke) on @p kind and
+ *  report the client-visible latencies and throughput. */
 void
-emitMetrics(bench::BenchContext &ctx, const ServeResult &res)
+serveCase(bench::BenchContext &ctx, RuntimeKind kind, bool traced)
 {
+    unsigned clients = ctx.smoke() ? 2 : 4;
+    unsigned writes = ctx.smoke() ? 2 : 6;
+    ServeResult res = runServe(ctx, kind, clients, writes, traced);
     ctx.metric("write_p50_ms", "ms", res.writeWall.percentile(50) * 1e3);
     ctx.metric("write_p95_ms", "ms", res.writeWall.percentile(95) * 1e3);
     ctx.metric("read_p50_ms", "ms", res.readWall.percentile(50) * 1e3);
@@ -211,100 +210,28 @@ emitMetrics(bench::BenchContext &ctx, const ServeResult &res)
                    : 0.0);
     ctx.metric("trace_spans", "count",
                static_cast<double>(res.spans));
-}
-
-void
-printRow(const char *name, const ServeResult &res)
-{
-    std::printf("  %-10s %3u commits  %3u verified  "
-                "write p50 %7.2f ms  p95 %7.2f ms  "
-                "read p50 %7.2f ms  %6.1f writes/s\n",
-                name, res.committed, res.verified,
-                res.writeWall.percentile(50) * 1e3,
-                res.writeWall.percentile(95) * 1e3,
-                res.readWall.percentile(50) * 1e3,
-                res.measuredWall > 0.0
-                    ? res.committed / res.measuredWall
-                    : 0.0);
+    // Every write committed and was read back byte-for-byte.
+    ctx.metric("claim_all_verified", "bool",
+               res.verified == clients * writes);
 }
 
 } // namespace
 
-static int
-reportMain()
-{
-    std::printf("=== runtime backends: sim vs threaded serve ===\n\n");
-    const unsigned clients = 4, writes = 6;
-    std::printf("%u clients x %u writes, 16 servers, wall-clock "
-                "latencies on both backends\n\n",
-                clients, writes);
-
-    ServeResult sim =
-        runServe(RuntimeKind::Sim, clients, writes, 0x5eedu);
-    printRow("sim", sim);
-
-    if (ThreadedRuntime::available()) {
-        ServeResult thr =
-            runServe(RuntimeKind::Threaded, clients, writes, 0x5eedu);
-        printRow("threaded", thr);
-        ServeResult trc =
-            runServe(RuntimeKind::Threaded, clients, writes, 0x5eedu,
-                     nullptr, /*traced=*/true);
-        printRow("traced", trc);
-        std::printf("\ntraced run recorded %zu spans; attached "
-                    "overhead on write p50: %+.1f%%\n",
-                    trc.spans,
-                    thr.writeWall.percentile(50) > 0.0
-                        ? 100.0 * (trc.writeWall.percentile(50) /
-                                       thr.writeWall.percentile(50) -
-                                   1.0)
-                        : 0.0);
-        bool ok = sim.verified == clients * writes &&
-                  thr.verified == clients * writes &&
-                  trc.verified == clients * writes;
-        return ok ? 0 : 1;
-    }
-    std::printf("  threaded   (not built: configure with "
-                "-DOCEANSTORE_THREADED=ON)\n");
-    return sim.verified == clients * writes ? 0 : 1;
-}
-
 int
 main(int argc, char **argv)
 {
-    using bench::BenchCase;
     using bench::BenchContext;
-    std::vector<BenchCase> cases{
-        {"sim_serve",
-         [](BenchContext &ctx) {
-             unsigned clients = ctx.smoke() ? 2 : 4;
-             unsigned writes = ctx.smoke() ? 2 : 6;
-             ServeResult res =
-                 runServe(RuntimeKind::Sim, clients, writes,
-                          ctx.seed(0x5eedu), &ctx);
-             emitMetrics(ctx, res);
-         }},
-    };
+    std::vector<bench::BenchCase> cases{
+        {"sim_serve", [](BenchContext &ctx) {
+             serveCase(ctx, RuntimeKind::Sim, false);
+         }}};
     if (ThreadedRuntime::available()) {
-        cases.push_back(
-            {"threaded_serve", [](BenchContext &ctx) {
-                 unsigned clients = ctx.smoke() ? 2 : 4;
-                 unsigned writes = ctx.smoke() ? 2 : 6;
-                 ServeResult res =
-                     runServe(RuntimeKind::Threaded, clients, writes,
-                              ctx.seed(0x5eedu), &ctx);
-                 emitMetrics(ctx, res);
-             }});
-        cases.push_back(
-            {"threaded_serve_traced", [](BenchContext &ctx) {
-                 unsigned clients = ctx.smoke() ? 2 : 4;
-                 unsigned writes = ctx.smoke() ? 2 : 6;
-                 ServeResult res = runServe(
-                     RuntimeKind::Threaded, clients, writes,
-                     ctx.seed(0x5eedu), &ctx, /*traced=*/true);
-                 emitMetrics(ctx, res);
-             }});
+        cases.push_back({"threaded_serve", [](BenchContext &ctx) {
+                             serveCase(ctx, RuntimeKind::Threaded, false);
+                         }});
+        cases.push_back({"threaded_serve_traced", [](BenchContext &ctx) {
+                             serveCase(ctx, RuntimeKind::Threaded, true);
+                         }});
     }
-    return bench::runBenchMain(argc, argv, "bench_runtime", cases,
-                               [](int, char **) { return reportMain(); });
+    return bench::runBenchMain(argc, argv, "bench_runtime", cases);
 }

@@ -9,13 +9,12 @@
  *  - replay: recovery throughput (MB/s) — constructing a LogStore
  *    over an existing image replays every record through the CRC
  *    check and index build;
- *  - recovery sweep (report mode): recovery wall time vs log size,
- *    the restart-latency curve a crashed node pays before it can
- *    serve again.
+ *  - recovery sweep: recovery wall time vs log size, the
+ *    restart-latency curve a crashed node pays before it can serve
+ *    again.
  */
 
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -36,102 +35,109 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** Fill @p disk with @p records puts of @p value_bytes each, keyed
- *  like the archival fragment namespace.  @return seconds spent. */
-double
-buildLog(DiskImage &disk, std::size_t records, std::size_t value_bytes,
-         std::uint64_t seed)
+/** One log's life: append, then recover from the image. */
+struct LogRun
 {
-    LogStoreConfig cfg;
-    cfg.syncEachPut = false; // measure the log, not the fsync policy
-    LogStore store(disk, nullptr, cfg);
-    Rng rng(seed);
-    Bytes value(value_bytes);
-    Clock::time_point t0 = Clock::now();
-    for (std::size_t i = 0; i < records; i++) {
-        for (auto &b : value)
-            b = static_cast<std::uint8_t>(rng.next());
-        store.put("frag/" + std::to_string(i), value);
+    double mb = 0.0;       //!< image size
+    double appendS = 0.0;  //!< seconds to append every record
+    double replayS = 0.0;  //!< seconds to recover (replay + index)
+    std::size_t replayedRecords = 0;
+    std::size_t keys = 0;  //!< keys the recovered index holds
+};
+
+/**
+ * Append @p records puts of 1 kB random values, keyed like the
+ * archival fragment namespace, into a fresh image (fsync policy off:
+ * measure the log), then (with @p replay) construct a LogStore over
+ * the image, which replays every record through the CRC check and
+ * index build.
+ */
+LogRun
+appendAndReplay(std::size_t records, std::uint64_t seed, bool replay)
+{
+    DiskImage disk;
+    LogRun run;
+    {
+        LogStoreConfig cfg;
+        cfg.syncEachPut = false;
+        LogStore store(disk, nullptr, cfg);
+        Rng rng(seed);
+        Bytes value(1024);
+        Clock::time_point t0 = Clock::now();
+        for (std::size_t i = 0; i < records; i++) {
+            for (auto &b : value)
+                b = static_cast<std::uint8_t>(rng.next());
+            store.put("frag/" + std::to_string(i), value);
+        }
+        store.sync();
+        run.appendS = secondsSince(t0);
     }
-    store.sync();
-    return secondsSince(t0);
+    run.mb = static_cast<double>(disk.size()) / (1024.0 * 1024.0);
+    if (!replay)
+        return run;
+    Clock::time_point t0 = Clock::now();
+    LogStore recovered(disk, nullptr);
+    run.replayS = secondsSince(t0);
+    run.replayedRecords = recovered.recovery().recordsReplayed;
+    run.keys = recovered.keyCount();
+    return run;
+}
+
+double
+mbPerS(double mb, double secs)
+{
+    return secs > 0 ? mb / secs : 0.0;
 }
 
 void
 appendCase(bench::BenchContext &ctx)
 {
-    const std::size_t records = ctx.smoke() ? 256 : 16384;
-    const std::size_t valueBytes = 1024;
-    DiskImage disk;
-    ctx.beginMeasured();
-    double secs = buildLog(disk, records, valueBytes,
-                           ctx.seed(0x57061u));
-    ctx.endMeasured();
-    double mb = static_cast<double>(disk.size()) / (1024.0 * 1024.0);
-    ctx.metric("append_mb_s", "MB/s", secs > 0 ? mb / secs : 0.0);
-    ctx.metric("log_mb", "MB", mb);
+    LogRun r = appendAndReplay(ctx.smoke() ? 256 : 16384,
+                               ctx.seed(0x57061u), false);
+    ctx.metric("append_mb_s", "MB/s", mbPerS(r.mb, r.appendS));
+    ctx.metric("log_mb", "MB", r.mb);
 }
 
 void
 replayCase(bench::BenchContext &ctx)
 {
-    const std::size_t records = ctx.smoke() ? 256 : 16384;
-    DiskImage disk;
-    buildLog(disk, records, 1024, ctx.seed(0x57062u));
-    ctx.beginMeasured();
-    Clock::time_point t0 = Clock::now();
-    LogStore recovered(disk, nullptr);
-    double secs = secondsSince(t0);
-    ctx.endMeasured();
-    double mb = static_cast<double>(
-                    recovered.recovery().bytesReplayed) /
-                (1024.0 * 1024.0);
-    ctx.metric("replay_mb_s", "MB/s", secs > 0 ? mb / secs : 0.0);
+    std::size_t records = ctx.smoke() ? 256 : 16384;
+    LogRun r = appendAndReplay(records, ctx.seed(0x57062u), true);
+    ctx.metric("replay_mb_s", "MB/s", mbPerS(r.mb, r.replayS));
     ctx.metric("replayed_records", "records",
-               static_cast<double>(
-                   recovered.recovery().recordsReplayed));
+               static_cast<double>(r.replayedRecords));
+    ctx.metric("claim_replay_keeps_keys", "bool", r.keys == records);
+}
+
+/**
+ * The recovery sweep: append/replay throughput and recovery time vs
+ * log size.  Recovery time scales linearly with log bytes: a node's
+ * restart latency is the price of its write history, motivating
+ * compaction.
+ */
+void
+recoveryTable(bench::BenchContext &ctx)
+{
+    bool kept = true;
+    for (std::size_t records : {1024, 4096, 16384, 65536}) {
+        LogRun r = appendAndReplay(records, ctx.seed(0x57060u), true);
+        std::string k = "_records" + std::to_string(records);
+        ctx.metric("log_mb" + k, "MB", r.mb);
+        ctx.metric("append_mb_s" + k, "MB/s", mbPerS(r.mb, r.appendS));
+        ctx.metric("replay_mb_s" + k, "MB/s", mbPerS(r.mb, r.replayS));
+        ctx.metric("recover_ms" + k, "ms", r.replayS * 1e3);
+        kept &= r.keys == records;
+    }
+    ctx.metric("claim_replay_keeps_keys", "bool", kept);
 }
 
 } // namespace
-
-static int
-reportMain()
-{
-    std::printf("=== Durable storage engine: append / replay / "
-                "recovery-vs-size ===\n\n");
-    std::printf("append-only log, 1 kB values, fragment-style keys; "
-                "recovery = CRC replay + index rebuild\n\n");
-    std::printf("%10s | %10s | %10s | %12s | %10s\n", "records",
-                "log MB", "append MB/s", "replay MB/s", "recover ms");
-
-    for (std::size_t records : {1024, 4096, 16384, 65536}) {
-        DiskImage disk;
-        double wsecs = buildLog(disk, records, 1024, 0x57060u);
-        double mb = static_cast<double>(disk.size()) /
-                    (1024.0 * 1024.0);
-
-        Clock::time_point t0 = Clock::now();
-        LogStore recovered(disk, nullptr);
-        double rsecs = secondsSince(t0);
-
-        std::printf("%10zu | %10.1f | %10.0f | %12.0f | %10.2f\n",
-                    records, mb, wsecs > 0 ? mb / wsecs : 0.0,
-                    rsecs > 0 ? mb / rsecs : 0.0, rsecs * 1e3);
-        if (recovered.keyCount() != records)
-            std::printf("  !! replay lost keys: %zu of %zu\n",
-                        recovered.keyCount(), records);
-    }
-    std::printf("\n  (recovery time scales linearly with log bytes: "
-                "a node's restart\n   latency is the price of its "
-                "write history, motivating compaction)\n");
-    return 0;
-}
 
 int
 main(int argc, char **argv)
 {
     std::vector<bench::BenchCase> cases{{"append", appendCase},
-                                        {"replay", replayCase}};
-    return bench::runBenchMain(argc, argv, "bench_storage", cases,
-                               [](int, char **) { return reportMain(); });
+                                        {"replay", replayCase},
+                                        {"recovery_table", recoveryTable}};
+    return bench::runBenchMain(argc, argv, "bench_storage", cases);
 }

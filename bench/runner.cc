@@ -1,11 +1,13 @@
 #include "runner.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "util/stats.h"
@@ -40,65 +42,69 @@ BenchContext::endMeasured()
                      .count();
 }
 
+namespace {
+
+/** Parse all of @p s as an unsigned integer (0x prefix allowed). */
+bool
+parseCount(const std::string &s, std::uint64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(s.c_str(), &end, 0);
+    return !s.empty() && s[0] != '-' && errno == 0 && *end == '\0';
+}
+
+} // namespace
+
 RunnerOptions
 parseRunnerArgs(int argc, char **argv, std::string *error_out)
 {
     RunnerOptions opt;
-    auto fail = [&](const std::string &msg) {
-        if (error_out)
-            *error_out = msg;
-    };
-    for (int i = 1; i < argc; i++) {
+    std::string error;
+    for (int i = 1; i < argc && error.empty(); i++) {
         std::string a = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                fail(std::string(flag) + " requires an argument");
-                return nullptr;
-            }
-            return argv[++i];
-        };
+        std::string v;
+        std::uint64_t n = 0;
         if (a == "--bench") {
-            opt.benchMode = true;
+            continue;
         } else if (a == "--smoke") {
-            opt.benchMode = true;
             opt.smoke = true;
             opt.repeats = 1;
             opt.warmup = 0;
+            continue;
         } else if (a == "--list") {
-            opt.benchMode = true;
             opt.list = true;
-        } else if (a == "--json") {
-            if (const char *v = next("--json")) {
-                opt.benchMode = true;
-                opt.jsonPath = v;
-            }
-        } else if (a == "--filter") {
-            if (const char *v = next("--filter")) {
-                opt.benchMode = true;
-                opt.filter = v;
-            }
-        } else if (a == "--repeats") {
-            if (const char *v = next("--repeats")) {
-                opt.benchMode = true;
-                opt.repeats = std::max(1, std::atoi(v));
-            }
-        } else if (a == "--warmup") {
-            if (const char *v = next("--warmup")) {
-                opt.benchMode = true;
-                opt.warmup = std::max(0, std::atoi(v));
-            }
-        } else if (a == "--seed") {
-            if (const char *v = next("--seed")) {
-                opt.benchMode = true;
-                opt.seed = std::strtoull(v, nullptr, 0);
-            }
+            continue;
         } else if (a.rfind("--seed=", 0) == 0) {
-            opt.benchMode = true;
-            opt.seed = std::strtoull(a.c_str() + 7, nullptr, 0);
+            v = a.substr(7);
+            a = "--seed";
+        } else if (a != "--json" && a != "--filter" && a != "--repeats" &&
+                   a != "--warmup" && a != "--seed") {
+            error = "unknown argument '" + a + "'";
+            break;
+        } else if (i + 1 >= argc) {
+            error = a + " requires an argument";
+            break;
+        } else {
+            v = argv[++i];
         }
-        // Anything else is left for the legacy main (e.g.
-        // google-benchmark flags).
+        if (a == "--json")
+            opt.jsonPath = v;
+        else if (a == "--filter")
+            opt.filter = v;
+        else if (!parseCount(v, n))
+            error = a + " needs a number, got '" + v + "'";
+        else if (a == "--repeats")
+            opt.repeats = static_cast<int>(std::clamp<std::uint64_t>(
+                n, 1, std::numeric_limits<int>::max()));
+        else if (a == "--warmup")
+            opt.warmup = static_cast<int>(std::min<std::uint64_t>(
+                n, std::numeric_limits<int>::max()));
+        else
+            opt.seed = n;
     }
+    if (error_out)
+        *error_out = error;
     return opt;
 }
 
@@ -133,7 +139,7 @@ std::string
 jsonNumber(double v)
 {
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
     return buf;
 }
 
@@ -251,8 +257,8 @@ class Runner
     {
         std::printf("%s/%s:\n", suite_.c_str(), name.c_str());
         for (const auto &[metric, st] : stats) {
-            std::printf("  %-24s p50 %12.4g   p95 %12.4g   "
-                        "mean %12.4g %s  (%zu repeats)\n",
+            std::printf("  %-24s p50 %12.7g   p95 %12.7g   "
+                        "mean %12.7g %s  (%zu repeats)\n",
                         metric.c_str(), st.p50, st.p95, st.mean,
                         st.unit.c_str(), st.repeats);
         }
@@ -332,8 +338,7 @@ class Runner
 
 int
 runBenchMain(int argc, char **argv, const std::string &suite,
-             const std::vector<BenchCase> &cases,
-             const std::function<int(int, char **)> &legacy)
+             const std::vector<BenchCase> &cases)
 {
     std::string error;
     RunnerOptions opt = parseRunnerArgs(argc, argv, &error);
@@ -341,13 +346,7 @@ runBenchMain(int argc, char **argv, const std::string &suite,
         std::fprintf(stderr, "%s: %s\n", suite.c_str(), error.c_str());
         return 2;
     }
-    if (!opt.benchMode) {
-        if (legacy)
-            return legacy(argc, argv);
-        opt.benchMode = true; // no legacy main: default to bench mode
-    }
-    Runner runner(suite, opt);
-    return runner.run(cases);
+    return Runner(suite, opt).run(cases);
 }
 
 } // namespace bench

@@ -15,9 +15,13 @@
  * regression can be cross-read against what the system actually did
  * (messages sent, retries, view changes, ...).
  *
- * Modes (mutually composable flags):
- *   (no args)      legacy report: the bench's original stdout tables
- *   --bench        run registered cases, print a human summary
+ * Paper tables are registered cases too: their metrics are the
+ * table's cells, and each check the paper makes is a "claim_*" metric
+ * (1 holds, 0 fails) that scripts/validate_bench_json.py gates on.
+ *
+ * Modes (mutually composable flags; anything else is an error):
+ *   --bench        run registered cases, print a human summary (the
+ *                  default when no flag is given)
  *   --json PATH    run cases, write the JSON document to PATH
  *   --smoke        tiny configs, 1 repeat, 0 warmup (ctest smoke gate)
  *   --repeats N    measured repetitions per case (default 5)
@@ -128,7 +132,6 @@ struct MetricStats
 /** Parsed runner options (exposed for tests). */
 struct RunnerOptions
 {
-    bool benchMode = false; //!< any runner flag present
     bool smoke = false;
     bool list = false;
     int repeats = 5;
@@ -139,9 +142,9 @@ struct RunnerOptions
 };
 
 /**
- * Parse runner flags out of argv.  Unknown arguments are left for the
- * legacy main (e.g. google-benchmark flags).  @return options; sets
- * @p error_out (if non-null) on malformed input.
+ * Parse runner flags out of argv.  @return options; sets @p error_out
+ * (if non-null) on an unknown flag, a missing value or a non-numeric
+ * count.
  */
 RunnerOptions parseRunnerArgs(int argc, char **argv,
                               std::string *error_out = nullptr);
@@ -149,18 +152,12 @@ RunnerOptions parseRunnerArgs(int argc, char **argv,
 /**
  * Entry point every bench binary delegates its main() to.
  *
- * When no runner flag is present, @p legacy (the bench's original
- * table-printing main) runs instead, so existing invocations keep
- * their output byte-for-byte.
- *
  * @param suite   bench binary name, e.g. "bench_dissemination"
  * @param cases   registered cases
- * @param legacy  original main body (may be null)
- * @return process exit code
+ * @return process exit code (2 on bad flags)
  */
 int runBenchMain(int argc, char **argv, const std::string &suite,
-                 const std::vector<BenchCase> &cases,
-                 const std::function<int(int, char **)> &legacy = nullptr);
+                 const std::vector<BenchCase> &cases);
 
 } // namespace bench
 } // namespace oceanstore

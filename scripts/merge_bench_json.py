@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
 """Merge per-bench runner JSONs into BENCH_oceanstore.json.
 
-usage: merge_bench_json.py OUTPUT BASELINE INPUT...
+usage: merge_bench_json.py OUTPUT INPUT...
 
 Each INPUT is one bench binary's --json output (schema
 oceanstore-bench-v1, already validated by validate_bench_json.py).
-BASELINE is scripts/bench_baseline.json; its per-case events_per_sec
-p50 values are embedded verbatim and a speedup_vs_baseline factor is
-computed for every case that has one.
 """
 
 import json
@@ -15,27 +12,16 @@ import sys
 
 
 def main(argv):
-    if len(argv) < 4:
+    if len(argv) < 3:
         print(__doc__, file=sys.stderr)
         return 2
-    out_path, baseline_path = argv[1], argv[2]
-
-    with open(baseline_path, encoding="utf-8") as f:
-        baseline = json.load(f)
-    base_eps = baseline.get("events_per_sec_p50", {})
+    out_path = argv[1]
 
     benches = {}
-    for path in argv[3:]:
+    for path in argv[2:]:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
         name = doc["bench"]
-        for cname, case in doc["cases"].items():
-            eps = case["metrics"].get("events_per_sec")
-            base = base_eps.get(f"{name}/{cname}")
-            if eps and base:
-                case["baseline_events_per_sec_p50"] = base
-                case["speedup_vs_baseline"] = round(
-                    eps["p50"] / base, 3)
         benches[name] = {
             "smoke": doc["smoke"],
             "repeats": doc["repeats"],
@@ -45,7 +31,6 @@ def main(argv):
 
     merged = {
         "schema": "oceanstore-bench-merged-v1",
-        "baseline": baseline,
         "benches": benches,
     }
     with open(out_path, "w", encoding="utf-8") as f:
@@ -54,11 +39,8 @@ def main(argv):
 
     for name in sorted(benches):
         for cname, case in sorted(benches[name]["cases"].items()):
-            speed = case.get("speedup_vs_baseline")
-            note = f"  ({speed}x vs baseline)" if speed else ""
             wall = case["metrics"]["wall_ms"]
-            print(f"{name}/{cname}: wall p50 {wall['p50']:.4g} ms"
-                  f"{note}")
+            print(f"{name}/{cname}: wall p50 {wall['p50']:.4g} ms")
     return 0
 
 

@@ -6,6 +6,9 @@ Used two ways:
   - scripts/bench.sh: validate every per-bench JSON before merging
     them into BENCH_oceanstore.json.
 
+A metric named claim_* is a paper check (1 holds, 0 fails); a claim
+that failed in any repeat makes the document invalid.
+
 Exit code 0 when valid, 1 with a diagnostic on stderr otherwise.
 """
 
@@ -64,6 +67,8 @@ def validate(path):
                     return fail(path, f"{cname}/{mname}: {k} not numeric")
             if st["min"] > st["max"]:
                 return fail(path, f"{cname}/{mname}: min > max")
+            if mname.startswith("claim_") and st["min"] < 1:
+                return fail(path, f"{cname}/{mname}: failed")
     return 0
 
 

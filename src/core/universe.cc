@@ -563,20 +563,24 @@ Universe::archiveObjectLocked(const Guid &obj)
         return Guid();
     Bytes state = it->second.serializeState();
     // The fragments are generated by the inner tier during commit;
-    // dispersal originates from the archival server nearest the
-    // primary tier (the center).
-    std::size_t source = 0;
+    // dispersal originates from the live archival server nearest the
+    // primary tier (the center).  A down origin's sends are dropped,
+    // so recording a version dispersed from one would make it
+    // unrestorable.
+    std::size_t source = archive_->size();
     double best = 1e9;
     for (std::size_t i = 0; i < archive_->size(); i++) {
-        double d = std::hypot(rt_->xOf(archive_->server(i).nodeId()) -
-                                  0.5,
-                              rt_->yOf(archive_->server(i).nodeId()) -
-                                  0.5);
+        NodeId node = archive_->server(i).nodeId();
+        if (!rt_->isUp(node))
+            continue;
+        double d = std::hypot(rt_->xOf(node) - 0.5, rt_->yOf(node) - 0.5);
         if (d < best) {
             best = d;
             source = i;
         }
     }
+    if (source == archive_->size())
+        return Guid();
     Guid archive_guid = archive_->disperse(*archiveCodec_, state,
                                            source);
     archives_[obj][it->second.version()] = archive_guid;

@@ -268,7 +268,9 @@ class Universe : public NodeLifecycle
 
     /**
      * Snapshot the object's current committed state into the archive
-     * (fragment + disperse).  Returns the archival version's GUID.
+     * (fragment + disperse).  Returns the archival version's GUID, or
+     * an invalid GUID (recording nothing) when every archival server
+     * is down.
      */
     Guid archiveObject(const Guid &obj);
 

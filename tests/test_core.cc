@@ -183,6 +183,34 @@ TEST_F(UniverseTest, ArchiveSurvivesDisaster)
     EXPECT_TRUE(res.success);
 }
 
+TEST_F(UniverseTest, ArchiveWhileOriginServerDown)
+{
+    // Server 8's archival node is the one nearest the primary tier,
+    // the default dispersal origin.  Archiving while it is down must
+    // disperse from a live server, so the version stays restorable
+    // once the origin is back.
+    ObjectHandle h = uni.createObject(owner, "doc");
+    uni.writeSync(appendText(h, "archived while origin down", 0));
+    uni.crashServer(8);
+    Guid archive = uni.archiveObject(h.guid());
+    ASSERT_TRUE(archive.valid());
+    uni.advance(10.0);
+    uni.restartServer(8);
+
+    auto res = uni.restoreSync(archive);
+    EXPECT_TRUE(res.success);
+}
+
+TEST_F(UniverseTest, ArchiveWithEveryServerDownRecordsNothing)
+{
+    ObjectHandle h = uni.createObject(owner, "doc");
+    uni.writeSync(appendText(h, "nowhere to go", 0));
+    for (std::size_t i = 0; i < uni.numServers(); i++)
+        uni.crashServer(i);
+    EXPECT_FALSE(uni.archiveObject(h.guid()).valid());
+    EXPECT_FALSE(uni.latestArchive(h.guid()).valid());
+}
+
 TEST_F(UniverseTest, AddRemoveHostUpdatesLocation)
 {
     ObjectHandle h = uni.createObject(owner, "doc");
