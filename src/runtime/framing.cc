@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "storage/log_store.h"
+#include "util/crc32.h"
 
 namespace oceanstore {
 
