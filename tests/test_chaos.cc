@@ -718,9 +718,10 @@ TEST(Chaos, ThreadedCommitsSurviveDropsAndPartition)
     ReadResult rr = universe.readSync(0, doc.guid());
     EXPECT_TRUE(rr.found);
     EXPECT_LE(rr.version, kWrites);
-    if (rr.found && rr.version <= kWrites)
+    if (rr.found && rr.version <= kWrites) {
         EXPECT_EQ(toString(doc.decryptContent(rr.blocks)),
                   contentAt[rr.version]);
+    }
     universe.rt().execute([&] {
         EXPECT_GT(inj->dropped(), 0u);
         inj.reset();
@@ -1072,6 +1073,127 @@ TEST(Chaos, ColdRestartMidWorkloadRecovers)
     EXPECT_GT(totalReplayed, 0u);
     EXPECT_GT(totalDamage, 0u);
     EXPECT_GE(distinct.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario H on the threaded backend: a server crashes under a disk
+// plan that tears its unsynced tail and flips bits in what survives,
+// recovers from its log on restart, and every read and archival
+// restore afterwards verifies byte for byte.  Wall-clock interleaving
+// varies run to run, so only invariants are asserted.
+// ---------------------------------------------------------------------------
+
+TEST(Chaos, ThreadedColdRestartRecovers)
+{
+    if (!ThreadedRuntime::available())
+        GTEST_SKIP() << "threaded backend needs OCEANSTORE_THREADED";
+    UniverseConfig ucfg;
+    ucfg.runtime = RuntimeKind::Threaded;
+    ucfg.numServers = 16;
+    ucfg.archiveOnCommit = true;
+    ucfg.archiveDataFragments = 4;
+    ucfg.archiveTotalFragments = 8;
+    ucfg.pbft.clientRetry = RetryPolicy{0.05, 1.5, 0.4, 10, 0.05};
+    ucfg.secondary.pushRetry = RetryPolicy{0.02, 2.0, 0.2, 4, 0.1};
+    ucfg.storage.kind = StorageKind::Log;
+    ucfg.storage.syncEachPut = false;
+    ucfg.storage.faults.tornWriteOnCrash = 1.0;
+    ucfg.storage.faults.bitFlipOnCrash = 0.05;
+    ucfg.storage.faults.seed = 0xd15c7u;
+    Universe universe(ucfg);
+    KeyPair owner = universe.makeUser();
+
+    constexpr unsigned kObjects = 3;
+    constexpr unsigned kWrites = 4;
+    std::vector<ObjectHandle> docs;
+    // contentAt[o][v] is object o's plaintext at version v.
+    std::vector<std::vector<std::string>> contentAt(kObjects, {""});
+    for (unsigned o = 0; o < kObjects; o++) {
+        docs.push_back(universe.createObject(
+            owner, "chaos/threaded-restart/" + std::to_string(o)));
+    }
+    auto drain = [&] {
+        universe.runUntil(
+            [&] {
+                RuntimeStats st = universe.rt().stats();
+                return st.linkQueuedMessages == 0 &&
+                       st.strandQueueDepth == 0;
+            },
+            universe.rt().now() + 10.0);
+    };
+    auto writeRound = [&](unsigned w) {
+        for (unsigned o = 0; o < kObjects; o++) {
+            // A few hundred bytes per append, so the victim's
+            // fragment records run the folded checksum path too.
+            std::string text = "o" + std::to_string(o) + "w" +
+                               std::to_string(w) + ":" +
+                               std::string(300, static_cast<char>('a' + w));
+            WriteResult wr = universe.writeSync(docs[o].makeAppendUpdate(
+                toBytes(text), w, Timestamp{w + 1, 1}));
+            ASSERT_TRUE(wr.completed && wr.committed)
+                << "object " << o << " write " << w;
+            contentAt[o].push_back(contentAt[o].back() + text);
+        }
+        drain();
+    };
+
+    for (unsigned w = 0; w < kWrites / 2; w++)
+        writeRound(w);
+    // The victim is the server holding the most records; everything
+    // so far becomes its durable prefix, the next writes its
+    // crash-vulnerable tail.
+    std::size_t victim = 0;
+    universe.rt().execute([&] {
+        for (std::size_t i = 1; i < universe.numServers(); i++) {
+            if (universe.storageOf(i).backend().keyCount() >
+                universe.storageOf(victim).backend().keyCount())
+                victim = i;
+        }
+        universe.storageOf(victim).backend().sync();
+    });
+    for (unsigned w = kWrites / 2; w < kWrites; w++)
+        writeRound(w);
+
+    universe.crashServer(victim);
+    universe.restartServer(victim);
+    drain();
+
+    RecoveryReport rec;
+    std::uint64_t damage = 0;
+    universe.rt().execute([&] {
+        rec = universe.storageOf(victim).lastRecovery();
+        const DiskFaultInjector &f = universe.storageOf(victim).faults();
+        damage = f.totalTornBytes() + f.totalBitFlips();
+    });
+    EXPECT_GT(rec.recordsReplayed, 0u);
+    EXPECT_GT(damage, 0u) << "the crash plan left the disk untouched";
+
+    for (unsigned o = 0; o < kObjects; o++) {
+        const Guid g = docs[o].guid();
+        // Reads from the restarted server and from a bystander serve
+        // a committed version, byte-exact.
+        for (std::size_t from :
+             {victim, (victim + 1) % universe.numServers()}) {
+            ReadResult rr = universe.readSync(from, g);
+            ASSERT_TRUE(rr.found) << "object " << o << " from " << from;
+            ASSERT_LE(rr.version, kWrites);
+            EXPECT_EQ(toString(docs[o].decryptContent(rr.blocks)),
+                      contentAt[o][rr.version])
+                << "object " << o << " from " << from;
+        }
+        // Every archived version reconstructs to the committed state.
+        auto archived = universe.archivedVersions(g);
+        EXPECT_FALSE(archived.empty()) << "object " << o;
+        for (const auto &[version, archive] : archived) {
+            ReconstructResult res = universe.restoreSync(archive);
+            ASSERT_TRUE(res.success)
+                << "object " << o << " version " << version;
+            auto state = universe.readVersion(g, version);
+            ASSERT_TRUE(state.has_value());
+            EXPECT_EQ(res.data, state->serializeState())
+                << "object " << o << " version " << version;
+        }
+    }
 }
 
 } // namespace

@@ -652,6 +652,32 @@ TEST(Framing, CorruptionIsDetectedByCrc)
     }
 }
 
+TEST(Framing, EveryOneAndTwoBitFlipIsRejected)
+{
+    // CRC-32 has Hamming distance of at least 4 at this length, so it
+    // detects every one- and two-bit error in the header and the
+    // checksum field alike; the structural checks reject some flips
+    // earlier, which changes nothing about the outcome.
+    const Bytes frame = encodeFrame(sampleMessage());
+    const std::size_t bits = frame.size() * 8;
+    Bytes bad = frame;
+    auto flip = [&bad](std::size_t bit) {
+        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    };
+    for (std::size_t i = 0; i < bits; i++) {
+        flip(i);
+        ASSERT_FALSE(decodeFrame(bad).has_value()) << "bit " << i;
+        for (std::size_t j = i + 1; j < bits; j++) {
+            flip(j);
+            ASSERT_FALSE(decodeFrame(bad).has_value())
+                << "bits " << i << " and " << j;
+            flip(j);
+        }
+        flip(i);
+    }
+    EXPECT_EQ(bad, frame);
+}
+
 TEST(Framing, TruncationAndTrailingGarbageAreRejected)
 {
     Bytes frame = encodeFrame(sampleMessage());
