@@ -2,7 +2,7 @@
  * @file
  * Durable storage engine throughput (DESIGN.md section 14).
  *
- * Three measurements over the append-only LogStore:
+ * Four measurements over the append-only LogStore and its checksum:
  *
  *  - append: sequential put throughput (MB/s) into an unbounded
  *    image, the hot path every fragment store / ulog write rides;
@@ -11,9 +11,13 @@
  *    check and index build;
  *  - recovery sweep: recovery wall time vs log size, the
  *    restart-latency curve a crashed node pays before it can serve
- *    again.
+ *    again;
+ *  - crc32_{64,4k,64k}: CRC-32 throughput (mb_s) at a frame-header,
+ *    a page and a fragment-sized input, the kernel under every
+ *    append, replay, verified read and threaded frame.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "runner.h"
 #include "storage/disk.h"
 #include "storage/log_store.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 using namespace oceanstore;
@@ -131,13 +136,39 @@ recoveryTable(bench::BenchContext &ctx)
     ctx.metric("claim_replay_keeps_keys", "bool", kept);
 }
 
+/** Compute kernel: CRC-32 over @p size bytes, 256 MiB per repeat
+ *  (1/200 of that under --smoke). */
+void
+crcLoop(bench::BenchContext &ctx, std::size_t size)
+{
+    Bytes data(size);
+    for (std::size_t i = 0; i < data.size(); i++)
+        data[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8));
+    std::size_t iters = (std::size_t{256} << 20) / size;
+    if (ctx.smoke())
+        iters = std::max<std::size_t>(1, iters / 200);
+    std::uint32_t sink = 0;
+    ctx.beginMeasured();
+    for (std::size_t i = 0; i < iters; i++) {
+        data[0] = static_cast<std::uint8_t>(sink); // chain the calls
+        sink = crc32(data.data(), data.size());
+    }
+    ctx.endMeasured();
+    ctx.addBytes(static_cast<std::uint64_t>(iters) * size);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<bench::BenchCase> cases{{"append", appendCase},
-                                        {"replay", replayCase},
-                                        {"recovery_table", recoveryTable}};
+    std::vector<bench::BenchCase> cases{
+        {"append", appendCase},
+        {"replay", replayCase},
+        {"recovery_table", recoveryTable},
+        {"crc32_64", [](bench::BenchContext &c) { crcLoop(c, 64); }},
+        {"crc32_4k", [](bench::BenchContext &c) { crcLoop(c, 4 << 10); }},
+        {"crc32_64k",
+         [](bench::BenchContext &c) { crcLoop(c, 64 << 10); }}};
     return bench::runBenchMain(argc, argv, "bench_storage", cases);
 }
