@@ -66,14 +66,17 @@ appendAndReplay(std::size_t records, std::uint64_t seed, bool replay)
         LogStoreConfig cfg;
         cfg.syncEachPut = false;
         LogStore store(disk, nullptr, cfg);
+        // Values are drawn before the clock starts: the timed loop
+        // measures the log, not the generator.
         Rng rng(seed);
-        Bytes value(1024);
-        Clock::time_point t0 = Clock::now();
-        for (std::size_t i = 0; i < records; i++) {
+        std::vector<Bytes> values(records, Bytes(1024));
+        for (Bytes &value : values) {
             for (auto &b : value)
                 b = static_cast<std::uint8_t>(rng.next());
-            store.put("frag/" + std::to_string(i), value);
         }
+        Clock::time_point t0 = Clock::now();
+        for (std::size_t i = 0; i < records; i++)
+            store.put("frag/" + std::to_string(i), values[i]);
         store.sync();
         run.appendS = secondsSince(t0);
     }

@@ -93,13 +93,11 @@ ArchivalServer::fragmentKey(const Guid &archive, std::uint32_t index)
 void
 ArchivalServer::persistFragment(const Fragment &fragment)
 {
-    if (!storage_ || !storage_->running())
-        return;
     // A full disk refuses the write (counted as storage.enospc) but
     // the RAM copy keeps serving: durability degrades, reads do not.
-    storage_->backend().put(
-        fragmentKey(fragment.archiveGuid, fragment.index),
-        fragment.serialize());
+    if (LogStore *store = runningStore(storage_))
+        store->put(fragmentKey(fragment.archiveGuid, fragment.index),
+                   fragment.serialize());
 }
 
 void
@@ -113,30 +111,29 @@ void
 ArchivalServer::dropFragment(const Guid &archive, std::uint32_t index)
 {
     store_.erase({archive, index});
-    if (storage_ && storage_->running())
-        storage_->backend().erase(fragmentKey(archive, index));
+    if (LogStore *store = runningStore(storage_))
+        store->erase(fragmentKey(archive, index));
 }
 
 std::size_t
 ArchivalServer::restoreFromStorage()
 {
     store_.clear();
-    if (!storage_ || !storage_->running())
+    LogStore *store = runningStore(storage_);
+    if (!store)
         return 0;
     std::size_t restored = 0, skipped = 0;
-    storage_->backend().scan(
-        "frag/", [&](const std::string &key, const Bytes &value) {
-            auto frag = Fragment::deserialize(value);
-            if (!frag.has_value()) {
-                skipped++;
-                logWarn("archive: undecodable stored fragment '", key,
-                        "' skipped during restore");
-                return;
-            }
-            store_[{frag->archiveGuid, frag->index}] =
-                std::move(*frag);
-            restored++;
-        });
+    store->scan("frag/", [&](const std::string &key, const Bytes &value) {
+        auto frag = Fragment::deserialize(value);
+        if (!frag.has_value()) {
+            skipped++;
+            logWarn("archive: undecodable stored fragment '", key,
+                    "' skipped during restore");
+            return;
+        }
+        store_[{frag->archiveGuid, frag->index}] = std::move(*frag);
+        restored++;
+    });
     if (skipped > 0) {
         logWarn("archive: server ", index_, " restore skipped ",
                 skipped, " damaged fragments");

@@ -103,7 +103,8 @@ class ArchivalServer : public SimNode
     // --- durable storage (DESIGN.md section 14) -----------------------
 
     /** Attach this server's durable storage handle (owned by the
-     *  Universe; may be null for the historical RAM-only behavior). */
+     *  Universe).  Null (the default) leaves a standalone server with
+     *  no durable state. */
     void attachStorage(NodeStorage *storage) { storage_ = storage; }
 
     /** Accept a fragment: RAM map plus write-through to storage. */
@@ -117,7 +118,7 @@ class ArchivalServer : public SimNode
      * corrupted) fragment: the adversary controls the server's disk,
      * so corrupt payloads are re-framed with a *valid* storage
      * checksum — after a restart they are Merkle-detected by the
-     * audit, not CRC-detected by the backend.
+     * audit, not CRC-detected by the store.
      */
     void persistFragment(const Fragment &fragment);
 
@@ -126,8 +127,8 @@ class ArchivalServer : public SimNode
 
     /**
      * Restart: rebuild the fragment map by scanning the recovered
-     * backend's "frag/" namespace.  CRC-corrupt records are withheld
-     * by the backend (surfacing as missing fragments the repair sweep
+     * store's "frag/" namespace.  CRC-corrupt records are withheld
+     * by the store (surfacing as missing fragments the repair sweep
      * restores); structurally damaged ones are skipped and counted.
      * @return fragments restored.
      */

@@ -625,10 +625,8 @@ PbftReplica::executeReady()
             done_[slot.requestId] = {lastExecuted_, result};
             // Durable write-through of the committed update: what
             // restoreFromLog() replays after a crash.
-            if (cluster_.storageHook) {
-                if (StorageBackend *sb = cluster_.storageHook(rank_))
-                    sb->put(updateLogKey(lastExecuted_), slot.payload);
-            }
+            if (LogStore *store = runningStore(storage_))
+                store->put(updateLogKey(lastExecuted_), slot.payload);
             if (rank_ == 0 && cluster_.onCommit)
                 cluster_.onCommit(slot.payload, lastExecuted_);
         }
@@ -660,14 +658,12 @@ PbftReplica::executeReady()
 std::uint64_t
 PbftReplica::restoreFromLog()
 {
-    if (!cluster_.storageHook)
-        return 0;
-    StorageBackend *sb = cluster_.storageHook(rank_);
-    if (!sb)
+    LogStore *store = runningStore(storage_);
+    if (!store)
         return 0;
     std::uint64_t replayed = 0;
     std::uint64_t max_seq = 0;
-    sb->scan("ulog/", [&](const std::string &key, const Bytes &payload) {
+    store->scan("ulog/", [&](const std::string &key, const Bytes &payload) {
         std::uint64_t seq = std::stoull(key.substr(5));
         if (cluster_.executor)
             cluster_.executor(rank_, payload, seq);

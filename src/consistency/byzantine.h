@@ -29,7 +29,7 @@
 #include "crypto/keys.h"
 #include "runtime/rpc.h"
 #include "runtime/runtime.h"
-#include "storage/backend.h"
+#include "storage/node_storage.h"
 #include "util/check.h"
 #include "util/retry.h"
 
@@ -194,9 +194,17 @@ class PbftReplica : public SimNode
     unsigned view() const { return view_; }
 
     /**
+     * Attach this replica's durable storage handle (DESIGN.md section
+     * 14; owned by the Universe).  While it runs, every executed
+     * commit is written through as a "ulog/<seq>" record.  Null (the
+     * default) leaves a standalone replica with no durable state.
+     */
+    void attachStorage(NodeStorage *storage) { storage_ = storage; }
+
+    /**
      * Crash-restart recovery (DESIGN.md section 14): replay the
      * durable committed-update log ("ulog/" records written through
-     * the cluster's storageHook at execution time) through the
+     * the attached storage at execution time) through the
      * executor in sequence order, rebuilding the application state
      * behind this replica and advancing lastExecuted / nextSeq past
      * the recovered prefix.  The caller owns clearing the application
@@ -244,6 +252,7 @@ class PbftReplica : public SimNode
     unsigned rank_;
     NodeId nodeId_ = invalidNode;
     ReplicaFault fault_ = ReplicaFault::None;
+    NodeStorage *storage_ = nullptr;
 
     unsigned view_ = 0;
     std::uint64_t nextSeq_ = 1;      //!< Leader's next sequence number.
@@ -318,16 +327,6 @@ class PbftCluster
      * down the dissemination tree and to archival storage.
      */
     std::function<void(const Bytes &, std::uint64_t)> onCommit;
-
-    /**
-     * Durable update-log hook (DESIGN.md section 14): maps a replica
-     * rank to its running storage backend, or null for the historical
-     * RAM-only behavior.  When set, every executed commit is written
-     * through as a "ulog/<seq>" record and
-     * PbftReplica::restoreFromLog() can replay the log after a
-     * crash/restart cycle.
-     */
-    std::function<StorageBackend *(unsigned)> storageHook;
 
     /** The network (for latency-free helpers and counters). */
     Runtime &rt() { return rt_; }

@@ -134,6 +134,8 @@ Universe::assemble()
         serverStorage_.push_back(
             std::make_unique<NodeStorage>(setup));
         archive_->server(i).attachStorage(serverStorage_[i].get());
+        mesh_->attachStorage(tier_->replica(i).nodeId(),
+                             serverStorage_[i].get());
         serverIndexByNode_[tier_->replica(i).nodeId()] = i;
         serverIndexByNode_[archive_->server(i).nodeId()] = i;
     }
@@ -143,23 +145,9 @@ Universe::assemble()
                             (0xc2b2ae3d27d4eb4full * (r + 1));
         primaryStorage_.push_back(
             std::make_unique<NodeStorage>(setup));
+        pbft_->replica(r).attachStorage(primaryStorage_[r].get());
         primaryRankByNode_[pbft_->replica(r).nodeId()] = r;
     }
-    mesh_->storageHook = [this](NodeId node) -> StorageBackend * {
-        auto it = serverIndexByNode_.find(node);
-        if (it == serverIndexByNode_.end() ||
-            !serverStorage_[it->second]->running()) {
-            return nullptr;
-        }
-        return &serverStorage_[it->second]->backend();
-    };
-    pbft_->storageHook = [this](unsigned rank) -> StorageBackend * {
-        if (rank >= primaryStorage_.size() ||
-            !primaryStorage_[rank]->running()) {
-            return nullptr;
-        }
-        return &primaryStorage_[rank]->backend();
-    };
 
     wireCommitPath();
 }
@@ -820,8 +808,8 @@ void
 Universe::crashServerLocked(std::size_t idx)
 {
     // Storage dies first so no teardown step below can write through
-    // to a disk that should already have stopped (the hooks return
-    // nullptr once the backend is gone).
+    // to a disk that should already have stopped (a crashed handle
+    // has no running store to write to).
     if (serverStorage_[idx]->running()) {
         auto report = serverStorage_[idx]->crash();
         if (report.tornBytes || report.bitFlips) {
@@ -850,7 +838,7 @@ Universe::restartServer(std::size_t idx)
 void
 Universe::restartServerLocked(std::size_t idx)
 {
-    // Recovery replay happens here: constructing the backend over the
+    // Recovery replay happens here: constructing the store over the
     // surviving disk image truncates any torn tail and rejects
     // corrupt records before anything is served.
     if (!serverStorage_[idx]->running())

@@ -99,11 +99,10 @@ struct UniverseConfig
     ArchiveConfig archive;
     ReplicaPolicyConfig replicaPolicy;
     /**
-     * Durable storage per node (DESIGN.md section 14).  The default
-     * Memory kind preserves the historical crash-is-amnesia behavior;
-     * StorageKind::Log gives every server and primary replica an
-     * append-only log that survives the crash/restart lifecycle.
-     * `storage.faults.seed` is mixed per node.
+     * Durable storage per node (DESIGN.md section 14): every server
+     * and primary replica runs an append-only log store that survives
+     * the crash/restart lifecycle.  `storage.faults.seed` is mixed per
+     * node.
      */
     StorageSetup storage;
 };
@@ -223,7 +222,7 @@ class Universe : public NodeLifecycle
 
     // --- durable storage & the crash/restart lifecycle ------------------
 
-    /** Server @p idx's durable storage handle (disk + backend). */
+    /** Server @p idx's durable storage handle (disk + log store). */
     NodeStorage &storageOf(std::size_t idx);
 
     /** Primary-tier replica @p rank's durable storage handle. */
@@ -410,7 +409,7 @@ class Universe : public NodeLifecycle
     /** Durable storage handles: one per secondary server (shared by
      *  its co-located archival server and mesh node) and one per
      *  primary-tier replica.  The handles — and the disk images they
-     *  own — outlive crashes; only the backends die. */
+     *  own — outlive crashes; only the log stores die. */
     std::vector<std::unique_ptr<NodeStorage>> serverStorage_;
     std::vector<std::unique_ptr<NodeStorage>> primaryStorage_;
     /** NodeId -> secondary server index (tier + archival NodeIds). */

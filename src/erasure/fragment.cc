@@ -6,6 +6,13 @@
 
 namespace oceanstore {
 
+namespace {
+
+/** Encoded size of one proof step: sibling digest plus side byte. */
+constexpr std::size_t proofStepBytes = sizeof(Sha1Digest) + 1;
+
+} // namespace
+
 bool
 Fragment::verify() const
 {
@@ -15,7 +22,7 @@ Fragment::verify() const
 std::size_t
 Fragment::wireSize() const
 {
-    return data.size() + proof.size() * (20 + 1) + Guid::numBytes + 4;
+    return data.size() + proof.size() * proofStepBytes + Guid::numBytes + 4;
 }
 
 Bytes
@@ -44,6 +51,10 @@ Fragment::deserialize(const Bytes &raw)
         f.index = r.getU32();
         f.data = r.getBlob();
         std::uint32_t steps = r.getU32();
+        // An inflated count must not size the proof before the input
+        // backs it: every step needs proofStepBytes more bytes.
+        if (std::uint64_t{steps} * proofStepBytes > r.remaining())
+            return std::nullopt;
         f.proof.reserve(steps);
         for (std::uint32_t i = 0; i < steps; i++) {
             MerkleStep step;

@@ -201,21 +201,23 @@ PlaxtonMesh::pointerKey(const Guid &g, NodeId storer)
 }
 
 void
+PlaxtonMesh::attachStorage(NodeId n, NodeStorage *storage)
+{
+    states_[indexOf(n)].storage = storage;
+}
+
+void
 PlaxtonMesh::persistPointer(NodeId n, const Guid &g, NodeId storer)
 {
-    if (!storageHook)
-        return;
-    if (StorageBackend *sb = storageHook(n))
-        sb->put(pointerKey(g, storer), Bytes{});
+    if (LogStore *store = runningStore(states_[indexOf(n)].storage))
+        store->put(pointerKey(g, storer), Bytes{});
 }
 
 void
 PlaxtonMesh::unpersistPointer(NodeId n, const Guid &g, NodeId storer)
 {
-    if (!storageHook)
-        return;
-    if (StorageBackend *sb = storageHook(n))
-        sb->erase(pointerKey(g, storer));
+    if (LogStore *store = runningStore(states_[indexOf(n)].storage))
+        store->erase(pointerKey(g, storer));
 }
 
 unsigned
@@ -414,20 +416,17 @@ PlaxtonMesh::restoreNode(NodeId n)
     // storage-layer bug, so fail loudly rather than skip.
     st.pointers.clear();
     std::size_t reloaded = 0;
-    if (storageHook) {
-        if (StorageBackend *sb = storageHook(n)) {
-            sb->scan("ptr/", [&](const std::string &key, const Bytes &) {
-                OS_CHECK(key.size() > 4 + Guid::numDigits + 1,
-                         "mesh restore: malformed pointer key '", key,
-                         "'");
-                Guid g = Guid::fromHex(
-                    std::string_view(key).substr(4, Guid::numDigits));
-                NodeId storer = static_cast<NodeId>(
-                    std::stoull(key.substr(4 + Guid::numDigits + 1)));
-                st.pointers[g].insert(storer);
-                reloaded++;
-            });
-        }
+    if (LogStore *store = runningStore(st.storage)) {
+        store->scan("ptr/", [&](const std::string &key, const Bytes &) {
+            OS_CHECK(key.size() > 4 + Guid::numDigits + 1,
+                     "mesh restore: malformed pointer key '", key, "'");
+            Guid g = Guid::fromHex(
+                std::string_view(key).substr(4, Guid::numDigits));
+            NodeId storer = static_cast<NodeId>(
+                std::stoull(key.substr(4 + Guid::numDigits + 1)));
+            st.pointers[g].insert(storer);
+            reloaded++;
+        });
     }
     counters_.bump("restore.count");
     counters_.bump("restore.pointers", reloaded);

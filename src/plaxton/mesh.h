@@ -35,7 +35,7 @@
 #include "crypto/guid.h"
 #include "runtime/runtime.h"
 #include "sim/topology.h"
-#include "storage/backend.h"
+#include "storage/node_storage.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -152,7 +152,7 @@ class PlaxtonMesh
      * Re-admit a removed member after a crash/restart cycle: rebuild
      * its routing table under its durable GUID, announce it to nodes
      * that need to know, and reload the pointer cache persisted in its
-     * "ptr/" storage namespace (via storageHook).  Stale entries —
+     * "ptr/" storage namespace (see attachStorage).  Stale entries —
      * pointers to storers that died while this node was down — are
      * filtered at locate time and purged by the next repair sweep,
      * exactly like ordinary soft-state decay.
@@ -161,12 +161,13 @@ class PlaxtonMesh
     std::size_t restoreNode(NodeId n);
 
     /**
-     * Durable pointer write-through hook (DESIGN.md section 14): maps
-     * a member to its running storage backend, or null for the
-     * historical RAM-only behavior (also return null while the node
-     * is crashed).  Set by the Universe before any publish traffic.
+     * Attach member @p n's durable storage handle (DESIGN.md section
+     * 14; owned by the Universe).  While it runs, every pointer
+     * deposited on or removed from @p n is written through to its
+     * "ptr/" namespace.  A member without one (the default) keeps its
+     * pointers in RAM only.
      */
-    std::function<StorageBackend *(NodeId)> storageHook;
+    void attachStorage(NodeId n, NodeStorage *storage);
 
     /**
      * Soft-state repair sweep: every alive storer republishes its
@@ -222,6 +223,8 @@ class PlaxtonMesh
         /** Location pointers: object GUID -> storers.  Ordered so
          *  repair sweeps visit pointers deterministically. */
         std::map<Guid, std::set<NodeId>> pointers;
+        /** Durable pointer cache; null for a RAM-only member. */
+        NodeStorage *storage = nullptr;
     };
 
     /** Index into states_ for a NodeId. */

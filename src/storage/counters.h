@@ -1,8 +1,8 @@
 /**
  * @file
- * Interned `storage.*` / `recovery.*` metric ids shared by the
- * storage backends (registered once, on first use — the same idiom
- * as every other module's MetricIds struct).
+ * Interned `storage.*` / `recovery.*` metric ids of the log store
+ * (registered once, on first use — the same idiom as every other
+ * module's MetricIds struct).
  */
 
 #ifndef OCEANSTORE_STORAGE_COUNTERS_H

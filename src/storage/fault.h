@@ -15,8 +15,8 @@
  *  - ENOSPC: a byte capacity on the image; appends beyond it fail
  *    with StorageStatus::NoSpace while reads keep serving;
  *  - slow IO: per-operation and per-byte modeled latency, *accounted*
- *    to the backend's stats (and the phase profiler) rather than
- *    scheduled, keeping the backend synchronous and deterministic.
+ *    to the log store's stats (and the phase profiler) rather than
+ *    scheduled, keeping the store synchronous and deterministic.
  */
 
 #ifndef OCEANSTORE_STORAGE_FAULT_H
@@ -70,7 +70,7 @@ struct DiskFaultPlan
 /**
  * Applies a DiskFaultPlan to one node's DiskImage.  Construct with
  * the plan (seed mixed per node by the owner), then let NodeStorage
- * call crash() at node death and the backend charge IO latency
+ * call crash() at node death and the log store charge IO latency
  * through ioLatency().
  */
 class DiskFaultInjector

@@ -1,7 +1,21 @@
 /**
  * @file
- * Append-only log store with crash-consistent recovery (DESIGN.md
- * section 14).
+ * The per-node stable store: an append-only log with crash-consistent
+ * recovery (DESIGN.md section 14).
+ *
+ * The paper's core promise is *persistence*: a server that crashes
+ * restarts with its data (Sections 1, 4.5).  Every durable state
+ * owner in the tree — archival fragment stores, the primary tier's
+ * committed update log, Plaxton location pointers — writes through
+ * its node's LogStore, so a node crash is a *restart*, not amnesia.
+ * The narrow put/get/scan/sync/stats surface follows the
+ * multicomputer object store's stable-storage layer (PAPERS.md,
+ * cs/0004010): the object layers above never see framing, only keyed
+ * byte values.  Keys are flat strings namespaced by convention
+ * ("frag/<guid>/<idx>", "ulog/<seq>", "ptr/<guid>/<node>").  The
+ * store is synchronous and deterministic — modeled latency is
+ * *accounted* (stats, fault injector) rather than scheduled, so
+ * callers on the sim's event loop decide what to charge where.
  *
  * Every mutation is one CRC32-framed record appended to the node's
  * DiskImage:
@@ -39,14 +53,38 @@
 #define OCEANSTORE_STORAGE_LOG_STORE_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
-#include "storage/backend.h"
 #include "storage/disk.h"
 #include "storage/fault.h"
+#include "util/bytes.h"
 
 namespace oceanstore {
+
+/** Outcome of a mutating storage operation. */
+enum class StorageStatus
+{
+    Ok,
+    NoSpace, //!< Disk full: the write was rejected, reads still serve.
+};
+
+/** Lifetime operation counters for one store instance. */
+struct StorageStats
+{
+    std::uint64_t puts = 0;
+    std::uint64_t gets = 0;
+    std::uint64_t erases = 0;
+    std::uint64_t syncs = 0;
+    std::uint64_t bytesWritten = 0;
+    std::uint64_t bytesRead = 0;
+    std::uint64_t enospcErrors = 0; //!< Appends rejected by disk-full.
+    std::uint64_t crcErrors = 0;    //!< Reads failing frame checksum.
+    /** Modeled IO latency accrued (slow-IO fault plan), sim seconds. */
+    double modeledLatency = 0.0;
+};
 
 /** What one recovery replay observed and did. */
 struct RecoveryReport
@@ -68,12 +106,12 @@ struct LogStoreConfig
 };
 
 /**
- * The append-only backend.  Constructing over a non-empty image
+ * The append-only store.  Constructing over a non-empty image
  * replays it (recovery); the report is kept for the owner to assert
  * against and to feed the `recovery.*` metrics and the profiler's
  * "storage.recover" phase.
  */
-class LogStore final : public StorageBackend
+class LogStore
 {
   public:
     /**
@@ -86,16 +124,33 @@ class LogStore final : public StorageBackend
     LogStore(DiskImage &disk, DiskFaultInjector *faults,
              LogStoreConfig cfg = {});
 
-    StorageStatus put(const std::string &key,
-                      const Bytes &value) override;
-    std::optional<Bytes> get(const std::string &key) override;
-    bool erase(const std::string &key) override;
+    /** Store @p value under @p key (overwrites). */
+    StorageStatus put(const std::string &key, const Bytes &value);
+
+    /** Fetch the current value of @p key (nullopt when absent or the
+     *  stored frame fails its checksum — counted, never served). */
+    std::optional<Bytes> get(const std::string &key);
+
+    /** Remove @p key.  @return true when it existed. */
+    bool erase(const std::string &key);
+
+    /**
+     * Visit every live key with the given prefix in lexicographic
+     * order (deterministic: recovery and tests depend on the order).
+     * Values failing their checksum are skipped and counted.
+     */
     void scan(const std::string &prefix,
               const std::function<void(const std::string &,
-                                       const Bytes &)> &fn) override;
-    void sync() override;
-    const StorageStats &stats() const override { return stats_; }
-    std::size_t keyCount() const override { return index_.size(); }
+                                       const Bytes &)> &fn);
+
+    /** Make everything written so far crash-durable (fsync point). */
+    void sync();
+
+    /** Lifetime counters. */
+    const StorageStats &stats() const { return stats_; }
+
+    /** Number of live keys. */
+    std::size_t keyCount() const { return index_.size(); }
 
     /** The replay report from construction-time recovery. */
     const RecoveryReport &recovery() const { return recovery_; }

@@ -1,6 +1,5 @@
 #include "storage/node_storage.h"
 
-#include "storage/memory_backend.h"
 #include "util/check.h"
 
 namespace oceanstore {
@@ -12,28 +11,20 @@ NodeStorage::NodeStorage(StorageSetup setup)
     build();
 }
 
-StorageBackend &
+LogStore &
 NodeStorage::backend()
 {
-    OS_CHECK(backend_ != nullptr,
+    OS_CHECK(store_ != nullptr,
              "storage access on a crashed node: the caller skipped "
              "the restart lifecycle");
-    return *backend_;
+    return *store_;
 }
 
 DiskFaultInjector::CrashReport
 NodeStorage::crash()
 {
-    DiskFaultInjector::CrashReport report;
-    if (setup_.kind == StorageKind::Log) {
-        report = faults_.crash(disk_);
-    } else {
-        // Memory kind: the "disk" is the map itself; a crash loses it
-        // all, which destroying the backend below accomplishes.
-        disk_.bytes.clear();
-        disk_.synced = 0;
-    }
-    backend_.reset();
+    DiskFaultInjector::CrashReport report = faults_.crash(disk_);
+    store_.reset();
     lastRecovery_ = RecoveryReport{};
     return report;
 }
@@ -41,7 +32,7 @@ NodeStorage::crash()
 void
 NodeStorage::restart()
 {
-    OS_CHECK(backend_ == nullptr,
+    OS_CHECK(store_ == nullptr,
              "restart of a storage handle that never crashed");
     build();
 }
@@ -49,15 +40,9 @@ NodeStorage::restart()
 void
 NodeStorage::build()
 {
-    if (setup_.kind == StorageKind::Log) {
-        auto store = std::make_unique<LogStore>(
-            disk_, &faults_, LogStoreConfig{setup_.syncEachPut});
-        lastRecovery_ = store->recovery();
-        backend_ = std::move(store);
-    } else {
-        lastRecovery_ = RecoveryReport{};
-        backend_ = std::make_unique<MemoryBackend>();
-    }
+    store_ = std::make_unique<LogStore>(
+        disk_, &faults_, LogStoreConfig{setup_.syncEachPut});
+    lastRecovery_ = store_->recovery();
 }
 
 } // namespace oceanstore

@@ -8,13 +8,13 @@
  *
  *  - the DiskImage and DiskFaultInjector live as long as the node
  *    identity does — they survive crashes;
- *  - the StorageBackend is process state: crash() destroys it (after
+ *  - the LogStore is process state: crash() destroys it (after
  *    letting the injector tear/corrupt the image) and restart()
- *    rebuilds it, which for the log backend *is* recovery replay.
+ *    rebuilds it by replaying the image, so a restart *is* recovery.
  *
- * The Memory kind keeps the historical semantics: a crash loses
- * everything, restart comes back empty.  It is the default so every
- * pre-storage scenario behaves exactly as before.
+ * Losing a disk outright is modeled by replacing disk() with an empty
+ * image between crash() and restart(): the node comes back empty and
+ * its owners repair from the system's redundancy.
  */
 
 #ifndef OCEANSTORE_STORAGE_NODE_STORAGE_H
@@ -22,24 +22,19 @@
 
 #include <memory>
 
-#include "storage/backend.h"
 #include "storage/disk.h"
 #include "storage/fault.h"
 #include "storage/log_store.h"
 
 namespace oceanstore {
 
-/** Which backend a node's durable state lives in. */
-enum class StorageKind : std::uint8_t
-{
-    Memory, //!< RAM map; crash == amnesia (pre-storage behavior).
-    Log,    //!< Append-only log over a DiskImage; crash-recoverable.
-};
+/** Unread: every node runs the log store; kept so perfbench/ compiles. */
+enum class StorageKind : std::uint8_t { Log };
 
 /** Universe-level storage configuration, one per node via seed mix. */
 struct StorageSetup
 {
-    StorageKind kind = StorageKind::Memory;
+    StorageKind kind{};
 
     /** Fsync after every put (see LogStoreConfig). */
     bool syncEachPut = true;
@@ -51,40 +46,38 @@ struct StorageSetup
 
 /**
  * One node's storage: image + injector (durable across crashes) and
- * the currently running backend (destroyed on crash).
+ * the currently running log store (destroyed on crash).
  */
 class NodeStorage
 {
   public:
     explicit NodeStorage(StorageSetup setup);
 
-    /** The running backend.  Fatal to call while crashed. */
-    StorageBackend &backend();
+    /** The running store.  Fatal to call while crashed. */
+    LogStore &backend();
 
     /** True between construction/restart() and crash(). */
-    bool running() const { return backend_ != nullptr; }
+    bool running() const { return store_ != nullptr; }
 
     /**
      * Node death: the injector applies the plan's crash faults to the
-     * image (torn tail, bit flips), then the backend — index included
-     * — is destroyed.  Memory-kind storage simply loses everything.
+     * image (torn tail, bit flips), then the store — index included —
+     * is destroyed.
      */
     DiskFaultInjector::CrashReport crash();
 
     /**
-     * Node rebirth: rebuild the backend.  For the log kind this
-     * replays the (possibly torn/corrupted) image — construction IS
-     * recovery — and the report is available via lastRecovery().
+     * Node rebirth: rebuild the store over the (possibly torn or
+     * corrupted) image — construction IS recovery — and keep the
+     * replay report for lastRecovery().
      */
     void restart();
 
-    /** Replay report of the most recent restart (log kind; empty for
-     *  memory kind). */
+    /** Replay report of the most recent construction or restart. */
     const RecoveryReport &lastRecovery() const { return lastRecovery_; }
 
     DiskFaultInjector &faults() { return faults_; }
     DiskImage &disk() { return disk_; }
-    StorageKind kind() const { return setup_.kind; }
 
   private:
     void build();
@@ -92,9 +85,20 @@ class NodeStorage
     StorageSetup setup_;
     DiskImage disk_;
     DiskFaultInjector faults_;
-    std::unique_ptr<StorageBackend> backend_;
+    std::unique_ptr<LogStore> store_;
     RecoveryReport lastRecovery_;
 };
+
+/**
+ * The running store behind @p storage, or null when the node is
+ * crashed or @p storage is null (a standalone component with no
+ * durable state).
+ */
+inline LogStore *
+runningStore(NodeStorage *storage)
+{
+    return storage && storage->running() ? &storage->backend() : nullptr;
+}
 
 } // namespace oceanstore
 

@@ -979,7 +979,6 @@ runRestartChaos(std::uint64_t seed)
     ucfg.archiveDataFragments = 4;
     ucfg.archiveTotalFragments = 8;
     ucfg.seed = mixSeed(0x0cea5042u, seed);
-    ucfg.storage.kind = StorageKind::Log;
     // No per-put fsync: the crash finds a vulnerable unsynced tail,
     // and the plan always tears it and flips bits in what survives.
     ucfg.storage.syncEachPut = false;
@@ -1095,7 +1094,6 @@ TEST(Chaos, ThreadedColdRestartRecovers)
     ucfg.archiveTotalFragments = 8;
     ucfg.pbft.clientRetry = RetryPolicy{0.05, 1.5, 0.4, 10, 0.05};
     ucfg.secondary.pushRetry = RetryPolicy{0.02, 2.0, 0.2, 4, 0.1};
-    ucfg.storage.kind = StorageKind::Log;
     ucfg.storage.syncEachPut = false;
     ucfg.storage.faults.tornWriteOnCrash = 1.0;
     ucfg.storage.faults.bitFlipOnCrash = 0.05;

@@ -7,11 +7,16 @@
  * idempotent, ENOSPC refusing writes while reads keep serving, and a
  * 16-seed determinism sweep over adversarial crash plans.
  *
- * System level: a core::Universe with StorageKind::Log recovers a
- * crashed secondary server's archival fragments and mesh pointers
- * from its log, a crashed primary replica's object state from its
- * "ulog/" commit log, and the churn injector's mass helpers route
- * node transitions through the storage lifecycle symmetrically.
+ * Decoder level: a stored fragment, the record every restart's
+ * "frag/" scan decodes, is rejected (never over-allocated) when
+ * truncated or when its proof step count is inflated.
+ *
+ * System level: a core::Universe recovers a crashed secondary
+ * server's archival fragments and mesh pointers from its log, a
+ * crashed primary replica's object state from its "ulog/" commit log,
+ * and a server whose disk was lost comes back empty and is repaired
+ * from the archive's redundancy; the churn injector's mass helpers
+ * route node transitions through the storage lifecycle symmetrically.
  */
 
 #include <cstdint>
@@ -22,11 +27,12 @@
 #include <gtest/gtest.h>
 
 #include "core/universe.h"
+#include "erasure/fragment.h"
+#include "erasure/reed_solomon.h"
 #include "sim/churn.h"
 #include "storage/disk.h"
 #include "storage/fault.h"
 #include "storage/log_store.h"
-#include "storage/memory_backend.h"
 #include "storage/node_storage.h"
 #include "util/random.h"
 #include "workload/driver.h"
@@ -52,7 +58,7 @@ patternValue(std::size_t n, std::uint8_t base)
 
 /** Everything a scan sees, for whole-index comparisons. */
 std::map<std::string, Bytes>
-snapshot(StorageBackend &b)
+snapshot(LogStore &b)
 {
     std::map<std::string, Bytes> out;
     b.scan("", [&](const std::string &k, const Bytes &v) { out[k] = v; });
@@ -327,37 +333,11 @@ TEST(LogStore, RecoveryDeterminismSweep16Seeds)
     EXPECT_GE(tornSeeds, 8u);
 }
 
-// --- MemoryBackend and NodeStorage ------------------------------------
-
-TEST(MemoryBackend, RoundTripAndStats)
-{
-    MemoryBackend mem;
-    EXPECT_EQ(mem.put("x", patternValue(4, 1)), StorageStatus::Ok);
-    EXPECT_TRUE(mem.get("x").has_value());
-    EXPECT_EQ(mem.stats().puts, 1u);
-    EXPECT_EQ(mem.stats().gets, 1u);
-    EXPECT_TRUE(mem.erase("x"));
-    EXPECT_EQ(mem.keyCount(), 0u);
-}
-
-TEST(NodeStorage, MemoryKindCrashIsAmnesia)
-{
-    StorageSetup setup; // Memory is the default
-    NodeStorage ns(setup);
-    ns.backend().put("x", patternValue(4, 1));
-    EXPECT_EQ(ns.backend().keyCount(), 1u);
-    ns.crash();
-    EXPECT_FALSE(ns.running());
-    ns.restart();
-    EXPECT_TRUE(ns.running());
-    EXPECT_EQ(ns.backend().keyCount(), 0u); // everything gone
-}
+// --- NodeStorage ------------------------------------------------------
 
 TEST(NodeStorage, LogKindSurvivesCleanCrash)
 {
-    StorageSetup setup;
-    setup.kind = StorageKind::Log;
-    NodeStorage ns(setup);
+    NodeStorage ns(StorageSetup{});
     ns.backend().put("x", patternValue(4, 1));
     ns.backend().put("y", patternValue(4, 2));
     ns.crash();
@@ -375,7 +355,6 @@ TEST(NodeStorage, LogKindTornCrashKeepsSyncedPrefix)
     std::uint64_t tornTotal = 0;
     for (std::uint64_t seed = 1; seed <= 8; seed++) {
         StorageSetup setup;
-        setup.kind = StorageKind::Log;
         setup.syncEachPut = false;
         setup.faults.tornWriteOnCrash = 1.0;
         setup.faults.seed = seed;
@@ -392,6 +371,60 @@ TEST(NodeStorage, LogKindTornCrashKeepsSyncedPrefix)
     EXPECT_GT(tornTotal, 0u); // at least one seed cut mid-record
 }
 
+// --- Stored fragment decoding -----------------------------------------
+
+/**
+ * A restart decodes every "frag/" record it replays, and an adversary
+ * that controls a server's disk can re-frame any bytes with a valid
+ * record checksum.  Every strict prefix of an encoded fragment, and
+ * every proof step count the remaining bytes cannot back, must decode
+ * to nullopt without sizing anything from the inflated count.
+ */
+TEST(FragmentDecode, TruncationAndStepInflationRejected)
+{
+    Rng rng(0xf4a6u);
+    ReedSolomonCode code(4, 8);
+    for (std::size_t size : {0u, 1u, 97u, 1024u}) {
+        Bytes data(size);
+        for (auto &b : data)
+            b = static_cast<std::uint8_t>(rng.next());
+        FragmentSet set = fragmentObject(code, data);
+        const Fragment &frag = set.fragments[rng.below(8)];
+        const Bytes raw = frag.serialize();
+
+        auto whole = Fragment::deserialize(raw);
+        ASSERT_TRUE(whole.has_value()) << "size " << size;
+        EXPECT_EQ(whole->serialize(), raw);
+        EXPECT_TRUE(whole->verify());
+
+        for (std::size_t len = 0; len < raw.size(); len++) {
+            Bytes cut(raw.begin(), raw.begin() + len);
+            EXPECT_FALSE(Fragment::deserialize(cut).has_value())
+                << "size " << size << " truncated to " << len;
+        }
+
+        // The step count follows the GUID, the index and the data
+        // blob; overwrite it with counts larger than the proof.
+        const std::size_t at = Guid::numBytes + 4 + 4 + frag.data.size();
+        const auto steps = static_cast<std::uint32_t>(frag.proof.size());
+        std::vector<std::uint32_t> counts = {steps + 1, 0x00100000u,
+                                             0x40000000u, 0xffffffffu};
+        for (int i = 0; i < 32; i++) {
+            counts.push_back(static_cast<std::uint32_t>(
+                rng.between(steps + 1, 0xffffffffll)));
+        }
+        for (std::uint32_t count : counts) {
+            Bytes bad = raw;
+            bad[at] = static_cast<std::uint8_t>(count >> 24);
+            bad[at + 1] = static_cast<std::uint8_t>(count >> 16);
+            bad[at + 2] = static_cast<std::uint8_t>(count >> 8);
+            bad[at + 3] = static_cast<std::uint8_t>(count);
+            EXPECT_FALSE(Fragment::deserialize(bad).has_value())
+                << "size " << size << " step count " << count;
+        }
+    }
+}
+
 // --- Universe integration ---------------------------------------------
 
 UniverseConfig
@@ -403,7 +436,6 @@ durableConfig()
     cfg.archiveDataFragments = 4;
     cfg.archiveTotalFragments = 8;
     cfg.initialHosts = 3;
-    cfg.storage.kind = StorageKind::Log;
     return cfg;
 }
 
@@ -482,6 +514,68 @@ TEST(StorageUniverse, ServerRestartRestoresFragmentsAndLocation)
     EXPECT_TRUE(rr.success);
     ReadResult read = uni.readSync(victim, h.guid());
     EXPECT_TRUE(read.found);
+}
+
+TEST(StorageUniverse, DiskLossRestartsEmptyAndRepairs)
+{
+    UniverseConfig cfg = durableConfig();
+    // Any lost fragment triggers a repair, so one emptied disk
+    // degrades every archive it held.
+    cfg.archive.repairThreshold = cfg.archiveTotalFragments;
+    Universe uni(cfg);
+    KeyPair owner = uni.makeUser();
+    ObjectHandle h = uni.createObject(owner, "lost-disk-doc");
+    std::uint64_t ts = 0;
+    for (VersionNum v = 0; v < 3; v++) {
+        Bytes text = patternValue(64, static_cast<std::uint8_t>(1 + v));
+        ASSERT_TRUE(
+            uni.writeSync(h.makeAppendUpdate(text, v, {++ts, 1}))
+                .committed);
+        ASSERT_TRUE(uni.archiveObject(h.guid()).valid());
+        uni.advance(30.0); // let dispersal land
+    }
+    auto archived = uni.archivedVersions(h.guid());
+    ASSERT_EQ(archived.size(), 3u);
+
+    // The victim is the server holding the most fragments.
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < uni.numServers(); i++) {
+        if (uni.archival().server(i).fragmentCount() >
+            uni.archival().server(victim).fragmentCount())
+            victim = i;
+    }
+    ASSERT_GT(uni.archival().server(victim).fragmentCount(), 0u);
+
+    // The disk is lost while the server is down: it restarts over an
+    // empty image and reloads nothing.
+    uni.crashServer(victim);
+    uni.storageOf(victim).disk() = DiskImage{};
+    uni.restartServer(victim);
+    ASSERT_TRUE(uni.storageOf(victim).running());
+    EXPECT_EQ(uni.storageOf(victim).lastRecovery().recordsReplayed, 0u);
+    EXPECT_EQ(uni.storageOf(victim).backend().keyCount(), 0u);
+    EXPECT_EQ(uni.archival().server(victim).fragmentCount(), 0u);
+
+    unsigned degraded = 0;
+    for (const auto &[version, archive] : archived) {
+        if (uni.archival().survivingFragments(archive) <
+            cfg.archiveTotalFragments)
+            degraded++;
+    }
+    EXPECT_GT(degraded, 0u);
+    EXPECT_EQ(uni.archival().repairSweep(), degraded);
+
+    for (const auto &[version, archive] : archived) {
+        EXPECT_EQ(uni.archival().survivingFragments(archive),
+                  cfg.archiveTotalFragments)
+            << "version " << version;
+        ReconstructResult rr = uni.restoreSync(archive);
+        ASSERT_TRUE(rr.success) << "version " << version;
+        auto state = uni.readVersion(h.guid(), version);
+        ASSERT_TRUE(state.has_value()) << "version " << version;
+        EXPECT_EQ(rr.data, state->serializeState())
+            << "version " << version;
+    }
 }
 
 TEST(StorageUniverse, ReadFallsThroughBloomToMeshWhileHolderDown)
