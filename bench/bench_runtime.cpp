@@ -9,8 +9,7 @@
  *
  *   sim_serve       SimRuntime, sequential clients, virtual time
  *   threaded_serve  ThreadedRuntime, genuinely concurrent client
- *                   threads against the wall-clock event loop (only
- *                   registered in an OCEANSTORE_THREADED build)
+ *                   threads against the wall-clock event loop
  *   threaded_serve_traced
  *                   threaded_serve with a Tracer + FlightRecorder
  *                   attached for the whole run — measures the
@@ -30,11 +29,8 @@
 #include <chrono>
 #include <memory>
 #include <string>
-#include <vector>
-
-#ifdef OCEANSTORE_THREADED
 #include <thread>
-#endif
+#include <vector>
 
 #include "core/universe.h"
 #include "obs/flight_recorder.h"
@@ -156,7 +152,6 @@ runServe(bench::BenchContext &ctx, RuntimeKind kind, unsigned clients,
     std::vector<ClientRun> runs(clients);
     ctx.beginMeasured();
     double t0 = wallNow();
-#ifdef OCEANSTORE_THREADED
     if (kind == RuntimeKind::Threaded) {
         std::vector<std::thread> pool;
         for (unsigned c = 0; c < clients; c++)
@@ -165,9 +160,7 @@ runServe(bench::BenchContext &ctx, RuntimeKind kind, unsigned clients,
             });
         for (auto &t : pool)
             t.join();
-    }
-#endif
-    if (kind == RuntimeKind::Sim) {
+    } else {
         for (unsigned c = 0; c < clients; c++)
             runs[c] = serveClient(universe, docs[c], c, writes);
     }
@@ -224,14 +217,12 @@ main(int argc, char **argv)
     std::vector<bench::BenchCase> cases{
         {"sim_serve", [](BenchContext &ctx) {
              serveCase(ctx, RuntimeKind::Sim, false);
+         }},
+        {"threaded_serve", [](BenchContext &ctx) {
+             serveCase(ctx, RuntimeKind::Threaded, false);
+         }},
+        {"threaded_serve_traced", [](BenchContext &ctx) {
+             serveCase(ctx, RuntimeKind::Threaded, true);
          }}};
-    if (ThreadedRuntime::available()) {
-        cases.push_back({"threaded_serve", [](BenchContext &ctx) {
-                             serveCase(ctx, RuntimeKind::Threaded, false);
-                         }});
-        cases.push_back({"threaded_serve_traced", [](BenchContext &ctx) {
-                             serveCase(ctx, RuntimeKind::Threaded, true);
-                         }});
-    }
     return bench::runBenchMain(argc, argv, "bench_runtime", cases);
 }

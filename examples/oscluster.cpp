@@ -14,10 +14,6 @@
  * tears down cleanly (the run is TSan-clean in an
  * OCEANSTORE_SANITIZE=thread build).
  *
- * In a tree built without OCEANSTORE_THREADED the same workload runs
- * sequentially on the deterministic sim backend and exits 0, so the
- * smoke test degrades gracefully on every configuration.
- *
  * Usage: oscluster [--stats] [--trace] [clients] [writes-per-client]
  *        (defaults 4 clients, 6 writes)
  *
@@ -33,12 +29,8 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
-#include <vector>
-
-#ifdef OCEANSTORE_THREADED
-#include <atomic>
 #include <thread>
-#endif
+#include <vector>
 
 #include "core/universe.h"
 #include "obs/flight_recorder.h"
@@ -136,12 +128,10 @@ main(int argc, char **argv)
     UniverseConfig cfg;
     cfg.numServers = 16;
     cfg.archiveOnCommit = false; // keep the serving path hot
-    const bool threaded = ThreadedRuntime::available();
-    if (threaded)
-        cfg.runtime = RuntimeKind::Threaded;
-    std::printf("== oscluster: %s backend, %u clients x %u writes ==\n",
-                threaded ? "threaded" : "sim (fallback)", clients,
-                writes);
+    cfg.runtime = RuntimeKind::Threaded;
+    std::printf("== oscluster: threaded backend, %u clients x %u "
+                "writes ==\n",
+                clients, writes);
 
     // Observability attaches *before* the universe boots so setup
     // spans and timers are captured too.  Both are optional: with
@@ -178,28 +168,18 @@ main(int argc, char **argv)
             users.back(), "client-" + std::to_string(c) + "/log"));
     }
 
+    // Concurrent client threads against the live cluster API.  Every
+    // entry point runs inside execute(), so no client-side locking is
+    // needed.
     std::vector<ClientStats> stats(clients);
-#ifdef OCEANSTORE_THREADED
-    if (threaded) {
-        // The real deal: concurrent client threads against the live
-        // cluster API.  Every entry point runs inside execute(), so
-        // no client-side locking is needed.
-        std::vector<std::thread> pool;
-        for (unsigned c = 0; c < clients; c++) {
-            pool.emplace_back([&, c]() {
-                stats[c] = runClient(universe, docs[c], c, writes);
-            });
-        }
-        for (auto &t : pool)
-            t.join();
-    }
-#endif
-    if (!threaded) {
-        // Sim fallback: the identical workload, sequential and
-        // deterministic.
-        for (unsigned c = 0; c < clients; c++)
+    std::vector<std::thread> pool;
+    for (unsigned c = 0; c < clients; c++) {
+        pool.emplace_back([&, c]() {
             stats[c] = runClient(universe, docs[c], c, writes);
+        });
     }
+    for (auto &t : pool)
+        t.join();
 
     exporter.stop();
     if (statsMode)

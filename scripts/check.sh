@@ -3,14 +3,17 @@
 #   1. the plain configuration,
 #   2. AddressSanitizer + UndefinedBehaviorSanitizer,
 #   3. ThreadSanitizer,
-# each in its own build directory.  The oslint static-analysis suite
-# and its self-test run as ctest cases in every configuration.
+# each in its own build directory.  Every configuration builds the
+# threaded runtime, so the threaded conformance, chaos and example
+# tests run in all three (and under TSan in the third).  The oslint
+# static-analysis suite and its self-test run as ctest cases in every
+# configuration.
 #
 # A fourth configuration, `tsafety`, compiles the tree with clang and
 # -Wthread-safety -Werror, statically checking the OS_GUARDED_BY /
-# OS_REQUIRES lock annotations (src/util/thread_annotations.h) ahead
-# of the Runtime seam.  It needs a clang toolchain and is skipped
-# with a notice when none is installed (CI runs it).
+# OS_REQUIRES lock annotations (src/util/thread_annotations.h).  It
+# needs a clang toolchain and is skipped with a notice when none is
+# installed (CI runs it).
 #
 # Usage: scripts/check.sh [plain|asan|tsan|tsafety]...
 #        (default: plain asan tsan)

@@ -11,6 +11,9 @@ namespace oceanstore {
 
 namespace {
 
+/** Probes per element. */
+constexpr unsigned numHashes = 4;
+
 /** Interned metric ids, registered once on first use. */
 struct BloomMetricIds
 {
@@ -43,13 +46,13 @@ BloomLocationService::BloomLocationService(const Topology &topo,
 {
     std::size_t n = topo.size();
     localSets_.resize(n);
-    localFilters_.assign(n, BloomFilter(cfg.bits, cfg.numHashes));
+    localFilters_.assign(n, BloomFilter(cfg.bits, numHashes));
     edgeFilters_.resize(n);
     penalties_.resize(n);
     for (NodeId i = 0; i < n; i++) {
         edgeFilters_[i].assign(
             topo.adjacency[i].size(),
-            AttenuatedBloomFilter(cfg.depth, cfg.bits, cfg.numHashes));
+            AttenuatedBloomFilter(cfg.depth, cfg.bits, numHashes));
         penalties_[i].assign(topo.adjacency[i].size(), 0);
     }
 }
@@ -83,7 +86,7 @@ BloomLocationService::propagateInsert(NodeId n, const Guid &g)
     //   if A_bc[l-1] gained g, A_ab[l] gains g for a in adj(b), a != c.
     // Each (edge, level) state is visited once; every touched edge
     // ships a small delta to the edge's tail (gossip accounting).
-    const std::size_t delta_bytes = cfg_.numHashes * 4 + 16;
+    const std::size_t delta_bytes = numHashes * 4 + 16;
 
     // visited[level] -> set of (tail, edge index) already handled.
     std::vector<std::set<std::pair<NodeId, unsigned>>> visited(

@@ -40,7 +40,6 @@ struct BloomLocationConfig
 {
     unsigned depth = 3;        //!< Attenuation depth D.
     std::size_t bits = 2048;   //!< Width of each level filter.
-    unsigned numHashes = 4;    //!< Probes per element.
     unsigned ttl = 12;         //!< Max hops before falling back.
 };
 

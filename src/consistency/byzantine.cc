@@ -11,6 +11,9 @@ namespace oceanstore {
 
 namespace {
 
+/** Seconds a backup waits for a pre-prepare before view change. */
+constexpr double viewChangeTimeout = 3.0;
+
 /** Interned metric ids, registered once on first use. */
 struct PbftMetricIds
 {
@@ -437,7 +440,7 @@ PbftReplica::startViewChangeTimer(const Guid &req_id)
     // Timeouts grow with the view number (Castro-Liskov): under heavy
     // message loss successive view changes otherwise fire faster than
     // any view can finish its work, and the group thrashes forever.
-    double delay = cluster_.config().viewChangeTimeout *
+    double delay = viewChangeTimeout *
                    static_cast<double>(1u << std::min(view_, 4u));
     timers_[req_id] = cluster_.rt().schedule(
         delay, [this, req_id, armed_view]() {

@@ -40,8 +40,6 @@ struct PbftConfig
 {
     /** Faults tolerated; the tier has n = 3m + 1 replicas. */
     unsigned m = 1;
-    /** Seconds a backup waits for a pre-prepare before view change. */
-    double viewChangeTimeout = 3.0;
     /**
      * Client re-broadcast schedule: bounded exponential backoff with
      * deterministic jitter, starting 2 s after submission; ten

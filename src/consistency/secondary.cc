@@ -11,6 +11,9 @@ namespace oceanstore {
 
 namespace {
 
+/** Peers a fresh rumor (tentative update) is forwarded to. */
+constexpr unsigned rumorFanout = 2;
+
 /** Interned metric ids, registered once on first use. */
 struct SecMetricIds
 {
@@ -207,7 +210,7 @@ SecondaryReplica::storeTentative(const Update &u, bool gossip)
     ScopedSpan span("sec", "sec.rumor", tier_.rt().now(),
                     nodeId_);
     TentativeBody body{u};
-    for (unsigned i = 0; i < tier_.config().rumorFanout; i++) {
+    for (unsigned i = 0; i < rumorFanout; i++) {
         std::size_t peer = rng_.below(tier_.size());
         if (peer == index_)
             continue;
@@ -285,10 +288,13 @@ SecondaryReplica::onPush(const Message &msg)
     SecMetricIds &sm = secMetrics();
     sm.reg->inc(sm.pushes);
 
-    // Ack every push that crossed the network (the root injects
-    // locally with src == invalidNode), including duplicates and
-    // retransmissions: the parent may have missed the first ack.
-    if (tier_.config().reliablePush && msg.src != invalidNode) {
+    // Tree pushes are acked and unacked ones retransmitted, so a single
+    // dropped sec.push cannot silence a whole subtree until
+    // anti-entropy happens by.  Ack every push that crossed the
+    // network (the root injects locally with src == invalidNode),
+    // including duplicates and retransmissions: the parent may have
+    // missed the first ack.
+    if (msg.src != invalidNode) {
         AckBody ack{uid, body.version};
         sm.reg->inc(sm.acks);
         tier_.rt().send(nodeId_, msg.src,
@@ -327,30 +333,28 @@ SecondaryReplica::onPush(const Message &msg)
         tier_.rt().multicast(nodeId_, push_children,
                               makeMessage("sec.push", body,
                                           body.update.wireSize() + 8));
-        if (tier_.config().reliablePush) {
-            // The multicast is attempt 1; per-child drivers retransmit
-            // individually until the child acks or attempts run out
-            // (anti-entropy is the backstop beyond that).
-            for (NodeId child : push_children) {
-                auto key = std::make_pair(child, uid);
-                auto call = std::make_unique<RpcCall>(
-                    tier_.rt(), tier_.config().pushRetry,
-                    tier_.config().seed ^ child ^ uid.hash64());
-                call->arm(
-                    [this, child, body](unsigned) {
-                        pushRetransmits_++;
-                        {
-                            SecMetricIds &m = secMetrics();
-                            m.reg->inc(m.pushRetransmits);
-                        }
-                        tier_.rt().send(
-                            nodeId_, child,
-                            makeMessage("sec.push", body,
-                                        body.update.wireSize() + 8));
-                    },
-                    [this, key]() { pushPending_.erase(key); });
-                pushPending_[key] = std::move(call);
-            }
+        // The multicast is attempt 1; per-child drivers retransmit
+        // individually until the child acks or attempts run out
+        // (anti-entropy is the backstop beyond that).
+        for (NodeId child : push_children) {
+            auto key = std::make_pair(child, uid);
+            auto call = std::make_unique<RpcCall>(
+                tier_.rt(), tier_.config().pushRetry,
+                tier_.config().seed ^ child ^ uid.hash64());
+            call->arm(
+                [this, child, body](unsigned) {
+                    pushRetransmits_++;
+                    {
+                        SecMetricIds &m = secMetrics();
+                        m.reg->inc(m.pushRetransmits);
+                    }
+                    tier_.rt().send(
+                        nodeId_, child,
+                        makeMessage("sec.push", body,
+                                    body.update.wireSize() + 8));
+                },
+                [this, key]() { pushPending_.erase(key); });
+            pushPending_[key] = std::move(call);
         }
     }
 }

@@ -37,22 +37,13 @@ struct SecondaryConfig
 {
     /** Seconds between anti-entropy exchanges per replica. */
     double antiEntropyPeriod = 0.5;
-    /** Peers a fresh rumor (tentative update) is forwarded to. */
-    unsigned rumorFanout = 2;
     /** Dissemination-tree fanout. */
     unsigned treeFanout = 4;
     /** Push committed updates down the tree (ablation: false). */
     bool treePush = true;
     /** Send invalidations (not bodies) to tree leaves. */
     bool invalidateAtLeaves = false;
-    /**
-     * Acknowledge tree pushes and retransmit unacked ones.  Without
-     * it a single dropped sec.push silences a whole subtree until
-     * anti-entropy happens by; with it the tree itself rides out
-     * lossy links.
-     */
-    bool reliablePush = true;
-    /** Retransmit schedule for unacked pushes (reliablePush). */
+    /** Retransmit schedule for unacked tree pushes. */
     RetryPolicy pushRetry{0.6, 2.0, 5.0, 4, 0.1};
     /** Randomness seed. */
     std::uint64_t seed = 0x5ec0d417u;
@@ -128,7 +119,7 @@ class SecondaryReplica : public SimNode
      *  retransmitted sec.push is re-acked but never re-forwarded, so
      *  lossy links cannot trigger multicast storms. */
     std::set<Guid> forwarded_;
-    /** (child, update id) -> retransmit driver (reliablePush). */
+    /** (child, update id) -> retransmit driver for an unacked push. */
     std::map<std::pair<NodeId, Guid>, std::unique_ptr<RpcCall>>
         pushPending_;
     std::uint64_t pushRetransmits_ = 0;

@@ -11,10 +11,22 @@
 #include "sim/topology.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/retry.h"
 
 namespace oceanstore {
 
 namespace {
+
+/** Bloom overlay neighbors. */
+constexpr unsigned overlayDegree = 4;
+
+/**
+ * Read-path location retries: on a two-tier miss the mesh is
+ * repaired and the deterministic lookup re-run, each retry adding
+ * its backoff delay to the modeled read latency.  maxAttempts
+ * counts the initial lookup; 1 disables retries.
+ */
+constexpr RetryPolicy locationRetry{1.0, 2.0, 8.0, 3, 0.0};
 
 /** Interned metric ids, registered once on first use. */
 struct CoreMetricIds
@@ -71,8 +83,7 @@ void
 Universe::assemble()
 {
     // 1. Overlay topology for the secondary tier and Bloom locator.
-    topo_ = makeGeometricTopology(cfg_.numServers, cfg_.overlayDegree,
-                                  rng_);
+    topo_ = makeGeometricTopology(cfg_.numServers, overlayDegree, rng_);
 
     // 2. Secondary tier replicas at the topology's positions (replica
     //    i <-> overlay node i <-> NodeId i).
@@ -90,8 +101,7 @@ Universe::assemble()
     bloom_ = std::make_unique<BloomLocationService>(topo_, cfg_.bloom);
 
     // 5. Primary tier in a well-connected central region.
-    cfg_.pbft.m = cfg_.pbftFaults;
-    unsigned n = 3 * cfg_.pbftFaults + 1;
+    unsigned n = 3 * cfg_.pbft.m + 1;
     std::vector<std::pair<double, double>> tier_pos;
     for (unsigned r = 0; r < n; r++) {
         double angle = 2.0 * 3.14159265358979 * r / n;
@@ -245,30 +255,25 @@ ObjectHandle
 Universe::createObject(const KeyPair &owner, const std::string &name)
 {
     ObjectHandle handle(owner, name);
-    rt_->execute([&]() { createObjectLocked(handle, owner); });
+    rt_->execute([&]() {
+        // Owner-signed ACL: the owner may write (Section 4.2).
+        Acl acl;
+        acl.grant(owner.publicKey,
+                  static_cast<std::uint8_t>(Privilege::Owner) |
+                      static_cast<std::uint8_t>(Privilege::Write) |
+                      static_cast<std::uint8_t>(Privilege::Read));
+        AclCertificate cert = AclCertificate::issue(handle.guid(), acl,
+                                                    owner);
+        guard_.install(cert, acl, registry_);
+
+        // Place the initial floating replicas and publish them.
+        std::size_t want = std::min<std::size_t>(cfg_.initialHosts,
+                                                 cfg_.numServers);
+        auto picks = rng_.sampleIndices(cfg_.numServers, want);
+        for (std::size_t idx : picks)
+            addHost(handle.guid(), idx);
+    });
     return handle;
-}
-
-void
-Universe::createObjectLocked(const ObjectHandle &handle,
-                             const KeyPair &owner)
-{
-    // Owner-signed ACL: the owner may write (Section 4.2).
-    Acl acl;
-    acl.grant(owner.publicKey,
-              static_cast<std::uint8_t>(Privilege::Owner) |
-                  static_cast<std::uint8_t>(Privilege::Write) |
-                  static_cast<std::uint8_t>(Privilege::Read));
-    AclCertificate cert = AclCertificate::issue(handle.guid(), acl,
-                                                owner);
-    guard_.install(cert, acl, registry_);
-
-    // Place the initial floating replicas and publish them.
-    std::size_t want = std::min<std::size_t>(cfg_.initialHosts,
-                                             cfg_.numServers);
-    auto picks = rng_.sampleIndices(cfg_.numServers, want);
-    for (std::size_t idx : picks)
-        addHost(handle.guid(), idx);
 }
 
 void
@@ -474,9 +479,8 @@ Universe::read(std::size_t from_server, const Guid &obj,
     // deterministic lookup, charging each retry's backoff delay to
     // the modeled read latency.
     if (holder == static_cast<std::size_t>(invalidNode)) {
-        RetrySchedule sched(cfg_.locationRetry,
-                            cfg_.seed ^ obj.hash64());
-        for (unsigned a = 1; a < cfg_.locationRetry.maxAttempts; a++) {
+        RetrySchedule sched(locationRetry, cfg_.seed ^ obj.hash64());
+        for (unsigned a = 1; a < locationRetry.maxAttempts; a++) {
             auto gap = sched.nextDelay();
             if (!gap.has_value())
                 break;
@@ -539,40 +543,35 @@ Guid
 Universe::archiveObject(const Guid &obj)
 {
     Guid out;
-    rt_->execute([&]() { out = archiveObjectLocked(obj); });
-    return out;
-}
-
-Guid
-Universe::archiveObjectLocked(const Guid &obj)
-{
-    auto it = primaryObjects_[0].find(obj);
-    if (it == primaryObjects_[0].end())
-        return Guid();
-    Bytes state = it->second.serializeState();
-    // The fragments are generated by the inner tier during commit;
-    // dispersal originates from the live archival server nearest the
-    // primary tier (the center).  A down origin's sends are dropped,
-    // so recording a version dispersed from one would make it
-    // unrestorable.
-    std::size_t source = archive_->size();
-    double best = 1e9;
-    for (std::size_t i = 0; i < archive_->size(); i++) {
-        NodeId node = archive_->server(i).nodeId();
-        if (!rt_->isUp(node))
-            continue;
-        double d = std::hypot(rt_->xOf(node) - 0.5, rt_->yOf(node) - 0.5);
-        if (d < best) {
-            best = d;
-            source = i;
+    rt_->execute([&]() {
+        auto it = primaryObjects_[0].find(obj);
+        if (it == primaryObjects_[0].end())
+            return;
+        Bytes state = it->second.serializeState();
+        // The fragments are generated by the inner tier during commit;
+        // dispersal originates from the live archival server nearest
+        // the primary tier (the center).  A down origin's sends are
+        // dropped, so recording a version dispersed from one would
+        // make it unrestorable.
+        std::size_t source = archive_->size();
+        double best = 1e9;
+        for (std::size_t i = 0; i < archive_->size(); i++) {
+            NodeId node = archive_->server(i).nodeId();
+            if (!rt_->isUp(node))
+                continue;
+            double d = std::hypot(rt_->xOf(node) - 0.5,
+                                  rt_->yOf(node) - 0.5);
+            if (d < best) {
+                best = d;
+                source = i;
+            }
         }
-    }
-    if (source == archive_->size())
-        return Guid();
-    Guid archive_guid = archive_->disperse(*archiveCodec_, state,
-                                           source);
-    archives_[obj][it->second.version()] = archive_guid;
-    return archive_guid;
+        if (source == archive_->size())
+            return;
+        out = archive_->disperse(*archiveCodec_, state, source);
+        archives_[obj][it->second.version()] = out;
+    });
+    return out;
 }
 
 Guid
@@ -801,30 +800,26 @@ Universe::crashServer(std::size_t idx)
 {
     OS_CHECK(idx < serverStorage_.size(), "crashServer: server ", idx,
              " of ", serverStorage_.size());
-    rt_->execute([&]() { crashServerLocked(idx); });
-}
-
-void
-Universe::crashServerLocked(std::size_t idx)
-{
-    // Storage dies first so no teardown step below can write through
-    // to a disk that should already have stopped (a crashed handle
-    // has no running store to write to).
-    if (serverStorage_[idx]->running()) {
-        auto report = serverStorage_[idx]->crash();
-        if (report.tornBytes || report.bitFlips) {
-            logInfo("universe: server ", idx, " crash damaged disk (",
-                    report.tornBytes, " torn bytes, ",
-                    report.bitFlips, " bit flips)");
+    rt_->execute([&]() {
+        // Storage dies first so no teardown step below can write through
+        // to a disk that should already have stopped (a crashed handle
+        // has no running store to write to).
+        if (serverStorage_[idx]->running()) {
+            auto report = serverStorage_[idx]->crash();
+            if (report.tornBytes || report.bitFlips) {
+                logInfo("universe: server ", idx, " crash damaged disk (",
+                        report.tornBytes, " torn bytes, ",
+                        report.bitFlips, " bit flips)");
+            }
         }
-    }
-    NodeId tnode = tier_->replica(idx).nodeId();
-    rt_->setDown(tnode);
-    rt_->setDown(archive_->server(idx).nodeId());
-    // RAM state is amnesia: the archival fragment map empties (only
-    // the disk survives) and the mesh forgets the node wholesale.
-    archive_->server(idx).clearForCrash();
-    mesh_->removeNode(tnode);
+        NodeId tnode = tier_->replica(idx).nodeId();
+        rt_->setDown(tnode);
+        rt_->setDown(archive_->server(idx).nodeId());
+        // RAM state is amnesia: the archival fragment map empties (only
+        // the disk survives) and the mesh forgets the node wholesale.
+        archive_->server(idx).clearForCrash();
+        mesh_->removeNode(tnode);
+    });
 }
 
 void
@@ -832,36 +827,32 @@ Universe::restartServer(std::size_t idx)
 {
     OS_CHECK(idx < serverStorage_.size(), "restartServer: server ",
              idx, " of ", serverStorage_.size());
-    rt_->execute([&]() { restartServerLocked(idx); });
-}
-
-void
-Universe::restartServerLocked(std::size_t idx)
-{
-    // Recovery replay happens here: constructing the store over the
-    // surviving disk image truncates any torn tail and rejects
-    // corrupt records before anything is served.
-    if (!serverStorage_[idx]->running())
-        serverStorage_[idx]->restart();
-    NodeId tnode = tier_->replica(idx).nodeId();
-    rt_->setUp(tnode);
-    rt_->setUp(archive_->server(idx).nodeId());
-    std::size_t frags = archive_->server(idx).restoreFromStorage();
-    std::size_t ptrs = mesh_->restoreNode(tnode);
-    // Pointers TO this node's floating replicas were purged from the
-    // rest of the mesh while it was down; re-deposit them.  (The
-    // restoreNode call above only reloads pointers this node stores
-    // on behalf of others.)
-    std::size_t republished = 0;
-    for (const auto &[obj, host_set] : hosts_) {
-        if (host_set.count(idx)) {
-            mesh_->publish(obj, tnode);
-            republished++;
+    rt_->execute([&]() {
+        // Recovery replay happens here: constructing the store over the
+        // surviving disk image truncates any torn tail and rejects
+        // corrupt records before anything is served.
+        if (!serverStorage_[idx]->running())
+            serverStorage_[idx]->restart();
+        NodeId tnode = tier_->replica(idx).nodeId();
+        rt_->setUp(tnode);
+        rt_->setUp(archive_->server(idx).nodeId());
+        std::size_t frags = archive_->server(idx).restoreFromStorage();
+        std::size_t ptrs = mesh_->restoreNode(tnode);
+        // Pointers TO this node's floating replicas were purged from the
+        // rest of the mesh while it was down; re-deposit them.  (The
+        // restoreNode call above only reloads pointers this node stores
+        // on behalf of others.)
+        std::size_t republished = 0;
+        for (const auto &[obj, host_set] : hosts_) {
+            if (host_set.count(idx)) {
+                mesh_->publish(obj, tnode);
+                republished++;
+            }
         }
-    }
-    logInfo("universe: server ", idx, " restarted (", frags,
-            " fragments, ", ptrs, " stored pointers, ", republished,
-            " republished objects)");
+        logInfo("universe: server ", idx, " restarted (", frags,
+                " fragments, ", ptrs, " stored pointers, ", republished,
+                " republished objects)");
+    });
 }
 
 void
@@ -869,18 +860,14 @@ Universe::crashPrimary(unsigned rank)
 {
     OS_CHECK(rank < primaryStorage_.size(), "crashPrimary: rank ",
              rank, " of ", primaryStorage_.size());
-    rt_->execute([&]() { crashPrimaryLocked(rank); });
-}
-
-void
-Universe::crashPrimaryLocked(unsigned rank)
-{
-    if (primaryStorage_[rank]->running())
-        primaryStorage_[rank]->crash();
-    rt_->setDown(pbft_->replica(rank).nodeId());
-    // The replica's application state is RAM: it must be rebuilt from
-    // the durable update log on restart.
-    primaryObjects_[rank].clear();
+    rt_->execute([&]() {
+        if (primaryStorage_[rank]->running())
+            primaryStorage_[rank]->crash();
+        rt_->setDown(pbft_->replica(rank).nodeId());
+        // The replica's application state is RAM: it must be rebuilt from
+        // the durable update log on restart.
+        primaryObjects_[rank].clear();
+    });
 }
 
 void
@@ -888,18 +875,14 @@ Universe::restartPrimary(unsigned rank)
 {
     OS_CHECK(rank < primaryStorage_.size(), "restartPrimary: rank ",
              rank, " of ", primaryStorage_.size());
-    rt_->execute([&]() { restartPrimaryLocked(rank); });
-}
-
-void
-Universe::restartPrimaryLocked(unsigned rank)
-{
-    if (!primaryStorage_[rank]->running())
-        primaryStorage_[rank]->restart();
-    rt_->setUp(pbft_->replica(rank).nodeId());
-    std::uint64_t replayed = pbft_->replica(rank).restoreFromLog();
-    logInfo("universe: primary rank ", rank, " restarted, replayed ",
-            replayed, " committed updates");
+    rt_->execute([&]() {
+        if (!primaryStorage_[rank]->running())
+            primaryStorage_[rank]->restart();
+        rt_->setUp(pbft_->replica(rank).nodeId());
+        std::uint64_t replayed = pbft_->replica(rank).restoreFromLog();
+        logInfo("universe: primary rank ", rank, " restarted, replayed ",
+                replayed, " committed updates");
+    });
 }
 
 void
@@ -908,12 +891,12 @@ Universe::shutdown(NodeId n)
     rt_->execute([&]() {
         auto sit = serverIndexByNode_.find(n);
         if (sit != serverIndexByNode_.end()) {
-            crashServerLocked(sit->second);
+            crashServer(sit->second);
             return;
         }
         auto pit = primaryRankByNode_.find(n);
         if (pit != primaryRankByNode_.end()) {
-            crashPrimaryLocked(pit->second);
+            crashPrimary(pit->second);
             return;
         }
         rt_->setDown(n); // not a storage-owning node: link state only
@@ -926,12 +909,12 @@ Universe::restart(NodeId n)
     rt_->execute([&]() {
         auto sit = serverIndexByNode_.find(n);
         if (sit != serverIndexByNode_.end()) {
-            restartServerLocked(sit->second);
+            restartServer(sit->second);
             return;
         }
         auto pit = primaryRankByNode_.find(n);
         if (pit != primaryRankByNode_.end()) {
-            restartPrimaryLocked(pit->second);
+            restartPrimary(pit->second);
             return;
         }
         rt_->setUp(n);
@@ -962,7 +945,7 @@ Universe::statusReport()
     out << "{\"backend\": \""
         << (rt_->deterministic() ? "sim" : "threaded")
         << "\", \"servers\": " << cfg_.numServers
-        << ", \"primaries\": " << (3 * cfg_.pbftFaults + 1)
+        << ", \"primaries\": " << (3 * cfg_.pbft.m + 1)
         << ", \"nodes\": " << nodes << ", \"objects\": " << objects
         << ", \"runtime\": ";
     writeRuntimeStatsJson(stats, out);

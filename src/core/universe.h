@@ -51,7 +51,6 @@
 #include "sim/churn.h"
 #include "storage/node_storage.h"
 #include "util/check.h"
-#include "util/retry.h"
 
 namespace oceanstore {
 
@@ -59,33 +58,24 @@ namespace oceanstore {
 enum class RuntimeKind
 {
     Sim,      //!< Deterministic discrete-event simulation (default).
-    Threaded, //!< Real threads + wall clock (OCEANSTORE_THREADED).
+    Threaded, //!< Real threads + wall clock.
 };
 
 /** Universe-wide configuration. */
 struct UniverseConfig
 {
     std::size_t numServers = 48;   //!< Secondary-tier servers.
-    unsigned pbftFaults = 1;       //!< m; the tier has 3m+1 replicas.
-    unsigned overlayDegree = 4;    //!< Bloom overlay neighbors.
     unsigned initialHosts = 3;     //!< Floating replicas per new object.
     unsigned archiveDataFragments = 16;
     unsigned archiveTotalFragments = 32;
     unsigned archiveDomains = 4;   //!< Administrative domains.
     bool archiveOnCommit = true;   //!< Couple archival to commits.
-    /**
-     * Read-path location retries: on a two-tier miss the mesh is
-     * repaired and the deterministic lookup re-run, each retry adding
-     * its backoff delay to the modeled read latency.  maxAttempts
-     * counts the initial lookup; 1 disables retries.
-     */
-    RetryPolicy locationRetry{1.0, 2.0, 8.0, 3, 0.0};
     std::uint64_t seed = 0x0cea5042u;
 
     /**
      * Runtime backend (DESIGN.md section 15).  Sim keeps the historic
      * byte-exact behavior; Threaded paces the same simulator and
-     * network by the wall clock and requires OCEANSTORE_THREADED.
+     * network by the wall clock.
      */
     RuntimeKind runtime = RuntimeKind::Sim;
 
@@ -370,15 +360,6 @@ class Universe : public NodeLifecycle
   private:
     /** Build every tier against rt_ (runs inside execute()). */
     void assemble();
-
-    /** Strand-side halves of the wrapped public entry points. */
-    void createObjectLocked(const ObjectHandle &handle,
-                            const KeyPair &owner);
-    Guid archiveObjectLocked(const Guid &obj);
-    void crashServerLocked(std::size_t idx);
-    void restartServerLocked(std::size_t idx);
-    void crashPrimaryLocked(unsigned rank);
-    void restartPrimaryLocked(unsigned rank);
 
     /** Wire the executor / onCommit hooks into the PBFT cluster. */
     void wireCommitPath();

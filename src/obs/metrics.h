@@ -172,7 +172,7 @@ class MetricsRegistry
         OS_REQUIRES(mu_);
 
     /** Guards registration and the name maps; values are atomics and
-     *  need no lock.  No-op until OCEANSTORE_THREADED. */
+     *  need no lock. */
     mutable Mutex mu_;
 
     std::map<std::string, std::pair<Kind, Id>> names_

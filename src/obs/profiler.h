@@ -22,8 +22,7 @@
  *
  * Thread contract: buckets are fixed-capacity relaxed atomics, so
  * onEventFired() is lock-free from any ThreadedRuntime thread; the
- * ambient label is thread-local; interning takes a (no-op until
- * OCEANSTORE_THREADED) mutex.
+ * ambient label is thread-local; interning takes a mutex.
  */
 
 #ifndef OCEANSTORE_OBS_PROFILER_H
@@ -121,7 +120,7 @@ class PhaseProfiler
 
     static std::atomic<PhaseProfiler *> active_;
 
-    /** Guards label registration; no-op until OCEANSTORE_THREADED. */
+    /** Guards label registration. */
     mutable Mutex mu_;
 
     /** Fixed-capacity so ids stay valid without a lock. */

@@ -160,7 +160,7 @@ class TraceBuffer
   private:
     struct Arena
     {
-        /** Guards records; no-op until OCEANSTORE_THREADED. */
+        /** Guards records. */
         mutable Mutex mu;
         std::vector<SpanRecord> records OS_GUARDED_BY(mu);
     };
@@ -177,7 +177,7 @@ class TraceBuffer
     /** Next span id to hand out; 1-based. */
     std::atomic<std::uint32_t> nextSpanId_{1};
 
-    /** Guards the arena list; no-op until OCEANSTORE_THREADED. */
+    /** Guards the arena list. */
     mutable Mutex arenasMu_;
 
     mutable std::vector<std::unique_ptr<Arena>> arenas_
@@ -298,7 +298,7 @@ class Tracer
 
     TraceBuffer buffer_;
 
-    /** Guards the intern table; no-op until OCEANSTORE_THREADED. */
+    /** Guards the intern table. */
     mutable Mutex internMu_;
 
     std::map<std::string, std::uint32_t> internTable_

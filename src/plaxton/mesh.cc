@@ -10,6 +10,11 @@ namespace oceanstore {
 
 namespace {
 
+/** Routing levels maintained (enough for ~16^8 nodes). */
+constexpr unsigned levels = 8;
+/** Backup neighbors kept per (level, digit) entry. */
+constexpr unsigned redundancy = 2;
+
 /** Interned metric ids, registered once on first use. */
 struct PlaxtonMetricIds
 {
@@ -84,8 +89,7 @@ PlaxtonMesh::buildTable(std::size_t idx)
     NodeState &st = states_[idx];
     NodeId self = members_[idx];
 
-    st.table.assign(cfg_.levels,
-                    std::vector<Entry>(Guid::digitBase));
+    st.table.assign(levels, std::vector<Entry>(Guid::digitBase));
 
     // Scan all members once; each contributes candidates for levels
     // 0..min(matching suffix, levels-1) in its own digit column.
@@ -94,7 +98,7 @@ PlaxtonMesh::buildTable(std::size_t idx)
         if (!other.alive)
             continue;
         std::size_t m = st.id.matchingSuffix(other.id);
-        std::size_t max_lvl = std::min<std::size_t>(m, cfg_.levels - 1);
+        std::size_t max_lvl = std::min<std::size_t>(m, levels - 1);
         for (std::size_t lvl = 0; lvl <= max_lvl; lvl++) {
             unsigned d = other.id.digit(lvl);
             st.table[lvl][d].candidates.push_back(members_[j]);
@@ -113,8 +117,8 @@ PlaxtonMesh::buildTable(std::size_t idx)
                     return la < lb;
                 return a < b;
             });
-            if (c.size() > 1 + cfg_.redundancy)
-                c.resize(1 + cfg_.redundancy);
+            if (c.size() > 1 + redundancy)
+                c.resize(1 + redundancy);
         }
     }
 }
@@ -147,7 +151,7 @@ PlaxtonMesh::route(NodeId from, const Guid &target) const
         const NodeState &st = states_[cur];
         NodeId cur_node = members_[cur];
         std::size_t l = st.id.matchingSuffix(eff);
-        if (l >= cfg_.levels) {
+        if (l >= levels) {
             res.root = cur_node;
             return res;
         }
@@ -365,7 +369,7 @@ PlaxtonMesh::announce(std::size_t idx)
         NodeState &other = states_[j];
         NodeId other_node = members_[j];
         std::size_t m = other.id.matchingSuffix(id);
-        std::size_t max_lvl = std::min<std::size_t>(m, cfg_.levels - 1);
+        std::size_t max_lvl = std::min<std::size_t>(m, levels - 1);
         for (std::size_t lvl = 0; lvl <= max_lvl; lvl++) {
             unsigned d = id.digit(lvl);
             auto &c = other.table[lvl][d].candidates;
@@ -379,8 +383,8 @@ PlaxtonMesh::announce(std::size_t idx)
                     return la < lb;
                 return a < b;
             });
-            if (c.size() > 1 + cfg_.redundancy)
-                c.resize(1 + cfg_.redundancy);
+            if (c.size() > 1 + redundancy)
+                c.resize(1 + redundancy);
             counters_.bump("insert.table_updates");
         }
     }

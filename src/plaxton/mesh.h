@@ -44,10 +44,6 @@ namespace oceanstore {
 /** Tunables for the mesh. */
 struct PlaxtonConfig
 {
-    /** Routing levels maintained (enough for ~16^8 nodes). */
-    unsigned levels = 8;
-    /** Backup neighbors kept per (level, digit) entry. */
-    unsigned redundancy = 2;
     /** Salt values per GUID: number of replicated roots. */
     unsigned numSalts = 3;
 };

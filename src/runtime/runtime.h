@@ -16,8 +16,7 @@
  *
  *  - ThreadedRuntime (threaded_runtime.h): a loop thread fires events
  *    as the wall clock reaches them, while client threads enter
- *    through execute(); compiled functional only under
- *    OCEANSTORE_THREADED.
+ *    through execute().
  *
  * The interface reuses the simulator's vocabulary types (SimTime in
  * seconds, EventId, Message, SimNode), so neither adapter adds a

@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "runtime/framing.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace oceanstore {
 
@@ -52,9 +51,6 @@ ThreadedRuntime::ThreadedRuntime(Simulator &sim, Network &net,
                                  std::uint64_t seed)
     : SimBackedRuntime(sim, net, seed)
 {
-    if (!available())
-        fatal("ThreadedRuntime requires an OCEANSTORE_THREADED build "
-              "(cmake -DOCEANSTORE_THREADED=ON)");
     // The wall reads whatever the simulator clock reads right now.
     start_ = std::chrono::steady_clock::now() - wallSpan(sim_.now());
     rtMetrics(); // intern ids before the loop thread exists

@@ -25,11 +25,6 @@
  * up; while it runs late the clock is the fired event's deadline, so
  * it trails the wall by the backlog and never runs ahead of it.
  *
- * The class is only functional when the tree is built with
- * OCEANSTORE_THREADED (which also arms util::Mutex); in a plain sim
- * build construction aborts with a clear message and available() is
- * false, so callers can gate demos and tests at runtime.
- *
  * Determinism caveat: event order follows the simulator's (deadline,
  * schedule order) rule, but when clients enter depends on the OS, so
  * the threaded backend makes no replay guarantee.
@@ -66,16 +61,8 @@ class ThreadedRuntime final : public SimBackedRuntime<ThreadedRuntime>,
                               private FrameCodec
 {
   public:
-    /** True when the build can actually run this backend. */
-    static constexpr bool
-    available()
-    {
-#ifdef OCEANSTORE_THREADED
-        return true;
-#else
-        return false;
-#endif
-    }
+    /** Always true; kept so perfbench/ compiles. */
+    static constexpr bool available() { return true; }
 
     /**
      * Wrap an existing simulator/network (neither is owned) and start

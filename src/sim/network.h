@@ -241,8 +241,7 @@ class Network
     std::uint64_t totalBytes_ = 0;
     std::uint64_t totalMessages_ = 0;
 
-    /** Guards the pooled flight store (Runtime-seam prep); no-op
-     *  until OCEANSTORE_THREADED. */
+    /** Guards the pooled flight store. */
     mutable Mutex mu_;
 
     std::size_t inFlight_ OS_GUARDED_BY(mu_) = 0;

@@ -59,12 +59,11 @@ constexpr EventId invalidEventId = 0;
  * (FIFO tie-break), which keeps runs bit-for-bit reproducible.
  *
  * Thread contract (Runtime-seam prep, DESIGN.md section 12): the
- * pooled event store and the clock are guarded by mu_ — a no-op lock
- * in the sim build, checked by the clang -Wthread-safety build.  The
- * lock is never held across a callback: step() pops and reclaims
- * under the lock, then fires with it released, so handlers are free
- * to reschedule (and, later, other threads free to schedule into a
- * running loop).
+ * pooled event store and the clock are guarded by mu_, checked by
+ * the clang -Wthread-safety build.  The lock is never held across a
+ * callback: step() pops and reclaims under the lock, then fires with
+ * it released, so handlers are free to reschedule and other threads
+ * free to schedule into a running loop.
  */
 class Simulator
 {
@@ -206,8 +205,7 @@ class Simulator
     void reclaimSlotLocked(std::uint32_t slot) OS_REQUIRES(mu_);
     void auditDrainedLocked() const OS_REQUIRES(mu_);
 
-    /** Guards the clock and the pooled event store; no-op until
-     *  OCEANSTORE_THREADED. */
+    /** Guards the clock and the pooled event store. */
     mutable Mutex mu_;
 
     SimTime now_ OS_GUARDED_BY(mu_) = 0.0;

@@ -1,39 +1,25 @@
 /**
  * @file
- * Annotated mutex for the Runtime seam (thread-safety prep).
+ * Annotated mutex for the Runtime seam.
  *
- * The deterministic simulator is single-threaded by contract, so
- * today every lock would be uncontended pure overhead on hot paths
- * (Simulator::schedule, MetricsRegistry::inc fire millions of times
- * per bench run).  The Runtime seam (ROADMAP item 2) will run the
- * same types from real threads.
- *
- * This header squares that circle: util::Mutex carries the clang
- * thread-safety *annotations* unconditionally — so the lock
- * discipline is statically checked in every build — but its
- * lock()/unlock() bodies compile to nothing unless OCEANSTORE_THREADED
- * is defined, which the future real-process runtime will do.  The
- * sim build therefore pays zero cycles while the seam inherits a
- * tree whose guarded members and lock scopes are already proven
- * consistent by `scripts/check.sh tsafety` (clang, -Wthread-safety
- * -Werror).
+ * util::Mutex wraps a std::mutex and carries the clang thread-safety
+ * annotations, so the lock discipline of the types the threaded
+ * runtime shares across threads (the metrics registry, the trace
+ * buffer, the simulator/network pooled stores) is statically checked
+ * by `scripts/check.sh tsafety` (clang, -Wthread-safety -Werror).
+ * The single-threaded simulator takes the same locks uncontended.
  */
 
 #ifndef OCEANSTORE_UTIL_MUTEX_H
 #define OCEANSTORE_UTIL_MUTEX_H
 
-#ifdef OCEANSTORE_THREADED
 #include <mutex>
-#endif
 
 #include "util/thread_annotations.h"
 
 namespace oceanstore {
 
-/**
- * A mutual-exclusion capability.  No-op in the single-threaded sim
- * build; std::mutex-backed when OCEANSTORE_THREADED is defined.
- */
+/** A mutual-exclusion capability backed by std::mutex. */
 class OS_CAPABILITY("mutex") Mutex
 {
   public:
@@ -41,18 +27,11 @@ class OS_CAPABILITY("mutex") Mutex
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
 
-#ifdef OCEANSTORE_THREADED
     void lock() OS_ACQUIRE() { m_.lock(); }
     void unlock() OS_RELEASE() { m_.unlock(); }
-#else
-    void lock() OS_ACQUIRE() {}
-    void unlock() OS_RELEASE() {}
-#endif
 
   private:
-#ifdef OCEANSTORE_THREADED
     std::mutex m_;
-#endif
 };
 
 /** RAII lock over a util::Mutex. */

@@ -14,8 +14,7 @@
  * (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html); everywhere
  * else they vanish.  The analysis is purely static: it checks that
  * every access to an OS_GUARDED_BY member happens while the named
- * capability is held, even when the capability itself (util::Mutex)
- * compiles to a no-op in the single-threaded sim build.
+ * capability (util::Mutex) is held.
  *
  * scripts/check.sh's `tsafety` configuration builds the tree with
  * clang and `-Wthread-safety -Werror`; the CI `analysis` job runs it.

@@ -650,8 +650,6 @@ TEST(Chaos, CommittedUpdatesSurviveLossyTreePush)
 
 TEST(Chaos, ThreadedCommitsSurviveDropsAndPartition)
 {
-    if (!ThreadedRuntime::available())
-        GTEST_SKIP() << "threaded backend needs OCEANSTORE_THREADED";
     UniverseConfig ucfg;
     ucfg.runtime = RuntimeKind::Threaded;
     ucfg.numServers = 16;
@@ -1084,8 +1082,6 @@ TEST(Chaos, ColdRestartMidWorkloadRecovers)
 
 TEST(Chaos, ThreadedColdRestartRecovers)
 {
-    if (!ThreadedRuntime::available())
-        GTEST_SKIP() << "threaded backend needs OCEANSTORE_THREADED";
     UniverseConfig ucfg;
     ucfg.runtime = RuntimeKind::Threaded;
     ucfg.numServers = 16;

@@ -59,6 +59,26 @@ TEST_F(UniverseTest, WriteCommitsAndPropagates)
     EXPECT_TRUE(uni.secondaryTier().allCommitted(h.guid(), 1));
 }
 
+TEST_F(UniverseTest, HonoursPbftM)
+{
+    // The primary tier is sized from pbft.m: m = 2 gives 3m + 1 = 7
+    // replicas, and a write still commits through them.
+    UniverseConfig cfg = smallConfig();
+    cfg.pbft.m = 2;
+    Universe big(cfg);
+    EXPECT_EQ(big.primaryTier().size(), 7u);
+    EXPECT_NE(big.statusReport().find("\"primaries\": 7"),
+              std::string::npos);
+
+    KeyPair user = big.makeUser();
+    ObjectHandle h = big.createObject(user, "doc");
+    WriteResult wr = big.writeSync(
+        h.makeAppendUpdate(toBytes("seven replicas"), 0, {1, 1}));
+    ASSERT_TRUE(wr.completed);
+    EXPECT_TRUE(wr.committed);
+    EXPECT_EQ(wr.version, 1u);
+}
+
 TEST_F(UniverseTest, ReadReturnsDecryptableContent)
 {
     ObjectHandle h = uni.createObject(owner, "doc");

@@ -17,11 +17,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
-
-#ifdef OCEANSTORE_THREADED
 #include <thread>
-#endif
+#include <vector>
 
 #include "core/universe.h"
 #include "obs/export.h"
@@ -531,8 +528,6 @@ TEST(FlightRecorderDeathTest, CheckFailureDumpsBlackBox)
     EXPECT_NE(rest.find("\"name\": \"doomed\""), std::string::npos);
 }
 
-#ifdef OCEANSTORE_THREADED
-
 // ---------------------------------------------------------------------
 // Thread-safety of the obs hot paths (meaningful under TSan)
 // ---------------------------------------------------------------------
@@ -584,8 +579,6 @@ TEST(ObsConcurrency, SpansMetricsAndFlightRingFromManyThreads)
     EXPECT_EQ(reg.snapshot().histograms.at("t.conc.lat").total,
               static_cast<std::uint64_t>(kThreads * kSpansPerThread));
 }
-
-#endif // OCEANSTORE_THREADED
 
 // ---------------------------------------------------------------------
 // End-to-end: the causal chain of one committed update

@@ -3,10 +3,10 @@
  * Runtime conformance suite (DESIGN.md section 15).
  *
  * One parameterized set of behavioral contracts run against BOTH
- * backends: the deterministic SimRuntime adapter and — when the tree
- * is built with OCEANSTORE_THREADED — the real ThreadedRuntime.  The
- * contracts are ported from the simulated-network tests (self-send
- * asynchrony and FIFO, per-link FIFO, multicast delivery accounting)
+ * backends: the deterministic SimRuntime adapter and the real
+ * ThreadedRuntime.  The contracts are ported from the
+ * simulated-network tests (self-send asynchrony and FIFO, per-link
+ * FIFO, multicast delivery accounting)
  * plus the timer/clock guarantees protocol code leans on, so a
  * backend that passes here can host the protocol tiers unmodified.
  *
@@ -18,16 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
-
-#ifdef OCEANSTORE_THREADED
-#include <atomic>
 #include <thread>
-#endif
+#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -106,14 +103,10 @@ class RuntimeConformance
     void
     SetUp() override
     {
-        if (std::string(GetParam()) == "threaded") {
-            if (!ThreadedRuntime::available())
-                GTEST_SKIP()
-                    << "threaded backend needs OCEANSTORE_THREADED";
+        if (std::string(GetParam()) == "threaded")
             be_ = std::make_unique<ThreadedBackend>();
-        } else {
+        else
             be_ = std::make_unique<SimBackend>();
-        }
         a_ = rt().addNode(&na_, 0.0, 0.0);
         b_ = rt().addNode(&nb_, 1.0, 0.0);
         c_ = rt().addNode(&nc_, 0.0, 1.0);
@@ -540,8 +533,6 @@ TEST(RuntimeStatsExport, PeriodicExporterTicksAndStops)
     EXPECT_EQ(ticks, after); // stopped: the timer chain is dead
 }
 
-#ifdef OCEANSTORE_THREADED
-
 TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
 {
     // The tentpole acceptance scenario: >= 4 concurrent client
@@ -610,8 +601,6 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
     EXPECT_GE(fin.tasksExecuted, 1u);
     EXPECT_GT(fin.workerUtilization, 0.0);
 }
-
-#endif // OCEANSTORE_THREADED
 
 // ---------------------------------------------------------------------
 // Framing: the socket-ready wire format the threaded runtime attaches
