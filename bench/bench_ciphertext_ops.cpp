@@ -159,6 +159,29 @@ encryptLoop(bench::BenchContext &ctx)
     ctx.metric("cipher_bytes", "B", static_cast<double>(total));
 }
 
+/** Compute kernel: a client read's decrypt at the perfbench
+ *  archive_large shape, a 256 KiB object as 16 logical blocks of
+ *  16 KiB through ObjectHandle::decryptContent. */
+void
+decryptContentLoop(bench::BenchContext &ctx)
+{
+    constexpr std::size_t kBlocks = 16;
+    constexpr std::size_t kBlockBytes = 16 << 10;
+    std::vector<Bytes> blocks;
+    for (std::size_t i = 0; i < kBlocks; i++) {
+        Bytes plain(kBlockBytes);
+        for (std::size_t j = 0; j < plain.size(); j++)
+            plain[j] = static_cast<std::uint8_t>(i * 7 + j * 13);
+        blocks.push_back(handle().encryptBlock(i, plain));
+    }
+    volatile std::uint8_t sink = 0;
+    int iters = timed(ctx, 2000, [&](int) {
+        sink = handle().decryptContent(blocks).back();
+    });
+    (void)sink;
+    ctx.addBytes(static_cast<std::uint64_t>(iters) * kBlocks * kBlockBytes);
+}
+
 /** Compute kernel: SHA-1 over 16 KiB, the fragment size of a 256 KiB
  *  object at rate 1/2 with 16 data fragments. */
 void
@@ -218,6 +241,7 @@ main(int argc, char **argv)
                            "word0 word1 word2 word3")});
          }},
         {"encrypt_block", encryptLoop},
+        {"decrypt_content_256k", decryptContentLoop},
         {"sha1", sha1Loop},
         {"insert_wire_table", insertWireTable},
     };

@@ -97,19 +97,28 @@ DataObject::evaluate(const Predicate &p) const
 }
 
 bool
-DataObject::validateAction(const Action &a) const
+DataObject::validateAction(const Action &a, std::size_t &blocks)
 {
     return std::visit(
         [&](const auto &v) -> bool {
             using T = std::decay_t<decltype(v)>;
             if constexpr (std::is_same_v<T, ReplaceBlock>) {
-                return v.position < numLogicalBlocks();
+                return v.position < blocks;
             } else if constexpr (std::is_same_v<T, InsertBlock>) {
-                return v.position <= numLogicalBlocks();
+                if (v.position > blocks)
+                    return false;
+                blocks++;
+                return true;
             } else if constexpr (std::is_same_v<T, DeleteBlock>) {
-                return v.position < numLogicalBlocks();
+                if (v.position >= blocks)
+                    return false;
+                blocks--;
+                return true;
+            } else if constexpr (std::is_same_v<T, AppendBlock>) {
+                blocks++;
+                return true;
             } else {
-                return true; // append / set-search-index always valid
+                return true; // set-search-index is always valid
             }
         },
         a);
@@ -182,21 +191,16 @@ DataObject::apply(const Update &u)
             continue;
 
         // Validate every action before touching state so the clause
-        // applies atomically or not at all.  Positions shift as
-        // actions apply, so validate by trial application on a
-        // structural copy (blocks only, not the log).
+        // applies atomically or not at all.  Whether an action is valid
+        // depends only on the logical block count, which each action
+        // before it moves by a known step.
+        std::size_t blocks = numLogicalBlocks();
         bool valid = true;
-        DataObject scratch(guid_);
-        scratch.version_ = version_;
-        scratch.blocks_ = blocks_;
-        scratch.rootSequence_ = rootSequence_;
-        scratch.searchIndex_ = searchIndex_;
         for (const Action &a : clause.actions) {
-            if (!scratch.validateAction(a)) {
+            if (!validateAction(a, blocks)) {
                 valid = false;
                 break;
             }
-            scratch.applyAction(a);
         }
         if (!valid)
             continue; // treat as a failed clause, try the next

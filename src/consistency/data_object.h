@@ -124,8 +124,12 @@ class DataObject
     /** Apply one action; caller has validated it. */
     void applyAction(const Action &a);
 
-    /** Can this action be applied to current state? */
-    bool validateAction(const Action &a) const;
+    /**
+     * Can @p a be applied to an object of @p blocks logical blocks?
+     * Advances @p blocks to the count after it: replace keeps it,
+     * insert and append add one, delete removes one.
+     */
+    static bool validateAction(const Action &a, std::size_t &blocks);
 
     /** Physical index of logical block @p pos. */
     std::uint32_t physicalOf(std::size_t pos) const;

@@ -1,5 +1,8 @@
 #include "consistency/update.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace oceanstore {
 
 void
@@ -102,6 +105,20 @@ Update::serializeFull() const
 
 namespace {
 
+/**
+ * Throw, as a truncation would, unless @p count elements of at least
+ * @p min_bytes encoded bytes each fit in what is left of @p r: a count
+ * read off the wire sizes nothing before bytes back it.
+ */
+void
+requireBacked(const ByteReader &r, std::uint64_t count,
+              std::uint64_t min_bytes, const char *what)
+{
+    if (count * min_bytes > r.remaining())
+        throw std::out_of_range(std::string("Update: ") + what +
+                                " count exceeds the bytes left");
+}
+
 Predicate
 parsePredicate(ByteReader &r)
 {
@@ -152,6 +169,7 @@ parseAction(ByteReader &r)
       case 4: {
         SetSearchIndex a;
         std::uint32_t n = r.getU32();
+        requireBacked(r, n, 20, "token");
         a.index.maskedTokens.resize(n);
         for (std::uint32_t i = 0; i < n; i++) {
             Bytes d = r.getRaw(20);
@@ -180,6 +198,8 @@ Update::deserializeFull(const Bytes &wire)
     u.timestamp.time = r.getU64();
     u.timestamp.clientId = r.getU64();
     std::uint32_t num_clauses = r.getU32();
+    // A clause is at least its two 4-byte counts.
+    requireBacked(r, num_clauses, 8, "clause");
     u.clauses.resize(num_clauses);
     for (auto &clause : u.clauses) {
         std::uint32_t np = r.getU32();

@@ -16,6 +16,11 @@
  * *not* a modern AEAD — deterministic encryption leaks equality of
  * blocks, which the paper itself acknowledges ("this scheme leaks a
  * small amount of information").
+ *
+ * The pads of one block share everything but their counter, so they
+ * are computed side by side in SIMD lanes: one SHA-1 pass yields 16
+ * pads with AVX-512F, 8 with AVX2 and 4 on any other machine (DESIGN.md
+ * section 17).  Every width produces the same bytes.
  */
 
 #ifndef OCEANSTORE_CRYPTO_BLOCK_CIPHER_H
@@ -76,6 +81,24 @@ class BlockCipher
     Bytes key_;
     Sha1 keyed_; //!< SHA-1 midstate after absorbing key_
 };
+
+/**
+ * out[j] = in[j] ^ keystream byte j of block @p block_index under
+ * @p key, computed by the keystream kernel @p lanes pads wide: 16
+ * (needs AVX-512F), 8 (needs AVX2) or 4 (portable).  BlockCipher runs
+ * the widest this CPU has; this entry point lets tests hold every
+ * width to the same bytes.
+ * @return false, writing nothing, when this CPU cannot run @p lanes.
+ */
+bool cipherXorLanes(unsigned lanes, const Bytes &key,
+                    std::uint64_t block_index, const std::uint8_t *in,
+                    std::size_t n, std::uint8_t *out);
+
+/** cipherXorLanes() at the portable 4-lane width, which every machine
+ *  runs. */
+void cipherXorPortable(const Bytes &key, std::uint64_t block_index,
+                       const std::uint8_t *in, std::size_t n,
+                       std::uint8_t *out);
 
 } // namespace oceanstore
 

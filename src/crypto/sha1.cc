@@ -9,81 +9,9 @@
 #include <immintrin.h>
 #endif
 
+#include "crypto/sha1_rounds.h"
+
 namespace oceanstore {
-
-namespace {
-
-inline std::uint32_t
-rotl32(std::uint32_t x, int k)
-{
-    return (x << k) | (x >> (32 - k));
-}
-
-inline std::uint32_t
-loadBe32(const std::uint8_t *p)
-{
-    return (static_cast<std::uint32_t>(p[0]) << 24) |
-           (static_cast<std::uint32_t>(p[1]) << 16) |
-           (static_cast<std::uint32_t>(p[2]) << 8) |
-           static_cast<std::uint32_t>(p[3]);
-}
-
-/**
- * Round @p I of the compression function.  The five working variables
- * never move: round I reads a..e from v[] rotated by I mod 5, so after
- * inlining every index is a constant and v[] lives in registers.  The
- * message schedule is a 16-word ring, w[i mod 16] overwritten by
- * w[i] = rotl1(w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]) as it is needed.
- */
-template <int I>
-[[gnu::always_inline]] inline void
-sha1Round(std::uint32_t (&v)[5], std::uint32_t (&w)[16])
-{
-    constexpr int r = I % 5;
-    const std::uint32_t a = v[(5 - r) % 5];
-    std::uint32_t &b = v[(6 - r) % 5];
-    const std::uint32_t c = v[(7 - r) % 5];
-    const std::uint32_t d = v[(8 - r) % 5];
-    std::uint32_t &e = v[(9 - r) % 5];
-
-    std::uint32_t wi;
-    if constexpr (I < 16) {
-        wi = w[I];
-    } else {
-        wi = rotl32(w[(I + 13) & 15] ^ w[(I + 8) & 15] ^ w[(I + 2) & 15] ^
-                        w[I & 15],
-                    1);
-        w[I & 15] = wi;
-    }
-
-    std::uint32_t f;
-    std::uint32_t k;
-    if constexpr (I < 20) {
-        f = d ^ (b & (c ^ d)); // choose
-        k = 0x5a827999u;
-    } else if constexpr (I < 40) {
-        f = b ^ c ^ d; // parity
-        k = 0x6ed9eba1u;
-    } else if constexpr (I < 60) {
-        f = (b & c) | (d & (b | c)); // majority
-        k = 0x8f1bbcdcu;
-    } else {
-        f = b ^ c ^ d;
-        k = 0xca62c1d6u;
-    }
-    e += rotl32(a, 5) + f + k + wi;
-    b = rotl32(b, 30);
-}
-
-template <std::size_t... I>
-[[gnu::always_inline]] inline void
-sha1Rounds(std::uint32_t (&v)[5], std::uint32_t (&w)[16],
-           std::index_sequence<I...>)
-{
-    (sha1Round<static_cast<int>(I)>(v, w), ...);
-}
-
-} // namespace
 
 void
 sha1CompressPortable(std::uint32_t (&h)[5], const std::uint8_t *data,
@@ -92,13 +20,9 @@ sha1CompressPortable(std::uint32_t (&h)[5], const std::uint8_t *data,
     for (; count > 0; count--, data += 64) {
         std::uint32_t w[16];
         for (int i = 0; i < 16; i++)
-            w[i] = loadBe32(data + 4 * i);
+            w[i] = sha1_rounds::loadWord(data + 4 * i);
 
-        std::uint32_t v[5] = {h[0], h[1], h[2], h[3], h[4]};
-        sha1Rounds(v, w, std::make_index_sequence<80>{});
-
-        for (int i = 0; i < 5; i++)
-            h[i] += v[i];
+        sha1_rounds::compress(h, w);
     }
 }
 

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -49,6 +50,19 @@ class Sha1
      * absorbed once and resumed many times.
      */
     Sha1Digest finish();
+
+    /**
+     * The chaining state after the whole 64-byte blocks absorbed so
+     * far.  With pending() it is all a caller needs to pad and finish
+     * the message itself (the block cipher does, many pads at once).
+     */
+    const std::uint32_t (&chainingState() const)[5] { return h_; }
+
+    /** The bytes absorbed since the last whole block (fewer than 64). */
+    std::span<const std::uint8_t> pending() const
+    {
+        return {buffer_, bufferLen_};
+    }
 
     /** One-shot convenience: digest of a single buffer. */
     static Sha1Digest hash(const Bytes &b);

@@ -1,5 +1,6 @@
 /** @file Position-dependent block cipher tests (Section 4.4.2). */
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,6 +117,108 @@ TEST(BlockCipher, KnownAnswerCiphertexts)
         }
         EXPECT_EQ(digestToHex(fold.finish()), hex)
             << "key length " << key_len;
+    }
+}
+
+/** SHA1(key || i || c): pad c of block i, by definition. */
+Sha1Digest
+referencePad(const Bytes &key, std::uint64_t index, std::uint64_t chunk)
+{
+    std::uint8_t be[16];
+    for (int k = 0; k < 8; k++) {
+        be[k] = static_cast<std::uint8_t>(index >> (56 - 8 * k));
+        be[8 + k] = static_cast<std::uint8_t>(chunk >> (56 - 8 * k));
+    }
+    Sha1 h;
+    h.update(key);
+    h.update(be, sizeof(be));
+    return h.finish();
+}
+
+TEST(BlockCipher, MatchesReferenceKeystream)
+{
+    // Every key length 1..130 puts the counter slot at every offset
+    // mod 4, in a one- and a two-block template, behind a prefix of one
+    // or two whole blocks.  Plaintext lengths straddle the 20 * {4, 8,
+    // 16}-byte strides of each kernel width.  Each input ends where its
+    // allocation ends, so ASan sees a read past it.
+    const std::uint64_t indices[] = {0,
+                                     1,
+                                     0xffffffffull,
+                                     0x100000000ull,
+                                     std::uint64_t{1} << 63,
+                                     ~std::uint64_t{0}};
+    constexpr std::size_t kLong = 16 << 10;
+    std::vector<std::size_t> edges = {kLong};
+    for (std::size_t stride : {80u, 160u, 320u}) {
+        for (std::size_t k = 1; k <= 3; k++) {
+            for (std::size_t len : {k * stride - 1, k * stride,
+                                    k * stride + 1})
+                edges.push_back(len);
+        }
+    }
+    Bytes plain(kLong);
+    for (std::size_t i = 0; i < plain.size(); i++)
+        plain[i] = static_cast<std::uint8_t>(i * 167 + (i >> 7));
+
+    std::set<unsigned> lacking;
+    for (std::size_t key_len = 1; key_len <= 130; key_len++) {
+        Bytes key(key_len);
+        for (std::size_t i = 0; i < key_len; i++)
+            key[i] = static_cast<std::uint8_t>(i * 7 + key_len);
+        const BlockCipher c(key);
+        for (std::size_t ix = 0; ix < std::size(indices); ix++) {
+            const std::uint64_t index = indices[ix];
+            Bytes expect(kLong);
+            for (std::size_t off = 0; off < kLong; off += 20) {
+                const Sha1Digest pad = referencePad(key, index, off / 20);
+                for (std::size_t j = 0; j < 20 && off + j < kLong; j++)
+                    expect[off + j] = plain[off + j] ^ pad[j];
+            }
+            // Every length 0..700 for one index per key length, the
+            // stride edges and 16 KiB for all of them.
+            std::vector<std::size_t> lens = edges;
+            if (ix == key_len % std::size(indices)) {
+                for (std::size_t len = 0; len <= 700; len++)
+                    lens.push_back(len);
+            }
+            for (std::size_t len : lens) {
+                const Bytes in(plain.begin(), plain.begin() + len);
+                const Bytes want(expect.begin(), expect.begin() + len);
+                ASSERT_EQ(c.encrypt(index, in), want)
+                    << "key " << key_len << " index " << index << " len "
+                    << len;
+                Bytes appended = {0xee};
+                c.decryptAppend(index, want.data(), len, appended);
+                ASSERT_EQ(Bytes(appended.begin() + 1, appended.end()), in);
+                ASSERT_EQ(appended[0], 0xee);
+
+                Bytes out(len);
+                cipherXorPortable(key, index, in.data(), len, out.data());
+                ASSERT_EQ(out, want) << "portable, key " << key_len
+                                     << " len " << len;
+                for (unsigned lanes : {8u, 16u}) {
+                    Bytes wide(len);
+                    if (!cipherXorLanes(lanes, key, index, in.data(), len,
+                                        wide.data())) {
+                        lacking.insert(lanes);
+                        continue;
+                    }
+                    ASSERT_EQ(wide, want) << lanes << " lanes, key "
+                                          << key_len << " len " << len;
+                }
+            }
+        }
+    }
+    Bytes none(1);
+    for (unsigned lanes : {3u, 32u})
+        EXPECT_FALSE(cipherXorLanes(lanes, toBytes("k"), 0, none.data(), 1,
+                                    none.data()));
+    if (!lacking.empty()) {
+        std::string widths;
+        for (unsigned lanes : lacking)
+            widths += " " + std::to_string(lanes);
+        GTEST_SKIP() << "unchecked: this CPU lacks lane widths" << widths;
     }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "consistency/data_object.h"
+#include "util/random.h"
 
 namespace oceanstore {
 namespace {
@@ -248,6 +249,112 @@ TEST_F(DataObjectTest, EmptyPredicateClauseAlwaysFires)
     auto r = obj.apply(unconditional(g, {}));
     EXPECT_TRUE(r.committed); // vacuous but commits a new version
     EXPECT_EQ(obj.version(), 1u);
+}
+
+/**
+ * The naive reference: apply @p actions to a copy of @p blocks, one by
+ * one, checking each position against the copy as it stands.
+ * @return false (leaving @p blocks alone) if any action is invalid.
+ */
+bool
+trialApply(std::vector<std::string> &blocks,
+           const std::vector<Action> &actions)
+{
+    std::vector<std::string> trial = blocks;
+    for (const Action &a : actions) {
+        if (const auto *r = std::get_if<ReplaceBlock>(&a)) {
+            if (r->position >= trial.size())
+                return false;
+            trial[r->position] = toString(r->ciphertext);
+        } else if (const auto *i = std::get_if<InsertBlock>(&a)) {
+            if (i->position > trial.size())
+                return false;
+            trial.insert(trial.begin() + static_cast<long>(i->position),
+                         toString(i->ciphertext));
+        } else if (const auto *d = std::get_if<DeleteBlock>(&a)) {
+            if (d->position >= trial.size())
+                return false;
+            trial.erase(trial.begin() + static_cast<long>(d->position));
+        } else if (const auto *ap = std::get_if<AppendBlock>(&a)) {
+            trial.push_back(toString(ap->ciphertext));
+        }
+    }
+    blocks = std::move(trial);
+    return true;
+}
+
+TEST_F(DataObjectTest, ClauseValidityMatchesTrialApplication)
+{
+    // Random multi-action clauses, with positions up to two past the
+    // end so that a share of them is invalid, against the reference.
+    // Deletes are drawn as often as inserts and appends together, so
+    // the object stays small and its edges are hit often.
+    Rng rng(20260517);
+    std::vector<std::string> ref;
+    int rejected_clauses = 0;
+    int aborts = 0;
+    for (int step = 0; step < 2000; step++) {
+        Update u;
+        u.objectGuid = g;
+        const int clauses = static_cast<int>(rng.between(1, 3));
+        for (int c = 0; c < clauses; c++) {
+            UpdateClause clause;
+            const int actions = static_cast<int>(rng.between(1, 5));
+            std::size_t size = ref.size();
+            for (int k = 0; k < actions; k++) {
+                const std::uint64_t pos = rng.below(size + 3);
+                Bytes text =
+                    toBytes("s" + std::to_string(step) + "." +
+                            std::to_string(c) + "." + std::to_string(k));
+                Action &a = clause.actions.emplace_back(DeleteBlock{pos});
+                switch (rng.below(5)) {
+                  case 0:
+                    a.emplace<ReplaceBlock>(pos, std::move(text));
+                    break;
+                  case 1:
+                    a.emplace<InsertBlock>(pos, std::move(text));
+                    size++;
+                    break;
+                  case 2:
+                  case 3:
+                    size = size > 0 ? size - 1 : 0;
+                    break;
+                  default:
+                    a.emplace<AppendBlock>(std::move(text));
+                    size++;
+                    break;
+                }
+            }
+            u.clauses.push_back(std::move(clause));
+        }
+
+        bool expect_commit = false;
+        std::size_t expect_clause = 0;
+        for (std::size_t c = 0; c < u.clauses.size(); c++) {
+            if (trialApply(ref, u.clauses[c].actions)) {
+                expect_commit = true;
+                expect_clause = c;
+                break;
+            }
+            rejected_clauses++;
+        }
+        const ApplyResult r = obj.apply(u);
+        ASSERT_EQ(r.committed, expect_commit) << "step " << step;
+        if (expect_commit) {
+            ASSERT_EQ(r.clauseFired, expect_clause) << "step " << step;
+        }
+        ASSERT_EQ(contents(), ref) << "step " << step;
+        aborts += r.committed ? 0 : 1;
+    }
+    // Invalid clauses and whole aborts are both exercised, and the log
+    // replays to the same state.
+    EXPECT_GT(rejected_clauses, 100);
+    EXPECT_GT(aborts, 10);
+    std::vector<std::string> replayed;
+    for (const Bytes &b :
+         obj.materializeVersion(obj.version()).logicalContent())
+        replayed.push_back(toString(b));
+    EXPECT_EQ(replayed, ref);
 }
 
 } // namespace

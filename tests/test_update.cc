@@ -123,6 +123,60 @@ TEST(Update, MalformedWireRejected)
                  std::out_of_range);
 }
 
+/** A full wire update whose signed body is @p body and whose
+ *  signature is empty. */
+Bytes
+wireWithBody(const Bytes &body)
+{
+    ByteWriter w;
+    w.putBlob(body);
+    w.putBlob(Bytes{});
+    return w.take();
+}
+
+/** The signed-body header: object GUID and timestamp. */
+void
+putHeader(ByteWriter &w)
+{
+    w.putRaw(Guid::hashOf("object").toBytes());
+    w.putU64(1);
+    w.putU64(2);
+}
+
+TEST(UpdateDecode, CountInflationRejected)
+{
+    // 48 bytes whose clause count claims 2^30 clauses: sizing the
+    // clause vector from it would ask for tens of GiB.
+    ByteWriter clauses;
+    putHeader(clauses);
+    clauses.putU32(0x40000000u);
+    const Bytes inflated = wireWithBody(clauses.take());
+    ASSERT_EQ(inflated.size(), 48u);
+    EXPECT_THROW(Update::deserializeFull(inflated), std::out_of_range);
+
+    // One clause whose set-search-index action claims 2^28 tokens.
+    ByteWriter tokens;
+    putHeader(tokens);
+    tokens.putU32(1); // clauses
+    tokens.putU32(0); // predicates
+    tokens.putU32(1); // actions
+    tokens.putU8(4);  // SetSearchIndex
+    tokens.putU32(0x10000000u);
+    EXPECT_THROW(Update::deserializeFull(wireWithBody(tokens.take())),
+                 std::out_of_range);
+
+    // Counts that the bytes do back still decode.
+    Update u;
+    u.objectGuid = Guid::hashOf("object");
+    u.clauses.resize(3);
+    SetSearchIndex ssi;
+    ssi.index.maskedTokens = {Sha1::hash("a"), Sha1::hash("b")};
+    u.clauses[2].actions.push_back(ssi);
+    const Update back = Update::deserializeFull(u.serializeFull());
+    ASSERT_EQ(back.clauses.size(), 3u);
+    EXPECT_EQ(back.serializeFull(), u.serializeFull());
+}
+
 TEST(Update, TimestampOrdering)
 {
     Timestamp a{10, 1}, b{10, 2}, c{11, 0};
