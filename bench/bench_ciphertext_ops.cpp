@@ -172,7 +172,8 @@ decryptContentLoop(bench::BenchContext &ctx)
         Bytes plain(kBlockBytes);
         for (std::size_t j = 0; j < plain.size(); j++)
             plain[j] = static_cast<std::uint8_t>(i * 7 + j * 13);
-        blocks.push_back(handle().encryptBlock(i, plain));
+        Blob cipher = handle().encryptBlock(i, plain);
+        blocks.emplace_back(cipher.begin(), cipher.end());
     }
     volatile std::uint8_t sink = 0;
     int iters = timed(ctx, 2000, [&](int) {

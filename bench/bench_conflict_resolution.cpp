@@ -76,7 +76,7 @@ runWorkload(bench::BenchContext &ctx, unsigned writers,
         for (unsigned w = 0; w < batch; w++) {
             Bytes payload =
                 toBytes("intent-" + std::to_string(next_payload + w));
-            Bytes cipher = obj.encryptBlock(
+            Blob cipher = obj.encryptBlock(
                 (seen + 1) * (1ull << 20) + w, payload);
 
             UpdateClause fast;

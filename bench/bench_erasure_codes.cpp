@@ -82,7 +82,7 @@ codecLoop(bench::BenchContext &ctx, bool tornado, bool decode,
         if (decode)
             ok += code->decode(slots, size).has_value();
         else
-            ok += code->encode(data).size() == 32;
+            ok += code->encodeBlobs(data).size() == 32;
     }
     ctx.endMeasured();
     ctx.addEvents(static_cast<std::uint64_t>(iters));

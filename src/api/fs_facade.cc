@@ -90,7 +90,7 @@ FileSystemFacade::storeWholeObject(const ObjectHandle &handle,
         auto blocks = handle.splitBlocks(data);
         std::uint64_t base = (version + 1) * (1ull << 20);
         for (std::size_t i = 0; i < blocks.size(); i++) {
-            Bytes cipher = handle.encryptBlock(base + i, blocks[i]);
+            Blob cipher = handle.encryptBlock(base + i, blocks[i]);
             if (i < old_blocks)
                 clause.actions.push_back(ReplaceBlock{i, cipher});
             else

@@ -48,7 +48,7 @@ Transaction::commit()
     std::size_t new_count = blocks.size();
     std::uint64_t base = (readVersion_ + 1) * (1ull << 20);
     for (std::size_t i = 0; i < new_count; i++) {
-        Bytes cipher = handle_.encryptBlock(base + i, blocks[i]);
+        Blob cipher = handle_.encryptBlock(base + i, blocks[i]);
         if (i < old_count)
             clause.actions.push_back(ReplaceBlock{i, cipher});
         else

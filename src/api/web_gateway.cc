@@ -37,8 +37,8 @@ WebGateway::publish(const KeyPair &owner, const std::string &url,
         auto blocks = site.handle.splitBlocks(body);
         std::uint64_t base = (version + 1) * (1ull << 20);
         for (std::size_t i = 0; i < blocks.size(); i++) {
-            Bytes cipher = site.handle.encryptBlock(base + i,
-                                                    blocks[i]);
+            Blob cipher = site.handle.encryptBlock(base + i,
+                                                   blocks[i]);
             if (i < old_blocks)
                 clause.actions.push_back(ReplaceBlock{i, cipher});
             else

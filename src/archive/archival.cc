@@ -215,8 +215,9 @@ ArchivalClient::maybeFinish(std::uint64_t ticket)
     if (pr.done || pr.received.size() < pr.codec->dataFragments())
         return;
 
-    auto data = reassembleObject(*pr.codec, pr.archive, pr.originalSize,
-                                 pr.received);
+    // handleMessage verified each fragment against pr.archive and kept
+    // one per index: decode them without hashing them again.
+    auto data = decodeVerified(*pr.codec, pr.originalSize, pr.received);
     // With k verified fragments decode can only fail for Tornado-
     // style codecs (footnote 12): keep collecting in that case.
     if (!data.has_value())
@@ -610,8 +611,9 @@ ArchivalSystem::corruptServer(std::size_t server, Rng &rng,
         // Written through to the server's disk with a valid storage
         // checksum (the adversary controls the medium): the corruption
         // survives a restart CRC-intact, detectable only by the
-        // Merkle-verified audit.
-        frag.data[0] ^= 0xa5;
+        // Merkle-verified audit.  The bytes are shared with every other
+        // holder of this fragment, so the server gets a corrupted copy.
+        frag.data = withByteFlipped(frag.data, 0, 0xa5);
         servers_[server]->persistFragment(frag);
         corrupted++;
     }
@@ -628,7 +630,7 @@ ArchivalSystem::corruptFragment(const Guid &archive, std::uint32_t index)
     auto fit = srv->store_.find({archive, index});
     if (fit == srv->store_.end() || fit->second.data.empty())
         return false;
-    fit->second.data[0] ^= 0xa5;
+    fit->second.data = withByteFlipped(fit->second.data, 0, 0xa5);
     srv->persistFragment(fit->second);
     return true;
 }

@@ -47,7 +47,7 @@ pbftMetrics()
 /** Internal message bodies. */
 struct ReqBody
 {
-    Bytes payload;
+    Blob payload;
     Guid requestId;
     NodeId client;
     bool retry = false;
@@ -58,7 +58,7 @@ struct PrePrepareBody
     unsigned view;
     std::uint64_t seq;
     Guid digest;
-    Bytes payload;
+    Blob payload;
     Guid requestId;
     NodeId client;
 };
@@ -164,12 +164,12 @@ PbftClient::submit(const Bytes &payload,
     Guid req_id = Guid::hashOf(w.buffer());
 
     PendingRequest pr;
-    pr.payload = payload;
+    pr.payload = Blob(payload);
     pr.submitTime = cluster_.rt().now();
     pr.done = std::move(done);
+    ReqBody body{pr.payload, req_id, nodeId_, false};
     pending_[req_id] = std::move(pr);
 
-    ReqBody body{payload, req_id, nodeId_, false};
     Message m = makeMessage("pbft.request", body,
                             payload.size() + Guid::numBytes + 8);
     // Under ideal circumstances updates flow directly from the client
@@ -338,7 +338,7 @@ PbftReplica::handleMessage(const Message &msg)
 }
 
 void
-PbftReplica::assignAndPrePrepare(const Bytes &payload, const Guid &req_id,
+PbftReplica::assignAndPrePrepare(const Blob &payload, const Guid &req_id,
                                  NodeId client)
 {
     // Span for the leader's ordering step; the pre-prepare multicast
@@ -622,9 +622,13 @@ PbftReplica::executeReady()
             // original result, do not re-execute.
             result = done_[slot.requestId].second;
         } else {
-            if (cluster_.executor)
-                result = cluster_.executor(rank_, slot.payload,
-                                           lastExecuted_);
+            if (cluster_.executor) {
+                // The executor takes Bytes: the one payload copy a
+                // replica makes.
+                result = cluster_.executor(
+                    rank_, Bytes(slot.payload.begin(), slot.payload.end()),
+                    lastExecuted_);
+            }
             done_[slot.requestId] = {lastExecuted_, result};
             // Durable write-through of the committed update: what
             // restoreFromLog() replays after a crash.

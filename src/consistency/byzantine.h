@@ -118,7 +118,9 @@ class PbftClient : public SimNode
 
     /**
      * Submit an opaque command.  @p done fires when m+1 matching
-     * replies arrive.  Requests are processed concurrently.
+     * replies arrive.  Requests are processed concurrently.  The
+     * payload is copied once into a Blob that the request, its
+     * retransmissions and every replica's slot share.
      */
     void submit(const Bytes &payload,
                 std::function<void(const PbftOutcome &)> done);
@@ -145,7 +147,7 @@ class PbftClient : public SimNode
 
     struct PendingRequest
     {
-        Bytes payload;
+        Blob payload;
         double submitTime = 0.0;
         std::function<void(const PbftOutcome &)> done;
         /** rank -> verified reply vote. */
@@ -219,7 +221,7 @@ class PbftReplica : public SimNode
     struct Slot
     {
         Guid digest;
-        Bytes payload;
+        Blob payload;
         Guid requestId;
         NodeId client = invalidNode;
         bool hasPrePrepare = false;
@@ -239,7 +241,7 @@ class PbftReplica : public SimNode
     void onCommit(const Message &msg);
     void onViewChange(const Message &msg);
     void onNewView(const Message &msg);
-    void assignAndPrePrepare(const Bytes &payload, const Guid &req_id,
+    void assignAndPrePrepare(const Blob &payload, const Guid &req_id,
                              NodeId client);
     void tryCommit(std::uint64_t seq);
     void executeReady();
@@ -269,7 +271,7 @@ class PbftReplica : public SimNode
     /** Requests known but not yet pre-prepared (for new leader).
      *  Ordered: a new leader re-proposes these in iteration order,
      *  which feeds message emission and must be deterministic. */
-    std::map<Guid, std::pair<Bytes, NodeId>> known_;
+    std::map<Guid, std::pair<Blob, NodeId>> known_;
 };
 
 /**
@@ -324,7 +326,7 @@ class PbftCluster
      * execution) — OceanStore uses it to push the committed update
      * down the dissemination tree and to archival storage.
      */
-    std::function<void(const Bytes &, std::uint64_t)> onCommit;
+    std::function<void(const Blob &, std::uint64_t)> onCommit;
 
     /** The network (for latency-free helpers and counters). */
     Runtime &rt() { return rt_; }

@@ -50,7 +50,7 @@ DataObject::physicalOf(std::size_t pos) const
     return logicalCache_[pos];
 }
 
-const Bytes &
+const Blob &
 DataObject::logicalBlock(std::size_t pos) const
 {
     return std::get<DataBlock>(blocks_[physicalOf(pos)]).ciphertext;
@@ -62,8 +62,10 @@ DataObject::logicalContent() const
     refreshLogical();
     std::vector<Bytes> out;
     out.reserve(logicalCache_.size());
-    for (std::uint32_t phys : logicalCache_)
-        out.push_back(std::get<DataBlock>(blocks_[phys]).ciphertext);
+    for (std::uint32_t phys : logicalCache_) {
+        const Blob &b = std::get<DataBlock>(blocks_[phys]).ciphertext;
+        out.emplace_back(b.begin(), b.end());
+    }
     return out;
 }
 
@@ -137,7 +139,8 @@ DataObject::applyAction(const Action &a)
             } else if constexpr (std::is_same_v<T, InsertBlock>) {
                 if (v.position == numLogicalBlocks()) {
                     // Inserting at the end degenerates to append.
-                    blocks_.push_back(DataBlock{v.ciphertext});
+                    blocks_.emplace_back(std::in_place_type<DataBlock>,
+                                         v.ciphertext);
                     rootSequence_.push_back(
                         static_cast<std::uint32_t>(blocks_.size() - 1));
                 } else {
@@ -145,12 +148,14 @@ DataObject::applyAction(const Action &a)
                     // displaced block, then turn the displaced slot
                     // into an index block pointing at both.
                     std::uint32_t phys = physicalOf(v.position);
-                    Bytes old = std::move(
+                    Blob old = std::move(
                         std::get<DataBlock>(blocks_[phys]).ciphertext);
-                    blocks_.push_back(DataBlock{v.ciphertext});
+                    blocks_.emplace_back(std::in_place_type<DataBlock>,
+                                         v.ciphertext);
                     auto new_phys =
                         static_cast<std::uint32_t>(blocks_.size() - 1);
-                    blocks_.push_back(DataBlock{std::move(old)});
+                    blocks_.emplace_back(std::in_place_type<DataBlock>,
+                                         std::move(old));
                     auto old_phys =
                         static_cast<std::uint32_t>(blocks_.size() - 1);
                     blocks_[phys] =
@@ -161,7 +166,8 @@ DataObject::applyAction(const Action &a)
                 std::uint32_t phys = physicalOf(v.position);
                 blocks_[phys] = IndexBlock{{}};
             } else if constexpr (std::is_same_v<T, AppendBlock>) {
-                blocks_.push_back(DataBlock{v.ciphertext});
+                blocks_.emplace_back(std::in_place_type<DataBlock>,
+                                     v.ciphertext);
                 rootSequence_.push_back(
                     static_cast<std::uint32_t>(blocks_.size() - 1));
             } else if constexpr (std::is_same_v<T, SetSearchIndex>) {
@@ -253,10 +259,8 @@ DataObject::serializeState() const
     w.putU32(static_cast<std::uint32_t>(rootSequence_.size()));
     for (auto r : rootSequence_)
         w.putU32(r);
-    w.putU32(static_cast<std::uint32_t>(
-        searchIndex_.maskedTokens.size()));
-    for (const auto &t : searchIndex_.maskedTokens)
-        w.putRaw(t.data(), t.size());
+    w.putU32(static_cast<std::uint32_t>(searchIndex_.size()));
+    w.putRaw(searchIndex_.maskedTokens);
     return w.take();
 }
 

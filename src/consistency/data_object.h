@@ -26,10 +26,14 @@
 
 namespace oceanstore {
 
-/** A physical slot: ciphertext data or an index (pointer) block. */
+/**
+ * A physical data slot.  The ciphertext is the Blob the update carried,
+ * so the log entry, every copy of the object and every version built
+ * by materializeVersion() share one buffer per block.
+ */
 struct DataBlock
 {
-    Bytes ciphertext;
+    Blob ciphertext;
 };
 
 /** Pointer block; an empty child list is a deletion tombstone. */
@@ -79,7 +83,7 @@ class DataObject
     std::size_t numLogicalBlocks() const;
 
     /** Ciphertext of the logical block at @p pos. */
-    const Bytes &logicalBlock(std::size_t pos) const;
+    const Blob &logicalBlock(std::size_t pos) const;
 
     /** All logical blocks in order (ciphertext). */
     std::vector<Bytes> logicalContent() const;

@@ -335,14 +335,17 @@ SecondaryReplica::onPush(const Message &msg)
                                           body.update.wireSize() + 8));
         // The multicast is attempt 1; per-child drivers retransmit
         // individually until the child acks or attempts run out
-        // (anti-entropy is the backstop beyond that).
+        // (anti-entropy is the backstop beyond that).  The drivers
+        // share one retained copy of the body instead of each copying
+        // the update (with its clauses and search index) up front.
+        auto retained = std::make_shared<const PushBody>(body);
         for (NodeId child : push_children) {
             auto key = std::make_pair(child, uid);
             auto call = std::make_unique<RpcCall>(
                 tier_.rt(), tier_.config().pushRetry,
                 tier_.config().seed ^ child ^ uid.hash64());
             call->arm(
-                [this, child, body](unsigned) {
+                [this, child, retained](unsigned) {
                     pushRetransmits_++;
                     {
                         SecMetricIds &m = secMetrics();
@@ -350,8 +353,8 @@ SecondaryReplica::onPush(const Message &msg)
                     }
                     tier_.rt().send(
                         nodeId_, child,
-                        makeMessage("sec.push", body,
-                                    body.update.wireSize() + 8));
+                        makeMessage("sec.push", *retained,
+                                    retained->update.wireSize() + 8));
                 },
                 [this, key]() { pushPending_.erase(key); });
             pushPending_[key] = std::move(call);

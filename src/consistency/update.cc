@@ -53,10 +53,8 @@ serializeAction(ByteWriter &w, const Action &a)
                 w.putBlob(v.ciphertext);
             } else if constexpr (std::is_same_v<T, SetSearchIndex>) {
                 w.putU8(4);
-                w.putU32(static_cast<std::uint32_t>(
-                    v.index.maskedTokens.size()));
-                for (const auto &t : v.index.maskedTokens)
-                    w.putRaw(t.data(), t.size());
+                w.putU32(static_cast<std::uint32_t>(v.index.size()));
+                w.putRaw(v.index.maskedTokens);
             }
         },
         a);
@@ -130,14 +128,13 @@ parsePredicate(ByteReader &r)
       case 2: {
         CompareBlock cb;
         cb.position = r.getU64();
-        Bytes d = r.getRaw(20);
-        std::copy(d.begin(), d.end(), cb.expected.begin());
+        r.getRaw(cb.expected.data(), cb.expected.size());
         return cb;
       }
       case 3: {
         SearchPredicate sp;
-        Bytes d = r.getRaw(20);
-        std::copy(d.begin(), d.end(), sp.trapdoor.wordToken.begin());
+        r.getRaw(sp.trapdoor.wordToken.data(),
+                 sp.trapdoor.wordToken.size());
         sp.expectPresent = r.getU8() != 0;
         return sp;
       }
@@ -153,29 +150,26 @@ parseAction(ByteReader &r)
       case 0: {
         ReplaceBlock a;
         a.position = r.getU64();
-        a.ciphertext = r.getBlob();
+        a.ciphertext = r.getSharedBlob();
         return a;
       }
       case 1: {
         InsertBlock a;
         a.position = r.getU64();
-        a.ciphertext = r.getBlob();
+        a.ciphertext = r.getSharedBlob();
         return a;
       }
       case 2:
         return DeleteBlock{r.getU64()};
       case 3:
-        return AppendBlock{r.getBlob()};
+        return AppendBlock{r.getSharedBlob()};
       case 4: {
         SetSearchIndex a;
         std::uint32_t n = r.getU32();
-        requireBacked(r, n, 20, "token");
-        a.index.maskedTokens.resize(n);
-        for (std::uint32_t i = 0; i < n; i++) {
-            Bytes d = r.getRaw(20);
-            std::copy(d.begin(), d.end(),
-                      a.index.maskedTokens[i].begin());
-        }
+        requireBacked(r, n, SearchIndex::tokenBytes, "token");
+        const std::size_t bytes = n * SearchIndex::tokenBytes;
+        a.index.maskedTokens = Blob::filled(
+            bytes, [&](std::uint8_t *out) { r.getRaw(out, bytes); });
         return a;
       }
       default:
@@ -186,7 +180,7 @@ parseAction(ByteReader &r)
 } // namespace
 
 Update
-Update::deserializeFull(const Bytes &wire)
+Update::deserializeFull(ByteSpan wire)
 {
     ByteReader outer(wire);
     Bytes body = outer.getBlob();

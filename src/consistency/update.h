@@ -84,7 +84,7 @@ using Predicate = std::variant<CompareVersion, CompareSize, CompareBlock,
 struct ReplaceBlock
 {
     std::uint64_t position = 0;
-    Bytes ciphertext;
+    Blob ciphertext;
 };
 
 /**
@@ -96,7 +96,7 @@ struct ReplaceBlock
 struct InsertBlock
 {
     std::uint64_t position = 0;
-    Bytes ciphertext;
+    Blob ciphertext;
 };
 
 /** Action: delete the logical block at @p position (empty pointer). */
@@ -108,7 +108,7 @@ struct DeleteBlock
 /** Action: append a ciphertext block at the end of the object. */
 struct AppendBlock
 {
-    Bytes ciphertext;
+    Blob ciphertext;
 };
 
 /** Action: replace the object's encrypted search index. */
@@ -133,6 +133,9 @@ struct UpdateClause
 
 /**
  * A client-generated update against one object.
+ *
+ * Block ciphertext is a Blob, so copying an update (into a log entry,
+ * a message body or a retransmit closure) shares the bulk bytes.
  *
  * Hot-path contract: an update is treated as value-immutable once it
  * starts circulating (signed and handed to the consistency layers).
@@ -162,7 +165,7 @@ struct Update
     Bytes serializeFull() const;
 
     /** Parse a serializeFull() buffer. @throws on malformed input. */
-    static Update deserializeFull(const Bytes &wire);
+    static Update deserializeFull(ByteSpan wire);
 
     /** Bytes this update occupies on the wire.  Memoized (the
      *  signature's size contribution is always read live). */

@@ -20,7 +20,7 @@ deriveKey(const KeyPair &owner, const std::string &name,
 
 /** The cipher position in a stored block's 8-byte header. */
 std::uint64_t
-blockPosition(const Bytes &cipher)
+blockPosition(ByteSpan cipher)
 {
     if (cipher.size() < 8)
         throw std::invalid_argument("decryptBlock: truncated block");
@@ -59,20 +59,20 @@ ObjectHandle::splitBlocks(const Bytes &plaintext) const
     return blocks;
 }
 
-Bytes
+Blob
 ObjectHandle::encryptBlock(std::uint64_t position,
                            const Bytes &plain) const
 {
-    Bytes out;
-    out.reserve(8 + plain.size());
-    for (int i = 0; i < 8; i++)
-        out.push_back(static_cast<std::uint8_t>(position >> (56 - 8 * i)));
-    readCipher_.encryptAppend(position, plain.data(), plain.size(), out);
-    return out;
+    return Blob::filled(8 + plain.size(), [&](std::uint8_t *out) {
+        for (int i = 0; i < 8; i++)
+            out[i] = static_cast<std::uint8_t>(position >> (56 - 8 * i));
+        readCipher_.encryptTo(position, plain.data(), plain.size(),
+                              out + 8);
+    });
 }
 
 Bytes
-ObjectHandle::decryptBlock(const Bytes &cipher) const
+ObjectHandle::decryptBlock(ByteSpan cipher) const
 {
     std::uint64_t position = blockPosition(cipher);
     Bytes out;

@@ -66,10 +66,10 @@ class ObjectHandle
      * position it was issued at, so decryption never needs external
      * bookkeeping and compare-block stays client-predictable.
      */
-    Bytes encryptBlock(std::uint64_t position, const Bytes &plain) const;
+    Blob encryptBlock(std::uint64_t position, const Bytes &plain) const;
 
     /** Decrypt a ciphertext block (position read from its header). */
-    Bytes decryptBlock(const Bytes &cipher) const;
+    Bytes decryptBlock(ByteSpan cipher) const;
 
     /** Decrypt a whole object's logical blocks into one buffer. */
     Bytes decryptContent(const std::vector<Bytes> &logical_blocks) const;

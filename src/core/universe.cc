@@ -179,7 +179,7 @@ Universe::wireCommitPath()
         return executeUpdate(rank, payload, seq);
     };
 
-    pbft_->onCommit = [this](const Bytes &payload, std::uint64_t) {
+    pbft_->onCommit = [this](const Blob &payload, std::uint64_t) {
         // Runs on the rank-0 replica after it applies the update:
         // push the committed result down the dissemination tree and
         // generate archival fragments (Section 4.4.4).
@@ -519,9 +519,9 @@ Universe::read(std::size_t from_server, const Guid &obj,
     res.latency = latency;
 
     rt_->schedule(latency, [res = std::move(res),
-                            done = std::move(done)]() {
+                            done = std::move(done)]() mutable {
         if (done)
-            done(res);
+            done(std::move(res));
     });
     });
 }

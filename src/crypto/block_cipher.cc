@@ -237,21 +237,13 @@ BlockCipher::decrypt(std::uint64_t block_index, const Bytes &ciphertext)
 }
 
 void
-BlockCipher::encryptAppend(std::uint64_t block_index,
-                           const std::uint8_t *plaintext, std::size_t n,
-                           Bytes &out) const
-{
-    const std::size_t at = out.size();
-    out.resize(at + n);
-    xorStream(block_index, plaintext, n, out.data() + at);
-}
-
-void
 BlockCipher::decryptAppend(std::uint64_t block_index,
                            const std::uint8_t *ciphertext, std::size_t n,
                            Bytes &out) const
 {
-    encryptAppend(block_index, ciphertext, n, out);
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    xorStream(block_index, ciphertext, n, out.data() + at);
 }
 
 bool

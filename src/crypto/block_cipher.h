@@ -58,12 +58,15 @@ class BlockCipher
                   const Bytes &ciphertext) const;
 
     /**
-     * encrypt() of the @p n bytes at @p plaintext, appended to @p out:
-     * lets a caller build a framed block without an intermediate copy.
+     * encrypt() of the @p n bytes at @p plaintext, written to the @p n
+     * bytes at @p out: lets a caller fill a framed block (a new Blob)
+     * without an intermediate copy.
      */
-    void encryptAppend(std::uint64_t block_index,
-                       const std::uint8_t *plaintext, std::size_t n,
-                       Bytes &out) const;
+    void encryptTo(std::uint64_t block_index, const std::uint8_t *plaintext,
+                   std::size_t n, std::uint8_t *out) const
+    {
+        xorStream(block_index, plaintext, n, out);
+    }
 
     /** decrypt() of the @p n bytes at @p ciphertext, appended to @p out. */
     void decryptAppend(std::uint64_t block_index,

@@ -12,7 +12,7 @@ Guid::Guid(const Sha1Digest &d)
 }
 
 Guid
-Guid::hashOf(const Bytes &data)
+Guid::hashOf(ByteSpan data)
 {
     return Guid(Sha1::hash(data));
 }

@@ -51,7 +51,7 @@ class Guid
     explicit Guid(const Sha1Digest &d);
 
     /** Hash arbitrary bytes into a GUID. */
-    static Guid hashOf(const Bytes &data);
+    static Guid hashOf(ByteSpan data);
 
     /** Hash a string's characters into a GUID. */
     static Guid hashOf(std::string_view s);

@@ -13,16 +13,12 @@ MerkleTree::combine(const Sha1Digest &left, const Sha1Digest &right)
     return h.finish();
 }
 
-MerkleTree::MerkleTree(const std::vector<Bytes> &leaves)
+void
+MerkleTree::build(std::vector<Sha1Digest> leaf_hashes)
 {
-    if (leaves.empty())
+    if (leaf_hashes.empty())
         throw std::invalid_argument("MerkleTree: no leaves");
-
-    std::vector<Sha1Digest> level;
-    level.reserve(leaves.size());
-    for (const auto &leaf : leaves)
-        level.push_back(Sha1::hash(leaf));
-    levels_.push_back(level);
+    levels_.push_back(std::move(leaf_hashes));
 
     while (levels_.back().size() > 1) {
         const auto &below = levels_.back();
@@ -60,7 +56,7 @@ MerkleTree::path(std::size_t index) const
 }
 
 bool
-MerkleTree::verify(const Bytes &leaf_data, const MerklePath &path,
+MerkleTree::verify(ByteSpan leaf_data, const MerklePath &path,
                    const Sha1Digest &root)
 {
     Sha1Digest h = Sha1::hash(leaf_data);

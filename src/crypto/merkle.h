@@ -47,8 +47,17 @@ using MerklePath = std::vector<MerkleStep>;
 class MerkleTree
 {
   public:
-    /** Build the tree over @p leaves (hashes each leaf buffer). */
-    explicit MerkleTree(const std::vector<Bytes> &leaves);
+    /** Build the tree over @p leaves, Bytes or Blob (hashes each leaf
+     *  buffer). */
+    template <typename Leaf>
+    explicit MerkleTree(const std::vector<Leaf> &leaves)
+    {
+        std::vector<Sha1Digest> hashes;
+        hashes.reserve(leaves.size());
+        for (const Leaf &leaf : leaves)
+            hashes.push_back(Sha1::hash(leaf));
+        build(std::move(hashes));
+    }
 
     /** The top-most hash; used as the archival object's GUID. */
     const Sha1Digest &root() const { return levels_.back()[0]; }
@@ -68,10 +77,13 @@ class MerkleTree
      * requesting machine can check a fragment with no other state,
      * which is what makes fragments self-verifying.
      */
-    static bool verify(const Bytes &leaf_data, const MerklePath &path,
+    static bool verify(ByteSpan leaf_data, const MerklePath &path,
                        const Sha1Digest &root);
 
   private:
+    /** Hash the levels above @p leaf_hashes up to the root. */
+    void build(std::vector<Sha1Digest> leaf_hashes);
+
     static Sha1Digest combine(const Sha1Digest &left,
                               const Sha1Digest &right);
 

@@ -1,6 +1,7 @@
 #include "crypto/searchable.h"
 
 #include <cctype>
+#include <cstring>
 
 namespace oceanstore {
 
@@ -42,9 +43,14 @@ SearchableCipher::buildIndex(std::string_view document) const
 {
     SearchIndex index;
     auto words = tokenizeWords(document);
-    index.maskedTokens.reserve(words.size());
-    for (std::size_t i = 0; i < words.size(); i++)
-        index.maskedTokens.push_back(positionMask(prf(words[i]), i));
+    index.maskedTokens = Blob::filled(
+        words.size() * SearchIndex::tokenBytes, [&](std::uint8_t *out) {
+            for (std::size_t i = 0; i < words.size(); i++) {
+                Sha1Digest t = positionMask(prf(words[i]), i);
+                std::memcpy(out + i * SearchIndex::tokenBytes, t.data(),
+                            t.size());
+            }
+        });
     return index;
 }
 
@@ -71,7 +77,7 @@ SearchableCipher::matchPositions(const SearchIndex &index,
     // Server-side: recompute the position mask for the trapdoor token
     // at each position; no key material needed.
     std::vector<std::size_t> hits;
-    for (std::size_t i = 0; i < index.maskedTokens.size(); i++) {
+    for (std::size_t i = 0; i < index.size(); i++) {
         Sha1 h;
         h.update(trap.wordToken.data(), trap.wordToken.size());
         std::uint8_t pos[8];
@@ -79,7 +85,7 @@ SearchableCipher::matchPositions(const SearchIndex &index,
             pos[k] = static_cast<std::uint8_t>(
                 static_cast<std::uint64_t>(i) >> (56 - 8 * k));
         h.update(pos, sizeof(pos));
-        if (h.finish() == index.maskedTokens[i])
+        if (h.finish() == index.token(i))
             hits.push_back(i);
     }
     return hits;

@@ -22,6 +22,7 @@
 #define OCEANSTORE_CRYPTO_SEARCHABLE_H
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,11 +31,30 @@
 
 namespace oceanstore {
 
-/** An encrypted, searchable word index for one object. */
+/**
+ * An encrypted, searchable word index for one object.  The tokens sit
+ * in one Blob, so the update that carries an index, its log entries
+ * and every replica's object share one buffer (DESIGN.md section 18).
+ */
 struct SearchIndex
 {
-    /** Masked word tokens, one per word position. */
-    std::vector<Sha1Digest> maskedTokens;
+    static constexpr std::size_t tokenBytes = sizeof(Sha1Digest);
+
+    /** Masked word tokens, tokenBytes per word position, in order. */
+    Blob maskedTokens;
+
+    /** Number of word positions. */
+    std::size_t size() const { return maskedTokens.size() / tokenBytes; }
+
+    /** The masked token at word position @p i. */
+    Sha1Digest
+    token(std::size_t i) const
+    {
+        Sha1Digest t{};
+        std::memcpy(t.data(), maskedTokens.data() + i * tokenBytes,
+                    tokenBytes);
+        return t;
+    }
 };
 
 /** The trapdoor a client hands a server to test one word. */

@@ -204,10 +204,10 @@ Sha1::finish()
 }
 
 Sha1Digest
-Sha1::hash(const Bytes &b)
+Sha1::hash(ByteSpan b)
 {
     Sha1 s;
-    s.update(b);
+    s.update(b.data(), b.size());
     return s.finish();
 }
 

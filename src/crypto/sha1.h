@@ -65,7 +65,7 @@ class Sha1
     }
 
     /** One-shot convenience: digest of a single buffer. */
-    static Sha1Digest hash(const Bytes &b);
+    static Sha1Digest hash(ByteSpan b);
 
     /** One-shot convenience: digest of a string's characters. */
     static Sha1Digest hash(std::string_view s);

@@ -20,6 +20,9 @@
 
 namespace oceanstore {
 
+/** One fragment's bytes as decode input; std::nullopt = missing. */
+using FragmentView = std::optional<ByteSpan>;
+
 /**
  * Abstract erasure codec: k data fragments coded into t >= k total
  * fragments.  Implementations are deterministic so that independent
@@ -38,22 +41,45 @@ class ErasureCodec
     virtual unsigned totalFragments() const = 0;
 
     /**
-     * Encode @p data into totalFragments() equal-sized fragments.
-     * The input is padded to a multiple of dataFragments(); callers
-     * must remember the original size for decode().
+     * Encode @p data into totalFragments() equal-sized fragments, each
+     * filled in place as the immutable buffer fragmentObject hands to
+     * its Fragment.  The input is padded to a multiple of
+     * dataFragments(); callers must remember the original size for
+     * decode().
      */
-    virtual std::vector<Bytes> encode(const Bytes &data) const = 0;
+    virtual std::vector<Blob> encodeBlobs(const Bytes &data) const = 0;
+
+    /** encodeBlobs() into owned, writable buffers. */
+    std::vector<Bytes>
+    encode(const Bytes &data) const
+    {
+        std::vector<Bytes> frags;
+        for (const Blob &f : encodeBlobs(data))
+            frags.emplace_back(f.begin(), f.end());
+        return frags;
+    }
 
     /**
-     * Reconstruct the original data from a subset of fragments.
+     * Reconstruct the original data from a subset of fragments.  The
+     * fragment bytes are only borrowed for the call.
      *
      * @param fragments  indexed by fragment id; std::nullopt = missing
      * @param original_size  byte length of the original data
      * @return the data, or std::nullopt if too few fragments survive
      */
     virtual std::optional<Bytes>
+    decodeViews(const std::vector<FragmentView> &fragments,
+                std::size_t original_size) const = 0;
+
+    /** decodeViews() over owned fragment buffers. */
+    std::optional<Bytes>
     decode(const std::vector<std::optional<Bytes>> &fragments,
-           std::size_t original_size) const = 0;
+           std::size_t original_size) const
+    {
+        return decodeViews(
+            std::vector<FragmentView>(fragments.begin(), fragments.end()),
+            original_size);
+    }
 
     /** Human-readable codec name for benchmark output. */
     virtual std::string name() const = 0;

@@ -1,7 +1,5 @@
 #include "erasure/fragment.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace oceanstore {
@@ -46,10 +44,11 @@ Fragment::deserialize(const Bytes &raw)
     try {
         ByteReader r(raw);
         Fragment f;
-        Bytes guid_bytes = r.getRaw(Guid::numBytes);
-        f.archiveGuid = Guid::fromBytes(guid_bytes);
+        Sha1Digest guid{};
+        r.getRaw(guid.data(), guid.size());
+        f.archiveGuid = Guid(guid);
         f.index = r.getU32();
-        f.data = r.getBlob();
+        f.data = r.getSharedBlob();
         std::uint32_t steps = r.getU32();
         // An inflated count must not size the proof before the input
         // backs it: every step needs proofStepBytes more bytes.
@@ -58,8 +57,7 @@ Fragment::deserialize(const Bytes &raw)
         f.proof.reserve(steps);
         for (std::uint32_t i = 0; i < steps; i++) {
             MerkleStep step;
-            Bytes sib = r.getRaw(step.sibling.size());
-            std::copy(sib.begin(), sib.end(), step.sibling.begin());
+            r.getRaw(step.sibling.data(), step.sibling.size());
             step.siblingOnLeft = r.getU8() != 0;
             f.proof.push_back(step);
         }
@@ -77,7 +75,7 @@ fragmentObject(const ErasureCodec &codec, const Bytes &data)
     FragmentSet set;
     set.originalSize = data.size();
 
-    std::vector<Bytes> coded = codec.encode(data);
+    std::vector<Blob> coded = codec.encodeBlobs(data);
     OS_CHECK(coded.size() == codec.totalFragments(),
              "codec produced ", coded.size(), " fragments, expected ",
              codec.totalFragments());
@@ -101,7 +99,7 @@ reassembleObject(const ErasureCodec &codec, const Guid &archive_guid,
                  std::size_t original_size,
                  const std::vector<Fragment> &available)
 {
-    std::vector<std::optional<Bytes>> slots(codec.totalFragments());
+    std::vector<FragmentView> slots(codec.totalFragments());
     for (const Fragment &f : available) {
         if (f.archiveGuid != archive_guid)
             continue; // fragment of some other version
@@ -109,9 +107,23 @@ reassembleObject(const ErasureCodec &codec, const Guid &archive_guid,
             continue;
         if (!f.verify())
             continue; // corrupt: treat as erasure
-        slots[f.index] = f.data;
+        slots[f.index] = ByteSpan(f.data);
     }
-    return codec.decode(slots, original_size);
+    return codec.decodeViews(slots, original_size);
+}
+
+std::optional<Bytes>
+decodeVerified(const ErasureCodec &codec, std::size_t original_size,
+               const std::vector<Fragment> &verified)
+{
+    std::vector<FragmentView> slots(codec.totalFragments());
+    for (const Fragment &f : verified) {
+        OS_CHECK(f.index < slots.size() && !slots[f.index].has_value(),
+                 "decodeVerified: fragment index ", f.index,
+                 " out of range or repeated");
+        slots[f.index] = ByteSpan(f.data);
+    }
+    return codec.decodeViews(slots, original_size);
 }
 
 } // namespace oceanstore

@@ -25,7 +25,7 @@ struct Fragment
 {
     Guid archiveGuid;     //!< Top-most hash: the archival object GUID.
     std::uint32_t index = 0;  //!< Position in the coded fragment set.
-    Bytes data;           //!< Coded fragment payload.
+    Blob data;            //!< Coded fragment payload, shared by copies.
     MerklePath proof;     //!< Hashes neighboring the path to the root.
 
     /** Verify this fragment against its embedded archive GUID. */
@@ -71,6 +71,15 @@ std::optional<Bytes>
 reassembleObject(const ErasureCodec &codec, const Guid &archive_guid,
                  std::size_t original_size,
                  const std::vector<Fragment> &available);
+
+/**
+ * Decode from fragments the caller has already verified against one
+ * archive GUID, at most one per index: reassembleObject() without
+ * hashing each fragment a second time.
+ */
+std::optional<Bytes>
+decodeVerified(const ErasureCodec &codec, std::size_t original_size,
+               const std::vector<Fragment> &verified);
 
 } // namespace oceanstore
 

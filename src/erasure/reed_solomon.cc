@@ -37,36 +37,40 @@ ReedSolomonCode::generatorRow(unsigned row) const
     return r;
 }
 
-std::vector<Bytes>
-ReedSolomonCode::encode(const Bytes &data) const
+std::vector<Blob>
+ReedSolomonCode::encodeBlobs(const Bytes &data) const
 {
     std::size_t frag_size = (data.size() + k_ - 1) / k_;
     if (frag_size == 0)
         frag_size = 1;
 
-    std::vector<Bytes> frags(t_, Bytes(frag_size, 0));
+    std::vector<Blob> frags;
+    frags.reserve(t_);
     // Data stripes; the last one is zero-padded.
     for (unsigned j = 0; j < k_; j++) {
         std::size_t off =
             std::min(static_cast<std::size_t>(j) * frag_size, data.size());
         std::size_t len = std::min(frag_size, data.size() - off);
-        std::copy_n(data.begin() + off, len, frags[j].begin());
+        frags.push_back(Blob::filled(frag_size, [&](std::uint8_t *out) {
+            std::copy_n(data.begin() + off, len, out);
+            std::fill(out + len, out + frag_size, 0);
+        }));
     }
-    // Parity stripes.
+    // Parity stripes, each filled from the finished data stripes.
     for (unsigned row = k_; row < t_; row++) {
         const std::uint8_t *coeffs = &parity_[(row - k_) * k_];
-        for (unsigned j = 0; j < k_; j++) {
-            gf256::mulAdd(frags[row].data(), frags[j].data(), coeffs[j],
-                          frag_size);
-        }
+        frags.push_back(Blob::filled(frag_size, [&](std::uint8_t *out) {
+            std::fill(out, out + frag_size, 0);
+            for (unsigned j = 0; j < k_; j++)
+                gf256::mulAdd(out, frags[j].data(), coeffs[j], frag_size);
+        }));
     }
     return frags;
 }
 
 std::optional<Bytes>
-ReedSolomonCode::decode(
-    const std::vector<std::optional<Bytes>> &fragments,
-    std::size_t original_size) const
+ReedSolomonCode::decodeViews(const std::vector<FragmentView> &fragments,
+                             std::size_t original_size) const
 {
     if (fragments.size() != t_)
         fatal("ReedSolomonCode::decode: fragment vector size mismatch");
@@ -99,14 +103,14 @@ ReedSolomonCode::decode(
     Bytes out;
     out.reserve(original_size);
     // Append a stripe, stopping at original_size.
-    auto append = [&](const Bytes &stripe) {
+    auto append = [&](const std::uint8_t *stripe) {
         std::size_t len = std::min(frag_size, original_size - out.size());
-        out.insert(out.end(), stripe.begin(), stripe.begin() + len);
+        out.insert(out.end(), stripe, stripe + len);
     };
 
     if (all_data) {
         for (unsigned j = 0; j < k_ && out.size() < original_size; j++)
-            append(*fragments[j]);
+            append(fragments[j]->data());
     } else {
         // Build the k x k decode matrix and invert it (Gauss-Jordan
         // over GF(256)).
@@ -147,7 +151,7 @@ ReedSolomonCode::decode(
         Bytes stripe;
         for (unsigned j = 0; j < k_ && out.size() < original_size; j++) {
             if (fragments[j].has_value()) {
-                append(*fragments[j]);
+                append(fragments[j]->data());
                 continue;
             }
             stripe.assign(frag_size, 0);
@@ -155,7 +159,7 @@ ReedSolomonCode::decode(
                 gf256::mulAdd(stripe.data(), fragments[rows[r]]->data(),
                               ainv[j][r], frag_size);
             }
-            append(stripe);
+            append(stripe.data());
         }
     }
 

@@ -28,11 +28,11 @@ class ReedSolomonCode : public ErasureCodec
     unsigned dataFragments() const override { return k_; }
     unsigned totalFragments() const override { return t_; }
 
-    std::vector<Bytes> encode(const Bytes &data) const override;
+    std::vector<Blob> encodeBlobs(const Bytes &data) const override;
 
     std::optional<Bytes>
-    decode(const std::vector<std::optional<Bytes>> &fragments,
-           std::size_t original_size) const override;
+    decodeViews(const std::vector<FragmentView> &fragments,
+                std::size_t original_size) const override;
 
     std::string name() const override;
 

@@ -72,34 +72,37 @@ TornadoCode::buildGraph(std::uint64_t seed)
     }
 }
 
-std::vector<Bytes>
-TornadoCode::encode(const Bytes &data) const
+std::vector<Blob>
+TornadoCode::encodeBlobs(const Bytes &data) const
 {
     std::size_t frag_size = (data.size() + k_ - 1) / k_;
     if (frag_size == 0)
         frag_size = 1;
 
-    std::vector<Bytes> frags(t_, Bytes(frag_size, 0));
+    std::vector<Blob> frags;
+    frags.reserve(t_);
     for (unsigned j = 0; j < k_; j++) {
         std::size_t off = static_cast<std::size_t>(j) * frag_size;
-        for (std::size_t i = 0; i < frag_size && off + i < data.size();
-             i++) {
-            frags[j][i] = data[off + i];
-        }
+        frags.push_back(Blob::filled(frag_size, [&](std::uint8_t *out) {
+            for (std::size_t i = 0; i < frag_size; i++)
+                out[i] = off + i < data.size() ? data[off + i] : 0;
+        }));
     }
     for (unsigned c = 0; c < t_ - k_; c++) {
-        Bytes &out = frags[k_ + c];
-        for (unsigned j : checkNeighbors_[c]) {
-            for (std::size_t i = 0; i < frag_size; i++)
-                out[i] ^= frags[j][i];
-        }
+        frags.push_back(Blob::filled(frag_size, [&](std::uint8_t *out) {
+            std::fill(out, out + frag_size, 0);
+            for (unsigned j : checkNeighbors_[c]) {
+                for (std::size_t i = 0; i < frag_size; i++)
+                    out[i] ^= frags[j][i];
+            }
+        }));
     }
     return frags;
 }
 
 std::optional<Bytes>
-TornadoCode::decode(const std::vector<std::optional<Bytes>> &fragments,
-                    std::size_t original_size) const
+TornadoCode::decodeViews(const std::vector<FragmentView> &fragments,
+                         std::size_t original_size) const
 {
     if (fragments.size() != t_)
         fatal("TornadoCode::decode: fragment vector size mismatch");
@@ -118,7 +121,7 @@ TornadoCode::decode(const std::vector<std::optional<Bytes>> &fragments,
     std::vector<bool> known(k_, false);
     for (unsigned j = 0; j < k_; j++) {
         if (fragments[j].has_value()) {
-            data[j] = *fragments[j];
+            data[j].assign(fragments[j]->begin(), fragments[j]->end());
             known[j] = true;
         }
     }
@@ -143,7 +146,8 @@ TornadoCode::decode(const std::vector<std::optional<Bytes>> &fragments,
             }
             if (unknown != 1)
                 continue;
-            Bytes val = *fragments[k_ + c];
+            Bytes val(fragments[k_ + c]->begin(),
+                      fragments[k_ + c]->end());
             for (unsigned j : checkNeighbors_[c]) {
                 if (j == missing)
                     continue;

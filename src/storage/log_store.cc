@@ -69,7 +69,7 @@ LogStore::LogStore(DiskImage &disk, DiskFaultInjector *faults,
 
 StorageStatus
 LogStore::appendRecord(std::uint8_t type, const std::string &key,
-                       const Bytes &value)
+                       ByteSpan value)
 {
     const auto len = static_cast<std::uint32_t>(kHeaderBytes + key.size() +
                                                 value.size());
@@ -112,7 +112,7 @@ LogStore::appendRecord(std::uint8_t type, const std::string &key,
 }
 
 StorageStatus
-LogStore::put(const std::string &key, const Bytes &value)
+LogStore::put(const std::string &key, ByteSpan value)
 {
     StorageMetricIds &sm = storageMetrics();
     stats_.puts++;
@@ -178,11 +178,12 @@ LogStore::scan(const std::string &prefix,
                const std::function<void(const std::string &,
                                         const Bytes &)> &fn)
 {
+    // One buffer for every record: assign() reuses its capacity.
+    Bytes value;
     for (auto it = index_.lower_bound(prefix); it != index_.end();
          ++it) {
         if (it->first.compare(0, prefix.size(), prefix) != 0)
             break;
-        Bytes value;
         if (readVerified(it->first, it->second, &value))
             fn(it->first, value);
     }

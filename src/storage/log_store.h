@@ -125,7 +125,7 @@ class LogStore
              LogStoreConfig cfg = {});
 
     /** Store @p value under @p key (overwrites). */
-    StorageStatus put(const std::string &key, const Bytes &value);
+    StorageStatus put(const std::string &key, ByteSpan value);
 
     /** Fetch the current value of @p key (nullopt when absent or the
      *  stored frame fails its checksum — counted, never served). */
@@ -170,7 +170,7 @@ class LogStore
     /** Frame a record in place at the image tail; handles ENOSPC
      *  (checked before any byte is written) and latency. */
     StorageStatus appendRecord(std::uint8_t type, const std::string &key,
-                               const Bytes &value);
+                               ByteSpan value);
 
     /** Re-read and checksum-verify the record of @p slot; on success
      *  the value bytes are copied into @p value_out. */

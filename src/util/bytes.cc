@@ -2,6 +2,17 @@
 
 namespace oceanstore {
 
+Blob
+withByteFlipped(const Blob &b, std::size_t pos, std::uint8_t mask)
+{
+    if (pos >= b.size())
+        throw std::out_of_range("withByteFlipped: position past the end");
+    return Blob::filled(b.size(), [&](std::uint8_t *out) {
+        std::memcpy(out, b.data(), b.size());
+        out[pos] ^= mask;
+    });
+}
+
 Bytes
 toBytes(std::string_view s)
 {
@@ -9,7 +20,7 @@ toBytes(std::string_view s)
 }
 
 std::string
-toString(const Bytes &b)
+toString(ByteSpan b)
 {
     return std::string(b.begin(), b.end());
 }
@@ -90,7 +101,7 @@ ByteWriter::putU64(std::uint64_t v)
 }
 
 void
-ByteWriter::putRaw(const Bytes &b)
+ByteWriter::putRaw(ByteSpan b)
 {
     buf_.insert(buf_.end(), b.begin(), b.end());
 }
@@ -102,7 +113,7 @@ ByteWriter::putRaw(const std::uint8_t *p, std::size_t n)
 }
 
 void
-ByteWriter::putBlob(const Bytes &b)
+ByteWriter::putBlob(ByteSpan b)
 {
     putU32(static_cast<std::uint32_t>(b.size()));
     putRaw(b);
@@ -170,11 +181,30 @@ ByteReader::getRaw(std::size_t n)
     return out;
 }
 
+void
+ByteReader::getRaw(std::uint8_t *out, std::size_t n)
+{
+    require(n);
+    if (n > 0)
+        std::memcpy(out, buf_.data() + pos_, n);
+    pos_ += n;
+}
+
 Bytes
 ByteReader::getBlob()
 {
     std::uint32_t n = getU32();
     return getRaw(n);
+}
+
+Blob
+ByteReader::getSharedBlob()
+{
+    std::uint32_t n = getU32();
+    require(n);
+    Blob out(buf_.data() + pos_, n);
+    pos_ += n;
+    return out;
 }
 
 std::string

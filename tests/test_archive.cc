@@ -147,7 +147,8 @@ TEST(Archive, CorruptedFragmentsIgnored)
     ArchiveFixture fx;
     Bytes data = fx.sampleData(1024);
     FragmentSet set = fragmentObject(fx.codec, data);
-    set.fragments[2].data[0] ^= 0xff; // corrupted in storage
+    // Corrupted in storage.
+    set.fragments[2].data = withByteFlipped(set.fragments[2].data, 0, 0xff);
     std::vector<Fragment> available(set.fragments.begin(),
                                     set.fragments.begin() + 10);
     auto out = reassembleObject(fx.codec, set.archiveGuid, data.size(),
@@ -251,12 +252,44 @@ TEST(Archive, ForgedFragmentsFailSelfVerification)
     ArchiveFixture fx;
     FragmentSet set = fragmentObject(fx.codec, fx.sampleData(512));
     Fragment forged = set.fragments[0];
-    forged.data[0] ^= 1;
+    forged.data = withByteFlipped(forged.data, 0, 1);
     EXPECT_FALSE(forged.verify());
     EXPECT_TRUE(set.fragments[0].verify());
 }
 
 // --- adversarial corruption & the sampled audit -----------------------
+
+TEST(ArchiveTest, CorruptionIsPrivate)
+{
+    // A stored fragment shares its bytes with every copy of it, so
+    // corrupting the holder's copy must not reach a copy made before.
+    ArchiveFixture fx;
+    Bytes data = fx.sampleData(4096);
+    Guid archive = fx.sys->disperse(fx.codec, data, 0);
+    fx.sim.runUntil(10.0);
+
+    // Re-store index 3 from a local set (the codec is deterministic,
+    // so it is the same fragment): the holder now shares our buffer.
+    FragmentSet set = fragmentObject(fx.codec, data);
+    ASSERT_EQ(set.archiveGuid, archive);
+    Fragment mine = set.fragments[3];
+    std::size_t holder = fx.sys->size();
+    for (std::size_t s = 0; s < fx.sys->size(); s++) {
+        if (fx.sys->server(s).holds(archive, 3))
+            holder = s;
+    }
+    ASSERT_LT(holder, fx.sys->size());
+    fx.sys->server(holder).storeFragment(mine);
+
+    ASSERT_TRUE(fx.sys->corruptFragment(archive, 3));
+    EXPECT_EQ(fx.sys->corruptedFragments(), 1u);
+    EXPECT_TRUE(mine.verify());
+    EXPECT_TRUE(set.fragments[3].verify());
+
+    Rng adversary(7);
+    EXPECT_GT(fx.sys->corruptServer(holder, adversary), 0u);
+    EXPECT_TRUE(mine.verify());
+}
 
 TEST(ArchiveAudit, CorruptFragmentDetectedAndRepaired)
 {

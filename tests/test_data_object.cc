@@ -357,5 +357,37 @@ TEST_F(DataObjectTest, ClauseValidityMatchesTrialApplication)
     EXPECT_EQ(replayed, ref);
 }
 
+TEST_F(DataObjectTest, VersionsShareBlocks)
+{
+    // Blocks are immutable Blobs: applying an update, logging it,
+    // copying the object and rebuilding an old version all share the
+    // update's buffer for every block the versions have in common.
+    ASSERT_TRUE(obj.apply(unconditional(g, {AppendBlock{toBytes("a")},
+                                            AppendBlock{toBytes("b")}}))
+                    .committed);
+    ASSERT_TRUE(
+        obj.apply(unconditional(g, {ReplaceBlock{1, toBytes("B")}}))
+            .committed);
+    const auto &first = obj.log()[0].update.clauses[0].actions;
+    const auto &second = obj.log()[1].update.clauses[0].actions;
+    const std::uint8_t *a = std::get<AppendBlock>(first[0]).ciphertext.data();
+    const std::uint8_t *b = std::get<AppendBlock>(first[1]).ciphertext.data();
+    const std::uint8_t *big_b =
+        std::get<ReplaceBlock>(second[0]).ciphertext.data();
+
+    EXPECT_EQ(obj.logicalBlock(0).data(), a);
+    EXPECT_EQ(obj.logicalBlock(1).data(), big_b);
+
+    DataObject copy = obj;
+    EXPECT_EQ(copy.logicalBlock(0).data(), a);
+    EXPECT_EQ(copy.logicalBlock(1).data(), big_b);
+
+    DataObject v1 = obj.materializeVersion(1);
+    EXPECT_EQ(v1.logicalBlock(0).data(), a);
+    EXPECT_EQ(v1.logicalBlock(1).data(), b);
+    EXPECT_EQ(toString(v1.logicalBlock(1)), "b");
+    EXPECT_EQ(obj.materializeVersion(2).logicalBlock(0).data(), a);
+}
+
 } // namespace
 } // namespace oceanstore

@@ -219,7 +219,7 @@ TEST(Fragments, CorruptFragmentDetected)
 {
     ReedSolomonCode code(4, 8);
     FragmentSet set = fragmentObject(code, randomData(512, 12));
-    set.fragments[3].data[0] ^= 1;
+    set.fragments[3].data = withByteFlipped(set.fragments[3].data, 0, 1);
     EXPECT_FALSE(set.fragments[3].verify());
 }
 
@@ -230,8 +230,8 @@ TEST(Fragments, ReassembleIgnoresCorruptAndForeign)
     FragmentSet set = fragmentObject(code, data);
 
     // Corrupt two fragments (erasures), drop two more; 4 good remain.
-    set.fragments[0].data[0] ^= 0xff;
-    set.fragments[1].data[5] ^= 0x01;
+    set.fragments[0].data = withByteFlipped(set.fragments[0].data, 0, 0xff);
+    set.fragments[1].data = withByteFlipped(set.fragments[1].data, 5, 0x01);
     std::vector<Fragment> available = {
         set.fragments[0], set.fragments[1], set.fragments[2],
         set.fragments[3], set.fragments[4], set.fragments[5]};

@@ -65,8 +65,8 @@ TEST(Searchable, SameWordDifferentPositionsLooksUnrelated)
     // differently (position mask), hiding the equality pattern.
     SearchableCipher c(toBytes("k"));
     auto index = c.buildIndex("dup dup");
-    ASSERT_EQ(index.maskedTokens.size(), 2u);
-    EXPECT_NE(index.maskedTokens[0], index.maskedTokens[1]);
+    ASSERT_EQ(index.size(), 2u);
+    EXPECT_NE(index.token(0), index.token(1));
 }
 
 TEST(Searchable, EmptyDocument)

@@ -240,5 +240,25 @@ TEST(Secondary, AntiEntropyRepairsPartitionedReplica)
     EXPECT_TRUE(caught_up);
 }
 
+TEST(SecondaryTier, PushSharesOneBuffer)
+{
+    // One tree push hands every replica the same block bytes: copies
+    // of the update in messages, retransmit closures and log entries
+    // all alias the injected update's buffer.
+    TierFixture fx(16);
+    Update u = appendUpdate(fx.obj, std::string(4096, 'x'), {1, 1});
+    const std::uint8_t *bytes =
+        std::get<AppendBlock>(u.clauses[0].actions[0]).ciphertext.data();
+    fx.tier->injectCommitted(u, 1);
+    fx.sim.runUntil(30.0);
+    ASSERT_TRUE(fx.tier->allCommitted(fx.obj, 1));
+    for (std::size_t i = 0; i < fx.tier->size(); i++) {
+        EXPECT_EQ(
+            fx.tier->replica(i).committedObject(fx.obj).logicalBlock(0).data(),
+            bytes)
+            << "replica " << i;
+    }
+}
+
 } // namespace
 } // namespace oceanstore

@@ -33,7 +33,10 @@ sampleUpdate()
     c2.actions.push_back(InsertBlock{2, toBytes("mid")});
     c2.actions.push_back(DeleteBlock{5});
     SetSearchIndex ssi;
-    ssi.index.maskedTokens = {Sha1::hash("a"), Sha1::hash("b")};
+    const Sha1Digest ta = Sha1::hash("a"), tb = Sha1::hash("b");
+    Bytes tokens(ta.begin(), ta.end());
+    tokens.insert(tokens.end(), tb.begin(), tb.end());
+    ssi.index.maskedTokens = tokens;
     c2.actions.push_back(ssi);
 
     u.clauses = {c1, c2};
@@ -104,8 +107,7 @@ TEST(Update, ParsedActionsSurviveStructurally)
     const auto &a2 = parsed.clauses[1].actions;
     EXPECT_EQ(std::get<InsertBlock>(a2[0]).position, 2u);
     EXPECT_EQ(std::get<DeleteBlock>(a2[1]).position, 5u);
-    EXPECT_EQ(std::get<SetSearchIndex>(a2[2]).index.maskedTokens.size(),
-              2u);
+    EXPECT_EQ(std::get<SetSearchIndex>(a2[2]).index.size(), 2u);
 }
 
 TEST(Update, WireSizeTracksPayload)
@@ -170,7 +172,10 @@ TEST(UpdateDecode, CountInflationRejected)
     u.objectGuid = Guid::hashOf("object");
     u.clauses.resize(3);
     SetSearchIndex ssi;
-    ssi.index.maskedTokens = {Sha1::hash("a"), Sha1::hash("b")};
+    const Sha1Digest ta = Sha1::hash("a"), tb = Sha1::hash("b");
+    Bytes both(ta.begin(), ta.end());
+    both.insert(both.end(), tb.begin(), tb.end());
+    ssi.index.maskedTokens = both;
     u.clauses[2].actions.push_back(ssi);
     const Update back = Update::deserializeFull(u.serializeFull());
     ASSERT_EQ(back.clauses.size(), 3u);
