@@ -179,13 +179,15 @@ DataObject::applyAction(const Action &a)
 }
 
 ApplyResult
-DataObject::apply(const Update &u)
+DataObject::apply(SharedUpdate u)
 {
+    OS_DCHECK(u->identityCached(),
+              "DataObject::apply: update shared with a cold memo");
     ApplyResult res;
     res.version = version_;
 
-    for (std::size_t c = 0; c < u.clauses.size(); c++) {
-        const UpdateClause &clause = u.clauses[c];
+    for (std::size_t c = 0; c < u->clauses.size(); c++) {
+        const UpdateClause &clause = u->clauses[c];
         bool holds = true;
         for (const Predicate &p : clause.predicates) {
             if (!evaluate(p)) {
@@ -220,7 +222,7 @@ DataObject::apply(const Update &u)
         break;
     }
 
-    log_.push_back(LogEntry{u, res.committed, version_});
+    log_.push_back(LogEntry{std::move(u), res.committed, version_});
     return res;
 }
 

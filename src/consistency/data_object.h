@@ -53,10 +53,14 @@ struct ApplyResult
     std::size_t clauseFired = 0; //!< Which clause committed (if any).
 };
 
-/** One entry of the update log (kept for commits *and* aborts). */
+/**
+ * One entry of the update log (kept for commits *and* aborts).  The
+ * update is shared, not copied: every replica that applies it and
+ * every version materializeVersion() builds hold the same one.
+ */
 struct LogEntry
 {
-    Update update;
+    SharedUpdate update;
     bool committed = false;
     VersionNum versionAfter = 0;
 };
@@ -101,9 +105,13 @@ class DataObject
      * Evaluate and apply an update (Section 4.4.1 semantics): the
      * actions of the earliest clause whose predicates all hold are
      * applied atomically; otherwise the update aborts.  Either way it
-     * is appended to the log.
+     * is appended to the log, which keeps @p u itself.  @p u must
+     * come from shareUpdate(): its memo is warm.
      */
-    ApplyResult apply(const Update &u);
+    ApplyResult apply(SharedUpdate u);
+
+    /** Adapter for tests and clients: shares a copy of @p u. */
+    ApplyResult apply(const Update &u) { return apply(shareUpdate(u)); }
 
     /** Evaluate a single predicate against current state. */
     bool evaluate(const Predicate &p) const;

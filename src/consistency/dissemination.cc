@@ -17,6 +17,15 @@ DisseminationTree::DisseminationTree(Runtime &rt, NodeId root,
     all_.insert(all_.end(), members.begin(), members.end());
     parent_.assign(all_.size(), invalidNode);
     children_.resize(all_.size());
+    const auto none = static_cast<std::uint32_t>(all_.size());
+    for (std::size_t i = 0; i < all_.size(); i++) {
+        NodeId n = all_[i];
+        OS_CHECK(n != invalidNode, "DisseminationTree: invalid member");
+        if (n >= slotOf_.size())
+            slotOf_.resize(std::size_t{n} + 1, none);
+        if (slotOf_[n] == none) // a repeated id keeps its first slot
+            slotOf_[n] = static_cast<std::uint32_t>(i);
+    }
 
     // Join closest-to-root first; each joiner picks the closest
     // already-joined node with spare fanout.
@@ -55,11 +64,7 @@ DisseminationTree::DisseminationTree(Runtime &rt, NodeId root,
 std::size_t
 DisseminationTree::slot(NodeId n) const
 {
-    for (std::size_t i = 0; i < all_.size(); i++) {
-        if (all_[i] == n)
-            return i;
-    }
-    return all_.size(); // not a member
+    return n < slotOf_.size() ? slotOf_[n] : all_.size();
 }
 
 bool

@@ -17,6 +17,7 @@
 #ifndef OCEANSTORE_CONSISTENCY_DISSEMINATION_H
 #define OCEANSTORE_CONSISTENCY_DISSEMINATION_H
 
+#include <cstdint>
 #include <vector>
 
 #include "runtime/runtime.h"
@@ -75,6 +76,7 @@ class DisseminationTree
     std::uint64_t multicastBytes(std::size_t payload_bytes) const;
 
   private:
+    /** Index of @p n in all_, or all_.size() for a non-member. */
     std::size_t slot(NodeId n) const;
 
     Runtime &rt_;
@@ -84,6 +86,10 @@ class DisseminationTree
     std::vector<NodeId> all_;
     std::vector<NodeId> parent_;
     std::vector<std::vector<NodeId>> children_;
+    /** Dense NodeId -> slot table (all_.size() = not a member), built
+     *  once so every lookup is O(1).  NodeIds are small network
+     *  indices, so the table is as long as the largest one. */
+    std::vector<std::uint32_t> slotOf_;
 };
 
 } // namespace oceanstore

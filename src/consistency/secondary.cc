@@ -43,7 +43,7 @@ secMetrics()
 
 struct TentativeBody
 {
-    Update update;
+    SharedUpdate update;
 };
 
 struct DigestBody
@@ -64,18 +64,18 @@ struct CommittedRecord
 {
     Guid object;
     VersionNum version = 0;
-    Update update;
+    SharedUpdate update;
 };
 
 struct UpdatesBody
 {
-    std::vector<Update> tentative;
+    std::vector<SharedUpdate> tentative;
     std::vector<CommittedRecord> committed;
 };
 
 struct PushBody
 {
-    Update update;
+    SharedUpdate update;
     VersionNum version = 0;
 };
 
@@ -110,9 +110,9 @@ updatesWireSize(const UpdatesBody &u)
 {
     std::size_t n = 0;
     for (const auto &t : u.tentative)
-        n += t.wireSize();
+        n += t->wireSize();
     for (const auto &c : u.committed)
-        n += c.update.wireSize() + Guid::numBytes + 8;
+        n += c.update->wireSize() + Guid::numBytes + 8;
     return n;
 }
 
@@ -150,19 +150,19 @@ SecondaryReplica::tentativeObject(const Guid &obj)
     DataObject copy = committedObject(obj);
     // Gather tentative updates for this object, optimistically
     // ordered by client timestamp (Section 4.4.3).
-    std::vector<const Update *> tentative;
+    std::vector<SharedUpdate> tentative;
     for (const auto &[id, u] : tentative_) {
-        if (u.objectGuid == obj)
-            tentative.push_back(&u);
+        if (u->objectGuid == obj)
+            tentative.push_back(u);
     }
     std::sort(tentative.begin(), tentative.end(),
-              [](const Update *a, const Update *b) {
+              [](const SharedUpdate &a, const SharedUpdate &b) {
                   if (a->timestamp != b->timestamp)
                       return a->timestamp < b->timestamp;
                   return a->id() < b->id();
               });
-    for (const Update *u : tentative)
-        copy.apply(*u);
+    for (SharedUpdate &u : tentative)
+        copy.apply(std::move(u));
     return copy;
 }
 
@@ -188,16 +188,16 @@ SecondaryReplica::handleMessage(const Message &msg)
 }
 
 void
-SecondaryReplica::storeTentative(const Update &u, bool gossip)
+SecondaryReplica::storeTentative(SharedUpdate u, bool gossip)
 {
-    Guid id = u.id();
+    Guid id = u->id();
     if (tentative_.count(id))
         return; // already infected; stop the rumor here
     // Drop tentative updates already subsumed by a committed version.
-    auto oit = objects_.find(u.objectGuid);
+    auto oit = objects_.find(u->objectGuid);
     if (oit != objects_.end()) {
         for (const auto &e : oit->second.log()) {
-            if (e.committed && e.update.id() == id)
+            if (e.committed && e.update->id() == id)
                 return;
         }
     }
@@ -216,7 +216,7 @@ SecondaryReplica::storeTentative(const Update &u, bool gossip)
             continue;
         tier_.rt().send(nodeId_, tier_.replica(peer).nodeId(),
                          makeMessage("sec.tentative", body,
-                                     u.wireSize()));
+                                     u->wireSize()));
     }
 }
 
@@ -227,37 +227,31 @@ SecondaryReplica::onTentative(const Message &msg)
 }
 
 void
-SecondaryReplica::applyCommitted(const Update &u, VersionNum version)
+SecondaryReplica::applyCommitted(SharedUpdate u, VersionNum version)
 {
-    auto it = objects_.find(u.objectGuid);
+    const Guid obj_guid = u->objectGuid;
+    auto it = objects_.find(obj_guid);
     if (it == objects_.end())
-        it = objects_.emplace(u.objectGuid, DataObject(u.objectGuid))
-                 .first;
+        it = objects_.emplace(obj_guid, DataObject(obj_guid)).first;
     DataObject &obj = it->second;
 
     if (version <= obj.version())
         return; // duplicate
 
-    // Warm the memoized id/size *before* the update is copied into
-    // the buffer or the object log: anti-entropy serves updates back
-    // out of the log, so a cold log copy re-hashes the full payload
-    // once per gossip exchange.
-    Guid uid = u.id();
-    u.wireSize();
-
     if (version > obj.version() + 1) {
-        buffered_[u.objectGuid][version] = u;
+        buffered_[obj_guid][version] = std::move(u);
         return;
     }
 
-    obj.apply(u);
+    Guid uid = u->id();
+    obj.apply(std::move(u));
     tentative_.erase(uid);
 
-    auto sit = stale_.find(u.objectGuid);
+    auto sit = stale_.find(obj_guid);
     if (sit != stale_.end() && obj.version() >= sit->second)
         stale_.erase(sit);
 
-    drainBuffered(u.objectGuid);
+    drainBuffered(obj_guid);
 }
 
 void
@@ -270,10 +264,10 @@ SecondaryReplica::drainBuffered(const Guid &obj)
     auto &pending = bit->second;
     while (!pending.empty() &&
            pending.begin()->first == oit->second.version() + 1) {
-        Update u = pending.begin()->second;
+        SharedUpdate u = std::move(pending.begin()->second);
         pending.erase(pending.begin());
-        Guid uid = u.id(); // warm before the log copies it
-        oit->second.apply(u);
+        Guid uid = u->id();
+        oit->second.apply(std::move(u));
         tentative_.erase(uid);
     }
     if (pending.empty())
@@ -284,7 +278,7 @@ void
 SecondaryReplica::onPush(const Message &msg)
 {
     const auto &body = messageBody<PushBody>(msg);
-    Guid uid = body.update.id();
+    Guid uid = body.update->id();
     SecMetricIds &sm = secMetrics();
     sm.reg->inc(sm.pushes);
 
@@ -323,8 +317,7 @@ SecondaryReplica::onPush(const Message &msg)
             push_children.push_back(child);
     }
     if (!inval_children.empty()) {
-        InvalBody inv{body.update.objectGuid, body.version,
-                      body.update.id()};
+        InvalBody inv{body.update->objectGuid, body.version, uid};
         tier_.rt().multicast(nodeId_, inval_children,
                               makeMessage("sec.inval", inv,
                                           2 * Guid::numBytes + 8));
@@ -332,20 +325,18 @@ SecondaryReplica::onPush(const Message &msg)
     if (!push_children.empty()) {
         tier_.rt().multicast(nodeId_, push_children,
                               makeMessage("sec.push", body,
-                                          body.update.wireSize() + 8));
+                                          body.update->wireSize() + 8));
         // The multicast is attempt 1; per-child drivers retransmit
         // individually until the child acks or attempts run out
-        // (anti-entropy is the backstop beyond that).  The drivers
-        // share one retained copy of the body instead of each copying
-        // the update (with its clauses and search index) up front.
-        auto retained = std::make_shared<const PushBody>(body);
+        // (anti-entropy is the backstop beyond that).  Each driver
+        // holds the body by value: a reference to the shared update.
         for (NodeId child : push_children) {
             auto key = std::make_pair(child, uid);
             auto call = std::make_unique<RpcCall>(
                 tier_.rt(), tier_.config().pushRetry,
                 tier_.config().seed ^ child ^ uid.hash64());
             call->arm(
-                [this, child, retained](unsigned) {
+                [this, child, body](unsigned) {
                     pushRetransmits_++;
                     {
                         SecMetricIds &m = secMetrics();
@@ -353,8 +344,8 @@ SecondaryReplica::onPush(const Message &msg)
                     }
                     tier_.rt().send(
                         nodeId_, child,
-                        makeMessage("sec.push", *retained,
-                                    retained->update.wireSize() + 8));
+                        makeMessage("sec.push", body,
+                                    body.update->wireSize() + 8));
                 },
                 [this, key]() { pushPending_.erase(key); });
             pushPending_[key] = std::move(call);
@@ -553,7 +544,7 @@ void
 SecondaryReplica::onUpdates(const Message &msg)
 {
     const auto &body = messageBody<UpdatesBody>(msg);
-    for (const auto &u : body.tentative)
+    for (const SharedUpdate &u : body.tentative)
         storeTentative(u, false);
     // Apply committed records in version order per object.
     auto sorted = body.committed;
@@ -618,27 +609,28 @@ SecondaryTier::startAntiEntropy()
 void
 SecondaryTier::submitTentative(std::size_t i, const Update &u)
 {
-    replicas_[i]->storeTentative(u, true);
+    replicas_[i]->storeTentative(shareUpdate(u), true);
 }
 
 void
-SecondaryTier::injectCommitted(const Update &u, VersionNum version)
+SecondaryTier::injectCommitted(SharedUpdate u, VersionNum version)
 {
+    OS_DCHECK(u->identityCached(),
+              "injectCommitted: update shared with a cold memo");
     SecondaryReplica &root = *replicas_[0];
-    u.id(); // warm the memoized id/size before any copy circulates
-    u.wireSize();
     {
         SecMetricIds &sm = secMetrics();
         sm.reg->inc(sm.injects);
     }
     if (cfg_.treePush) {
         // Deliver to the root as a push so it forwards down the tree.
-        PushBody body{u, version};
-        root.onPush(makeMessage("sec.push", body, u.wireSize() + 8));
+        std::size_t wire = u->wireSize() + 8;
+        root.onPush(makeMessage("sec.push", PushBody{std::move(u), version},
+                                wire));
     } else {
         // Epidemic-only ablation: the root learns the commit; anti-
         // entropy must carry it to everyone else.
-        root.applyCommitted(u, version);
+        root.applyCommitted(std::move(u), version);
     }
 }
 

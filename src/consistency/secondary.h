@@ -18,8 +18,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "consistency/data_object.h"
@@ -95,8 +95,8 @@ class SecondaryReplica : public SimNode
     void onInvalidate(const Message &msg);
     void onFetch(const Message &msg);
 
-    void storeTentative(const Update &u, bool gossip);
-    void applyCommitted(const Update &u, VersionNum version);
+    void storeTentative(SharedUpdate u, bool gossip);
+    void applyCommitted(SharedUpdate u, VersionNum version);
     void drainBuffered(const Guid &obj);
     void scheduleAntiEntropy();
     void runAntiEntropy();
@@ -110,15 +110,16 @@ class SecondaryReplica : public SimNode
     /** Tentative updates by update id.  Ordered: anti-entropy digests
      *  and pushes are built by iterating this map, so its order feeds
      *  message emission and must be deterministic. */
-    std::map<Guid, Update> tentative_;
+    std::map<Guid, SharedUpdate> tentative_;
     /** Committed updates that arrived out of order. */
-    std::map<Guid, std::map<VersionNum, Update>> buffered_;
+    std::map<Guid, std::map<VersionNum, SharedUpdate>> buffered_;
     /** Objects invalidated but not yet re-fetched: obj -> needed version. */
     std::unordered_map<Guid, VersionNum> stale_;
     /** Update ids already forwarded down the tree: a duplicated or
      *  retransmitted sec.push is re-acked but never re-forwarded, so
-     *  lossy links cannot trigger multicast storms. */
-    std::set<Guid> forwarded_;
+     *  lossy links cannot trigger multicast storms.  Only ever
+     *  tested for membership, so hashed (by Guid::hash64). */
+    std::unordered_set<Guid> forwarded_;
     /** (child, update id) -> retransmit driver for an unacked push. */
     std::map<std::pair<NodeId, Guid>, std::unique_ptr<RpcCall>>
         pushPending_;
@@ -173,8 +174,17 @@ class SecondaryTier
      * Inject a committed update (serialized by the primary tier) at
      * the tree root; it multicasts down the dissemination tree, or —
      * with treePush disabled — waits for anti-entropy to carry it.
+     * Every replica, message body and retransmit driver shares @p u,
+     * which must come from shareUpdate().
      */
-    void injectCommitted(const Update &u, VersionNum version);
+    void injectCommitted(SharedUpdate u, VersionNum version);
+
+    /** Adapter for tests and benchmarks: shares a copy of @p u. */
+    void
+    injectCommitted(const Update &u, VersionNum version)
+    {
+        injectCommitted(shareUpdate(u), version);
+    }
 
     /** True when every replica has committed @p obj up to @p v. */
     bool allCommitted(const Guid &obj, VersionNum v) const;

@@ -78,7 +78,9 @@ Update::serializeForSigning() const
     }
     w.putBlob(writerPublicKey);
     Bytes out = w.take();
-    cachedSignedSize_ = out.size();
+    // Store only a change: a shared update's warm memo is never written.
+    if (cachedSignedSize_ != out.size())
+        cachedSignedSize_ = out.size();
     return out;
 }
 
@@ -214,6 +216,13 @@ Update::wireSize() const
     if (cachedSignedSize_ == 0)
         serializeForSigning(); // memoizes cachedSignedSize_
     return cachedSignedSize_ + signature.bytes.size();
+}
+
+SharedUpdate
+shareUpdate(Update u)
+{
+    u.id(); // memoizes the id and the signed size together
+    return std::make_shared<const Update>(std::move(u));
 }
 
 } // namespace oceanstore

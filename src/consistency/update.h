@@ -19,6 +19,7 @@
 #define OCEANSTORE_CONSISTENCY_UPDATE_H
 
 #include <cstdint>
+#include <memory>
 #include <variant>
 #include <vector>
 
@@ -134,8 +135,9 @@ struct UpdateClause
 /**
  * A client-generated update against one object.
  *
- * Block ciphertext is a Blob, so copying an update (into a log entry,
- * a message body or a retransmit closure) shares the bulk bytes.
+ * Block ciphertext is a Blob, so even a copied update shares the bulk
+ * bytes.  Log entries, message bodies and retransmit closures do not
+ * copy it at all: they hold one SharedUpdate.
  *
  * Hot-path contract: an update is treated as value-immutable once it
  * starts circulating (signed and handed to the consistency layers).
@@ -179,6 +181,14 @@ struct Update
         cachedSignedSize_ = 0;
     }
 
+    /** True once both id() and wireSize() are memoized, so neither
+     *  call writes this update again. */
+    bool
+    identityCached() const
+    {
+        return idCached_ && cachedSignedSize_ != 0;
+    }
+
   private:
     mutable Guid cachedId_;
     mutable bool idCached_ = false;
@@ -186,6 +196,20 @@ struct Update
      *  size is always positive: it contains the object guid). */
     mutable std::size_t cachedSignedSize_ = 0;
 };
+
+/**
+ * A committed update held by reference.  The secondary tier, every
+ * replica's log entry and every message body that carries the update
+ * share one immutable Update (DESIGN.md section 19).
+ */
+using SharedUpdate = std::shared_ptr<const Update>;
+
+/**
+ * Move @p u behind a SharedUpdate.  Its id() and wireSize() memo is
+ * warmed first, so no holder ever writes the shared object: on the
+ * threaded backend a lazily filled memo would be a data race.
+ */
+SharedUpdate shareUpdate(Update u);
 
 /** Serialize a predicate for signing / byte accounting. */
 void serializePredicate(ByteWriter &w, const Predicate &p);

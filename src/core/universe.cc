@@ -179,23 +179,22 @@ Universe::wireCommitPath()
         return executeUpdate(rank, payload, seq);
     };
 
-    pbft_->onCommit = [this](const Blob &payload, std::uint64_t) {
-        // Runs on the rank-0 replica after it applies the update:
-        // push the committed result down the dissemination tree and
-        // generate archival fragments (Section 4.4.4).
-        Update u = Update::deserializeFull(payload);
-        auto it = primaryObjects_[0].find(u.objectGuid);
-        if (it == primaryObjects_[0].end())
+    pbft_->onCommit = [this](const Blob &, std::uint64_t) {
+        // Runs on the rank-0 replica right after executeUpdate()
+        // applied the update there: push the committed result down
+        // the dissemination tree and generate archival fragments
+        // (Section 4.4.4).  The tree shares rank 0's decoded update,
+        // so an update the write guard refused never reaches it.
+        SharedUpdate u = std::move(rank0Applied_);
+        if (!u)
             return;
-        VersionNum v = it->second.version();
-        // The latest log entry tells us whether this update committed.
-        if (it->second.log().empty() ||
-            !it->second.log().back().committed) {
+        const DataObject &obj = primaryObjects_[0].at(u->objectGuid);
+        if (!obj.log().back().committed)
             return; // aborted updates do not propagate
-        }
-        tier_->injectCommitted(u, v);
+        const Guid guid = u->objectGuid;
+        tier_->injectCommitted(std::move(u), obj.version());
         if (cfg_.archiveOnCommit)
-            archiveObject(u.objectGuid);
+            archiveObject(guid);
     };
 }
 
@@ -206,9 +205,16 @@ Universe::executeUpdate(unsigned rank, const Bytes &payload,
     OS_CHECK(rank < primaryObjects_.size(),
              "executeUpdate: rank ", rank, " of ",
              primaryObjects_.size());
-    Update u = Update::deserializeFull(payload);
+    if (rank == 0)
+        rank0Applied_.reset();
+    // The replicas execute one committed payload after another, so
+    // they share one decode of it, as the secondary tier does.
+    if (!lastDecoded_ || payload != lastPayload_) {
+        lastDecoded_ = shareUpdate(Update::deserializeFull(payload));
+        lastPayload_ = payload;
+    }
+    const Update &u = *lastDecoded_;
 
-    Bytes result;
     auto reply = [&](bool committed, VersionNum v) {
         ByteWriter w;
         w.putU8(committed ? 1 : 0);
@@ -235,7 +241,9 @@ Universe::executeUpdate(unsigned rank, const Bytes &payload,
                  .emplace(u.objectGuid, DataObject(u.objectGuid))
                  .first;
     }
-    ApplyResult res = it->second.apply(u);
+    if (rank == 0)
+        rank0Applied_ = lastDecoded_;
+    ApplyResult res = it->second.apply(lastDecoded_);
     return reply(res.committed, res.version);
 }
 

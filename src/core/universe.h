@@ -400,6 +400,13 @@ class Universe : public NodeLifecycle
 
     /** Primary-tier replica state: one object map per rank. */
     std::vector<std::map<Guid, DataObject>> primaryObjects_;
+    /** The payload executeUpdate() last decoded, and its decode,
+     *  which every primary replica's log shares. */
+    Bytes lastPayload_;
+    SharedUpdate lastDecoded_;
+    /** The update rank 0's executeUpdate() last admitted and applied
+     *  (null after a refusal); onCommit hands it to the tree. */
+    SharedUpdate rank0Applied_;
     WriteGuard guard_;
 
     /** Floating-replica placement: object -> hosting server indices. */

@@ -48,10 +48,10 @@ modificationHistory(const DataObject &obj)
     for (const LogEntry &e : obj.log()) {
         VersionRecord rec;
         rec.version = e.versionAfter;
-        rec.timestamp = e.update.timestamp;
-        rec.writerPublicKey = e.update.writerPublicKey;
+        rec.timestamp = e.update->timestamp;
+        rec.writerPublicKey = e.update->writerPublicKey;
         rec.committed = e.committed;
-        for (const auto &clause : e.update.clauses)
+        for (const auto &clause : e.update->clauses)
             rec.actions += clause.actions.size();
         history.push_back(std::move(rec));
     }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/universe.h"
+#include "obs/metrics.h"
 
 namespace oceanstore {
 namespace {
@@ -139,6 +140,28 @@ TEST_F(UniverseTest, TamperedUpdateRejected)
     WriteResult wr = uni.writeSync(u);
     ASSERT_TRUE(wr.completed);
     EXPECT_FALSE(wr.committed);
+}
+
+TEST_F(UniverseTest, RefusedWriteNeverReachesTheTree)
+{
+    // The tree is fed the update rank 0 applied.  A write the guard
+    // refuses, on an object whose last entry committed, must not be
+    // pushed down it as that version.
+    ObjectHandle h = uni.createObject(owner, "doc");
+    ASSERT_TRUE(uni.writeSync(appendText(h, "legit", 0)).committed);
+    uni.advance(10.0);
+
+    KeyPair mallory = uni.makeUser();
+    Update u = appendText(h, "forged", 1);
+    u.writerPublicKey = mallory.publicKey;
+    u.signature = KeyRegistry::sign(mallory, u.serializeForSigning());
+    const MetricsRegistry &reg = MetricsRegistry::global();
+    std::uint64_t injects = reg.counterValue("sec.committed_injects");
+    WriteResult wr = uni.writeSync(u);
+    ASSERT_TRUE(wr.completed);
+    EXPECT_FALSE(wr.committed);
+    uni.advance(10.0);
+    EXPECT_EQ(reg.counterValue("sec.committed_injects"), injects);
 }
 
 TEST_F(UniverseTest, ReadPrefersBloomTier)

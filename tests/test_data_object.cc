@@ -368,8 +368,8 @@ TEST_F(DataObjectTest, VersionsShareBlocks)
     ASSERT_TRUE(
         obj.apply(unconditional(g, {ReplaceBlock{1, toBytes("B")}}))
             .committed);
-    const auto &first = obj.log()[0].update.clauses[0].actions;
-    const auto &second = obj.log()[1].update.clauses[0].actions;
+    const auto &first = obj.log()[0].update->clauses[0].actions;
+    const auto &second = obj.log()[1].update->clauses[0].actions;
     const std::uint8_t *a = std::get<AppendBlock>(first[0]).ciphertext.data();
     const std::uint8_t *b = std::get<AppendBlock>(first[1]).ciphertext.data();
     const std::uint8_t *big_b =
@@ -387,6 +387,27 @@ TEST_F(DataObjectTest, VersionsShareBlocks)
     EXPECT_EQ(v1.logicalBlock(1).data(), b);
     EXPECT_EQ(toString(v1.logicalBlock(1)), "b");
     EXPECT_EQ(obj.materializeVersion(2).logicalBlock(0).data(), a);
+}
+
+TEST_F(DataObjectTest, MaterializeVersionSharesUpdates)
+{
+    // Replaying the log to build an old version re-logs the source
+    // object's updates by reference, never by copy.
+    append("a");
+    ASSERT_FALSE(obj.apply(unconditional(g, {DeleteBlock{7}})).committed);
+    append("b");
+    append("c");
+    ASSERT_EQ(obj.log().size(), 4u);
+    for (const LogEntry &e : obj.log())
+        EXPECT_TRUE(e.update->identityCached());
+
+    DataObject v2 = obj.materializeVersion(2);
+    ASSERT_EQ(v2.version(), 2u);
+    // Only committed entries are replayed: source entries 0 and 2.
+    ASSERT_EQ(v2.log().size(), 2u);
+    EXPECT_EQ(v2.log()[0].update.get(), obj.log()[0].update.get());
+    EXPECT_EQ(v2.log()[1].update.get(), obj.log()[2].update.get());
+    EXPECT_EQ(v2.log()[1].versionAfter, 2u);
 }
 
 } // namespace

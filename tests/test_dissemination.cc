@@ -1,5 +1,7 @@
 /** @file Dissemination tree structural tests (Section 4.4.3). */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "consistency/dissemination.h"
@@ -126,6 +128,75 @@ TEST(DisseminationTree, NonMemberHasNoParentOrChildren)
     EXPECT_TRUE(fx.tree->childrenOf(9999).empty());
     EXPECT_FALSE(fx.tree->contains(9999));
     EXPECT_TRUE(fx.tree->contains(fx.root));
+}
+
+/**
+ * Check every lookup for every NodeId in [0, max + 2] against a
+ * linear scan over the tree's edges, collected by walking it from the
+ * root.  The walk must reach the root and each member exactly once.
+ */
+void
+expectLookupsMatchLinearScan(const DisseminationTree &tree)
+{
+    struct Entry
+    {
+        NodeId node;
+        NodeId parent;
+        std::vector<NodeId> children;
+    };
+    std::vector<Entry> ref{{tree.root(), invalidNode, {}}};
+    for (std::size_t i = 0; i < ref.size(); i++) {
+        ref[i].children = tree.childrenOf(ref[i].node);
+        for (NodeId c : ref[i].children)
+            ref.push_back({c, ref[i].node, {}});
+    }
+    ASSERT_EQ(ref.size(), tree.members().size() + 1);
+
+    NodeId max_id = tree.root();
+    for (NodeId m : tree.members()) {
+        max_id = std::max(max_id, m);
+        EXPECT_EQ(std::count_if(ref.begin(), ref.end(),
+                                [&](const Entry &e) { return e.node == m; }),
+                  1)
+            << "member " << m;
+    }
+
+    for (NodeId n = 0; n <= max_id + 2; n++) {
+        const Entry *e = nullptr;
+        for (const Entry &cand : ref) {
+            if (cand.node == n) {
+                e = &cand;
+                break;
+            }
+        }
+        EXPECT_EQ(tree.contains(n), e != nullptr) << "node " << n;
+        EXPECT_EQ(tree.parentOf(n), e ? e->parent : invalidNode)
+            << "node " << n;
+        EXPECT_EQ(tree.childrenOf(n),
+                  e ? e->children : std::vector<NodeId>{})
+            << "node " << n;
+        EXPECT_EQ(tree.isLeaf(n), !e || e->children.empty())
+            << "node " << n;
+    }
+}
+
+TEST(DisseminationTree, LookupsMatchLinearScan)
+{
+    TreeFixture fx(30, 3);
+    expectLookupsMatchLinearScan(*fx.tree);
+
+    // Rebuilt without two down members, one of them the largest id,
+    // so lookups past the end of the dense table are covered too.
+    std::vector<NodeId> up = fx.members;
+    NodeId largest = *std::max_element(up.begin(), up.end());
+    std::erase(up, largest);
+    NodeId middle = up[up.size() / 2];
+    std::erase(up, middle);
+    DisseminationTree rebuilt(fx.rt, fx.root, up, 3);
+    EXPECT_FALSE(rebuilt.contains(largest));
+    EXPECT_FALSE(rebuilt.contains(middle));
+    EXPECT_EQ(rebuilt.parentOf(middle), invalidNode);
+    expectLookupsMatchLinearScan(rebuilt);
 }
 
 } // namespace

@@ -260,5 +260,33 @@ TEST(SecondaryTier, PushSharesOneBuffer)
     }
 }
 
+TEST(SecondaryTier, ReplicasShareOneUpdate)
+{
+    // One committed update pushed through 48 replicas is one object:
+    // every replica's log entry for the version points at it, and it
+    // was shared with its id/size memo already warm, so no replica
+    // ever writes it.
+    TierFixture fx(48);
+    Update u = appendUpdate(fx.obj, std::string(512, 'u'), {1, 1});
+    ASSERT_FALSE(u.identityCached());
+    fx.tier->injectCommitted(u, 1);
+    fx.sim.runUntil(30.0);
+    ASSERT_TRUE(fx.tier->allCommitted(fx.obj, 1));
+
+    const auto &root_log = fx.tier->replica(0).committedObject(fx.obj).log();
+    ASSERT_EQ(root_log.size(), 1u);
+    const Update *shared = root_log[0].update.get();
+    EXPECT_TRUE(shared->identityCached());
+    EXPECT_EQ(shared->id(), u.id());
+    for (std::size_t i = 0; i < fx.tier->size(); i++) {
+        const auto &log = fx.tier->replica(i).committedObject(fx.obj).log();
+        ASSERT_EQ(log.size(), 1u) << "replica " << i;
+        EXPECT_TRUE(log[0].committed);
+        EXPECT_EQ(log[0].versionAfter, 1u);
+        EXPECT_EQ(log[0].update.get(), shared) << "replica " << i;
+    }
+    EXPECT_GE(root_log[0].update.use_count(), 48);
+}
+
 } // namespace
 } // namespace oceanstore
