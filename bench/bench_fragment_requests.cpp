@@ -70,6 +70,11 @@ measure(bench::BenchContext &ctx, double overfactor, double drop_rate,
         acfg.failTimeout = 30.0;
         SimRuntime rt(sim, net);
         ArchivalSystem sys(rt, pos, domains, acfg);
+        std::vector<std::unique_ptr<NodeStorage>> disks;
+        for (std::size_t i = 0; i < sys.size(); i++) {
+            disks.push_back(std::make_unique<NodeStorage>(StorageSetup{}));
+            sys.server(i).attachStorage(disks.back().get());
+        }
         auto client = sys.makeClient(0.5, 0.5);
 
         ReedSolomonCode codec(16, 32);

@@ -22,11 +22,16 @@ when every pair was bit-identical; "-" for metrics whose direction
 BENCHMARK.json does not declare).  Extras printed by the benchmark
 (e.g. `counts_digest`) are compared too.
 
+After each workload's table it prints, for each side, the `attempted`
+and `failed` operation counts summed over that side's runs and the
+failed share.
+
 Exit status: 0 when every run completed and was correct; 1 when a run
-failed, reported incorrect bytes, or, on geo_sim, printed a different
-`counts_digest` for base and head on any seed (geo_sim is deterministic
-per seed, so a digest change means the change altered behaviour); 2 on
-usage errors.  The worktrees are removed at the end unless --keep.
+failed, reported incorrect bytes, failed a larger share of its
+operations on head than on base (summed over a workload's runs), or,
+on geo_sim, printed a different `counts_digest` for base and head on
+any seed (geo_sim is deterministic per seed, so a digest change means
+the change altered behaviour); 2 on usage errors.  The worktrees are removed at the end unless --keep.
 """
 
 import argparse
@@ -64,14 +69,15 @@ def parse_seeds(text):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One perfbench run; returns (metrics, extras, ok)."""
+    """One perfbench run; returns (metrics, extras, ok, counts), where
+    counts is (attempted, failed) from the run's JSON."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr[-2000:])
-        return {}, {}, False
+        return {}, {}, False, (0, 0)
     doc = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in doc["metrics"].items()}
     extras = {}
@@ -79,7 +85,8 @@ def run_once(tree, workload, seed, seconds):
         fields = line.split()
         if len(fields) >= 3 and fields[0] == "extra":
             extras[fields[1]] = float(fields[2])
-    return metrics, extras, bool(doc.get("correct"))
+    counts = (int(doc.get("attempted", 0)), int(doc.get("failed", 0)))
+    return metrics, extras, bool(doc.get("correct")), counts
 
 
 def quartiles(values):
@@ -119,6 +126,23 @@ def report(workload, pairs, better):
             tally = "-"
         print(f"  {name:<28} {mb:>12.6g} {mh:>12.6g} {change:>8} "
               f"{q3 - q1:>10.4g} {tally:>7}")
+
+
+def failed_share(workload, counts):
+    """Print each side's summed attempted/failed counts and failed
+    share; return False when head fails a larger share than base."""
+    share = {}
+    for side in ("base", "head"):
+        attempted, failed = counts[side]
+        share[side] = failed / attempted if attempted else 0.0
+        print(f"  {side} ops: attempted {attempted} failed {failed} "
+              f"failed share {share[side]:.6f}")
+    if share["head"] > share["base"]:
+        print(f"{workload}: head fails a larger share of operations "
+              f"({share['head']:.6f} vs {share['base']:.6f})",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def main():
@@ -164,12 +188,15 @@ def main():
     try:
         for workload in workloads:
             pairs = []
+            counts = {"base": (0, 0), "head": (0, 0)}
             for i, seed in enumerate(seeds):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 got = {}
                 for side in order:
-                    metrics, extras, correct = run_once(
+                    metrics, extras, correct, (tried, failed) = run_once(
                         sides[side], workload, seed, args.seconds)
+                    counts[side] = (counts[side][0] + tried,
+                                    counts[side][1] + failed)
                     if not metrics or not correct:
                         print(f"{workload} seed {seed}: {side} run failed",
                               file=sys.stderr)
@@ -180,10 +207,11 @@ def main():
                             f.write(json.dumps({
                                 "workload": workload, "seed": seed,
                                 "side": side, "correct": correct,
+                                "attempted": tried, "failed": failed,
                                 "metrics": metrics, "extras": extras}) + "\n")
                     print(f"{workload} seed {seed} {side}: "
-                          f"ops_per_s={metrics.get('ops_per_s')}",
-                          file=sys.stderr)
+                          f"ops_per_s={metrics.get('ops_per_s')} "
+                          f"failed={failed}/{tried}", file=sys.stderr)
                 (bm, bx), (hm, hx) = got["base"], got["head"]
                 if workload == "geo_sim" and \
                         bx.get("counts_digest") != hx.get("counts_digest"):
@@ -196,6 +224,7 @@ def main():
                               {**hm, **{"extra." + k: v
                                         for k, v in hx.items()}}))
             report(workload, pairs, better)
+            ok = failed_share(workload, counts) and ok
     finally:
         if not args.keep:
             for tree in sides.values():

@@ -1,9 +1,12 @@
 #include "archive/archival.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <functional>
 #include <memory>
-#include <cmath>
+#include <stdexcept>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -78,67 +81,87 @@ ArchivalServer::ArchivalServer(ArchivalSystem &sys, std::size_t index)
 {
 }
 
-bool
-ArchivalServer::holds(const Guid &archive, std::uint32_t index) const
-{
-    return store_.count({archive, index}) > 0;
-}
-
 std::string
 ArchivalServer::fragmentKey(const Guid &archive, std::uint32_t index)
 {
     return "frag/" + archive.hex() + "/" + std::to_string(index);
 }
 
-void
-ArchivalServer::persistFragment(const Fragment &fragment)
+std::size_t
+ArchivalServer::fragmentCount() const
 {
-    // A full disk refuses the write (counted as storage.enospc) but
-    // the RAM copy keeps serving: durability degrades, reads do not.
+    std::size_t n = 0;
     if (LogStore *store = runningStore(storage_))
-        store->put(fragmentKey(fragment.archiveGuid, fragment.index),
-                   fragment.serialize());
+        store->scanKeys("frag/", [&](const std::string &) { n++; });
+    return n;
 }
 
-void
+bool
+ArchivalServer::holds(const Guid &archive, std::uint32_t index) const
+{
+    LogStore *store = runningStore(storage_);
+    return store && store->contains(fragmentKey(archive, index));
+}
+
+std::optional<Fragment>
+ArchivalServer::fragment(const Guid &archive, std::uint32_t index)
+{
+    LogStore *store = runningStore(storage_);
+    if (!store)
+        return std::nullopt;
+    const std::string key = fragmentKey(archive, index);
+    auto raw = store->view(key);
+    if (!raw)
+        return std::nullopt;
+    auto frag = Fragment::deserialize(*raw);
+    if (!frag)
+        logWarn("archive: undecodable stored fragment '", key,
+                "' on server ", index_);
+    return frag;
+}
+
+std::vector<std::pair<Guid, std::uint32_t>>
+ArchivalServer::heldFragments() const
+{
+    std::vector<std::pair<Guid, std::uint32_t>> held;
+    LogStore *store = runningStore(storage_);
+    if (!store)
+        return held;
+    // "frag/" + 40 hex digits + "/" + the index in decimal.
+    constexpr std::size_t hexAt = 5, hexLen = 2 * Guid::numBytes;
+    constexpr std::size_t indexAt = hexAt + hexLen + 1;
+    store->scanKeys("frag/", [&](const std::string &key) {
+        std::uint32_t index = 0;
+        const char *end = key.data() + key.size();
+        if (key.size() <= indexAt ||
+            std::from_chars(key.data() + indexAt, end, index).ptr != end)
+            return; // not a key storeFragment() wrote
+        try {
+            held.emplace_back(
+                Guid::fromHex(std::string_view(key).substr(hexAt, hexLen)),
+                index);
+        } catch (const std::invalid_argument &) {
+            // Not hex: not a key storeFragment() wrote either.
+        }
+    });
+    std::sort(held.begin(), held.end());
+    return held;
+}
+
+bool
 ArchivalServer::storeFragment(const Fragment &fragment)
 {
-    store_[{fragment.archiveGuid, fragment.index}] = fragment;
-    persistFragment(fragment);
+    LogStore *store = runningStore(storage_);
+    return store &&
+           store->put(fragmentKey(fragment.archiveGuid, fragment.index),
+                      fragment.serialize()) == StorageStatus::Ok;
 }
 
 void
 ArchivalServer::dropFragment(const Guid &archive, std::uint32_t index)
 {
-    store_.erase({archive, index});
     if (LogStore *store = runningStore(storage_))
         store->erase(fragmentKey(archive, index));
-}
-
-std::size_t
-ArchivalServer::restoreFromStorage()
-{
-    store_.clear();
-    LogStore *store = runningStore(storage_);
-    if (!store)
-        return 0;
-    std::size_t restored = 0, skipped = 0;
-    store->scan("frag/", [&](const std::string &key, const Bytes &value) {
-        auto frag = Fragment::deserialize(value);
-        if (!frag.has_value()) {
-            skipped++;
-            logWarn("archive: undecodable stored fragment '", key,
-                    "' skipped during restore");
-            return;
-        }
-        store_[{frag->archiveGuid, frag->index}] = std::move(*frag);
-        restored++;
-    });
-    if (skipped > 0) {
-        logWarn("archive: server ", index_, " restore skipped ",
-                skipped, " damaged fragments");
-    }
-    return restored;
 }
 
 void
@@ -152,13 +175,15 @@ ArchivalServer::handleMessage(const Message &msg)
         storeFragment(body.fragment);
     } else if (msg.type == "arch.request") {
         const auto &body = messageBody<RequestBody>(msg);
-        auto it = store_.find({body.archive, body.index});
-        if (it == store_.end())
+        auto frag = fragment(body.archive, body.index);
+        if (!frag)
             return;
-        FragmentBody reply{it->second, body.ticket};
+        const std::size_t wire = frag->wireSize() + 8;
         sys_.rt().send(nodeId_, msg.src,
-                        makeMessage("arch.fragment", reply,
-                                    it->second.wireSize() + 8));
+                        makeMessage("arch.fragment",
+                                    FragmentBody{std::move(*frag),
+                                                 body.ticket},
+                                    wire));
     }
 }
 
@@ -534,10 +559,9 @@ ArchivalSystem::repairSweep()
             const auto &srv = servers_[placement.holders[i]];
             if (!rt_.isUp(srv->nodeId()))
                 continue;
-            auto fit = srv->store_.find(
-                {archive, static_cast<std::uint32_t>(i)});
-            if (fit != srv->store_.end())
-                have.push_back(fit->second);
+            if (auto f = srv->fragment(archive,
+                                       static_cast<std::uint32_t>(i)))
+                have.push_back(std::move(*f));
         }
         auto data = reassembleObject(*placement.codec, archive,
                                      placement.originalSize, have);
@@ -600,21 +624,22 @@ ArchivalSystem::corruptServer(std::size_t server, Rng &rng,
 {
     OS_CHECK(server < servers_.size(), "corruptServer: index ", server,
              " of ", servers_.size());
+    ArchivalServer &srv = *servers_[server];
     unsigned corrupted = 0;
-    for (auto &[key, frag] : servers_[server]->store_) {
+    for (const auto &[archive, index] : srv.heldFragments()) {
         if (fraction < 1.0 && !rng.chance(fraction))
             continue;
-        if (frag.data.empty())
+        auto frag = srv.fragment(archive, index);
+        if (!frag || frag->data.empty())
             continue;
         // Payload no longer matches the Merkle proof; the proof and
         // header stay intact so the fragment still *looks* plausible.
-        // Written through to the server's disk with a valid storage
+        // Written back to the server's log with a valid storage
         // checksum (the adversary controls the medium): the corruption
         // survives a restart CRC-intact, detectable only by the
-        // Merkle-verified audit.  The bytes are shared with every other
-        // holder of this fragment, so the server gets a corrupted copy.
-        frag.data = withByteFlipped(frag.data, 0, 0xa5);
-        servers_[server]->persistFragment(frag);
+        // Merkle-verified audit.
+        frag->data = withByteFlipped(frag->data, 0, 0xa5);
+        srv.storeFragment(*frag);
         corrupted++;
     }
     return corrupted;
@@ -626,12 +651,12 @@ ArchivalSystem::corruptFragment(const Guid &archive, std::uint32_t index)
     auto pit = placements_.find(archive);
     if (pit == placements_.end() || index >= pit->second.holders.size())
         return false;
-    auto &srv = servers_[pit->second.holders[index]];
-    auto fit = srv->store_.find({archive, index});
-    if (fit == srv->store_.end() || fit->second.data.empty())
+    ArchivalServer &srv = *servers_[pit->second.holders[index]];
+    auto frag = srv.fragment(archive, index);
+    if (!frag || frag->data.empty())
         return false;
-    fit->second.data = withByteFlipped(fit->second.data, 0, 0xa5);
-    srv->persistFragment(fit->second);
+    frag->data = withByteFlipped(frag->data, 0, 0xa5);
+    srv.storeFragment(*frag);
     return true;
 }
 
@@ -641,10 +666,9 @@ ArchivalSystem::corruptedFragments() const
     unsigned bad = 0;
     for (const auto &[archive, p] : placements_) {
         for (std::size_t i = 0; i < p.holders.size(); i++) {
-            const auto &srv = servers_[p.holders[i]];
-            auto fit = srv->store_.find(
-                {archive, static_cast<std::uint32_t>(i)});
-            if (fit != srv->store_.end() && !fit->second.verify())
+            auto f = servers_[p.holders[i]]->fragment(
+                archive, static_cast<std::uint32_t>(i));
+            if (f && !f->verify())
                 bad++;
         }
     }
@@ -663,10 +687,9 @@ ArchivalSystem::repairFragment(const Guid &archive, Placement &placement,
         const auto &srv = servers_[placement.holders[i]];
         if (!rt_.isUp(srv->nodeId()))
             continue;
-        auto fit = srv->store_.find(
-            {archive, static_cast<std::uint32_t>(i)});
-        if (fit != srv->store_.end() && fit->second.verify())
-            have.push_back(fit->second);
+        auto f = srv->fragment(archive, static_cast<std::uint32_t>(i));
+        if (f && f->verify())
+            have.push_back(std::move(*f));
     }
     auto data = reassembleObject(*placement.codec, archive,
                                  placement.originalSize, have);
@@ -679,8 +702,7 @@ ArchivalSystem::repairFragment(const Guid &archive, Placement &placement,
         holder = chooseTargets(1, placement.holders[index])[0];
         placement.holders[index] = holder;
     }
-    servers_[holder]->storeFragment(set.fragments[index]);
-    return true;
+    return servers_[holder]->storeFragment(set.fragments[index]);
 }
 
 ArchivalSystem::AuditReport
@@ -736,8 +758,8 @@ ArchivalSystem::auditSweep()
         const auto &srv = servers_[placement.holders[flat]];
         bool healthy = rt_.isUp(srv->nodeId());
         if (healthy) {
-            auto fit = srv->store_.find({archive, index});
-            healthy = fit != srv->store_.end() && fit->second.verify();
+            auto f = srv->fragment(archive, index);
+            healthy = f && f->verify();
         }
         if (healthy)
             continue;

@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -80,7 +81,14 @@ struct ArchiveConfig
     ArchiveAuditConfig audit;
 };
 
-/** One storage server's archival state. */
+/**
+ * One storage server's archival state.  Its fragments live in one
+ * place: the "frag/<archive hex>/<index>" records of the server's log
+ * (DESIGN.md section 14).  There is no copy in RAM, so a crash frees
+ * no fragment and a restart reloads none: the log's replay rebuilds
+ * its index, and every reader (fragment requests, the repair sweep,
+ * the audit, the corruption hooks) reads through it.
+ */
 class ArchivalServer : public SimNode
 {
   public:
@@ -94,45 +102,40 @@ class ArchivalServer : public SimNode
     /** Administrative domain this server belongs to. */
     unsigned domain() const { return domain_; }
 
-    /** Number of fragments held. */
-    std::size_t fragmentCount() const { return store_.size(); }
+    /** Number of fragments held: live "frag/" records in the log (0
+     *  while crashed). */
+    std::size_t fragmentCount() const;
 
-    /** True when a fragment of @p archive at @p index is held here. */
+    /**
+     * True when the log holds a fragment of @p archive at @p index.
+     * An index lookup that reads no record: a record rotted on the
+     * medium still counts until a read rejects it.
+     */
     bool holds(const Guid &archive, std::uint32_t index) const;
+
+    /**
+     * Read one held fragment: one checksum over its log record and
+     * one copy of the payload, into the fragment's Blob.  nullopt
+     * when it is not held, the server is crashed, or the record fails
+     * its checksum (counted as storage.crc_errors) or does not decode.
+     */
+    std::optional<Fragment> fragment(const Guid &archive,
+                                     std::uint32_t index);
 
     // --- durable storage (DESIGN.md section 14) -----------------------
 
-    /** Attach this server's durable storage handle (owned by the
-     *  Universe).  Null (the default) leaves a standalone server with
-     *  no durable state. */
+    /** Attach this server's storage, its only fragment store (owned by
+     *  the Universe, or by whoever built a standalone ArchivalSystem).
+     *  Without one, or while it is crashed, the server holds nothing. */
     void attachStorage(NodeStorage *storage) { storage_ = storage; }
 
-    /** Accept a fragment: RAM map plus write-through to storage. */
-    void storeFragment(const Fragment &fragment);
+    /** Append @p fragment to the log, replacing any copy held.  A disk
+     *  that refuses the write (storage.enospc) leaves it not held.
+     *  @return true when the log took it. */
+    bool storeFragment(const Fragment &fragment);
 
-    /** Drop a fragment from the map and from storage. */
+    /** Erase a fragment from the log. */
     void dropFragment(const Guid &archive, std::uint32_t index);
-
-    /**
-     * Write-through of an already-held (possibly adversarially
-     * corrupted) fragment: the adversary controls the server's disk,
-     * so corrupt payloads are re-framed with a *valid* storage
-     * checksum — after a restart they are Merkle-detected by the
-     * audit, not CRC-detected by the store.
-     */
-    void persistFragment(const Fragment &fragment);
-
-    /** Crash: the in-memory fragment map dies with the process. */
-    void clearForCrash() { store_.clear(); }
-
-    /**
-     * Restart: rebuild the fragment map by scanning the recovered
-     * store's "frag/" namespace.  CRC-corrupt records are withheld
-     * by the store (surfacing as missing fragments the repair sweep
-     * restores); structurally damaged ones are skipped and counted.
-     * @return fragments restored.
-     */
-    std::size_t restoreFromStorage();
 
   private:
     friend class ArchivalSystem;
@@ -141,14 +144,17 @@ class ArchivalServer : public SimNode
     static std::string fragmentKey(const Guid &archive,
                                    std::uint32_t index);
 
+    /** Every held (archive, index), in that order.  The log orders
+     *  keys as strings, so its index order ("/10" before "/2") is
+     *  sorted back into numeric order. */
+    std::vector<std::pair<Guid, std::uint32_t>> heldFragments() const;
+
     class ArchivalSystem &sys_;
     std::size_t index_;
     NodeId nodeId_ = invalidNode;
     unsigned domain_ = 0;
     double reliability_ = 1.0;
     NodeStorage *storage_ = nullptr;
-    /** (archive GUID, fragment index) -> fragment. */
-    std::map<std::pair<Guid, std::uint32_t>, Fragment> store_;
 };
 
 /** Outcome of a reconstruction attempt. */
@@ -278,10 +284,12 @@ class ArchivalSystem
 
     /**
      * Adversary hook: corrupt the payload of stored fragments on
-     * @p server (each with probability @p fraction), leaving the
-     * Merkle proofs untouched so every corrupted copy fails verify().
-     * The server keeps serving the corrupted bytes — honest clients
-     * and the auditor must detect them.  @return fragments corrupted.
+     * @p server (each with probability @p fraction, drawn in
+     * (archive, index) order), leaving the Merkle proofs untouched so
+     * every corrupted copy fails verify().  The adversary controls the
+     * disk, so the corrupt record is written with a valid checksum:
+     * the server keeps serving it, and honest clients and the auditor
+     * must detect it.  @return fragments corrupted.
      */
     unsigned corruptServer(std::size_t server, Rng &rng,
                            double fraction = 1.0);
@@ -360,7 +368,8 @@ class ArchivalSystem
                                            std::size_t exclude) const;
 
     /** Restore one fragment from the verified surviving set; moves
-     *  the placement to a fresh up server when the holder is down. */
+     *  the placement to a fresh up server when the holder is down.
+     *  @return false when it is unrepairable or the disk refused it. */
     bool repairFragment(const Guid &archive, Placement &placement,
                         std::uint32_t index);
 

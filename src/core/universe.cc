@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -136,6 +137,7 @@ Universe::assemble()
     //    and mesh node — plus one per primary replica, each with a
     //    node-mixed fault seed so crashes damage disks independently
     //    but deterministically.
+    hostedBy_.resize(cfg_.numServers);
     serverStorage_.reserve(cfg_.numServers);
     for (std::size_t i = 0; i < cfg_.numServers; i++) {
         StorageSetup setup = cfg_.storage;
@@ -373,6 +375,7 @@ Universe::addHost(const Guid &obj, std::size_t idx)
     rt_->execute([&]() {
         if (!hosts_[obj].insert(idx).second)
             return;
+        hostedBy_[idx].insert(obj);
         bloom_->addObject(static_cast<NodeId>(idx), obj);
         mesh_->publish(obj, tier_->replica(idx).nodeId());
     });
@@ -385,6 +388,7 @@ Universe::removeHost(const Guid &obj, std::size_t idx)
         auto hit = hosts_.find(obj);
         if (hit == hosts_.end() || !hit->second.erase(idx))
             return;
+        hostedBy_[idx].erase(obj);
         bloom_->removeObject(static_cast<NodeId>(idx), obj);
         mesh_->unpublish(obj, tier_->replica(idx).nodeId());
     });
@@ -440,15 +444,36 @@ Universe::read(std::size_t from_server, const Guid &obj,
     CoreMetricIds &cm = coreMetrics();
     cm.reg->inc(cm.reads);
 
+    // A read entered at a down server re-homes to the nearest live
+    // one: the dead node's filters and mesh membership are gone, so a
+    // lookup from it would only spend the location retries.  The hop
+    // to the new origin is charged to the modeled latency.
+    std::size_t origin = from_server;
+    double latency = 0.0;
+    const NodeId entry = tier_->replica(from_server).nodeId();
+    if (!rt_->isUp(entry)) {
+        double best = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < cfg_.numServers; i++) {
+            const NodeId n = tier_->replica(i).nodeId();
+            double hop = rt_->latency(entry, n);
+            if (rt_->isUp(n) && hop < best) {
+                origin = i;
+                best = hop;
+            }
+        }
+        if (origin != from_server)
+            latency = best;
+    }
+    const NodeId originNode = tier_->replica(origin).nodeId();
+
     // Introspection taps every access (Section 4.7.2).
     semantic_.onAccess(obj);
     prefetcher_.onAccess(obj);
-    readerLoad_[obj][from_server]++;
+    readerLoad_[obj][origin]++;
 
     // Tier 1: probabilistic location (Section 4.3.2).
-    auto bq = bloom_->query(static_cast<NodeId>(from_server), obj);
+    auto bq = bloom_->query(static_cast<NodeId>(origin), obj);
     std::size_t holder = invalidNode;
-    double latency = 0.0;
     if (bq.found &&
         rt_->isUp(tier_->replica(bq.location).nodeId())) {
         res.viaBloom = true;
@@ -460,14 +485,13 @@ Universe::read(std::size_t from_server, const Guid &obj,
         }
         // Response routes directly back to the requester.
         latency += rt_->latency(tier_->replica(holder).nodeId(),
-                                tier_->replica(from_server).nodeId());
+                                originNode);
     } else {
         // Tier 2: the global mesh (Section 4.3.3).  Also the fallback
         // when the Bloom tier advertises a crashed holder — its soft
         // state decays lazily, whereas mesh locate() filters dead
         // storers at lookup time.
-        auto lr = mesh_->locate(tier_->replica(from_server).nodeId(),
-                                obj);
+        auto lr = mesh_->locate(originNode, obj);
         if (lr.found) {
             // Map the holder NodeId back to its server index.
             for (std::size_t i = 0; i < cfg_.numServers; i++) {
@@ -476,9 +500,7 @@ Universe::read(std::size_t from_server, const Guid &obj,
                     break;
                 }
             }
-            latency = lr.latency +
-                      rt_->latency(lr.location,
-                                   tier_->replica(from_server).nodeId());
+            latency += lr.latency + rt_->latency(lr.location, originNode);
         }
     }
 
@@ -494,8 +516,7 @@ Universe::read(std::size_t from_server, const Guid &obj,
                 break;
             latency += *gap;
             mesh_->repair();
-            auto lr = mesh_->locate(
-                tier_->replica(from_server).nodeId(), obj);
+            auto lr = mesh_->locate(originNode, obj);
             if (!lr.found)
                 continue;
             for (std::size_t i = 0; i < cfg_.numServers; i++) {
@@ -504,10 +525,7 @@ Universe::read(std::size_t from_server, const Guid &obj,
                     break;
                 }
             }
-            latency +=
-                lr.latency +
-                rt_->latency(lr.location,
-                             tier_->replica(from_server).nodeId());
+            latency += lr.latency + rt_->latency(lr.location, originNode);
             break;
         }
     }
@@ -823,9 +841,9 @@ Universe::crashServer(std::size_t idx)
         NodeId tnode = tier_->replica(idx).nodeId();
         rt_->setDown(tnode);
         rt_->setDown(archive_->server(idx).nodeId());
-        // RAM state is amnesia: the archival fragment map empties (only
-        // the disk survives) and the mesh forgets the node wholesale.
-        archive_->server(idx).clearForCrash();
+        // RAM state is amnesia: the mesh forgets the node wholesale.
+        // The archival server keeps nothing in RAM to lose; its
+        // fragments are the log records on the surviving disk.
         mesh_->removeNode(tnode);
     });
 }
@@ -844,22 +862,17 @@ Universe::restartServer(std::size_t idx)
         NodeId tnode = tier_->replica(idx).nodeId();
         rt_->setUp(tnode);
         rt_->setUp(archive_->server(idx).nodeId());
-        std::size_t frags = archive_->server(idx).restoreFromStorage();
         std::size_t ptrs = mesh_->restoreNode(tnode);
         // Pointers TO this node's floating replicas were purged from the
-        // rest of the mesh while it was down; re-deposit them.  (The
-        // restoreNode call above only reloads pointers this node stores
-        // on behalf of others.)
-        std::size_t republished = 0;
-        for (const auto &[obj, host_set] : hosts_) {
-            if (host_set.count(idx)) {
-                mesh_->publish(obj, tnode);
-                republished++;
-            }
-        }
-        logInfo("universe: server ", idx, " restarted (", frags,
-                " fragments, ", ptrs, " stored pointers, ", republished,
-                " republished objects)");
+        // rest of the mesh while it was down; re-deposit them, in Guid
+        // order.  (The restoreNode call above only reloads pointers this
+        // node stores on behalf of others.)
+        for (const Guid &obj : hostedBy_[idx])
+            mesh_->publish(obj, tnode);
+        logInfo("universe: server ", idx, " restarted (",
+                serverStorage_[idx]->lastRecovery().liveKeys,
+                " live records, ", ptrs, " stored pointers, ",
+                hostedBy_[idx].size(), " republished objects)");
     });
 }
 

@@ -202,7 +202,9 @@ class Universe : public NodeLifecycle
     /**
      * Read @p obj starting at server @p from_server: probabilistic
      * location first, global mesh on miss; @p done is scheduled after
-     * the modeled location + fetch latency.
+     * the modeled location + fetch latency.  A read entered at a down
+     * server starts instead at the nearest live one, one modeled hop
+     * away.
      */
     void read(std::size_t from_server, const Guid &obj,
               std::function<void(ReadResult)> done);
@@ -222,16 +224,18 @@ class Universe : public NodeLifecycle
      * Crash secondary server @p idx: its network links go down, the
      * disk-fault injector applies the configured crash plan (torn
      * tail, bit flips) to its image, and every in-memory view of its
-     * durable state — storage index, archival fragment map, mesh
-     * pointer cache — dies with the process.
+     * durable state — the log's index, the mesh pointer cache — dies
+     * with the process.  Its archival fragments are log records on
+     * the surviving disk: the crash frees none of them.
      */
     void crashServer(std::size_t idx);
 
     /**
      * Restart server @p idx: recovery replay over the (possibly
-     * damaged) image, then re-serve — archival fragments reloaded
-     * from the "frag/" namespace, mesh pointers from "ptr/", hosted
-     * floating replicas republished in both location tiers.
+     * damaged) image, then re-serve — archival fragments straight
+     * from the replayed "frag/" records (nothing is reloaded), mesh
+     * pointers from "ptr/", and the floating replicas it hosts
+     * republished in Guid order.
      */
     void restartServer(std::size_t idx);
 
@@ -411,6 +415,9 @@ class Universe : public NodeLifecycle
 
     /** Floating-replica placement: object -> hosting server indices. */
     std::map<Guid, std::set<std::size_t>> hosts_;
+    /** The same placement by server: what each server hosts, in Guid
+     *  order (a restart republishes it without scanning hosts_). */
+    std::vector<std::set<Guid>> hostedBy_;
 
     /** Archival snapshots per object, per version. */
     std::map<Guid, std::map<VersionNum, Guid>> archives_;

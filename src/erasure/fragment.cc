@@ -39,7 +39,7 @@ Fragment::serialize() const
 }
 
 std::optional<Fragment>
-Fragment::deserialize(const Bytes &raw)
+Fragment::deserialize(ByteSpan raw)
 {
     try {
         ByteReader r(raw);

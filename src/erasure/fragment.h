@@ -38,9 +38,11 @@ struct Fragment
      *  on-disk record format used by the storage tier. */
     Bytes serialize() const;
 
-    /** Decode a serialize() buffer.  @return nullopt on malformed
-     *  input (a structurally damaged stored record). */
-    static std::optional<Fragment> deserialize(const Bytes &raw);
+    /** Decode a serialize() buffer, copying the payload once into
+     *  the fragment's own Blob (so @p raw may be a span into a log
+     *  image).  @return nullopt on malformed input (a structurally
+     *  damaged stored record). */
+    static std::optional<Fragment> deserialize(ByteSpan raw);
 };
 
 /** A complete fragment set plus the metadata needed to reassemble. */

@@ -133,9 +133,8 @@ LogStore::erase(const std::string &key)
     return appendRecord(kErase, key, {}) == StorageStatus::Ok;
 }
 
-bool
-LogStore::readVerified(const std::string &key, const Slot &slot,
-                       Bytes *value_out)
+std::optional<ByteSpan>
+LogStore::readVerified(const std::string &key, const Slot &slot)
 {
     const std::uint8_t *rec = disk_.bytes.data() + slot.recordOffset;
     StorageMetricIds &sm = storageMetrics();
@@ -151,15 +150,13 @@ LogStore::readVerified(const std::string &key, const Slot &slot,
         sm.reg->inc(sm.crcErrors);
         logError("storage: checksum mismatch serving key '", key,
                  "' (record at ", slot.recordOffset, ")");
-        return false;
+        return std::nullopt;
     }
-    value_out->assign(rec + kHeaderBytes + key.size(),
-                      rec + slot.recordLen);
-    return true;
+    return ByteSpan(rec + kHeaderBytes + key.size(), slot.valueLen);
 }
 
-std::optional<Bytes>
-LogStore::get(const std::string &key)
+std::optional<ByteSpan>
+LogStore::view(const std::string &key)
 {
     StorageMetricIds &sm = storageMetrics();
     stats_.gets++;
@@ -167,10 +164,16 @@ LogStore::get(const std::string &key)
     auto it = index_.find(key);
     if (it == index_.end())
         return std::nullopt;
-    Bytes value;
-    if (!readVerified(key, it->second, &value))
+    return readVerified(key, it->second);
+}
+
+std::optional<Bytes>
+LogStore::get(const std::string &key)
+{
+    auto value = view(key);
+    if (!value)
         return std::nullopt;
-    return value;
+    return Bytes(value->begin(), value->end());
 }
 
 void
@@ -184,8 +187,22 @@ LogStore::scan(const std::string &prefix,
          ++it) {
         if (it->first.compare(0, prefix.size(), prefix) != 0)
             break;
-        if (readVerified(it->first, it->second, &value))
+        if (auto span = readVerified(it->first, it->second)) {
+            value.assign(span->begin(), span->end());
             fn(it->first, value);
+        }
+    }
+}
+
+void
+LogStore::scanKeys(const std::string &prefix,
+                   const std::function<void(const std::string &)> &fn) const
+{
+    for (auto it = index_.lower_bound(prefix); it != index_.end();
+         ++it) {
+        if (it->first.compare(0, prefix.size(), prefix) != 0)
+            break;
+        fn(it->first);
     }
 }
 

@@ -42,11 +42,11 @@
  *    byte-identical indexes (the 16-seed sweep in tests/test_storage
  *    holds this across adversarial crash plans).
  *
- * Reads re-verify the record checksum on every get()/scan() hit, so
- * post-recovery media rot (DiskFaultInjector::decay) is detected at
- * serve time: the value is withheld, `storage.crc_errors` counts it,
- * and the caller sees a miss it must repair through its own
- * redundancy (for fragments: the Merkle-audited archival repair).
+ * Reads re-verify the record checksum on every get()/view()/scan()
+ * hit, so post-recovery media rot (DiskFaultInjector::decay) is
+ * detected at serve time: the value is withheld, `storage.crc_errors`
+ * counts it, and the caller sees a miss it must repair through its
+ * own redundancy (for fragments: the Merkle-audited archival repair).
  */
 
 #ifndef OCEANSTORE_STORAGE_LOG_STORE_H
@@ -131,6 +131,25 @@ class LogStore
      *  stored frame fails its checksum — counted, never served). */
     std::optional<Bytes> get(const std::string &key);
 
+    /**
+     * get() without the copy: a span over the value where it lies in
+     * the image, valid until the next append to this store.  The
+     * record's checksum is verified exactly as for get().
+     */
+    std::optional<ByteSpan> view(const std::string &key);
+
+    /** True when @p key is live: an index lookup that reads no
+     *  record, so rot is found only when the value is read. */
+    bool contains(const std::string &key) const
+    {
+        return index_.count(key) > 0;
+    }
+
+    /** Visit every live key with the given prefix in lexicographic
+     *  order, reading no values. */
+    void scanKeys(const std::string &prefix,
+                  const std::function<void(const std::string &)> &fn) const;
+
     /** Remove @p key.  @return true when it existed. */
     bool erase(const std::string &key);
 
@@ -172,10 +191,10 @@ class LogStore
     StorageStatus appendRecord(std::uint8_t type, const std::string &key,
                                ByteSpan value);
 
-    /** Re-read and checksum-verify the record of @p slot; on success
-     *  the value bytes are copied into @p value_out. */
-    bool readVerified(const std::string &key, const Slot &slot,
-                      Bytes *value_out);
+    /** Re-read and checksum-verify the record of @p slot.  @return
+     *  its value bytes in the image, or nullopt on a checksum fail. */
+    std::optional<ByteSpan> readVerified(const std::string &key,
+                                         const Slot &slot);
 
     /** Construction-time replay. */
     void recover();

@@ -29,6 +29,10 @@ struct ArchiveFixture
             domains.push_back(static_cast<unsigned>(i % 4));
         }
         sys = std::make_unique<ArchivalSystem>(rt, pos, domains, cfg);
+        for (std::size_t i = 0; i < servers; i++) {
+            disks.push_back(std::make_unique<NodeStorage>(StorageSetup{}));
+            sys->server(i).attachStorage(disks.back().get());
+        }
         client = sys->makeClient(0.5, 0.5);
     }
 
@@ -65,6 +69,7 @@ struct ArchiveFixture
     Network net;
     SimRuntime rt{sim, net};
     ReedSolomonCode codec;
+    std::vector<std::unique_ptr<NodeStorage>> disks; //!< One per server.
     std::unique_ptr<ArchivalSystem> sys;
     std::unique_ptr<ArchivalClient> client;
 };
@@ -269,7 +274,7 @@ TEST(ArchiveTest, CorruptionIsPrivate)
     fx.sim.runUntil(10.0);
 
     // Re-store index 3 from a local set (the codec is deterministic,
-    // so it is the same fragment): the holder now shares our buffer.
+    // so it is the same fragment), then corrupt the holder's copy.
     FragmentSet set = fragmentObject(fx.codec, data);
     ASSERT_EQ(set.archiveGuid, archive);
     Fragment mine = set.fragments[3];
@@ -289,6 +294,29 @@ TEST(ArchiveTest, CorruptionIsPrivate)
     Rng adversary(7);
     EXPECT_GT(fx.sys->corruptServer(holder, adversary), 0u);
     EXPECT_TRUE(mine.verify());
+}
+
+TEST(ArchiveTest, CorruptServerDrawsInArchiveIndexOrder)
+{
+    // The log orders a server's keys as strings ("/10" before "/2");
+    // the adversary's seeded draws still run in (archive, index)
+    // order, so a seed corrupts the same fragments it always did.
+    ArchiveFixture fx;
+    FragmentSet set = fragmentObject(fx.codec, fx.sampleData(2048));
+    ArchivalServer &srv = fx.sys->server(0);
+    for (const Fragment &f : set.fragments)
+        ASSERT_TRUE(srv.storeFragment(f));
+
+    Rng expected(11), adversary(11);
+    std::vector<bool> drawn;
+    for (std::size_t i = 0; i < set.fragments.size(); i++)
+        drawn.push_back(expected.chance(0.5));
+    fx.sys->corruptServer(0, adversary, 0.5);
+    for (std::uint32_t i = 0; i < set.fragments.size(); i++) {
+        auto f = srv.fragment(set.archiveGuid, i);
+        ASSERT_TRUE(f.has_value()) << i;
+        EXPECT_EQ(!f->verify(), drawn[i]) << "fragment " << i;
+    }
 }
 
 TEST(ArchiveAudit, CorruptFragmentDetectedAndRepaired)

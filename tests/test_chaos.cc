@@ -444,6 +444,11 @@ runArchiveChaos(std::uint64_t seed)
     acfg.repairThreshold = 15; // repair as soon as one fragment dies
     SimRuntime rt(sim, net);
     ArchivalSystem sys(rt, pos, domains, acfg);
+    std::vector<std::unique_ptr<NodeStorage>> disks;
+    for (std::size_t i = 0; i < kServers; i++) {
+        disks.push_back(std::make_unique<NodeStorage>(StorageSetup{}));
+        sys.server(i).attachStorage(disks.back().get());
+    }
     auto client = sys.makeClient(0.5, 0.5);
 
     constexpr unsigned kArchives = 2;

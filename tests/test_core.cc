@@ -1,6 +1,9 @@
 /** @file End-to-end universe tests: the full update/read paths. */
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -273,6 +276,63 @@ TEST_F(UniverseTest, AddRemoveHostUpdatesLocation)
 
     uni.removeHost(h.guid(), fresh);
     EXPECT_EQ(uni.hosts(h.guid()).size(), 3u);
+}
+
+TEST_F(UniverseTest, ReadFromDownServerFailsOver)
+{
+    // A read entered at a crashed server re-homes to the nearest live
+    // one instead of querying the dead node's filters and mesh state.
+    std::vector<ObjectHandle> docs;
+    for (int i = 0; i < 16; i++) {
+        docs.push_back(uni.createObject(owner, "doc" + std::to_string(i)));
+        ASSERT_TRUE(uni.writeSync(appendText(docs.back(), "x", 0))
+                        .committed);
+    }
+    uni.advance(10.0);
+
+    constexpr std::size_t kDown = 5;
+    uni.crashServer(kDown);
+    for (const ObjectHandle &h : docs) {
+        ReadResult rr = uni.readSync(kDown, h.guid());
+        EXPECT_TRUE(rr.found) << h.guid().shortHex();
+        EXPECT_NE(rr.servedBy, kDown);
+        EXPECT_GT(rr.latency, 0.0);
+        EXPECT_LT(rr.latency, 1.0) << "spent a location retry";
+    }
+    uni.restartServer(kDown);
+}
+
+TEST_F(UniverseTest, RestartRepublishesHostedObjects)
+{
+    std::vector<ObjectHandle> docs;
+    for (int i = 0; i < 24; i++)
+        docs.push_back(uni.createObject(owner, "doc" + std::to_string(i)));
+
+    // The server hosting the most objects.
+    std::map<std::size_t, std::vector<Guid>> hosted;
+    for (const ObjectHandle &h : docs)
+        for (std::size_t s : uni.hosts(h.guid()))
+            hosted[s].push_back(h.guid());
+    std::size_t victim = hosted.begin()->first;
+    for (const auto &[s, objs] : hosted)
+        if (objs.size() > hosted[victim].size())
+            victim = s;
+    ASSERT_GT(hosted[victim].size(), 1u);
+
+    uni.crashServer(victim);
+    MetricsRegistry &reg = MetricsRegistry::global();
+    std::uint64_t publishes = reg.counterValue("plaxton.publishes");
+    uni.restartServer(victim);
+    EXPECT_EQ(reg.counterValue("plaxton.publishes") - publishes,
+              hosted[victim].size());
+
+    const NodeId node = uni.secondaryTier().replica(victim).nodeId();
+    std::vector<Guid> published = uni.mesh().objectsPublishedBy(node);
+    std::sort(published.begin(), published.end());
+    std::sort(hosted[victim].begin(), hosted[victim].end());
+    EXPECT_EQ(published, hosted[victim]);
+    for (const Guid &obj : hosted[victim])
+        EXPECT_TRUE(uni.mesh().locate(node, obj).found) << obj.shortHex();
 }
 
 TEST_F(UniverseTest, ReplicaManagementCreatesUnderLoad)

@@ -7,18 +7,20 @@
  * idempotent, ENOSPC refusing writes while reads keep serving, and a
  * 16-seed determinism sweep over adversarial crash plans.
  *
- * Decoder level: a stored fragment, the record every restart's
- * "frag/" scan decodes, is rejected (never over-allocated) when
- * truncated or when its proof step count is inflated.
+ * Decoder level: a stored fragment, the record every fragment
+ * request decodes, is rejected (never over-allocated) when truncated
+ * or when its proof step count is inflated.
  *
- * System level: a core::Universe recovers a crashed secondary
- * server's archival fragments and mesh pointers from its log, a
+ * System level: a core::Universe serves a crashed secondary server's
+ * archival fragments from its replayed log and refuses a rotted or
+ * disk-refused one, recovers its mesh pointers from the log, a
  * crashed primary replica's object state from its "ulog/" commit log,
  * and a server whose disk was lost comes back empty and is repaired
  * from the archive's redundancy; the churn injector's mass helpers
  * route node transitions through the storage lifecycle symmetrically.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -29,6 +31,7 @@
 #include "core/universe.h"
 #include "erasure/fragment.h"
 #include "erasure/reed_solomon.h"
+#include "obs/metrics.h"
 #include "sim/churn.h"
 #include "storage/disk.h"
 #include "storage/fault.h"
@@ -576,6 +579,164 @@ TEST(StorageUniverse, DiskLossRestartsEmptyAndRepairs)
         EXPECT_EQ(rr.data, state->serializeState())
             << "version " << version;
     }
+}
+
+/** The server holding fragment @p index of @p archive. */
+std::size_t
+holderOf(Universe &uni, const Guid &archive, std::uint32_t index)
+{
+    for (std::size_t i = 0; i < uni.numServers(); i++) {
+        if (uni.archival().server(i).holds(archive, index))
+            return i;
+    }
+    return uni.numServers();
+}
+
+/** Write version 1 of @p h and archive it. */
+Guid
+archiveFirstVersion(Universe &uni, const ObjectHandle &h)
+{
+    EXPECT_TRUE(
+        uni.writeSync(h.makeAppendUpdate(patternValue(96, 3), 0, {1, 1}))
+            .committed);
+    Guid archive = uni.archiveObject(h.guid());
+    uni.advance(30.0); // let dispersal land
+    return archive;
+}
+
+TEST(StorageUniverse, RestartServesFragmentsFromTheLog)
+{
+    UniverseConfig cfg = durableConfig();
+    Universe uni(cfg);
+    KeyPair owner = uni.makeUser();
+    ObjectHandle h = uni.createObject(owner, "log-served-doc");
+    Guid archive = archiveFirstVersion(uni, h);
+    ASSERT_TRUE(archive.valid());
+    ASSERT_EQ(uni.archival().survivingFragments(archive),
+              cfg.archiveTotalFragments);
+
+    // Crash and restart the holder of fragment 0: the restart replays
+    // its log and reloads nothing, yet the fragment is held again.
+    std::size_t victim = holderOf(uni, archive, 0);
+    ASSERT_LT(victim, uni.numServers());
+    std::size_t held = uni.archival().server(victim).fragmentCount();
+    uni.crashServer(victim);
+    EXPECT_EQ(uni.archival().server(victim).fragmentCount(), 0u);
+    uni.restartServer(victim);
+    EXPECT_GT(uni.storageOf(victim).lastRecovery().recordsReplayed, 0u);
+    EXPECT_EQ(uni.archival().server(victim).fragmentCount(), held);
+
+    // Leave exactly k holders up, the victim among them: the restore
+    // must decode with the victim's fragment, served from its log.
+    for (std::uint32_t i = cfg.archiveDataFragments;
+         i < cfg.archiveTotalFragments; i++) {
+        std::size_t s = holderOf(uni, archive, i);
+        ASSERT_LT(s, uni.numServers());
+        uni.crashServer(s);
+    }
+    ASSERT_EQ(uni.archival().survivingFragments(archive),
+              cfg.archiveDataFragments);
+    ReconstructResult rr = uni.restoreSync(archive);
+    ASSERT_TRUE(rr.success);
+    auto state = uni.readVersion(h.guid(), 1);
+    ASSERT_TRUE(state.has_value());
+    EXPECT_EQ(rr.data, state->serializeState());
+}
+
+TEST(StorageUniverse, DiskFullRefusesFragments)
+{
+    UniverseConfig cfg = durableConfig();
+    Universe uni(cfg);
+    KeyPair owner = uni.makeUser();
+    ObjectHandle h = uni.createObject(owner, "full-disk-doc");
+    Guid first = archiveFirstVersion(uni, h);
+    ASSERT_TRUE(first.valid());
+
+    // Fill the disk of fragment 0's holder.  The next version is
+    // dispersed over the same servers (placement depends only on
+    // which servers are up), so that holder's disk refuses its copy.
+    std::size_t victim = holderOf(uni, first, 0);
+    ASSERT_LT(victim, uni.numServers());
+    NodeStorage &disk = uni.storageOf(victim);
+    disk.disk().capacity = disk.disk().size();
+    std::uint64_t refused = disk.backend().stats().enospcErrors;
+
+    std::uint64_t ts = 1;
+    ASSERT_TRUE(uni.writeSync(h.makeAppendUpdate(patternValue(96, 4), 1,
+                                                 {++ts, 1}))
+                    .committed);
+    Guid second = uni.archiveObject(h.guid());
+    ASSERT_TRUE(second.valid());
+    uni.advance(30.0);
+
+    // A refused fragment is simply not held: no RAM copy serves it.
+    EXPECT_GT(disk.backend().stats().enospcErrors, refused);
+    EXPECT_FALSE(uni.archival().server(victim).holds(second, 0));
+    EXPECT_EQ(holderOf(uni, second, 0), uni.numServers());
+    EXPECT_EQ(uni.archival().survivingFragments(second),
+              cfg.archiveTotalFragments - 1);
+
+    // The audit repairs in place: it finds the missing fragment but
+    // cannot put it back on the full disk, and counts no repair.
+    for (int sweep = 0; sweep < 10; sweep++) {
+        uni.archival().auditSweep();
+        uni.advance(11.0);
+    }
+    EXPECT_GT(uni.archival().auditMismatches(), 0u);
+    EXPECT_EQ(uni.archival().auditRepairs(), 0u);
+    EXPECT_FALSE(uni.archival().server(victim).holds(second, 0));
+
+    // Degraded, not dead: the archive restores from the rest and
+    // reads still serve from the floating replicas.
+    ReconstructResult rr = uni.restoreSync(second);
+    ASSERT_TRUE(rr.success);
+    auto state = uni.readVersion(h.guid(), 2);
+    ASSERT_TRUE(state.has_value());
+    EXPECT_EQ(rr.data, state->serializeState());
+    ReadResult read = uni.readSync(victim, h.guid());
+    EXPECT_TRUE(read.found);
+    EXPECT_EQ(read.version, 2u);
+}
+
+TEST(StorageUniverse, RottedFragmentIsNotServed)
+{
+    UniverseConfig cfg = durableConfig();
+    // Request every fragment in the first wave, so the rotted one is
+    // requested exactly once.
+    cfg.archive.requestOverfactor =
+        static_cast<double>(cfg.archiveTotalFragments) /
+        cfg.archiveDataFragments;
+    Universe uni(cfg);
+    KeyPair owner = uni.makeUser();
+    ObjectHandle h = uni.createObject(owner, "rotted-doc");
+    Guid archive = archiveFirstVersion(uni, h);
+    ASSERT_TRUE(archive.valid());
+
+    // Media rot: flip one byte inside the value of fragment 0's record.
+    std::size_t victim = holderOf(uni, archive, 0);
+    ASSERT_LT(victim, uni.numServers());
+    Bytes &image = uni.storageOf(victim).disk().bytes;
+    const std::string key = "frag/" + archive.hex() + "/0";
+    auto at = std::search(image.rbegin(), image.rend(), key.rbegin(),
+                          key.rend());
+    ASSERT_NE(at, image.rend());
+    std::size_t value_at = static_cast<std::size_t>(image.rend() - at);
+    image[value_at + 24] ^= 0x40;
+
+    MetricsRegistry &reg = MetricsRegistry::global();
+    std::uint64_t crc_before = reg.counterValue("storage.crc_errors");
+    LogStore &store = uni.storageOf(victim).backend();
+    std::uint64_t store_before = store.stats().crcErrors;
+    ReconstructResult rr = uni.restoreSync(archive);
+    EXPECT_EQ(reg.counterValue("storage.crc_errors") - crc_before, 1u);
+    EXPECT_EQ(store.stats().crcErrors - store_before, 1u);
+
+    // The other holders carry the restore, byte for byte.
+    ASSERT_TRUE(rr.success);
+    auto state = uni.readVersion(h.guid(), 1);
+    ASSERT_TRUE(state.has_value());
+    EXPECT_EQ(rr.data, state->serializeState());
+    EXPECT_FALSE(uni.archival().server(victim).fragment(archive, 0));
 }
 
 TEST(StorageUniverse, ReadFallsThroughBloomToMeshWhileHolderDown)
