@@ -2,7 +2,7 @@
  * @file
  * Durable storage engine throughput (DESIGN.md section 14).
  *
- * Four measurements over the append-only LogStore and its checksum:
+ * Five measurements over the append-only LogStore and its checksum:
  *
  *  - append: sequential put throughput (MB/s) into an unbounded
  *    image, the hot path every fragment store / ulog write rides;
@@ -12,6 +12,10 @@
  *  - recovery sweep: recovery wall time vs log size, the
  *    restart-latency curve a crashed node pays before it can serve
  *    again;
+ *  - restart_small_records: a fragment holder's crash and restart at
+ *    the store layer — freeing the index of a 1000-record log, then
+ *    replaying it — the part of a server restart that scales with
+ *    the number of live keys rather than with log bytes;
  *  - crc32_{64,4k,64k}: CRC-32 throughput (mb_s) at a frame-header,
  *    a page and a fragment-sized input, the kernel under every
  *    append, replay, verified read and threaded frame.
@@ -19,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -118,6 +123,67 @@ replayCase(bench::BenchContext &ctx)
 }
 
 /**
+ * Crash and replay of a fragment holder's log: 1000 records of
+ * 60-byte "frag/"-style keys and 350-byte values (about 420 KB), the
+ * shape of a serve_small fragment holder.  Each cycle destroys the
+ * store (teardown: what NodeStorage::crash() frees) and constructs it
+ * over the image again (replay: CRC check plus index build).  Reports
+ * the median of each over the repeat's cycles.
+ */
+void
+restartSmallRecordsCase(bench::BenchContext &ctx)
+{
+    constexpr std::size_t records = 1000;
+    DiskImage disk;
+    Rng rng(ctx.seed(0x57063u));
+    {
+        LogStoreConfig cfg;
+        cfg.syncEachPut = false;
+        LogStore store(disk, nullptr, cfg);
+        Bytes value(350);
+        for (std::size_t i = 0; i < records; i++) {
+            Bytes guid(26);
+            for (auto &b : guid)
+                b = static_cast<std::uint8_t>(rng.next());
+            for (auto &b : value)
+                b = static_cast<std::uint8_t>(rng.next());
+            const std::size_t index = i % 100;
+            store.put("frag/" + hexEncode(guid) + "/" +
+                          (index < 10 ? "0" : "") + std::to_string(index),
+                      value);
+        }
+        store.sync();
+    }
+
+    const std::size_t cycles = ctx.smoke() ? 3 : 101;
+    std::vector<double> teardown, replay;
+    auto store = std::make_unique<LogStore>(disk, nullptr);
+    bool kept = store->keyCount() == records;
+    ctx.beginMeasured();
+    for (std::size_t c = 0; c < cycles; c++) {
+        Clock::time_point t0 = Clock::now();
+        store.reset();
+        teardown.push_back(secondsSince(t0));
+        t0 = Clock::now();
+        store = std::make_unique<LogStore>(disk, nullptr);
+        replay.push_back(secondsSince(t0));
+        kept &= store->keyCount() == records;
+    }
+    ctx.endMeasured();
+    auto median = [](std::vector<double> &v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+    };
+    const double replayS = median(replay);
+    ctx.metric("teardown_us", "us", median(teardown) * 1e6);
+    ctx.metric("replay_us", "us", replayS * 1e6);
+    ctx.metric("replay_records_per_s", "records/s",
+               replayS > 0 ? records / replayS : 0.0);
+    ctx.metric("log_kb", "KB", static_cast<double>(disk.size()) / 1024.0);
+    ctx.metric("claim_replay_keeps_keys", "bool", kept);
+}
+
+/**
  * The recovery sweep: append/replay throughput and recovery time vs
  * log size.  Recovery time scales linearly with log bytes: a node's
  * restart latency is the price of its write history, motivating
@@ -169,6 +235,7 @@ main(int argc, char **argv)
         {"append", appendCase},
         {"replay", replayCase},
         {"recovery_table", recoveryTable},
+        {"restart_small_records", restartSmallRecordsCase},
         {"crc32_64", [](bench::BenchContext &c) { crcLoop(c, 64); }},
         {"crc32_4k", [](bench::BenchContext &c) { crcLoop(c, 4 << 10); }},
         {"crc32_64k",

@@ -697,12 +697,34 @@ ArchivalSystem::repairFragment(const Guid &archive, Placement &placement,
         return false; // beyond the erasure threshold: unrepairable
 
     FragmentSet set = fragmentObject(*placement.codec, *data);
+    const Fragment &frag = set.fragments[index];
     std::size_t holder = placement.holders[index];
     if (!rt_.isUp(servers_[holder]->nodeId())) {
         holder = chooseTargets(1, placement.holders[index])[0];
         placement.holders[index] = holder;
     }
-    return servers_[holder]->storeFragment(set.fragments[index]);
+    if (servers_[holder]->storeFragment(frag))
+        return true;
+
+    // The holder's disk refused it (full): re-home the fragment on the
+    // first live server, in dispersal order, that holds no fragment of
+    // this archive and whose disk takes it.
+    std::size_t up = 0;
+    for (std::size_t i = 0; i < servers_.size(); i++) {
+        if (i != holder && rt_.isUp(servers_[i]->nodeId()))
+            up++;
+    }
+    for (std::size_t target : chooseTargets(static_cast<unsigned>(up),
+                                            holder)) {
+        if (std::find(placement.holders.begin(), placement.holders.end(),
+                      target) != placement.holders.end())
+            continue;
+        if (servers_[target]->storeFragment(frag)) {
+            placement.holders[index] = target;
+            return true;
+        }
+    }
+    return false;
 }
 
 ArchivalSystem::AuditReport

@@ -210,6 +210,17 @@ Update::deserializeFull(ByteSpan wire)
     return u;
 }
 
+std::optional<Update>
+Update::tryDeserializeFull(ByteSpan wire)
+{
+    try {
+        return deserializeFull(wire);
+    } catch (const std::out_of_range &) {
+    } catch (const std::invalid_argument &) {
+    }
+    return std::nullopt;
+}
+
 std::size_t
 Update::wireSize() const
 {

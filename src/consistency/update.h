@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <variant>
 #include <vector>
 
@@ -168,6 +169,10 @@ struct Update
 
     /** Parse a serializeFull() buffer. @throws on malformed input. */
     static Update deserializeFull(ByteSpan wire);
+
+    /** deserializeFull() for untrusted bytes: nullopt on malformed
+     *  input instead of a throw. */
+    static std::optional<Update> tryDeserializeFull(ByteSpan wire);
 
     /** Bytes this update occupies on the wire.  Memoized (the
      *  signature's size contribution is always read live). */

@@ -34,7 +34,7 @@ struct CoreMetricIds
 {
     MetricsRegistry *reg;
     MetricsRegistry::Id writes, reads, readBloomHits, readMeshHits,
-        readMisses;
+        readMisses, malformedRequests;
 
     CoreMetricIds()
         : reg(&MetricsRegistry::global()),
@@ -42,7 +42,8 @@ struct CoreMetricIds
           reads(reg->counter("core.reads")),
           readBloomHits(reg->counter("core.read_bloom_hits")),
           readMeshHits(reg->counter("core.read_mesh_hits")),
-          readMisses(reg->counter("core.read_misses"))
+          readMisses(reg->counter("core.read_misses")),
+          malformedRequests(reg->counter("pbft.malformed_requests"))
     {
     }
 };
@@ -209,20 +210,30 @@ Universe::executeUpdate(unsigned rank, const Bytes &payload,
              primaryObjects_.size());
     if (rank == 0)
         rank0Applied_.reset();
-    // The replicas execute one committed payload after another, so
-    // they share one decode of it, as the secondary tier does.
-    if (!lastDecoded_ || payload != lastPayload_) {
-        lastDecoded_ = shareUpdate(Update::deserializeFull(payload));
-        lastPayload_ = payload;
-    }
-    const Update &u = *lastDecoded_;
-
     auto reply = [&](bool committed, VersionNum v) {
         ByteWriter w;
         w.putU8(committed ? 1 : 0);
         w.putU64(v);
         return w.take();
     };
+
+    // The replicas execute one committed payload after another, so
+    // they share one decode of it, as the secondary tier does.
+    if (!lastDecoded_ || payload != lastPayload_) {
+        // Any client's payload is ordered, so bytes that do not decode
+        // are a deterministic abort: every correct replica returns the
+        // same reply (the client completes on m+1 of them), and with
+        // rank0Applied_ left null nothing reaches the tree.
+        std::optional<Update> decoded = Update::tryDeserializeFull(payload);
+        if (!decoded) {
+            CoreMetricIds &cm = coreMetrics();
+            cm.reg->inc(cm.malformedRequests);
+            return reply(false, 0);
+        }
+        lastDecoded_ = shareUpdate(std::move(*decoded));
+        lastPayload_ = payload;
+    }
+    const Update &u = *lastDecoded_;
 
     // Writer restriction (Section 4.2): well-behaved servers verify
     // the signature against the object's certified ACL and ignore

@@ -1,5 +1,8 @@
 #include "storage/log_store.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "obs/profiler.h"
 #include "storage/counters.h"
 #include "util/crc32.h"
@@ -40,6 +43,15 @@ constexpr std::uint8_t kErase = 2;
 /** Frame header: crc(4) + type(1) + keyLen(4) + valLen(4). */
 constexpr std::uint64_t kHeaderBytes = 13;
 
+/** A free table position. */
+constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+
+std::uint32_t
+keyHash(std::string_view key)
+{
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
+}
+
 std::uint32_t
 loadU32(const std::uint8_t *p)
 {
@@ -68,7 +80,7 @@ LogStore::LogStore(DiskImage &disk, DiskFaultInjector *faults,
 }
 
 StorageStatus
-LogStore::appendRecord(std::uint8_t type, const std::string &key,
+LogStore::appendRecord(std::uint8_t type, std::string_view key,
                        ByteSpan value)
 {
     const auto len = static_cast<std::uint32_t>(kHeaderBytes + key.size() +
@@ -95,12 +107,8 @@ LogStore::appendRecord(std::uint8_t type, const std::string &key,
     image.insert(image.end(), value.begin(), value.end());
     std::uint8_t *rec = image.data() + offset;
     storeU32(rec, crc32(rec + 4, len - 4));
-    if (type == kPut) {
-        index_[key] = Slot{offset, len,
-                           static_cast<std::uint32_t>(value.size())};
-    } else {
-        index_.erase(key);
-    }
+    if (type == kPut)
+        indexPut(key, offset, len, static_cast<std::uint32_t>(value.size()));
 
     stats_.bytesWritten += len;
     sm.reg->inc(sm.bytesWritten, len);
@@ -123,18 +131,22 @@ LogStore::put(const std::string &key, ByteSpan value)
 bool
 LogStore::erase(const std::string &key)
 {
-    if (!index_.count(key))
+    const std::optional<std::size_t> pos = position(key);
+    if (!pos)
         return false;
     StorageMetricIds &sm = storageMetrics();
     stats_.erases++;
     sm.reg->inc(sm.erases);
     // A full disk cannot take the tombstone: the key stays live (the
     // caller sees false) rather than half-dying in RAM only.
-    return appendRecord(kErase, key, {}) == StorageStatus::Ok;
+    if (appendRecord(kErase, key, {}) != StorageStatus::Ok)
+        return false;
+    removeAt(*pos);
+    return true;
 }
 
 std::optional<ByteSpan>
-LogStore::readVerified(const std::string &key, const Slot &slot)
+LogStore::readVerified(std::string_view key, const Slot &slot)
 {
     const std::uint8_t *rec = disk_.bytes.data() + slot.recordOffset;
     StorageMetricIds &sm = storageMetrics();
@@ -161,10 +173,10 @@ LogStore::view(const std::string &key)
     StorageMetricIds &sm = storageMetrics();
     stats_.gets++;
     sm.reg->inc(sm.gets);
-    auto it = index_.find(key);
-    if (it == index_.end())
+    const Slot *slot = find(key);
+    if (!slot)
         return std::nullopt;
-    return readVerified(key, it->second);
+    return readVerified(key, *slot);
 }
 
 std::optional<Bytes>
@@ -176,20 +188,36 @@ LogStore::get(const std::string &key)
     return Bytes(value->begin(), value->end());
 }
 
+std::vector<std::uint32_t>
+LogStore::sortedSlots(std::string_view prefix) const
+{
+    std::vector<std::uint32_t> hits;
+    for (std::uint32_t i = 0; i < slots_.size(); i++) {
+        if (keyOf(slots_[i]).starts_with(prefix))
+            hits.push_back(i);
+    }
+    std::sort(hits.begin(), hits.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return keyOf(slots_[a]) < keyOf(slots_[b]);
+              });
+    return hits;
+}
+
 void
 LogStore::scan(const std::string &prefix,
                const std::function<void(const std::string &,
                                         const Bytes &)> &fn)
 {
-    // One buffer for every record: assign() reuses its capacity.
+    // One key and one value buffer for every record: assign() reuses
+    // their capacity.
+    std::string key;
     Bytes value;
-    for (auto it = index_.lower_bound(prefix); it != index_.end();
-         ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        if (auto span = readVerified(it->first, it->second)) {
+    for (std::uint32_t i : sortedSlots(prefix)) {
+        const Slot &slot = slots_[i];
+        key.assign(keyOf(slot));
+        if (auto span = readVerified(key, slot)) {
             value.assign(span->begin(), span->end());
-            fn(it->first, value);
+            fn(key, value);
         }
     }
 }
@@ -198,11 +226,10 @@ void
 LogStore::scanKeys(const std::string &prefix,
                    const std::function<void(const std::string &)> &fn) const
 {
-    for (auto it = index_.lower_bound(prefix); it != index_.end();
-         ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        fn(it->first);
+    std::string key;
+    for (std::uint32_t i : sortedSlots(prefix)) {
+        key.assign(keyOf(slots_[i]));
+        fn(key);
     }
 }
 
@@ -252,15 +279,15 @@ LogStore::recover()
             continue;
         }
 
-        std::string key(reinterpret_cast<const char *>(rec) +
-                            kHeaderBytes,
-                        key_len);
-        if (type == kPut) {
-            index_[key] = Slot{pos, static_cast<std::uint32_t>(frame),
-                               static_cast<std::uint32_t>(val_len)};
-        } else {
-            index_.erase(key);
-        }
+        // The key is read only now that its frame passed the CRC.
+        std::string_view key(reinterpret_cast<const char *>(rec) +
+                                 kHeaderBytes,
+                             key_len);
+        if (type == kPut)
+            indexPut(key, pos, static_cast<std::uint32_t>(frame),
+                     static_cast<std::uint32_t>(val_len));
+        else if (auto at = position(key))
+            removeAt(*at);
         recovery_.recordsReplayed++;
         sm.reg->inc(sm.recoveryRecords);
         pos += frame;
@@ -275,7 +302,7 @@ LogStore::recover()
     }
     disk_.synced = disk_.size();
     recovery_.bytesReplayed = pos;
-    recovery_.liveKeys = index_.size();
+    recovery_.liveKeys = slots_.size();
     if (faults_) {
         recovery_.modeledLatency = faults_->ioLatency(pos);
         stats_.modeledLatency += recovery_.modeledLatency;
@@ -291,6 +318,121 @@ LogStore::recover()
         pp->onEventFired(pp->intern("storage.recover"),
                          recovery_.modeledLatency);
     }
+}
+
+std::size_t
+LogStore::probe(std::string_view key, std::uint32_t hash) const
+{
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+        const std::uint32_t i = table_[pos];
+        if (i == kEmpty)
+            return pos;
+        if (slots_[i].hash == hash && keyOf(slots_[i]) == key)
+            return pos;
+    }
+}
+
+std::optional<std::size_t>
+LogStore::position(std::string_view key) const
+{
+    if (slots_.empty())
+        return std::nullopt;
+    const std::size_t pos = probe(key, keyHash(key));
+    if (table_[pos] == kEmpty)
+        return std::nullopt;
+    return pos;
+}
+
+const LogStore::Slot *
+LogStore::find(std::string_view key) const
+{
+    const std::optional<std::size_t> pos = position(key);
+    return pos ? &slots_[table_[*pos]] : nullptr;
+}
+
+void
+LogStore::indexPut(std::string_view key, std::uint64_t offset,
+                   std::uint32_t recordLen, std::uint32_t valueLen)
+{
+    // At most half full, so a probe ends within a few positions.
+    if (2 * (slots_.size() + 1) > table_.size())
+        growTable();
+    const std::uint32_t hash = keyHash(key);
+    const std::size_t pos = probe(key, hash);
+    if (table_[pos] == kEmpty) {
+        table_[pos] = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(Slot{0, keyArena_.size(), 0, 0,
+                              static_cast<std::uint32_t>(key.size()),
+                              hash});
+        keyArena_.append(key);
+    }
+    Slot &slot = slots_[table_[pos]];
+    slot.recordOffset = offset;
+    slot.recordLen = recordLen;
+    slot.valueLen = valueLen;
+}
+
+void
+LogStore::removeAt(std::size_t hole)
+{
+    const std::size_t mask = table_.size() - 1;
+    const std::uint32_t gone = table_[hole];
+
+    // Backward-shift erase: pull each later entry of the probe run
+    // into the hole unless its home lies after the hole, so every
+    // remaining key stays reachable from its home position.
+    for (std::size_t pos = (hole + 1) & mask; table_[pos] != kEmpty;
+         pos = (pos + 1) & mask) {
+        const std::size_t home = slots_[table_[pos]].hash & mask;
+        if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+            table_[hole] = table_[pos];
+            hole = pos;
+        }
+    }
+    table_[hole] = kEmpty;
+
+    // Keep the slots dense: the last one moves into the freed number.
+    deadKeyBytes_ += slots_[gone].keyLen;
+    const auto last = static_cast<std::uint32_t>(slots_.size() - 1);
+    if (gone != last) {
+        std::size_t pos = slots_[last].hash & mask;
+        while (table_[pos] != last)
+            pos = (pos + 1) & mask;
+        table_[pos] = gone;
+        slots_[gone] = slots_[last];
+    }
+    slots_.pop_back();
+
+    if (deadKeyBytes_ > keyArena_.size() - deadKeyBytes_)
+        compactArena();
+}
+
+void
+LogStore::growTable()
+{
+    table_.assign(std::max<std::size_t>(16, 2 * table_.size()), kEmpty);
+    const std::size_t mask = table_.size() - 1;
+    for (std::uint32_t i = 0; i < slots_.size(); i++) {
+        std::size_t pos = slots_[i].hash & mask;
+        while (table_[pos] != kEmpty)
+            pos = (pos + 1) & mask;
+        table_[pos] = i;
+    }
+}
+
+void
+LogStore::compactArena()
+{
+    std::string live;
+    live.reserve(keyArena_.size() - deadKeyBytes_);
+    for (Slot &slot : slots_) {
+        const std::string_view key = keyOf(slot);
+        slot.keyOffset = live.size();
+        live.append(key);
+    }
+    keyArena_.swap(live);
+    deadKeyBytes_ = 0;
 }
 
 } // namespace oceanstore

@@ -24,8 +24,23 @@
  *
  * with the checksum covering everything after itself.  The in-memory
  * index (key -> latest record) is *derived* state, rebuilt by replay:
- * constructing a LogStore over an existing image IS recovery.  The
- * replay discipline, per the stable-storage exemplar (PAPERS.md,
+ * constructing a LogStore over an existing image IS recovery.
+ *
+ * The index makes no heap allocation per record.  It is three
+ * buffers: a dense vector of slots (record offset and lengths, the
+ * key's place in the arena, the key's hash), one arena holding every
+ * live key's bytes, and an open-addressing table (linear probing,
+ * backward-shift erase) of slot numbers.  A lookup is one hash probe
+ * that compares against the arena, never against the image, so rot
+ * in a key's image bytes is still caught by the serve-time CRC.  An
+ * erase moves the last slot into the hole and leaves the key's
+ * arena bytes dead; the arena is compacted once dead bytes exceed
+ * live ones, so an erase-heavy store stays bounded.  The table's
+ * order is never visible: scan()/scanKeys() collect the matching
+ * slots and sort them by key.  Destroying the store (a node crash)
+ * frees the three buffers, and replay refills them in one pass.
+ *
+ * The replay discipline, per the stable-storage exemplar (PAPERS.md,
  * cs/0004010) and the EOS in-memory->KV evolution:
  *
  *  - a structurally incomplete tail frame (header cut short, or
@@ -54,9 +69,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "storage/disk.h"
 #include "storage/fault.h"
@@ -142,11 +158,11 @@ class LogStore
      *  record, so rot is found only when the value is read. */
     bool contains(const std::string &key) const
     {
-        return index_.count(key) > 0;
+        return find(key) != nullptr;
     }
 
     /** Visit every live key with the given prefix in lexicographic
-     *  order, reading no values. */
+     *  order, reading no values.  @p fn must not mutate the store. */
     void scanKeys(const std::string &prefix,
                   const std::function<void(const std::string &)> &fn) const;
 
@@ -156,7 +172,8 @@ class LogStore
     /**
      * Visit every live key with the given prefix in lexicographic
      * order (deterministic: recovery and tests depend on the order).
-     * Values failing their checksum are skipped and counted.
+     * Values failing their checksum are skipped and counted.  @p fn
+     * must not mutate the store.
      */
     void scan(const std::string &prefix,
               const std::function<void(const std::string &,
@@ -169,7 +186,7 @@ class LogStore
     const StorageStats &stats() const { return stats_; }
 
     /** Number of live keys. */
-    std::size_t keyCount() const { return index_.size(); }
+    std::size_t keyCount() const { return slots_.size(); }
 
     /** The replay report from construction-time recovery. */
     const RecoveryReport &recovery() const { return recovery_; }
@@ -177,32 +194,74 @@ class LogStore
     /** Log bytes on disk (live + superseded + tombstones). */
     std::uint64_t logBytes() const { return disk_.size(); }
 
+    /** RAM bytes of the index's key arena (live + erased keys). */
+    std::size_t keyArenaBytes() const { return keyArena_.size(); }
+
   private:
-    /** Index entry: where the latest record for a key lives. */
+    /** Index entry: where the latest record for a key lives, and
+     *  where the key's bytes lie in the arena. */
     struct Slot
     {
         std::uint64_t recordOffset = 0;
+        std::uint64_t keyOffset = 0; //!< Into keyArena_.
         std::uint32_t recordLen = 0; //!< Full frame length.
         std::uint32_t valueLen = 0;
+        std::uint32_t keyLen = 0;
+        std::uint32_t hash = 0; //!< keyHash(key); its low bits home it.
     };
 
     /** Frame a record in place at the image tail; handles ENOSPC
      *  (checked before any byte is written) and latency. */
-    StorageStatus appendRecord(std::uint8_t type, const std::string &key,
+    StorageStatus appendRecord(std::uint8_t type, std::string_view key,
                                ByteSpan value);
 
     /** Re-read and checksum-verify the record of @p slot.  @return
      *  its value bytes in the image, or nullopt on a checksum fail. */
-    std::optional<ByteSpan> readVerified(const std::string &key,
+    std::optional<ByteSpan> readVerified(std::string_view key,
                                          const Slot &slot);
 
     /** Construction-time replay. */
     void recover();
 
+    std::string_view keyOf(const Slot &slot) const
+    {
+        return {keyArena_.data() + slot.keyOffset, slot.keyLen};
+    }
+
+    /** The table position holding @p key's slot number, or the empty
+     *  position where it would go. */
+    std::size_t probe(std::string_view key, std::uint32_t hash) const;
+
+    /** The table position of @p key's slot, if the key is live. */
+    std::optional<std::size_t> position(std::string_view key) const;
+
+    /** @p key's slot, or nullptr when it is not live. */
+    const Slot *find(std::string_view key) const;
+
+    /** Point @p key at the record @p offset (adds the key if new). */
+    void indexPut(std::string_view key, std::uint64_t offset,
+                  std::uint32_t recordLen, std::uint32_t valueLen);
+
+    /** Drop the key whose slot number sits at table position @p pos. */
+    void removeAt(std::size_t pos);
+
+    /** Double the table (or make the first one) and re-home every
+     *  slot from its stored hash. */
+    void growTable();
+
+    /** Rewrite the arena with only the live keys' bytes. */
+    void compactArena();
+
+    /** Live slots with @p prefix, sorted by key. */
+    std::vector<std::uint32_t> sortedSlots(std::string_view prefix) const;
+
     DiskImage &disk_;
     DiskFaultInjector *faults_;
     LogStoreConfig cfg_;
-    std::map<std::string, Slot> index_;
+    std::vector<Slot> slots_;
+    std::string keyArena_;
+    std::uint64_t deadKeyBytes_ = 0; //!< Arena bytes of erased keys.
+    std::vector<std::uint32_t> table_; //!< Slot numbers; kEmpty = free.
     StorageStats stats_;
     RecoveryReport recovery_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,55 @@ TEST_F(UniverseTest, RefusedWriteNeverReachesTheTree)
     EXPECT_FALSE(wr.committed);
     uni.advance(10.0);
     EXPECT_EQ(reg.counterValue("sec.committed_injects"), injects);
+}
+
+TEST_F(UniverseTest, MalformedRequestAbortsOnEveryReplica)
+{
+    // PBFT orders any client's payload, so bytes that do not decode
+    // reach every replica's executor.  Each must abort the request the
+    // same way, and nothing may reach the tree.
+    ObjectHandle h = uni.createObject(owner, "doc");
+    const Bytes signed_wire = appendText(h, "honest", 0).serializeFull();
+    Bytes truncated(signed_wire.begin(),
+                    signed_wire.begin() + signed_wire.size() / 2);
+    Bytes inflated = signed_wire;
+    inflated[0] = 0x7f; // the signed body's length now runs off the end
+
+    const MetricsRegistry &reg = MetricsRegistry::global();
+    const std::uint64_t injects =
+        reg.counterValue("sec.committed_injects");
+    const std::uint64_t malformed =
+        reg.counterValue("pbft.malformed_requests");
+    auto rogue = uni.primaryTier().makeClient(0.4, 0.4, 99);
+    for (const Bytes &garbage : {Bytes{1, 2, 3}, truncated, inflated}) {
+        std::optional<PbftOutcome> out;
+        rogue->submit(garbage, [&](const PbftOutcome &o) { out = o; });
+        uni.advance(10.0);
+        ASSERT_TRUE(out.has_value());
+        ASSERT_TRUE(out->completed);
+        ASSERT_FALSE(out->result.empty());
+        EXPECT_EQ(out->result[0], 0) << "a malformed request committed";
+    }
+    const std::uint64_t replicas = uni.primaryTier().size();
+    EXPECT_EQ(reg.counterValue("pbft.malformed_requests") - malformed,
+              3 * replicas);
+    EXPECT_EQ(reg.counterValue("sec.committed_injects"), injects);
+
+    WriteResult wr = uni.writeSync(appendText(h, "honest", 0));
+    ASSERT_TRUE(wr.completed);
+    EXPECT_TRUE(wr.committed);
+    EXPECT_EQ(wr.version, 1u);
+
+    // The garbage sits in the durable update log: a restart replays
+    // it through the executor and must abort it again, not throw.
+    uni.crashPrimary(0);
+    uni.restartPrimary(0);
+    EXPECT_EQ(reg.counterValue("pbft.malformed_requests") - malformed,
+              3 * replicas + 3);
+    wr = uni.writeSync(appendText(h, "after restart", 1));
+    ASSERT_TRUE(wr.completed);
+    EXPECT_TRUE(wr.committed);
+    EXPECT_EQ(wr.version, 2u);
 }
 
 TEST_F(UniverseTest, ReadPrefersBloomTier)

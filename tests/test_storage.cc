@@ -336,6 +336,110 @@ TEST(LogStore, RecoveryDeterminismSweep16Seeds)
     EXPECT_GE(tornSeeds, 8u);
 }
 
+/**
+ * The index against an ordered model: 16 seeds of random put-new,
+ * overwrite, erase and erase-missing operations over keys that share
+ * prefixes ("frag/<hex>/1", "/10", "/2"), keys of 0-80 bytes and the
+ * empty key, with crash + replay at random points.  After every step
+ * lookups, the key count and the scan order match a std::map.
+ */
+TEST(LogStore, IndexMatchesOrderedModel)
+{
+    std::vector<std::string> pool{""};
+    for (const char *hex : {"00ab", "00ab0", "f3"}) {
+        for (const char *idx : {"1", "10", "2", "20", "100"})
+            pool.push_back(std::string("frag/") + hex + "/" + idx);
+    }
+    Rng keys(0x1dc0ffeeu);
+    while (pool.size() < 64) {
+        std::string k(keys.below(81), 'a');
+        for (char &c : k)
+            c = "ab/"[keys.below(3)];
+        pool.push_back(k);
+    }
+    const std::vector<std::string> prefixes{"", "a", "ab", "frag/",
+                                            "frag/00ab", "frag/00ab/1",
+                                            "zz"};
+
+    for (std::uint64_t seed = 1; seed <= 16; seed++) {
+        Rng rng(seed);
+        NodeStorage ns(StorageSetup{});
+        std::map<std::string, Bytes> model;
+        auto check = [&](int step) {
+            LogStore &store = ns.backend();
+            SCOPED_TRACE(testing::Message() << "seed " << seed
+                                            << " step " << step);
+            ASSERT_EQ(store.keyCount(), model.size());
+            for (const std::string &k : pool) {
+                auto it = model.find(k);
+                ASSERT_EQ(store.contains(k), it != model.end()) << k;
+                auto v = store.view(k);
+                ASSERT_EQ(v.has_value(), it != model.end()) << k;
+                if (v) {
+                    EXPECT_TRUE(std::equal(v->begin(), v->end(),
+                                           it->second.begin(),
+                                           it->second.end()))
+                        << k;
+                }
+            }
+            const std::string &prefix = rng.pick(prefixes);
+            std::vector<std::string> want, seen;
+            for (auto it = model.lower_bound(prefix);
+                 it != model.end() && it->first.starts_with(prefix); ++it)
+                want.push_back(it->first);
+            store.scanKeys(prefix,
+                           [&](const std::string &k) { seen.push_back(k); });
+            EXPECT_EQ(seen, want) << "prefix '" << prefix << "'";
+            EXPECT_EQ(snapshot(store), model);
+        };
+
+        for (int step = 0; step < 300; step++) {
+            const std::string &key = rng.pick(pool);
+            const std::uint64_t op = rng.below(10);
+            if (op < 6) {
+                Bytes value = patternValue(
+                    rng.below(41), static_cast<std::uint8_t>(rng.next()));
+                ASSERT_EQ(ns.backend().put(key, value), StorageStatus::Ok);
+                model[key] = value;
+            } else if (op < 9) {
+                EXPECT_EQ(ns.backend().erase(key), model.erase(key) > 0);
+            } else {
+                ns.crash();
+                ns.restart();
+                EXPECT_EQ(ns.lastRecovery().liveKeys, model.size());
+            }
+            check(step);
+        }
+    }
+}
+
+/** Erased keys' arena bytes are reclaimed: 10^5 put/erase cycles
+ *  over 100 keys keep the arena near the live key bytes. */
+TEST(LogStore, EraseHeavyStoreStaysBounded)
+{
+    DiskImage disk;
+    LogStoreConfig cfg;
+    cfg.syncEachPut = false;
+    LogStore store(disk, nullptr, cfg);
+    std::vector<std::string> keys;
+    std::size_t liveBytes = 0;
+    for (int i = 0; i < 100; i++) {
+        keys.push_back("ptr/" + std::string(40, 'a' + i % 26) + "/" +
+                       std::to_string(i));
+        ASSERT_EQ(store.put(keys.back(), {}), StorageStatus::Ok);
+        liveBytes += keys.back().size();
+    }
+    std::size_t maxArena = 0;
+    for (int i = 0; i < 100000; i++) {
+        const std::string &key = keys[i % keys.size()];
+        ASSERT_TRUE(store.erase(key));
+        ASSERT_EQ(store.put(key, {}), StorageStatus::Ok);
+        maxArena = std::max(maxArena, store.keyArenaBytes());
+    }
+    EXPECT_EQ(store.keyCount(), keys.size());
+    EXPECT_LE(maxArena, 3 * liveBytes);
+}
+
 // --- NodeStorage ------------------------------------------------------
 
 TEST(NodeStorage, LogKindSurvivesCleanCrash)
@@ -676,14 +780,19 @@ TEST(StorageUniverse, DiskFullRefusesFragments)
     EXPECT_EQ(uni.archival().survivingFragments(second),
               cfg.archiveTotalFragments - 1);
 
-    // The audit repairs in place: it finds the missing fragment but
-    // cannot put it back on the full disk, and counts no repair.
+    // The audit finds the missing fragment and, since the full disk
+    // refuses it, re-homes it on a server holding none of the archive.
     for (int sweep = 0; sweep < 10; sweep++) {
         uni.archival().auditSweep();
         uni.advance(11.0);
     }
     EXPECT_GT(uni.archival().auditMismatches(), 0u);
-    EXPECT_EQ(uni.archival().auditRepairs(), 0u);
+    EXPECT_GT(uni.archival().auditRepairs(), 0u);
+    EXPECT_EQ(uni.archival().survivingFragments(second),
+              cfg.archiveTotalFragments);
+    std::size_t rehomed = holderOf(uni, second, 0);
+    EXPECT_LT(rehomed, uni.numServers());
+    EXPECT_NE(rehomed, victim);
     EXPECT_FALSE(uni.archival().server(victim).holds(second, 0));
 
     // Degraded, not dead: the archive restores from the rest and
