@@ -9,7 +9,9 @@ Usage, from anywhere inside a git checkout of the repository:
 
 The base and head commits are checked out into two `git worktree`s
 under DIR (default: .bench_pairs/ at the repository root); worktrees
-left there by an earlier --keep run are reused, builds included.  For each
+left there by an earlier --keep run are reused, builds included.  A
+reused tree with uncommitted changes stops the script (exit 2) rather
+than having them overwritten by the checkout.  For each
 workload and seed the script runs `python3 perfbench/run.py` once in
 each worktree, alternating which side goes first, so slow drift of the
 machine falls on both sides.  Each worktree builds its own Release
@@ -176,7 +178,12 @@ def main():
         sha = git("rev-parse", "--verify", rev + "^{commit}", cwd=root)
         tree = os.path.join(workdir, side)
         if os.path.isdir(tree):
-            # Kept by an earlier --keep run: reuse it and its build.
+            # Kept by an earlier --keep run: reuse it and its build,
+            # but never force a checkout over uncommitted edits.
+            dirty = git("status", "--porcelain", cwd=tree)
+            if dirty:
+                fail(f"{tree} has uncommitted changes; commit or "
+                     f"discard them first:\n{dirty}")
             git("checkout", "--detach", "--force", sha, cwd=tree)
         else:
             os.makedirs(workdir, exist_ok=True)

@@ -384,23 +384,28 @@ PbftReplica::onRequest(const Message &msg)
                                  rb.result.size() + signatureWireSize +
                                      pbftReplyExtraBytes);
         cluster_.rt().send(nodeId_, body.client, rm);
-        return;
+        if (!body.retry || !isLeader())
+            return;
+    } else {
+        known_[body.requestId] = {body.payload, body.client};
     }
-
-    known_[body.requestId] = {body.payload, body.client};
 
     if (isLeader()) {
         auto ait = assigned_.find(body.requestId);
         if (ait == assigned_.end()) {
-            assignAndPrePrepare(body.payload, body.requestId,
-                                body.client);
+            if (dit == done_.end())
+                assignAndPrePrepare(body.payload, body.requestId,
+                                    body.client);
         } else if (body.retry) {
             // Assigned but stalled: retransmit the pre-prepare.
             // Without within-view retransmission a single dropped
             // control message stalls the slot until a view change,
             // and view changes restart everyone's work.
+            // The leader may have executed the slot while backups
+            // that lost commit votes have not: a retry means the client
+            // still lacks m+1 replies.
             auto sit = slots_.find(ait->second);
-            if (sit != slots_.end() && !sit->second.executed) {
+            if (sit != slots_.end()) {
                 Slot &slot = sit->second;
                 PrePrepareBody pp{view_, ait->second, slot.digest,
                                   slot.payload, body.requestId,
@@ -474,6 +479,7 @@ PbftReplica::onPrePrepare(const Message &msg)
     Slot &slot = slots_[body.seq];
     if (slot.hasPrePrepare && slot.digest != body.digest)
         return; // conflicting pre-prepare; ignore
+    const bool had_preprepare = slot.hasPrePrepare;
     slot.digest = body.digest;
     slot.payload = body.payload;
     slot.requestId = body.requestId;
@@ -483,9 +489,11 @@ PbftReplica::onPrePrepare(const Message &msg)
     if (body.seq >= nextSeq_)
         nextSeq_ = body.seq + 1;
 
-    // Cancel any view-change timer for this request.
+    // Cancel any view-change timer for this request, unless this is a
+    // retransmission of a pre-prepare already held: a backup stuck
+    // behind an earlier slot still needs the view change.
     auto tit = timers_.find(body.requestId);
-    if (tit != timers_.end()) {
+    if (tit != timers_.end() && !had_preprepare) {
         cluster_.rt().cancel(tit->second);
         timers_.erase(tit);
     }

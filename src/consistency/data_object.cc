@@ -226,6 +226,34 @@ DataObject::apply(SharedUpdate u)
     return res;
 }
 
+SharedState
+DataObject::successor(const SharedState &state, SharedUpdate u)
+{
+    const Guid uid = u->id();
+    SuccessorMemo &memo = state->successor_;
+    if (memo.updateId == uid) {
+        if (SharedState next = memo.next.lock()) {
+            OS_DCHECK(next->logicalCached(),
+                      "DataObject::successor: shared a cold state");
+            return next;
+        }
+    }
+    auto next = std::make_shared<DataObject>(*state);
+    next->apply(std::move(u));
+    next->refreshLogical();
+    memo.updateId = uid;
+    memo.next = next;
+    return next;
+}
+
+SharedState
+DataObject::empty(const Guid &guid)
+{
+    auto state = std::make_shared<DataObject>(guid);
+    state->refreshLogical();
+    return state;
+}
+
 DataObject
 DataObject::materializeVersion(VersionNum v) const
 {

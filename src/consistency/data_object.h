@@ -19,6 +19,7 @@
 #define OCEANSTORE_CONSISTENCY_DATA_OBJECT_H
 
 #include <cstdint>
+#include <memory>
 #include <variant>
 #include <vector>
 
@@ -64,6 +65,14 @@ struct LogEntry
     bool committed = false;
     VersionNum versionAfter = 0;
 };
+
+class DataObject;
+
+/**
+ * One committed version of an object, immutable and shared by every
+ * replica that holds it (DESIGN.md section 20).
+ */
+using SharedState = std::shared_ptr<const DataObject>;
 
 /**
  * The ciphertext object replica.
@@ -113,6 +122,22 @@ class DataObject
     /** Adapter for tests and clients: shares a copy of @p u. */
     ApplyResult apply(const Update &u) { return apply(shareUpdate(u)); }
 
+    /**
+     * The state after applying @p u to @p state, which stays as it
+     * is.  The first caller copies @p state, applies @p u to the copy
+     * and memoizes the result on @p state; a later caller with the
+     * identical parent and the same update id gets that same object
+     * while any holder keeps it alive.  The result's logical cache is
+     * warm, so holders that only read it never write it.
+     */
+    static SharedState successor(const SharedState &state, SharedUpdate u);
+
+    /** A shared version-0 state of @p guid, its logical cache warm. */
+    static SharedState empty(const Guid &guid);
+
+    /** True while the logical traversal cache is up to date. */
+    bool logicalCached() const { return !logicalDirty_; }
+
     /** Evaluate a single predicate against current state. */
     bool evaluate(const Predicate &p) const;
 
@@ -158,6 +183,28 @@ class DataObject
 
     mutable bool logicalDirty_ = true;
     mutable std::vector<std::uint32_t> logicalCache_;
+
+    /**
+     * The successor built from this state, by update id.  Weak, so a
+     * version is freed once no replica holds it; not part of the
+     * value, so a copy of this object starts without one.
+     */
+    struct SuccessorMemo
+    {
+        Guid updateId;
+        std::weak_ptr<const DataObject> next;
+
+        SuccessorMemo() = default;
+        SuccessorMemo(const SuccessorMemo &) {}
+        SuccessorMemo &
+        operator=(const SuccessorMemo &)
+        {
+            updateId = Guid();
+            next.reset();
+            return *this;
+        }
+    };
+    mutable SuccessorMemo successor_;
 };
 
 } // namespace oceanstore

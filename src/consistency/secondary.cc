@@ -77,6 +77,9 @@ struct PushBody
 {
     SharedUpdate update;
     VersionNum version = 0;
+    /** The object's tier slot, looked up once at the root; local
+     *  bookkeeping, not on the wire. */
+    std::uint32_t slot = 0;
 };
 
 struct AckBody
@@ -116,6 +119,22 @@ updatesWireSize(const UpdatesBody &u)
     return n;
 }
 
+/** Id of the committed update that made @p v in @p obj's log, or the
+ *  null Guid when the log has none. */
+Guid
+committedIdAt(const DataObject &obj, VersionNum v)
+{
+    const auto &log = obj.log();
+    auto it = std::lower_bound(
+        log.begin(), log.end(), v,
+        [](const LogEntry &e, VersionNum want) {
+            return e.versionAfter < want;
+        });
+    return it != log.end() && it->committed && it->versionAfter == v
+               ? it->update->id()
+               : Guid();
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -128,20 +147,78 @@ SecondaryReplica::SecondaryReplica(SecondaryTier &tier, std::size_t index)
 {
 }
 
+const SecondaryReplica::Held *
+SecondaryReplica::find(const Guid &obj) const
+{
+    std::uint32_t slot = tier_.findSlot(obj);
+    if (slot >= held_.size() || !held_[slot].state)
+        return nullptr;
+    return &held_[slot];
+}
+
+SecondaryReplica::Held &
+SecondaryReplica::hold(std::uint32_t slot)
+{
+    if (slot >= held_.size())
+        held_.resize(tier_.emptyStates_.size());
+    Held &h = held_[slot];
+    if (!h.state)
+        h.state = tier_.emptyStates_[slot];
+    return h;
+}
+
+template <typename F>
+void
+SecondaryReplica::forEachHeld(F &&visit) const
+{
+    for (std::uint32_t slot : tier_.slotsByGuid_) {
+        if (slot < held_.size() && held_[slot].state)
+            visit(*held_[slot].state);
+    }
+}
+
+bool
+SecondaryReplica::markForwarded(Held &h, VersionNum version)
+{
+    auto &above = h.forwardedAbove;
+    if (version <= h.forwardedThrough)
+        return false;
+    auto it = std::lower_bound(above.begin(), above.end(), version);
+    if (it != above.end() && *it == version)
+        return false;
+    if (version != h.forwardedThrough + 1) {
+        above.insert(it, version);
+        return true;
+    }
+    h.forwardedThrough = version;
+    std::size_t n = 0;
+    while (n < above.size() && above[n] == h.forwardedThrough + 1) {
+        h.forwardedThrough++;
+        n++;
+    }
+    above.erase(above.begin(),
+                above.begin() + static_cast<std::ptrdiff_t>(n));
+    return true;
+}
+
 VersionNum
 SecondaryReplica::committedVersion(const Guid &obj) const
 {
-    auto it = objects_.find(obj);
-    return it == objects_.end() ? 0 : it->second.version();
+    const Held *h = find(obj);
+    return h ? h->state->version() : 0;
 }
 
 const DataObject &
 SecondaryReplica::committedObject(const Guid &obj)
 {
-    auto it = objects_.find(obj);
-    if (it == objects_.end())
-        it = objects_.emplace(obj, DataObject(obj)).first;
-    return it->second;
+    return *hold(tier_.slotFor(obj)).state;
+}
+
+SharedState
+SecondaryReplica::committedState(const Guid &obj) const
+{
+    const Held *h = find(obj);
+    return h ? h->state : nullptr;
 }
 
 DataObject
@@ -194,9 +271,8 @@ SecondaryReplica::storeTentative(SharedUpdate u, bool gossip)
     if (tentative_.count(id))
         return; // already infected; stop the rumor here
     // Drop tentative updates already subsumed by a committed version.
-    auto oit = objects_.find(u->objectGuid);
-    if (oit != objects_.end()) {
-        for (const auto &e : oit->second.log()) {
+    if (const Held *h = find(u->objectGuid)) {
+        for (const auto &e : h->state->log()) {
             if (e.committed && e.update->id() == id)
                 return;
         }
@@ -227,47 +303,47 @@ SecondaryReplica::onTentative(const Message &msg)
 }
 
 void
-SecondaryReplica::applyCommitted(SharedUpdate u, VersionNum version)
+SecondaryReplica::applyCommitted(std::uint32_t slot, SharedUpdate u,
+                                 VersionNum version)
 {
     const Guid obj_guid = u->objectGuid;
-    auto it = objects_.find(obj_guid);
-    if (it == objects_.end())
-        it = objects_.emplace(obj_guid, DataObject(obj_guid)).first;
-    DataObject &obj = it->second;
+    Held &h = hold(slot);
+    OS_DCHECK(h.state->guid() == obj_guid,
+              "applyCommitted: slot ", slot, " holds another object");
 
-    if (version <= obj.version())
+    if (version <= h.state->version())
         return; // duplicate
 
-    if (version > obj.version() + 1) {
+    if (version > h.state->version() + 1) {
         buffered_[obj_guid][version] = std::move(u);
         return;
     }
 
     Guid uid = u->id();
-    obj.apply(std::move(u));
+    h.state = DataObject::successor(h.state, std::move(u));
     tentative_.erase(uid);
 
     auto sit = stale_.find(obj_guid);
-    if (sit != stale_.end() && obj.version() >= sit->second)
+    if (sit != stale_.end() && h.state->version() >= sit->second)
         stale_.erase(sit);
 
-    drainBuffered(obj_guid);
+    drainBuffered(slot, obj_guid);
 }
 
 void
-SecondaryReplica::drainBuffered(const Guid &obj)
+SecondaryReplica::drainBuffered(std::uint32_t slot, const Guid &obj)
 {
     auto bit = buffered_.find(obj);
     if (bit == buffered_.end())
         return;
-    auto oit = objects_.find(obj);
+    Held &h = held_[slot];
     auto &pending = bit->second;
     while (!pending.empty() &&
-           pending.begin()->first == oit->second.version() + 1) {
+           pending.begin()->first == h.state->version() + 1) {
         SharedUpdate u = std::move(pending.begin()->second);
         pending.erase(pending.begin());
         Guid uid = u->id();
-        oit->second.apply(std::move(u));
+        h.state = DataObject::successor(h.state, std::move(u));
         tentative_.erase(uid);
     }
     if (pending.empty())
@@ -296,11 +372,17 @@ SecondaryReplica::onPush(const Message &msg)
                                      Guid::numBytes + 8));
     }
 
-    applyCommitted(body.update, body.version);
+    applyCommitted(body.slot, body.update, body.version);
 
     // Forward each update down the tree at most once; retransmitted
-    // or duplicated pushes stop here.
-    if (!forwarded_.insert(uid).second)
+    // or duplicated pushes stop here, so lossy links cannot trigger
+    // multicast storms.  A version names one committed update.
+    Held &h = held_[body.slot];
+    OS_DCHECK(h.state->version() < body.version ||
+                  committedIdAt(*h.state, body.version) == uid,
+              "sec.push: version ", body.version,
+              " was committed with another update");
+    if (!markForwarded(h, body.version))
         return;
 
     // Forward down the dissemination tree; bandwidth-limited leaves
@@ -404,11 +486,11 @@ void
 SecondaryReplica::onFetch(const Message &msg)
 {
     const auto &body = messageBody<FetchBody>(msg);
-    auto it = objects_.find(body.object);
-    if (it == objects_.end())
+    const Held *h = find(body.object);
+    if (!h)
         return;
     UpdatesBody reply;
-    for (const auto &e : it->second.log()) {
+    for (const auto &e : h->state->log()) {
         if (e.committed && e.versionAfter > body.fromVersion) {
             reply.committed.push_back(
                 {body.object, e.versionAfter, e.update});
@@ -457,8 +539,10 @@ SecondaryReplica::runAntiEntropy()
     d.wantReply = true;
     for (const auto &[id, u] : tentative_)
         d.tentativeIds.push_back(id);
-    for (const auto &[g, obj] : objects_)
-        d.committed[g] = obj.version();
+    forEachHeld([&](const DataObject &obj) {
+        d.committed.emplace_hint(d.committed.end(), obj.guid(),
+                                 obj.version());
+    });
 
     tier_.rt().send(nodeId_, tier_.replica(peer).nodeId(),
                      makeMessage("sec.digest", d, digestWireSize(d)));
@@ -498,14 +582,15 @@ SecondaryReplica::onDigest(const Message &msg)
             if (!their_ids.count(id))
                 out.tentative.push_back(u);
         }
-        for (const auto &[g, obj] : objects_) {
+        forEachHeld([&](const DataObject &obj) {
+            const Guid &g = obj.guid();
             auto it = d.committed.find(g);
             VersionNum theirs = it == d.committed.end() ? 0 : it->second;
             for (const auto &e : obj.log()) {
                 if (e.committed && e.versionAfter > theirs)
                     out.committed.push_back({g, e.versionAfter, e.update});
             }
-        }
+        });
         if (!out.tentative.empty() || !out.committed.empty()) {
             tier_.rt().send(nodeId_, d.from,
                              makeMessage("sec.updates", out,
@@ -525,10 +610,10 @@ SecondaryReplica::onPull(const Message &msg)
             out.tentative.push_back(it->second);
     }
     for (const auto &[g, from] : pull.fromVersions) {
-        auto it = objects_.find(g);
-        if (it == objects_.end())
+        const Held *h = find(g);
+        if (!h)
             continue;
-        for (const auto &e : it->second.log()) {
+        for (const auto &e : h->state->log()) {
             if (e.committed && e.versionAfter > from)
                 out.committed.push_back({g, e.versionAfter, e.update});
         }
@@ -554,8 +639,10 @@ SecondaryReplica::onUpdates(const Message &msg)
                       return a.object < b.object;
                   return a.version < b.version;
               });
-    for (const auto &rec : sorted)
-        applyCommitted(rec.update, rec.version);
+    for (const auto &rec : sorted) {
+        applyCommitted(tier_.slotFor(rec.update->objectGuid), rec.update,
+                       rec.version);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -598,6 +685,30 @@ SecondaryTier::rebuildTree()
         rt_, replicas_[0]->nodeId(), members, cfg_.treeFanout);
 }
 
+std::uint32_t
+SecondaryTier::slotFor(const Guid &obj)
+{
+    auto [it, fresh] = slotOf_.try_emplace(
+        obj, static_cast<std::uint32_t>(emptyStates_.size()));
+    if (fresh) {
+        emptyStates_.push_back(DataObject::empty(obj));
+        auto pos = std::lower_bound(
+            slotsByGuid_.begin(), slotsByGuid_.end(), obj,
+            [this](std::uint32_t slot, const Guid &g) {
+                return emptyStates_[slot]->guid() < g;
+            });
+        slotsByGuid_.insert(pos, it->second);
+    }
+    return it->second;
+}
+
+std::uint32_t
+SecondaryTier::findSlot(const Guid &obj) const
+{
+    auto it = slotOf_.find(obj);
+    return it == slotOf_.end() ? noSlot : it->second;
+}
+
 void
 SecondaryTier::startAntiEntropy()
 {
@@ -617,7 +728,9 @@ SecondaryTier::injectCommitted(SharedUpdate u, VersionNum version)
 {
     OS_DCHECK(u->identityCached(),
               "injectCommitted: update shared with a cold memo");
+    OS_DCHECK(version >= 1, "injectCommitted: version 0 is no commit");
     SecondaryReplica &root = *replicas_[0];
+    const std::uint32_t slot = slotFor(u->objectGuid);
     {
         SecMetricIds &sm = secMetrics();
         sm.reg->inc(sm.injects);
@@ -625,12 +738,13 @@ SecondaryTier::injectCommitted(SharedUpdate u, VersionNum version)
     if (cfg_.treePush) {
         // Deliver to the root as a push so it forwards down the tree.
         std::size_t wire = u->wireSize() + 8;
-        root.onPush(makeMessage("sec.push", PushBody{std::move(u), version},
+        root.onPush(makeMessage("sec.push",
+                                PushBody{std::move(u), version, slot},
                                 wire));
     } else {
         // Epidemic-only ablation: the root learns the commit; anti-
         // entropy must carry it to everyone else.
-        root.applyCommitted(std::move(u), version);
+        root.applyCommitted(slot, std::move(u), version);
     }
 }
 

@@ -15,11 +15,11 @@
 #ifndef OCEANSTORE_CONSISTENCY_SECONDARY_H
 #define OCEANSTORE_CONSISTENCY_SECONDARY_H
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consistency/data_object.h"
@@ -65,8 +65,15 @@ class SecondaryReplica : public SimNode
     /** Committed version of @p obj held here (0 if unknown). */
     VersionNum committedVersion(const Guid &obj) const;
 
-    /** Committed object state (creates an empty object if unknown). */
+    /**
+     * Committed object state; an unknown object becomes known here at
+     * version 0, sharing the tier's empty state for it.  The reference
+     * is valid until this replica next applies an update to @p obj.
+     */
     const DataObject &committedObject(const Guid &obj);
+
+    /** The shared committed state of @p obj, or null if unknown. */
+    SharedState committedState(const Guid &obj) const;
 
     /**
      * Tentative view: committed state with locally known tentative
@@ -95,9 +102,38 @@ class SecondaryReplica : public SimNode
     void onInvalidate(const Message &msg);
     void onFetch(const Message &msg);
 
+    /**
+     * What this replica holds of one object, at the object's tier
+     * slot (DESIGN.md section 20).
+     */
+    struct Held
+    {
+        /** The committed version it commits to; null when the object
+         *  is unknown here. */
+        SharedState state;
+        /** Versions already forwarded down the tree: every version up
+         *  to forwardedThrough, plus forwardedAbove (sorted, each
+         *  above forwardedThrough + 1).  The (object, version) of a
+         *  push names one committed update, so this is the set of
+         *  update ids forwarded for this object. */
+        VersionNum forwardedThrough = 0;
+        std::vector<VersionNum> forwardedAbove;
+    };
+
+    /** The held entry of @p obj, or null when it is unknown here. */
+    const Held *find(const Guid &obj) const;
+    /** The held entry at @p slot, made known at version 0 if new. */
+    Held &hold(std::uint32_t slot);
+    /** Call @p visit on every object held here, in GUID order (the
+     *  order digests and repair records are built in). */
+    template <typename F> void forEachHeld(F &&visit) const;
+    /** Record @p version as forwarded; false if it already was. */
+    static bool markForwarded(Held &h, VersionNum version);
+
     void storeTentative(SharedUpdate u, bool gossip);
-    void applyCommitted(SharedUpdate u, VersionNum version);
-    void drainBuffered(const Guid &obj);
+    void applyCommitted(std::uint32_t slot, SharedUpdate u,
+                        VersionNum version);
+    void drainBuffered(std::uint32_t slot, const Guid &obj);
     void scheduleAntiEntropy();
     void runAntiEntropy();
 
@@ -106,7 +142,8 @@ class SecondaryReplica : public SimNode
     NodeId nodeId_ = invalidNode;
     Rng rng_;
 
-    std::map<Guid, DataObject> objects_; //!< Committed.
+    /** Committed state and forwarded mark, indexed by tier slot. */
+    std::vector<Held> held_;
     /** Tentative updates by update id.  Ordered: anti-entropy digests
      *  and pushes are built by iterating this map, so its order feeds
      *  message emission and must be deterministic. */
@@ -115,11 +152,6 @@ class SecondaryReplica : public SimNode
     std::map<Guid, std::map<VersionNum, SharedUpdate>> buffered_;
     /** Objects invalidated but not yet re-fetched: obj -> needed version. */
     std::unordered_map<Guid, VersionNum> stale_;
-    /** Update ids already forwarded down the tree: a duplicated or
-     *  retransmitted sec.push is re-acked but never re-forwarded, so
-     *  lossy links cannot trigger multicast storms.  Only ever
-     *  tested for membership, so hashed (by Guid::hash64). */
-    std::unordered_set<Guid> forwarded_;
     /** (child, update id) -> retransmit driver for an unacked push. */
     std::map<std::pair<NodeId, Guid>, std::unique_ptr<RpcCall>>
         pushPending_;
@@ -218,6 +250,14 @@ class SecondaryTier
   private:
     friend class SecondaryReplica;
 
+    /** No slot: the tier has never seen the object. */
+    static constexpr std::uint32_t noSlot = UINT32_MAX;
+
+    /** The slot of @p obj, assigned on first sight. */
+    std::uint32_t slotFor(const Guid &obj);
+    /** The slot of @p obj, or noSlot. */
+    std::uint32_t findSlot(const Guid &obj) const;
+
     Runtime &rt_;
     SecondaryConfig cfg_;
     Rng rng_;
@@ -225,6 +265,13 @@ class SecondaryTier
     std::vector<std::unique_ptr<SecondaryReplica>> replicas_;
     std::unordered_map<NodeId, std::size_t> byNode_;
     std::unique_ptr<DisseminationTree> tree_;
+
+    /** Object GUID -> dense slot.  Only looked up, never iterated. */
+    std::unordered_map<Guid, std::uint32_t> slotOf_;
+    /** Per slot: the object's one shared version-0 state. */
+    std::vector<SharedState> emptyStates_;
+    /** Every slot, in GUID order: digests walk objects this way. */
+    std::vector<std::uint32_t> slotsByGuid_;
 };
 
 } // namespace oceanstore

@@ -504,13 +504,7 @@ Universe::read(std::size_t from_server, const Guid &obj,
         // storers at lookup time.
         auto lr = mesh_->locate(originNode, obj);
         if (lr.found) {
-            // Map the holder NodeId back to its server index.
-            for (std::size_t i = 0; i < cfg_.numServers; i++) {
-                if (tier_->replica(i).nodeId() == lr.location) {
-                    holder = i;
-                    break;
-                }
-            }
+            holder = replicaIndexOf(lr.location);
             latency += lr.latency + rt_->latency(lr.location, originNode);
         }
     }
@@ -530,12 +524,7 @@ Universe::read(std::size_t from_server, const Guid &obj,
             auto lr = mesh_->locate(originNode, obj);
             if (!lr.found)
                 continue;
-            for (std::size_t i = 0; i < cfg_.numServers; i++) {
-                if (tier_->replica(i).nodeId() == lr.location) {
-                    holder = i;
-                    break;
-                }
-            }
+            holder = replicaIndexOf(lr.location);
             latency += lr.latency + rt_->latency(lr.location, originNode);
             break;
         }
@@ -561,6 +550,18 @@ Universe::read(std::size_t from_server, const Guid &obj,
             done(std::move(res));
     });
     });
+}
+
+std::size_t
+Universe::replicaIndexOf(NodeId node) const
+{
+    // serverIndexByNode_ also maps archival NodeIds; only a tier
+    // replica's own NodeId names it.
+    auto it = serverIndexByNode_.find(node);
+    if (it == serverIndexByNode_.end() ||
+        tier_->replica(it->second).nodeId() != node)
+        return static_cast<std::size_t>(invalidNode);
+    return it->second;
 }
 
 ReadResult

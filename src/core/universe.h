@@ -372,6 +372,10 @@ class Universe : public NodeLifecycle
     Bytes executeUpdate(unsigned rank, const Bytes &payload,
                         std::uint64_t seq);
 
+    /** Server index of the secondary replica at @p node, or
+     *  invalidNode when @p node is no secondary replica. */
+    std::size_t replicaIndexOf(NodeId node) const;
+
     UniverseConfig cfg_;
     Rng rng_;
     /** Both modes own a simulator + network, wrapped by a SimRuntime
