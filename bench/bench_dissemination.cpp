@@ -18,7 +18,7 @@
 
 #include "consistency/secondary.h"
 #include "runner.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/fault.h"
 
 using namespace oceanstore;
@@ -78,7 +78,7 @@ propagate(bench::BenchContext &ctx, const Push &p)
     cfg.treePush = p.treePush;
     cfg.invalidateAtLeaves = p.invalidate;
     cfg.antiEntropyPeriod = 0.5;
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     SecondaryTier tier(rt, pos, cfg);
     if (p.antiEntropy)
         tier.startAntiEntropy();

@@ -22,7 +22,7 @@
 #include "archive/archival.h"
 #include "erasure/reed_solomon.h"
 #include "runner.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "util/stats.h"
 
 using namespace oceanstore;
@@ -68,7 +68,7 @@ measure(bench::BenchContext &ctx, double overfactor, double drop_rate,
         acfg.requestOverfactor = overfactor;
         acfg.retryTimeout = 4.0;
         acfg.failTimeout = 30.0;
-        SimRuntime rt(sim, net);
+        Runtime rt(sim, net);
         ArchivalSystem sys(rt, pos, domains, acfg);
         std::vector<std::unique_ptr<NodeStorage>> disks;
         for (std::size_t i = 0; i < sys.size(); i++) {

@@ -22,7 +22,7 @@
 
 #include "plaxton/mesh.h"
 #include "runner.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/topology.h"
 #include "util/stats.h"
 
@@ -62,7 +62,7 @@ struct World
     Rng rng;
     Simulator sim;
     Network net;
-    SimRuntime rt{sim, net};
+    Runtime rt{sim, net};
     std::vector<Sink> sinks;
     std::vector<NodeId> members;
     std::unique_ptr<PlaxtonMesh> mesh;

@@ -1,14 +1,15 @@
 /**
  * @file
- * Runtime backend comparison: deterministic sim vs real threads.
+ * Runtime comparison: deterministic sim vs real threads, plus the two
+ * layers under both.
  *
  * The same serve workload oscluster runs — per-client objects, signed
  * appends through the Byzantine primary tier, byte-verified reads
- * through the two-tier locator — driven against both Runtime backends
+ * through the two-tier locator — driven against both kinds of Runtime
  * (DESIGN.md section 15):
  *
- *   sim_serve       SimRuntime, sequential clients, virtual time
- *   threaded_serve  ThreadedRuntime, genuinely concurrent client
+ *   sim_serve       RuntimeKind::Sim, sequential clients, virtual time
+ *   threaded_serve  RuntimeKind::Threaded, genuinely concurrent client
  *                   threads against the wall-clock event loop
  *   threaded_serve_traced
  *                   threaded_serve with a Tracer + FlightRecorder
@@ -24,6 +25,14 @@
  * loopback latency, real queueing and cross-thread handoff.
  * Throughput is committed writes per wall second over the measured
  * region.
+ *
+ * Layer cases, beside the serve numbers:
+ *
+ *   sim_loop        a bare Simulator stepping 1024 self-rescheduling
+ *                   timers: schedule + step cost, in events_per_s
+ *   framing         encodeFrame + decodeFrame of one protocol header,
+ *                   the per-message cost of threaded transport, in
+ *                   mb_s of frame bytes
  */
 
 #include <chrono>
@@ -36,6 +45,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "runner.h"
+#include "runtime/framing.h"
+#include "sim/simulator.h"
 
 using namespace oceanstore;
 
@@ -208,6 +219,67 @@ serveCase(bench::BenchContext &ctx, RuntimeKind kind, bool traced)
                res.verified == clients * writes);
 }
 
+/** A timer that re-arms itself 1-8 ms out on every firing, its
+ *  delays drawn from a per-timer LCG so the queue keeps reordering. */
+struct Rearm
+{
+    Simulator *sim;
+    std::uint32_t state;
+
+    void
+    operator()() const
+    {
+        std::uint32_t next = state * 1664525u + 1013904223u;
+        sim->schedule(1e-3 * (1.0 + (next >> 24) / 36.6),
+                      Rearm{sim, next});
+    }
+};
+
+/** The bare event loop at a steady queue depth of 1024 timers:
+ *  2M events (20k under --smoke). */
+void
+simLoopCase(bench::BenchContext &ctx)
+{
+    constexpr std::uint32_t kTimers = 1024;
+    const std::uint64_t events = ctx.smoke() ? 20000 : 2000000;
+    Simulator sim;
+    for (std::uint32_t t = 0; t < kTimers; t++)
+        sim.schedule(0.0, Rearm{&sim, t});
+    ctx.beginMeasured();
+    double t0 = wallNow();
+    for (std::uint64_t n = 0; n < events; n++)
+        sim.step();
+    double wall = wallNow() - t0;
+    ctx.endMeasured();
+    ctx.metric("events_per_s", "1/s", wall > 0.0 ? events / wall : 0.0);
+    ctx.metric("claim_queue_depth_steady", "bool",
+               sim.pending() == kTimers &&
+                   sim.eventsExecuted() == events);
+}
+
+/** Frame encode + decode-and-verify of one PBFT header: 2M round
+ *  trips (2k under --smoke), each checked field by field. */
+void
+framingCase(bench::BenchContext &ctx)
+{
+    Message m = makeMessage("pbft.prepare", 17, 96);
+    m.src = 5;
+    m.destGuid = Guid::hashOf("frame-target");
+    const std::uint64_t iters = ctx.smoke() ? 2000 : 2000000;
+    std::uint64_t bytes = 0, ok = 0;
+    ctx.beginMeasured();
+    for (std::uint64_t i = 0; i < iters; i++) {
+        m.nonce = i;
+        Bytes frame = encodeFrame(m);
+        auto head = decodeFrame(frame);
+        ok += head && head->nonce == i && head->src == m.src;
+        bytes += frame.size();
+    }
+    ctx.endMeasured();
+    ctx.addBytes(bytes);
+    ctx.metric("claim_frames_round_trip", "bool", ok == iters);
+}
+
 } // namespace
 
 int
@@ -223,6 +295,8 @@ main(int argc, char **argv)
          }},
         {"threaded_serve_traced", [](BenchContext &ctx) {
              serveCase(ctx, RuntimeKind::Threaded, true);
-         }}};
+         }},
+        {"sim_loop", simLoopCase},
+        {"framing", framingCase}};
     return bench::runBenchMain(argc, argv, "bench_runtime", cases);
 }

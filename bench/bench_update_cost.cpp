@@ -25,7 +25,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "runner.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 
 using namespace oceanstore;
 
@@ -104,7 +104,7 @@ struct PbftBench
     Simulator sim;
     Network net;
     KeyRegistry registry;
-    SimRuntime rt{sim, net};
+    Runtime rt{sim, net};
     std::unique_ptr<PbftCluster> cluster;
     std::unique_ptr<PbftClient> client;
     bool done = false;

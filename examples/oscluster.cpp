@@ -2,9 +2,9 @@
  * @file
  * oscluster: a live OceanStore cluster served by the threaded runtime.
  *
- * Boots a Universe on the ThreadedRuntime backend (DESIGN.md section
- * 15) — the simulator's event loop paced by the wall clock on its own
- * thread, over the framed loopback network — then hammers it with
+ * Boots a Universe on a RuntimeKind::Threaded Runtime (DESIGN.md
+ * section 15) — the simulator's event loop paced by the wall clock on
+ * its own thread, over the framed loopback network — then hammers it with
  * concurrent client threads, each owning one object and issuing
  * signed writes through the Byzantine primary tier followed by
  * byte-verified reads through the two-tier locator.  Every client

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/sim_runtime.h"
 #include "runtime/stats.h"
 #include "sim/topology.h"
 #include "util/check.h"
@@ -61,19 +60,16 @@ Universe::Universe(UniverseConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), registry_(cfg.seed ^ 0x5a5a5a5au),
       semantic_(4), prefetcher_(2, 2), replicaMgr_(cfg.replicaPolicy)
 {
-    // 0. Runtime backend (DESIGN.md section 15).  Both modes own a
-    //    simulator/network pair; sim mode wraps it in the zero-cost
-    //    adapter, so everything below is byte-identical to the
+    // 0. Runtime (DESIGN.md section 15).  Both modes own a
+    //    simulator/network pair; sim mode forwards every call
+    //    unchanged, so everything below is byte-identical to the
     //    pre-Runtime tree, and threaded mode paces it by the wall
     //    clock over the loopback link model.
     sim_ = std::make_unique<Simulator>();
-    if (cfg_.runtime == RuntimeKind::Sim) {
-        net_ = std::make_unique<Network>(*sim_, cfg_.network);
-        rt_ = std::make_unique<SimRuntime>(*sim_, *net_, cfg_.seed);
-    } else {
-        net_ = std::make_unique<Network>(*sim_, loopbackNetwork);
-        rt_ = std::make_unique<ThreadedRuntime>(*sim_, *net_, cfg_.seed);
-    }
+    net_ = std::make_unique<Network>(
+        *sim_, cfg_.runtime == RuntimeKind::Sim ? cfg_.network
+                                                : loopbackNetwork);
+    rt_ = std::make_unique<Runtime>(*sim_, *net_, cfg_.seed, cfg_.runtime);
 
     // Assemble inside execute(): in threaded mode this keeps loop
     // callbacks from interleaving with construction; in sim mode
@@ -167,11 +163,10 @@ Universe::assemble()
 
 Universe::~Universe()
 {
-    // Threaded mode: stop the loop thread before any protocol tier (a
-    // registered endpoint) is torn down, so no event can call into a
+    // Stop a paced loop thread before any protocol tier (a registered
+    // endpoint) is torn down, so no event can call into a
     // half-destroyed node.
-    if (cfg_.runtime == RuntimeKind::Threaded)
-        static_cast<ThreadedRuntime &>(*rt_).shutdown();
+    rt_->shutdown();
 }
 
 void

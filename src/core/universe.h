@@ -47,19 +47,11 @@
 #include "introspect/replica_mgmt.h"
 #include "plaxton/mesh.h"
 #include "runtime/runtime.h"
-#include "runtime/threaded_runtime.h"
 #include "sim/churn.h"
 #include "storage/node_storage.h"
 #include "util/check.h"
 
 namespace oceanstore {
-
-/** Which Runtime backend drives the universe. */
-enum class RuntimeKind
-{
-    Sim,      //!< Deterministic discrete-event simulation (default).
-    Threaded, //!< Real threads + wall clock.
-};
 
 /** Universe-wide configuration. */
 struct UniverseConfig
@@ -80,7 +72,7 @@ struct UniverseConfig
     RuntimeKind runtime = RuntimeKind::Sim;
 
     /** The simulated WAN (Sim mode; Threaded mode always models the
-     *  loopbackNetwork of runtime/threaded_runtime.h). */
+     *  loopbackNetwork of runtime/runtime.h). */
     NetworkConfig network;
     BloomLocationConfig bloom;
     PlaxtonConfig plaxton;
@@ -378,8 +370,8 @@ class Universe : public NodeLifecycle
 
     UniverseConfig cfg_;
     Rng rng_;
-    /** Both modes own a simulator + network, wrapped by a SimRuntime
-     *  or a ThreadedRuntime. */
+    /** Both modes own a simulator + network, wrapped by one Runtime
+     *  of cfg_.runtime's kind. */
     std::unique_ptr<Simulator> sim_;
     std::unique_ptr<Network> net_;
     std::unique_ptr<Runtime> rt_;

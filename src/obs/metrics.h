@@ -6,7 +6,7 @@
  * subsystem registers each metric once (string lookup, O(log n)) and
  * thereafter increments through a dense integer id — a single
  * relaxed atomic add on the hot path, cheap enough to stay always-on
- * in the simulator event loop and race-free under ThreadedRuntime
+ * in the simulator event loop and race-free under a paced Runtime's
  * threads.  Names follow the `component.event` scheme (DESIGN.md
  * section 11): `sim.events_fired`, `net.drops`, `pbft.view_changes`,
  * `plaxton.lookup_hops`, ...

@@ -21,7 +21,7 @@
  * check per event when detached.
  *
  * Thread contract: buckets are fixed-capacity relaxed atomics, so
- * onEventFired() is lock-free from any ThreadedRuntime thread; the
+ * onEventFired() is lock-free from any thread of a paced Runtime; the
  * ambient label is thread-local; interning takes a mutex.
  */
 

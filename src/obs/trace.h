@@ -109,7 +109,7 @@ struct SpanRecord
  * Per-run span storage, sharded into per-thread arenas.
  *
  * Each appending thread gets its own arena (created lazily, cached
- * thread-locally), so appends from concurrent ThreadedRuntime threads
+ * thread-locally), so appends from a paced Runtime's concurrent threads
  * take only the arena's own lock — which a single writer never
  * contends on.  Span ids are drawn from one atomic counter shared by
  * all arenas; because each arena's appends are serialized, ids are
@@ -190,8 +190,8 @@ class TraceBuffer
  *
  * Exactly one Tracer may be active at a time (see TraceScope); the
  * simulator and network consult Tracer::active() on their hot
- * paths.  The ambient context is *per thread* (each ThreadedRuntime
- * thread carries its own causal position); on the
+ * paths.  The ambient context is *per thread* (each thread of a paced
+ * Runtime carries its own causal position); on the
  * single-threaded sim backend that is indistinguishable from the
  * old process-wide context.
  */

@@ -1,19 +1,20 @@
-#include "runtime/threaded_runtime.h"
+#include "runtime/threaded_pacer.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
 #include "runtime/framing.h"
+#include "runtime/runtime.h"
 #include "util/check.h"
 
 namespace oceanstore {
 
 namespace {
 
-/** Interned metric ids for the threaded backend.  Transport and timer
+/** Interned metric ids for a paced runtime.  Transport and timer
  *  totals are the Network's `net.*` and the Simulator's `sim.*`
- *  counters, which this backend drives like the sim does. */
+ *  counters, which the pacer drives like the sim does. */
 struct RtMetricIds
 {
     MetricsRegistry *reg;
@@ -21,6 +22,8 @@ struct RtMetricIds
 
     RtMetricIds()
         : reg(&MetricsRegistry::global()),
+          // perfbench/ reads runtime.tasks and runtime.timers_fired
+          // by name: do not rename them.
           tasks(reg->counter("runtime.tasks")),
           timersFired(reg->counter("runtime.timers_fired")),
           frameBytes(reg->counter("runtime.frame_bytes")),
@@ -45,23 +48,45 @@ wallSpan(double seconds)
         std::chrono::duration<double>(std::min(seconds, 1e9)));
 }
 
+void
+encodeWire(const Message &msg, Bytes &out)
+{
+    out = encodeFrame(msg);
+}
+
+bool
+verifyWire(const Bytes &frame, const Message &msg)
+{
+    RtMetricIds &rm = rtMetrics();
+    rm.reg->inc(rm.frameBytes, frame.size());
+    // Decode + verify the frame exactly as a socket receiver would
+    // before trusting any field of the out-of-band payload.
+    auto head = decodeFrame(frame);
+    if (head && head->type == msg.type && head->src == msg.src &&
+        head->nonce == msg.nonce)
+        return true;
+    rm.reg->inc(rm.frameErrors);
+    return false;
+}
+
+/** runtime/framing.h on every transmission. */
+constexpr FrameCodec wireFraming{&encodeWire, &verifyWire};
+
 } // namespace
 
-ThreadedRuntime::ThreadedRuntime(Simulator &sim, Network &net,
-                                 std::uint64_t seed)
-    : SimBackedRuntime(sim, net, seed)
+Pacer::Pacer(Simulator &sim, Network &net) : sim_(sim), net_(net)
 {
     // The wall reads whatever the simulator clock reads right now.
     start_ = std::chrono::steady_clock::now() - wallSpan(sim_.now());
     rtMetrics(); // intern ids before the loop thread exists
-    net_.setFrameCodec(this);
+    net_.setFrameCodec(&wireFraming);
     loop_ = std::thread([this] { loop(); });
 }
 
-ThreadedRuntime::~ThreadedRuntime() { shutdown(); }
+Pacer::~Pacer() { shutdown(); }
 
 void
-ThreadedRuntime::shutdown()
+Pacer::shutdown()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
@@ -75,8 +100,35 @@ ThreadedRuntime::shutdown()
         loop_.join();
 }
 
+bool
+Pacer::enter() const
+{
+    if (owner_.load(std::memory_order_acquire) == std::this_thread::get_id())
+        return false;
+    // Announce the wait first: between two events the loop steps aside
+    // while anyone is queued here.
+    waiting_.fetch_add(1, std::memory_order_acq_rel);
+    mu_.lock();
+    waiting_.fetch_sub(1, std::memory_order_acq_rel);
+    owner_.store(std::this_thread::get_id(), std::memory_order_release);
+    sim_.advanceTo(wallNow());
+    return true;
+}
+
+void
+Pacer::leave() const
+{
+    // Wake the loop only if it waits on us or now has an earlier
+    // deadline than the one it sleeps until.
+    bool wake = handoff_ || sim_.nextEventTime() < sleepUntil_;
+    owner_.store(std::thread::id{}, std::memory_order_release);
+    mu_.unlock();
+    if (wake)
+        loopCv_.notify_one();
+}
+
 double
-ThreadedRuntime::wallNow() const
+Pacer::wallNow() const
 {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start_)
@@ -84,13 +136,13 @@ ThreadedRuntime::wallNow() const
 }
 
 std::chrono::steady_clock::time_point
-ThreadedRuntime::wallAt(double t) const
+Pacer::wallAt(double t) const
 {
     return start_ + wallSpan(t);
 }
 
 void
-ThreadedRuntime::loop()
+Pacer::loop()
 {
     RtMetricIds &rm = rtMetrics();
     const std::thread::id self = std::this_thread::get_id();
@@ -136,23 +188,12 @@ ThreadedRuntime::loop()
     }
 }
 
-std::uint64_t
-ThreadedRuntime::uniqueStamp() const
+void
+Pacer::fillStats(RuntimeStats &s) const
 {
-    Hold h(*this);
-    return stamp_++;
-}
-
-RuntimeStats
-ThreadedRuntime::stats() const
-{
-    RuntimeStats s;
+    s.uptime = wallNow();
+    s.strandQueueDepth = sim_.dueBy(s.uptime);
     {
-        Hold h(*this);
-        s.uptime = wallNow();
-        s.strandQueueDepth = sim_.dueBy(s.uptime);
-        s.timersPending = sim_.pending();
-        s.linkQueuedMessages = net_.inFlight();
         std::lock_guard<std::mutex> g(firedMu_);
         s.tasksExecuted = fired_;
     }
@@ -162,12 +203,10 @@ ThreadedRuntime::stats() const
         1e-9;
     if (s.uptime > 0.0)
         s.workerUtilization = std::min(1.0, busy / s.uptime);
-    return s;
 }
 
 bool
-ThreadedRuntime::runUntil(const std::function<bool()> &pred,
-                          SimTime deadline)
+Pacer::runUntil(const std::function<bool()> &pred, SimTime deadline)
 {
     // Waiting while holding the loop mutex could never succeed: the
     // event that would satisfy pred cannot fire.  Fail fast instead:
@@ -175,12 +214,13 @@ ThreadedRuntime::runUntil(const std::function<bool()> &pred,
     // called from client threads, never from runtime callbacks.
     OS_CHECK(owner_.load(std::memory_order_acquire) !=
                  std::this_thread::get_id(),
-             "ThreadedRuntime::runUntil called from a runtime callback "
-             "or execute(); sync wrappers must run on client threads");
+             "Runtime::runUntil called from a runtime callback or "
+             "execute() of a paced runtime; sync wrappers must run on "
+             "client threads");
     for (;;) {
         std::uint64_t seen;
         {
-            Hold h(*this);
+            Hold h(this);
             if (pred())
                 return true;
             if (wallNow() > deadline)
@@ -195,39 +235,11 @@ ThreadedRuntime::runUntil(const std::function<bool()> &pred,
 }
 
 void
-ThreadedRuntime::advance(SimTime seconds)
+Pacer::advance(SimTime seconds) const
 {
     if (seconds > 0)
         std::this_thread::sleep_for(
             std::chrono::duration<double>(seconds));
-}
-
-void
-ThreadedRuntime::execute(const std::function<void()> &fn)
-{
-    Hold h(*this);
-    fn();
-}
-
-void
-ThreadedRuntime::encode(const Message &msg, Bytes &out)
-{
-    out = encodeFrame(msg);
-}
-
-bool
-ThreadedRuntime::verify(const Bytes &frame, const Message &msg)
-{
-    RtMetricIds &rm = rtMetrics();
-    rm.reg->inc(rm.frameBytes, frame.size());
-    // Decode + verify the frame exactly as a socket receiver would
-    // before trusting any field of the out-of-band payload.
-    auto head = decodeFrame(frame);
-    if (head && head->type == msg.type && head->src == msg.src &&
-        head->nonce == msg.nonce)
-        return true;
-    rm.reg->inc(rm.frameErrors);
-    return false;
 }
 
 } // namespace oceanstore

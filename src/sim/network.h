@@ -50,19 +50,16 @@ class SimNode
     virtual void handleMessage(const Message &msg) = 0;
 };
 
-/** Wire framing hook, implemented by the threaded runtime: each
+/** Wire framing hook, installed by a paced runtime: each
  *  transmission is encoded once and every delivery is verified before
  *  the handler runs.  Declared here so sim/ does not depend on runtime/. */
-class FrameCodec
+struct FrameCodec
 {
-  public:
-    virtual ~FrameCodec() = default;
-
     /** Encode @p msg's frame into @p out. */
-    virtual void encode(const Message &msg, Bytes &out) = 0;
+    void (*encode)(const Message &msg, Bytes &out);
 
     /** Check @p frame against @p msg; false drops the delivery. */
-    virtual bool verify(const Bytes &frame, const Message &msg) = 0;
+    bool (*verify)(const Bytes &frame, const Message &msg);
 };
 
 /** Tunables for the network model. */
@@ -181,7 +178,7 @@ class Network
 
     /** Attach (or with nullptr detach) a frame codec; when none is
      *  attached the send and delivery paths pay one null check. */
-    void setFrameCodec(FrameCodec *c) { codec_ = c; }
+    void setFrameCodec(const FrameCodec *c) { codec_ = c; }
 
     /** Total payload+header bytes sent so far. */
     std::uint64_t totalBytes() const { return totalBytes_; }
@@ -233,7 +230,7 @@ class Network
     NetworkConfig cfg_;
     Rng rng_;
     FaultInjector *fault_ = nullptr;
-    FrameCodec *codec_ = nullptr;
+    const FrameCodec *codec_ = nullptr;
     std::vector<SimNode *> nodes_;
     std::vector<std::pair<double, double>> pos_;
     std::vector<bool> up_;

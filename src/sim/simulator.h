@@ -109,7 +109,7 @@ class Simulator
     /**
      * Move the clock forward to min(@p t, nextEventTime()) without
      * firing anything; never moves it backwards.  This is how a
-     * wall-clock driver (runtime/threaded_runtime.h) lets an idle
+     * wall-clock pacer (runtime/threaded_pacer.h) lets an idle
      * clock catch up with real time before a client schedules.
      */
     void advanceTo(SimTime t) OS_EXCLUDES(mu_);

@@ -7,7 +7,7 @@
 
 #include "archive/archival.h"
 #include "erasure/reed_solomon.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/churn.h"
 #include "util/stats.h"
 
@@ -67,7 +67,7 @@ struct ArchiveFixture
 
     Simulator sim;
     Network net;
-    SimRuntime rt{sim, net};
+    Runtime rt{sim, net};
     ReedSolomonCode codec;
     std::vector<std::unique_ptr<NodeStorage>> disks; //!< One per server.
     std::unique_ptr<ArchivalSystem> sys;

@@ -6,7 +6,7 @@
 
 #include "bloom/location_service.h"
 #include "plaxton/mesh.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/network.h"
 
 namespace oceanstore {
@@ -249,7 +249,7 @@ TEST(BloomLocation, LossyLinksDegradeToMeshRoutingNotHardFailure)
                                       topo.positions[i].first,
                                       topo.positions[i].second));
     }
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     PlaxtonMesh mesh(rt, members, rng);
     mesh.publish(g, members[3]);
     auto lr = mesh.locate(members[0], g);

@@ -9,7 +9,7 @@
 
 #include "consistency/byzantine.h"
 #include "consistency/cost_model.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 
 namespace oceanstore {
 namespace {
@@ -61,7 +61,7 @@ struct PbftFixture
 
     Simulator sim;
     Network net;
-    SimRuntime rt{sim, net};
+    Runtime rt{sim, net};
     KeyRegistry registry;
     std::unique_ptr<PbftCluster> cluster;
     std::unique_ptr<PbftClient> client;
@@ -236,7 +236,7 @@ TEST(Pbft, RejectsWrongPositionCount)
     PbftConfig cfg;
     cfg.m = 1;
     std::vector<std::pair<double, double>> pos(3, {0.5, 0.5}); // not 4
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     EXPECT_THROW(PbftCluster(rt, pos, reg, cfg), std::runtime_error);
 }
 

@@ -49,7 +49,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plaxton/mesh.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/churn.h"
 #include "sim/fault.h"
 #include "sim/topology.h"
@@ -178,7 +178,7 @@ runPbftChaos(std::uint64_t seed)
     }
     PbftConfig pcfg;
     pcfg.m = m;
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     PbftCluster cluster(rt, pos, registry, pcfg);
     cluster.executor = [](unsigned, const Bytes &payload, std::uint64_t) {
         return payload;
@@ -300,7 +300,7 @@ runMeshChaos(std::uint64_t seed)
         members.push_back(net.addNode(&sinks[i], topo.positions[i].first,
                                       topo.positions[i].second));
     }
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     PlaxtonMesh mesh(rt, members, rng);
 
     // Publish each object on three storers so a 10% storm rarely
@@ -442,7 +442,7 @@ runArchiveChaos(std::uint64_t seed)
     }
     ArchiveConfig acfg;
     acfg.repairThreshold = 15; // repair as soon as one fragment dies
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     ArchivalSystem sys(rt, pos, domains, acfg);
     std::vector<std::unique_ptr<NodeStorage>> disks;
     for (std::size_t i = 0; i < kServers; i++) {
@@ -583,7 +583,7 @@ runSecondaryChaos(std::uint64_t seed)
         pos.emplace_back(rng.uniform(), rng.uniform());
     SecondaryConfig scfg;
     scfg.seed = mixSeed(0x5ec0d417u, seed);
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     SecondaryTier tier(rt, pos, scfg);
     Guid obj = Guid::hashOf("chaos-shared-object");
 
@@ -747,7 +747,7 @@ TEST(Chaos, DisabledFaultPlanLeavesTracesUntouched)
         Rng rng(0x7ea);
         for (std::size_t i = 0; i < 8; i++)
             pos.emplace_back(rng.uniform(), rng.uniform());
-        SimRuntime rt(sim, net);
+        Runtime rt(sim, net);
         SecondaryTier tier(rt, pos, {});
         Guid obj = Guid::hashOf("noop-plan-object");
         std::unique_ptr<FaultInjector> inj;

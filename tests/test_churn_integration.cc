@@ -9,7 +9,7 @@
 #include "consistency/secondary.h"
 #include "erasure/reed_solomon.h"
 #include "plaxton/mesh.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/churn.h"
 #include "sim/topology.h"
 
@@ -127,7 +127,7 @@ TEST(Churn, MeshStaysUsableUnderChurnWithPeriodicRepair)
         members.push_back(net.addNode(&sinks[i],
                                       topo.positions[i].first,
                                       topo.positions[i].second));
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     PlaxtonMesh mesh(rt, members, rng);
 
     // Publish 20 objects from storers that never churn (0..19).
@@ -177,7 +177,7 @@ TEST(Churn, ArchiveRepairKeepsDataAliveAcrossWaves)
     }
     ArchiveConfig acfg;
     acfg.repairThreshold = 16; // repair on any fragment loss
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     ArchivalSystem sys(rt, pos, domains, acfg);
     std::vector<std::unique_ptr<NodeStorage>> disks;
     for (std::size_t i = 0; i < sys.size(); i++) {
@@ -232,7 +232,7 @@ TEST(Churn, DisseminationTreeRebuildRoutesAroundDeadInterior)
         pos.emplace_back(rng.uniform(), rng.uniform());
     SecondaryConfig scfg;
     scfg.treeFanout = 2; // deep tree: interior failures matter
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     SecondaryTier tier(rt, pos, scfg);
 
     Guid obj = Guid::hashOf("o");

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "consistency/dissemination.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "util/random.h"
 
 namespace oceanstore {
@@ -33,7 +33,7 @@ struct TreeFixture
 
     Simulator sim;
     Network net;
-    SimRuntime rt{sim, net};
+    Runtime rt{sim, net};
     std::vector<Sink> sinks;
     NodeId root{};
     std::vector<NodeId> members;

@@ -11,7 +11,7 @@
 #include "erasure/availability.h"
 #include "erasure/reed_solomon.h"
 #include "plaxton/mesh.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/topology.h"
 
 namespace oceanstore {
@@ -191,7 +191,7 @@ TEST_P(PbftTierSize, CommitsWithMaxToleratedCrashes)
         pos.emplace_back(0.5 + 0.01 * r, 0.5);
     PbftConfig cfg;
     cfg.m = m;
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     PbftCluster cluster(rt, pos, registry, cfg);
     cluster.executor = [](unsigned, const Bytes &, std::uint64_t) {
         return Bytes{42};
@@ -238,7 +238,7 @@ TEST_P(MeshSize, RootConsistencyAndLocate)
         members.push_back(net.addNode(&sinks[i],
                                       topo.positions[i].first,
                                       topo.positions[i].second));
-    SimRuntime rt(sim, net);
+    Runtime rt(sim, net);
     PlaxtonMesh mesh(rt, members, rng);
 
     for (int trial = 0; trial < 5; trial++) {

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "plaxton/mesh.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/topology.h"
 
 namespace oceanstore {
@@ -43,7 +43,7 @@ struct MeshFixture : public ::testing::Test
     static constexpr std::size_t kNodes = 64;
     Simulator sim;
     Network net;
-    SimRuntime rt{sim, net};
+    Runtime rt{sim, net};
     std::vector<Sink> nodes;
     std::vector<NodeId> members;
     std::unique_ptr<PlaxtonMesh> mesh;

@@ -3,12 +3,12 @@
  * Runtime conformance suite (DESIGN.md section 15).
  *
  * One parameterized set of behavioral contracts run against BOTH
- * backends: the deterministic SimRuntime adapter and the real
- * ThreadedRuntime.  The contracts are ported from the
+ * kinds of Runtime: the deterministic sim kind and the wall-clock
+ * paced (threaded) kind.  The contracts are ported from the
  * simulated-network tests (self-send asynchrony and FIFO, per-link
  * FIFO, multicast delivery accounting)
  * plus the timer/clock guarantees protocol code leans on, so a
- * backend that passes here can host the protocol tiers unmodified.
+ * kind that passes here can host the protocol tiers unmodified.
  *
  * Threaded cases use generous wall-clock budgets; predicates that
  * read handler state are evaluated through Runtime::runUntil, which
@@ -24,14 +24,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "runtime/framing.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "runtime/stats.h"
-#include "runtime/threaded_runtime.h"
 #include "sim/fault.h"
 
 namespace oceanstore {
@@ -50,26 +50,22 @@ class Sink : public SimNode
     std::vector<Message> received;
 };
 
-/** A backend under test: owns the runtime and the Simulator +
- *  Network pair it wraps. */
+// One concrete class: a virtual method must not come back.
+static_assert(!std::is_polymorphic_v<Runtime>);
+
+/** A runtime under test, with the Simulator + Network pair it wraps
+ *  (declared first, so the runtime stops before they die). */
 struct Backend
 {
-    explicit Backend(NetworkConfig cfg) : net(sim, cfg) {}
-    virtual ~Backend() = default;
-    virtual Runtime &rt() = 0;
-    /** Stop all callback sources (before the test's nodes die). */
-    virtual void stop() {}
-
-    Simulator sim;
-    Network net;
-};
-
-struct SimBackend final : Backend
-{
-    SimBackend() : Backend(netCfg()), r(sim, net, 0x5eedu) {}
+    explicit Backend(RuntimeKind kind)
+        : net(sim, kind == RuntimeKind::Sim ? simNetwork()
+                                            : loopbackNetwork),
+          rt(sim, net, 0x5eedu, kind)
+    {
+    }
 
     static NetworkConfig
-    netCfg()
+    simNetwork()
     {
         NetworkConfig cfg;
         cfg.jitter = 0.0;
@@ -78,19 +74,9 @@ struct SimBackend final : Backend
         return cfg;
     }
 
-    Runtime &rt() override { return r; }
-
-    SimRuntime r;
-};
-
-struct ThreadedBackend final : Backend
-{
-    ThreadedBackend() : Backend(loopbackNetwork), r(sim, net, 0x5eedu) {}
-
-    Runtime &rt() override { return r; }
-    void stop() override { r.shutdown(); }
-
-    ThreadedRuntime r;
+    Simulator sim;
+    Network net;
+    Runtime rt;
 };
 
 /** Wall/sim seconds each test may spend driving the runtime. */
@@ -103,10 +89,9 @@ class RuntimeConformance
     void
     SetUp() override
     {
-        if (std::string(GetParam()) == "threaded")
-            be_ = std::make_unique<ThreadedBackend>();
-        else
-            be_ = std::make_unique<SimBackend>();
+        kind_ = std::string(GetParam()) == "threaded" ? RuntimeKind::Threaded
+                                                      : RuntimeKind::Sim;
+        be_ = std::make_unique<Backend>(kind_);
         a_ = rt().addNode(&na_, 0.0, 0.0);
         b_ = rt().addNode(&nb_, 1.0, 0.0);
         c_ = rt().addNode(&nc_, 0.0, 1.0);
@@ -116,10 +101,10 @@ class RuntimeConformance
     TearDown() override
     {
         if (be_)
-            be_->stop(); // threads die before the sinks do
+            be_->rt.shutdown(); // threads die before the sinks do
     }
 
-    Runtime &rt() { return be_->rt(); }
+    Runtime &rt() { return be_->rt; }
 
     /** Drive until @p pred holds; fail the test on timeout. */
     bool
@@ -130,6 +115,7 @@ class RuntimeConformance
 
     Sink na_, nb_, nc_;
     NodeId a_{}, b_{}, c_{};
+    RuntimeKind kind_ = RuntimeKind::Sim;
     std::unique_ptr<Backend> be_;
 };
 
@@ -502,6 +488,54 @@ TEST_P(RuntimeConformance, FaultPlanDropsAndPartitionsThroughNetwork)
     });
 }
 
+TEST_P(RuntimeConformance, ShutdownIsIdempotentAndStopsOnlyAPacer)
+{
+    // Timers spread past the shutdown below: on the paced kind the
+    // first few may fire before it, none may fire after it.
+    std::atomic<bool> stopped{false};
+    std::atomic<int> fired{0}, firedAfterStop{0};
+    rt().execute([&]() {
+        for (int i = 0; i < 8; i++)
+            rt().schedule(0.02 * i, [&]() {
+                fired++;
+                if (stopped)
+                    firedAfterStop++;
+            });
+    });
+    rt().advance(0.02);
+    rt().shutdown();
+    stopped = true;
+    rt().shutdown(); // idempotent: returns at once
+
+    if (kind_ == RuntimeKind::Sim) {
+        // No pacer to stop: the caller still steps every timer.
+        EXPECT_TRUE(drive([&]() { return fired == 8; }));
+    } else {
+        // Past the last deadline: the joined loop fired nothing more.
+        std::this_thread::sleep_for(std::chrono::milliseconds(250));
+        EXPECT_EQ(firedAfterStop, 0);
+    }
+
+    // A runtime destroyed without shutdown() stops its own loop
+    // before the pair it wraps and the sink it delivers to die.
+    Sink sink;
+    std::atomic<int> late{0};
+    {
+        Backend scoped(kind_);
+        NodeId n = scoped.rt.addNode(&sink, 0.5, 0.5);
+        scoped.rt.execute([&]() {
+            for (int i = 0; i < 32; i++) {
+                scoped.rt.schedule(0.001 * i, [&late]() { late++; });
+                scoped.rt.send(n, n, makeMessage("t", i, 8));
+            }
+        });
+        scoped.rt.advance(0.01);
+    }
+    int seen = late;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(late, seen);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformance,
                          ::testing::Values("sim", "threaded"),
                          [](const auto &info) {
@@ -514,10 +548,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformance,
 
 TEST(RuntimeStatsExport, PeriodicExporterTicksAndStops)
 {
-    SimBackend be;
+    Backend be(RuntimeKind::Sim);
     int ticks = 0;
     PeriodicStatsExporter exporter(
-        be.rt(), 0.5,
+        be.rt, 0.5,
         [&](const RuntimeStats &s, const MetricsSnapshot &snap) {
             ticks++;
             EXPECT_GE(s.uptime, 0.0);
@@ -525,11 +559,11 @@ TEST(RuntimeStatsExport, PeriodicExporterTicksAndStops)
             EXPECT_TRUE(snap.gauges.count("runtime.timers_pending"));
         });
     exporter.start();
-    be.rt().advance(2.6);
+    be.rt.advance(2.6);
     EXPECT_GE(ticks, 4);
     exporter.stop();
     int after = ticks;
-    be.rt().advance(2.0);
+    be.rt.advance(2.0);
     EXPECT_EQ(ticks, after); // stopped: the timer chain is dead
 }
 
@@ -546,7 +580,7 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
     std::vector<Sink> sinks(kClients);
     Simulator sim;
     Network net(sim, loopbackNetwork);
-    ThreadedRuntime rt(sim, net, 0x5eedu);
+    Runtime rt(sim, net, 0x5eedu, RuntimeKind::Threaded);
     std::vector<NodeId> ids;
     for (int i = 0; i < kClients; i++)
         ids.push_back(rt.addNode(&sinks[i], 0.2 * i, 0.5));

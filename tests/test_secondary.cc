@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "consistency/secondary.h"
-#include "runtime/sim_runtime.h"
+#include "runtime/runtime.h"
 #include "sim/fault.h"
 
 namespace oceanstore {
@@ -45,7 +45,7 @@ struct TierFixture
 
     Simulator sim;
     Network net;
-    SimRuntime rt{sim, net};
+    Runtime rt{sim, net};
     std::unique_ptr<SecondaryTier> tier;
     Guid obj;
 };
@@ -373,7 +373,7 @@ TEST(SecondaryTier, SharedStateMatchesPrivateModel)
         ncfg.jitter = 0.01;
         ncfg.seed = mixSeed64(0x6e65u, seed);
         Network net(sim, ncfg);
-        SimRuntime rt(sim, net);
+        Runtime rt(sim, net);
         Rng rng(mixSeed64(0x5eedu, seed));
 
         SecondaryConfig cfg;
