@@ -55,18 +55,23 @@ Acl::serialize() const
     return w.take();
 }
 
-Acl
+std::optional<Acl>
 Acl::deserialize(const Bytes &payload)
 {
     Acl acl;
     ByteReader r(payload);
     std::uint32_t n = r.getU32();
-    for (std::uint32_t i = 0; i < n; i++) {
-        AclEntry e;
-        e.signerPublicKey = r.getBlob();
-        e.privileges = r.getU8();
-        acl.entries_.push_back(std::move(e));
+    // An entry is at least a key length and a privilege byte.
+    if (r.backs(n, 4 + 1)) {
+        for (std::uint32_t i = 0; i < n; i++) {
+            AclEntry e;
+            e.signerPublicKey = r.getBlob();
+            e.privileges = r.getU8();
+            acl.entries_.push_back(std::move(e));
+        }
     }
+    if (!r.ok())
+        return std::nullopt;
     return acl;
 }
 

@@ -21,6 +21,7 @@
 #define OCEANSTORE_ACCESS_ACL_H
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "crypto/guid.h"
@@ -69,8 +70,8 @@ class Acl
     /** Canonical serialization (for certificates and storage). */
     Bytes serialize() const;
 
-    /** Parse a serialized ACL. */
-    static Acl deserialize(const Bytes &payload);
+    /** Parse a serialized ACL; nullopt on malformed input. */
+    static std::optional<Acl> deserialize(const Bytes &payload);
 
   private:
     std::vector<AclEntry> entries_;

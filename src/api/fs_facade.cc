@@ -67,11 +67,7 @@ FileSystemFacade::loadDirectory(const Guid &dir_guid)
     Bytes payload = hit->second.decryptContent(rr.blocks);
     if (payload.empty())
         return Directory();
-    try {
-        return Directory::deserialize(payload);
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
+    return Directory::deserialize(payload);
 }
 
 bool

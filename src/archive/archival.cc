@@ -1,12 +1,9 @@
 #include "archive/archival.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <functional>
 #include <memory>
-#include <stdexcept>
-#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -84,7 +81,7 @@ ArchivalServer::ArchivalServer(ArchivalSystem &sys, std::size_t index)
 std::string
 ArchivalServer::fragmentKey(const Guid &archive, std::uint32_t index)
 {
-    return "frag/" + archive.hex() + "/" + std::to_string(index);
+    return guidKey("frag/", archive, index);
 }
 
 std::size_t
@@ -127,22 +124,10 @@ ArchivalServer::heldFragments() const
     LogStore *store = runningStore(storage_);
     if (!store)
         return held;
-    // "frag/" + 40 hex digits + "/" + the index in decimal.
-    constexpr std::size_t hexAt = 5, hexLen = 2 * Guid::numBytes;
-    constexpr std::size_t indexAt = hexAt + hexLen + 1;
     store->scanKeys("frag/", [&](const std::string &key) {
-        std::uint32_t index = 0;
-        const char *end = key.data() + key.size();
-        if (key.size() <= indexAt ||
-            std::from_chars(key.data() + indexAt, end, index).ptr != end)
-            return; // not a key storeFragment() wrote
-        try {
-            held.emplace_back(
-                Guid::fromHex(std::string_view(key).substr(hexAt, hexLen)),
-                index);
-        } catch (const std::invalid_argument &) {
-            // Not hex: not a key storeFragment() wrote either.
-        }
+        // Skip a key storeFragment() never wrote.
+        if (auto parsed = parseGuidKey(key, "frag/"))
+            held.push_back(*parsed);
     });
     std::sort(held.begin(), held.end());
     return held;
@@ -313,14 +298,16 @@ ArchivalSystem::makeClient(double x, double y)
 }
 
 std::vector<std::size_t>
-ArchivalSystem::chooseTargets(unsigned count, std::size_t exclude) const
+ArchivalSystem::dispersalOrder(const std::vector<std::size_t> &exclude) const
 {
     // Group up servers by domain, domains ordered by reliability
     // descending; round-robin across domains so that the loss of any
-    // one domain takes out at most ceil(count / #domains) fragments.
+    // one domain takes out at most ceil(count / #domains) of the first
+    // count servers.
     std::map<unsigned, std::vector<std::size_t>> by_domain;
     for (std::size_t i = 0; i < servers_.size(); i++) {
-        if (i == exclude || !rt_.isUp(servers_[i]->nodeId()))
+        if (!rt_.isUp(servers_[i]->nodeId()) ||
+            std::find(exclude.begin(), exclude.end(), i) != exclude.end())
             continue;
         by_domain[servers_[i]->domain_].push_back(i);
     }
@@ -339,24 +326,16 @@ ArchivalSystem::chooseTargets(unsigned count, std::size_t exclude) const
                          return ra > rb;
                      });
 
-    std::vector<std::size_t> targets;
-    std::map<unsigned, std::size_t> cursor;
-    while (targets.size() < count) {
-        bool placed = false;
+    std::vector<std::size_t> order;
+    for (std::size_t round = 0; true; round++) {
+        const std::size_t before = order.size();
         for (unsigned d : domain_order) {
-            if (targets.size() >= count)
-                break;
-            auto &members = by_domain[d];
-            auto &cur = cursor[d];
-            if (cur < members.size()) {
-                targets.push_back(members[cur++]);
-                placed = true;
-            }
+            if (round < by_domain[d].size())
+                order.push_back(by_domain[d][round]);
         }
-        if (!placed)
-            fatal("ArchivalSystem: not enough up servers for dispersal");
+        if (order.size() == before)
+            return order;
     }
-    return targets;
 }
 
 Guid
@@ -369,7 +348,9 @@ ArchivalSystem::disperse(const ErasureCodec &codec, const Bytes &data,
     ScopedSpan span("archive", "archive.disperse", rt_.now(),
                     servers_[source]->nodeId());
     FragmentSet set = fragmentObject(codec, data);
-    auto targets = chooseTargets(codec.totalFragments(), source);
+    auto targets = dispersalOrder({source});
+    if (targets.size() < set.fragments.size())
+        fatal("ArchivalSystem: not enough up servers for dispersal");
 
     Placement placement;
     placement.codec = &codec;
@@ -551,38 +532,14 @@ ArchivalSystem::repairSweep()
         if (alive >= threshold || alive < k)
             continue; // healthy, or beyond repair
 
-        // Gather surviving fragments (a maintenance process with
-        // direct access to server state, per Section 4.5's background
-        // sweep) and decode.
-        std::vector<Fragment> have;
-        for (std::size_t i = 0; i < placement.holders.size(); i++) {
+        std::vector<std::uint32_t> lost;
+        for (std::uint32_t i = 0; i < placement.holders.size(); i++) {
             const auto &srv = servers_[placement.holders[i]];
-            if (!rt_.isUp(srv->nodeId()))
-                continue;
-            if (auto f = srv->fragment(archive,
-                                       static_cast<std::uint32_t>(i)))
-                have.push_back(std::move(*f));
+            if (!rt_.isUp(srv->nodeId()) || !srv->holds(archive, i))
+                lost.push_back(i);
         }
-        auto data = reassembleObject(*placement.codec, archive,
-                                     placement.originalSize, have);
-        if (!data.has_value())
-            continue;
-
-        // Re-encode and re-disperse the missing fragment indices to
-        // fresh up servers.
-        FragmentSet set = fragmentObject(*placement.codec, *data);
-        for (std::size_t i = 0; i < placement.holders.size(); i++) {
-            const auto &srv = servers_[placement.holders[i]];
-            bool lost = !rt_.isUp(srv->nodeId()) ||
-                        !srv->holds(archive,
-                                    static_cast<std::uint32_t>(i));
-            if (!lost)
-                continue;
-            auto targets = chooseTargets(1, placement.holders[i]);
-            placement.holders[i] = targets[0];
-            servers_[targets[0]]->storeFragment(set.fragments[i]);
-        }
-        repaired++;
+        if (repairFragments(archive, placement, lost) == lost.size())
+            repaired++;
     }
     return repaired;
 }
@@ -675,56 +632,51 @@ ArchivalSystem::corruptedFragments() const
     return bad;
 }
 
-bool
-ArchivalSystem::repairFragment(const Guid &archive, Placement &placement,
-                               std::uint32_t index)
+unsigned
+ArchivalSystem::repairFragments(const Guid &archive, Placement &placement,
+                                const std::vector<std::uint32_t> &missing)
 {
-    // Gather only fragments that pass verification: the decoder would
-    // treat corrupt ones as erasures anyway, but filtering here keeps
-    // a Byzantine majority of *served* bytes from costing decode time.
+    // Gather only fragments that pass verification (a maintenance
+    // process with direct access to server state, per Section 4.5's
+    // background sweep): a Byzantine majority of *served* bytes then
+    // costs no decode time, and the decode hashes nothing again.
     std::vector<Fragment> have;
-    for (std::size_t i = 0; i < placement.holders.size(); i++) {
+    for (std::uint32_t i = 0; i < placement.holders.size(); i++) {
         const auto &srv = servers_[placement.holders[i]];
         if (!rt_.isUp(srv->nodeId()))
             continue;
-        auto f = srv->fragment(archive, static_cast<std::uint32_t>(i));
-        if (f && f->verify())
+        auto f = srv->fragment(archive, i);
+        if (f && f->archiveGuid == archive && f->index == i && f->verify())
             have.push_back(std::move(*f));
     }
-    auto data = reassembleObject(*placement.codec, archive,
-                                 placement.originalSize, have);
+    auto data = decodeVerified(*placement.codec, placement.originalSize,
+                               have);
     if (!data.has_value())
-        return false; // beyond the erasure threshold: unrepairable
+        return 0; // beyond the erasure threshold: unrepairable
 
     FragmentSet set = fragmentObject(*placement.codec, *data);
-    const Fragment &frag = set.fragments[index];
-    std::size_t holder = placement.holders[index];
-    if (!rt_.isUp(servers_[holder]->nodeId())) {
-        holder = chooseTargets(1, placement.holders[index])[0];
-        placement.holders[index] = holder;
-    }
-    if (servers_[holder]->storeFragment(frag))
-        return true;
-
-    // The holder's disk refused it (full): re-home the fragment on the
-    // first live server, in dispersal order, that holds no fragment of
-    // this archive and whose disk takes it.
-    std::size_t up = 0;
-    for (std::size_t i = 0; i < servers_.size(); i++) {
-        if (i != holder && rt_.isUp(servers_[i]->nodeId()))
-            up++;
-    }
-    for (std::size_t target : chooseTargets(static_cast<unsigned>(up),
-                                            holder)) {
-        if (std::find(placement.holders.begin(), placement.holders.end(),
-                      target) != placement.holders.end())
+    // Fresh homes, round-robin across domains: live servers holding no
+    // fragment of this archive.  Each is offered at most one fragment,
+    // so one later failure cannot take out several re-homed ones.
+    const std::vector<std::size_t> fresh = dispersalOrder(placement.holders);
+    std::size_t next = 0;
+    unsigned restored = 0;
+    for (std::uint32_t index : missing) {
+        const Fragment &frag = set.fragments[index];
+        ArchivalServer &holder = *servers_[placement.holders[index]];
+        if (rt_.isUp(holder.nodeId()) && holder.storeFragment(frag)) {
+            restored++;
             continue;
-        if (servers_[target]->storeFragment(frag)) {
-            placement.holders[index] = target;
-            return true;
         }
+        while (next < fresh.size() &&
+               !servers_[fresh[next]]->storeFragment(frag))
+            next++;
+        if (next == fresh.size())
+            continue; // no disk takes it: it stays missing
+        placement.holders[index] = fresh[next++];
+        restored++;
     }
-    return false;
+    return restored;
 }
 
 ArchivalSystem::AuditReport
@@ -788,7 +740,7 @@ ArchivalSystem::auditSweep()
         rep.mismatches++;
         auditMismatches_++;
         am.reg->inc(am.auditMismatches);
-        if (repairFragment(archive, placement, index)) {
+        if (repairFragments(archive, placement, {index}) == 1) {
             rep.repaired++;
             auditRepairs_++;
             am.reg->inc(am.auditRepairs);

@@ -363,15 +363,22 @@ class ArchivalSystem
         std::vector<std::size_t> holders;
     };
 
-    /** Pick dispersal targets for @p count fragments. */
-    std::vector<std::size_t> chooseTargets(unsigned count,
-                                           std::size_t exclude) const;
+    /** Every up server not in @p exclude, in dispersal order:
+     *  round-robin across domains in decreasing reliability order. */
+    std::vector<std::size_t>
+    dispersalOrder(const std::vector<std::size_t> &exclude) const;
 
-    /** Restore one fragment from the verified surviving set; moves
-     *  the placement to a fresh up server when the holder is down.
-     *  @return false when it is unrepairable or the disk refused it. */
-    bool repairFragment(const Guid &archive, Placement &placement,
-                        std::uint32_t index);
+    /**
+     * The one repair path, for the sweep and the audit: decode
+     * @p archive once from its verified surviving fragments, encode
+     * once, and put back each index in @p missing.  An index goes to
+     * its holder when that holder is up and its disk takes it;
+     * otherwise to the next server in dispersalOrder() that holds no
+     * fragment of the archive and whose disk takes it, and the
+     * placement follows it.  @return indices restored.
+     */
+    unsigned repairFragments(const Guid &archive, Placement &placement,
+                             const std::vector<std::uint32_t> &missing);
 
     /** (Re)arm the periodic audit timer. */
     void armAuditTimer();

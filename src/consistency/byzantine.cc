@@ -741,7 +741,34 @@ PbftReplica::onViewChange(const Message &msg)
         PbftMetricIds &pm = pbftMetrics();
         pm.reg->inc(pm.viewChanges);
     }
-    view_ = body.newView;
+    enterView(body.newView);
+
+    if (isLeader()) {
+        NewViewBody nv{view_};
+        Message m = makeMessage("pbft.newview", nv, pbftControlBytes);
+        cluster_.rt().multicast(
+            nodeId_, cluster_.replicaNodeIds(nodeId_), std::move(m));
+        // Re-propose everything we know about that never finished.
+        for (const auto &[req_id, pc] : known_) {
+            if (done_.count(req_id))
+                continue;
+            assignAndPrePrepare(pc.first, req_id, pc.second);
+        }
+    }
+}
+
+void
+PbftReplica::onNewView(const Message &msg)
+{
+    const auto &body = messageBody<NewViewBody>(msg);
+    if (body.newView > view_)
+        enterView(body.newView);
+}
+
+void
+PbftReplica::enterView(unsigned v)
+{
+    view_ = v;
     viewVotes_.erase(viewVotes_.begin(), viewVotes_.upper_bound(view_));
     for (auto it = slots_.begin(); it != slots_.end();) {
         if (!it->second.executed && it->first > lastExecuted_) {
@@ -762,44 +789,6 @@ PbftReplica::onViewChange(const Message &msg)
     // Entering a view restarts the failure clock: timers armed for
     // the old view would fire as no-ops yet block re-arming, leaving
     // no path to the next view change once they are spent.
-    for (auto &[req_id, ev] : timers_)
-        cluster_.rt().cancel(ev);
-    timers_.clear();
-
-    if (isLeader()) {
-        NewViewBody nv{view_};
-        Message m = makeMessage("pbft.newview", nv, pbftControlBytes);
-        cluster_.rt().multicast(
-            nodeId_, cluster_.replicaNodeIds(nodeId_), std::move(m));
-        // Re-propose everything we know about that never finished.
-        for (const auto &[req_id, pc] : known_) {
-            if (done_.count(req_id))
-                continue;
-            assignAndPrePrepare(pc.first, req_id, pc.second);
-        }
-    }
-}
-
-void
-PbftReplica::onNewView(const Message &msg)
-{
-    const auto &body = messageBody<NewViewBody>(msg);
-    if (body.newView <= view_)
-        return;
-    view_ = body.newView;
-    viewVotes_.erase(viewVotes_.begin(), viewVotes_.upper_bound(view_));
-    for (auto it = slots_.begin(); it != slots_.end();) {
-        if (!it->second.executed && it->first > lastExecuted_) {
-            it = slots_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    nextSeq_ = lastExecuted_ + 1;
-    for (const auto &[req_id, pc] : known_) {
-        if (!done_.count(req_id))
-            assigned_.erase(req_id);
-    }
     for (auto &[req_id, ev] : timers_)
         cluster_.rt().cancel(ev);
     timers_.clear();
@@ -847,12 +836,6 @@ PbftCluster::publicKeys() const
     for (const auto &kp : keys_)
         keys.push_back(kp.publicKey);
     return keys;
-}
-
-void
-PbftCluster::broadcast(NodeId from, const Message &msg)
-{
-    rt_.multicast(from, replicaNodeIds(from), msg);
 }
 
 std::vector<NodeId>

@@ -241,6 +241,9 @@ class PbftReplica : public SimNode
     void onCommit(const Message &msg);
     void onViewChange(const Message &msg);
     void onNewView(const Message &msg);
+    /** Adopt view @p v: drop the old view's unexecuted slots, its
+     *  leader-side dedupe entries and its failure timers. */
+    void enterView(unsigned v);
     void assignAndPrePrepare(const Blob &payload, const Guid &req_id,
                              NodeId client);
     void tryCommit(std::uint64_t seq);
@@ -346,9 +349,6 @@ class PbftCluster
   private:
     friend class PbftReplica;
     friend class PbftClient;
-
-    /** Broadcast @p msg from @p from to every replica (incl. self). */
-    void broadcast(NodeId from, const Message &msg);
 
     /** Node ids of every replica except @p except (pass invalidNode
      *  to get all of them) — fan-out list for Runtime::multicast(). */

@@ -1,8 +1,5 @@
 #include "consistency/update.h"
 
-#include <stdexcept>
-#include <string>
-
 namespace oceanstore {
 
 void
@@ -105,19 +102,11 @@ Update::serializeFull() const
 
 namespace {
 
-/**
- * Throw, as a truncation would, unless @p count elements of at least
- * @p min_bytes encoded bytes each fit in what is left of @p r: a count
- * read off the wire sizes nothing before bytes back it.
- */
-void
-requireBacked(const ByteReader &r, std::uint64_t count,
-              std::uint64_t min_bytes, const char *what)
-{
-    if (count * min_bytes > r.remaining())
-        throw std::out_of_range(std::string("Update: ") + what +
-                                " count exceeds the bytes left");
-}
+/** Encoded bytes of the smallest predicate (a version or size test). */
+constexpr std::size_t minPredicateBytes = 1 + 8;
+
+/** Encoded bytes of the smallest action (an append's empty blob). */
+constexpr std::size_t minActionBytes = 1 + 4;
 
 Predicate
 parsePredicate(ByteReader &r)
@@ -141,7 +130,8 @@ parsePredicate(ByteReader &r)
         return sp;
       }
       default:
-        throw std::invalid_argument("Update: unknown predicate tag");
+        r.fail();
+        return CompareVersion{};
     }
 }
 
@@ -168,20 +158,22 @@ parseAction(ByteReader &r)
       case 4: {
         SetSearchIndex a;
         std::uint32_t n = r.getU32();
-        requireBacked(r, n, SearchIndex::tokenBytes, "token");
-        const std::size_t bytes = n * SearchIndex::tokenBytes;
-        a.index.maskedTokens = Blob::filled(
-            bytes, [&](std::uint8_t *out) { r.getRaw(out, bytes); });
+        if (r.backs(n, SearchIndex::tokenBytes)) {
+            const std::size_t bytes = n * SearchIndex::tokenBytes;
+            a.index.maskedTokens = Blob::filled(
+                bytes, [&](std::uint8_t *out) { r.getRaw(out, bytes); });
+        }
         return a;
       }
       default:
-        throw std::invalid_argument("Update: unknown action tag");
+        r.fail();
+        return DeleteBlock{};
     }
 }
 
 } // namespace
 
-Update
+std::optional<Update>
 Update::deserializeFull(ByteSpan wire)
 {
     ByteReader outer(wire);
@@ -190,35 +182,32 @@ Update::deserializeFull(ByteSpan wire)
 
     Update u;
     ByteReader r(body);
-    u.objectGuid = Guid::fromBytes(r.getRaw(Guid::numBytes));
+    Sha1Digest guid{};
+    r.getRaw(guid.data(), guid.size());
+    u.objectGuid = Guid(guid);
     u.timestamp.time = r.getU64();
     u.timestamp.clientId = r.getU64();
     std::uint32_t num_clauses = r.getU32();
     // A clause is at least its two 4-byte counts.
-    requireBacked(r, num_clauses, 8, "clause");
-    u.clauses.resize(num_clauses);
+    if (r.backs(num_clauses, 8))
+        u.clauses.resize(num_clauses);
     for (auto &clause : u.clauses) {
         std::uint32_t np = r.getU32();
-        for (std::uint32_t i = 0; i < np; i++)
-            clause.predicates.push_back(parsePredicate(r));
+        if (r.backs(np, minPredicateBytes)) {
+            for (std::uint32_t i = 0; i < np; i++)
+                clause.predicates.push_back(parsePredicate(r));
+        }
         std::uint32_t na = r.getU32();
-        for (std::uint32_t i = 0; i < na; i++)
-            clause.actions.push_back(parseAction(r));
+        if (r.backs(na, minActionBytes)) {
+            for (std::uint32_t i = 0; i < na; i++)
+                clause.actions.push_back(parseAction(r));
+        }
     }
     u.writerPublicKey = r.getBlob();
+    if (!outer.ok() || !r.ok())
+        return std::nullopt;
     u.signature.bytes = std::move(sig);
     return u;
-}
-
-std::optional<Update>
-Update::tryDeserializeFull(ByteSpan wire)
-{
-    try {
-        return deserializeFull(wire);
-    } catch (const std::out_of_range &) {
-    } catch (const std::invalid_argument &) {
-    }
-    return std::nullopt;
 }
 
 std::size_t

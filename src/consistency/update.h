@@ -167,12 +167,8 @@ struct Update
     /** Full wire form: signed serialization plus the signature. */
     Bytes serializeFull() const;
 
-    /** Parse a serializeFull() buffer. @throws on malformed input. */
-    static Update deserializeFull(ByteSpan wire);
-
-    /** deserializeFull() for untrusted bytes: nullopt on malformed
-     *  input instead of a throw. */
-    static std::optional<Update> tryDeserializeFull(ByteSpan wire);
+    /** Parse a serializeFull() buffer; nullopt on malformed input. */
+    static std::optional<Update> deserializeFull(ByteSpan wire);
 
     /** Bytes this update occupies on the wire.  Memoized (the
      *  signature's size contribution is always read live). */

@@ -219,7 +219,7 @@ Universe::executeUpdate(unsigned rank, const Bytes &payload,
         // are a deterministic abort: every correct replica returns the
         // same reply (the client completes on m+1 of them), and with
         // rank0Applied_ left null nothing reaches the tree.
-        std::optional<Update> decoded = Update::tryDeserializeFull(payload);
+        std::optional<Update> decoded = Update::deserializeFull(payload);
         if (!decoded) {
             CoreMetricIds &cm = coreMetrics();
             cm.reg->inc(cm.malformedRequests);
@@ -791,14 +791,7 @@ Universe::runReplicaManagementEpoch()
     }
 
     for (const auto &a : actions) {
-        // Map NodeIds back to server indices.
-        std::size_t idx = invalidNode;
-        for (std::size_t i = 0; i < cfg_.numServers; i++) {
-            if (tier_->replica(i).nodeId() == a.target) {
-                idx = i;
-                break;
-            }
-        }
+        std::size_t idx = replicaIndexOf(a.target);
         if (idx == static_cast<std::size_t>(invalidNode))
             continue;
         if (a.kind == ReplicaAction::Kind::Create)

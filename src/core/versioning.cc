@@ -1,6 +1,7 @@
 #include "core/versioning.h"
 
 #include <algorithm>
+#include <charconv>
 
 namespace oceanstore {
 
@@ -16,26 +17,19 @@ std::optional<VersionedName>
 VersionedName::parse(const std::string &name)
 {
     auto at = name.find('@');
-    std::string hex = name.substr(0, at == std::string::npos
-                                         ? name.size()
-                                         : at);
-    VersionedName vn;
-    try {
-        vn.guid = Guid::fromHex(hex);
-    } catch (const std::exception &) {
+    std::optional<Guid> guid =
+        Guid::fromHex(std::string_view(name).substr(0, at));
+    if (!guid)
         return std::nullopt;
-    }
+    VersionedName vn;
+    vn.guid = *guid;
     if (at != std::string::npos) {
-        std::string ver = name.substr(at + 1);
-        if (ver.empty() ||
-            ver.find_first_not_of("0123456789") != std::string::npos) {
+        VersionNum v = 0;
+        const char *end = name.data() + name.size();
+        auto [ptr, ec] = std::from_chars(name.data() + at + 1, end, v);
+        if (ec != std::errc() || ptr != end)
             return std::nullopt;
-        }
-        try {
-            vn.version = std::stoull(ver);
-        } catch (const std::exception &) {
-            return std::nullopt;
-        }
+        vn.version = v;
     }
     return vn;
 }

@@ -1,5 +1,6 @@
 #include "crypto/guid.h"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "util/check.h"
@@ -57,14 +58,16 @@ Guid::random(Rng &rng)
     return g;
 }
 
-Guid
+std::optional<Guid>
 Guid::fromHex(std::string_view hex)
 {
-    Bytes b = hexDecode(hex);
-    if (b.size() != numBytes)
-        throw std::invalid_argument("Guid::fromHex: need 40 hex chars");
+    if (hex.size() != numDigits)
+        return std::nullopt;
+    std::optional<Bytes> b = hexDecode(hex);
+    if (!b)
+        return std::nullopt;
     Guid g;
-    std::copy(b.begin(), b.end(), g.bytes_.begin());
+    std::copy(b->begin(), b->end(), g.bytes_.begin());
     return g;
 }
 
@@ -159,6 +162,29 @@ Guid::hash64() const
     for (int i = 0; i < 8; i++)
         v = (v << 8) | bytes_[i];
     return v;
+}
+
+std::string
+guidKey(std::string_view prefix, const Guid &g, std::uint32_t n)
+{
+    return std::string(prefix) + g.hex() + "/" + std::to_string(n);
+}
+
+std::optional<std::pair<Guid, std::uint32_t>>
+parseGuidKey(std::string_view key, std::string_view prefix)
+{
+    const std::size_t indexAt = prefix.size() + Guid::numDigits + 1;
+    if (key.size() <= indexAt || !key.starts_with(prefix) ||
+        key[indexAt - 1] != '/')
+        return std::nullopt;
+    std::optional<Guid> g =
+        Guid::fromHex(key.substr(prefix.size(), Guid::numDigits));
+    std::uint32_t index = 0;
+    const char *end = key.data() + key.size();
+    auto [ptr, ec] = std::from_chars(key.data() + indexAt, end, index);
+    if (!g || ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return std::make_pair(*g, index);
 }
 
 } // namespace oceanstore

@@ -17,7 +17,10 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "crypto/sha1.h"
 #include "util/bytes.h"
@@ -73,10 +76,12 @@ class Guid
     /** Uniformly random GUID from a deterministic generator. */
     static Guid random(Rng &rng);
 
-    /** Parse 40 hex characters. @throws std::invalid_argument. */
-    static Guid fromHex(std::string_view hex);
+    /** Parse 40 hex characters; nullopt for anything else. */
+    static std::optional<Guid> fromHex(std::string_view hex);
 
-    /** Adopt exactly 20 raw bytes. @throws std::invalid_argument. */
+    /** Adopt exactly 20 raw bytes.  @throws std::invalid_argument on
+     *  another length, a caller's error: a decoder reads a GUID with
+     *  ByteReader::getRaw(out, numBytes) instead. */
     static Guid fromBytes(const Bytes &raw);
 
     /**
@@ -131,6 +136,20 @@ class Guid
   private:
     std::array<std::uint8_t, numBytes> bytes_;
 };
+
+/**
+ * Storage key "<prefix><40 hex digits>/<n in decimal>", the form of
+ * the archival "frag/" and the mesh "ptr/" records.
+ */
+std::string guidKey(std::string_view prefix, const Guid &g,
+                    std::uint32_t n);
+
+/**
+ * Parse a guidKey() with @p prefix.  nullopt for any other key; each
+ * caller decides what an unparsable key means.
+ */
+std::optional<std::pair<Guid, std::uint32_t>>
+parseGuidKey(std::string_view key, std::string_view prefix);
 
 } // namespace oceanstore
 

@@ -41,19 +41,17 @@ Fragment::serialize() const
 std::optional<Fragment>
 Fragment::deserialize(ByteSpan raw)
 {
-    try {
-        ByteReader r(raw);
-        Fragment f;
-        Sha1Digest guid{};
-        r.getRaw(guid.data(), guid.size());
-        f.archiveGuid = Guid(guid);
-        f.index = r.getU32();
-        f.data = r.getSharedBlob();
-        std::uint32_t steps = r.getU32();
-        // An inflated count must not size the proof before the input
-        // backs it: every step needs proofStepBytes more bytes.
-        if (std::uint64_t{steps} * proofStepBytes > r.remaining())
-            return std::nullopt;
+    ByteReader r(raw);
+    Fragment f;
+    Sha1Digest guid{};
+    r.getRaw(guid.data(), guid.size());
+    f.archiveGuid = Guid(guid);
+    f.index = r.getU32();
+    f.data = r.getSharedBlob();
+    std::uint32_t steps = r.getU32();
+    // An inflated count must not size the proof before the input
+    // backs it: every step needs proofStepBytes more bytes.
+    if (r.backs(steps, proofStepBytes)) {
         f.proof.reserve(steps);
         for (std::uint32_t i = 0; i < steps; i++) {
             MerkleStep step;
@@ -61,12 +59,10 @@ Fragment::deserialize(ByteSpan raw)
             step.siblingOnLeft = r.getU8() != 0;
             f.proof.push_back(step);
         }
-        if (!r.exhausted())
-            return std::nullopt;
-        return f;
-    } catch (const std::exception &) {
-        return std::nullopt;
     }
+    if (!r.ok() || !r.exhausted())
+        return std::nullopt;
+    return f;
 }
 
 FragmentSet

@@ -1,5 +1,6 @@
 #include "introspect/dsl.h"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -61,11 +62,10 @@ EventHandler::parse(const std::string &program)
                 f.isText = true;
                 f.text = toks[3];
             } else {
-                try {
-                    f.number = std::stod(toks[3]);
-                } catch (const std::exception &) {
+                const std::string &v = toks[3];
+                const char *end = v.data() + v.size();
+                if (std::from_chars(v.data(), end, f.number).ec != std::errc())
                     bad(line, "non-numeric filter value");
-                }
             }
             h.filters_.push_back(std::move(f));
         } else if (op == "avg") {

@@ -1,7 +1,5 @@
 #include "naming/directory.h"
 
-#include <stdexcept>
-
 namespace oceanstore {
 
 void
@@ -38,22 +36,26 @@ Directory::serialize() const
     return w.take();
 }
 
-Directory
+std::optional<Directory>
 Directory::deserialize(const Bytes &payload)
 {
     Directory dir;
     ByteReader r(payload);
     std::uint32_t n = r.getU32();
-    for (std::uint32_t i = 0; i < n; i++) {
-        std::string name = r.getString();
-        Guid target = Guid::fromBytes(r.getRaw(Guid::numBytes));
-        auto kind = static_cast<EntryKind>(r.getU8());
-        if (kind != EntryKind::Object && kind != EntryKind::Directory)
-            throw std::invalid_argument("Directory: bad entry kind");
-        dir.bind(name, DirectoryEntry{target, kind});
+    // An entry is at least a name length, a GUID and a kind byte.
+    if (r.backs(n, 4 + Guid::numBytes + 1)) {
+        for (std::uint32_t i = 0; i < n; i++) {
+            std::string name = r.getString();
+            Sha1Digest target{};
+            r.getRaw(target.data(), target.size());
+            auto kind = static_cast<EntryKind>(r.getU8());
+            if (kind != EntryKind::Object && kind != EntryKind::Directory)
+                r.fail();
+            dir.bind(name, DirectoryEntry{Guid(target), kind});
+        }
     }
-    if (!r.exhausted())
-        throw std::invalid_argument("Directory: trailing bytes");
+    if (!r.ok() || !r.exhausted())
+        return std::nullopt;
     return dir;
 }
 

@@ -67,8 +67,8 @@ class Directory
     /** Canonical serialized payload. */
     Bytes serialize() const;
 
-    /** Parse a serialized payload. @throws on malformed input. */
-    static Directory deserialize(const Bytes &payload);
+    /** Parse a serialized payload; nullopt on malformed input. */
+    static std::optional<Directory> deserialize(const Bytes &payload);
 
   private:
     std::map<std::string, DirectoryEntry> entries_;

@@ -78,14 +78,11 @@ NameResolver::resolve(const std::string &path) const
         auto payload = fetcher_(current);
         if (!payload.has_value())
             return res;
-        Directory dir;
-        try {
-            dir = Directory::deserialize(*payload);
-        } catch (const std::exception &) {
+        std::optional<Directory> dir = Directory::deserialize(*payload);
+        if (!dir)
             return res; // corrupt directory payload
-        }
         res.directoriesTraversed++;
-        auto entry = dir.lookup(components[i]);
+        auto entry = dir->lookup(components[i]);
         if (!entry.has_value())
             return res;
         current = entry->target;

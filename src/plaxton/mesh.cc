@@ -201,7 +201,7 @@ PlaxtonMesh::rootOf(const Guid &g) const
 std::string
 PlaxtonMesh::pointerKey(const Guid &g, NodeId storer)
 {
-    return "ptr/" + g.hex() + "/" + std::to_string(storer);
+    return guidKey("ptr/", g, storer);
 }
 
 void
@@ -422,13 +422,10 @@ PlaxtonMesh::restoreNode(NodeId n)
     std::size_t reloaded = 0;
     if (LogStore *store = runningStore(st.storage)) {
         store->scan("ptr/", [&](const std::string &key, const Bytes &) {
-            OS_CHECK(key.size() > 4 + Guid::numDigits + 1,
+            auto parsed = parseGuidKey(key, "ptr/");
+            OS_CHECK(parsed.has_value(),
                      "mesh restore: malformed pointer key '", key, "'");
-            Guid g = Guid::fromHex(
-                std::string_view(key).substr(4, Guid::numDigits));
-            NodeId storer = static_cast<NodeId>(
-                std::stoull(key.substr(4 + Guid::numDigits + 1)));
-            st.pointers[g].insert(storer);
+            st.pointers[parsed->first].insert(parsed->second);
             reloaded++;
         });
     }

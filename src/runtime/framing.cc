@@ -1,7 +1,5 @@
 #include "runtime/framing.h"
 
-#include <stdexcept>
-
 #include "util/crc32.h"
 
 namespace oceanstore {
@@ -28,33 +26,24 @@ encodeFrame(const Message &msg)
 std::optional<FrameHeader>
 decodeFrame(const Bytes &frame)
 {
-    if (frame.size() < 4)
+    ByteReader r(frame);
+    if (r.getU32() != frameMagic || r.getU16() != frameVersion)
         return std::nullopt;
-    try {
-        ByteReader r(frame);
-        if (r.getU32() != frameMagic)
-            return std::nullopt;
-        if (r.getU16() != frameVersion)
-            return std::nullopt;
-        FrameHeader h;
-        std::uint16_t type_len = r.getU16();
-        Bytes type = r.getRaw(type_len);
-        h.type.assign(type.begin(), type.end());
-        h.src = r.getU32();
-        h.nonce = r.getU64();
-        h.destGuid = Guid::fromBytes(r.getRaw(Guid::numBytes));
-        h.payloadLen = r.getU32();
-        std::uint32_t crc = r.getU32();
-        if (!r.exhausted())
-            return std::nullopt;
-        if (crc32(frame.data(), frame.size() - 4) != crc)
-            return std::nullopt;
-        return h;
-    } catch (const std::out_of_range &) {
+    FrameHeader h;
+    std::uint16_t type_len = r.getU16();
+    Bytes type = r.getRaw(type_len);
+    h.type.assign(type.begin(), type.end());
+    h.src = r.getU32();
+    h.nonce = r.getU64();
+    Sha1Digest guid{};
+    r.getRaw(guid.data(), guid.size());
+    h.destGuid = Guid(guid);
+    h.payloadLen = r.getU32();
+    std::uint32_t crc = r.getU32();
+    if (!r.ok() || !r.exhausted() ||
+        crc32(frame.data(), frame.size() - 4) != crc)
         return std::nullopt;
-    } catch (const std::invalid_argument &) {
-        return std::nullopt;
-    }
+    return h;
 }
 
 } // namespace oceanstore

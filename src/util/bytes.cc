@@ -1,5 +1,7 @@
 #include "util/bytes.h"
 
+#include <algorithm>
+
 namespace oceanstore {
 
 Blob
@@ -40,6 +42,7 @@ hexEncode(const Bytes &b)
 
 namespace {
 
+/** Value of hex digit @p c, or -1 when it is none. */
 int
 hexNibble(char c)
 {
@@ -49,21 +52,23 @@ hexNibble(char c)
         return c - 'a' + 10;
     if (c >= 'A' && c <= 'F')
         return c - 'A' + 10;
-    throw std::invalid_argument("hexDecode: non-hex character");
+    return -1;
 }
 
 } // namespace
 
-Bytes
+std::optional<Bytes>
 hexDecode(std::string_view hex)
 {
     if (hex.size() % 2 != 0)
-        throw std::invalid_argument("hexDecode: odd-length input");
+        return std::nullopt;
     Bytes out;
     out.reserve(hex.size() / 2);
     for (std::size_t i = 0; i < hex.size(); i += 2) {
         int hi = hexNibble(hex[i]);
         int lo = hexNibble(hex[i + 1]);
+        if (hi < 0 || lo < 0)
+            return std::nullopt;
         out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
     }
     return out;
@@ -126,24 +131,44 @@ ByteWriter::putString(std::string_view s)
     buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void
-ByteReader::require(std::size_t n) const
+bool
+ByteReader::take(std::size_t n)
 {
-    if (remaining() < n)
-        throw std::out_of_range("ByteReader: buffer exhausted");
+    if (remaining() >= n)
+        return true;
+    fail();
+    return false;
+}
+
+bool
+ByteReader::backs(std::uint32_t count, std::size_t min_bytes)
+{
+    if (std::uint64_t{count} * min_bytes <= remaining())
+        return true;
+    fail();
+    return false;
+}
+
+void
+ByteReader::fail()
+{
+    ok_ = false;
+    pos_ = buf_.size();
 }
 
 std::uint8_t
 ByteReader::getU8()
 {
-    require(1);
+    if (!take(1))
+        return 0;
     return buf_[pos_++];
 }
 
 std::uint16_t
 ByteReader::getU16()
 {
-    require(2);
+    if (!take(2))
+        return 0;
     std::uint16_t v = (static_cast<std::uint16_t>(buf_[pos_]) << 8) |
                       buf_[pos_ + 1];
     pos_ += 2;
@@ -153,7 +178,8 @@ ByteReader::getU16()
 std::uint32_t
 ByteReader::getU32()
 {
-    require(4);
+    if (!take(4))
+        return 0;
     std::uint32_t v = 0;
     for (int i = 0; i < 4; i++)
         v = (v << 8) | buf_[pos_ + i];
@@ -164,7 +190,8 @@ ByteReader::getU32()
 std::uint64_t
 ByteReader::getU64()
 {
-    require(8);
+    if (!take(8))
+        return 0;
     std::uint64_t v = 0;
     for (int i = 0; i < 8; i++)
         v = (v << 8) | buf_[pos_ + i];
@@ -175,7 +202,8 @@ ByteReader::getU64()
 Bytes
 ByteReader::getRaw(std::size_t n)
 {
-    require(n);
+    if (!take(n))
+        return {};
     Bytes out(buf_.begin() + pos_, buf_.begin() + pos_ + n);
     pos_ += n;
     return out;
@@ -184,7 +212,10 @@ ByteReader::getRaw(std::size_t n)
 void
 ByteReader::getRaw(std::uint8_t *out, std::size_t n)
 {
-    require(n);
+    if (!take(n)) {
+        std::fill_n(out, n, std::uint8_t{0});
+        return;
+    }
     if (n > 0)
         std::memcpy(out, buf_.data() + pos_, n);
     pos_ += n;
@@ -201,7 +232,8 @@ Blob
 ByteReader::getSharedBlob()
 {
     std::uint32_t n = getU32();
-    require(n);
+    if (!take(n))
+        return {};
     Blob out(buf_.data() + pos_, n);
     pos_ += n;
     return out;

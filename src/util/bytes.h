@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -166,11 +167,10 @@ std::string toString(ByteSpan b);
 std::string hexEncode(const Bytes &b);
 
 /**
- * Decode a lower- or upper-case hexadecimal string.
- *
- * @throws std::invalid_argument on odd length or non-hex characters.
+ * Decode a lower- or upper-case hexadecimal string.  nullopt on odd
+ * length or a non-hex character.
  */
-Bytes hexDecode(std::string_view hex);
+std::optional<Bytes> hexDecode(std::string_view hex);
 
 /** Concatenate two byte buffers. */
 Bytes operator+(const Bytes &a, const Bytes &b);
@@ -223,10 +223,13 @@ class ByteWriter
 };
 
 /**
- * Sequential reader matching ByteWriter.
- *
- * All accessors throw std::out_of_range when the buffer is exhausted,
- * which protocol code treats as a malformed message.
+ * Sequential reader matching ByteWriter.  It never throws: a read past
+ * the end marks the reader failed and moves it to the end, so every
+ * later read fails too.  A failed fixed-size read returns zero and a
+ * failed sized or length-prefixed read returns empty, so it never
+ * allocates more than remaining().  A decoder reads every field, then
+ * checks ok() once, and exhausted() where its encoding must fill the
+ * input exactly (DESIGN.md section 8).
  */
 class ByteReader
 {
@@ -248,7 +251,7 @@ class ByteReader
     /** Read exactly @p n raw bytes. */
     Bytes getRaw(std::size_t n);
 
-    /** Read exactly @p n raw bytes into @p out. */
+    /** Read exactly @p n raw bytes into @p out (zeros on failure). */
     void getRaw(std::uint8_t *out, std::size_t n);
 
     /** Read a 32-bit length prefix followed by that many bytes. */
@@ -260,6 +263,20 @@ class ByteReader
     /** Read a length-prefixed string. */
     std::string getString();
 
+    /**
+     * Check a count read off the wire before it sizes anything: true
+     * when @p count elements of at least @p min_bytes encoded bytes
+     * each fit in what is left, otherwise fail().
+     */
+    bool backs(std::uint32_t count, std::size_t min_bytes);
+
+    /** Mark the input malformed (an unknown tag, say): the reader
+     *  fails as if a read had run past the end. */
+    void fail();
+
+    /** False once any read ran past the end or fail() was called. */
+    bool ok() const { return ok_; }
+
     /** Bytes remaining in the buffer. */
     std::size_t remaining() const { return buf_.size() - pos_; }
 
@@ -267,10 +284,12 @@ class ByteReader
     bool exhausted() const { return pos_ == buf_.size(); }
 
   private:
-    void require(std::size_t n) const;
+    /** True when @p n more bytes are there to read; otherwise fail(). */
+    bool take(std::size_t n);
 
     ByteSpan buf_;
     std::size_t pos_;
+    bool ok_ = true;
 };
 
 } // namespace oceanstore

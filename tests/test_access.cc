@@ -60,7 +60,7 @@ TEST(Acl, SerializationRoundTrip)
     acl.grant(toBytes("a"), priv(Privilege::Read));
     acl.grant(toBytes("b"),
               priv(Privilege::Write) | priv(Privilege::Read));
-    Acl parsed = Acl::deserialize(acl.serialize());
+    Acl parsed = Acl::deserialize(acl.serialize()).value();
     EXPECT_TRUE(parsed.allows(toBytes("b"), Privilege::Write));
     EXPECT_FALSE(parsed.allows(toBytes("a"), Privilege::Write));
 }

@@ -1,7 +1,10 @@
 /** @file Deep archival storage system tests (Section 4.5). */
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +66,82 @@ struct ArchiveFixture
                          [&](const ReconstructResult &r) { result = r; });
         sim.runUntil(sim.now() + max_time);
         return result;
+    }
+
+    /** Make every disk outside @p keep refuse any further record. */
+    void
+    fillDisksExcept(const std::set<std::size_t> &keep)
+    {
+        for (std::size_t i = 0; i < disks.size(); i++) {
+            DiskImage &d = disks[i]->disk();
+            if (!keep.count(i))
+                d.capacity = std::max<std::uint64_t>(d.size(), 1);
+        }
+    }
+
+    /** Servers holding any fragment. */
+    std::set<std::size_t>
+    holderSet()
+    {
+        std::set<std::size_t> held;
+        for (std::size_t i = 0; i < sys->size(); i++) {
+            if (sys->server(i).fragmentCount() > 0)
+                held.insert(i);
+        }
+        return held;
+    }
+
+    /** Take down the first @p n servers holding a fragment; returns
+     *  the fragment indices they held. */
+    std::vector<std::uint32_t>
+    downHolders(const Guid &archive, unsigned n)
+    {
+        std::vector<std::uint32_t> lost;
+        for (std::size_t i = 0; i < sys->size() && n > 0; i++) {
+            ArchivalServer &srv = sys->server(i);
+            if (srv.fragmentCount() == 0)
+                continue;
+            for (std::uint32_t f = 0; f < codec.totalFragments(); f++) {
+                if (srv.holds(archive, f))
+                    lost.push_back(f);
+            }
+            net.setDown(srv.nodeId());
+            n--;
+        }
+        return lost;
+    }
+
+    /** The up server holding fragment @p index of @p archive, or
+     *  size() when none does. */
+    std::size_t
+    upHolderOf(const Guid &archive, std::uint32_t index)
+    {
+        for (std::size_t i = 0; i < sys->size(); i++) {
+            if (net.isUp(sys->server(i).nodeId()) &&
+                sys->server(i).holds(archive, index))
+                return i;
+        }
+        return sys->size();
+    }
+
+    /** Checks that each fragment in @p moved now lives on its own up
+     *  server, none of them in @p old_holders; returns those servers. */
+    std::set<std::size_t>
+    expectRehomedApart(const Guid &archive,
+                       const std::vector<std::uint32_t> &moved,
+                       const std::set<std::size_t> &old_holders)
+    {
+        std::set<std::size_t> homes;
+        for (std::uint32_t index : moved) {
+            std::size_t home = upHolderOf(archive, index);
+            EXPECT_LT(home, sys->size()) << "fragment " << index;
+            EXPECT_EQ(old_holders.count(home), 0u)
+                << "fragment " << index << " re-homed on holder " << home;
+            homes.insert(home);
+        }
+        EXPECT_EQ(homes.size(), moved.size())
+            << "re-homed fragments share a server";
+        return homes;
     }
 
     Simulator sim;
@@ -242,6 +321,53 @@ TEST(Archive, RepairSweepRestoresRedundancy)
     EXPECT_EQ(res->data, data);
 }
 
+TEST(Archive, RepairSweepRehomesOnDistinctFreshServers)
+{
+    ArchiveConfig cfg;
+    cfg.repairThreshold = 14;
+    ArchiveFixture fx(40, cfg);
+    Bytes data = fx.sampleData(4096);
+    Guid archive = fx.sys->disperse(fx.codec, data, 0);
+    fx.sim.runUntil(10.0);
+    const std::set<std::size_t> old_holders = fx.holderSet();
+    const std::vector<std::uint32_t> lost = fx.downHolders(archive, 4);
+    ASSERT_EQ(lost.size(), 4u);
+
+    EXPECT_EQ(fx.sys->repairSweep(), 1u);
+    EXPECT_EQ(fx.sys->survivingFragments(archive), 16u);
+    // One later failure must not take out several re-homed fragments,
+    // and the sweep's round-robin spreads them over the four domains.
+    std::set<unsigned> domains;
+    for (std::size_t home : fx.expectRehomedApart(archive, lost, old_holders))
+        domains.insert(fx.sys->server(home).domain());
+    EXPECT_EQ(domains.size(), 4u);
+    auto res = fx.reconstruct(archive, 60.0);
+    ASSERT_TRUE(res && res->success);
+    EXPECT_EQ(res->data, data);
+}
+
+TEST(Archive, RepairSweepCountsNoFragmentADiskRefused)
+{
+    ArchiveConfig cfg;
+    cfg.repairThreshold = 14;
+    ArchiveFixture fx(40, cfg);
+    Guid archive = fx.sys->disperse(fx.codec, fx.sampleData(4096), 0);
+    fx.sim.runUntil(10.0);
+    const std::set<std::size_t> old_holders = fx.holderSet();
+    ASSERT_EQ(fx.downHolders(archive, 4).size(), 4u);
+    // Every server that could take a lost fragment refuses it.
+    fx.fillDisksExcept(old_holders);
+
+    EXPECT_EQ(fx.sys->repairSweep(), 0u);
+    EXPECT_EQ(fx.sys->survivingFragments(archive), 12u);
+    // No disk took a lost fragment, so no fresh server holds one.
+    for (std::size_t i = 0; i < fx.sys->size(); i++) {
+        if (!old_holders.count(i)) {
+            EXPECT_EQ(fx.sys->server(i).fragmentCount(), 0u) << i;
+        }
+    }
+}
+
 TEST(Archive, UnknownArchiveFailsFast)
 {
     ArchiveFixture fx;
@@ -344,6 +470,47 @@ TEST(ArchiveAudit, CorruptFragmentDetectedAndRepaired)
     ASSERT_TRUE(res.has_value());
     EXPECT_TRUE(res->success);
     EXPECT_EQ(res->data, data);
+}
+
+TEST(ArchiveAudit, RehomesOnDistinctFreshServers)
+{
+    ArchiveFixture fx;
+    Bytes data = fx.sampleData(4096);
+    Guid archive = fx.sys->disperse(fx.codec, data, 0);
+    fx.sim.runUntil(10.0);
+    const std::set<std::size_t> old_holders = fx.holderSet();
+    const std::vector<std::uint32_t> lost = fx.downHolders(archive, 4);
+    ASSERT_EQ(lost.size(), 4u);
+
+    for (int sweep = 0;
+         sweep < 64 && fx.sys->survivingFragments(archive) < 16; sweep++) {
+        fx.sys->auditSweep();
+        fx.sim.runUntil(fx.sim.now() + 11.0);
+    }
+    EXPECT_EQ(fx.sys->survivingFragments(archive), 16u);
+    EXPECT_EQ(fx.sys->auditRepairs(), 4u);
+    fx.expectRehomedApart(archive, lost, old_holders);
+    auto res = fx.reconstruct(archive, 60.0);
+    ASSERT_TRUE(res && res->success);
+    EXPECT_EQ(res->data, data);
+}
+
+TEST(ArchiveAudit, RefusedFragmentIsNotARepair)
+{
+    ArchiveFixture fx;
+    Guid archive = fx.sys->disperse(fx.codec, fx.sampleData(4096), 0);
+    fx.sim.runUntil(10.0);
+    const std::set<std::size_t> old_holders = fx.holderSet();
+    ASSERT_EQ(fx.downHolders(archive, 1).size(), 1u);
+    fx.fillDisksExcept(old_holders);
+
+    for (int sweep = 0; sweep < 16; sweep++) {
+        fx.sys->auditSweep();
+        fx.sim.runUntil(fx.sim.now() + 11.0);
+    }
+    EXPECT_GT(fx.sys->auditMismatches(), 0u);
+    EXPECT_EQ(fx.sys->auditRepairs(), 0u);
+    EXPECT_EQ(fx.sys->survivingFragments(archive), 15u);
 }
 
 TEST(ArchiveAudit, WindowBudgetCapsSampling)

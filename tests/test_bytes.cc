@@ -32,8 +32,8 @@ TEST(Bytes, HexDecodeRoundTrip)
 
 TEST(Bytes, HexDecodeRejectsBadInput)
 {
-    EXPECT_THROW(hexDecode("abc"), std::invalid_argument);
-    EXPECT_THROW(hexDecode("zz"), std::invalid_argument);
+    EXPECT_FALSE(hexDecode("abc").has_value());
+    EXPECT_FALSE(hexDecode("zz").has_value());
 }
 
 TEST(Bytes, Concatenation)
@@ -91,23 +91,51 @@ TEST(ByteWriter, EmptyBlob)
     EXPECT_TRUE(r.exhausted());
 }
 
-TEST(ByteReader, ThrowsOnUnderflow)
+TEST(ByteReader, FailsOnUnderflow)
 {
     Bytes small = {1, 2};
     ByteReader r(small);
-    EXPECT_THROW(r.getU32(), std::out_of_range);
-    EXPECT_EQ(r.remaining(), 2u);
-    r.getU16();
-    EXPECT_THROW(r.getU8(), std::out_of_range);
+    EXPECT_EQ(r.getU16(), 0x0102u);
+    EXPECT_TRUE(r.ok());
+    // A short read returns zero, fails the reader and stays failed.
+    EXPECT_EQ(r.getU8(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(r.exhausted());
+
+    ByteReader r2(small);
+    EXPECT_EQ(r2.getU32(), 0u);
+    EXPECT_FALSE(r2.ok());
+    EXPECT_EQ(r2.remaining(), 0u);
+    EXPECT_EQ(r2.getU8(), 0u);
+    EXPECT_FALSE(r2.ok());
 }
 
-TEST(ByteReader, BlobLengthBeyondBufferThrows)
+TEST(ByteReader, BlobLengthBeyondBufferFails)
 {
     ByteWriter w;
     w.putU32(1000); // claims 1000 bytes follow
     w.putU8(1);
     ByteReader r(w.buffer());
-    EXPECT_THROW(r.getBlob(), std::out_of_range);
+    EXPECT_TRUE(r.getBlob().empty());
+    EXPECT_FALSE(r.ok());
+
+    ByteReader rs(w.buffer());
+    EXPECT_TRUE(rs.getSharedBlob().empty());
+    EXPECT_TRUE(rs.getString().empty());
+    EXPECT_FALSE(rs.ok());
+}
+
+TEST(ByteReader, BacksChecksACountAgainstTheBytesLeft)
+{
+    Bytes ten(10, 0);
+    ByteReader r(ten);
+    EXPECT_TRUE(r.backs(2, 5));
+    EXPECT_TRUE(r.backs(0, 1000));
+    EXPECT_TRUE(r.ok());
+    // 2^32 - 1 elements of 20 bytes: no 32-bit wrap lets it pass.
+    EXPECT_FALSE(r.backs(0xffffffffu, 20));
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(ByteWriter, RawPointerWrite)
@@ -133,7 +161,10 @@ TEST(ByteReader, SharedBlobAndRawIntoBuffer)
     EXPECT_EQ(raw[1], 8);
     EXPECT_EQ(r.getSharedBlob(), (Bytes{9}));
     EXPECT_TRUE(r.exhausted());
-    EXPECT_THROW(r.getRaw(raw, 1), std::out_of_range);
+    raw[0] = 0xff;
+    r.getRaw(raw, 1);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(raw[0], 0) << "a failed fixed-size read writes zeros";
 
     // A reader over a Blob reads the same bytes.
     Blob wire = w.buffer();

@@ -27,7 +27,7 @@ TEST(Guid, HexRoundTrip)
 
 TEST(Guid, FromHexRejectsBadLength)
 {
-    EXPECT_THROW(Guid::fromHex("abcd"), std::invalid_argument);
+    EXPECT_FALSE(Guid::fromHex("abcd").has_value());
 }
 
 TEST(Guid, FromBytesRejectsBadLength)
@@ -38,7 +38,7 @@ TEST(Guid, FromBytesRejectsBadLength)
 TEST(Guid, DigitExtractionMatchesHex)
 {
     // Digit 0 is the least significant nibble = last hex character.
-    Guid g = Guid::fromHex("0123456789abcdef0123456789abcdef01234567");
+    Guid g = *Guid::fromHex("0123456789abcdef0123456789abcdef01234567");
     EXPECT_EQ(g.digit(0), 0x7u);
     EXPECT_EQ(g.digit(1), 0x6u);
     EXPECT_EQ(g.digit(2), 0x5u);
@@ -47,7 +47,7 @@ TEST(Guid, DigitExtractionMatchesHex)
 
 TEST(Guid, WithDigitReplacesOnlyThatDigit)
 {
-    Guid g = Guid::fromHex("0123456789abcdef0123456789abcdef01234567");
+    Guid g = *Guid::fromHex("0123456789abcdef0123456789abcdef01234567");
     Guid h = g.withDigit(0, 0xa);
     EXPECT_EQ(h.digit(0), 0xau);
     for (std::size_t i = 1; i < Guid::numDigits; i++)
@@ -56,8 +56,8 @@ TEST(Guid, WithDigitReplacesOnlyThatDigit)
 
 TEST(Guid, MatchingSuffixBasics)
 {
-    Guid a = Guid::fromHex("00000000000000000000000000000000000abc12");
-    Guid b = Guid::fromHex("00000000000000000000000000000000000def12");
+    Guid a = *Guid::fromHex("00000000000000000000000000000000000abc12");
+    Guid b = *Guid::fromHex("00000000000000000000000000000000000def12");
     EXPECT_EQ(a.matchingSuffix(b), 2u); // "12" matches
     EXPECT_EQ(a.matchingSuffix(a), Guid::numDigits);
 }

@@ -90,6 +90,8 @@ TEST(Dsl, MalformedLinesRejected)
                  std::invalid_argument);
     EXPECT_THROW(EventHandler::parse("filter type ~= access"),
                  std::invalid_argument);
+    EXPECT_THROW(EventHandler::parse("filter latency > fast"),
+                 std::invalid_argument);
 }
 
 TEST(Dsl, OpBudgetEnforced)
