@@ -13,7 +13,10 @@
  * accumulated over its measured repeats (warmup excluded) as a
  * "counters" object next to "metrics" in the JSON — so a latency
  * regression can be cross-read against what the system actually did
- * (messages sent, retries, view changes, ...).
+ * (messages sent, retries, view changes, ...).  A case whose repeats
+ * fired wall-clock-paced events (runtime.tasks moved) exports them as
+ * "wall_counters" instead: those counts vary between runs of one
+ * commit, so only "counters" are exact regression guards.
  *
  * Paper tables are registered cases too: their metrics are the
  * table's cells, and each check the paper makes is a "claim_*" metric

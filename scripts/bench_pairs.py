@@ -4,8 +4,8 @@
 Usage, from anywhere inside a git checkout of the repository:
 
     python3 scripts/bench_pairs.py --workloads geo_sim,serve_small \\
-        --seeds 701-706 [--seconds 10] [--base HEAD~1] [--head HEAD] \\
-        [--workdir DIR] [--keep] [--jsonl FILE]
+        --seeds 701-706 [--seconds 10] [--trace 0|1] [--base HEAD~1] \\
+        [--head HEAD] [--workdir DIR] [--keep] [--jsonl FILE]
 
 The base and head commits are checked out into two `git worktree`s
 under DIR (default: .bench_pairs/ at the repository root); worktrees
@@ -14,14 +14,17 @@ reused tree with uncommitted changes stops the script (exit 2) rather
 than having them overwritten by the checkout.  For each
 workload and seed the script runs `python3 perfbench/run.py` once in
 each worktree, alternating which side goes first, so slow drift of the
-machine falls on both sides.  Each worktree builds its own Release
+machine falls on both sides.  `--trace 1` passes `--trace 1` to every
+run, so the pairs compare the per-layer metrics a traced run reports
+(`pbft.msgs_per_write`, `obs.trace_overhead_frac`, ...) instead of the
+end-to-end ones.  Each worktree builds its own Release
 binary on first use (perfbench/run.py does that); the build is not part
 of any timed number.
 
 For every metric it prints the base and head medians, the change, the
 base interquartile range and in how many pairs head was better ("same"
 when every pair was bit-identical; "-" for metrics whose direction
-BENCHMARK.json does not declare).  Extras printed by the benchmark
+BENCHMARK.json declares in neither `end_to_end` nor `per_layer`).  Extras printed by the benchmark
 (e.g. `counts_digest`) are compared too.
 
 After each workload's table it prints, for each side, the `attempted`
@@ -70,11 +73,12 @@ def parse_seeds(text):
     return seeds
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace):
     """One perfbench run; returns (metrics, extras, ok, counts), where
     counts is (attempted, failed) from the run's JSON."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -154,6 +158,8 @@ def main():
     ap.add_argument("--seeds", required=True,
                     help="seeds, e.g. 701-706 or 1,5,9")
     ap.add_argument("--seconds", type=float, default=10)
+    ap.add_argument("--trace", type=int, choices=[0, 1], default=0,
+                    help="1: traced runs, which report per-layer metrics")
     ap.add_argument("--base", default="HEAD~1")
     ap.add_argument("--head", default="HEAD")
     ap.add_argument("--workdir", default=None)
@@ -170,8 +176,10 @@ def main():
     seeds = parse_seeds(args.seeds)
 
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as f:
-        better = {m["name"]: m["better"]
-                  for m in json.load(f).get("end_to_end", [])}
+        declared = json.load(f)
+    better = {m["name"]: m["better"]
+              for group in ("end_to_end", "per_layer")
+              for m in declared.get(group, [])}
 
     sides = {}
     for side, rev in (("base", args.base), ("head", args.head)):
@@ -201,7 +209,8 @@ def main():
                 got = {}
                 for side in order:
                     metrics, extras, correct, (tried, failed) = run_once(
-                        sides[side], workload, seed, args.seconds)
+                        sides[side], workload, seed, args.seconds,
+                        args.trace)
                     counts[side] = (counts[side][0] + tried,
                                     counts[side][1] + failed)
                     if not metrics or not correct:

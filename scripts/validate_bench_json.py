@@ -7,7 +7,9 @@ Used two ways:
     them into BENCH_oceanstore.json.
 
 A metric named claim_* is a paper check (1 holds, 0 fails); a claim
-that failed in any repeat makes the document invalid.
+that failed in any repeat makes the document invalid.  A case carries
+its counter deltas as either "counters" (exact) or "wall_counters"
+(wall-clock paced), never both.
 
 Exit code 0 when valid, 1 with a diagnostic on stderr otherwise.
 """
@@ -51,6 +53,9 @@ def validate(path):
             return fail(path, f"case {cname!r}: missing metrics")
         if "wall_ms" not in metrics:
             return fail(path, f"case {cname!r}: missing wall_ms metric")
+        if "counters" in case and "wall_counters" in case:
+            return fail(path, f"case {cname!r}: both counters and "
+                              "wall_counters")
         for mname, st in metrics.items():
             if not isinstance(st, dict):
                 return fail(path, f"{cname}/{mname}: not an object")

@@ -297,13 +297,9 @@ ArchivalSystem::makeClient(double x, double y)
     return client;
 }
 
-std::vector<std::size_t>
-ArchivalSystem::dispersalOrder(const std::vector<std::size_t> &exclude) const
+std::vector<std::vector<std::size_t>>
+ArchivalSystem::domainGroups(const std::vector<std::size_t> &exclude) const
 {
-    // Group up servers by domain, domains ordered by reliability
-    // descending; round-robin across domains so that the loss of any
-    // one domain takes out at most ceil(count / #domains) of the first
-    // count servers.
     std::map<unsigned, std::vector<std::size_t>> by_domain;
     for (std::size_t i = 0; i < servers_.size(); i++) {
         if (!rt_.isUp(servers_[i]->nodeId()) ||
@@ -326,12 +322,26 @@ ArchivalSystem::dispersalOrder(const std::vector<std::size_t> &exclude) const
                          return ra > rb;
                      });
 
+    std::vector<std::vector<std::size_t>> groups;
+    for (unsigned d : domain_order)
+        groups.push_back(std::move(by_domain[d]));
+    return groups;
+}
+
+std::vector<std::size_t>
+ArchivalSystem::dispersalOrder(const std::vector<std::size_t> &exclude) const
+{
+    // Round-robin across domains so that the loss of any one domain
+    // takes out at most ceil(count / #domains) of the first count
+    // servers.
+    const std::vector<std::vector<std::size_t>> groups =
+        domainGroups(exclude);
     std::vector<std::size_t> order;
     for (std::size_t round = 0; true; round++) {
         const std::size_t before = order.size();
-        for (unsigned d : domain_order) {
-            if (round < by_domain[d].size())
-                order.push_back(by_domain[d][round]);
+        for (const auto &group : groups) {
+            if (round < group.size())
+                order.push_back(group[round]);
         }
         if (order.size() == before)
             return order;
@@ -441,9 +451,6 @@ ArchivalSystem::reconstruct(
         request_one(order[i], placement.holders[order[i]]);
         pr.requested++;
     }
-    for (unsigned i = first_wave; i < order.size(); i++)
-        pr.remainingHolders.push_back(
-            static_cast<NodeId>(order[i])); // fragment indices, reused
 
     // Escalation: every retry period, re-request every fragment not
     // yet received (requests or replies may have been dropped), until
@@ -467,7 +474,6 @@ ArchivalSystem::reconstruct(
         auto pit2 = placements_.find(archive);
         if (pit2 == placements_.end())
             return;
-        it->second.remainingHolders.clear();
         for (std::uint32_t idx = 0;
              idx < pit2->second.holders.size(); idx++) {
             if (it->second.haveIndex[idx])
@@ -641,13 +647,17 @@ ArchivalSystem::repairFragments(const Guid &archive, Placement &placement,
     // background sweep): a Byzantine majority of *served* bytes then
     // costs no decode time, and the decode hashes nothing again.
     std::vector<Fragment> have;
+    std::map<unsigned, unsigned> live; // domain -> verified fragments
     for (std::uint32_t i = 0; i < placement.holders.size(); i++) {
         const auto &srv = servers_[placement.holders[i]];
         if (!rt_.isUp(srv->nodeId()))
             continue;
         auto f = srv->fragment(archive, i);
-        if (f && f->archiveGuid == archive && f->index == i && f->verify())
+        if (f && f->archiveGuid == archive && f->index == i &&
+            f->verify()) {
             have.push_back(std::move(*f));
+            live[srv->domain_]++;
+        }
     }
     auto data = decodeVerified(*placement.codec, placement.originalSize,
                                have);
@@ -655,26 +665,44 @@ ArchivalSystem::repairFragments(const Guid &archive, Placement &placement,
         return 0; // beyond the erasure threshold: unrepairable
 
     FragmentSet set = fragmentObject(*placement.codec, *data);
-    // Fresh homes, round-robin across domains: live servers holding no
-    // fragment of this archive.  Each is offered at most one fragment,
-    // so one later failure cannot take out several re-homed ones.
-    const std::vector<std::size_t> fresh = dispersalOrder(placement.holders);
-    std::size_t next = 0;
+    // Fresh homes: live servers holding no fragment of this archive.
+    // Each is offered at most one fragment, so one later failure cannot
+    // take out several re-homed ones.  A re-homed fragment goes to the
+    // domain holding the fewest of the archive's live fragments, ties
+    // to the more reliable domain, so the sweep's many indices and the
+    // audit's one at a time both keep the spread dispersal set up.
+    std::vector<std::vector<std::size_t>> fresh =
+        domainGroups(placement.holders);
+    std::vector<std::size_t> next(fresh.size(), 0);
     unsigned restored = 0;
     for (std::uint32_t index : missing) {
         const Fragment &frag = set.fragments[index];
         ArchivalServer &holder = *servers_[placement.holders[index]];
         if (rt_.isUp(holder.nodeId()) && holder.storeFragment(frag)) {
+            live[holder.domain_]++;
             restored++;
             continue;
         }
-        while (next < fresh.size() &&
-               !servers_[fresh[next]]->storeFragment(frag))
-            next++;
-        if (next == fresh.size())
-            continue; // no disk takes it: it stays missing
-        placement.holders[index] = fresh[next++];
-        restored++;
+        for (;;) {
+            std::size_t best = fresh.size();
+            for (std::size_t g = 0; g < fresh.size(); g++) {
+                if (next[g] == fresh[g].size())
+                    continue;
+                if (best == fresh.size() ||
+                    live[servers_[fresh[g][0]]->domain_] <
+                        live[servers_[fresh[best][0]]->domain_])
+                    best = g;
+            }
+            if (best == fresh.size())
+                break; // no disk takes it: it stays missing
+            const std::size_t home = fresh[best][next[best]++];
+            if (!servers_[home]->storeFragment(frag))
+                continue;
+            placement.holders[index] = home;
+            live[servers_[home]->domain_]++;
+            restored++;
+            break;
+        }
     }
     return restored;
 }

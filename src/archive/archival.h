@@ -196,7 +196,6 @@ class ArchivalClient : public SimNode
         double startTime = 0.0;
         std::vector<Fragment> received;
         std::vector<bool> haveIndex;
-        std::vector<NodeId> remainingHolders;
         unsigned requested = 0;
         bool done = false;
         std::function<void(const ReconstructResult &)> callback;
@@ -363,8 +362,13 @@ class ArchivalSystem
         std::vector<std::size_t> holders;
     };
 
-    /** Every up server not in @p exclude, in dispersal order:
-     *  round-robin across domains in decreasing reliability order. */
+    /** Every up server not in @p exclude, one group per domain,
+     *  domains in decreasing reliability order. */
+    std::vector<std::vector<std::size_t>>
+    domainGroups(const std::vector<std::size_t> &exclude) const;
+
+    /** domainGroups() in dispersal order: round-robin across the
+     *  domains. */
     std::vector<std::size_t>
     dispersalOrder(const std::vector<std::size_t> &exclude) const;
 
@@ -373,9 +377,10 @@ class ArchivalSystem
      * @p archive once from its verified surviving fragments, encode
      * once, and put back each index in @p missing.  An index goes to
      * its holder when that holder is up and its disk takes it;
-     * otherwise to the next server in dispersalOrder() that holds no
-     * fragment of the archive and whose disk takes it, and the
-     * placement follows it.  @return indices restored.
+     * otherwise to a server that holds no fragment of the archive and
+     * whose disk takes it, in the domain holding the fewest of the
+     * archive's live fragments (ties to the more reliable domain), and
+     * the placement follows it.  @return indices restored.
      */
     unsigned repairFragments(const Guid &archive, Placement &placement,
                              const std::vector<std::uint32_t> &missing);

@@ -1,6 +1,7 @@
 #include "consistency/byzantine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
 
 #include "obs/metrics.h"
@@ -37,11 +38,12 @@ struct PbftMetricIds
     }
 };
 
-PbftMetricIds &
-pbftMetrics()
+/** Bump the PBFT counter @p id names. */
+void
+bump(MetricsRegistry::Id PbftMetricIds::*id)
 {
     static PbftMetricIds ids;
-    return ids;
+    ids.reg->inc(ids.*id);
 }
 
 /** Internal message bodies. */
@@ -91,16 +93,51 @@ struct NewViewBody
     unsigned newView;
 };
 
-/** Durable update-log key: zero-padded so a lexicographic "ulog/"
- *  scan replays strictly in sequence order. */
+/** Votes in @p votes (rank -> digest) for @p digest. */
+std::size_t
+votesFor(const std::map<unsigned, Guid> &votes, const Guid &digest)
+{
+    return static_cast<std::size_t>(
+        std::count_if(votes.begin(), votes.end(),
+                      [&](const auto &v) { return v.second == digest; }));
+}
+
+constexpr std::string_view updateLogPrefix = "ulog/";
+constexpr std::size_t updateLogDigits = 20;
+
+} // namespace
+
+Bytes
+signedReply(std::uint64_t seq, const Bytes &result)
+{
+    ByteWriter w;
+    w.putU64(seq);
+    w.putBlob(result);
+    return w.take();
+}
+
 std::string
 updateLogKey(std::uint64_t seq)
 {
     std::string digits = std::to_string(seq);
-    return "ulog/" + std::string(20 - digits.size(), '0') + digits;
+    return std::string(updateLogPrefix) +
+           std::string(updateLogDigits - digits.size(), '0') + digits;
 }
 
-} // namespace
+std::optional<std::uint64_t>
+parseUpdateLogKey(std::string_view key)
+{
+    if (key.size() != updateLogPrefix.size() + updateLogDigits ||
+        !key.starts_with(updateLogPrefix))
+        return std::nullopt;
+    std::uint64_t seq = 0;
+    const char *end = key.data() + key.size();
+    auto [ptr, ec] =
+        std::from_chars(key.data() + updateLogPrefix.size(), end, seq);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return seq;
+}
 
 // ---------------------------------------------------------------------
 // CommitCertificate
@@ -109,11 +146,7 @@ updateLogKey(std::uint64_t seq)
 Bytes
 CommitCertificate::signedPayload() const
 {
-    // Must match what PbftReplica::executeReady signs.
-    ByteWriter w;
-    w.putU64(sequence);
-    w.putBlob(result);
-    return w.take();
+    return signedReply(sequence, result);
 }
 
 bool
@@ -150,25 +183,21 @@ PbftClient::submit(const Bytes &payload,
     // become (transitive) children of this span.
     ScopedSpan span("pbft", "client.submit",
                     cluster_.rt().now(), nodeId_);
-    {
-        PbftMetricIds &pm = pbftMetrics();
-        pm.reg->inc(pm.submits);
-    }
+    bump(&PbftMetricIds::submits);
     // Request ids must be unique even for identical payloads, so the
     // hash covers the client id and a per-client counter.
     ByteWriter w;
     w.putU64(clientId_);
-    w.putU64(pending_.size() + 1);
+    w.putU64(++submitted_);
     w.putU64(cluster_.rt().uniqueStamp());
     w.putBlob(payload);
     Guid req_id = Guid::hashOf(w.buffer());
 
-    PendingRequest pr;
+    PendingRequest &pr = pending_[req_id];
     pr.payload = Blob(payload);
     pr.submitTime = cluster_.rt().now();
     pr.done = std::move(done);
     ReqBody body{pr.payload, req_id, nodeId_, false};
-    pending_[req_id] = std::move(pr);
 
     Message m = makeMessage("pbft.request", body,
                             payload.size() + Guid::numBytes + 8);
@@ -181,21 +210,16 @@ PbftClient::submit(const Bytes &payload,
     // replicas — this triggers forwarding (and eventually view
     // changes) and lets stalled requests land once a partition heals.
     // The leader send above is attempt 1; the RpcCall drives bounded
-    // backoff re-broadcasts until maybeComplete calls succeed().
-    PendingRequest &slot = pending_[req_id];
-    slot.retry = std::make_unique<RpcCall>(
+    // backoff re-broadcasts until a reply quorum calls succeed().
+    pr.retry = std::make_unique<RpcCall>(
         cluster_.rt(), cluster_.config().clientRetry,
         req_id.hash64() ^ clientId_);
-    slot.retry->arm([this, req_id](unsigned) {
+    pr.retry->arm([this, req_id](unsigned) {
         auto it = pending_.find(req_id);
-        if (it == pending_.end() || it->second.completed)
+        if (it == pending_.end())
             return;
-        it->second.retried = true;
         retryAttempts_++;
-        {
-            PbftMetricIds &pm = pbftMetrics();
-            pm.reg->inc(pm.clientRetries);
-        }
+        bump(&PbftMetricIds::clientRetries);
         ReqBody rb{it->second.payload, req_id, nodeId_, true};
         Message rm = makeMessage(
             "pbft.request", rb,
@@ -209,60 +233,22 @@ PbftClient::submit(const Bytes &payload,
         // the ambiguity to the caller instead of hanging its callback
         // for eternity — the request may still commit server-side.
         auto it = pending_.find(req_id);
-        if (it == pending_.end() || it->second.completed)
+        if (it == pending_.end())
             return;
-        it->second.completed = true;
-        {
-            PbftMetricIds &pm = pbftMetrics();
-            pm.reg->inc(pm.clientGiveups);
-        }
+        bump(&PbftMetricIds::clientGiveups);
         PbftOutcome out;
         out.requestId = req_id;
         out.completed = false;
         out.latency =
             cluster_.rt().now() - it->second.submitTime;
-        // The callback may re-enter submit() and rehash pending_;
-        // take what we need off the entry first.
+        // Forget the request (its RpcCall included, which the
+        // exhausted callback may destroy) before the callback, which
+        // may re-enter submit().
         auto done = std::move(it->second.done);
+        pending_.erase(it);
         if (done)
             done(out);
     });
-}
-
-void
-PbftClient::maybeComplete(const Guid &request_id, PendingRequest &pr,
-                          std::uint64_t seq, const Bytes &result)
-{
-    if (pr.completed)
-        return;
-    // Count matching (seq, result) votes from distinct ranks; they
-    // double as the signature shares of the commit certificate.
-    Guid rhash = Guid::hashOf(result);
-    unsigned matches = 0;
-    for (const auto &[rank, vote] : pr.votes) {
-        if (vote.seq == seq && vote.resultHash == rhash)
-            matches++;
-    }
-    if (matches < cluster_.faultTolerance() + 1)
-        return;
-
-    pr.completed = true;
-    if (pr.retry)
-        pr.retry->succeed();
-    PbftOutcome out;
-    out.requestId = request_id;
-    out.sequence = seq;
-    out.result = result;
-    out.latency = cluster_.rt().now() - pr.submitTime;
-    out.certificate.sequence = seq;
-    out.certificate.result = result;
-    for (const auto &[rank, vote] : pr.votes) {
-        if (vote.seq == seq && vote.resultHash == rhash)
-            out.certificate.signatures.emplace_back(rank,
-                                                    vote.signature);
-    }
-    if (pr.done)
-        pr.done(out);
 }
 
 void
@@ -272,25 +258,48 @@ PbftClient::handleMessage(const Message &msg)
         return;
     const auto &body = messageBody<ReplyBody>(msg);
     auto it = pending_.find(body.requestId);
-    if (it == pending_.end() || it->second.completed)
+    if (it == pending_.end())
         return;
 
     // Verify the replica's signature over (seq, result).
-    ByteWriter w;
-    w.putU64(body.seq);
-    w.putBlob(body.result);
-    if (!cluster_.registry().verify(
-            cluster_.keyOf(body.rank).publicKey, w.buffer(), body.sig)) {
+    if (!cluster_.registry().verify(cluster_.keyOf(body.rank).publicKey,
+                                    signedReply(body.seq, body.result),
+                                    body.sig)) {
         return; // forged or corrupted reply
     }
 
-    Vote vote;
-    vote.seq = body.seq;
-    vote.resultHash = Guid::hashOf(body.result);
-    vote.result = body.result;
-    vote.signature = body.sig;
-    it->second.votes[body.rank] = std::move(vote);
-    maybeComplete(body.requestId, it->second, body.seq, body.result);
+    PendingRequest &pr = it->second;
+    const Guid rhash = Guid::hashOf(body.result);
+    pr.votes[body.rank] = Vote{body.seq, rhash, body.sig};
+    // Count matching (seq, result) votes from distinct ranks; they
+    // double as the signature shares of the commit certificate.
+    auto matches = [&](const Vote &v) {
+        return v.seq == body.seq && v.resultHash == rhash;
+    };
+    unsigned count = 0;
+    for (const auto &[rank, vote] : pr.votes)
+        count += matches(vote);
+    if (count < cluster_.faultTolerance() + 1)
+        return;
+
+    pr.retry->succeed();
+    PbftOutcome out;
+    out.requestId = it->first;
+    out.sequence = body.seq;
+    out.result = body.result;
+    out.latency = cluster_.rt().now() - pr.submitTime;
+    out.certificate.sequence = body.seq;
+    out.certificate.result = body.result;
+    for (const auto &[rank, vote] : pr.votes) {
+        if (matches(vote))
+            out.certificate.signatures.emplace_back(rank, vote.signature);
+    }
+    // Forget the request before the callback, which may re-enter
+    // submit(); a late reply then finds nothing.
+    auto done = std::move(pr.done);
+    pending_.erase(it);
+    if (done)
+        done(out);
 }
 
 // ---------------------------------------------------------------------
@@ -328,9 +337,9 @@ PbftReplica::handleMessage(const Message &msg)
     else if (msg.type == "pbft.preprepare")
         onPrePrepare(msg);
     else if (msg.type == "pbft.prepare")
-        onPrepare(msg);
+        onVote(msg, false);
     else if (msg.type == "pbft.commit")
-        onCommit(msg);
+        onVote(msg, true);
     else if (msg.type == "pbft.viewchange")
         onViewChange(msg);
     else if (msg.type == "pbft.newview")
@@ -338,30 +347,28 @@ PbftReplica::handleMessage(const Message &msg)
 }
 
 void
-PbftReplica::assignAndPrePrepare(const Blob &payload, const Guid &req_id,
-                                 NodeId client)
+PbftReplica::assignAndPrePrepare(RequestTable::value_type &entry)
 {
     // Span for the leader's ordering step; the pre-prepare multicast
     // becomes its child.
     ScopedSpan span("pbft", "pbft.assign", cluster_.rt().now(),
                     nodeId_);
+    auto &[req_id, req] = entry;
     std::uint64_t seq = nextSeq_++;
-    assigned_[req_id] = seq;
+    req.assignedSeq = seq;
 
     Slot &slot = slots_[seq];
-    slot.digest = Guid::hashOf(payload);
-    slot.payload = payload;
-    slot.requestId = req_id;
-    slot.client = client;
-    slot.hasPrePrepare = true;
+    slot.digest = Guid::hashOf(req.payload);
+    slot.request = &entry;
 
-    PrePrepareBody body{view_, seq, slot.digest, payload, req_id, client};
+    PrePrepareBody body{view_, seq, slot.digest, req.payload, req_id,
+                        req.client};
     Message m = makeMessage("pbft.preprepare", body,
-                            payload.size() + pbftControlBytes);
+                            req.payload.size() + pbftControlBytes);
     cluster_.rt().multicast(nodeId_, cluster_.replicaNodeIds(nodeId_),
                              std::move(m));
     // The leader's own prepare is implicit in the pre-prepare.
-    slot.prepares.insert(rank_);
+    slot.prepares[rank_] = slot.digest;
     tryCommit(seq);
 }
 
@@ -370,32 +377,30 @@ PbftReplica::onRequest(const Message &msg)
 {
     const auto &body = messageBody<ReqBody>(msg);
 
-    // Already executed: re-reply directly.
-    auto dit = done_.find(body.requestId);
-    if (dit != done_.end()) {
-        ByteWriter w;
-        w.putU64(dit->second.first);
-        w.putBlob(dit->second.second);
-        ReplyBody rb{dit->second.first, body.requestId,
-                     dit->second.second, rank_,
-                     KeyRegistry::sign(cluster_.keyOf(rank_),
-                                       w.buffer())};
+    auto [it, fresh] = requests_.try_emplace(body.requestId);
+    Request &req = it->second;
+    if (fresh) {
+        req.payload = body.payload;
+        req.client = body.client;
+    }
+    if (req.executedSeq != 0) {
+        // Already executed: re-reply directly.
+        ReplyBody rb{req.executedSeq, body.requestId, req.result, rank_,
+                     KeyRegistry::sign(
+                         cluster_.keyOf(rank_),
+                         signedReply(req.executedSeq, req.result))};
         Message rm = makeMessage("pbft.reply", rb,
                                  rb.result.size() + signatureWireSize +
                                      pbftReplyExtraBytes);
         cluster_.rt().send(nodeId_, body.client, rm);
         if (!body.retry || !isLeader())
             return;
-    } else {
-        known_[body.requestId] = {body.payload, body.client};
     }
 
     if (isLeader()) {
-        auto ait = assigned_.find(body.requestId);
-        if (ait == assigned_.end()) {
-            if (dit == done_.end())
-                assignAndPrePrepare(body.payload, body.requestId,
-                                    body.client);
+        if (req.assignedSeq == 0) {
+            if (req.executedSeq == 0)
+                assignAndPrePrepare(*it);
         } else if (body.retry) {
             // Assigned but stalled: retransmit the pre-prepare.
             // Without within-view retransmission a single dropped
@@ -404,19 +409,17 @@ PbftReplica::onRequest(const Message &msg)
             // The leader may have executed the slot while backups
             // that lost commit votes have not: a retry means the client
             // still lacks m+1 replies.
-            auto sit = slots_.find(ait->second);
+            auto sit = slots_.find(req.assignedSeq);
             if (sit != slots_.end()) {
-                Slot &slot = sit->second;
-                PrePrepareBody pp{view_, ait->second, slot.digest,
-                                  slot.payload, body.requestId,
-                                  slot.client};
+                const Slot &slot = sit->second;
+                const Request &held = slot.request->second;
+                PrePrepareBody pp{view_, req.assignedSeq, slot.digest,
+                                  held.payload, body.requestId,
+                                  held.client};
                 Message m = makeMessage("pbft.preprepare", pp,
-                                        slot.payload.size() +
+                                        held.payload.size() +
                                             pbftControlBytes);
-                {
-                    PbftMetricIds &pm = pbftMetrics();
-                    pm.reg->inc(pm.preprepareRetransmits);
-                }
+                bump(&PbftMetricIds::preprepareRetransmits);
                 cluster_.rt().multicast(
                     nodeId_, cluster_.replicaNodeIds(nodeId_),
                     std::move(m));
@@ -432,14 +435,14 @@ PbftReplica::onRequest(const Message &msg)
         cluster_.rt().send(
             nodeId_,
             cluster_.replica(view_ % cluster_.size()).nodeId(), fwd);
-        startViewChangeTimer(body.requestId);
+        startViewChangeTimer(*it);
     }
 }
 
 void
-PbftReplica::startViewChangeTimer(const Guid &req_id)
+PbftReplica::startViewChangeTimer(RequestTable::value_type &entry)
 {
-    if (timers_.count(req_id))
+    if (entry.second.timer != invalidEventId)
         return;
     unsigned armed_view = view_;
     // Timeouts grow with the view number (Castro-Liskov): under heavy
@@ -447,18 +450,15 @@ PbftReplica::startViewChangeTimer(const Guid &req_id)
     // any view can finish its work, and the group thrashes forever.
     double delay = viewChangeTimeout *
                    static_cast<double>(1u << std::min(view_, 4u));
-    timers_[req_id] = cluster_.rt().schedule(
-        delay, [this, req_id, armed_view]() {
-            timers_.erase(req_id);
+    entry.second.timer = cluster_.rt().schedule(
+        delay, [this, &req = entry.second, armed_view]() {
+            req.timer = invalidEventId;
             if (fault_ == ReplicaFault::Crash)
                 return;
-            if (done_.count(req_id) || view_ != armed_view)
+            if (req.executedSeq != 0 || view_ != armed_view)
                 return;
             // The leader failed us: vote to move to the next view.
-            {
-                PbftMetricIds &pm = pbftMetrics();
-                pm.reg->inc(pm.viewChangeVotes);
-            }
+            bump(&PbftMetricIds::viewChangeVotes);
             ViewChangeBody vc{view_ + 1, rank_};
             Message m = makeMessage("pbft.viewchange", vc,
                                     pbftControlBytes);
@@ -477,58 +477,46 @@ PbftReplica::onPrePrepare(const Message &msg)
         return;
 
     Slot &slot = slots_[body.seq];
-    if (slot.hasPrePrepare && slot.digest != body.digest)
+    if (slot.request && slot.digest != body.digest)
         return; // conflicting pre-prepare; ignore
-    const bool had_preprepare = slot.hasPrePrepare;
+    auto [it, fresh] = requests_.try_emplace(body.requestId);
+    Request &req = it->second;
+    if (fresh) {
+        req.payload = body.payload;
+        req.client = body.client;
+    } else if (!(req.payload == body.payload)) {
+        return; // a second payload under one request id; ignore
+    }
+    const bool had_preprepare = slot.request != nullptr;
     slot.digest = body.digest;
-    slot.payload = body.payload;
-    slot.requestId = body.requestId;
-    slot.client = body.client;
-    slot.hasPrePrepare = true;
-    known_[body.requestId] = {body.payload, body.client};
+    slot.request = &*it;
     if (body.seq >= nextSeq_)
         nextSeq_ = body.seq + 1;
 
     // Cancel any view-change timer for this request, unless this is a
     // retransmission of a pre-prepare already held: a backup stuck
     // behind an earlier slot still needs the view change.
-    auto tit = timers_.find(body.requestId);
-    if (tit != timers_.end() && !had_preprepare) {
-        cluster_.rt().cancel(tit->second);
-        timers_.erase(tit);
+    if (req.timer != invalidEventId && !had_preprepare) {
+        cluster_.rt().cancel(req.timer);
+        req.timer = invalidEventId;
     }
-
-    // Replay buffered votes now that the digest is known.
-    for (const auto &[rank, digest] : slot.earlyPrepares) {
-        if (digest == slot.digest)
-            slot.prepares.insert(rank);
-    }
-    slot.earlyPrepares.clear();
-    for (const auto &[rank, digest] : slot.earlyCommits) {
-        if (digest == slot.digest)
-            slot.commits.insert(rank);
-    }
-    slot.earlyCommits.clear();
 
     bool had_committed = slot.sentCommit;
     VoteBody vote{view_, body.seq, maybeCorrupt(body.digest), rank_};
     Message m = makeMessage("pbft.prepare", vote, pbftControlBytes);
     cluster_.rt().multicast(nodeId_, cluster_.replicaNodeIds(nodeId_),
                              std::move(m));
-    slot.prepares.insert(rank_);
+    slot.prepares[rank_] = slot.digest;
     // The leader's prepare is implicit in its pre-prepare (PBFT):
     // count it so quorums survive m crashed backups.
-    slot.prepares.insert(view_ % cluster_.size());
+    slot.prepares[view_ % cluster_.size()] = slot.digest;
     tryCommit(body.seq);
     if (had_committed) {
         // Retransmitted pre-prepare and we had already committed:
         // our earlier commit may be what the stalled peers lost.
         VoteBody cv{view_, body.seq, maybeCorrupt(slot.digest), rank_};
         Message cm = makeMessage("pbft.commit", cv, pbftControlBytes);
-        {
-            PbftMetricIds &pm = pbftMetrics();
-            pm.reg->inc(pm.commitRetransmits);
-        }
+        bump(&PbftMetricIds::commitRetransmits);
         cluster_.rt().multicast(nodeId_,
                                  cluster_.replicaNodeIds(nodeId_),
                                  std::move(cm));
@@ -536,21 +524,21 @@ PbftReplica::onPrePrepare(const Message &msg)
 }
 
 void
-PbftReplica::onPrepare(const Message &msg)
+PbftReplica::onVote(const Message &msg, bool commit)
 {
     const auto &body = messageBody<VoteBody>(msg);
     if (body.view != view_)
         return;
     Slot &slot = slots_[body.seq];
-    if (!slot.hasPrePrepare) {
-        // Buffer until the pre-prepare supplies the digest to check.
-        slot.earlyPrepares[body.rank] = body.digest;
-        return;
-    }
-    if (body.digest != slot.digest)
+    if (slot.request && body.digest != slot.digest)
         return; // mismatched digest (byzantine voter)
-    slot.prepares.insert(body.rank);
-    tryCommit(body.seq);
+    (commit ? slot.commits : slot.prepares)[body.rank] = body.digest;
+    if (!slot.request)
+        return; // counted once the pre-prepare supplies the digest
+    if (commit)
+        executeReady();
+    else
+        tryCommit(body.seq);
 }
 
 void
@@ -558,9 +546,10 @@ PbftReplica::tryCommit(std::uint64_t seq)
 {
     Slot &slot = slots_[seq];
     // prepared == pre-prepare + 2m matching prepares (including own).
-    if (!slot.hasPrePrepare || slot.sentCommit)
+    if (!slot.request || slot.sentCommit)
         return;
-    if (slot.prepares.size() < 2 * cluster_.faultTolerance() + 1)
+    if (votesFor(slot.prepares, slot.digest) <
+        2 * cluster_.faultTolerance() + 1)
         return;
 
     slot.sentCommit = true;
@@ -572,24 +561,7 @@ PbftReplica::tryCommit(std::uint64_t seq)
     Message m = makeMessage("pbft.commit", vote, pbftControlBytes);
     cluster_.rt().multicast(nodeId_, cluster_.replicaNodeIds(nodeId_),
                              std::move(m));
-    slot.commits.insert(rank_);
-    executeReady();
-}
-
-void
-PbftReplica::onCommit(const Message &msg)
-{
-    const auto &body = messageBody<VoteBody>(msg);
-    if (body.view != view_)
-        return;
-    Slot &slot = slots_[body.seq];
-    if (!slot.hasPrePrepare) {
-        slot.earlyCommits[body.rank] = body.digest;
-        return;
-    }
-    if (body.digest != slot.digest)
-        return;
-    slot.commits.insert(body.rank);
+    slot.commits[rank_] = slot.digest;
     executeReady();
 }
 
@@ -610,62 +582,51 @@ PbftReplica::executeReady()
             lastExecuted_++;
             continue;
         }
-        bool committed_local =
-            slot.hasPrePrepare &&
-            slot.commits.size() >= 2 * cluster_.faultTolerance() + 1;
-        if (!committed_local)
+        if (!slot.request || votesFor(slot.commits, slot.digest) <
+                                 2 * cluster_.faultTolerance() + 1)
             return;
 
         slot.executed = true;
         lastExecuted_++;
         executedCount_++;
-        {
-            PbftMetricIds &pm = pbftMetrics();
-            pm.reg->inc(pm.commits);
-        }
+        bump(&PbftMetricIds::commits);
 
-        Bytes result;
-        if (done_.count(slot.requestId)) {
-            // Re-proposed duplicate after a view change; reuse the
-            // original result, do not re-execute.
-            result = done_[slot.requestId].second;
-        } else {
+        auto &[req_id, req] = *slot.request;
+        if (req.executedSeq == 0) {
             if (cluster_.executor) {
                 // The executor takes Bytes: the one payload copy a
                 // replica makes.
-                result = cluster_.executor(
-                    rank_, Bytes(slot.payload.begin(), slot.payload.end()),
+                req.result = cluster_.executor(
+                    rank_, Bytes(req.payload.begin(), req.payload.end()),
                     lastExecuted_);
             }
-            done_[slot.requestId] = {lastExecuted_, result};
+            req.executedSeq = lastExecuted_;
             // Durable write-through of the committed update: what
             // restoreFromLog() replays after a crash.
             if (LogStore *store = runningStore(storage_))
-                store->put(updateLogKey(lastExecuted_), slot.payload);
+                store->put(updateLogKey(lastExecuted_), req.payload);
             if (rank_ == 0 && cluster_.onCommit)
-                cluster_.onCommit(slot.payload, lastExecuted_);
+                cluster_.onCommit(req.payload, lastExecuted_);
         }
+        // else: a duplicate re-proposed after a view change; it keeps
+        // its original result and is not executed again.
 
-        if (slot.client != invalidNode) {
-            Bytes reply_result = result;
-            if (fault_ == ReplicaFault::Byzantine) {
-                // A byzantine replica lies to the client; the client's
-                // signature check and m+1 matching-vote quorum must
-                // filter this out.
-                reply_result = toBytes("forged-result");
-            }
-            ByteWriter w;
-            w.putU64(lastExecuted_);
-            w.putBlob(reply_result);
-            ReplyBody rb{lastExecuted_, slot.requestId, reply_result,
-                         rank_,
-                         KeyRegistry::sign(cluster_.keyOf(rank_),
-                                           w.buffer())};
+        if (req.client != invalidNode) {
+            // A byzantine replica lies to the client; the client's
+            // signature check and m+1 matching-vote quorum must filter
+            // this out.
+            const Bytes reply_result = fault_ == ReplicaFault::Byzantine
+                                           ? toBytes("forged-result")
+                                           : req.result;
+            ReplyBody rb{lastExecuted_, req_id, reply_result, rank_,
+                         KeyRegistry::sign(
+                             cluster_.keyOf(rank_),
+                             signedReply(lastExecuted_, reply_result))};
             Message rm = makeMessage(
                 "pbft.reply", rb,
-                result.size() + signatureWireSize +
+                req.result.size() + signatureWireSize +
                     pbftReplyExtraBytes);
-            cluster_.rt().send(nodeId_, slot.client, rm);
+            cluster_.rt().send(nodeId_, req.client, rm);
         }
     }
 }
@@ -679,10 +640,12 @@ PbftReplica::restoreFromLog()
     std::uint64_t replayed = 0;
     std::uint64_t max_seq = 0;
     store->scan("ulog/", [&](const std::string &key, const Bytes &payload) {
-        std::uint64_t seq = std::stoull(key.substr(5));
+        std::optional<std::uint64_t> seq = parseUpdateLogKey(key);
+        if (!seq)
+            return; // not a record this replica wrote
         if (cluster_.executor)
-            cluster_.executor(rank_, payload, seq);
-        max_seq = std::max(max_seq, seq);
+            cluster_.executor(rank_, payload, *seq);
+        max_seq = std::max(max_seq, *seq);
         replayed++;
     });
     lastExecuted_ = std::max(lastExecuted_, max_seq);
@@ -720,10 +683,7 @@ PbftReplica::onViewChange(const Message &msg)
     if (!votes.count(rank_) &&
         votes.size() >= cluster_.faultTolerance() + 1) {
         votes.insert(rank_);
-        {
-            PbftMetricIds &pm = pbftMetrics();
-            pm.reg->inc(pm.viewChangeVotes);
-        }
+        bump(&PbftMetricIds::viewChangeVotes);
         ViewChangeBody vc{body.newView, rank_};
         Message m = makeMessage("pbft.viewchange", vc,
                                 pbftControlBytes);
@@ -737,10 +697,7 @@ PbftReplica::onViewChange(const Message &msg)
     // that were in flight are abandoned and their requests
     // re-proposed with fresh sequence numbers by the new leader;
     // request-id dedupe prevents double execution.
-    {
-        PbftMetricIds &pm = pbftMetrics();
-        pm.reg->inc(pm.viewChanges);
-    }
+    bump(&PbftMetricIds::viewChanges);
     enterView(body.newView);
 
     if (isLeader()) {
@@ -749,10 +706,9 @@ PbftReplica::onViewChange(const Message &msg)
         cluster_.rt().multicast(
             nodeId_, cluster_.replicaNodeIds(nodeId_), std::move(m));
         // Re-propose everything we know about that never finished.
-        for (const auto &[req_id, pc] : known_) {
-            if (done_.count(req_id))
-                continue;
-            assignAndPrePrepare(pc.first, req_id, pc.second);
+        for (auto &entry : requests_) {
+            if (entry.second.executedSeq == 0)
+                assignAndPrePrepare(entry);
         }
     }
 }
@@ -778,20 +734,20 @@ PbftReplica::enterView(unsigned v)
         }
     }
     nextSeq_ = lastExecuted_ + 1;
-    // Forget leader-side dedupe entries for requests that never
-    // executed: their sequence numbers died with the old view, and a
-    // retried request must be assignable afresh by the new leader.
-    // (Every assigned request is in known_, which is ordered.)
-    for (const auto &[req_id, pc] : known_) {
-        if (!done_.count(req_id))
-            assigned_.erase(req_id);
+    for (auto &[req_id, req] : requests_) {
+        // Forget leader-side assignments of requests that never
+        // executed: their sequence numbers died with the old view, and
+        // a retried request must be assignable afresh by the new leader.
+        if (req.executedSeq == 0)
+            req.assignedSeq = 0;
+        // Entering a view restarts the failure clock: timers armed for
+        // the old view would fire as no-ops yet block re-arming,
+        // leaving no path to the next view change once they are spent.
+        if (req.timer != invalidEventId) {
+            cluster_.rt().cancel(req.timer);
+            req.timer = invalidEventId;
+        }
     }
-    // Entering a view restarts the failure clock: timers armed for
-    // the old view would fire as no-ops yet block re-arming, leaving
-    // no path to the next view change once they are spent.
-    for (auto &[req_id, ev] : timers_)
-        cluster_.rt().cancel(ev);
-    timers_.clear();
 }
 
 // ---------------------------------------------------------------------

@@ -22,7 +22,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +79,7 @@ struct CommitCertificate
     /** (replica rank, signature over the canonical payload). */
     std::vector<std::pair<unsigned, Signature>> signatures;
 
-    /** The byte string each signature covers. */
+    /** The byte string each signature covers: signedReply(). */
     Bytes signedPayload() const;
 
     /**
@@ -104,6 +107,20 @@ struct PbftOutcome
     double latency = 0.0;       //!< Submit-to-quorum-of-replies time.
     CommitCertificate certificate; //!< Offline-verifiable evidence.
 };
+
+/**
+ * The bytes a replica signs in its reply to the client: (sequence,
+ * result).  Replicas sign them, clients verify them and a
+ * CommitCertificate covers them.
+ */
+Bytes signedReply(std::uint64_t seq, const Bytes &result);
+
+/** Durable update-log key "ulog/<seq>", the sequence zero-padded to 20
+ *  digits so a lexicographic "ulog/" scan replays in sequence order. */
+std::string updateLogKey(std::uint64_t seq);
+
+/** Parse an updateLogKey().  nullopt for any other key. */
+std::optional<std::uint64_t> parseUpdateLogKey(std::string_view key);
 
 class PbftCluster;
 
@@ -134,6 +151,10 @@ class PbftClient : public SimNode
      *  suite asserts this stays bounded). */
     std::uint64_t retryAttempts() const { return retryAttempts_; }
 
+    /** Requests still waiting for a quorum: each is forgotten once it
+     *  completes or gives up. */
+    std::size_t pendingCount() const { return pending_.size(); }
+
   private:
     friend class PbftCluster;
 
@@ -141,10 +162,10 @@ class PbftClient : public SimNode
     {
         std::uint64_t seq = 0;
         Guid resultHash;
-        Bytes result;
         Signature signature;
     };
 
+    /** A submitted request, erased once it completes or gives up. */
     struct PendingRequest
     {
         Blob payload;
@@ -152,19 +173,16 @@ class PbftClient : public SimNode
         std::function<void(const PbftOutcome &)> done;
         /** rank -> verified reply vote. */
         std::map<unsigned, Vote> votes;
-        bool completed = false;
-        bool retried = false;
         /** Bounded re-broadcast driver; quorum calls succeed(). */
         std::unique_ptr<RpcCall> retry;
     };
-
-    void maybeComplete(const Guid &request_id, PendingRequest &pr,
-                       std::uint64_t seq, const Bytes &result);
 
     PbftCluster &cluster_;
     std::uint64_t clientId_;
     NodeId nodeId_ = invalidNode;
     std::uint64_t retryAttempts_ = 0;
+    /** Requests submitted so far: salts each request id. */
+    std::uint64_t submitted_ = 0;
     std::unordered_map<Guid, PendingRequest> pending_;
 };
 
@@ -218,18 +236,38 @@ class PbftReplica : public SimNode
   private:
     friend class PbftCluster;
 
+    /**
+     * Everything this replica knows about one client request (DESIGN.md
+     * section 21).  Ordered by id: view changes walk the table, and a
+     * new leader re-proposes in that order, which feeds message
+     * emission and must be deterministic.
+     */
+    struct Request
+    {
+        Blob payload;
+        NodeId client = invalidNode;
+        /** Sequence this replica assigned as leader; 0 = unassigned. */
+        std::uint64_t assignedSeq = 0;
+        /** Sequence it executed at (0 = not yet) and the result, for
+         *  re-replies and duplicate re-proposals. */
+        std::uint64_t executedSeq = 0;
+        Bytes result;
+        /** Armed view-change timer while this backup waits for the
+         *  request's pre-prepare. */
+        EventId timer = invalidEventId;
+    };
+    using RequestTable = std::map<Guid, Request>;
+
+    /** One sequence number's log entry. */
     struct Slot
     {
         Guid digest;
-        Blob payload;
-        Guid requestId;
-        NodeId client = invalidNode;
-        bool hasPrePrepare = false;
-        std::set<unsigned> prepares;
-        std::set<unsigned> commits;
-        /** Votes that arrived before the pre-prepare: rank -> digest. */
-        std::map<unsigned, Guid> earlyPrepares;
-        std::map<unsigned, Guid> earlyCommits;
+        /** The pre-prepared (id, request); null until a pre-prepare. */
+        RequestTable::value_type *request = nullptr;
+        /** rank -> digest voted, whenever the vote arrived; a vote
+         *  counts once it equals the pre-prepare's digest. */
+        std::map<unsigned, Guid> prepares;
+        std::map<unsigned, Guid> commits;
         bool sentCommit = false;
         bool executed = false;
     };
@@ -237,18 +275,17 @@ class PbftReplica : public SimNode
     bool isLeader() const;
     void onRequest(const Message &msg);
     void onPrePrepare(const Message &msg);
-    void onPrepare(const Message &msg);
-    void onCommit(const Message &msg);
+    /** A prepare (@p commit false) or commit vote. */
+    void onVote(const Message &msg, bool commit);
     void onViewChange(const Message &msg);
     void onNewView(const Message &msg);
-    /** Adopt view @p v: drop the old view's unexecuted slots, its
-     *  leader-side dedupe entries and its failure timers. */
+    /** Adopt view @p v: drop the old view's unexecuted slots, the
+     *  assignments of unexecuted requests and every failure timer. */
     void enterView(unsigned v);
-    void assignAndPrePrepare(const Blob &payload, const Guid &req_id,
-                             NodeId client);
+    void assignAndPrePrepare(RequestTable::value_type &entry);
     void tryCommit(std::uint64_t seq);
     void executeReady();
-    void startViewChangeTimer(const Guid &req_id);
+    void startViewChangeTimer(RequestTable::value_type &entry);
     Guid maybeCorrupt(const Guid &digest) const;
 
     PbftCluster &cluster_;
@@ -262,19 +299,10 @@ class PbftReplica : public SimNode
     std::uint64_t lastExecuted_ = 0;
     std::uint64_t executedCount_ = 0;
     std::map<std::uint64_t, Slot> slots_;
-    /** requestId -> assigned sequence (dedupe at the leader). */
-    std::unordered_map<Guid, std::uint64_t> assigned_;
-    /** requestId -> (seq, result) for executed requests (re-reply). */
-    std::unordered_map<Guid, std::pair<std::uint64_t, Bytes>> done_;
+    /** Every request this replica has seen, by id. */
+    RequestTable requests_;
     /** Pending view-change votes: newView -> voter ranks. */
     std::map<unsigned, std::set<unsigned>> viewVotes_;
-    /** Requests awaiting pre-prepare (view-change timers armed).
-     *  Ordered: view adoption cancels these in iteration order. */
-    std::map<Guid, EventId> timers_;
-    /** Requests known but not yet pre-prepared (for new leader).
-     *  Ordered: a new leader re-proposes these in iteration order,
-     *  which feeds message emission and must be deterministic. */
-    std::map<Guid, std::pair<Blob, NodeId>> known_;
 };
 
 /**

@@ -336,7 +336,7 @@ TEST(Archive, RepairSweepRehomesOnDistinctFreshServers)
     EXPECT_EQ(fx.sys->repairSweep(), 1u);
     EXPECT_EQ(fx.sys->survivingFragments(archive), 16u);
     // One later failure must not take out several re-homed fragments,
-    // and the sweep's round-robin spreads them over the four domains.
+    // and the repair spreads them over the four domains.
     std::set<unsigned> domains;
     for (std::size_t home : fx.expectRehomedApart(archive, lost, old_holders))
         domains.insert(fx.sys->server(home).domain());
@@ -489,7 +489,12 @@ TEST(ArchiveAudit, RehomesOnDistinctFreshServers)
     }
     EXPECT_EQ(fx.sys->survivingFragments(archive), 16u);
     EXPECT_EQ(fx.sys->auditRepairs(), 4u);
-    fx.expectRehomedApart(archive, lost, old_holders);
+    // Each audit repair re-homes one index, yet the four land in four
+    // domains, as the sweep's do.
+    std::set<unsigned> domains;
+    for (std::size_t home : fx.expectRehomedApart(archive, lost, old_holders))
+        domains.insert(fx.sys->server(home).domain());
+    EXPECT_EQ(domains.size(), 4u);
     auto res = fx.reconstruct(archive, 60.0);
     ASSERT_TRUE(res && res->success);
     EXPECT_EQ(res->data, data);

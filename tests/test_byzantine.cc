@@ -10,13 +10,15 @@
 #include "consistency/byzantine.h"
 #include "consistency/cost_model.h"
 #include "runtime/runtime.h"
+#include "sim/fault.h"
 
 namespace oceanstore {
 namespace {
 
 struct PbftFixture
 {
-    explicit PbftFixture(unsigned m, double drop_rate = 0.0)
+    explicit PbftFixture(unsigned m, double drop_rate = 0.0,
+                         RetryPolicy client_retry = PbftConfig{}.clientRetry)
         : net(sim, netCfg(drop_rate))
     {
         unsigned n = 3 * m + 1;
@@ -28,6 +30,7 @@ struct PbftFixture
         }
         PbftConfig cfg;
         cfg.m = m;
+        cfg.clientRetry = client_retry;
         cluster = std::make_unique<PbftCluster>(rt, pos, registry, cfg);
         cluster->executor = [this](unsigned, const Bytes &payload,
                                    std::uint64_t seq) {
@@ -240,6 +243,96 @@ TEST(Pbft, RejectsWrongPositionCount)
     EXPECT_THROW(PbftCluster(rt, pos, reg, cfg), std::runtime_error);
 }
 
+
+/**
+ * Backup 1 of an n = 7 tier (m = 2, quorum 5) loses its pre-prepare:
+ * until t = 1 s the leader's link to it and every reply to the client
+ * drop, so the others commit and backup 1 holds only their early
+ * prepares and commits.  Rank 6 is Byzantine and votes a digest nobody
+ * proposed.  From t = 1 s the honest backups' links to backup 1 drop
+ * instead, so the early votes are all it will get from them; the
+ * client's retry makes the leader retransmit the pre-prepare.  With
+ * @p withhold_rank2 rank 2's early votes are dropped too, leaving
+ * backup 1 four matching commits: one short unless rank 6's counted.
+ * @return backup 1's executed count once the run drains.
+ */
+std::uint64_t
+runEarlyVotes(bool withhold_rank2)
+{
+    PbftFixture fx(2);
+    PbftCluster &tier = *fx.cluster;
+    tier.replica(6).setFault(ReplicaFault::Byzantine);
+    const NodeId backup = tier.replica(1).nodeId();
+
+    FaultPlan before;
+    before.links.push_back({tier.replica(0).nodeId(), backup, 1.0});
+    if (withhold_rank2)
+        before.links.push_back({tier.replica(2).nodeId(), backup, 1.0});
+    for (unsigned r = 0; r < tier.size(); r++)
+        before.links.push_back(
+            {tier.replica(r).nodeId(), fx.client->nodeId(), 1.0});
+    FaultPlan after;
+    for (unsigned r = 2; r <= 5; r++)
+        after.links.push_back({tier.replica(r).nodeId(), backup, 1.0});
+    FaultInjector early(fx.sim, fx.net, before);
+    FaultInjector late(fx.sim, fx.net, after);
+    early.arm();
+    fx.sim.scheduleAt(1.0, [&] {
+        early.disarm();
+        late.arm();
+    });
+
+    auto out = fx.submit(toBytes("early"), 60.0);
+    EXPECT_TRUE(out && out->completed);
+    EXPECT_EQ(out ? out->sequence : 0u, 1u);
+    for (unsigned r : {0u, 2u, 3u, 4u, 5u})
+        EXPECT_EQ(tier.replica(r).executedCount(), 1u) << "rank " << r;
+    EXPECT_EQ(tier.replica(1).view(), 0u); // no view change hid it
+    return tier.replica(1).executedCount();
+}
+
+TEST(Pbft, EarlyVotesCountOnceThePrePrepareArrives)
+{
+    // Five matching early commits (four honest, plus its own): the
+    // slot commits the moment the pre-prepare supplies the digest.
+    EXPECT_EQ(runEarlyVotes(false), 1u);
+    // Four honest: the Byzantine rank's mismatched early commit would
+    // make five, and must not.
+    EXPECT_EQ(runEarlyVotes(true), 0u);
+}
+
+TEST(Pbft, ClientForgetsFinishedRequests)
+{
+    // Two attempts 0.5 s apart, then give up at 1 s.
+    PbftFixture fx(1, 0.0, RetryPolicy{0.5, 1.0, 0.5, 2, 0.0});
+    for (int i = 0; i < 3; i++) {
+        auto out = fx.submit(toBytes("done-" + std::to_string(i)), 10.0);
+        ASSERT_TRUE(out && out->completed);
+        // The quorum's last replies arrived after completion.
+        EXPECT_EQ(fx.client->pendingCount(), 0u);
+    }
+
+    // The leader is cut off: the backups need a view change (3 s) to
+    // commit, by which time the client has given up.
+    fx.net.setPartition(fx.cluster->replica(0).nodeId(), 1);
+    std::vector<PbftOutcome> outcomes;
+    fx.client->submit(toBytes("late"), [&](const PbftOutcome &o) {
+        outcomes.push_back(o);
+    });
+    EXPECT_EQ(fx.client->pendingCount(), 1u);
+    fx.sim.runUntil(fx.sim.now() + 2.0);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].completed);
+    EXPECT_EQ(fx.client->pendingCount(), 0u);
+
+    fx.sim.runUntil(fx.sim.now() + 120.0);
+    EXPECT_EQ(outcomes.size(), 1u); // the late replies changed nothing
+    EXPECT_EQ(fx.client->pendingCount(), 0u);
+    // It did commit, and the backups replied to a client that had
+    // already forgotten it.
+    for (unsigned r = 1; r < fx.cluster->size(); r++)
+        EXPECT_EQ(fx.cluster->replica(r).executedCount(), 4u) << r;
+}
 
 TEST(Pbft, CommitCertificateVerifiesOffline)
 {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "access/acl.h"
+#include "consistency/byzantine.h"
 #include "consistency/update.h"
 #include "core/versioning.h"
 #include "erasure/fragment.h"
@@ -280,6 +281,17 @@ TEST(DecoderMutation, GuidKey)
         seeds,
         [](const Bytes &b) { return parseGuidKey(toString(b), "frag/"); },
         encode, false, 9);
+}
+
+TEST(DecoderMutation, UpdateLogKey)
+{
+    auto encode = [](std::uint64_t seq) { return toBytes(updateLogKey(seq)); };
+    std::vector<Bytes> seeds = {encode(0), encode(42),
+                                encode(18446744073709551615u)};
+    runHarness(
+        seeds,
+        [](const Bytes &b) { return parseUpdateLogKey(toString(b)); },
+        encode, true, 10);
 }
 
 } // namespace

@@ -561,6 +561,10 @@ TEST(StorageUniverse, PrimaryUlogReplayRestoresObjectState)
     auto before = uni.readVersion(h.guid(), 3);
     ASSERT_TRUE(before.has_value());
 
+    // A "ulog/" key the replica never wrote is skipped on replay.
+    runningStore(&uni.primaryStorage(0))->put("ulog/not-a-sequence",
+                                              toBytes("junk"));
+
     uni.crashPrimary(0);
     // The replica's RAM object state died with it.
     EXPECT_FALSE(uni.readVersion(h.guid(), 3).has_value());
