@@ -33,6 +33,14 @@
  *   framing         encodeFrame + decodeFrame of one protocol header,
  *                   the per-message cost of threaded transport, in
  *                   mb_s of frame bytes
+ *   trace_span      the Tracer's per-span costs in ns: a detached
+ *                   ScopedSpan (16- and 9-character names), an
+ *                   attached local span and message span over 40
+ *                   interned names, and setSpanEnd on scattered ids
+ *                   with 1k and 2M spans buffered (the claim: the
+ *                   2M reading stays within 2x of the 1k one plus
+ *                   one cold fetch of a record, the memory latency
+ *                   no store of 2M spans avoids)
  */
 
 #include <chrono>
@@ -280,6 +288,112 @@ framingCase(bench::BenchContext &ctx)
     ctx.metric("claim_frames_round_trip", "bool", ok == iters);
 }
 
+/** Mean ns per call of @p op(i) over @p n calls. */
+template <typename Op>
+double
+nsPerCall(std::uint64_t n, Op &&op)
+{
+    double t0 = wallNow();
+    for (std::uint64_t i = 0; i < n; i++)
+        op(i);
+    return (wallNow() - t0) * 1e9 / static_cast<double>(n);
+}
+
+/** An LCG step: consecutive draws land far apart in a buffer. */
+std::uint32_t
+lcg(std::uint32_t state)
+{
+    return state * 1664525u + 1013904223u;
+}
+
+/** Mean ns of setSpanEnd on @p calls scattered ids, with @p spans
+ *  message spans buffered in @p tracer (cleared first). */
+double
+setEndNs(Tracer &tracer, std::uint32_t spans, std::uint64_t calls)
+{
+    tracer.clear();
+    for (std::uint32_t i = 0; i < spans; i++)
+        tracer.messageSpan("bench.fill", 0, 1, 64, 0.0, 0.0,
+                           SpanKind::Send, SpanStatus::Ok);
+    std::uint32_t state = 12345;
+    return nsPerCall(calls, [&](std::uint64_t i) {
+        state = lcg(state);
+        tracer.setSpanEnd(1 + state % spans, static_cast<double>(i));
+    });
+}
+
+/** Mean ns of one cold fetch of a scattered record of @p records:
+ *  each index depends on the previous read, so no two fetches
+ *  overlap.  The memory latency any store of that many spans pays to
+ *  touch one of them. */
+double
+coldFetchNs(const std::vector<SpanRecord> &records, std::uint64_t calls)
+{
+    const auto n = static_cast<std::uint32_t>(records.size());
+    std::uint32_t state = 12345;
+    double ns = nsPerCall(calls, [&](std::uint64_t) {
+        state = lcg(state) + records[state % n].bytes;
+    });
+    volatile std::uint32_t sink = state; // keep the walk
+    (void)sink;
+    return ns;
+}
+
+/** Per-span tracing costs, detached and attached. */
+void
+traceSpanCase(bench::BenchContext &ctx)
+{
+    const std::uint64_t iters = ctx.smoke() ? 20000 : 1000000;
+    const std::uint32_t large = ctx.smoke() ? 16384 : 2000000;
+    std::vector<std::string> names;
+    for (int i = 0; i < 40; i++)
+        names.push_back("bench.span" + std::to_string(i));
+    auto detached = [&](const char *component, const char *name) {
+        return nsPerCall(iters, [&](std::uint64_t i) {
+            ScopedSpan span(component, name, i * 1e-6);
+            span.end(i * 1e-6);
+        });
+    };
+
+    ctx.beginMeasured();
+    // Detached: the hot-path contract is one null check.
+    detached("sec", "sec.rumor"); // warm the loop once
+    double detached16 = detached("archive", "archive.disperse");
+    double detached9 = detached("sec", "sec.rumor");
+
+    Tracer tracer;
+    TraceScope scope(tracer);
+    for (const std::string &n : names)
+        tracer.intern(n);
+    double local = nsPerCall(iters, [&](std::uint64_t i) {
+        std::uint32_t s = tracer.beginLocalSpan(
+            "bench", names[i % names.size()], i * 1e-6);
+        tracer.endLocalSpan(s, i * 1e-6);
+    });
+    double message = nsPerCall(iters, [&](std::uint64_t i) {
+        tracer.messageSpan(names[i % names.size()], 0, 1, 64, i * 1e-6,
+                           i * 1e-6, SpanKind::Send, SpanStatus::Ok);
+    });
+    double setEndSmall = setEndNs(tracer, 1000, iters);
+    double setEndLarge = setEndNs(tracer, large, iters);
+    double fetchLarge = coldFetchNs(tracer.buffer().snapshot(), iters);
+    tracer.clear();
+    ctx.endMeasured();
+
+    ctx.metric("detached_16ch_ns", "ns", detached16);
+    ctx.metric("detached_9ch_ns", "ns", detached9);
+    ctx.metric("local_span_ns", "ns", local);
+    ctx.metric("message_span_ns", "ns", message);
+    ctx.metric("set_end_1k_ns", "ns", setEndSmall);
+    ctx.metric("set_end_large_ns", "ns", setEndLarge);
+    ctx.metric("cold_fetch_large_ns", "ns", fetchLarge);
+    ctx.metric("set_end_large_spans", "count", large);
+    // Ending a span does no search: with 2M spans buffered it costs
+    // at most 2x the 1k cost plus the one cold fetch it must make.
+    ctx.metric("claim_set_end_flat", "bool",
+               setEndLarge <= 2.0 * setEndSmall + fetchLarge);
+}
+
 } // namespace
 
 int
@@ -297,6 +411,7 @@ main(int argc, char **argv)
              serveCase(ctx, RuntimeKind::Threaded, true);
          }},
         {"sim_loop", simLoopCase},
-        {"framing", framingCase}};
+        {"framing", framingCase},
+        {"trace_span", traceSpanCase}};
     return bench::runBenchMain(argc, argv, "bench_runtime", cases);
 }

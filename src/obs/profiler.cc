@@ -37,7 +37,7 @@ PhaseProfiler::setCurrent(Label label)
 }
 
 PhaseProfiler::Label
-PhaseProfiler::intern(const std::string &name)
+PhaseProfiler::intern(std::string_view name)
 {
     MutexLock lock(mu_);
     auto it = labelTable_.find(name);
@@ -47,27 +47,15 @@ PhaseProfiler::intern(const std::string &name)
              "profiler: label capacity exhausted interning '", name,
              "'");
     Label label = static_cast<Label>(labelNames_.size());
-    labelNames_.push_back(name);
+    labelNames_.emplace_back(name);
     labelTable_.emplace(name, label);
     return label;
 }
 
 PhaseProfiler::Label
-PhaseProfiler::labelForMessageType(const std::string &type)
+PhaseProfiler::labelForMessageType(std::string_view type)
 {
-    {
-        MutexLock lock(mu_);
-        auto it = typeCache_.find(type);
-        if (it != typeCache_.end())
-            return it->second;
-    }
-    std::size_t dot = type.find('.');
-    Label label = intern(dot == std::string::npos
-                             ? type
-                             : type.substr(0, dot));
-    MutexLock lock(mu_);
-    typeCache_.emplace(type, label);
-    return label;
+    return intern(type.substr(0, type.find('.')));
 }
 
 std::vector<PhaseProfiler::PhaseStats>

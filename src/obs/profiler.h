@@ -22,7 +22,8 @@
  *
  * Thread contract: buckets are fixed-capacity relaxed atomics, so
  * onEventFired() is lock-free from any thread of a paced Runtime; the
- * ambient label is thread-local; interning takes a mutex.
+ * ambient label is thread-local; interning takes a mutex.  A label
+ * lookup that hits builds no std::string.
  */
 
 #ifndef OCEANSTORE_OBS_PROFILER_H
@@ -31,8 +32,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
@@ -64,15 +67,14 @@ class PhaseProfiler
     }
 
     /** Intern a phase label (deterministic first-use order). */
-    Label intern(const std::string &name) OS_EXCLUDES(mu_);
+    Label intern(std::string_view name) OS_EXCLUDES(mu_);
 
     /**
      * Label for a dotted message type: the prefix before the first
-     * '.' ("pbft.prepare" -> "pbft").  Memoized per full type string
-     * so the network hot path does one map lookup, no allocation.
+     * '.' ("pbft.prepare" -> "pbft"), interned — one map lookup, no
+     * allocation once the prefix is known.
      */
-    Label labelForMessageType(const std::string &type)
-        OS_EXCLUDES(mu_);
+    Label labelForMessageType(std::string_view type) OS_EXCLUDES(mu_);
 
     /** Ambient label (of the calling thread) inherited by events
      *  scheduled right now. */
@@ -127,10 +129,8 @@ class PhaseProfiler
     std::array<Bucket, kMaxLabels> buckets_;
 
     std::vector<std::string> labelNames_ OS_GUARDED_BY(mu_);
-    std::map<std::string, Label> labelTable_
+    std::map<std::string, Label, std::less<>> labelTable_
         OS_GUARDED_BY(mu_); //!< name -> label
-    std::map<std::string, Label> typeCache_
-        OS_GUARDED_BY(mu_); //!< full type -> label
 };
 
 /** RAII installation of a profiler as the active instance. */

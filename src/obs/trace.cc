@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -18,119 +16,94 @@ namespace {
 thread_local TraceContext tlCurrent;
 thread_local std::vector<TraceContext> tlScopeStack;
 
-/** Process-unique TraceBuffer instance ids (never reused), so a
- *  thread's cached arena pointer can never alias a new buffer. */
-std::atomic<std::uint64_t> nextBufferId{1};
-
 } // namespace
 
-TraceBuffer::TraceBuffer()
-    : bufferId_(nextBufferId.fetch_add(1, std::memory_order_relaxed))
-{
-}
-
-TraceBuffer::Arena &
-TraceBuffer::arenaForThisThread() const
-{
-    // Single-entry cache: the common case is one buffer appending per
-    // thread, so almost every append skips arenasMu_ entirely.  The
-    // buffer id check makes a stale entry (previous buffer, possibly
-    // destroyed) miss rather than alias.
-    struct Cached
-    {
-        std::uint64_t buffer = 0;
-        Arena *arena = nullptr;
-    };
-    thread_local Cached cached;
-    if (cached.buffer == bufferId_)
-        return *cached.arena;
-
-    MutexLock lock(arenasMu_);
-    arenas_.push_back(std::make_unique<Arena>());
-    Arena *a = arenas_.back().get();
-    cached = Cached{bufferId_, a};
-    return *a;
-}
-
 std::uint32_t
-TraceBuffer::append(SpanRecord &rec)
+TraceBuffer::append(SpanRecord &rec, std::string_view component,
+                    std::string_view name)
 {
-    rec.spanId = nextSpanId_.fetch_add(1, std::memory_order_relaxed);
-    Arena &a = arenaForThisThread();
-    MutexLock lock(a.mu);
-    a.records.push_back(rec);
+    MutexLock lock(mu_);
+    rec.component = internLocked(component);
+    rec.name = internLocked(name);
+    rec.spanId = static_cast<std::uint32_t>(records_.size() + 1);
+    records_.push_back(rec);
     return rec.spanId;
 }
 
 void
 TraceBuffer::setEnd(std::uint32_t span_id, double end)
 {
-    MutexLock lock(arenasMu_);
-    for (const std::unique_ptr<Arena> &a : arenas_) {
-        MutexLock arena_lock(a->mu);
-        // Ids ascend within an arena (its appends are serialized and
-        // draw from the global counter), so binary search works.
-        auto it = std::lower_bound(
-            a->records.begin(), a->records.end(), span_id,
-            [](const SpanRecord &r, std::uint32_t id) {
-                return r.spanId < id;
-            });
-        if (it != a->records.end() && it->spanId == span_id) {
-            if (end > it->end)
-                it->end = end;
-            return;
-        }
-    }
+    MutexLock lock(mu_);
+    if (span_id == 0 || span_id > records_.size())
+        return;
+    SpanRecord &r = records_[span_id - 1];
+    if (end > r.end)
+        r.end = end;
 }
 
 std::vector<SpanRecord>
 TraceBuffer::snapshot() const
 {
-    std::vector<SpanRecord> out;
-    {
-        MutexLock lock(arenasMu_);
-        for (const std::unique_ptr<Arena> &a : arenas_) {
-            MutexLock arena_lock(a->mu);
-            out.insert(out.end(), a->records.begin(),
-                       a->records.end());
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SpanRecord &x, const SpanRecord &y) {
-                  return x.spanId < y.spanId;
-              });
-    return out;
+    MutexLock lock(mu_);
+    return records_;
 }
 
 std::size_t
 TraceBuffer::size() const
 {
-    std::size_t n = 0;
-    MutexLock lock(arenasMu_);
-    for (const std::unique_ptr<Arena> &a : arenas_) {
-        MutexLock arena_lock(a->mu);
-        n += a->records.size();
+    MutexLock lock(mu_);
+    return records_.size();
+}
+
+std::uint32_t
+TraceBuffer::intern(std::string_view s)
+{
+    MutexLock lock(mu_);
+    return internLocked(s);
+}
+
+std::uint32_t
+TraceBuffer::internLocked(std::string_view s)
+{
+    auto it = internTable_.find(s);
+    if (it != internTable_.end())
+        return it->second;
+    std::uint32_t id = static_cast<std::uint32_t>(strings_.size());
+    internTable_.emplace(s, id);
+    strings_.emplace_back(s);
+    return id;
+}
+
+const std::string &
+TraceBuffer::internedString(std::uint32_t id) const
+{
+    // Check outside the lock so an OS_CHECK failure (whose flight-
+    // recorder dump hook re-enters this function) cannot deadlock.
+    std::size_t n;
+    {
+        MutexLock lock(mu_);
+        n = strings_.size();
     }
-    return n;
+    OS_CHECK(id < n, "Tracer: bad interned id ", id);
+    MutexLock lock(mu_);
+    // Deque references are stable past the unlock.
+    return strings_[id];
+}
+
+std::vector<std::string>
+TraceBuffer::strings() const
+{
+    MutexLock lock(mu_);
+    return std::vector<std::string>(strings_.begin(), strings_.end());
 }
 
 void
 TraceBuffer::clear()
 {
-    MutexLock lock(arenasMu_);
-    for (const std::unique_ptr<Arena> &a : arenas_) {
-        MutexLock arena_lock(a->mu);
-        a->records.clear();
-    }
-    nextSpanId_.store(1, std::memory_order_relaxed);
-}
-
-void
-TraceBuffer::reserve(std::size_t n)
-{
-    Arena &a = arenaForThisThread();
-    MutexLock lock(a.mu);
-    a.records.reserve(n);
+    MutexLock lock(mu_);
+    records_.clear();
+    internTable_.clear();
+    strings_.clear();
 }
 
 const TraceContext &
@@ -151,44 +124,8 @@ Tracer::clearCurrent()
     tlCurrent = TraceContext{};
 }
 
-std::uint32_t
-Tracer::intern(const std::string &s)
-{
-    MutexLock lock(internMu_);
-    auto it = internTable_.find(s);
-    if (it != internTable_.end())
-        return it->second;
-    std::uint32_t id = static_cast<std::uint32_t>(strings_.size());
-    internTable_.emplace(s, id);
-    strings_.push_back(s);
-    return id;
-}
-
-const std::string &
-Tracer::internedString(std::uint32_t id) const
-{
-    // Check outside the lock so an OS_CHECK failure (whose flight-
-    // recorder dump hook re-enters this function) cannot deadlock.
-    std::size_t n;
-    {
-        MutexLock lock(internMu_);
-        n = strings_.size();
-    }
-    OS_CHECK(id < n, "Tracer: bad interned id ", id);
-    MutexLock lock(internMu_);
-    // Deque references are stable past the unlock.
-    return strings_[id];
-}
-
-std::vector<std::string>
-Tracer::strings() const
-{
-    MutexLock lock(internMu_);
-    return std::vector<std::string>(strings_.begin(), strings_.end());
-}
-
 SpanRecord
-Tracer::newSpan(const std::string &component, const std::string &name,
+Tracer::newSpan(std::string_view component, std::string_view name,
                 std::uint32_t node, std::uint32_t peer,
                 std::uint32_t bytes, double start, double end,
                 SpanKind kind, SpanStatus status)
@@ -204,8 +141,6 @@ Tracer::newSpan(const std::string &component, const std::string &name,
         rec.parent = 0;
         rec.hop = 0;
     }
-    rec.component = intern(component);
-    rec.name = intern(name);
     rec.node = node;
     rec.peer = peer;
     rec.bytes = bytes;
@@ -213,7 +148,7 @@ Tracer::newSpan(const std::string &component, const std::string &name,
     rec.end = end;
     rec.kind = kind;
     rec.status = status;
-    buffer_.append(rec); // stamps rec.spanId
+    buffer_.append(rec, component, name); // stamps names + spanId
     static const MetricsRegistry::Id spans_recorded =
         MetricsRegistry::global().counter("obs.spans_recorded");
     MetricsRegistry::global().inc(spans_recorded);
@@ -223,8 +158,8 @@ Tracer::newSpan(const std::string &component, const std::string &name,
 }
 
 std::uint32_t
-Tracer::beginLocalSpan(const std::string &component,
-                       const std::string &name, double now,
+Tracer::beginLocalSpan(std::string_view component,
+                       std::string_view name, double now,
                        std::uint32_t node)
 {
     SpanRecord rec = newSpan(component, name, node, ~0u, 0, now, now,
@@ -248,7 +183,7 @@ Tracer::endLocalSpan(std::uint32_t span_id, double now)
 }
 
 TraceContext
-Tracer::messageSpan(const std::string &name, std::uint32_t node,
+Tracer::messageSpan(std::string_view name, std::uint32_t node,
                     std::uint32_t peer, std::uint32_t bytes,
                     double start, double end, SpanKind kind,
                     SpanStatus status)
@@ -264,11 +199,6 @@ Tracer::clear()
     buffer_.clear();
     tlCurrent = TraceContext{};
     tlScopeStack.clear();
-    {
-        MutexLock lock(internMu_);
-        internTable_.clear();
-        strings_.clear();
-    }
     nextTraceId_.store(1, std::memory_order_relaxed);
 }
 

@@ -17,21 +17,20 @@
  * paths costs exactly one null-pointer check (mirroring the
  * fault-injector contract from DESIGN.md section 10).
  *
- * Thread contract: the buffer is sharded into per-thread arenas, so
- * concurrent appends from the threaded runtime's loop and client
- * threads never contend on a shared lock; span ids come from one
- * atomic counter, giving a total allocation order that snapshot()
- * uses as its deterministic merge key.  The ambient context is
- * thread-local — each thread carries its own causal position,
- * installed around each event callback.
+ * Thread contract: every span is recorded under the paced Runtime's
+ * loop mutex (the loop fires events under it, and client threads take
+ * it through Pacer::Hold), so span writers are already serialized.
+ * The TraceBuffer keeps one lock of its own for the threads that call
+ * a Tracer directly and for readers; appending a span takes it once.
+ * The ambient context is thread-local — each thread carries its own
+ * causal position, installed around each event callback.
  *
  * Determinism: tracing only *observes*.  It consumes no randomness,
  * schedules no events and never branches protocol behaviour, so a
  * traced run replays bit-for-bit against an untraced one.  On the
- * single-threaded sim backend span ids are allocated sequentially,
- * so snapshot() is exactly append order and two traced runs of the
- * same seed produce byte-identical span dumps (asserted by the
- * determinism sweep).
+ * single-threaded sim backend two traced runs of the same seed
+ * produce byte-identical span dumps (asserted by the determinism
+ * sweep).
  */
 
 #ifndef OCEANSTORE_OBS_TRACE_H
@@ -40,9 +39,10 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
@@ -89,8 +89,7 @@ enum class SpanStatus : std::uint8_t
 struct SpanRecord
 {
     std::uint64_t traceId = 0;
-    std::uint32_t spanId = 0;  //!< 1-based global allocation sequence;
-                               //!< the deterministic merge order.
+    std::uint32_t spanId = 0;  //!< 1-based append sequence (index + 1).
     std::uint32_t parent = 0;  //!< Parent span id, 0 for a trace root.
     std::uint32_t component = 0; //!< Interned component label.
     std::uint32_t name = 0;      //!< Interned span name (message type).
@@ -106,87 +105,71 @@ struct SpanRecord
 };
 
 /**
- * Per-run span storage, sharded into per-thread arenas.
+ * Per-run span storage: the spans in append order plus the strings
+ * they reference, behind one lock.
  *
- * Each appending thread gets its own arena (created lazily, cached
- * thread-locally), so appends from a paced Runtime's concurrent threads
- * take only the arena's own lock — which a single writer never
- * contends on.  Span ids are drawn from one atomic counter shared by
- * all arenas; because each arena's appends are serialized, ids are
- * strictly ascending *within* an arena, and snapshot() merges the
- * arenas back into the global allocation order by sorting on span id.
- *
- * clear() drops records but keeps the arenas (threads hold cached
- * pointers to them), so repeated scenario runs (chaos seeds, bench
- * repeats) reuse the allocation.
+ * A span's id is its index + 1, assigned under that lock, so setEnd()
+ * is one bounds-checked index and snapshot() a plain copy.  Interning
+ * shares the lock, so appending a span (both names interned) locks
+ * once.  clear() keeps the vector's capacity, so repeated scenario
+ * runs (chaos seeds, bench repeats) reuse the allocation.
  */
 class TraceBuffer
 {
   public:
-    TraceBuffer();
+    TraceBuffer() = default;
 
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
 
-    /** Stamp @p rec with the next span id (1-based, globally
-     *  ordered), append it to the calling thread's arena, and return
-     *  the id. */
-    std::uint32_t append(SpanRecord &rec) OS_EXCLUDES(arenasMu_);
+    /** Intern @p component and @p name into @p rec, stamp it with the
+     *  next span id, append it, and return the id. */
+    std::uint32_t append(SpanRecord &rec, std::string_view component,
+                         std::string_view name) OS_EXCLUDES(mu_);
 
     /** Extend a span's end time (monotone max), e.g. as multicast
-     *  fan-out legs are scheduled. */
-    void setEnd(std::uint32_t span_id, double end)
-        OS_EXCLUDES(arenasMu_);
+     *  fan-out legs are scheduled.  Unknown ids are ignored. */
+    void setEnd(std::uint32_t span_id, double end) OS_EXCLUDES(mu_);
 
-    /**
-     * Deterministic merged copy of every arena, sorted by span id —
-     * i.e. global allocation order, which on the single-threaded sim
-     * backend is exactly append order.
-     */
-    std::vector<SpanRecord> snapshot() const OS_EXCLUDES(arenasMu_);
+    /** Copy of every span in id order (== append order). */
+    std::vector<SpanRecord> snapshot() const OS_EXCLUDES(mu_);
 
-    /** Total records across all arenas. */
-    std::size_t size() const OS_EXCLUDES(arenasMu_);
+    std::size_t size() const OS_EXCLUDES(mu_);
 
     bool empty() const { return size() == 0; }
 
-    /** Drop all records and reset the span-id sequence, retaining
-     *  arena allocations.  Quiescent-only (no concurrent appends). */
-    void clear() OS_EXCLUDES(arenasMu_);
+    /** Intern a string, returning a stable dense id (deterministic:
+     *  first-use order).  A hit builds no std::string. */
+    std::uint32_t intern(std::string_view s) OS_EXCLUDES(mu_);
 
-    /** Reserve capacity in the calling thread's arena. */
-    void reserve(std::size_t n) OS_EXCLUDES(arenasMu_);
+    /** Resolve an interned id back to its string.  The reference is
+     *  stable until clear() (deque storage). */
+    const std::string &internedString(std::uint32_t id) const
+        OS_EXCLUDES(mu_);
+
+    /** Copy of the interned strings in id order. */
+    std::vector<std::string> strings() const OS_EXCLUDES(mu_);
+
+    /** Drop all records and interned strings, restarting both id
+     *  sequences.  Quiescent-only (no concurrent appends). */
+    void clear() OS_EXCLUDES(mu_);
 
   private:
-    struct Arena
-    {
-        /** Guards records. */
-        mutable Mutex mu;
-        std::vector<SpanRecord> records OS_GUARDED_BY(mu);
-    };
+    std::uint32_t internLocked(std::string_view s) OS_REQUIRES(mu_);
 
-    /** The calling thread's arena, created on first use.  The result
-     *  is cached thread-locally keyed by bufferId_, so the hot path
-     *  takes no buffer-wide lock. */
-    Arena &arenaForThisThread() const OS_EXCLUDES(arenasMu_);
-
-    /** Process-unique id of this buffer instance (never reused), the
-     *  thread-local arena-cache key. */
-    const std::uint64_t bufferId_;
-
-    /** Next span id to hand out; 1-based. */
-    std::atomic<std::uint32_t> nextSpanId_{1};
-
-    /** Guards the arena list. */
-    mutable Mutex arenasMu_;
-
-    mutable std::vector<std::unique_ptr<Arena>> arenas_
-        OS_GUARDED_BY(arenasMu_);
+    mutable Mutex mu_;
+    std::vector<SpanRecord> records_ OS_GUARDED_BY(mu_);
+    /** Transparent comparator: lookups by string_view. */
+    std::map<std::string, std::uint32_t, std::less<>> internTable_
+        OS_GUARDED_BY(mu_);
+    /** Deque: references stay stable across interning, so
+     *  internedString() can hand them out past the lock. */
+    std::deque<std::string> strings_ OS_GUARDED_BY(mu_);
 };
 
 /**
- * The tracing engine: interns strings, allocates trace/span ids,
- * tracks the ambient causal context, and owns the TraceBuffer.
+ * The tracing engine: allocates trace ids, tracks the ambient causal
+ * context, and owns the TraceBuffer (spans and interned strings).
  *
  * Exactly one Tracer may be active at a time (see TraceScope); the
  * simulator and network consult Tracer::active() on their hot
@@ -221,14 +204,15 @@ class Tracer
     void setCurrent(const TraceContext &ctx);
     void clearCurrent();
 
-    /** Intern a string, returning a stable dense id (deterministic:
-     *  first-use order). */
-    std::uint32_t intern(const std::string &s) OS_EXCLUDES(internMu_);
+    /** Intern a string (see TraceBuffer::intern). */
+    std::uint32_t intern(std::string_view s) { return buffer_.intern(s); }
 
-    /** Resolve an interned id back to its string.  The reference is
-     *  stable for the life of the tracer (deque storage). */
-    const std::string &internedString(std::uint32_t id) const
-        OS_EXCLUDES(internMu_);
+    /** Resolve an interned id back to its string. */
+    const std::string &
+    internedString(std::uint32_t id) const
+    {
+        return buffer_.internedString(id);
+    }
 
     /**
      * Open a local span (handler body, API entry, timer action) as a
@@ -236,8 +220,8 @@ class Tracer
      * when none is ambient — and make it the new ambient context.
      * Balance with endLocalSpan().  @return the span id.
      */
-    std::uint32_t beginLocalSpan(const std::string &component,
-                                 const std::string &name, double now,
+    std::uint32_t beginLocalSpan(std::string_view component,
+                                 std::string_view name, double now,
                                  std::uint32_t node = ~0u);
 
     /** Close a local span: stamp its end time and restore the
@@ -257,7 +241,7 @@ class Tracer
      *         span as the causal parent of everything the receiver
      *         does.
      */
-    TraceContext messageSpan(const std::string &name,
+    TraceContext messageSpan(std::string_view name,
                              std::uint32_t node, std::uint32_t peer,
                              std::uint32_t bytes, double start,
                              double end, SpanKind kind,
@@ -275,7 +259,7 @@ class Tracer
 
     /** Copy of the interned strings in id order
      *  (id i -> strings()[i]). */
-    std::vector<std::string> strings() const OS_EXCLUDES(internMu_);
+    std::vector<std::string> strings() const { return buffer_.strings(); }
 
     /** Drop all spans and reset ids; the intern table resets too, so
      *  repeated runs re-intern in the same order and keep identical
@@ -290,22 +274,13 @@ class Tracer
 
     /** Create + append a span as a child of the calling thread's
      *  ambient context, returning the full record (spanId stamped). */
-    SpanRecord newSpan(const std::string &component,
-                       const std::string &name, std::uint32_t node,
+    SpanRecord newSpan(std::string_view component,
+                       std::string_view name, std::uint32_t node,
                        std::uint32_t peer, std::uint32_t bytes,
                        double start, double end, SpanKind kind,
                        SpanStatus status);
 
     TraceBuffer buffer_;
-
-    /** Guards the intern table. */
-    mutable Mutex internMu_;
-
-    std::map<std::string, std::uint32_t> internTable_
-        OS_GUARDED_BY(internMu_);
-    /** Deque: references stay stable across interning, so
-     *  internedString() can hand them out past the lock. */
-    std::deque<std::string> strings_ OS_GUARDED_BY(internMu_);
 
     std::atomic<std::uint64_t> nextTraceId_{1};
 };
@@ -338,11 +313,13 @@ class TraceScope
  * closes (with the supplied clock reading) on end().  For code that
  * cannot conveniently read the clock in a destructor, call end()
  * explicitly; the destructor closes at the start time otherwise.
+ * Names are string_views, so a detached span costs one null check
+ * and allocates nothing.
  */
 class ScopedSpan
 {
   public:
-    ScopedSpan(const std::string &component, const std::string &name,
+    ScopedSpan(std::string_view component, std::string_view name,
                double now, std::uint32_t node = ~0u)
         : tracer_(Tracer::active()), start_(now)
     {

@@ -232,7 +232,6 @@ PlaxtonMesh::publishOne(const Guid &salted, const Guid &g, NodeId storer)
         if (states_[indexOf(n)].pointers[g].insert(storer).second)
             persistPointer(n, g, storer);
     }
-    counters_.bump("publish.hops", r.path.size() - 1);
     return static_cast<unsigned>(r.path.size() - 1);
 }
 
@@ -243,7 +242,6 @@ PlaxtonMesh::publish(const Guid &g, NodeId storer)
     for (unsigned s = 0; s < cfg_.numSalts; s++)
         hops += publishOne(g.withSalt(s), g, storer);
     published_[storer].insert(g);
-    counters_.bump("publish.count");
     {
         PlaxtonMetricIds &pm = plaxtonMetrics();
         pm.reg->inc(pm.publishes);
@@ -354,7 +352,6 @@ PlaxtonMesh::insertNode(NodeId n, const Guid &id)
 
     buildTable(idx);
     announce(idx);
-    counters_.bump("insert.count");
 }
 
 void
@@ -385,7 +382,6 @@ PlaxtonMesh::announce(std::size_t idx)
             });
             if (c.size() > 1 + redundancy)
                 c.resize(1 + redundancy);
-            counters_.bump("insert.table_updates");
         }
     }
 }
@@ -401,7 +397,6 @@ PlaxtonMesh::removeNode(NodeId n)
     // restoreNode() reloads them after a crash/restart cycle.
     states_[idx].pointers.clear();
     published_.erase(n);
-    counters_.bump("remove.count");
 }
 
 std::size_t
@@ -429,8 +424,6 @@ PlaxtonMesh::restoreNode(NodeId n)
             reloaded++;
         });
     }
-    counters_.bump("restore.count");
-    counters_.bump("restore.pointers", reloaded);
     return reloaded;
 }
 
@@ -442,7 +435,6 @@ PlaxtonMesh::repair()
         if (!states_[i].alive || !rt_.isUp(members_[i]))
             continue;
         buildTable(i);
-        counters_.bump("repair.tables");
         {
             PlaxtonMetricIds &pm = plaxtonMetrics();
             pm.reg->inc(pm.repairs);
@@ -478,7 +470,6 @@ PlaxtonMesh::repair()
         for (const Guid &g : objs) {
             for (unsigned s = 0; s < cfg_.numSalts; s++)
                 publishOne(g.withSalt(s), g, storer);
-            counters_.bump("repair.republish");
         }
     }
 }
@@ -497,17 +488,14 @@ PlaxtonMesh::beaconSweep()
             // Second chance paid off: full state retained.
             suspects_.erase(n);
             report.reinstated++;
-            counters_.bump("beacon.reinstated");
         } else if (!answered && !suspect) {
             suspects_.insert(n);
             report.suspects++;
-            counters_.bump("beacon.suspected");
         } else if (!answered && suspect) {
             // Two consecutive misses: really gone.
             suspects_.erase(n);
             removeNode(n);
             report.evicted++;
-            counters_.bump("beacon.evicted");
         }
     }
     return report;

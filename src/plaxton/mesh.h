@@ -37,7 +37,6 @@
 #include "sim/topology.h"
 #include "storage/node_storage.h"
 #include "util/random.h"
-#include "util/stats.h"
 
 namespace oceanstore {
 
@@ -200,9 +199,6 @@ class PlaxtonMesh
     /** Member NodeIds (alive and dead). */
     const std::vector<NodeId> &members() const { return members_; }
 
-    /** Maintenance counters: publishes, repairs, hops. */
-    const Counters &counters() const { return counters_; }
-
   private:
     struct Entry
     {
@@ -258,7 +254,6 @@ class PlaxtonMesh
     std::map<NodeId, std::set<Guid>> published_;
     /** Members that missed the last beacon (second-chance state). */
     std::set<NodeId> suspects_;
-    Counters counters_;
 };
 
 } // namespace oceanstore

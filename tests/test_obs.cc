@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -222,6 +223,11 @@ TEST(Trace, InternIsStableAndClearResets)
     EXPECT_NE(a, b);
     EXPECT_EQ(t.intern("alpha"), a);
     EXPECT_EQ(t.internedString(b), "beta");
+    // A string_view lookup finds the id a std::string interned.
+    const std::string gamma = "gamma.by.string";
+    std::uint32_t g = t.intern(gamma);
+    EXPECT_EQ(t.intern(std::string_view("gamma.by.string.tail", 15)), g);
+    EXPECT_EQ(t.intern(std::string_view(gamma)), g);
 
     t.beginLocalSpan("core", "op", 0.0);
     t.clear();
@@ -565,8 +571,8 @@ TEST(ObsConcurrency, SpansMetricsAndFlightRingFromManyThreads)
             th.join();
     }
 
-    // Every span made it into exactly one arena, and the merged
-    // snapshot carries each allocated id exactly once, in order.
+    // Every span was appended exactly once, and the snapshot carries
+    // each id exactly once, in order.
     auto spans = tracer.buffer().snapshot();
     ASSERT_EQ(spans.size(),
               static_cast<std::size_t>(kThreads * kSpansPerThread));

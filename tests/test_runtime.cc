@@ -621,8 +621,9 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
     }
     rt.shutdown();
 
-    // Arena merge: every allocated span id present exactly once, in
-    // order, and the flight ring saw every one of them.
+    // Client threads and the loop share one span store: every span id
+    // present exactly once, in order, and the flight ring saw every
+    // one of them.
     auto spans = tracer.buffer().snapshot();
     EXPECT_GE(spans.size(), static_cast<std::size_t>(
                                 kClients * kSendsPerClient));
