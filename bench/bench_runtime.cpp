@@ -12,7 +12,7 @@
  *   threaded_serve  RuntimeKind::Threaded, genuinely concurrent client
  *                   threads against the wall-clock event loop
  *   threaded_serve_traced
- *                   threaded_serve with a Tracer + FlightRecorder
+ *                   threaded_serve with a Tracer + FlightScope
  *                   attached for the whole run — measures the
  *                   observability tax on the serve path (DESIGN.md
  *                   section 16 budgets it at < 5% on write p50;
@@ -50,7 +50,7 @@
 #include <vector>
 
 #include "core/universe.h"
-#include "obs/flight_recorder.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 #include "runner.h"
 #include "runtime/framing.h"
@@ -136,7 +136,7 @@ struct ServeResult
 /** Boot a Universe on @p kind and serve @p clients x @p writes.  The
  *  threaded case runs one real thread per client; sim runs them
  *  sequentially (virtual time, same protocol work).  With @p traced
- *  the whole run executes under an attached Tracer + FlightRecorder,
+ *  the whole run executes under an attached Tracer + FlightScope,
  *  exactly like `oscluster --trace`. */
 ServeResult
 runServe(bench::BenchContext &ctx, RuntimeKind kind, unsigned clients,
@@ -145,13 +145,12 @@ runServe(bench::BenchContext &ctx, RuntimeKind kind, unsigned clients,
     // Declared before the Universe so the scopes (and their hooks)
     // outlive every runtime thread that might record a span.
     Tracer tracer;
-    FlightRecorder recorder;
     std::unique_ptr<TraceScope> traceScope;
     std::unique_ptr<FlightScope> flightScope;
     if (traced) {
         traceScope = std::make_unique<TraceScope>(tracer);
-        flightScope = std::make_unique<FlightScope>(recorder, tracer,
-                                                    "bench_runtime");
+        flightScope =
+            std::make_unique<FlightScope>(tracer, "bench_runtime");
     }
 
     UniverseConfig cfg;

@@ -20,11 +20,13 @@
  * --stats: live dashboard — a PeriodicStatsExporter prints one
  *          runtime-health JSON line per half second while clients
  *          run, plus a full statusReport() at the end.
- * --trace: attach a Tracer and a FlightRecorder for the whole run;
- *          an OS_CHECK failure dumps the last spans + metrics to
- *          OCEANSTORE_CHAOS_DUMP_DIR for tracecat.
+ * --trace: attach a Tracer and a FlightScope for the whole run;
+ *          an OS_CHECK failure dumps the newest spans of the
+ *          tracer's buffer + metrics to OCEANSTORE_CHAOS_DUMP_DIR
+ *          for tracecat.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -33,7 +35,7 @@
 #include <vector>
 
 #include "core/universe.h"
-#include "obs/flight_recorder.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 #include "runtime/stats.h"
 
@@ -137,13 +139,11 @@ main(int argc, char **argv)
     // spans and timers are captured too.  Both are optional: with
     // neither flag the serve path pays one null check per hook.
     Tracer tracer;
-    FlightRecorder recorder;
     std::unique_ptr<TraceScope> traceScope;
     std::unique_ptr<FlightScope> flightScope;
     if (traceMode) {
         traceScope = std::make_unique<TraceScope>(tracer);
-        flightScope = std::make_unique<FlightScope>(recorder, tracer,
-                                                    "oscluster");
+        flightScope = std::make_unique<FlightScope>(tracer, "oscluster");
     }
 
     Universe universe(cfg);
@@ -185,10 +185,10 @@ main(int argc, char **argv)
     if (statsMode)
         std::printf("[status] %s\n", universe.statusReport().c_str());
     if (traceMode)
-        std::printf("[trace] %zu spans recorded, flight ring holds "
-                    "%zu of last %zu\n",
-                    tracer.buffer().size(), recorder.snapshot().size(),
-                    recorder.capacity());
+        std::printf("[trace] %zu spans recorded, a flight dump holds "
+                    "the newest %zu\n",
+                    tracer.buffer().size(),
+                    std::min(tracer.buffer().size(), kFlightDumpSpans));
 
     unsigned committed = 0, verified = 0, failures = 0;
     for (unsigned c = 0; c < clients; c++) {

@@ -135,6 +135,18 @@ committedIdAt(const DataObject &obj, VersionNum v)
                : Guid();
 }
 
+/** Append to @p out every committed update in @p obj's log above
+ *  version @p above, in log order. */
+void
+appendCommittedAbove(const DataObject &obj, VersionNum above,
+                     std::vector<CommittedRecord> &out)
+{
+    for (const auto &e : obj.log()) {
+        if (e.committed && e.versionAfter > above)
+            out.push_back({obj.guid(), e.versionAfter, e.update});
+    }
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -490,12 +502,7 @@ SecondaryReplica::onFetch(const Message &msg)
     if (!h)
         return;
     UpdatesBody reply;
-    for (const auto &e : h->state->log()) {
-        if (e.committed && e.versionAfter > body.fromVersion) {
-            reply.committed.push_back(
-                {body.object, e.versionAfter, e.update});
-        }
-    }
+    appendCommittedAbove(*h->state, body.fromVersion, reply.committed);
     if (reply.committed.empty())
         return;
     tier_.rt().send(nodeId_, msg.src,
@@ -583,13 +590,9 @@ SecondaryReplica::onDigest(const Message &msg)
                 out.tentative.push_back(u);
         }
         forEachHeld([&](const DataObject &obj) {
-            const Guid &g = obj.guid();
-            auto it = d.committed.find(g);
+            auto it = d.committed.find(obj.guid());
             VersionNum theirs = it == d.committed.end() ? 0 : it->second;
-            for (const auto &e : obj.log()) {
-                if (e.committed && e.versionAfter > theirs)
-                    out.committed.push_back({g, e.versionAfter, e.update});
-            }
+            appendCommittedAbove(obj, theirs, out.committed);
         });
         if (!out.tentative.empty() || !out.committed.empty()) {
             tier_.rt().send(nodeId_, d.from,
@@ -610,13 +613,8 @@ SecondaryReplica::onPull(const Message &msg)
             out.tentative.push_back(it->second);
     }
     for (const auto &[g, from] : pull.fromVersions) {
-        const Held *h = find(g);
-        if (!h)
-            continue;
-        for (const auto &e : h->state->log()) {
-            if (e.committed && e.versionAfter > from)
-                out.committed.push_back({g, e.versionAfter, e.update});
-        }
+        if (const Held *h = find(g))
+            appendCommittedAbove(*h->state, from, out.committed);
     }
     if (!out.tentative.empty() || !out.committed.empty()) {
         tier_.rt().send(nodeId_, msg.src,

@@ -134,7 +134,6 @@ Universe::assemble()
     //    and mesh node — plus one per primary replica, each with a
     //    node-mixed fault seed so crashes damage disks independently
     //    but deterministically.
-    hostedBy_.resize(cfg_.numServers);
     serverStorage_.reserve(cfg_.numServers);
     for (std::size_t i = 0; i < cfg_.numServers; i++) {
         StorageSetup setup = cfg_.storage;
@@ -381,7 +380,6 @@ Universe::addHost(const Guid &obj, std::size_t idx)
     rt_->execute([&]() {
         if (!hosts_[obj].insert(idx).second)
             return;
-        hostedBy_[idx].insert(obj);
         bloom_->addObject(static_cast<NodeId>(idx), obj);
         mesh_->publish(obj, tier_->replica(idx).nodeId());
     });
@@ -394,7 +392,6 @@ Universe::removeHost(const Guid &obj, std::size_t idx)
         auto hit = hosts_.find(obj);
         if (hit == hosts_.end() || !hit->second.erase(idx))
             return;
-        hostedBy_[idx].erase(obj);
         bloom_->removeObject(static_cast<NodeId>(idx), obj);
         mesh_->unpublish(obj, tier_->replica(idx).nodeId());
     });
@@ -862,17 +859,12 @@ Universe::restartServer(std::size_t idx)
         NodeId tnode = tier_->replica(idx).nodeId();
         rt_->setUp(tnode);
         rt_->setUp(archive_->server(idx).nodeId());
+        // Reloads the pointers this node stores on behalf of others,
+        // then republishes its own floating replicas.
         std::size_t ptrs = mesh_->restoreNode(tnode);
-        // Pointers TO this node's floating replicas were purged from the
-        // rest of the mesh while it was down; re-deposit them, in Guid
-        // order.  (The restoreNode call above only reloads pointers this
-        // node stores on behalf of others.)
-        for (const Guid &obj : hostedBy_[idx])
-            mesh_->publish(obj, tnode);
         logInfo("universe: server ", idx, " restarted (",
                 serverStorage_[idx]->lastRecovery().liveKeys,
-                " live records, ", ptrs, " stored pointers, ",
-                hostedBy_[idx].size(), " republished objects)");
+                " live records, ", ptrs, " stored pointers)");
     });
 }
 

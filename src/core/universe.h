@@ -411,9 +411,6 @@ class Universe : public NodeLifecycle
 
     /** Floating-replica placement: object -> hosting server indices. */
     std::map<Guid, std::set<std::size_t>> hosts_;
-    /** The same placement by server: what each server hosts, in Guid
-     *  order (a restart republishes it without scanning hosts_). */
-    std::vector<std::set<Guid>> hostedBy_;
 
     /** Archival snapshots per object, per version. */
     std::map<Guid, std::map<VersionNum, Guid>> archives_;

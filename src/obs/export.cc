@@ -1,8 +1,13 @@
 #include "obs/export.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <utility>
+
+#include "obs/metrics.h"
 
 namespace oceanstore {
 
@@ -146,6 +151,66 @@ dumpChromeTrace(const Tracer &tracer, const std::string &path)
         return false;
     writeChromeTrace(tracer, out);
     return static_cast<bool>(out);
+}
+
+bool
+dumpFlight(const Tracer &tracer, const std::string &dir,
+           const std::string &label)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    std::string base = dir + "/" + label + ".flight";
+
+    std::vector<SpanRecord> spans = tracer.buffer().tail(kFlightDumpSpans);
+    bool ok = true;
+    {
+        std::ofstream out(base + ".trace.jsonl");
+        if (!out)
+            return false;
+        // Span ids are append positions, so the newest one counts
+        // every span recorded so far.
+        out << "{\"meta\": \"flight\", \"clock\": \"wall\""
+            << ", \"spans\": " << spans.size() << ", \"recorded\": "
+            << (spans.empty() ? 0 : spans.back().spanId) << "}\n";
+        writeSpansJsonl(tracer, spans, out);
+        ok = static_cast<bool>(out) && ok;
+    }
+    {
+        std::ofstream out(base + ".metrics.json");
+        if (!out)
+            return false;
+        MetricsRegistry::global().snapshot().writeJson(out);
+        ok = static_cast<bool>(out) && ok;
+    }
+    static const MetricsRegistry::Id flight_dumps =
+        MetricsRegistry::global().counter("obs.flight_dumps");
+    MetricsRegistry::global().inc(flight_dumps);
+    return ok;
+}
+
+FlightScope::FlightScope(const Tracer &tracer, std::string label)
+    : tracer_(tracer), label_(std::move(label)),
+      prevHook_(checkFailureHook()), prevHookArg_(checkFailureHookArg())
+{
+    const char *env = std::getenv("OCEANSTORE_CHAOS_DUMP_DIR");
+    dir_ = env && *env ? env : ".";
+    setCheckFailureHook(&FlightScope::onCheckFailure, this);
+}
+
+FlightScope::~FlightScope()
+{
+    setCheckFailureHook(prevHook_, prevHookArg_);
+}
+
+void
+FlightScope::onCheckFailure(void *arg)
+{
+    const FlightScope *self = static_cast<const FlightScope *>(arg);
+    bool ok = dumpFlight(self->tracer_, self->dir_, self->label_);
+    std::fprintf(stderr, "flight dump: %s %s/%s.flight.* (%zu spans "
+                 "recorded)\n",
+                 ok ? "wrote" : "FAILED to write", self->dir_.c_str(),
+                 self->label_.c_str(), self->tracer_.buffer().size());
 }
 
 } // namespace oceanstore

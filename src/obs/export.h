@@ -15,6 +15,12 @@
  *    for a visual timeline; sim-seconds are mapped to microseconds,
  *    traces to pids and nodes to tids.
  *
+ * Plus the black box for the threaded deployment mode: when an
+ * OS_CHECK fails in a live cluster there is no deterministic seed to
+ * re-run under tracing (the chaos suite's trick), so a FlightScope
+ * hooks check failures to dump the newest spans of the Tracer's own
+ * buffer and a metrics snapshot just before the process aborts.
+ *
  * These are the only files under src/ permitted to perform ad-hoc
  * output (the lint `adhoc-print` rule exempts obs/export*); all other
  * code reports through the logger, metrics or spans.
@@ -23,11 +29,13 @@
 #ifndef OCEANSTORE_OBS_EXPORT_H
 #define OCEANSTORE_OBS_EXPORT_H
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/trace.h"
+#include "util/check.h"
 
 namespace oceanstore {
 
@@ -35,7 +43,7 @@ namespace oceanstore {
 void writeSpansJsonl(const Tracer &tracer, std::ostream &out);
 
 /**
- * Write an explicit span list (e.g. a flight-recorder snapshot) as
+ * Write an explicit span list (e.g. a flight dump's tail) as
  * JSONL, resolving interned strings through @p tracer.  Same line
  * format as writeSpansJsonl(tracer, out).
  */
@@ -52,6 +60,49 @@ bool dumpSpansJsonl(const Tracer &tracer, const std::string &path);
 
 /** writeChromeTrace to a file; false on I/O failure. */
 bool dumpChromeTrace(const Tracer &tracer, const std::string &path);
+
+/** Spans a flight dump holds: the newest ones in the Tracer's buffer. */
+inline constexpr std::size_t kFlightDumpSpans = 4096;
+
+/**
+ * Write a flight dump: the newest kFlightDumpSpans spans of @p
+ * tracer's buffer (JSONL, preceded by one `{"meta": "flight", ...}`
+ * line announcing the wall clock and the spans recorded in all) to
+ * `<dir>/<label>.flight.trace.jsonl`, and a MetricsRegistry::global()
+ * snapshot to `<dir>/<label>.flight.metrics.json`.  @return false on
+ * I/O failure.
+ */
+bool dumpFlight(const Tracer &tracer, const std::string &dir,
+                const std::string &label);
+
+/**
+ * RAII black box: hooks OS_CHECK failures to dumpFlight(@p tracer,
+ * dir, @p label), where dir is OCEANSTORE_CHAOS_DUMP_DIR (falling back
+ * to the working directory).  Restores the previous hook on
+ * destruction.
+ */
+class FlightScope
+{
+  public:
+    FlightScope(const Tracer &tracer, std::string label);
+    ~FlightScope();
+
+    FlightScope(const FlightScope &) = delete;
+    FlightScope &operator=(const FlightScope &) = delete;
+
+    /** The directory the failure hook will dump into (resolved from
+     *  the environment at construction). */
+    const std::string &dumpDir() const { return dir_; }
+
+  private:
+    static void onCheckFailure(void *arg);
+
+    const Tracer &tracer_;
+    std::string label_;
+    std::string dir_;
+    CheckFailureHook prevHook_;
+    void *prevHookArg_;
+};
 
 } // namespace oceanstore
 

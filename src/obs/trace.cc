@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -48,6 +47,16 @@ TraceBuffer::snapshot() const
     return records_;
 }
 
+std::vector<SpanRecord>
+TraceBuffer::tail(std::size_t n) const
+{
+    MutexLock lock(mu_);
+    std::size_t from = records_.size() > n ? records_.size() - n : 0;
+    return std::vector<SpanRecord>(
+        records_.begin() + static_cast<std::ptrdiff_t>(from),
+        records_.end());
+}
+
 std::size_t
 TraceBuffer::size() const
 {
@@ -77,8 +86,8 @@ TraceBuffer::internLocked(std::string_view s)
 const std::string &
 TraceBuffer::internedString(std::uint32_t id) const
 {
-    // Check outside the lock so an OS_CHECK failure (whose flight-
-    // recorder dump hook re-enters this function) cannot deadlock.
+    // Check outside the lock so an OS_CHECK failure (whose
+    // FlightScope dump hook re-enters this function) cannot deadlock.
     std::size_t n;
     {
         MutexLock lock(mu_);
@@ -152,8 +161,6 @@ Tracer::newSpan(std::string_view component, std::string_view name,
     static const MetricsRegistry::Id spans_recorded =
         MetricsRegistry::global().counter("obs.spans_recorded");
     MetricsRegistry::global().inc(spans_recorded);
-    if (FlightRecorder *fr = FlightRecorder::active())
-        fr->record(rec);
     return rec;
 }
 

@@ -113,6 +113,9 @@ struct SpanRecord
  * shares the lock, so appending a span (both names interned) locks
  * once.  clear() keeps the vector's capacity, so repeated scenario
  * runs (chaos seeds, bench repeats) reuse the allocation.
+ *
+ * No OS_CHECK runs while the lock is held: FlightScope's check-failure
+ * hook takes it to dump the buffer's tail.
  */
 class TraceBuffer
 {
@@ -133,6 +136,10 @@ class TraceBuffer
 
     /** Copy of every span in id order (== append order). */
     std::vector<SpanRecord> snapshot() const OS_EXCLUDES(mu_);
+
+    /** Copy of the newest @p n spans (all of them when fewer), in id
+     *  order. */
+    std::vector<SpanRecord> tail(std::size_t n) const OS_EXCLUDES(mu_);
 
     std::size_t size() const OS_EXCLUDES(mu_);
 

@@ -391,12 +391,13 @@ PlaxtonMesh::removeNode(NodeId n)
 {
     std::size_t idx = indexOf(n);
     states_[idx].alive = false;
-    // A removed server loses its soft state: deposited pointers and
-    // its own publications (its replicas are gone).  The durable
-    // "ptr/" records on its own disk are deliberately left alone —
-    // restoreNode() reloads them after a crash/restart cycle.
+    // A removed server loses its soft state: the pointers deposited
+    // on it.  What it stores survives a crash (its replicas and log
+    // are on disk), so its publications stay in published_ — repair()
+    // skips it while it is down and restoreNode() re-deposits them.
+    // The durable "ptr/" records on its own disk are likewise left
+    // alone for restoreNode() to reload.
     states_[idx].pointers.clear();
-    published_.erase(n);
 }
 
 std::size_t
@@ -423,6 +424,14 @@ PlaxtonMesh::restoreNode(NodeId n)
             st.pointers[parsed->first].insert(parsed->second);
             reloaded++;
         });
+    }
+
+    // Pointers TO this node's objects were purged from the rest of
+    // the mesh while it was down; re-deposit them, in Guid order.
+    auto it = published_.find(n);
+    if (it != published_.end()) {
+        for (const Guid &g : it->second)
+            publish(g, n);
     }
     return reloaded;
 }
@@ -463,8 +472,7 @@ PlaxtonMesh::repair()
     }
     // 3. Every alive storer slowly repeats the publishing process
     //    (Section 4.3.3), restoring pointers on the repaired mesh.
-    auto snapshot = published_;
-    for (const auto &[storer, objs] : snapshot) {
+    for (const auto &[storer, objs] : published_) {
         if (!alive(storer))
             continue;
         for (const Guid &g : objs) {

@@ -138,8 +138,9 @@ class PlaxtonMesh
     void insertNode(NodeId n, const Guid &id);
 
     /**
-     * Remove a node (crash or decommission).  Its pointers vanish;
-     * other nodes repair table entries from backups.
+     * Remove a node (crash or decommission).  The pointers deposited
+     * on it vanish; other nodes repair table entries from backups.
+     * Its own publications are kept for restoreNode().
      */
     void removeNode(NodeId n);
 
@@ -150,7 +151,9 @@ class PlaxtonMesh
      * "ptr/" storage namespace (see attachStorage).  Stale entries —
      * pointers to storers that died while this node was down — are
      * filtered at locate time and purged by the next repair sweep,
-     * exactly like ordinary soft-state decay.
+     * exactly like ordinary soft-state decay.  Finally re-deposits
+     * the pointers to every object @p n publishes, in Guid order
+     * (the rest of the mesh purged them while it was down).
      * @return pointers reloaded from storage.
      */
     std::size_t restoreNode(NodeId n);

@@ -27,9 +27,9 @@ namespace oceanstore {
 /**
  * Last-gasp diagnostics hook: called (at most once, with the
  * registered argument) after a failed check prints its diagnostic
- * and before the process aborts.  The flight recorder uses this to
- * dump recent spans + a metrics snapshot from a crashing threaded
- * deployment.  The hook is consumed on first failure — a check
+ * and before the process aborts.  FlightScope (obs/export.h) uses
+ * this to dump the newest spans + a metrics snapshot from a crashing
+ * threaded deployment.  The hook is consumed on first failure — a check
  * failing *inside* the hook falls straight through to abort, so the
  * hook may safely call checked code.
  */

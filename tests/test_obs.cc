@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -23,7 +24,6 @@
 
 #include "core/universe.h"
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -439,57 +439,155 @@ TEST(Profiler, AttributesEventsAndSortsStats)
 }
 
 // ---------------------------------------------------------------------
-// FlightRecorder
+// Flight dumps (FlightScope)
 // ---------------------------------------------------------------------
 
-TEST(FlightRecorder, RingKeepsRecentSpansAndCountsLapped)
+/** A flight dump read back: its meta line and its span lines. */
+struct FlightDump
+{
+    std::string meta;
+    std::vector<std::string> spans;
+};
+
+FlightDump
+readFlightDump(const std::string &dir, const std::string &label)
+{
+    FlightDump d;
+    std::ifstream in(dir + "/" + label + ".flight.trace.jsonl");
+    std::getline(in, d.meta);
+    for (std::string line; std::getline(in, line);)
+        d.spans.push_back(line);
+    return d;
+}
+
+/** The number after `"<key>": ` in one JSONL line (-1 if absent). */
+double
+jsonNumber(const std::string &line, const std::string &key)
+{
+    std::size_t at = line.find("\"" + key + "\": ");
+    if (at == std::string::npos)
+        return -1.0;
+    return std::stod(line.substr(at + key.size() + 4));
+}
+
+TEST(FlightScope, HooksCheckFailuresAndRestoresPreviousHook)
 {
     Tracer tracer;
-    FlightRecorder rec(8);
+    CheckFailureHook before = checkFailureHook();
+    {
+        FlightScope fs(tracer, "unit");
+        EXPECT_NE(checkFailureHook(), before);
+        EXPECT_EQ(checkFailureHookArg(), &fs);
+    }
+    EXPECT_EQ(checkFailureHook(), before);
+}
+
+TEST(FlightScope, DumpHoldsTheNewestSpansInIdOrder)
+{
+    constexpr int kSpans = 5000;
+    Tracer tracer;
     {
         TraceScope ts(tracer);
-        FlightScope fs(rec, tracer, "unit");
-        EXPECT_EQ(FlightRecorder::active(), &rec);
-        for (int i = 0; i < 20; i++) {
+        FlightScope fs(tracer, "unit");
+        for (int i = 0; i < kSpans; i++) {
             std::uint32_t s = tracer.beginLocalSpan(
                 "test", "op" + std::to_string(i), i * 1.0);
             tracer.endLocalSpan(s, i * 1.0);
         }
     }
-    EXPECT_EQ(FlightRecorder::active(), nullptr);
-    EXPECT_EQ(rec.recorded(), 20u);
-    auto spans = rec.snapshot();
-    ASSERT_EQ(spans.size(), 8u);
-    // The ring holds the *last* capacity spans, sorted by span id.
-    for (std::size_t i = 1; i < spans.size(); i++)
-        EXPECT_LT(spans[i - 1].spanId, spans[i].spanId);
-    EXPECT_EQ(spans.back().spanId, 20u);
-    rec.clear();
-    EXPECT_TRUE(rec.snapshot().empty());
-    EXPECT_EQ(rec.recorded(), 0u);
+    std::string dir = ::testing::TempDir() + "flight_tail_test";
+    ASSERT_TRUE(dumpFlight(tracer, dir, "tail"));
+
+    // The dump holds spans 905..5000: the newest kFlightDumpSpans.
+    FlightDump d = readFlightDump(dir, "tail");
+    EXPECT_EQ(jsonNumber(d.meta, "spans"), 4096.0);
+    EXPECT_EQ(jsonNumber(d.meta, "recorded"), static_cast<double>(kSpans));
+    ASSERT_EQ(d.spans.size(), kFlightDumpSpans);
+    for (std::size_t i = 0; i < d.spans.size(); i++)
+        ASSERT_EQ(jsonNumber(d.spans[i], "span"),
+                  static_cast<double>(kSpans - kFlightDumpSpans + 1 + i));
+    EXPECT_NE(d.spans.front().find("\"name\": \"op904\""),
+              std::string::npos);
+    EXPECT_NE(d.spans.back().find("\"name\": \"op4999\""),
+              std::string::npos);
 }
 
-TEST(FlightRecorder, DumpWritesTraceAndMetricsFiles)
+TEST(FlightScope, DumpShowsFinalSpanEnds)
 {
     Tracer tracer;
-    FlightRecorder rec(16);
     {
         TraceScope ts(tracer);
-        FlightScope fs(rec, tracer, "unit");
+        FlightScope fs(tracer, "unit");
+        std::uint32_t local = tracer.beginLocalSpan("test", "op", 1.0);
+        TraceContext mc = tracer.messageSpan(
+            "test.fanout", 0, 3, 64, 1.0, 2.0, SpanKind::Multicast,
+            SpanStatus::Ok);
+        tracer.setSpanEnd(mc.spanId, 2.25);
+        tracer.endLocalSpan(local, 3.5);
+    }
+    std::string dir = ::testing::TempDir() + "flight_ends_test";
+    ASSERT_TRUE(dumpFlight(tracer, dir, "ends"));
+
+    // A dump reads the one span store, so it sees every end time
+    // stamped after the span was opened.
+    FlightDump d = readFlightDump(dir, "ends");
+    ASSERT_EQ(d.spans.size(), 2u);
+    EXPECT_NE(d.spans[0].find("\"name\": \"op\""), std::string::npos);
+    EXPECT_EQ(jsonNumber(d.spans[0], "end"), 3.5);
+    EXPECT_NE(d.spans[1].find("\"kind\": \"multicast\""),
+              std::string::npos);
+    EXPECT_EQ(jsonNumber(d.spans[1], "end"), 2.25);
+}
+
+TEST(FlightScope, DumpAfterClearHoldsOnlyNewSpans)
+{
+    Tracer tracer;
+    std::string dir = ::testing::TempDir() + "flight_clear_test";
+    {
+        TraceScope ts(tracer);
+        FlightScope fs(tracer, "unit");
+        for (int i = 0; i < 3; i++) {
+            std::uint32_t s = tracer.beginLocalSpan(
+                "before", "old" + std::to_string(i), i * 1.0);
+            tracer.endLocalSpan(s, i * 1.0);
+        }
+        tracer.clear();
+        std::uint32_t s = tracer.beginLocalSpan("after", "new", 5.0);
+        tracer.endLocalSpan(s, 6.0);
+        ASSERT_TRUE(dumpFlight(tracer, dir, "clear"));
+    }
+
+    // Span ids and intern ids restarted at the clear; every name in
+    // the dump resolves against the reset table.
+    FlightDump d = readFlightDump(dir, "clear");
+    EXPECT_EQ(jsonNumber(d.meta, "recorded"), 1.0);
+    ASSERT_EQ(d.spans.size(), 1u);
+    EXPECT_EQ(jsonNumber(d.spans[0], "span"), 1.0);
+    EXPECT_NE(d.spans[0].find("\"component\": \"after\""),
+              std::string::npos);
+    EXPECT_NE(d.spans[0].find("\"name\": \"new\""), std::string::npos);
+    EXPECT_EQ(jsonNumber(d.spans[0], "end"), 6.0);
+}
+
+TEST(FlightScope, DumpWritesTraceAndMetricsFiles)
+{
+    Tracer tracer;
+    {
+        TraceScope ts(tracer);
+        FlightScope fs(tracer, "unit");
         std::uint32_t s = tracer.beginLocalSpan("test", "op", 1.0);
         tracer.endLocalSpan(s, 2.0);
     }
     std::string dir = ::testing::TempDir() + "flight_dump_test";
-    ASSERT_TRUE(rec.dump(dir, "unit", tracer));
+    ASSERT_TRUE(dumpFlight(tracer, dir, "unit"));
 
-    std::ifstream trace(dir + "/unit.flight.trace.jsonl");
-    ASSERT_TRUE(trace.good());
-    std::string meta, span;
-    std::getline(trace, meta);
-    std::getline(trace, span);
-    EXPECT_NE(meta.find("\"meta\": \"flight\""), std::string::npos);
-    EXPECT_NE(meta.find("\"clock\": \"wall\""), std::string::npos);
-    EXPECT_NE(span.find("\"name\": \"op\""), std::string::npos);
+    FlightDump d = readFlightDump(dir, "unit");
+    EXPECT_NE(d.meta.find("\"meta\": \"flight\""), std::string::npos);
+    EXPECT_NE(d.meta.find("\"clock\": \"wall\""), std::string::npos);
+    EXPECT_EQ(jsonNumber(d.meta, "spans"), 1.0);
+    EXPECT_EQ(jsonNumber(d.meta, "recorded"), 1.0);
+    ASSERT_EQ(d.spans.size(), 1u);
+    EXPECT_NE(d.spans[0].find("\"name\": \"op\""), std::string::npos);
 
     std::ifstream metrics(dir + "/unit.flight.metrics.json");
     ASSERT_TRUE(metrics.good());
@@ -498,9 +596,9 @@ TEST(FlightRecorder, DumpWritesTraceAndMetricsFiles)
     EXPECT_NE(all.find("\"counters\""), std::string::npos);
 }
 
-using FlightRecorderDeathTest = ::testing::Test;
+using FlightScopeDeathTest = ::testing::Test;
 
-TEST(FlightRecorderDeathTest, CheckFailureDumpsBlackBox)
+TEST(FlightScopeDeathTest, CheckFailureDumpsBlackBox)
 {
     // The death statement runs in a forked child: the FlightScope
     // installed there wires the check-failure hook, the OS_CHECK
@@ -513,8 +611,7 @@ TEST(FlightRecorderDeathTest, CheckFailureDumpsBlackBox)
         {
             Tracer tracer;
             TraceScope ts(tracer);
-            FlightRecorder rec(64);
-            FlightScope fs(rec, tracer, "blackbox");
+            FlightScope fs(tracer, "blackbox");
             std::uint32_t s =
                 tracer.beginLocalSpan("test", "doomed", 1.0);
             tracer.endLocalSpan(s, 1.5);
@@ -523,35 +620,34 @@ TEST(FlightRecorderDeathTest, CheckFailureDumpsBlackBox)
         "flight-dump self-test failure");
     ::unsetenv("OCEANSTORE_CHAOS_DUMP_DIR");
 
-    std::ifstream in(dir + "/blackbox.flight.trace.jsonl");
-    ASSERT_TRUE(in.good())
+    FlightDump d = readFlightDump(dir, "blackbox");
+    ASSERT_FALSE(d.meta.empty())
         << "check-failure hook did not write the flight dump";
-    std::string meta;
-    std::getline(in, meta);
-    EXPECT_NE(meta.find("\"meta\": \"flight\""), std::string::npos);
-    std::string rest((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(rest.find("\"name\": \"doomed\""), std::string::npos);
+    EXPECT_NE(d.meta.find("\"meta\": \"flight\""), std::string::npos);
+    ASSERT_EQ(d.spans.size(), 1u);
+    EXPECT_NE(d.spans[0].find("\"name\": \"doomed\""), std::string::npos);
+    EXPECT_EQ(jsonNumber(d.spans[0], "end"), 1.5);
 }
 
 // ---------------------------------------------------------------------
 // Thread-safety of the obs hot paths (meaningful under TSan)
 // ---------------------------------------------------------------------
 
-TEST(ObsConcurrency, SpansMetricsAndFlightRingFromManyThreads)
+TEST(ObsConcurrency, SpansMetricsAndFlightDumpsFromManyThreads)
 {
     Tracer tracer;
-    FlightRecorder rec(256);
     MetricsRegistry reg;
     auto counter = reg.counter("t.conc.count");
     auto gauge = reg.gauge("t.conc.level");
     auto hist = reg.histogram("t.conc.lat", 0.0, 1.0, 10);
+    std::string dir = ::testing::TempDir() + "flight_conc_test";
 
     constexpr int kThreads = 4;
     constexpr int kSpansPerThread = 500;
     {
         TraceScope ts(tracer);
-        FlightScope fs(rec, tracer, "conc");
+        FlightScope fs(tracer, "conc");
+        std::atomic<int> done{0};
         std::vector<std::thread> pool;
         for (int t = 0; t < kThreads; t++) {
             pool.emplace_back([&, t] {
@@ -565,10 +661,16 @@ TEST(ObsConcurrency, SpansMetricsAndFlightRingFromManyThreads)
                     reg.set(gauge, static_cast<double>(i));
                     reg.observe(hist, (i % 10) * 0.1);
                 }
+                done.fetch_add(1);
             });
         }
+        // The dump path reads the span store while it is written.
+        bool dumped = true;
+        while (done.load() < kThreads)
+            dumped = dumpFlight(tracer, dir, "conc") && dumped;
         for (auto &th : pool)
             th.join();
+        EXPECT_TRUE(dumped);
     }
 
     // Every span was appended exactly once, and the snapshot carries
@@ -580,10 +682,13 @@ TEST(ObsConcurrency, SpansMetricsAndFlightRingFromManyThreads)
         EXPECT_EQ(spans[i].spanId, static_cast<std::uint32_t>(i + 1));
     EXPECT_EQ(reg.counterValue("t.conc.count"),
               static_cast<std::uint64_t>(kThreads * kSpansPerThread));
-    EXPECT_EQ(rec.recorded(),
-              static_cast<std::uint64_t>(kThreads * kSpansPerThread));
     EXPECT_EQ(reg.snapshot().histograms.at("t.conc.lat").total,
               static_cast<std::uint64_t>(kThreads * kSpansPerThread));
+    ASSERT_TRUE(dumpFlight(tracer, dir, "conc"));
+    FlightDump d = readFlightDump(dir, "conc");
+    EXPECT_EQ(d.spans.size(), spans.size());
+    EXPECT_EQ(jsonNumber(d.meta, "recorded"),
+              static_cast<double>(spans.size()));
 }
 
 // ---------------------------------------------------------------------

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -27,7 +28,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "obs/flight_recorder.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 #include "runtime/framing.h"
 #include "runtime/runtime.h"
@@ -576,7 +577,6 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
     constexpr int kSendsPerClient = 50;
 
     Tracer tracer;
-    FlightRecorder recorder(1024);
     std::vector<Sink> sinks(kClients);
     Simulator sim;
     Network net(sim, loopbackNetwork);
@@ -587,7 +587,7 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
 
     {
         TraceScope ts(tracer);
-        FlightScope fs(recorder, tracer, "traced_smoke");
+        FlightScope fs(tracer, "traced_smoke");
         std::atomic<int> done{0};
         std::vector<std::thread> clients;
         for (int c = 0; c < kClients; c++) {
@@ -622,14 +622,16 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
     rt.shutdown();
 
     // Client threads and the loop share one span store: every span id
-    // present exactly once, in order, and the flight ring saw every
-    // one of them.
+    // present exactly once, in order, and a flight dump's tail is its
+    // newest spans.
     auto spans = tracer.buffer().snapshot();
     EXPECT_GE(spans.size(), static_cast<std::size_t>(
                                 kClients * kSendsPerClient));
     for (std::size_t i = 0; i < spans.size(); i++)
         EXPECT_EQ(spans[i].spanId, static_cast<std::uint32_t>(i + 1));
-    EXPECT_EQ(recorder.recorded(), spans.size());
+    auto tail = tracer.buffer().tail(kFlightDumpSpans);
+    ASSERT_EQ(tail.size(), std::min(spans.size(), kFlightDumpSpans));
+    EXPECT_EQ(tail.back().spanId, spans.back().spanId);
 
     RuntimeStats fin = rt.stats();
     EXPECT_EQ(fin.linkQueuedMessages, 0u);

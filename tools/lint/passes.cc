@@ -313,10 +313,13 @@ passHeaderGuard(const PassContext &ctx, std::vector<Finding> &out)
 void
 passAdhocPrint(const PassContext &ctx, std::vector<Finding> &out)
 {
-    static const std::regex print_re(R"(\bprintf\s*\(|\bcout\b)");
+    static const std::regex print_re(
+        R"(\bf?printf\s*\(|\b(cout|cerr|clog)\b)");
     for (const auto &f : *ctx.files) {
-        // The exporters are the one sanctioned serialization point.
-        if (f.rel.find("obs/export") != std::string::npos)
+        // The exporters are the one sanctioned serialization point;
+        // the logger and the check reporter are the stderr channel.
+        if (f.rel.find("obs/export") != std::string::npos ||
+            f.rel == "util/logging.cc" || f.rel == "util/check.cc")
             continue;
         for (auto it = std::sregex_iterator(f.code.begin(),
                                             f.code.end(), print_re);

@@ -11,7 +11,8 @@ chatty(int n)
 {
     std::printf("n=%d\n", n); // EXPECT-LINT: adhoc-print
     std::cout << n << "\n"; // EXPECT-LINT: adhoc-print
-    std::fprintf(stderr, "diagnostic: %d\n", n); // fprintf is legal
+    std::fprintf(stderr, "diagnostic: %d\n", n); // EXPECT-LINT: adhoc-print
+    std::cerr << n << "\n"; // EXPECT-LINT: adhoc-print
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%d", n); // snprintf is legal
     (void)buf;

@@ -104,13 +104,12 @@ parseLine(const std::string &line, Span &s)
 struct Dump
 {
     std::vector<Span> spans;
-    /** From an optional `{"meta": ...}` header line (flight-recorder
-     *  dumps): what produced the file and which clock its times use
-     *  ("wall" for threaded runs, "sim" otherwise). */
+    /** From an optional `{"meta": ...}` header line (flight dumps):
+     *  what produced the file and which clock its times use ("wall"
+     *  for threaded runs, "sim" otherwise). */
     std::string metaKind;
     std::string metaClock;
     double metaRecorded = -1.0;
-    double metaLost = -1.0;
     std::map<std::uint32_t, std::size_t> bySpanId;
     /** Children of each span id (0 = trace roots), per trace. */
     std::map<std::uint64_t, std::map<std::uint32_t,
@@ -153,10 +152,6 @@ printSummary(const Dump &d)
             std::cout << ", " << static_cast<std::uint64_t>(
                                      d.metaRecorded)
                       << " recorded";
-        if (d.metaLost > 0)
-            std::cout << ", "
-                      << static_cast<std::uint64_t>(d.metaLost)
-                      << " lost to ring lapping";
         std::cout << "\n";
     }
     std::cout << "spans:   " << d.spans.size() << "\n"
@@ -360,7 +355,7 @@ main(int argc, char **argv)
     Dump dump;
     std::string line;
     while (std::getline(in, line)) {
-        // Flight-recorder dumps lead with a meta header describing
+        // Flight dumps lead with a meta header describing
         // the producer and clock domain; it carries no span fields,
         // so it must be recognized before the span parse skips it.
         if (dump.metaKind.empty() &&
@@ -368,7 +363,6 @@ main(int argc, char **argv)
             dump.metaKind = strField(line, "meta");
             dump.metaClock = strField(line, "clock");
             dump.metaRecorded = numField(line, "recorded", -1.0);
-            dump.metaLost = numField(line, "lost", -1.0);
             continue;
         }
         Span s;
