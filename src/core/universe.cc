@@ -324,11 +324,41 @@ Universe::syncGroupAcl(const ObjectHandle &handle, const KeyPair &owner,
     });
 }
 
+void
+Universe::drainAccesses()
+{
+    // Records overwritten before a drain are lost to the analyzers:
+    // they see at most the window's newest kAccessWindow reads.
+    std::uint64_t from = std::max<std::uint64_t>(
+        accessesFed_, accessCount_ - accesses_.size());
+    for (std::uint64_t i = from; i < accessCount_; i++) {
+        const Guid &obj = accesses_[i % kAccessWindow].obj;
+        semantic_.onAccess(obj);
+        prefetcher_.onAccess(obj);
+    }
+    accessesFed_ = accessCount_;
+}
+
+SemanticGraph &
+Universe::semanticGraph()
+{
+    rt_->execute([&]() { drainAccesses(); });
+    return semantic_;
+}
+
+Prefetcher &
+Universe::prefetcher()
+{
+    rt_->execute([&]() { drainAccesses(); });
+    return prefetcher_;
+}
+
 unsigned
 Universe::collocateClusters(double min_weight)
 {
     unsigned created = 0;
     rt_->execute([&]() {
+    drainAccesses();
     for (const auto &cluster : semantic_.clusters(min_weight)) {
         // Pick the server already hosting the most cluster members.
         std::map<std::size_t, unsigned> host_counts;
@@ -469,11 +499,6 @@ Universe::read(std::size_t from_server, const Guid &obj,
     }
     const NodeId originNode = tier_->replica(origin).nodeId();
 
-    // Introspection taps every access (Section 4.7.2).
-    semantic_.onAccess(obj);
-    prefetcher_.onAccess(obj);
-    readerLoad_[obj][origin]++;
-
     // Tier 1: probabilistic location (Section 4.3.2).
     auto bq = bloom_->query(static_cast<NodeId>(origin), obj);
     std::size_t holder = invalidNode;
@@ -529,12 +554,21 @@ Universe::read(std::size_t from_server, const Guid &obj,
         res.blocks = state.logicalContent();
         res.version = state.version();
         res.servedBy = holder;
-        accessLoad_[{obj, holder}]++;
         cm.reg->inc(res.viaBloom ? cm.readBloomHits : cm.readMeshHits);
     } else {
         cm.reg->inc(cm.readMisses);
     }
     res.latency = latency;
+
+    // Introspection's only work on the read path (Section 4.7.1): one
+    // fixed-size record in the access window.
+    AccessRecord rec{obj, static_cast<std::uint32_t>(origin),
+                     static_cast<std::uint32_t>(holder)};
+    if (accesses_.size() < kAccessWindow)
+        accesses_.push_back(rec);
+    else
+        accesses_[accessCount_ % kAccessWindow] = rec;
+    accessCount_++;
 
     rt_->schedule(latency, [res = std::move(res),
                             done = std::move(done)]() mutable {
@@ -726,14 +760,26 @@ Universe::runReplicaManagementEpoch()
 {
     std::vector<ReplicaAction> actions;
     rt_->execute([&]() {
+    drainAccesses();
+
+    // The epoch's loads, counted from the window: requests each
+    // replica served, and where each object's reads originated.
+    std::map<std::pair<Guid, std::size_t>, std::uint64_t> served;
+    std::map<Guid, std::map<std::size_t, std::uint64_t>> readers;
+    for (const AccessRecord &rec : accesses_) {
+        readers[rec.obj][rec.origin]++;
+        if (rec.holder != invalidNode)
+            served[{rec.obj, rec.holder}]++;
+    }
+
     std::vector<ReplicaLoad> loads;
     for (const auto &[obj, host_set] : hosts_) {
         for (std::size_t idx : host_set) {
             ReplicaLoad l;
             l.object = obj;
             l.host = tier_->replica(idx).nodeId();
-            auto ait = accessLoad_.find({obj, idx});
-            l.requests = ait == accessLoad_.end() ? 0 : ait->second;
+            auto sit = served.find({obj, idx});
+            l.requests = sit == served.end() ? 0 : sit->second;
             loads.push_back(l);
         }
     }
@@ -746,8 +792,8 @@ Universe::runReplicaManagementEpoch()
     std::map<NodeId, std::vector<NodeId>> candidates;
     for (const auto &l : loads) {
         NodeId anchor = l.host;
-        auto rit = readerLoad_.find(l.object);
-        if (rit != readerLoad_.end() && !rit->second.empty()) {
+        auto rit = readers.find(l.object);
+        if (rit != readers.end()) {
             std::size_t heaviest = rit->second.begin()->first;
             std::uint64_t best = 0;
             for (const auto &[reader, count] : rit->second) {
@@ -796,8 +842,9 @@ Universe::runReplicaManagementEpoch()
         else
             removeHost(a.object, idx);
     }
-    accessLoad_.clear();
-    readerLoad_.clear();
+    accesses_.clear();
+    accessCount_ = 0;
+    accessesFed_ = 0;
     });
     return actions;
 }

@@ -299,11 +299,22 @@ class Universe : public NodeLifecycle
 
     // --- introspection -----------------------------------------------------
 
-    /** The cluster-recognition graph fed by every read. */
-    SemanticGraph &semanticGraph() { return semantic_; }
+    /**
+     * Reads the access window keeps between replica-management
+     * epochs.  A fixed constant, not a config field: it bounds soft
+     * state, and nothing tunes it.
+     */
+    static constexpr std::size_t kAccessWindow = 4096;
 
-    /** The access-stream prefetcher fed by every read. */
-    Prefetcher &prefetcher() { return prefetcher_; }
+    /**
+     * The cluster-recognition graph, first fed (inside execute()) the
+     * reads in the access window it has not yet seen.  Only these
+     * drains write it, so the caller may read it until the next one.
+     */
+    SemanticGraph &semanticGraph();
+
+    /** The access-stream prefetcher, drained like semanticGraph(). */
+    Prefetcher &prefetcher();
 
     /**
      * Confidence estimation over the system's own optimizations
@@ -314,9 +325,10 @@ class Universe : public NodeLifecycle
     ConfidenceEstimator &confidence() { return confidence_; }
 
     /**
-     * Run one replica-management epoch over the access counters:
-     * create replicas near overloaded hosts, retire disused ones,
-     * then reset the counters.  @return enacted actions.
+     * Run one replica-management epoch over the access window: count
+     * each replica's requests and each object's readers, create
+     * replicas near overloaded hosts, retire disused ones, then clear
+     * the window.  @return enacted actions.
      */
     std::vector<ReplicaAction> runReplicaManagementEpoch();
 
@@ -368,6 +380,10 @@ class Universe : public NodeLifecycle
      *  invalidNode when @p node is no secondary replica. */
     std::size_t replicaIndexOf(NodeId node) const;
 
+    /** Feed the window's records the analyzers have not yet seen, in
+     *  read order, to semantic_ and prefetcher_ (loop thread only). */
+    void drainAccesses();
+
     UniverseConfig cfg_;
     Rng rng_;
     /** Both modes own a simulator + network, wrapped by one Runtime
@@ -415,14 +431,30 @@ class Universe : public NodeLifecycle
     /** Archival snapshots per object, per version. */
     std::map<Guid, std::map<VersionNum, Guid>> archives_;
 
+    /** One read as introspection sees it (Section 4.7.1: the small
+     *  local record an event handler writes). */
+    struct AccessRecord
+    {
+        Guid obj;
+        std::uint32_t origin = 0;           //!< Server the read started at.
+        std::uint32_t holder = invalidNode; //!< Server that served it, or
+                                            //!< invalidNode on a miss.
+    };
+
     /** Introspection state. */
     SemanticGraph semantic_;
     Prefetcher prefetcher_;
     ConfidenceEstimator confidence_;
     ReplicaManager replicaMgr_;
-    std::map<std::pair<Guid, std::size_t>, std::uint64_t> accessLoad_;
-    /** Where reads originate: object -> reader server -> count. */
-    std::map<Guid, std::map<std::size_t, std::uint64_t>> readerLoad_;
+    /**
+     * The access window: the last kAccessWindow reads since the last
+     * epoch.  Read i (counted from that epoch) sits at
+     * accesses_[i % kAccessWindow]; the vector grows to the cap, then
+     * each read overwrites the oldest record.
+     */
+    std::vector<AccessRecord> accesses_;
+    std::uint64_t accessCount_ = 0; //!< Reads since the last epoch.
+    std::uint64_t accessesFed_ = 0; //!< Of those, drained to analyzers.
 };
 
 } // namespace oceanstore

@@ -62,15 +62,6 @@ Prefetcher::predict() const
     return {};
 }
 
-std::size_t
-Prefetcher::contextsLearned() const
-{
-    std::size_t n = 0;
-    for (const auto &table : tables_)
-        n += table.size();
-    return n;
-}
-
 bool
 Prefetcher::wouldHaveHit(const Guid &obj) const
 {

@@ -46,9 +46,6 @@ class Prefetcher
      */
     std::vector<Guid> predict() const;
 
-    /** Number of contexts learned across all orders. */
-    std::size_t contextsLearned() const;
-
     /** Convenience: was @p obj among predict() just before access? */
     bool wouldHaveHit(const Guid &obj) const;
 

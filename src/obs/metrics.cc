@@ -28,65 +28,76 @@ MetricsRegistry::global()
     return instance;
 }
 
-MetricsRegistry::Id
+MetricsRegistry::Registration
 MetricsRegistry::registerMetricLocked(const std::string &name,
                                       Kind kind)
 {
     auto it = names_.find(name);
     if (it != names_.end()) {
-        OS_CHECK(it->second.first == kind,
-                 "metric '", name, "' re-registered as a different kind");
-        return it->second.second;
+        if (it->second.first != kind)
+            return {0, Registration::Fault::KindClash, false};
+        return {it->second.second, Registration::Fault::None, false};
     }
-    Id id = 0;
+    std::size_t *count = nullptr;
+    std::size_t cap = 0;
+    std::vector<const std::string *> *names = nullptr;
     switch (kind) {
     case Kind::Counter:
-        OS_CHECK(counterCount_ < kMaxCounters,
-                 "metrics: counter capacity exhausted registering '",
-                 name, "'");
-        id = static_cast<Id>(counterCount_++);
+        count = &counterCount_;
+        cap = kMaxCounters;
+        names = &counterNames_;
         break;
     case Kind::Gauge:
-        OS_CHECK(gaugeCount_ < kMaxGauges,
-                 "metrics: gauge capacity exhausted registering '",
-                 name, "'");
-        id = static_cast<Id>(gaugeCount_++);
+        count = &gaugeCount_;
+        cap = kMaxGauges;
+        names = &gaugeNames_;
         break;
     case Kind::Histogram:
-        OS_CHECK(histogramCount_ < kMaxHistograms,
-                 "metrics: histogram capacity exhausted registering '",
-                 name, "'");
-        id = static_cast<Id>(histogramCount_++);
+        count = &histogramCount_;
+        cap = kMaxHistograms;
+        names = &histogramNames_;
         break;
     }
+    if (*count >= cap)
+        return {0, Registration::Fault::Full, false};
+    Id id = static_cast<Id>((*count)++);
     auto ins = names_.emplace(name, std::make_pair(kind, id));
-    const std::string *key = &ins.first->first;
-    switch (kind) {
-    case Kind::Counter:
-        counterNames_.push_back(key);
-        break;
-    case Kind::Gauge:
-        gaugeNames_.push_back(key);
-        break;
-    case Kind::Histogram:
-        histogramNames_.push_back(key);
-        break;
-    }
-    return id;
+    names->push_back(&ins.first->first);
+    return {id, Registration::Fault::None, true};
+}
+
+MetricsRegistry::Id
+MetricsRegistry::checked(const Registration &r, const std::string &name)
+{
+    // Runs after mu_ is released: a failed check's hook (a flight
+    // dump) snapshots this registry, which takes mu_ again.
+    OS_CHECK(r.fault != Registration::Fault::KindClash, "metric '", name,
+             "' re-registered as a different kind");
+    OS_CHECK(r.fault != Registration::Fault::Full,
+             "metrics: capacity exhausted registering '", name, "'");
+    return r.id;
 }
 
 MetricsRegistry::Id
 MetricsRegistry::counter(const std::string &name)
 {
-    MutexLock lock(mu_);
-    return registerMetricLocked(name, Kind::Counter);
+    Registration r;
+    {
+        MutexLock lock(mu_);
+        r = registerMetricLocked(name, Kind::Counter);
+    }
+    return checked(r, name);
 }
 
 MetricsRegistry::Id
 MetricsRegistry::gauge(const std::string &name)
 {
-    MutexLock lock(mu_);
-    return registerMetricLocked(name, Kind::Gauge);
+    Registration r;
+    {
+        MutexLock lock(mu_);
+        r = registerMetricLocked(name, Kind::Gauge);
+    }
+    return checked(r, name);
 }
 
 MetricsRegistry::Id
@@ -95,20 +106,21 @@ MetricsRegistry::histogram(const std::string &name, double lo, double hi,
 {
     OS_CHECK(hi > lo && bins > 0, "histogram '", name,
              "': bad bucket range");
-    MutexLock lock(mu_);
-    auto it = names_.find(name);
-    bool fresh = it == names_.end();
-    Id id = registerMetricLocked(name, Kind::Histogram);
-    if (fresh) {
-        HistogramData &h = histograms_[id];
-        h.lo = lo;
-        h.hi = hi;
-        h.binWidth = (hi - lo) / static_cast<double>(bins);
-        h.binCount = bins + 2; // [underflow, buckets..., overflow]
-        h.bins = std::make_unique<std::atomic<std::uint64_t>[]>(
-            h.binCount);
+    Registration r;
+    {
+        MutexLock lock(mu_);
+        r = registerMetricLocked(name, Kind::Histogram);
+        if (r.fresh) {
+            HistogramData &h = histograms_[r.id];
+            h.lo = lo;
+            h.hi = hi;
+            h.binWidth = (hi - lo) / static_cast<double>(bins);
+            h.binCount = bins + 2; // [underflow, buckets..., overflow]
+            h.bins = std::make_unique<std::atomic<std::uint64_t>[]>(
+                h.binCount);
+        }
     }
-    return id;
+    return checked(r, name);
 }
 
 void

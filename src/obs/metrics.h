@@ -168,8 +168,21 @@ class MetricsRegistry
         std::atomic<double> sum{0.0};
     };
 
-    Id registerMetricLocked(const std::string &name, Kind kind)
+    /** What registering a name decided, under mu_; checked() turns
+     *  a fault into an OS_CHECK failure once mu_ is released. */
+    struct Registration
+    {
+        enum class Fault : std::uint8_t { None, KindClash, Full };
+        Id id = 0;
+        Fault fault = Fault::None;
+        bool fresh = false; //!< The name was new: id was just taken.
+    };
+
+    Registration registerMetricLocked(const std::string &name, Kind kind)
         OS_REQUIRES(mu_);
+
+    /** @return r.id; aborts on r's fault (call without mu_ held). */
+    static Id checked(const Registration &r, const std::string &name);
 
     /** Guards registration and the name maps; values are atomics and
      *  need no lock. */

@@ -1,9 +1,11 @@
 /** @file End-to-end universe tests: the full update/read paths. */
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -441,6 +443,186 @@ TEST_F(UniverseTest, IntrospectionObservesAccesses)
     auto preds = uni.prefetcher().predict();
     ASSERT_FALSE(preds.empty());
     EXPECT_EQ(preds[0], b.guid());
+}
+
+// ---------------------------------------------------------------------
+// The access window: reads append records, the accessors and the
+// replica-management epoch drain them.
+// ---------------------------------------------------------------------
+
+/** The replica actions in @p actions of kind @p kind for @p obj. */
+std::size_t
+countActions(const std::vector<ReplicaAction> &actions,
+             ReplicaAction::Kind kind, const Guid &obj)
+{
+    return static_cast<std::size_t>(
+        std::count_if(actions.begin(), actions.end(),
+                       [&](const ReplicaAction &a) {
+                           return a.kind == kind && a.object == obj;
+                       }));
+}
+
+TEST(AccessWindow, DrainsBetweenReadsMatchOneDrainAtTheEnd)
+{
+    // Two identical universes see the same reads.  One drains the
+    // window into the analyzers after every read, the other once at
+    // the end: each record must reach the analyzers exactly once, in
+    // read order, either way.
+    auto setUp = [](Universe &u) {
+        KeyPair owner = u.makeUser();
+        std::vector<Guid> objs;
+        for (const char *name : {"a", "b", "c"}) {
+            ObjectHandle h = u.createObject(owner, name);
+            u.writeSync(h.makeAppendUpdate(toBytes(name), 0, {1, 1}));
+            objs.push_back(h.guid());
+        }
+        u.advance(5.0);
+        return objs;
+    };
+    Universe often(smallConfig());
+    Universe once(smallConfig());
+    const std::vector<Guid> o = setUp(often);
+    ASSERT_EQ(setUp(once), o);
+
+    // a b c repeated, with a stray c after each a in every third round.
+    std::vector<std::size_t> pattern;
+    for (int round = 0; round < 12; round++) {
+        pattern.insert(pattern.end(), {0, 1, 2});
+        if (round % 3 == 0)
+            pattern.insert(pattern.end(), {0, 2});
+    }
+    pattern.push_back(0);
+    for (std::size_t i : pattern) {
+        often.readSync(i % often.numServers(), o[i]);
+        often.semanticGraph();
+        often.prefetcher();
+        once.readSync(i % once.numServers(), o[i]);
+    }
+
+    EXPECT_GT(once.semanticGraph().weight(o[0], o[1]), 0.0);
+    for (std::size_t x = 0; x < o.size(); x++) {
+        for (std::size_t y = 0; y < o.size(); y++) {
+            EXPECT_EQ(often.semanticGraph().weight(o[x], o[y]),
+                      once.semanticGraph().weight(o[x], o[y]))
+                << x << "," << y;
+        }
+    }
+    std::vector<Guid> preds = once.prefetcher().predict();
+    ASSERT_FALSE(preds.empty());
+    EXPECT_EQ(preds[0], o[1]);
+    EXPECT_EQ(often.prefetcher().predict(), preds);
+}
+
+TEST_F(UniverseTest, ReplicaManagementCreatesAfterAccessorDrain)
+{
+    ObjectHandle h = uni.createObject(owner, "hot-object");
+    uni.writeSync(appendText(h, "x", 0));
+    uni.advance(5.0);
+
+    std::size_t before = uni.hosts(h.guid()).size();
+    for (int round = 0; round < 10; round++) {
+        for (std::size_t s = 0; s < uni.numServers(); s++)
+            uni.readSync(s, h.guid());
+    }
+    // Feeding the analyzers must not consume the epoch's loads.
+    uni.semanticGraph();
+    uni.prefetcher();
+    auto actions = uni.runReplicaManagementEpoch();
+    EXPECT_GT(countActions(actions, ReplicaAction::Kind::Create, h.guid()),
+              0u);
+    EXPECT_GT(uni.hosts(h.guid()).size(), before);
+}
+
+TEST_F(UniverseTest, EpochSeesOnlyTheAccessWindow)
+{
+    // The same load ReplicaManagementCreatesUnderLoad answers with a
+    // new replica, followed by a full window of reads of another
+    // object: the epoch then sees the hot object as unread.
+    ObjectHandle h = uni.createObject(owner, "hot-object");
+    uni.writeSync(appendText(h, "x", 0));
+    ObjectHandle other = uni.createObject(owner, "other-object");
+    uni.writeSync(appendText(other, "y", 0));
+    uni.advance(5.0);
+    ASSERT_GT(uni.hosts(h.guid()).size(), 1u);
+
+    for (int round = 0; round < 10; round++) {
+        for (std::size_t s = 0; s < uni.numServers(); s++)
+            uni.readSync(s, h.guid());
+    }
+    for (std::size_t i = 0; i < Universe::kAccessWindow; i++)
+        uni.readSync(i % uni.numServers(), other.guid());
+
+    auto actions = uni.runReplicaManagementEpoch();
+    EXPECT_EQ(countActions(actions, ReplicaAction::Kind::Create, h.guid()),
+              0u);
+    EXPECT_GT(countActions(actions, ReplicaAction::Kind::Retire, h.guid()),
+              0u);
+}
+
+TEST_F(UniverseTest, EpochClearsTheWindow)
+{
+    ObjectHandle h = uni.createObject(owner, "hot-object");
+    uni.writeSync(appendText(h, "x", 0));
+    uni.advance(5.0);
+    for (int round = 0; round < 10; round++) {
+        for (std::size_t s = 0; s < uni.numServers(); s++)
+            uni.readSync(s, h.guid());
+    }
+    auto first = uni.runReplicaManagementEpoch();
+    ASSERT_GT(countActions(first, ReplicaAction::Kind::Create, h.guid()),
+              0u);
+    // No reads since: the next epoch sees every replica disused.
+    auto second = uni.runReplicaManagementEpoch();
+    EXPECT_EQ(countActions(second, ReplicaAction::Kind::Create, h.guid()),
+              0u);
+    EXPECT_GT(countActions(second, ReplicaAction::Kind::Retire, h.guid()),
+              0u);
+}
+
+TEST(ThreadedIntrospection, AccessorsWhileReading)
+{
+    // Client threads read while the main thread drains the window
+    // through every introspection entry point.  Only drains write the
+    // analyzers, so reading them between drains races with nothing.
+    UniverseConfig cfg = smallConfig();
+    cfg.runtime = RuntimeKind::Threaded;
+    cfg.replicaPolicy.disuseThreshold = 0; // epochs only add replicas
+    Universe uni(cfg);
+    KeyPair owner = uni.makeUser();
+    ObjectHandle a = uni.createObject(owner, "a");
+    ObjectHandle b = uni.createObject(owner, "b");
+    ASSERT_TRUE(uni.writeSync(a.makeAppendUpdate(toBytes("1"), 0, {1, 1}))
+                    .committed);
+    ASSERT_TRUE(uni.writeSync(b.makeAppendUpdate(toBytes("2"), 0, {2, 1}))
+                    .committed);
+
+    constexpr unsigned kClients = 3;
+    constexpr unsigned kRounds = 30;
+    std::atomic<unsigned> found{0};
+    std::atomic<unsigned> running{kClients};
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < kClients; c++) {
+        clients.emplace_back([&, c] {
+            for (unsigned r = 0; r < kRounds; r++) {
+                found += uni.readSync(c, a.guid()).found;
+                found += uni.readSync(c, b.guid()).found;
+            }
+            running--;
+        });
+    }
+    unsigned drains = 0;
+    while (running.load() > 0) {
+        uni.semanticGraph().weight(a.guid(), b.guid());
+        uni.prefetcher().predict();
+        uni.runReplicaManagementEpoch();
+        drains++;
+    }
+    for (std::thread &t : clients)
+        t.join();
+
+    EXPECT_GT(drains, 0u);
+    EXPECT_EQ(found.load(), kClients * kRounds * 2);
+    EXPECT_GT(uni.semanticGraph().weight(a.guid(), b.guid()), 0.0);
 }
 
 TEST_F(UniverseTest, MultipleObjectsIndependentVersions)

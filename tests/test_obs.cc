@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -627,6 +628,36 @@ TEST(FlightScopeDeathTest, CheckFailureDumpsBlackBox)
     ASSERT_EQ(d.spans.size(), 1u);
     EXPECT_NE(d.spans[0].find("\"name\": \"doomed\""), std::string::npos);
     EXPECT_EQ(jsonNumber(d.spans[0], "end"), 1.5);
+}
+
+TEST(FlightScope, DumpsOnMetricKindClash)
+{
+    // The registry checks a registration after releasing its lock, so
+    // the hook's dump, which snapshots the registry, can take that
+    // lock again: the child dumps and aborts rather than hanging.
+    // tests/timeouts.cmake gives this test a ctest TIMEOUT, so a
+    // hang fails it.
+    std::string dir = ::testing::TempDir() + "flight_metric_clash_test";
+    std::filesystem::remove_all(dir);
+    ::setenv("OCEANSTORE_CHAOS_DUMP_DIR", dir.c_str(), 1);
+    EXPECT_DEATH(
+        {
+            Tracer tracer;
+            FlightScope fs(tracer, "clash");
+            MetricsRegistry &reg = MetricsRegistry::global();
+            reg.counter("t.flight.clash");
+            reg.gauge("t.flight.clash");
+        },
+        "re-registered as a different kind");
+    ::unsetenv("OCEANSTORE_CHAOS_DUMP_DIR");
+
+    FlightDump d = readFlightDump(dir, "clash");
+    EXPECT_NE(d.meta.find("\"meta\": \"flight\""), std::string::npos)
+        << "check-failure hook did not write the flight dump";
+    std::ifstream metrics(dir + "/clash.flight.metrics.json");
+    std::string all((std::istreambuf_iterator<char>(metrics)),
+                    std::istreambuf_iterator<char>());
+    EXPECT_NE(all.find("\"t.flight.clash\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
