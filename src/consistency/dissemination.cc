@@ -13,19 +13,20 @@ DisseminationTree::DisseminationTree(Runtime &rt, NodeId root,
     : rt_(rt), root_(root), members_(members)
 {
     OS_CHECK(fanout > 0, "DisseminationTree: zero fanout");
-    all_.push_back(root);
-    all_.insert(all_.end(), members.begin(), members.end());
-    parent_.assign(all_.size(), invalidNode);
-    children_.resize(all_.size());
-    const auto none = static_cast<std::uint32_t>(all_.size());
-    for (std::size_t i = 0; i < all_.size(); i++) {
-        NodeId n = all_[i];
+    index_.reserve(size());
+    for (std::size_t i = 0; i < size(); i++) {
+        NodeId n = i == 0 ? root : members_[i - 1];
         OS_CHECK(n != invalidNode, "DisseminationTree: invalid member");
-        if (n >= slotOf_.size())
-            slotOf_.resize(std::size_t{n} + 1, none);
-        if (slotOf_[n] == none) // a repeated id keeps its first slot
-            slotOf_[n] = static_cast<std::uint32_t>(i);
+        index_.emplace_back(n, static_cast<std::uint32_t>(i));
     }
+    // Sorted by (id, index), so unique() keeps a repeated id's first
+    // index.
+    std::sort(index_.begin(), index_.end());
+    index_.erase(std::unique(index_.begin(), index_.end(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first == b.first;
+                             }),
+                 index_.end());
 
     // Join closest-to-root first; each joiner picks the closest
     // already-joined node with spare fanout.
@@ -38,12 +39,18 @@ DisseminationTree::DisseminationTree(Runtime &rt, NodeId root,
         return a < b;
     });
 
+    // Record each join as (parent index, child), then lay the
+    // children out flat, each node's in join order.
+    parent_.assign(size(), invalidNode);
+    std::vector<std::uint32_t> childCount(size(), 0);
+    std::vector<std::pair<std::uint32_t, NodeId>> edges;
+    edges.reserve(order.size());
     std::vector<NodeId> joined{root};
     for (NodeId n : order) {
         NodeId best = invalidNode;
         double best_lat = 0.0;
         for (NodeId cand : joined) {
-            if (children_[slot(cand)].size() >= fanout)
+            if (childCount[slot(cand)] >= fanout)
                 continue;
             double l = rt_.latency(cand, n);
             if (best == invalidNode || l < best_lat) {
@@ -55,37 +62,52 @@ DisseminationTree::DisseminationTree(Runtime &rt, NodeId root,
             // Everyone is full: deepen under the most recent joiner.
             best = joined.back();
         }
+        const auto parent = static_cast<std::uint32_t>(slot(best));
         parent_[slot(n)] = best;
-        children_[slot(best)].push_back(n);
+        childCount[parent]++;
+        edges.emplace_back(parent, n);
         joined.push_back(n);
     }
+    childStart_.assign(size() + 1, 0);
+    for (std::size_t i = 0; i < size(); i++)
+        childStart_[i + 1] = childStart_[i] + childCount[i];
+    children_.resize(edges.size());
+    std::vector<std::uint32_t> next(childStart_.begin(),
+                                    childStart_.end() - 1);
+    for (const auto &[parent, child] : edges)
+        children_[next[parent]++] = child;
 }
 
 std::size_t
 DisseminationTree::slot(NodeId n) const
 {
-    return n < slotOf_.size() ? slotOf_[n] : all_.size();
+    auto it = std::lower_bound(
+        index_.begin(), index_.end(), n,
+        [](const auto &e, NodeId want) { return e.first < want; });
+    return it != index_.end() && it->first == n ? it->second : size();
 }
 
 bool
 DisseminationTree::contains(NodeId n) const
 {
-    return slot(n) < all_.size();
+    return slot(n) < size();
 }
 
 NodeId
 DisseminationTree::parentOf(NodeId n) const
 {
     std::size_t s = slot(n);
-    return s < all_.size() ? parent_[s] : invalidNode;
+    return s < size() ? parent_[s] : invalidNode;
 }
 
-const std::vector<NodeId> &
+std::span<const NodeId>
 DisseminationTree::childrenOf(NodeId n) const
 {
-    static const std::vector<NodeId> empty;
     std::size_t s = slot(n);
-    return s < all_.size() ? children_[s] : empty;
+    if (s >= size())
+        return {};
+    return std::span<const NodeId>(children_).subspan(
+        childStart_[s], childStart_[s + 1] - childStart_[s]);
 }
 
 unsigned

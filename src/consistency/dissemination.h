@@ -18,6 +18,8 @@
 #define OCEANSTORE_CONSISTENCY_DISSEMINATION_H
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "runtime/runtime.h"
@@ -45,8 +47,9 @@ class DisseminationTree
      */
     NodeId parentOf(NodeId n) const;
 
-    /** Children of @p n (empty for leaves and non-members). */
-    const std::vector<NodeId> &childrenOf(NodeId n) const;
+    /** Children of @p n in join order (empty for leaves and
+     *  non-members); valid as long as the tree. */
+    std::span<const NodeId> childrenOf(NodeId n) const;
 
     /** True when @p n is the root or a member of this tree. */
     bool contains(NodeId n) const;
@@ -76,20 +79,25 @@ class DisseminationTree
     std::uint64_t multicastBytes(std::size_t payload_bytes) const;
 
   private:
-    /** Index of @p n in all_, or all_.size() for a non-member. */
+    /** Index of @p n (0 = root, i = members_[i - 1]), or size() for
+     *  a non-member. */
     std::size_t slot(NodeId n) const;
+    /** Root plus members. */
+    std::size_t size() const { return members_.size() + 1; }
 
     Runtime &rt_;
     NodeId root_;
     std::vector<NodeId> members_;
-    /** Index maps for root + members. */
-    std::vector<NodeId> all_;
+    /** Per index: the parent (invalidNode for the root). */
     std::vector<NodeId> parent_;
-    std::vector<std::vector<NodeId>> children_;
-    /** Dense NodeId -> slot table (all_.size() = not a member), built
-     *  once so every lookup is O(1).  NodeIds are small network
-     *  indices, so the table is as long as the largest one. */
-    std::vector<std::uint32_t> slotOf_;
+    /** The children of index i are children_[childStart_[i]] up to
+     *  children_[childStart_[i + 1]], in join order. */
+    std::vector<std::uint32_t> childStart_;
+    std::vector<NodeId> children_;
+    /** (NodeId, index) sorted by NodeId, a repeated id keeping its
+     *  first index: lookups binary-search it, so the tree costs
+     *  O(size) however large the NodeIds are. */
+    std::vector<std::pair<NodeId, std::uint32_t>> index_;
 };
 
 } // namespace oceanstore

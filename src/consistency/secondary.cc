@@ -71,6 +71,9 @@ struct UpdatesBody
 {
     std::vector<SharedUpdate> tentative;
     std::vector<CommittedRecord> committed;
+    /** A reply to sec.fetch: the receiver forwards what it learns
+     *  down its tree, as if the pushes had reached it. */
+    bool catchUp = false;
 };
 
 struct PushBody
@@ -163,19 +166,20 @@ const SecondaryReplica::Held *
 SecondaryReplica::find(const Guid &obj) const
 {
     std::uint32_t slot = tier_.findSlot(obj);
-    if (slot >= held_.size() || !held_[slot].state)
+    if (slot == SecondaryTier::noSlot)
         return nullptr;
-    return &held_[slot];
+    const Held *h = tier_.heldAt(slot, index_);
+    return h && h->state ? h : nullptr;
 }
 
-SecondaryReplica::Held &
+SecondaryReplica::Held *
 SecondaryReplica::hold(std::uint32_t slot)
 {
-    if (slot >= held_.size())
-        held_.resize(tier_.emptyStates_.size());
-    Held &h = held_[slot];
-    if (!h.state)
-        h.state = tier_.emptyStates_[slot];
+    // Without a declared set any replica may hold the object; with
+    // one, only its members (who already have entries) do.
+    Held *h = tier_.heldAt(slot, index_, !tier_.sets_[slot].tree);
+    if (h && !h->state)
+        h->state = tier_.sets_[slot].empty;
     return h;
 }
 
@@ -184,8 +188,9 @@ void
 SecondaryReplica::forEachHeld(F &&visit) const
 {
     for (std::uint32_t slot : tier_.slotsByGuid_) {
-        if (slot < held_.size() && held_[slot].state)
-            visit(*held_[slot].state);
+        const Held *h = tier_.heldAt(slot, index_);
+        if (h && h->state)
+            visit(*h->state);
     }
 }
 
@@ -223,7 +228,9 @@ SecondaryReplica::committedVersion(const Guid &obj) const
 const DataObject &
 SecondaryReplica::committedObject(const Guid &obj)
 {
-    return *hold(tier_.slotFor(obj)).state;
+    const std::uint32_t slot = tier_.slotFor(obj);
+    const Held *h = hold(slot);
+    return h ? *h->state : *tier_.sets_[slot].empty;
 }
 
 SharedState
@@ -314,21 +321,20 @@ SecondaryReplica::onTentative(const Message &msg)
     storeTentative(messageBody<TentativeBody>(msg).update, true);
 }
 
-void
-SecondaryReplica::applyCommitted(std::uint32_t slot, SharedUpdate u,
+bool
+SecondaryReplica::applyCommitted(Held &h, SharedUpdate u,
                                  VersionNum version)
 {
     const Guid obj_guid = u->objectGuid;
-    Held &h = hold(slot);
     OS_DCHECK(h.state->guid() == obj_guid,
-              "applyCommitted: slot ", slot, " holds another object");
+              "applyCommitted: entry holds another object");
 
     if (version <= h.state->version())
-        return; // duplicate
+        return false; // duplicate
 
     if (version > h.state->version() + 1) {
         buffered_[obj_guid][version] = std::move(u);
-        return;
+        return true;
     }
 
     Guid uid = u->id();
@@ -339,16 +345,16 @@ SecondaryReplica::applyCommitted(std::uint32_t slot, SharedUpdate u,
     if (sit != stale_.end() && h.state->version() >= sit->second)
         stale_.erase(sit);
 
-    drainBuffered(slot, obj_guid);
+    drainBuffered(h, obj_guid);
+    return false;
 }
 
 void
-SecondaryReplica::drainBuffered(std::uint32_t slot, const Guid &obj)
+SecondaryReplica::drainBuffered(Held &h, const Guid &obj)
 {
     auto bit = buffered_.find(obj);
     if (bit == buffered_.end())
         return;
-    Held &h = held_[slot];
     auto &pending = bit->second;
     while (!pending.empty() &&
            pending.begin()->first == h.state->version() + 1) {
@@ -360,6 +366,13 @@ SecondaryReplica::drainBuffered(std::uint32_t slot, const Guid &obj)
     }
     if (pending.empty())
         buffered_.erase(bit);
+}
+
+void
+SecondaryReplica::forget(const Guid &obj)
+{
+    buffered_.erase(obj);
+    stale_.erase(obj);
 }
 
 void
@@ -384,28 +397,46 @@ SecondaryReplica::onPush(const Message &msg)
                                      Guid::numBytes + 8));
     }
 
-    applyCommitted(body.slot, body.update, body.version);
+    // A push that reaches a replica outside the object's set (a
+    // retransmit racing a Retire) is acked above and dropped here.
+    Held *held = hold(body.slot);
+    if (!held)
+        return;
+    Held &h = *held;
+    // A version that lands behind a gap (a push lost past its
+    // retries, or sent before a Create or a tree rebuild) asks the
+    // parent for what is missing.
+    if (applyCommitted(h, body.update, body.version))
+        fetchFromParent(body.update->objectGuid);
 
     // Forward each update down the tree at most once; retransmitted
     // or duplicated pushes stop here, so lossy links cannot trigger
     // multicast storms.  A version names one committed update.
-    Held &h = held_[body.slot];
     OS_DCHECK(h.state->version() < body.version ||
                   committedIdAt(*h.state, body.version) == uid,
               "sec.push: version ", body.version,
               " was committed with another update");
-    if (!markForwarded(h, body.version))
-        return;
+    if (markForwarded(h, body.version))
+        forward(msg, body.slot, body.update, body.version);
+}
 
+void
+SecondaryReplica::forward(const Message &cause, std::uint32_t slot,
+                          const SharedUpdate &u, VersionNum version)
+{
     // Forward down the dissemination tree; bandwidth-limited leaves
     // get an invalidation instead of the body.  Both fan-outs go
     // through the batched multicast path so the update body is stored
     // once, not deep-copied per child.
+    const PushBody body{u, version, slot};
+    const Guid uid = u->id();
+    const DisseminationTree &tree = tier_.treeAt(slot);
     std::vector<NodeId> push_children;
     std::vector<NodeId> inval_children;
-    for (NodeId child : tier_.tree().childrenOf(nodeId_)) {
-        if (tier_.config().invalidateAtLeaves &&
-            tier_.tree().isLeaf(child))
+    for (NodeId child : tree.childrenOf(nodeId_)) {
+        if (child == cause.src)
+            continue;
+        if (tier_.config().invalidateAtLeaves && tree.isLeaf(child))
             inval_children.push_back(child);
         else
             push_children.push_back(child);
@@ -466,7 +497,8 @@ SecondaryReplica::onInvalidate(const Message &msg)
         SecMetricIds &sm = secMetrics();
         sm.reg->inc(sm.invalidations);
     }
-    if (committedVersion(body.object) >= body.version)
+    if (committedVersion(body.object) >= body.version ||
+        !tier_.isMember(body.object, index_))
         return;
     auto &needed = stale_[body.object];
     needed = std::max(needed, body.version);
@@ -477,7 +509,7 @@ SecondaryReplica::onInvalidate(const Message &msg)
 void
 SecondaryReplica::fetchFromParent(const Guid &obj)
 {
-    NodeId parent = tier_.tree().parentOf(nodeId_);
+    NodeId parent = tier_.treeOf(obj).parentOf(nodeId_);
     if (parent == invalidNode)
         return;
     // Entry-point span: the fetch request up the tree becomes its
@@ -502,6 +534,7 @@ SecondaryReplica::onFetch(const Message &msg)
     if (!h)
         return;
     UpdatesBody reply;
+    reply.catchUp = true;
     appendCommittedAbove(*h->state, body.fromVersion, reply.committed);
     if (reply.committed.empty())
         return;
@@ -567,7 +600,7 @@ SecondaryReplica::onDigest(const Message &msg)
             pull.wantTentative.push_back(id);
     }
     for (const auto &[g, v] : d.committed) {
-        if (committedVersion(g) < v)
+        if (committedVersion(g) < v && tier_.isMember(g, index_))
             pull.fromVersions[g] = committedVersion(g);
     }
     if (!pull.wantTentative.empty() || !pull.fromVersions.empty()) {
@@ -589,7 +622,11 @@ SecondaryReplica::onDigest(const Message &msg)
             if (!their_ids.count(id))
                 out.tentative.push_back(u);
         }
+        auto sender = tier_.byNode_.find(d.from);
         forEachHeld([&](const DataObject &obj) {
+            if (sender == tier_.byNode_.end() ||
+                !tier_.isMember(obj.guid(), sender->second))
+                return;
             auto it = d.committed.find(obj.guid());
             VersionNum theirs = it == d.committed.end() ? 0 : it->second;
             appendCommittedAbove(obj, theirs, out.committed);
@@ -638,8 +675,16 @@ SecondaryReplica::onUpdates(const Message &msg)
                   return a.version < b.version;
               });
     for (const auto &rec : sorted) {
-        applyCommitted(tier_.slotFor(rec.update->objectGuid), rec.update,
-                       rec.version);
+        // Records for an object outside this replica's set are
+        // dropped, not applied.  A catch-up record continues down the
+        // tree, so a subtree behind a lagging member catches up with it.
+        const std::uint32_t slot = tier_.slotFor(rec.update->objectGuid);
+        Held *h = hold(slot);
+        if (!h)
+            continue;
+        applyCommitted(*h, rec.update, rec.version);
+        if (body.catchUp && markForwarded(*h, rec.version))
+            forward(msg, slot, rec.update, rec.version);
     }
 }
 
@@ -681,19 +726,181 @@ SecondaryTier::rebuildTree()
     }
     tree_ = std::make_unique<DisseminationTree>(
         rt_, replicas_[0]->nodeId(), members, cfg_.treeFanout);
+    for (ReplicaSet &set : sets_) {
+        if (set.tree)
+            buildTree(set, true);
+    }
+}
+
+void
+SecondaryTier::buildTree(ReplicaSet &set, bool upOnly)
+{
+    std::vector<NodeId> nodes;
+    nodes.reserve(set.members.size());
+    for (std::uint32_t i : set.members) {
+        NodeId n = replicas_[i]->nodeId();
+        if (i != 0 && (!upOnly || rt_.isUp(n)))
+            nodes.push_back(n);
+    }
+    set.tree = std::make_unique<DisseminationTree>(
+        rt_, replicas_[0]->nodeId(), nodes, cfg_.treeFanout);
+}
+
+void
+SecondaryTier::addHosts(const Guid &obj, const std::vector<std::size_t> &hosts)
+{
+    const std::uint32_t slot = slotFor(obj);
+    ReplicaSet &set = sets_[slot];
+    if (!set.tree) {
+        // Declaring the set keeps only the root's entry; a host gets a
+        // fresh one below and catches up.
+        Held root;
+        if (!set.members.empty() && set.members.front() == 0)
+            root = std::move(set.held.front());
+        set.members.assign(1, 0);
+        set.held.clear();
+        set.held.push_back(std::move(root));
+    }
+    for (std::size_t i : hosts) {
+        if (i == 0)
+            set.rootHosts = true;
+        else
+            heldAt(slot, i, true);
+    }
+    buildTree(set, false);
+    catchUp(obj, set);
+}
+
+void
+SecondaryTier::catchUp(const Guid &obj, const ReplicaSet &set)
+{
+    const VersionNum root = replicas_[0]->committedVersion(obj);
+    for (std::uint32_t i : set.members) {
+        if (replicas_[i]->committedVersion(obj) < root)
+            replicas_[i]->fetchFromParent(obj);
+    }
+}
+
+void
+SecondaryTier::removeHost(const Guid &obj, std::size_t i)
+{
+    if (!isHost(obj, i))
+        return;
+    ReplicaSet &set = sets_[findSlot(obj)];
+    if (i == 0) {
+        set.rootHosts = false; // the root keeps its entry and tree
+        return;
+    }
+    auto pos = std::lower_bound(set.members.begin(), set.members.end(), i);
+    set.held.erase(set.held.begin() + (pos - set.members.begin()));
+    set.members.erase(pos);
+    replicas_[i]->forget(obj);
+    buildTree(set, false);
+    catchUp(obj, set);
+}
+
+bool
+SecondaryTier::isHost(const Guid &obj, std::size_t i) const
+{
+    const std::uint32_t slot = findSlot(obj);
+    if (slot == noSlot || !sets_[slot].tree)
+        return false;
+    const ReplicaSet &set = sets_[slot];
+    return i == 0 ? set.rootHosts
+                  : std::binary_search(set.members.begin(),
+                                       set.members.end(), i);
+}
+
+std::vector<std::size_t>
+SecondaryTier::hosts(const Guid &obj) const
+{
+    std::vector<std::size_t> out;
+    const std::uint32_t slot = findSlot(obj);
+    if (slot == noSlot || !sets_[slot].tree)
+        return out;
+    const ReplicaSet &set = sets_[slot];
+    for (std::uint32_t i : set.members) {
+        if (i != 0 || set.rootHosts)
+            out.push_back(i);
+    }
+    return out;
+}
+
+std::vector<Guid>
+SecondaryTier::declaredObjects() const
+{
+    std::vector<Guid> out;
+    for (std::uint32_t slot : slotsByGuid_) {
+        if (sets_[slot].tree)
+            out.push_back(sets_[slot].empty->guid());
+    }
+    return out;
+}
+
+bool
+SecondaryTier::declared(const Guid &obj) const
+{
+    const std::uint32_t slot = findSlot(obj);
+    return slot != noSlot && sets_[slot].tree;
+}
+
+bool
+SecondaryTier::isMember(const Guid &obj, std::size_t i) const
+{
+    const std::uint32_t slot = findSlot(obj);
+    return slot == noSlot || !sets_[slot].tree ||
+           heldAt(slot, i) != nullptr;
+}
+
+const DisseminationTree &
+SecondaryTier::treeOf(const Guid &obj) const
+{
+    const std::uint32_t slot = findSlot(obj);
+    return slot == noSlot ? *tree_ : treeAt(slot);
+}
+
+const DisseminationTree &
+SecondaryTier::treeAt(std::uint32_t slot) const
+{
+    const auto &tree = sets_[slot].tree;
+    return tree ? *tree : *tree_;
+}
+
+SecondaryTier::Held *
+SecondaryTier::heldAt(std::uint32_t slot, std::size_t i, bool add)
+{
+    ReplicaSet &set = sets_[slot];
+    auto pos = std::lower_bound(set.members.begin(), set.members.end(), i);
+    auto at = set.held.begin() + (pos - set.members.begin());
+    if (pos != set.members.end() && *pos == i)
+        return &*at;
+    if (!add)
+        return nullptr;
+    set.members.insert(pos, static_cast<std::uint32_t>(i));
+    return &*set.held.insert(at, Held{});
+}
+
+const SecondaryTier::Held *
+SecondaryTier::heldAt(std::uint32_t slot, std::size_t i) const
+{
+    const ReplicaSet &set = sets_[slot];
+    auto pos = std::lower_bound(set.members.begin(), set.members.end(), i);
+    if (pos == set.members.end() || *pos != i)
+        return nullptr;
+    return &set.held[static_cast<std::size_t>(pos - set.members.begin())];
 }
 
 std::uint32_t
 SecondaryTier::slotFor(const Guid &obj)
 {
     auto [it, fresh] = slotOf_.try_emplace(
-        obj, static_cast<std::uint32_t>(emptyStates_.size()));
+        obj, static_cast<std::uint32_t>(sets_.size()));
     if (fresh) {
-        emptyStates_.push_back(DataObject::empty(obj));
+        sets_.push_back(ReplicaSet{DataObject::empty(obj), {}, {}, {}, false});
         auto pos = std::lower_bound(
             slotsByGuid_.begin(), slotsByGuid_.end(), obj,
             [this](std::uint32_t slot, const Guid &g) {
-                return emptyStates_[slot]->guid() < g;
+                return sets_[slot].empty->guid() < g;
             });
         slotsByGuid_.insert(pos, it->second);
     }
@@ -742,15 +949,15 @@ SecondaryTier::injectCommitted(SharedUpdate u, VersionNum version)
     } else {
         // Epidemic-only ablation: the root learns the commit; anti-
         // entropy must carry it to everyone else.
-        root.applyCommitted(slot, std::move(u), version);
+        root.applyCommitted(*root.hold(slot), std::move(u), version);
     }
 }
 
 bool
 SecondaryTier::allCommitted(const Guid &obj, VersionNum v) const
 {
-    for (const auto &rep : replicas_) {
-        if (rep->committedVersion(obj) < v)
+    for (std::size_t i = 0; i < replicas_.size(); i++) {
+        if (isMember(obj, i) && replicas_[i]->committedVersion(obj) < v)
             return false;
     }
     return true;

@@ -6,8 +6,11 @@
  * both tentative and committed data: tentative updates spread among
  * them with an epidemic (rumor + anti-entropy) protocol and are
  * ordered optimistically by client timestamp; committed updates
- * arrive from the primary tier down the dissemination tree (or, in
- * the epidemic-only ablation, via anti-entropy alone).  Parents can
+ * arrive from the primary tier down the object's dissemination tree
+ * (or, in the epidemic-only ablation, via anti-entropy alone).  An
+ * object's tree spans its replica set, the root plus its hosts
+ * (DESIGN.md section 23); an object that declared none uses the
+ * tier-wide tree over every replica.  Parents can
  * transform updates into *invalidations* for bandwidth-limited
  * leaves, which then pull data on demand.
  */
@@ -66,13 +69,16 @@ class SecondaryReplica : public SimNode
     VersionNum committedVersion(const Guid &obj) const;
 
     /**
-     * Committed object state; an unknown object becomes known here at
-     * version 0, sharing the tier's empty state for it.  The reference
-     * is valid until this replica next applies an update to @p obj.
+     * Committed object state; on a member of @p obj's replica set an
+     * unknown object becomes known here at version 0, sharing the
+     * tier's empty state for it.  A non-member gets that shared empty
+     * state and records nothing.  The reference is valid until this
+     * replica next applies an update to @p obj.
      */
     const DataObject &committedObject(const Guid &obj);
 
-    /** The shared committed state of @p obj, or null if unknown. */
+    /** The shared committed state of @p obj, or null if unknown here
+     *  (always null on a non-member). */
     SharedState committedState(const Guid &obj) const;
 
     /**
@@ -87,7 +93,8 @@ class SecondaryReplica : public SimNode
     /** True when an invalidation marked @p obj stale here. */
     bool isStale(const Guid &obj) const { return stale_.count(obj) > 0; }
 
-    /** Pull missing committed updates for @p obj from the parent. */
+    /** Pull missing committed updates for @p obj from the parent in
+     *  @p obj's tree. */
     void fetchFromParent(const Guid &obj);
 
   private:
@@ -103,8 +110,8 @@ class SecondaryReplica : public SimNode
     void onFetch(const Message &msg);
 
     /**
-     * What this replica holds of one object, at the object's tier
-     * slot (DESIGN.md section 20).
+     * What a member replica holds of one object (DESIGN.md section
+     * 20).  The tier keeps one per member beside the object's tree.
      */
     struct Held
     {
@@ -120,10 +127,12 @@ class SecondaryReplica : public SimNode
         std::vector<VersionNum> forwardedAbove;
     };
 
-    /** The held entry of @p obj, or null when it is unknown here. */
+    /** This replica's entry for @p obj, or null when the object is
+     *  unknown here or this replica is not in its replica set. */
     const Held *find(const Guid &obj) const;
-    /** The held entry at @p slot, made known at version 0 if new. */
-    Held &hold(std::uint32_t slot);
+    /** This replica's entry at @p slot, made known at version 0 if
+     *  new; null when this replica is not in the slot's replica set. */
+    Held *hold(std::uint32_t slot);
     /** Call @p visit on every object held here, in GUID order (the
      *  order digests and repair records are built in). */
     template <typename F> void forEachHeld(F &&visit) const;
@@ -131,9 +140,21 @@ class SecondaryReplica : public SimNode
     static bool markForwarded(Held &h, VersionNum version);
 
     void storeTentative(SharedUpdate u, bool gossip);
-    void applyCommitted(std::uint32_t slot, SharedUpdate u,
-                        VersionNum version);
-    void drainBuffered(std::uint32_t slot, const Guid &obj);
+    /** Apply committed @p version to @p h; true when it had to be
+     *  buffered behind a missing earlier version. */
+    bool applyCommitted(Held &h, SharedUpdate u, VersionNum version);
+    /** Push committed @p version of the object at @p slot to this
+     *  replica's children in its tree, with a retransmit driver per
+     *  child.  Runs inside the delivery of @p cause, whose installed
+     *  context the fan-out's sends nest under; cause's sender holds
+     *  the version, so it is skipped should a rebuilt tree have made
+     *  it a child here. */
+    void forward(const Message &cause, std::uint32_t slot,
+                 const SharedUpdate &u, VersionNum version);
+    void drainBuffered(Held &h, const Guid &obj);
+    /** Forget what this replica holds of @p obj beyond its entry
+     *  (buffered commits, stale marks): it left the replica set. */
+    void forget(const Guid &obj);
     void scheduleAntiEntropy();
     void runAntiEntropy();
 
@@ -142,8 +163,6 @@ class SecondaryReplica : public SimNode
     NodeId nodeId_ = invalidNode;
     Rng rng_;
 
-    /** Committed state and forwarded mark, indexed by tier slot. */
-    std::vector<Held> held_;
     /** Tentative updates by update id.  Ordered: anti-entropy digests
      *  and pushes are built by iterating this map, so its order feeds
      *  message emission and must be deterministic. */
@@ -218,7 +237,8 @@ class SecondaryTier
         injectCommitted(shareUpdate(u), version);
     }
 
-    /** True when every replica has committed @p obj up to @p v. */
+    /** True when every member of @p obj's replica set has committed
+     *  it up to @p v. */
     bool allCommitted(const Guid &obj, VersionNum v) const;
 
     /** Number of replicas holding the tentative update @p id. */
@@ -228,14 +248,53 @@ class SecondaryTier
      *  suite asserts this stays bounded). */
     std::uint64_t pushRetransmits() const;
 
-    /** The dissemination tree (valid when treePush). */
+    /** The tier-wide dissemination tree: the tree of every object
+     *  without a declared replica set. */
     const DisseminationTree &tree() const { return *tree_; }
 
     /**
-     * Adjust the dissemination tree after membership changes
+     * Make replicas @p hosts hosts of @p obj (DESIGN.md section 23).
+     * The object's replica set is replica 0 (the tree root) plus its
+     * hosts, and the tier is the one record of it.  The first call
+     * declares the set, turning the object from the tier-wide tree to
+     * its own tree over the set, rebuilt here once.  Every member then
+     * behind the root (a new one, above all) sends sec.fetch to its
+     * parent in that tree.
+     */
+    void addHosts(const Guid &obj, const std::vector<std::size_t> &hosts);
+
+    /**
+     * Retire host @p i of @p obj: its state for the object goes, the
+     * object's tree is rebuilt, and every member behind the root
+     * fetches from its new parent.  The root stays a member.
+     */
+    void removeHost(const Guid &obj, std::size_t i);
+
+    /** True when replica @p i is one of @p obj's hosts. */
+    bool isHost(const Guid &obj, std::size_t i) const;
+
+    /** The hosts of @p obj, ascending; none without a declared set. */
+    std::vector<std::size_t> hosts(const Guid &obj) const;
+
+    /** Every object with a declared replica set, in GUID order. */
+    std::vector<Guid> declaredObjects() const;
+
+    /** True when @p obj has a declared replica set. */
+    bool declared(const Guid &obj) const;
+
+    /** True when replica @p i keeps state for @p obj: it is in the
+     *  object's declared set, or the object has none. */
+    bool isMember(const Guid &obj, std::size_t i) const;
+
+    /** The tree @p obj's commits travel: its own, or tree(). */
+    const DisseminationTree &treeOf(const Guid &obj) const;
+
+    /**
+     * Adjust the dissemination trees after membership changes
      * (Section 4.7.2: "notification of a replica's termination ...
      * propagates to parent nodes, which can adjust that object's
-     * dissemination tree"): rebuild over the currently-up replicas.
+     * dissemination tree"): rebuild tree() over the currently-up
+     * replicas and every declared set's tree over its up members.
      * Downed replicas drop out; recovered ones rejoin and catch up
      * via anti-entropy or an explicit fetchFromParent().
      */
@@ -253,10 +312,41 @@ class SecondaryTier
     /** No slot: the tier has never seen the object. */
     static constexpr std::uint32_t noSlot = UINT32_MAX;
 
+    using Held = SecondaryReplica::Held;
+
+    /** One object's replicas: what each member holds, and its tree. */
+    struct ReplicaSet
+    {
+        /** The object's one shared version-0 state. */
+        SharedState empty;
+        /** Replica indices with an entry, sorted; held is parallel.
+         *  A declared set's members are the root (0) and its hosts;
+         *  without one, every replica that has held the object. */
+        std::vector<std::uint32_t> members;
+        std::vector<Held> held;
+        /** The tree over a declared set; null when the object has
+         *  none, so its commits travel the tier-wide tree. */
+        std::unique_ptr<DisseminationTree> tree;
+        /** In a declared set: replica 0 is a host, not only the root. */
+        bool rootHosts = false;
+    };
+
     /** The slot of @p obj, assigned on first sight. */
     std::uint32_t slotFor(const Guid &obj);
     /** The slot of @p obj, or noSlot. */
     std::uint32_t findSlot(const Guid &obj) const;
+    /** Replica @p i's entry at @p slot, or null when it has none
+     *  and @p add is false; with @p add it gets a fresh one. */
+    Held *heldAt(std::uint32_t slot, std::size_t i, bool add);
+    const Held *heldAt(std::uint32_t slot, std::size_t i) const;
+    /** The tree commits at @p slot travel. */
+    const DisseminationTree &treeAt(std::uint32_t slot) const;
+    /** Rebuild @p set's tree over its members (only the up ones when
+     *  @p upOnly). */
+    void buildTree(ReplicaSet &set, bool upOnly);
+    /** After a membership change: every member of @p set behind the
+     *  root fetches from its parent in the new tree. */
+    void catchUp(const Guid &obj, const ReplicaSet &set);
 
     Runtime &rt_;
     SecondaryConfig cfg_;
@@ -268,8 +358,8 @@ class SecondaryTier
 
     /** Object GUID -> dense slot.  Only looked up, never iterated. */
     std::unordered_map<Guid, std::uint32_t> slotOf_;
-    /** Per slot: the object's one shared version-0 state. */
-    std::vector<SharedState> emptyStates_;
+    /** Per slot: the object's replica set. */
+    std::vector<ReplicaSet> sets_;
     /** Every slot, in GUID order: digests walk objects this way. */
     std::vector<std::uint32_t> slotsByGuid_;
 };

@@ -281,12 +281,16 @@ Universe::createObject(const KeyPair &owner, const std::string &name)
                                                     owner);
         guard_.install(cert, acl, registry_);
 
-        // Place the initial floating replicas and publish them.
+        // Place the initial floating replicas, publish them, and
+        // declare the object's replica set once.
         std::size_t want = std::min<std::size_t>(cfg_.initialHosts,
                                                  cfg_.numServers);
         auto picks = rng_.sampleIndices(cfg_.numServers, want);
-        for (std::size_t idx : picks)
-            addHost(handle.guid(), idx);
+        for (std::size_t idx : picks) {
+            bloom_->addObject(static_cast<NodeId>(idx), handle.guid());
+            mesh_->publish(handle.guid(), tier_->replica(idx).nodeId());
+        }
+        tier_->addHosts(handle.guid(), picks);
     });
     return handle;
 }
@@ -363,10 +367,7 @@ Universe::collocateClusters(double min_weight)
         // Pick the server already hosting the most cluster members.
         std::map<std::size_t, unsigned> host_counts;
         for (const Guid &obj : cluster) {
-            auto hit = hosts_.find(obj);
-            if (hit == hosts_.end())
-                continue;
-            for (std::size_t idx : hit->second)
+            for (std::size_t idx : tier_->hosts(obj))
                 host_counts[idx]++;
         }
         if (host_counts.empty())
@@ -380,9 +381,9 @@ Universe::collocateClusters(double min_weight)
             }
         }
         for (const Guid &obj : cluster) {
-            if (!hosts_.count(obj))
+            if (!tier_->declared(obj))
                 continue; // not an object we host (noise GUID)
-            if (!hosts_[obj].count(best)) {
+            if (!tier_->isHost(obj, best)) {
                 addHost(obj, best);
                 created++;
             }
@@ -396,11 +397,7 @@ std::vector<std::size_t>
 Universe::hosts(const Guid &obj) const
 {
     std::vector<std::size_t> out;
-    rt_->execute([&]() {
-        auto it = hosts_.find(obj);
-        if (it != hosts_.end())
-            out.assign(it->second.begin(), it->second.end());
-    });
+    rt_->execute([&]() { out = tier_->hosts(obj); });
     return out;
 }
 
@@ -408,10 +405,14 @@ void
 Universe::addHost(const Guid &obj, std::size_t idx)
 {
     rt_->execute([&]() {
-        if (!hosts_[obj].insert(idx).second)
+        // Create (DESIGN.md section 23): publish at once, then join the
+        // replica set, which fetches the committed state from the new
+        // member's parent.
+        if (tier_->isHost(obj, idx))
             return;
         bloom_->addObject(static_cast<NodeId>(idx), obj);
         mesh_->publish(obj, tier_->replica(idx).nodeId());
+        tier_->addHosts(obj, {idx});
     });
 }
 
@@ -419,11 +420,13 @@ void
 Universe::removeHost(const Guid &obj, std::size_t idx)
 {
     rt_->execute([&]() {
-        auto hit = hosts_.find(obj);
-        if (hit == hosts_.end() || !hit->second.erase(idx))
+        if (!tier_->isHost(obj, idx))
             return;
+        // Retire: unpublish first, so no new read is routed here, then
+        // drop the member's state.
         bloom_->removeObject(static_cast<NodeId>(idx), obj);
         mesh_->unpublish(obj, tier_->replica(idx).nodeId());
+        tier_->removeHost(obj, idx);
     });
 }
 
@@ -525,11 +528,20 @@ Universe::read(std::size_t from_server, const Guid &obj,
             latency += lr.latency + rt_->latency(lr.location, originNode);
         }
     }
+    // A holder outside the object's replica set holds nothing of it:
+    // the pointer outlived a Retire (DESIGN.md section 23).  The trip
+    // there is spent, and the read goes on as a miss.
+    if (holder != static_cast<std::size_t>(invalidNode) &&
+        !tier_->isMember(obj, holder)) {
+        holder = invalidNode;
+        res.viaBloom = false;
+    }
 
     // Location retry: a miss in both tiers usually means stale mesh
-    // state after churn, so repair the pointer paths and re-run the
-    // deterministic lookup, charging each retry's backoff delay to
-    // the modeled read latency.
+    // state after churn, so repair the pointer paths (which drops
+    // pointers to storers that no longer publish the object) and
+    // re-run the deterministic lookup, charging each retry's backoff
+    // delay to the modeled read latency.
     if (holder == static_cast<std::size_t>(invalidNode)) {
         RetrySchedule sched(locationRetry, cfg_.seed ^ obj.hash64());
         for (unsigned a = 1; a < locationRetry.maxAttempts; a++) {
@@ -541,8 +553,11 @@ Universe::read(std::size_t from_server, const Guid &obj,
             auto lr = mesh_->locate(originNode, obj);
             if (!lr.found)
                 continue;
-            holder = replicaIndexOf(lr.location);
             latency += lr.latency + rt_->latency(lr.location, originNode);
+            const std::size_t found = replicaIndexOf(lr.location);
+            if (!tier_->isMember(obj, found))
+                continue;
+            holder = found;
             break;
         }
     }
@@ -773,8 +788,8 @@ Universe::runReplicaManagementEpoch()
     }
 
     std::vector<ReplicaLoad> loads;
-    for (const auto &[obj, host_set] : hosts_) {
-        for (std::size_t idx : host_set) {
+    for (const Guid &obj : tier_->declaredObjects()) {
+        for (std::size_t idx : tier_->hosts(obj)) {
             ReplicaLoad l;
             l.object = obj;
             l.host = tier_->replica(idx).nodeId();
@@ -788,9 +803,13 @@ Universe::runReplicaManagementEpoch()
     // ("a user's email [migrates] closer to his client", Sec 4.7.2),
     // so rank candidates by proximity to the object's heaviest
     // reader; fall back to the overloaded host's own neighborhood
-    // when no reads were observed.
-    std::map<NodeId, std::vector<NodeId>> candidates;
+    // when no reads were observed.  Only an overloaded replica asks
+    // for help, and the servers are sorted once per distinct anchor.
+    ReplicaCandidates candidates;
+    std::map<NodeId, std::vector<NodeId>> nearest;
     for (const auto &l : loads) {
+        if (l.requests < replicaMgr_.config().overloadThreshold)
+            continue;
         NodeId anchor = l.host;
         auto rit = readers.find(l.object);
         if (rit != readers.end()) {
@@ -804,22 +823,22 @@ Universe::runReplicaManagementEpoch()
             }
             anchor = tier_->replica(heaviest).nodeId();
         }
-        std::vector<std::size_t> order;
-        for (std::size_t i = 0; i < cfg_.numServers; i++)
-            order.push_back(i);
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return rt_->latency(anchor,
-                                          tier_->replica(a).nodeId()) <
-                             rt_->latency(anchor,
-                                          tier_->replica(b).nodeId());
-                  });
-        std::vector<NodeId> cands;
-        for (std::size_t i = 0; i < order.size() && cands.size() < 5;
-             i++) {
-            cands.push_back(tier_->replica(order[i]).nodeId());
+        auto [nit, fresh] = nearest.try_emplace(anchor);
+        if (fresh) {
+            std::vector<std::size_t> order;
+            for (std::size_t i = 0; i < cfg_.numServers; i++)
+                order.push_back(i);
+            std::sort(order.begin(), order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          return rt_->latency(anchor,
+                                              tier_->replica(a).nodeId()) <
+                                 rt_->latency(anchor,
+                                              tier_->replica(b).nodeId());
+                      });
+            for (std::size_t i = 0; i < order.size() && i < 5; i++)
+                nit->second.push_back(tier_->replica(order[i]).nodeId());
         }
-        candidates[l.host] = std::move(cands);
+        candidates[{l.object, l.host}] = nit->second;
     }
 
     actions = replicaMgr_.decide(loads, candidates);
@@ -998,7 +1017,7 @@ Universe::statusReport()
     rt_->execute([&]() {
         stats = rt_->stats();
         nodes = rt_->nodeCount();
-        objects = hosts_.size();
+        objects = tier_->declaredObjects().size();
     });
     publishRuntimeStats(stats);
     std::ostringstream out;

@@ -8,7 +8,7 @@
  *  - a primary tier running Byzantine agreement near the center of
  *    the network ("high-bandwidth, high-connectivity regions");
  *  - a secondary tier of floating replicas with epidemic propagation
- *    and a dissemination tree;
+ *    and one dissemination tree per object, over its replica set;
  *  - two-tier data location: attenuated Bloom filters first, the
  *    Plaxton mesh as the deterministic fallback (Section 4.3);
  *  - access control enforced server-side on signed updates;
@@ -29,7 +29,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "access/acl.h"
@@ -154,8 +153,9 @@ class Universe : public NodeLifecycle
     /**
      * Create an object owned by @p owner: mints the handle, installs
      * the owner-signed ACL on all servers, places initialHosts
-     * floating replicas on random servers and publishes them in both
-     * location tiers.
+     * floating replicas on random servers, publishes them in both
+     * location tiers and declares the object's replica set once
+     * (DESIGN.md section 23).
      */
     ObjectHandle createObject(const KeyPair &owner,
                               const std::string &name);
@@ -175,10 +175,19 @@ class Universe : public NodeLifecycle
     /** Server indices currently hosting @p obj. */
     std::vector<std::size_t> hosts(const Guid &obj) const;
 
-    /** Add a floating replica of @p obj on server @p idx. */
+    /**
+     * Add a floating replica of @p obj on server @p idx (Create): it
+     * is published at once and joins the object's replica set, then
+     * catches up from its tree parent.  Until it has, reads served
+     * there see an older committed version.
+     */
     void addHost(const Guid &obj, std::size_t idx);
 
-    /** Remove the floating replica of @p obj from server @p idx. */
+    /**
+     * Remove the floating replica of @p obj from server @p idx
+     * (Retire): unpublished first, then its state for the object is
+     * dropped and the object's tree rebuilt.
+     */
     void removeHost(const Guid &obj, std::size_t idx);
 
     // --- the update path -------------------------------------------------
@@ -424,9 +433,6 @@ class Universe : public NodeLifecycle
      *  (null after a refusal); onCommit hands it to the tree. */
     SharedUpdate rank0Applied_;
     WriteGuard guard_;
-
-    /** Floating-replica placement: object -> hosting server indices. */
-    std::map<Guid, std::set<std::size_t>> hosts_;
 
     /** Archival snapshots per object, per version. */
     std::map<Guid, std::map<VersionNum, Guid>> archives_;

@@ -24,7 +24,7 @@ ReplicaManager::ReplicaManager(ReplicaPolicyConfig cfg)
 std::vector<ReplicaAction>
 ReplicaManager::decide(
     const std::vector<ReplicaLoad> &loads,
-    const std::map<NodeId, std::vector<NodeId>> &candidates) const
+    const ReplicaCandidates &candidates) const
 {
     std::vector<ReplicaAction> actions;
 
@@ -57,7 +57,7 @@ ReplicaManager::decide(
         for (const auto *r : hot) {
             if (count >= cfg_.maxReplicas)
                 break;
-            auto cit = candidates.find(r->host);
+            auto cit = candidates.find({obj, r->host});
             if (cit == candidates.end())
                 continue;
             for (NodeId cand : cit->second) {

@@ -16,6 +16,7 @@
 #define OCEANSTORE_INTROSPECT_REPLICA_MGMT_H
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "crypto/guid.h"
@@ -58,6 +59,12 @@ struct ReplicaPolicyConfig
     unsigned maxReplicas = 16;
 };
 
+/** Nodes eligible to host a new replica of an object, ranked
+ *  nearest-first, keyed by the (object, host) replica asking for
+ *  help: one host can hold several objects with different readers. */
+using ReplicaCandidates =
+    std::map<std::pair<Guid, NodeId>, std::vector<NodeId>>;
+
 /**
  * The decision policy: consumes one epoch of load observations and
  * emits create/retire actions.  Pure logic, no I/O — the embedding
@@ -79,8 +86,7 @@ class ReplicaManager
      */
     std::vector<ReplicaAction>
     decide(const std::vector<ReplicaLoad> &loads,
-           const std::map<NodeId, std::vector<NodeId>> &candidates)
-        const;
+           const ReplicaCandidates &candidates) const;
 
     /** The policy configuration. */
     const ReplicaPolicyConfig &config() const { return cfg_; }

@@ -40,9 +40,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/mutex.h"
@@ -166,9 +166,21 @@ class TraceBuffer
 
     mutable Mutex mu_;
     std::vector<SpanRecord> records_ OS_GUARDED_BY(mu_);
-    /** Transparent comparator: lookups by string_view. */
-    std::map<std::string, std::uint32_t, std::less<>> internTable_
-        OS_GUARDED_BY(mu_);
+    /** Transparent hash: a lookup by string_view builds no string. */
+    struct StringHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view s) const noexcept
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+    /** Only looked up, never iterated: ids come from strings_'s
+     *  order, so they stay first-seen. */
+    std::unordered_map<std::string, std::uint32_t, StringHash,
+                       std::equal_to<>>
+        internTable_ OS_GUARDED_BY(mu_);
     /** Deque: references stay stable across interning, so
      *  internedString() can hand them out past the lock. */
     std::deque<std::string> strings_ OS_GUARDED_BY(mu_);

@@ -449,7 +449,10 @@ PlaxtonMesh::repair()
             pm.reg->inc(pm.repairs);
         }
     }
-    // 2. Drop pointers that reference dead storers.
+    // 2. Drop pointers that reference dead storers, or storers that
+    //    no longer publish the object: a pointer unpublish() did not
+    //    reach, off the storer's current paths or on a member that was
+    //    down at the time and reloaded it from its "ptr/" records.
     for (std::size_t i = 0; i < states_.size(); i++) {
         NodeState &st = states_[i];
         if (!st.alive)
@@ -457,7 +460,9 @@ PlaxtonMesh::repair()
         for (auto it = st.pointers.begin(); it != st.pointers.end();) {
             for (auto sit = it->second.begin();
                  sit != it->second.end();) {
-                if (!alive(*sit)) {
+                auto pub = published_.find(*sit);
+                if (!alive(*sit) || pub == published_.end() ||
+                    !pub->second.count(it->first)) {
                     unpersistPointer(members_[i], it->first, *sit);
                     sit = it->second.erase(sit);
                 } else {

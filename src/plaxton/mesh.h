@@ -151,7 +151,9 @@ class PlaxtonMesh
      * "ptr/" storage namespace (see attachStorage).  Stale entries —
      * pointers to storers that died while this node was down — are
      * filtered at locate time and purged by the next repair sweep,
-     * exactly like ordinary soft-state decay.  Finally re-deposits
+     * exactly like ordinary soft-state decay; so are pointers to
+     * storers that unpublished the object meanwhile, which locate
+     * still returns until that sweep.  Finally re-deposits
      * the pointers to every object @p n publishes, in Guid order
      * (the rest of the mesh purged them while it was down).
      * @return pointers reloaded from storage.
@@ -168,10 +170,11 @@ class PlaxtonMesh
     void attachStorage(NodeId n, NodeStorage *storage);
 
     /**
-     * Soft-state repair sweep: every alive storer republishes its
-     * objects, restoring pointers lost to failed nodes, and every
-     * node replaces dead table entries (Section 4.3.3
-     * "maintenance-free operation").
+     * Soft-state repair sweep: pointers to dead storers, or to
+     * storers that no longer publish the object, are dropped; every
+     * alive storer republishes its objects, restoring pointers lost
+     * to failed nodes; and every node replaces dead table entries
+     * (Section 4.3.3 "maintenance-free operation").
      */
     void repair();
 

@@ -1195,5 +1195,218 @@ TEST(Chaos, ThreadedColdRestartRecovers)
     }
 }
 
+// ---------------------------------------------------------------------------
+// Scenario I: per-object replica sets under churn (DESIGN.md section
+// 23).  Writes and reads run over a lossy network while hosts crash
+// and restart and replica sets gain (Create) and lose (Retire)
+// members.  Every read returns some committed version's exact bytes,
+// served by a member of the set; after the heal every live member of
+// every set holds the root's version, and every read serves it.
+// ---------------------------------------------------------------------------
+
+struct MembershipChaosResult
+{
+    std::uint64_t hash = 0;
+    unsigned reads = 0;
+    unsigned misses = 0;       //!< Location found no live host.
+    unsigned healMisses = 0;   //!< Misses after the heal.
+    unsigned badReads = 0;     //!< Not a committed version's bytes,
+                               //!< or served by a non-member.
+    unsigned staleHealReads = 0; //!< Behind the root after the heal.
+    unsigned lostWrites = 0;   //!< Never completed, or not committed.
+    unsigned creates = 0;
+    unsigned retires = 0;
+    unsigned crashes = 0;
+    unsigned laggingMembers = 0; //!< After the heal.
+    std::uint64_t rootVersions = 0; //!< Summed over the objects.
+    std::uint64_t dropped = 0;
+};
+
+MembershipChaosResult
+runMembershipChaos(std::uint64_t seed)
+{
+    UniverseConfig ucfg;
+    ucfg.numServers = 16;
+    ucfg.archiveOnCommit = false;
+    ucfg.seed = mixSeed(0x0cea5042u, seed);
+    Universe universe(ucfg);
+    KeyPair owner = universe.makeUser();
+
+    constexpr std::size_t kObjects = 3;
+    std::vector<ObjectHandle> docs;
+    // contentAt[o][v]: object o's plaintext at version v.
+    std::vector<std::vector<std::string>> contentAt;
+    for (std::size_t o = 0; o < kObjects; o++) {
+        docs.push_back(universe.createObject(
+            owner, "chaos/members/" + std::to_string(o)));
+        contentAt.push_back({""});
+    }
+
+    FaultPlan fplan;
+    fplan.drop = 0.05;
+    fplan.duplicate = 0.02;
+    fplan.delayJitter = 0.02;
+    fplan.seed = mixSeed(0xfa017u, seed);
+    FaultInjector inj(universe.sim(), universe.net(), fplan);
+    inj.arm();
+
+    MembershipChaosResult res;
+    SecondaryTier &tier = universe.secondaryTier();
+    std::uint64_t clock = 0;
+    auto write = [&](std::size_t o) {
+        std::string text = "<" + std::to_string(clock) + ">";
+        VersionNum expected = contentAt[o].size() - 1;
+        WriteResult wr = universe.writeSync(docs[o].makeAppendUpdate(
+            toBytes(text), expected, Timestamp{++clock, 1}));
+        if (wr.completed && wr.committed && wr.version == expected + 1)
+            contentAt[o].push_back(contentAt[o].back() + text);
+        else
+            res.lostWrites++;
+    };
+    auto read = [&](std::size_t from, std::size_t o) {
+        ReadResult rr = universe.readSync(from, docs[o].guid());
+        res.reads++;
+        // A miss (every host down) is no wrong answer; found bytes
+        // must be some committed version's, exactly, and come from a
+        // member of the set (a non-member answers version 0, whose
+        // empty bytes would pass the first check).  A stale version
+        // is allowed here: a new host catching up, or a push still in
+        // flight over the lossy network.
+        if (!rr.found)
+            res.misses++;
+        else if (rr.version >= contentAt[o].size() ||
+                 toString(docs[o].decryptContent(rr.blocks)) !=
+                     contentAt[o][rr.version] ||
+                 !tier.isMember(docs[o].guid(), rr.servedBy))
+            res.badReads++;
+        return rr;
+    };
+
+    Rng rng(mixSeed(0x3e3bu, seed));
+    std::set<std::size_t> down;
+    const std::size_t servers = universe.numServers();
+    for (unsigned step = 0; step < 120; step++) {
+        const std::size_t o = rng.below(kObjects);
+        const unsigned action = static_cast<unsigned>(rng.below(10));
+        if (action < 3) {
+            write(o);
+        } else if (action < 6) {
+            read(rng.below(servers), o);
+        } else if (action == 6) {
+            // Crash a server (never the tree root), at most two at once.
+            std::size_t idx = 1 + rng.below(servers - 1);
+            if (down.size() < 2 && down.insert(idx).second) {
+                universe.crashServer(idx);
+                res.crashes++;
+            }
+        } else if (action == 7) {
+            if (!down.empty()) {
+                std::size_t idx = *down.begin();
+                down.erase(down.begin());
+                universe.restartServer(idx);
+            }
+        } else if (action == 8) {
+            std::size_t idx = rng.below(servers);
+            std::vector<std::size_t> hosts = universe.hosts(docs[o].guid());
+            if (std::find(hosts.begin(), hosts.end(), idx) == hosts.end()) {
+                universe.addHost(docs[o].guid(), idx);
+                res.creates++;
+            }
+        } else {
+            std::vector<std::size_t> hosts = universe.hosts(docs[o].guid());
+            if (hosts.size() > 1) {
+                universe.removeHost(docs[o].guid(),
+                                    hosts[rng.below(hosts.size())]);
+                res.retires++;
+            }
+        }
+        universe.advance(rng.uniform(0.1, 2.0));
+    }
+
+    // Heal: a clean network, every server back, one more commit per
+    // object (its push finds every member behind a gap), then time.
+    inj.disarm();
+    for (std::size_t idx : down)
+        universe.restartServer(idx);
+    for (std::size_t o = 0; o < kObjects; o++)
+        write(o);
+    universe.advance(60.0);
+
+    TraceHash t;
+    for (std::size_t o = 0; o < kObjects; o++) {
+        const Guid &g = docs[o].guid();
+        // The root hears of a commit only from primary rank 0, which a
+        // dropped PBFT message can leave behind for good, so the
+        // target is the root's version, not the last commit.
+        const VersionNum root = tier.replica(0).committedVersion(g);
+        res.rootVersions += root;
+        for (std::size_t i = 0; i < servers; i++) {
+            if (tier.isMember(g, i)) {
+                res.laggingMembers += tier.replica(i).committedVersion(g) !=
+                                      root;
+                t.mix(i);
+            }
+        }
+        // Healed, a read anywhere serves the root's version.
+        const unsigned before = res.misses;
+        for (std::size_t from = 0; from < servers; from++)
+            res.staleHealReads += read(from, o).version < root;
+        res.healMisses += res.misses - before;
+        t.mix(root);
+    }
+    res.dropped = inj.dropped();
+    t.mix(inj.traceHash());
+    t.mix(universe.sim().eventsExecuted());
+    t.mix(universe.net().totalMessages());
+    t.mix(res.reads);
+    t.mix(res.misses);
+    t.mix(res.badReads);
+    t.mix(res.creates);
+    t.mix(res.retires);
+    res.hash = t.h;
+    return res;
+}
+
+TEST(Chaos, MembershipUnderChurn)
+{
+    std::set<std::uint64_t> distinct;
+    unsigned creates = 0, retires = 0, crashes = 0;
+    std::uint64_t rootVersions = 0;
+    bool dumped = false;
+    for (std::uint64_t seed = 1; seed <= 6; seed++) {
+        MembershipChaosResult a = runMembershipChaos(seed);
+        MembershipChaosResult b = runMembershipChaos(seed);
+        EXPECT_EQ(a.hash, b.hash) << "seed " << seed;
+        EXPECT_GT(a.reads, 0u) << "seed " << seed;
+        // Safety: a read serves some committed version, byte-exact,
+        // however the replica set moved under it.
+        EXPECT_EQ(a.badReads, 0u) << "seed " << seed;
+        EXPECT_EQ(a.healMisses, 0u) << "seed " << seed;
+        EXPECT_EQ(a.staleHealReads, 0u) << "seed " << seed;
+        EXPECT_EQ(a.lostWrites, 0u) << "seed " << seed;
+        // Liveness: after the heal every live member holds the root's
+        // version.
+        EXPECT_EQ(a.laggingMembers, 0u) << "seed " << seed;
+        EXPECT_GT(a.dropped, 0u) << "seed " << seed;
+        creates += a.creates;
+        retires += a.retires;
+        crashes += a.crashes;
+        rootVersions += a.rootVersions;
+        distinct.insert(a.hash);
+        if (::testing::Test::HasFailure() && !dumped) {
+            dumped = true;
+            dumpFailingSeed("membership", seed,
+                            [&] { runMembershipChaos(seed); });
+        }
+    }
+    // The matrix exercises every kind of membership change.
+    EXPECT_GT(creates, 0u);
+    EXPECT_GT(retires, 0u);
+    EXPECT_GT(crashes, 0u);
+    // And commits reached the tier: 6 seeds x 3 objects, ~10 each.
+    EXPECT_GT(rootVersions, 60u);
+    EXPECT_GE(distinct.size(), 4u);
+}
+
 } // namespace
 } // namespace oceanstore

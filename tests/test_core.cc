@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <string>
@@ -623,6 +625,399 @@ TEST(ThreadedIntrospection, AccessorsWhileReading)
     EXPECT_GT(drains, 0u);
     EXPECT_EQ(found.load(), kClients * kRounds * 2);
     EXPECT_GT(uni.semanticGraph().weight(a.guid(), b.guid()), 0.0);
+}
+
+TEST_F(UniverseTest, ReplicaManagementFloatsTowardOwnReaders)
+{
+    // Two objects share their only host; one is read hard from one
+    // corner of the map, the other lightly from the opposite corner.
+    // The hot object's new replica must float toward its own readers,
+    // not the other object's.
+    auto nearest = [&](double x, double y) {
+        std::size_t best = 0;
+        double best_d = 1e9;
+        for (std::size_t i = 0; i < uni.numServers(); i++) {
+            NodeId n = uni.secondaryTier().replica(i).nodeId();
+            double d = std::hypot(uni.net().xOf(n) - x,
+                                  uni.net().yOf(n) - y);
+            if (d < best_d) {
+                best = i;
+                best_d = d;
+            }
+        }
+        return best;
+    };
+    const std::size_t nearA = nearest(0.0, 0.0);
+    const std::size_t nearB = nearest(1.0, 1.0);
+    const std::size_t shared = nearest(0.5, 0.5);
+    ASSERT_NE(nearA, nearB);
+
+    ObjectHandle x = uni.createObject(owner, "reader-corner-x");
+    ObjectHandle y = uni.createObject(owner, "reader-corner-y");
+    // Make the hot object the one earlier in GUID order, so a host's
+    // one candidate list would be overwritten by the cold object's.
+    const ObjectHandle &hot = x.guid() < y.guid() ? x : y;
+    const ObjectHandle &cold = x.guid() < y.guid() ? y : x;
+    for (const ObjectHandle *h : {&hot, &cold}) {
+        uni.addHost(h->guid(), shared);
+        for (std::size_t idx : uni.hosts(h->guid()))
+            if (idx != shared)
+                uni.removeHost(h->guid(), idx);
+        ASSERT_EQ(uni.hosts(h->guid()),
+                  std::vector<std::size_t>{shared});
+    }
+
+    for (int i = 0; i < 150; i++)
+        ASSERT_EQ(uni.readSync(nearA, hot.guid()).servedBy, shared);
+    for (int i = 0; i < 10; i++)
+        ASSERT_EQ(uni.readSync(nearB, cold.guid()).servedBy, shared);
+
+    auto actions = uni.runReplicaManagementEpoch();
+    const NodeId readerA = uni.secondaryTier().replica(nearA).nodeId();
+    const NodeId readerB = uni.secondaryTier().replica(nearB).nodeId();
+    unsigned creates = 0;
+    for (const auto &a : actions) {
+        if (a.kind != ReplicaAction::Kind::Create)
+            continue;
+        creates++;
+        EXPECT_EQ(a.object, hot.guid());
+        EXPECT_LT(uni.rt().latency(a.target, readerA),
+                  uni.rt().latency(a.target, readerB))
+            << "new replica on node " << a.target
+            << " floats toward the other object's readers";
+    }
+    EXPECT_EQ(creates, 1u);
+}
+
+// --- per-object replica sets (DESIGN.md section 23) ----------------------
+
+struct SecondaryMembership : public UniverseTest
+{
+    /** Replica indices in @p obj's set: the root plus its hosts. */
+    std::vector<std::size_t>
+    members(const Guid &obj)
+    {
+        std::vector<std::size_t> out;
+        for (std::size_t i = 0; i < uni.numServers(); i++)
+            if (uni.secondaryTier().isMember(obj, i))
+                out.push_back(i);
+        return out;
+    }
+
+    /** A server that is neither a host of @p obj nor the root. */
+    std::size_t
+    nonMember(const Guid &obj)
+    {
+        for (std::size_t i = uni.numServers() - 1; i > 0; i--)
+            if (!uni.secondaryTier().isMember(obj, i))
+                return i;
+        return 0;
+    }
+
+    /** A host of @p obj other than the root. */
+    std::size_t
+    hostNotRoot(const Guid &obj)
+    {
+        for (std::size_t idx : uni.hosts(obj))
+            if (idx != 0)
+                return idx;
+        return 0;
+    }
+
+    VersionNum
+    versionAt(std::size_t i, const Guid &obj)
+    {
+        return uni.secondaryTier().replica(i).committedVersion(obj);
+    }
+};
+
+TEST_F(SecondaryMembership, PushReachesOnlyMembers)
+{
+    ObjectHandle h = uni.createObject(owner, "doc");
+    std::vector<std::size_t> expect = uni.hosts(h.guid());
+    if (std::find(expect.begin(), expect.end(), 0u) == expect.end())
+        expect.insert(expect.begin(), 0);
+    ASSERT_EQ(members(h.guid()), expect);
+    const DisseminationTree &tree = uni.secondaryTier().treeOf(h.guid());
+    const std::uint64_t edges = tree.members().size();
+    ASSERT_EQ(edges, expect.size() - 1);
+
+    MetricsRegistry &reg = MetricsRegistry::global();
+    std::string text;
+    for (VersionNum v = 1; v <= 3; v++) {
+        std::uint64_t pushes = reg.counterValue("sec.pushes");
+        std::uint64_t acks = reg.counterValue("sec.acks");
+        text += "v" + std::to_string(v);
+        ASSERT_TRUE(uni.writeSync(appendText(h, "v" + std::to_string(v),
+                                             v - 1))
+                        .committed);
+        uni.advance(10.0);
+        // One push per tree edge plus the root's own injection, and
+        // one ack per edge: nothing reaches a non-member.
+        EXPECT_EQ(reg.counterValue("sec.pushes") - pushes, edges + 1);
+        EXPECT_EQ(reg.counterValue("sec.acks") - acks, edges);
+    }
+    EXPECT_TRUE(uni.secondaryTier().allCommitted(h.guid(), 3));
+    for (std::size_t i = 0; i < uni.numServers(); i++) {
+        const SecondaryReplica &rep = uni.secondaryTier().replica(i);
+        if (uni.secondaryTier().isMember(h.guid(), i)) {
+            EXPECT_EQ(rep.committedVersion(h.guid()), 3u) << i;
+        } else {
+            EXPECT_EQ(rep.committedState(h.guid()), nullptr) << i;
+        }
+    }
+    // A non-member asked for the object answers the shared empty
+    // state and still records nothing.
+    SecondaryReplica &outsider =
+        uni.secondaryTier().replica(nonMember(h.guid()));
+    EXPECT_EQ(outsider.committedObject(h.guid()).version(), 0u);
+    EXPECT_EQ(outsider.committedState(h.guid()), nullptr);
+    EXPECT_EQ(toString(h.decryptContent(uni.readSync(0, h.guid()).blocks)),
+              text);
+}
+
+TEST_F(SecondaryMembership, CreatedHostCatchesUp)
+{
+    ObjectHandle h = uni.createObject(owner, "doc");
+    for (VersionNum v = 0; v < 3; v++)
+        ASSERT_TRUE(
+            uni.writeSync(appendText(h, std::string(1, "abc"[v]), v))
+                .committed);
+    uni.advance(10.0);
+
+    const std::size_t fresh = nonMember(h.guid());
+    ASSERT_NE(fresh, 0u);
+    uni.addHost(h.guid(), fresh);
+    // Published at once, caught up by its fetch: until the reply
+    // lands it holds nothing newer.
+    EXPECT_TRUE(uni.secondaryTier().isMember(h.guid(), fresh));
+    EXPECT_EQ(versionAt(fresh, h.guid()), 0u);
+    uni.advance(10.0);
+    EXPECT_EQ(versionAt(fresh, h.guid()), 3u);
+
+    // A read entered at the new host is served there, byte-exact.
+    ReadResult rr = uni.readSync(fresh, h.guid());
+    ASSERT_TRUE(rr.found);
+    EXPECT_EQ(rr.servedBy, fresh);
+    EXPECT_EQ(rr.version, 3u);
+    EXPECT_EQ(toString(h.decryptContent(rr.blocks)), "abc");
+    EXPECT_TRUE(uni.secondaryTier().allCommitted(h.guid(), 3));
+}
+
+TEST_F(SecondaryMembership, RetiredHostDropsState)
+{
+    ObjectHandle h = uni.createObject(owner, "doc");
+    ASSERT_TRUE(uni.writeSync(appendText(h, "one", 0)).committed);
+    uni.advance(10.0);
+    const std::size_t victim = hostNotRoot(h.guid());
+    ASSERT_NE(victim, 0u);
+    ASSERT_EQ(versionAt(victim, h.guid()), 1u);
+
+    // The victim's link is down for the next commit, so its parent
+    // arms a retransmit; the victim is retired before it fires.
+    const NodeId node = uni.secondaryTier().replica(victim).nodeId();
+    const std::uint64_t retransmits = uni.secondaryTier().pushRetransmits();
+    uni.net().setDown(node);
+    ASSERT_TRUE(uni.writeSync(appendText(h, "two", 1)).committed);
+    uni.advance(0.3); // the first push is lost, its retransmit pending
+    ASSERT_EQ(uni.secondaryTier().pushRetransmits(), retransmits);
+    uni.removeHost(h.guid(), victim);
+    uni.net().setUp(node);
+    EXPECT_FALSE(uni.secondaryTier().isMember(h.guid(), victim));
+    EXPECT_EQ(uni.secondaryTier().replica(victim).committedState(h.guid()),
+              nullptr);
+    uni.advance(20.0);
+
+    // The retransmit landed on a non-member: acked (so it fired once),
+    // not applied.
+    EXPECT_EQ(uni.secondaryTier().pushRetransmits() - retransmits, 1u);
+    EXPECT_EQ(uni.secondaryTier().replica(victim).committedState(h.guid()),
+              nullptr);
+    EXPECT_TRUE(uni.secondaryTier().allCommitted(h.guid(), 2));
+    for (std::size_t idx : uni.hosts(h.guid())) {
+        ReadResult rr = uni.readSync(idx, h.guid());
+        EXPECT_EQ(rr.version, 2u);
+        EXPECT_EQ(toString(h.decryptContent(rr.blocks)), "onetwo");
+    }
+}
+
+TEST_F(SecondaryMembership, PointerLeftByRetireIsNotServed)
+{
+    // A mesh node on a host's publish path is down while the host is
+    // retired, so unpublish() cannot clear its pointer; on restart it
+    // reloads the pointer from its "ptr/" records.  A read that
+    // follows it reaches a live replica outside the set, which holds
+    // nothing of the object: that is a miss, never version 0.
+    PlaxtonMesh &mesh = uni.mesh();
+    auto indexOf = [&](NodeId n) {
+        for (std::size_t i = 0; i < uni.numServers(); i++)
+            if (uni.secondaryTier().replica(i).nodeId() == n)
+                return i;
+        return std::size_t{0};
+    };
+    std::optional<ObjectHandle> h;
+    std::size_t victim = 0, relay = 0;
+    for (int attempt = 0; attempt < 20 && relay == 0; attempt++) {
+        h = uni.createObject(owner, "doc" + std::to_string(attempt));
+        std::vector<std::size_t> hosts = uni.hosts(h->guid());
+        if (std::find(hosts.begin(), hosts.end(), 0u) != hosts.end())
+            continue;
+        victim = hosts.front();
+        const NodeId vnode = uni.secondaryTier().replica(victim).nodeId();
+        for (unsigned s = 0; s < smallConfig().plaxton.numSalts && relay == 0;
+             s++) {
+            for (NodeId n : mesh.route(vnode, h->guid().withSalt(s)).path) {
+                std::size_t i = indexOf(n);
+                if (i != 0 && !uni.secondaryTier().isMember(h->guid(), i)) {
+                    relay = i;
+                    break;
+                }
+            }
+        }
+    }
+    ASSERT_NE(relay, 0u) << "no publish path crosses a non-member";
+    const Guid g = h->guid();
+    ASSERT_TRUE(uni.writeSync(appendText(*h, "one", 0)).committed);
+    uni.advance(10.0);
+
+    uni.crashServer(relay);
+    uni.removeHost(g, victim);
+    uni.restartServer(relay);
+    // The other hosts are down, so no location tier finds a member.
+    std::vector<std::size_t> others = uni.hosts(g);
+    for (std::size_t idx : others)
+        uni.crashServer(idx);
+    const NodeId relayNode = uni.secondaryTier().replica(relay).nodeId();
+    const NodeId victimNode = uni.secondaryTier().replica(victim).nodeId();
+    LocateResult stale = mesh.locate(relayNode, g);
+    ASSERT_TRUE(stale.found);
+    ASSERT_EQ(stale.location, victimNode) << "no stale pointer to test";
+
+    ReadResult rr = uni.readSync(relay, g);
+    EXPECT_FALSE(rr.found) << "served by " << rr.servedBy << " at version "
+                           << rr.version;
+    // The read's location retry purged the pointer.
+    EXPECT_FALSE(mesh.locate(relayNode, g).found);
+
+    for (std::size_t idx : others)
+        uni.restartServer(idx);
+    rr = uni.readSync(relay, g);
+    ASSERT_TRUE(rr.found);
+    EXPECT_TRUE(uni.secondaryTier().isMember(g, rr.servedBy));
+    EXPECT_EQ(rr.version, 1u);
+    EXPECT_EQ(toString(h->decryptContent(rr.blocks)), "one");
+}
+
+TEST_F(SecondaryMembership, HostDownDuringCommitCatchesUp)
+{
+    ObjectHandle h = uni.createObject(owner, "doc");
+    const std::size_t victim = hostNotRoot(h.guid());
+    ASSERT_NE(victim, 0u);
+
+    // Down through two commits, long enough that every retransmit to
+    // it is spent.
+    uni.crashServer(victim);
+    ASSERT_TRUE(uni.writeSync(appendText(h, "a", 0)).committed);
+    ASSERT_TRUE(uni.writeSync(appendText(h, "b", 1)).committed);
+    uni.advance(30.0);
+    uni.restartServer(victim);
+    EXPECT_EQ(versionAt(victim, h.guid()), 0u);
+
+    // The next push lands behind the gap, and the victim fetches what
+    // it missed from its parent.
+    ASSERT_TRUE(uni.writeSync(appendText(h, "c", 2)).committed);
+    uni.advance(10.0);
+    EXPECT_EQ(versionAt(victim, h.guid()), 3u);
+    EXPECT_TRUE(uni.secondaryTier().allCommitted(h.guid(), 3));
+    ReadResult rr = uni.readSync(victim, h.guid());
+    ASSERT_TRUE(rr.found);
+    EXPECT_EQ(rr.servedBy, victim);
+    EXPECT_EQ(rr.version, 3u);
+    EXPECT_EQ(toString(h.decryptContent(rr.blocks)), "abc");
+}
+
+TEST_F(SecondaryMembership, ThreadedCreateRetireWhileReading)
+{
+    // Client threads write and read their own objects while the main
+    // thread moves the objects' hosts around.  Every read returns some
+    // committed version's exact bytes.
+    UniverseConfig cfg = smallConfig();
+    cfg.runtime = RuntimeKind::Threaded;
+    Universe threaded(cfg);
+    Universe &uni = threaded;
+    KeyPair owner = uni.makeUser();
+
+    constexpr unsigned kClients = 3;
+    constexpr unsigned kRounds = 20;
+    std::vector<ObjectHandle> docs;
+    for (unsigned c = 0; c < kClients; c++)
+        docs.push_back(uni.createObject(owner, "doc" + std::to_string(c)));
+
+    std::atomic<unsigned> bad{0};
+    std::atomic<unsigned> ops{0};
+    std::atomic<unsigned> running{kClients};
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < kClients; c++) {
+        clients.emplace_back([&, c] {
+            std::vector<std::string> contentAt{""};
+            for (unsigned r = 0; r < kRounds; r++) {
+                std::string text = std::to_string(c) + ":" +
+                                   std::to_string(r) + ";";
+                WriteResult wr = uni.writeSync(docs[c].makeAppendUpdate(
+                    toBytes(text), r, {r + 1, c + 1}));
+                if (!wr.committed || wr.version != r + 1)
+                    bad++;
+                contentAt.push_back(contentAt.back() + text);
+                ReadResult rr =
+                    uni.readSync((c * 7 + r) % uni.numServers(),
+                                 docs[c].guid());
+                if (!rr.found || rr.version >= contentAt.size() ||
+                    toString(docs[c].decryptContent(rr.blocks)) !=
+                        contentAt[rr.version])
+                    bad++;
+                ops++;
+            }
+            running--;
+        });
+    }
+    // One membership move per client round.  The loop thread fires one
+    // event per hold and then yields to waiting callers, so a thread
+    // that calls execute() back to back starves it; pacing the moves
+    // by the clients' progress keeps the backlog bounded (under TSan
+    // too).
+    Rng rng(0x5e7);
+    unsigned moves = 0;
+    unsigned seen = 0;
+    while (running.load() > 0) {
+        if (ops.load() == seen) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            continue;
+        }
+        seen = ops.load();
+        const ObjectHandle &doc = docs[moves % kClients];
+        std::size_t idx = 1 + rng.below(uni.numServers() - 1);
+        std::vector<std::size_t> hosts = uni.hosts(doc.guid());
+        if (std::find(hosts.begin(), hosts.end(), idx) == hosts.end())
+            uni.addHost(doc.guid(), idx);
+        else if (hosts.size() > 1)
+            uni.removeHost(doc.guid(), idx);
+        moves++;
+    }
+    for (std::thread &t : clients)
+        t.join();
+
+    EXPECT_GT(moves, 0u);
+    EXPECT_EQ(bad.load(), 0u);
+    // Every member of every set converges on the last commit.
+    for (const ObjectHandle &doc : docs) {
+        EXPECT_TRUE(uni.runUntil(
+            [&] {
+                return uni.secondaryTier().allCommitted(doc.guid(),
+                                                        kRounds);
+            },
+            uni.rt().now() + 30.0))
+            << doc.guid().shortHex();
+    }
 }
 
 TEST_F(UniverseTest, MultipleObjectsIndependentVersions)

@@ -417,11 +417,30 @@ TEST(ReplicaMgmt, OverloadCreatesNearby)
     ReplicaManager mgr(cfg);
     Guid obj = Guid::hashOf("hot");
     std::vector<ReplicaLoad> loads = {{obj, 1, 500}};
-    std::map<NodeId, std::vector<NodeId>> candidates = {{1, {7, 8}}};
+    ReplicaCandidates candidates = {{{obj, 1}, {7, 8}}};
     auto actions = mgr.decide(loads, candidates);
     ASSERT_EQ(actions.size(), 1u);
     EXPECT_EQ(actions[0].kind, ReplicaAction::Kind::Create);
     EXPECT_EQ(actions[0].target, 7u); // nearest candidate
+}
+
+TEST(ReplicaMgmt, CandidatesPerObjectOnSharedHost)
+{
+    // One host holds two hot objects whose readers sit apart: each
+    // object's new replica goes to its own nearest candidate.
+    ReplicaPolicyConfig cfg;
+    cfg.overloadThreshold = 100;
+    ReplicaManager mgr(cfg);
+    Guid a = Guid::hashOf("a");
+    Guid b = Guid::hashOf("b");
+    std::vector<ReplicaLoad> loads = {{a, 1, 500}, {b, 1, 500}};
+    ReplicaCandidates candidates = {{{a, 1}, {7}}, {{b, 1}, {8}}};
+    auto actions = mgr.decide(loads, candidates);
+    ASSERT_EQ(actions.size(), 2u);
+    for (const auto &act : actions) {
+        EXPECT_EQ(act.kind, ReplicaAction::Kind::Create);
+        EXPECT_EQ(act.target, act.object == a ? 7u : 8u);
+    }
 }
 
 TEST(ReplicaMgmt, DisuseRetires)
@@ -458,8 +477,7 @@ TEST(ReplicaMgmt, NeverAboveCap)
     ReplicaManager mgr(cfg);
     Guid obj = Guid::hashOf("o");
     std::vector<ReplicaLoad> loads = {{obj, 1, 100}, {obj, 2, 100}};
-    std::map<NodeId, std::vector<NodeId>> candidates = {
-        {1, {7}}, {2, {8}}};
+    ReplicaCandidates candidates = {{{obj, 1}, {7}}, {{obj, 2}, {8}}};
     auto actions = mgr.decide(loads, candidates);
     EXPECT_TRUE(actions.empty()); // already at cap
 }
@@ -472,8 +490,7 @@ TEST(ReplicaMgmt, DoesNotDoubleUpOnHost)
     Guid obj = Guid::hashOf("o");
     std::vector<ReplicaLoad> loads = {{obj, 1, 100}, {obj, 7, 100}};
     // The only candidate for host 1 already hosts a replica.
-    std::map<NodeId, std::vector<NodeId>> candidates = {
-        {1, {7}}, {7, {1}}};
+    ReplicaCandidates candidates = {{{obj, 1}, {7}}, {{obj, 7}, {1}}};
     auto actions = mgr.decide(loads, candidates);
     EXPECT_TRUE(actions.empty());
 }
