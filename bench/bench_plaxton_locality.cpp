@@ -11,15 +11,26 @@
  *   (O(log n)).
  * Sweep 3 (A3 ablation): locate success under node failures, single
  *   root vs salted replicated roots, before and after repair.
+ * Scale: set-up time, RSS growth per server, lookups per second and
+ *   hop p50 of a mesh with published objects at 128 and 1024 servers
+ *   (and 4096 outside --smoke): per-server location state should stay
+ *   flat as the network grows.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include "obs/metrics.h"
 #include "plaxton/mesh.h"
 #include "runner.h"
 #include "runtime/runtime.h"
@@ -234,6 +245,93 @@ faultTable(bench::BenchContext &ctx)
     }
 }
 
+/** Resident set size of this process in MiB (0 where unreadable). */
+double
+rssMb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stod(line.substr(6)) / 1024.0; // kB -> MiB
+    }
+    return 0.0;
+}
+
+/** Give freed heap back to the OS, so the next RSS reading counts
+ *  only what is live. */
+void
+trimHeap()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+}
+
+/**
+ * Scale (ROADMAP item 10): a 3-salt mesh of n servers, 4 objects per
+ * server each published by 2 storers, then lookups from random
+ * members.  Set-up (mesh construction plus publishes) is timed and
+ * its RSS growth divided by n; hop sums are exact counters
+ * (plaxton_scale.*), so a change that moves a route shows there.
+ */
+void
+scaleCase(bench::BenchContext &ctx)
+{
+    std::vector<std::size_t> sizes = {128, 1024};
+    if (!ctx.smoke())
+        sizes.push_back(4096);
+    MetricsRegistry &reg = MetricsRegistry::global();
+    for (std::size_t n : sizes) {
+        const std::string k = "_n" + std::to_string(n);
+        const auto lookupHops = reg.counter("plaxton_scale.lookup_hops" + k);
+        const auto publishHops =
+            reg.counter("plaxton_scale.publish_hops" + k);
+        trimHeap();
+        const double rss0 = rssMb();
+        const auto t0 = std::chrono::steady_clock::now();
+        auto w = std::make_unique<World>(n, 3, ctx.seed(0x5ca1ab1e) + n);
+        std::vector<Guid> objs(4 * n);
+        for (Guid &g : objs) {
+            g = Guid::random(w->rng);
+            for (int r = 0; r < 2; r++)
+                reg.inc(publishHops,
+                        w->mesh->publish(g, w->rng.pick(w->members)));
+        }
+        const double setup = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+        const double rss1 = rssMb();
+
+        const int lookups = ctx.smoke() ? 2000 : 20000;
+        std::vector<double> hops;
+        hops.reserve(lookups);
+        unsigned found = 0;
+        const auto t1 = std::chrono::steady_clock::now();
+        for (int i = 0; i < lookups; i++) {
+            const Guid &g = objs[w->rng.next() % objs.size()];
+            LocateResult r = w->mesh->locate(w->rng.pick(w->members), g);
+            found += r.found;
+            hops.push_back(r.hops);
+            reg.inc(lookupHops, r.hops);
+        }
+        const double lookup_s = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t1)
+                                    .count();
+        std::sort(hops.begin(), hops.end());
+
+        ctx.metric("setup_s" + k, "s", setup);
+        ctx.metric("rss_kb_per_server" + k, "kB",
+                   (rss1 - rss0) * 1024.0 / static_cast<double>(n));
+        ctx.metric("lookups_per_s" + k, "1/s",
+                   lookup_s > 0 ? lookups / lookup_s : 0.0);
+        ctx.metric("hops_p50" + k, "hops", hops[hops.size() / 2]);
+        ctx.metric("found_frac" + k, "frac",
+                   static_cast<double>(found) / lookups);
+        w.reset();
+    }
+}
+
 } // namespace
 
 int
@@ -243,7 +341,8 @@ main(int argc, char **argv)
         {"locate", locateLoop},
         {"locality_table", localityTable},
         {"scaling_table", scalingTable},
-        {"fault_table", faultTable}};
+        {"fault_table", faultTable},
+        {"scale", scaleCase}};
     return bench::runBenchMain(argc, argv, "bench_plaxton_locality",
                                cases);
 }

@@ -1,8 +1,6 @@
 #include "bloom/location_service.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -49,7 +47,9 @@ BloomLocationService::BloomLocationService(const Topology &topo,
     localFilters_.assign(n, BloomFilter(cfg.bits, numHashes));
     edgeFilters_.resize(n);
     penalties_.resize(n);
+    edgeBase_.resize(n + 1, 0);
     for (NodeId i = 0; i < n; i++) {
+        edgeBase_[i + 1] = edgeBase_[i] + topo.adjacency[i].size();
         edgeFilters_[i].assign(
             topo.adjacency[i].size(),
             AttenuatedBloomFilter(cfg.depth, cfg.bits, numHashes));
@@ -70,7 +70,10 @@ BloomLocationService::edgeIndex(NodeId from, NodeId to) const
 void
 BloomLocationService::addObject(NodeId n, const Guid &g)
 {
-    localSets_[n].insert(g);
+    std::vector<Guid> &set = localSets_[n];
+    auto at = std::lower_bound(set.begin(), set.end(), g);
+    if (at == set.end() || *at != g)
+        set.insert(at, g);
     localFilters_[n].insert(g);
     if (dirty_) {
         return; // a full rebuild is pending anyway
@@ -88,9 +91,9 @@ BloomLocationService::propagateInsert(NodeId n, const Guid &g)
     // ships a small delta to the edge's tail (gossip accounting).
     const std::size_t delta_bytes = numHashes * 4 + 16;
 
-    // visited[level] -> set of (tail, edge index) already handled.
-    std::vector<std::set<std::pair<NodeId, unsigned>>> visited(
-        cfg_.depth);
+    // visited[level * edges + edge number]: (edge, level) handled.
+    const std::size_t edges = edgeBase_.back();
+    std::vector<bool> visited(cfg_.depth * edges, false);
     // Frontier holds (tail a, head b) pairs whose filter at `level`
     // just gained g.
     std::vector<std::pair<NodeId, NodeId>> frontier;
@@ -99,7 +102,7 @@ BloomLocationService::propagateInsert(NodeId n, const Guid &g)
         unsigned j = edgeIndex(a, n);
         edgeFilters_[a][j].level(0).insert(g);
         gossipBytes_ += delta_bytes;
-        visited[0].insert({a, j});
+        visited[edgeBase_[a] + j] = true;
         frontier.emplace_back(a, n);
     }
 
@@ -111,8 +114,10 @@ BloomLocationService::propagateInsert(NodeId n, const Guid &g)
                 if (a == c)
                     continue; // immediate reverse edge excluded
                 unsigned j = edgeIndex(a, b);
-                if (!visited[lvl].insert({a, j}).second)
+                std::size_t v = lvl * edges + edgeBase_[a] + j;
+                if (visited[v])
                     continue;
+                visited[v] = true;
                 edgeFilters_[a][j].level(lvl).insert(g);
                 gossipBytes_ += delta_bytes;
                 next.emplace_back(a, b);
@@ -125,7 +130,10 @@ BloomLocationService::propagateInsert(NodeId n, const Guid &g)
 void
 BloomLocationService::removeObject(NodeId n, const Guid &g)
 {
-    localSets_[n].erase(g);
+    std::vector<Guid> &set = localSets_[n];
+    auto at = std::lower_bound(set.begin(), set.end(), g);
+    if (at != set.end() && *at == g)
+        set.erase(at);
     // Bloom filters cannot delete bits; rebuild the local filter from
     // the authoritative set.
     localFilters_[n].clear();
@@ -137,7 +145,8 @@ BloomLocationService::removeObject(NodeId n, const Guid &g)
 bool
 BloomLocationService::hasObject(NodeId n, const Guid &g) const
 {
-    return localSets_[n].count(g) > 0;
+    const std::vector<Guid> &set = localSets_[n];
+    return std::binary_search(set.begin(), set.end(), g);
 }
 
 void
@@ -190,8 +199,9 @@ BloomLocationService::query(NodeId from, const Guid &g)
     BloomQueryResult res;
     res.path.push_back(from);
 
+    // res.path is the visited set: at most ttl + 1 nodes, so a
+    // linear scan beats any hashed set.
     NodeId cur = from;
-    std::unordered_set<NodeId> visited{from};
 
     for (;;) {
         if (hasObject(cur, g)) {
@@ -212,7 +222,8 @@ BloomLocationService::query(NodeId from, const Guid &g)
         unsigned best_dist = ~0u;
         NodeId best = invalidNode;
         for (std::size_t j = 0; j < adj.size(); j++) {
-            if (visited.count(adj[j]))
+            if (std::find(res.path.begin(), res.path.end(), adj[j]) !=
+                res.path.end())
                 continue;
             unsigned d = edgeFilters_[cur][j].minDistance(g);
             if (d == 0)
@@ -234,7 +245,6 @@ BloomLocationService::query(NodeId from, const Guid &g)
             break;
 
         cur = best;
-        visited.insert(cur);
         res.hops++;
         res.path.push_back(cur);
     }

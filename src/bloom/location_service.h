@@ -16,8 +16,7 @@
 #ifndef OCEANSTORE_BLOOM_LOCATION_SERVICE_H
 #define OCEANSTORE_BLOOM_LOCATION_SERVICE_H
 
-#include <map>
-#include <set>
+#include <cstddef>
 #include <vector>
 
 #include "bloom/attenuated.h"
@@ -117,11 +116,14 @@ class BloomLocationService
     bool dirty_ = true;
     std::uint64_t gossipBytes_ = 0;
 
-    /** Authoritative local object sets (ordered for deterministic
-     *  filter rebuilds). */
-    std::vector<std::set<Guid>> localSets_;
+    /** Authoritative local object sets, each sorted: hasObject() runs
+     *  at every query hop and is one binary search. */
+    std::vector<std::vector<Guid>> localSets_;
     /** Local Bloom filters (level 0 of the node itself). */
     std::vector<BloomFilter> localFilters_;
+    /** Directed edge n -> adjacency[n][j] is edgeBase_[n] + j in a
+     *  flat numbering of every edge (propagateInsert's visited set). */
+    std::vector<std::size_t> edgeBase_;
     /** edgeFilters_[n][j] covers edge n -> adjacency[n][j]. */
     std::vector<std::vector<AttenuatedBloomFilter>> edgeFilters_;
     /** Reliability penalties, keyed like edgeFilters_. */

@@ -61,13 +61,9 @@ Guid::random(Rng &rng)
 std::optional<Guid>
 Guid::fromHex(std::string_view hex)
 {
-    if (hex.size() != numDigits)
-        return std::nullopt;
-    std::optional<Bytes> b = hexDecode(hex);
-    if (!b)
-        return std::nullopt;
     Guid g;
-    std::copy(b->begin(), b->end(), g.bytes_.begin());
+    if (hex.size() != numDigits || !hexDecodeTo(hex, g.bytes_.data()))
+        return std::nullopt;
     return g;
 }
 
@@ -135,7 +131,9 @@ Guid::matchingSuffix(const Guid &other) const
 std::string
 Guid::hex() const
 {
-    return hexEncode(toBytes());
+    std::string out(numDigits, '\0');
+    hexEncodeTo(bytes_, out.data());
+    return out;
 }
 
 std::string
@@ -167,7 +165,18 @@ Guid::hash64() const
 std::string
 guidKey(std::string_view prefix, const Guid &g, std::uint32_t n)
 {
-    return std::string(prefix) + g.hex() + "/" + std::to_string(n);
+    // One buffer: prefix, 40 hex digits, '/', up to 10 decimal digits.
+    char num[10];
+    auto [numEnd, ec] = std::to_chars(num, num + sizeof num, n);
+    OS_DCHECK(ec == std::errc(), "guidKey: index ", n);
+    const auto numLen = static_cast<std::size_t>(numEnd - num);
+    std::string key(prefix.size() + Guid::numDigits + 1 + numLen, '\0');
+    char *out = std::copy(prefix.begin(), prefix.end(), key.data());
+    hexEncodeTo(g.bytes(), out);
+    out += Guid::numDigits;
+    *out++ = '/';
+    std::copy(num, numEnd, out);
+    return key;
 }
 
 std::optional<std::pair<Guid, std::uint32_t>>

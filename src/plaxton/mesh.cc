@@ -10,11 +10,6 @@ namespace oceanstore {
 
 namespace {
 
-/** Routing levels maintained (enough for ~16^8 nodes). */
-constexpr unsigned levels = 8;
-/** Backup neighbors kept per (level, digit) entry. */
-constexpr unsigned redundancy = 2;
-
 /** Interned metric ids, registered once on first use. */
 struct PlaxtonMetricIds
 {
@@ -49,23 +44,32 @@ PlaxtonMesh::PlaxtonMesh(Runtime &rt, const std::vector<NodeId> &members,
 {
     states_.resize(members_.size());
     for (std::size_t i = 0; i < members_.size(); i++) {
-        index_[members_[i]] = i;
+        addSlot(members_[i], i);
         states_[i].id = Guid::random(rng);
         states_[i].alive = true;
     }
     for (std::size_t i = 0; i < members_.size(); i++)
         buildTable(i);
-    OS_CHECK(index_.size() == members_.size(),
-             "PlaxtonMesh: duplicate member NodeIds");
+}
+
+void
+PlaxtonMesh::addSlot(NodeId n, std::size_t idx)
+{
+    OS_CHECK(n != invalidNode, "PlaxtonMesh: invalid member NodeId");
+    if (n >= slot_.size())
+        slot_.resize(static_cast<std::size_t>(n) + 1, noSlot);
+    OS_CHECK(slot_[n] == noSlot, "PlaxtonMesh: duplicate member NodeId ",
+             n);
+    slot_[n] = static_cast<std::uint32_t>(idx);
 }
 
 std::size_t
 PlaxtonMesh::indexOf(NodeId n) const
 {
-    auto it = index_.find(n);
-    if (it == index_.end())
+    std::uint32_t idx = slotOf(n);
+    if (idx == noSlot)
         fatal("PlaxtonMesh: node is not a member");
-    return it->second;
+    return idx;
 }
 
 const Guid &
@@ -77,10 +81,15 @@ PlaxtonMesh::guidOf(NodeId n) const
 bool
 PlaxtonMesh::alive(NodeId n) const
 {
-    auto it = index_.find(n);
-    if (it == index_.end())
-        return false;
-    return states_[it->second].alive && rt_.isUp(n);
+    std::uint32_t idx = slotOf(n);
+    return idx != noSlot && states_[idx].alive && rt_.isUp(n);
+}
+
+bool
+PlaxtonMesh::isSuspect(NodeId n) const
+{
+    std::uint32_t idx = slotOf(n);
+    return idx != noSlot && states_[idx].suspect;
 }
 
 void
@@ -89,60 +98,69 @@ PlaxtonMesh::buildTable(std::size_t idx)
     NodeState &st = states_[idx];
     NodeId self = members_[idx];
 
-    st.table.assign(levels, std::vector<Entry>(Guid::digitBase));
+    st.table.assign(std::size_t{levels} * Guid::digitBase, Entry{});
+    std::vector<double> lats(st.table.size() * entryWidth);
 
-    // Scan all members once; each contributes candidates for levels
-    // 0..min(matching suffix, levels-1) in its own digit column.
+    // Scan all members once; each is offered to levels
+    // 0..min(matching suffix, levels-1) in its own digit column, and
+    // each entry keeps the closest; "closest" is with respect to the
+    // underlying IP latency (footnote 5).
     for (std::size_t j = 0; j < members_.size(); j++) {
         const NodeState &other = states_[j];
         if (!other.alive)
             continue;
         std::size_t m = st.id.matchingSuffix(other.id);
         std::size_t max_lvl = std::min<std::size_t>(m, levels - 1);
+        double lat = rt_.latency(self, members_[j]);
         for (std::size_t lvl = 0; lvl <= max_lvl; lvl++) {
-            unsigned d = other.id.digit(lvl);
-            st.table[lvl][d].candidates.push_back(members_[j]);
+            std::size_t e = lvl * Guid::digitBase + other.id.digit(lvl);
+            offer(st.table[e], &lats[e * entryWidth], members_[j], lat);
         }
     }
+}
 
-    // Keep the 1 + redundancy closest candidates per entry; "closest"
-    // is with respect to the underlying IP latency (footnote 5).
-    for (auto &level : st.table) {
-        for (auto &entry : level) {
-            auto &c = entry.candidates;
-            std::sort(c.begin(), c.end(), [&](NodeId a, NodeId b) {
-                double la = rt_.latency(self, a);
-                double lb = rt_.latency(self, b);
-                if (la != lb)
-                    return la < lb;
-                return a < b;
-            });
-            if (c.size() > 1 + redundancy)
-                c.resize(1 + redundancy);
-        }
+void
+PlaxtonMesh::offer(Entry &e, double *lats, NodeId n, double lat)
+{
+    unsigned pos = 0;
+    while (pos < entryWidth && e.candidates[pos] != invalidNode &&
+           (lats[pos] < lat ||
+            (lats[pos] == lat && e.candidates[pos] < n)))
+        pos++;
+    if (pos == entryWidth)
+        return;
+    for (unsigned k = entryWidth - 1; k > pos; k--) {
+        e.candidates[k] = e.candidates[k - 1];
+        lats[k] = lats[k - 1];
     }
+    e.candidates[pos] = n;
+    lats[pos] = lat;
 }
 
 NodeId
 PlaxtonMesh::aliveCandidate(const Entry &e) const
 {
     for (NodeId n : e.candidates) {
+        if (n == invalidNode)
+            break;
         if (alive(n))
             return n;
     }
     return invalidNode;
 }
 
-RouteResult
-PlaxtonMesh::route(NodeId from, const Guid &target) const
+template <typename Visit>
+PlaxtonMesh::WalkEnd
+PlaxtonMesh::walk(NodeId from, const Guid &target, Visit &&visit) const
 {
-    RouteResult res;
-    res.path.push_back(from);
-
+    WalkEnd end;
+    if (visit(from, end.latency, end.hops))
+        return end;
     if (!alive(from)) {
-        res.failed = true;
-        return res;
+        end.failed = true;
+        return end;
     }
+    end.root = from;
 
     std::size_t cur = indexOf(from);
     Guid eff = target;
@@ -151,10 +169,8 @@ PlaxtonMesh::route(NodeId from, const Guid &target) const
         const NodeState &st = states_[cur];
         NodeId cur_node = members_[cur];
         std::size_t l = st.id.matchingSuffix(eff);
-        if (l >= levels) {
-            res.root = cur_node;
-            return res;
-        }
+        if (l >= levels)
+            return end;
 
         // Surrogate routing: scan digit values upward from the target
         // digit until an entry with an alive candidate is found.  The
@@ -163,29 +179,45 @@ PlaxtonMesh::route(NodeId from, const Guid &target) const
         bool advanced = false;
         for (unsigned k = 0; k < Guid::digitBase; k++) {
             unsigned d = (eff.digit(l) + k) % Guid::digitBase;
-            NodeId cand = aliveCandidate(st.table[l][d]);
+            NodeId cand = aliveCandidate(st.table[l * Guid::digitBase + d]);
             if (cand == invalidNode)
                 continue;
             if (d != eff.digit(l))
                 eff = eff.withDigit(l, d); // surrogate substitution
-            if (cand != cur_node) {
-                res.latency += rt_.latency(cur_node, cand);
-                res.path.push_back(cand);
-                cur = indexOf(cand);
-            }
+            advanced = true;
             // When cand == cur_node the digit resolves in place and
             // the suffix match grows on the next iteration.
-            advanced = true;
+            if (cand == cur_node)
+                break;
+            end.latency += rt_.latency(cur_node, cand);
+            end.hops++;
+            end.root = cand;
+            cur = indexOf(cand);
+            if (visit(cand, end.latency, end.hops))
+                return end;
             break;
         }
         if (!advanced) {
             // Every candidate at this level is dead: no further
             // progress is possible; we are the (degraded) root.
-            res.root = members_[cur];
-            res.failed = true;
-            return res;
+            end.failed = true;
+            return end;
         }
     }
+}
+
+RouteResult
+PlaxtonMesh::route(NodeId from, const Guid &target) const
+{
+    RouteResult res;
+    WalkEnd end = walk(from, target, [&](NodeId n, double, unsigned) {
+        res.path.push_back(n);
+        return false;
+    });
+    res.root = end.root;
+    res.latency = end.latency;
+    res.failed = end.failed;
+    return res;
 }
 
 NodeId
@@ -227,12 +259,22 @@ PlaxtonMesh::unpersistPointer(NodeId n, const Guid &g, NodeId storer)
 unsigned
 PlaxtonMesh::publishOne(const Guid &salted, const Guid &g, NodeId storer)
 {
-    RouteResult r = route(storer, salted);
-    for (NodeId n : r.path) {
-        if (states_[indexOf(n)].pointers[g].insert(storer).second)
+    WalkEnd end = walk(storer, salted, [&](NodeId n, double, unsigned) {
+        if (states_[indexOf(n)].pointers.insert(g, storer))
             persistPointer(n, g, storer);
-    }
-    return static_cast<unsigned>(r.path.size() - 1);
+        return false;
+    });
+    return end.hops;
+}
+
+bool
+PlaxtonMesh::publishes(NodeId storer, const Guid &g) const
+{
+    std::uint32_t idx = slotOf(storer);
+    if (idx == noSlot)
+        return false;
+    const std::vector<Guid> &pub = states_[idx].published;
+    return std::binary_search(pub.begin(), pub.end(), g);
 }
 
 unsigned
@@ -241,7 +283,10 @@ PlaxtonMesh::publish(const Guid &g, NodeId storer)
     unsigned hops = 0;
     for (unsigned s = 0; s < cfg_.numSalts; s++)
         hops += publishOne(g.withSalt(s), g, storer);
-    published_[storer].insert(g);
+    std::vector<Guid> &pub = states_[indexOf(storer)].published;
+    auto at = std::lower_bound(pub.begin(), pub.end(), g);
+    if (at == pub.end() || *at != g)
+        pub.insert(at, g);
     {
         PlaxtonMetricIds &pm = plaxtonMetrics();
         pm.reg->inc(pm.publishes);
@@ -253,65 +298,53 @@ void
 PlaxtonMesh::unpublish(const Guid &g, NodeId storer)
 {
     for (unsigned s = 0; s < cfg_.numSalts; s++) {
-        RouteResult r = route(storer, g.withSalt(s));
-        for (NodeId n : r.path) {
-            auto &ptrs = states_[indexOf(n)].pointers;
-            auto it = ptrs.find(g);
-            if (it != ptrs.end()) {
-                if (it->second.erase(storer) > 0)
-                    unpersistPointer(n, g, storer);
-                if (it->second.empty())
-                    ptrs.erase(it);
-            }
-        }
+        walk(storer, g.withSalt(s), [&](NodeId n, double, unsigned) {
+            if (states_[indexOf(n)].pointers.erase(g, storer))
+                unpersistPointer(n, g, storer);
+            return false;
+        });
     }
-    auto it = published_.find(storer);
-    if (it != published_.end()) {
-        it->second.erase(g);
-        if (it->second.empty())
-            published_.erase(it);
-    }
+    std::vector<Guid> &pub = states_[indexOf(storer)].published;
+    auto at = std::lower_bound(pub.begin(), pub.end(), g);
+    if (at != pub.end() && *at == g)
+        pub.erase(at);
 }
 
 LocateResult
 PlaxtonMesh::locateWithSalt(NodeId from, const Guid &g,
                             unsigned salt) const
 {
+    // Climb hop by hop and stop at the first node holding a pointer
+    // to an alive storer: the rest of the route is never computed.
     LocateResult res;
-    RouteResult r = route(from, g.withSalt(salt));
     res.saltUsed = salt;
-
-    double lat = 0.0;
-    for (std::size_t i = 0; i < r.path.size(); i++) {
-        if (i > 0)
-            lat += rt_.latency(r.path[i - 1], r.path[i]);
-        const NodeState &st = states_[indexOf(r.path[i])];
-        auto it = st.pointers.find(g);
-        if (it == st.pointers.end())
-            continue;
-        // Choose the closest alive storer advertised here.
-        NodeId best = invalidNode;
-        double best_lat = 0.0;
-        for (NodeId storer : it->second) {
-            if (!alive(storer))
-                continue;
-            double dl = rt_.latency(r.path[i], storer);
-            if (best == invalidNode || dl < best_lat) {
-                best = storer;
-                best_lat = dl;
+    WalkEnd end = walk(
+        from, g.withSalt(salt), [&](NodeId n, double lat, unsigned hops) {
+            // Choose the closest alive storer advertised here; the
+            // run is ascending, so a tie goes to the lowest NodeId.
+            NodeId best = invalidNode;
+            double best_lat = 0.0;
+            for (NodeId storer : states_[indexOf(n)].pointers.storers(g)) {
+                if (!alive(storer))
+                    continue;
+                double dl = rt_.latency(n, storer);
+                if (best == invalidNode || dl < best_lat) {
+                    best = storer;
+                    best_lat = dl;
+                }
             }
-        }
-        if (best == invalidNode)
-            continue;
-        res.found = true;
-        res.location = best;
-        res.hops = static_cast<unsigned>(i);
-        res.latency = lat + (best == r.path[i] ? 0.0 : best_lat);
-        return res;
+            if (best == invalidNode)
+                return false;
+            res.found = true;
+            res.location = best;
+            res.hops = hops;
+            res.latency = lat + (best == n ? 0.0 : best_lat);
+            return true;
+        });
+    if (!res.found) {
+        res.latency = end.latency;
+        res.hops = end.hops;
     }
-    res.latency = lat;
-    res.hops = static_cast<unsigned>(
-        r.path.empty() ? 0 : r.path.size() - 1);
     return res;
 }
 
@@ -340,11 +373,11 @@ PlaxtonMesh::locate(NodeId from, const Guid &g) const
 void
 PlaxtonMesh::insertNode(NodeId n, const Guid &id)
 {
-    if (index_.count(n))
+    if (slotOf(n) != noSlot)
         fatal("PlaxtonMesh::insertNode: already a member");
     std::size_t idx = states_.size();
     members_.push_back(n);
-    index_[n] = idx;
+    addSlot(n, idx);
     NodeState st;
     st.id = id;
     st.alive = true;
@@ -367,21 +400,18 @@ PlaxtonMesh::announce(std::size_t idx)
         NodeId other_node = members_[j];
         std::size_t m = other.id.matchingSuffix(id);
         std::size_t max_lvl = std::min<std::size_t>(m, levels - 1);
+        double lat = rt_.latency(other_node, self);
         for (std::size_t lvl = 0; lvl <= max_lvl; lvl++) {
-            unsigned d = id.digit(lvl);
-            auto &c = other.table[lvl][d].candidates;
-            if (std::find(c.begin(), c.end(), self) != c.end())
-                continue;
-            c.push_back(self);
-            std::sort(c.begin(), c.end(), [&](NodeId a, NodeId b) {
-                double la = rt_.latency(other_node, a);
-                double lb = rt_.latency(other_node, b);
-                if (la != lb)
-                    return la < lb;
-                return a < b;
-            });
-            if (c.size() > 1 + redundancy)
-                c.resize(1 + redundancy);
+            Entry &e = other.table[lvl * Guid::digitBase + id.digit(lvl)];
+            double lats[entryWidth] = {};
+            bool present = false;
+            for (unsigned k = 0; k < entryWidth; k++) {
+                present = present || e.candidates[k] == self;
+                if (e.candidates[k] != invalidNode)
+                    lats[k] = rt_.latency(other_node, e.candidates[k]);
+            }
+            if (!present)
+                offer(e, lats, self, lat);
         }
     }
 }
@@ -393,7 +423,7 @@ PlaxtonMesh::removeNode(NodeId n)
     states_[idx].alive = false;
     // A removed server loses its soft state: the pointers deposited
     // on it.  What it stores survives a crash (its replicas and log
-    // are on disk), so its publications stay in published_ — repair()
+    // are on disk), so its publications stay in `published` — repair()
     // skips it while it is down and restoreNode() re-deposits them.
     // The durable "ptr/" records on its own disk are likewise left
     // alone for restoreNode() to reload.
@@ -421,18 +451,16 @@ PlaxtonMesh::restoreNode(NodeId n)
             auto parsed = parseGuidKey(key, "ptr/");
             OS_CHECK(parsed.has_value(),
                      "mesh restore: malformed pointer key '", key, "'");
-            st.pointers[parsed->first].insert(parsed->second);
+            st.pointers.insert(parsed->first, parsed->second);
             reloaded++;
         });
     }
 
     // Pointers TO this node's objects were purged from the rest of
-    // the mesh while it was down; re-deposit them, in Guid order.
-    auto it = published_.find(n);
-    if (it != published_.end()) {
-        for (const Guid &g : it->second)
-            publish(g, n);
-    }
+    // the mesh while it was down; re-deposit them, in Guid order
+    // (publish() finds each already listed, so the list stays put).
+    for (const Guid &g : st.published)
+        publish(g, n);
     return reloaded;
 }
 
@@ -453,34 +481,27 @@ PlaxtonMesh::repair()
     //    no longer publish the object: a pointer unpublish() did not
     //    reach, off the storer's current paths or on a member that was
     //    down at the time and reloaded it from its "ptr/" records.
+    //    The write-through erases go out in (Guid, storer) order.
     for (std::size_t i = 0; i < states_.size(); i++) {
         NodeState &st = states_[i];
         if (!st.alive)
             continue;
-        for (auto it = st.pointers.begin(); it != st.pointers.end();) {
-            for (auto sit = it->second.begin();
-                 sit != it->second.end();) {
-                auto pub = published_.find(*sit);
-                if (!alive(*sit) || pub == published_.end() ||
-                    !pub->second.count(it->first)) {
-                    unpersistPointer(members_[i], it->first, *sit);
-                    sit = it->second.erase(sit);
-                } else {
-                    ++sit;
-                }
-            }
-            if (it->second.empty())
-                it = st.pointers.erase(it);
-            else
-                ++it;
+        auto stale = st.pointers.collect([&](const Guid &g, NodeId s) {
+            return !alive(s) || !publishes(s, g);
+        });
+        for (const auto &[g, storer] : stale) {
+            unpersistPointer(members_[i], g, storer);
+            st.pointers.erase(g, storer);
         }
     }
     // 3. Every alive storer slowly repeats the publishing process
-    //    (Section 4.3.3), restoring pointers on the repaired mesh.
-    for (const auto &[storer, objs] : published_) {
-        if (!alive(storer))
+    //    (Section 4.3.3), restoring pointers on the repaired mesh:
+    //    storers in ascending NodeId, each one's objects in Guid
+    //    order.
+    for (NodeId storer = 0; storer < slot_.size(); storer++) {
+        if (slot_[storer] == noSlot || !alive(storer))
             continue;
-        for (const Guid &g : objs) {
+        for (const Guid &g : states_[slot_[storer]].published) {
             for (unsigned s = 0; s < cfg_.numSalts; s++)
                 publishOne(g.withSalt(s), g, storer);
         }
@@ -496,17 +517,17 @@ PlaxtonMesh::beaconSweep()
             continue; // already evicted
         NodeId n = members_[i];
         bool answered = rt_.isUp(n);
-        bool suspect = suspects_.count(n) > 0;
+        bool &suspect = states_[i].suspect;
         if (answered && suspect) {
             // Second chance paid off: full state retained.
-            suspects_.erase(n);
+            suspect = false;
             report.reinstated++;
         } else if (!answered && !suspect) {
-            suspects_.insert(n);
+            suspect = true;
             report.suspects++;
         } else if (!answered && suspect) {
             // Two consecutive misses: really gone.
-            suspects_.erase(n);
+            suspect = false;
             removeNode(n);
             report.evicted++;
         }
@@ -517,10 +538,10 @@ PlaxtonMesh::beaconSweep()
 std::vector<Guid>
 PlaxtonMesh::objectsPublishedBy(NodeId storer) const
 {
-    auto it = published_.find(storer);
-    if (it == published_.end())
+    std::uint32_t idx = slotOf(storer);
+    if (idx == noSlot)
         return {};
-    return std::vector<Guid>(it->second.begin(), it->second.end());
+    return states_[idx].published;
 }
 
 } // namespace oceanstore

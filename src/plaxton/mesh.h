@@ -24,15 +24,12 @@
 #ifndef OCEANSTORE_PLAXTON_MESH_H
 #define OCEANSTORE_PLAXTON_MESH_H
 
-#include <functional>
-#include <map>
-#include <optional>
-#include <set>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/guid.h"
+#include "plaxton/pointer_table.h"
 #include "runtime/runtime.h"
 #include "sim/topology.h"
 #include "storage/node_storage.h"
@@ -197,7 +194,7 @@ class PlaxtonMesh
     BeaconReport beaconSweep();
 
     /** True when @p n is currently under suspicion. */
-    bool isSuspect(NodeId n) const { return suspects_.count(n) > 0; }
+    bool isSuspect(NodeId n) const;
 
     /** All objects published by @p storer (for repair sweeps). */
     std::vector<Guid> objectsPublishedBy(NodeId storer) const;
@@ -206,27 +203,69 @@ class PlaxtonMesh
     const std::vector<NodeId> &members() const { return members_; }
 
   private:
+    /** Routing levels maintained (enough for ~16^8 nodes). */
+    static constexpr unsigned levels = 8;
+    /** Neighbors kept per (level, digit) entry: a primary and two
+     *  backups. */
+    static constexpr unsigned entryWidth = 3;
+
     struct Entry
     {
-        /** Primary plus backup neighbors, closest first. */
-        std::vector<NodeId> candidates;
+        /** Primary plus backup neighbors, closest first (by latency,
+         *  then NodeId); invalidNode pads a short entry. */
+        NodeId candidates[entryWidth] = {invalidNode, invalidNode,
+                                         invalidNode};
     };
 
     struct NodeState
     {
         Guid id;
         bool alive = true;
-        /** table[level][digit]. */
-        std::vector<std::vector<Entry>> table;
-        /** Location pointers: object GUID -> storers.  Ordered so
-         *  repair sweeps visit pointers deterministically. */
-        std::map<Guid, std::set<NodeId>> pointers;
+        /** Missed the last beacon (second-chance state). */
+        bool suspect = false;
+        /** table[level * digitBase + digit]. */
+        std::vector<Entry> table;
+        /** Location pointers deposited here: object GUID -> storers. */
+        PointerTable pointers;
+        /** Objects this member has published, ascending.  Drives
+         *  repair and restore, which republish in this order. */
+        std::vector<Guid> published;
         /** Durable pointer cache; null for a RAM-only member. */
         NodeStorage *storage = nullptr;
     };
 
-    /** Index into states_ for a NodeId. */
+    /** Where a walk along a route ended. */
+    struct WalkEnd
+    {
+        NodeId root = invalidNode; //!< Last node reached.
+        double latency = 0.0;      //!< Link latencies summed so far.
+        unsigned hops = 0;         //!< Links crossed.
+        bool failed = false;       //!< As RouteResult::failed.
+    };
+
+    /** No member has this NodeId (slot_ filler). */
+    static constexpr std::uint32_t noSlot = ~0u;
+
+    /** Index into states_ for a member; fatal for any other node. */
     std::size_t indexOf(NodeId n) const;
+
+    /** Index into states_ for @p n, or noSlot when not a member. */
+    std::uint32_t slotOf(NodeId n) const
+    {
+        return n < slot_.size() ? slot_[n] : noSlot;
+    }
+
+    /** Record member @p n at states_ index @p idx. */
+    void addSlot(NodeId n, std::size_t idx);
+
+    /**
+     * Route from @p from toward @p target as route() does, calling
+     * @p visit(node, latency so far, hops so far) at every node it
+     * reaches, the source first; a visit returning true ends the walk
+     * there (what it returns then describes the walk up to that node).
+     */
+    template <typename Visit>
+    WalkEnd walk(NodeId from, const Guid &target, Visit &&visit) const;
 
     /** Fill (or refill) one node's entire routing table. */
     void buildTable(std::size_t idx);
@@ -237,8 +276,20 @@ class PlaxtonMesh
     /** Pick the best alive candidate of an entry, or invalidNode. */
     NodeId aliveCandidate(const Entry &e) const;
 
+    /**
+     * Offer @p n, at latency @p lat from the entry's owner, to @p e,
+     * whose candidates are at latencies @p lats: it takes its place
+     * if it is among the entryWidth closest.  Keeping the closest
+     * while offering every candidate once picks what sorting them all
+     * would.
+     */
+    static void offer(Entry &e, double *lats, NodeId n, double lat);
+
     /** Deposit pointers along the path to one salted root. */
     unsigned publishOne(const Guid &salted, const Guid &g, NodeId storer);
+
+    /** True when @p storer currently publishes @p g. */
+    bool publishes(NodeId storer, const Guid &g) const;
 
     /** Storage key of one deposited pointer. */
     static std::string pointerKey(const Guid &g, NodeId storer);
@@ -252,14 +303,10 @@ class PlaxtonMesh
     Runtime &rt_;
     PlaxtonConfig cfg_;
     std::vector<NodeId> members_;
-    std::unordered_map<NodeId, std::size_t> index_;
+    /** NodeId -> index into states_ (noSlot for a non-member): an
+     *  array read on every route hop. */
+    std::vector<std::uint32_t> slot_;
     std::vector<NodeState> states_;
-    /** storer -> object GUIDs it has published (drives repair).
-     *  Ordered: repair republishes in iteration order, which feeds
-     *  message emission and must be deterministic. */
-    std::map<NodeId, std::set<Guid>> published_;
-    /** Members that missed the last beacon (second-chance state). */
-    std::set<NodeId> suspects_;
 };
 
 } // namespace oceanstore

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "runtime/framing.h"
@@ -106,10 +107,14 @@ Pacer::enter() const
     if (owner_.load(std::memory_order_acquire) == std::this_thread::get_id())
         return false;
     // Announce the wait first: between two events the loop steps aside
-    // while anyone is queued here.
-    waiting_.fetch_add(1, std::memory_order_acq_rel);
-    mu_.lock();
-    waiting_.fetch_sub(1, std::memory_order_acq_rel);
+    // for everyone queued here.  A client that arrives while the loop
+    // is stepping aside waits at the gate until the loop has caught up.
+    const std::uint64_t ticket =
+        arrivals_.fetch_add(1, std::memory_order_acq_rel);
+    std::unique_lock<std::mutex> lk(mu_);
+    gateCv_.wait(lk, [&] { return !gated_ || ticket < gate_; });
+    entered_++;
+    lk.release(); // held until leave()
     owner_.store(std::this_thread::get_id(), std::memory_order_release);
     sim_.advanceTo(wallNow());
     return true;
@@ -142,24 +147,45 @@ Pacer::wallAt(double t) const
 }
 
 void
+Pacer::openGate()
+{
+    if (!gated_)
+        return;
+    gated_ = false;
+    gateCv_.notify_all();
+}
+
+void
 Pacer::loop()
 {
     RtMetricIds &rm = rtMetrics();
     const std::thread::id self = std::this_thread::get_id();
     std::unique_lock<std::mutex> lk(mu_);
+    // Set by a handoff: what was due when it began fires before the
+    // loop yields again, or a caller whose every entry leaves work
+    // behind would keep the clock, and every timer, where it is.
+    double drainTo = -std::numeric_limits<double>::infinity();
     while (!stop_) {
-        if (waiting_.load(std::memory_order_acquire) > 0) {
-            // One event per hold: clients queued to enter go first,
-            // so a read never waits behind a burst of due events.
-            handoff_ = true;
-            loopCv_.wait(lk, [this] {
-                return stop_ ||
-                       waiting_.load(std::memory_order_acquire) == 0;
-            });
-            handoff_ = false;
-            continue;
-        }
         double next = sim_.nextEventTime();
+        if (next > drainTo) {
+            openGate();
+            const std::uint64_t queued =
+                arrivals_.load(std::memory_order_acquire);
+            if (queued > entered_) {
+                // One event per hold: clients queued to enter go
+                // first, so a read never waits behind a burst of due
+                // events.  Later arrivals wait at the gate until the
+                // loop has caught up, so the handoff ends.
+                gate_ = queued;
+                gated_ = true;
+                handoff_ = true;
+                drainTo = wallNow();
+                loopCv_.wait(lk,
+                             [&] { return stop_ || entered_ >= queued; });
+                handoff_ = false;
+                continue;
+            }
+        }
         if (next > wallNow()) {
             sleepUntil_ = next;
             if (std::isinf(next))
@@ -186,6 +212,7 @@ Pacer::loop()
         }
         firedCv_.notify_all();
     }
+    openGate();
 }
 
 void

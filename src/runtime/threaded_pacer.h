@@ -9,6 +9,11 @@
  *  - one loop thread fires due events from the simulator's pooled
  *    event store, one event per hold of the loop mutex, and otherwise
  *    sleeps until the next event's deadline or a client's signal;
+ *  - between two events the loop hands the mutex to the clients
+ *    queued at that moment, and only to them: a client that arrives
+ *    during a handoff waits until the loop has fired every event that
+ *    was due when the handoff began, so a thread entering back to
+ *    back cannot starve the loop;
  *  - client threads enter through a Pacer::Hold, which the Runtime
  *    takes around every call: it takes the same mutex and moves the
  *    simulator clock to min(wall, next event) without firing anything
@@ -121,6 +126,8 @@ class Pacer
     double wallNow() const;
     std::chrono::steady_clock::time_point wallAt(double t) const;
     void loop();
+    /** Let every client held at the gate in; the caller holds mu_. */
+    void openGate();
 
     Simulator &sim_;
     Network &net_;
@@ -134,8 +141,18 @@ class Pacer
     /** Wakes the loop: a client scheduled something earlier than its
      *  sleep target, left after a handoff, or shutdown began. */
     mutable std::condition_variable loopCv_;
-    /** Threads blocked entering mu_; the loop yields to them. */
-    mutable std::atomic<int> waiting_{0};
+    /** Wakes clients held at the gate. */
+    mutable std::condition_variable gateCv_;
+    /** Tickets handed to entering clients, in arrival order; a client
+     *  takes one before it blocks on mu_. */
+    mutable std::atomic<std::uint64_t> arrivals_{0};
+    /** Clients that have taken mu_ (arrivals_ - entered_ are queued). */
+    mutable std::uint64_t entered_ = 0;
+    /** While gated_, a client whose ticket is gate_ or later waits for
+     *  the loop to catch up with what was due when the last handoff
+     *  began. */
+    std::uint64_t gate_ = 0;
+    bool gated_ = false;
     /** Thread holding mu_ (reentrancy check), default when none. */
     mutable std::atomic<std::thread::id> owner_{};
     /** Deadline the loop sleeps until. */

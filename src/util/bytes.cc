@@ -30,14 +30,19 @@ toString(ByteSpan b)
 std::string
 hexEncode(const Bytes &b)
 {
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(b.size() * 2);
-    for (std::uint8_t c : b) {
-        out.push_back(digits[c >> 4]);
-        out.push_back(digits[c & 0xf]);
-    }
+    std::string out(b.size() * 2, '\0');
+    hexEncodeTo(b, out.data());
     return out;
+}
+
+void
+hexEncodeTo(ByteSpan b, char *out)
+{
+    static const char digits[] = "0123456789abcdef";
+    for (std::uint8_t c : b) {
+        *out++ = digits[c >> 4];
+        *out++ = digits[c & 0xf];
+    }
 }
 
 namespace {
@@ -62,16 +67,23 @@ hexDecode(std::string_view hex)
 {
     if (hex.size() % 2 != 0)
         return std::nullopt;
-    Bytes out;
-    out.reserve(hex.size() / 2);
-    for (std::size_t i = 0; i < hex.size(); i += 2) {
+    Bytes out(hex.size() / 2);
+    if (!hexDecodeTo(hex, out.data()))
+        return std::nullopt;
+    return out;
+}
+
+bool
+hexDecodeTo(std::string_view hex, std::uint8_t *out)
+{
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
         int hi = hexNibble(hex[i]);
         int lo = hexNibble(hex[i + 1]);
         if (hi < 0 || lo < 0)
-            return std::nullopt;
-        out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
+            return false;
+        *out++ = static_cast<std::uint8_t>((hi << 4) | lo);
     }
-    return out;
+    return true;
 }
 
 Bytes

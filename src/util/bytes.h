@@ -166,11 +166,21 @@ std::string toString(ByteSpan b);
 /** Lower-case hexadecimal encoding of a byte buffer. */
 std::string hexEncode(const Bytes &b);
 
+/** Write @p b as 2 * b.size() lower-case hex characters at @p out. */
+void hexEncodeTo(ByteSpan b, char *out);
+
 /**
  * Decode a lower- or upper-case hexadecimal string.  nullopt on odd
  * length or a non-hex character.
  */
 std::optional<Bytes> hexDecode(std::string_view hex);
+
+/**
+ * Decode @p hex (even length, lower or upper case) into the
+ * hex.size() / 2 bytes at @p out.  False on a non-hex character;
+ * @p out may then be partly written.
+ */
+bool hexDecodeTo(std::string_view hex, std::uint8_t *out);
 
 /** Concatenate two byte buffers. */
 Bytes operator+(const Bytes &a, const Bytes &b);

@@ -1,6 +1,7 @@
 /** @file Bloom filter and probabilistic location tests (Sec 4.3.2). */
 
 #include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -370,6 +371,68 @@ TEST(BloomLocation, IncrementalInsertIsImmediatelyQueryable)
     std::uint64_t delta = svc.gossipBytes() - gossip_before;
     EXPECT_GT(delta, 0u);
     EXPECT_LT(delta, svc.storagePerNode(2));
+}
+
+TEST(BloomLocation, ResultsMatchPinnedDigest)
+{
+    // Queries from every node of a 64-node overlay for 200 GUIDs,
+    // through incremental inserts, removals (a full rebuild) and a
+    // penalty; every result is folded into one FNV-1a hash.  The
+    // value was computed before the local sets were rewritten.
+    Rng rng(0xb100d);
+    auto topo = makeGeometricTopology(64, 3, rng);
+    BloomLocationService svc(topo);
+    std::vector<Guid> objs;
+    std::vector<NodeId> holders;
+    for (int i = 0; i < 200; i++) {
+        objs.push_back(Guid::random(rng));
+        unsigned k = 1 + static_cast<unsigned>(rng.next() % 3);
+        for (unsigned j = 0; j < k; j++) {
+            NodeId n = static_cast<NodeId>(rng.next() % topo.size());
+            svc.addObject(n, objs.back());
+            holders.push_back(n);
+        }
+    }
+
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto add = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; i++) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    auto observe = [&]() {
+        for (NodeId from = 0; from < topo.size(); from++) {
+            for (const Guid &g : objs) {
+                BloomQueryResult r = svc.query(from, g);
+                add(r.found);
+                add(r.location);
+                add(r.hops);
+                add(r.fellBack);
+                add(r.path.size());
+                for (NodeId n : r.path)
+                    add(n);
+            }
+        }
+    };
+
+    observe();
+    // Inserts into current filters take the incremental path.
+    for (int i = 0; i < 40; i++) {
+        NodeId n = static_cast<NodeId>(rng.next() % topo.size());
+        svc.addObject(n, objs[rng.next() % objs.size()]);
+    }
+    observe();
+    // Removals force a full rebuild from the local sets.
+    std::size_t h_idx = 0;
+    for (std::size_t i = 0; i < objs.size(); i += 3) {
+        svc.removeObject(holders[h_idx % holders.size()], objs[i]);
+        h_idx += 5;
+    }
+    svc.penalize(0, topo.adjacency[0].front(), 2);
+    observe();
+
+    EXPECT_EQ(h, 0xd27ed6831f700e76ull);
 }
 
 } // namespace

@@ -118,5 +118,53 @@ TEST(Guid, DigitValuesInRange)
         EXPECT_LT(g.digit(i), Guid::digitBase);
 }
 
+TEST(Guid, KeyFormatIsUnchanged)
+{
+    // The "frag/" and "ptr/" records on every disk use these bytes:
+    // prefix, 40 lower-case hex digits, '/', the index in decimal.
+    const Guid abc = Guid::hashOf(std::string_view("abc"));
+    EXPECT_EQ(abc.hex(), "a9993e364706816aba3e25717850c26c9cd0d89d");
+    EXPECT_EQ(guidKey("ptr/", abc, 7),
+              "ptr/a9993e364706816aba3e25717850c26c9cd0d89d/7");
+    EXPECT_EQ(guidKey("frag/", abc, 0),
+              "frag/a9993e364706816aba3e25717850c26c9cd0d89d/0");
+    EXPECT_EQ(guidKey("frag/", Guid(), 4294967295u),
+              "frag/0000000000000000000000000000000000000000/4294967295");
+    EXPECT_EQ(guidKey("", abc, 1234567),
+              "a9993e364706816aba3e25717850c26c9cd0d89d/1234567");
+
+    Rng rng(33);
+    for (std::uint32_t n : {0u, 9u, 10u, 65535u, 4294967295u}) {
+        Guid g = Guid::random(rng);
+        std::string key = guidKey("ptr/", g, n);
+        EXPECT_EQ(key, "ptr/" + g.hex() + "/" + std::to_string(n));
+        auto parsed = parseGuidKey(key, "ptr/");
+        ASSERT_TRUE(parsed.has_value());
+        EXPECT_EQ(parsed->first, g);
+        EXPECT_EQ(parsed->second, n);
+        EXPECT_FALSE(parseGuidKey(key, "frag/").has_value());
+    }
+
+    // Upper-case digits parse to the same GUID; anything else is no
+    // key at all.
+    auto upper =
+        parseGuidKey("ptr/A9993E364706816ABA3E25717850C26C9CD0D89D/7", "ptr/");
+    ASSERT_TRUE(upper.has_value());
+    EXPECT_EQ(upper->first, abc);
+    for (const char *bad :
+         {"ptr/a9993e364706816aba3e25717850c26c9cd0d89d/",
+          "ptr/a9993e364706816aba3e25717850c26c9cd0d89d7",
+          "ptr/a9993e364706816aba3e25717850c26c9cd0d89/7",
+          "ptr/g9993e364706816aba3e25717850c26c9cd0d89d/7",
+          "ptr/a9993e364706816aba3e25717850c26c9cd0d89d/7x",
+          "ptr/a9993e364706816aba3e25717850c26c9cd0d89d/4294967296",
+          "ptx/a9993e364706816aba3e25717850c26c9cd0d89d/7"})
+        EXPECT_FALSE(parseGuidKey(bad, "ptr/").has_value()) << bad;
+    EXPECT_EQ(Guid::fromHex("a9993e364706816aba3e25717850c26c9cd0d89d"),
+              abc);
+    EXPECT_FALSE(
+        Guid::fromHex("a9993e364706816aba3e25717850c26c9cd0d8 d").has_value());
+}
+
 } // namespace
 } // namespace oceanstore

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -542,6 +543,41 @@ INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformance,
                          [](const auto &info) {
                              return std::string(info.param);
                          });
+
+TEST(PacedRuntime, BusyCallerDoesNotStarveTheLoop)
+{
+    // One thread enters back to back for 300 ms while a chain of 1 ms
+    // timers runs; like a Universe entry point, each entry leaves work
+    // behind (one posted task).  A handoff lets in only the callers
+    // queued when it began, and the loop then fires what was due when
+    // it began, so at least half the chain must fire in the window.
+    // A loop that yields for as long as anyone waits falls behind the
+    // posts and fires almost none.
+    Simulator sim;
+    Network net(sim, loopbackNetwork);
+    Runtime rt(sim, net, 0x5eedu, RuntimeKind::Threaded);
+    std::atomic<int> fired{0};
+    std::atomic<bool> chain{true};
+    std::function<void()> tick = [&]() {
+        fired.fetch_add(1);
+        if (chain.load())
+            rt.schedule(0.001, tick);
+    };
+    rt.execute([&]() { rt.schedule(0.001, tick); });
+
+    std::atomic<bool> spin{true};
+    std::thread busy([&]() {
+        while (spin.load())
+            rt.execute([&]() { rt.post([]() {}); });
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    int during = fired.load();
+    spin.store(false);
+    busy.join();
+    chain.store(false);
+    rt.shutdown();
+    EXPECT_GE(during, 150);
+}
 
 // ---------------------------------------------------------------------
 // Periodic export and the traced concurrent-client smoke

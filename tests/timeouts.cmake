@@ -3,3 +3,5 @@
 # gtest_discover_tests' own files, so the tests exist when it runs.
 set_tests_properties(FlightScope.DumpsOnMetricKindClash
                      PROPERTIES TIMEOUT 60)
+set_tests_properties(PacedRuntime.BusyCallerDoesNotStarveTheLoop
+                     PROPERTIES TIMEOUT 60)
