@@ -23,6 +23,7 @@
 #include "erasure/reed_solomon.h"
 #include "runner.h"
 #include "runtime/runtime.h"
+#include "sim/fault.h"
 #include "util/stats.h"
 
 using namespace oceanstore;
@@ -52,7 +53,6 @@ measure(bench::BenchContext &ctx, double overfactor, double drop_rate,
         Simulator sim;
         NetworkConfig ncfg;
         ncfg.jitter = 0.05;
-        ncfg.dropRate = 0.0; // dispersal must succeed
         std::uint64_t base = ctx.seed(0xf00d);
         ncfg.seed = base + t;
         Network net(sim, ncfg);
@@ -84,8 +84,13 @@ measure(bench::BenchContext &ctx, double overfactor, double drop_rate,
         Guid archive = sys.disperse(codec, data, 0);
         sim.runUntil(10.0);
 
-        // Drops apply only to the reconstruction traffic.
-        net.setDropRate(drop_rate);
+        // Drops apply only to the reconstruction traffic: dispersal
+        // must succeed.
+        FaultInjector faults(
+            sim, net,
+            FaultPlan{.drop = drop_rate,
+                      .seed = mixSeed64(ncfg.seed, 0xfa017)});
+        faults.arm();
         net.resetCounters();
         std::optional<ReconstructResult> res;
         ctx.beginMeasured();

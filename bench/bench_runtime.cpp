@@ -55,6 +55,7 @@
 #include "runner.h"
 #include "runtime/framing.h"
 #include "sim/simulator.h"
+#include "util/stats.h"
 
 using namespace oceanstore;
 

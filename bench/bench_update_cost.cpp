@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "runner.h"
 #include "runtime/runtime.h"
+#include "util/stats.h"
 
 using namespace oceanstore;
 

@@ -22,6 +22,7 @@
 #include "core/universe.h"
 #include "obs/profiler.h"
 #include "runner.h"
+#include "util/stats.h"
 
 using namespace oceanstore;
 
@@ -106,7 +107,7 @@ updatePath(bench::BenchContext &ctx, std::size_t servers, int updates,
     universe.writeSync(doc.makeAppendUpdate(
         Bytes(512, 0xee), static_cast<VersionNum>(updates), {++ts, 1}));
     universe.advance(30.0);
-    for (const auto &[type, bytes] : universe.net().byteCounters().all())
+    for (const auto &[type, bytes] : universe.net().bytesByType())
         ctx.metric("bytes_" + type, "B", static_cast<double>(bytes));
     // Events fired per component and the summed schedule->fire
     // simulated delay each spent waiting (in flight or pending).

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/universe.h"
+#include "util/stats.h"
 
 using namespace oceanstore;
 

@@ -36,9 +36,6 @@ class WorkingGroup
     /** The group's name. */
     const std::string &name() const { return name_; }
 
-    /** The admin's public key. */
-    const Bytes &adminKey() const { return admin_.publicKey; }
-
     /**
      * Admit a member (by signing key).  Only meaningful when invoked
      * by the admin — enforced by requiring the admin key pair.

@@ -8,6 +8,10 @@ namespace {
 
 std::uint64_t g_next_client_id = 100;
 
+/** Seconds read() waits for a fresh enough replica before it returns
+ *  the stale one it found. */
+constexpr double kMaxWait = 30.0;
+
 } // namespace
 
 Session::Session(Universe &universe, std::size_t home_server,
@@ -92,7 +96,7 @@ Session::read(const Guid &obj)
 
     double waited = 0.0;
     ReadResult rr = universe_.readSync(homeServer_, obj);
-    while (rr.found && rr.version < floor && waited < maxWait_) {
+    while (rr.found && rr.version < floor && waited < kMaxWait) {
         // The located replica is too stale for the session's
         // guarantees: let propagation run and retry.
         universe_.advance(0.25);

@@ -60,7 +60,7 @@ struct UpdateEvent
  * server; writes go to the primary tier.  Guarantee enforcement is
  * by *waiting*: when a located replica is too stale to satisfy a
  * guarantee, the session lets the dissemination/epidemic machinery
- * run (bounded by maxWait) and retries, charging the wait to the
+ * run (bounded by kMaxWait) and retries, charging the wait to the
  * observed latency.
  */
 class Session
@@ -94,9 +94,6 @@ class Session
     /** Guarantee flags in force. */
     std::uint8_t guarantees() const { return guarantees_; }
 
-    /** Maximum seconds read() will wait for freshness (default 30). */
-    void setMaxWait(double seconds) { maxWait_ = seconds; }
-
     /** Version this session last wrote per object. */
     VersionNum lastWritten(const Guid &obj) const;
 
@@ -112,7 +109,6 @@ class Session
     Universe &universe_;
     std::size_t homeServer_;
     std::uint8_t guarantees_;
-    double maxWait_ = 30.0;
     std::uint64_t clientId_;
     std::uint64_t tsCounter_ = 0;
     std::map<Guid, VersionNum> written_;

@@ -90,10 +90,6 @@ class FlightScope
     FlightScope(const FlightScope &) = delete;
     FlightScope &operator=(const FlightScope &) = delete;
 
-    /** The directory the failure hook will dump into (resolved from
-     *  the environment at construction). */
-    const std::string &dumpDir() const { return dir_; }
-
   private:
     static void onCheckFailure(void *arg);
 

@@ -61,7 +61,6 @@ inline constexpr NetworkConfig loopbackNetwork{
     .latencyPerUnit = 0.002,
     .bandwidth = 0.0,
     .jitter = 0.0,
-    .dropRate = 0.0,
 };
 
 /** Mix a base seed with a salt (SplitMix64 finalizer), so both

@@ -48,7 +48,7 @@ struct FaultPlan
         NodeId to = invalidNode;
         double drop = 0.0;
     };
-    std::vector<LinkFault> links;
+    std::vector<LinkFault> links{};
 
     /** One scheduled partition/heal cycle: at splitAt the nodes in
      *  @c groupA are split away from everyone else; at healAt the
@@ -59,18 +59,10 @@ struct FaultPlan
         double healAt = 0.0;
         std::vector<NodeId> groupA;
     };
-    std::vector<PartitionCycle> partitions;
+    std::vector<PartitionCycle> partitions{};
 
     /** Seed for every drop/duplicate/delay decision. */
     std::uint64_t seed = 0xfa017u;
-
-    /** True when any per-message fault can fire. */
-    bool
-    anyMessageFaults() const
-    {
-        return drop > 0 || duplicate > 0 || delayJitter > 0 ||
-               !links.empty();
-    }
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <cmath>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -129,13 +130,6 @@ Network::deliveryLatency(NodeId from, NodeId to, std::size_t bytes)
     return lat;
 }
 
-void
-Network::pinFlight(std::uint32_t flight)
-{
-    MutexLock lock(mu_);
-    flights_[flight].refs++;
-}
-
 const Network::Flight &
 Network::flightOf(std::uint32_t flight) const
 {
@@ -153,16 +147,8 @@ Network::scheduleDelivery(std::uint32_t flight, NodeId to, double lat)
         inFlight_++;
         nowInFlight = inFlight_;
     }
-    {
-        NetMetricIds &nm = netMetrics();
-        nm.reg->set(nm.inFlight, static_cast<double>(nowInFlight));
-    }
-    // Label the delivery event with the message's component prefix
-    // ("pbft.prepare" -> "pbft") so the profiler attributes the
-    // event-loop phase breakdown per protocol layer.
-    PhaseProfiler *pp = PhaseProfiler::active();
-    ScopedPhase phase(
-        pp, pp ? pp->labelForMessageType(flightOf(flight).msg.type) : 0);
+    NetMetricIds &nm = netMetrics();
+    nm.reg->set(nm.inFlight, static_cast<double>(nowInFlight));
     // Captures 12 bytes: stays in EventFn's inline buffer, so the
     // whole send costs no heap allocation.  Delivery events carry no
     // cancellation token by design: they *are* the simulated network,
@@ -208,157 +194,102 @@ Network::deliver(std::uint32_t flight, NodeId to)
 void
 Network::send(NodeId from, NodeId to, Message msg)
 {
-    if (from >= nodes_.size() || to >= nodes_.size())
-        fatal("Network::send: unknown node");
-
-    msg.src = from;
-    std::size_t bytes = msg.totalBytes();
-    totalBytes_ += bytes;
-    totalMessages_++;
-    byType_.bump(msg.type, bytes);
-    NetMetricIds &nm = netMetrics();
-    nm.reg->inc(nm.sends);
-    nm.reg->inc(nm.bytes, bytes);
-    Tracer *tr = Tracer::active();
-
-    // A crashed sender cannot transmit.  Dropped transmissions still
-    // get a span (marked Dropped) so retry trees show every attempt.
-    if (!up_[from]) {
-        nm.reg->inc(nm.drops);
-        if (tr)
-            tr->messageSpan(msg.type, from, to,
-                            static_cast<std::uint32_t>(bytes),
-                            sim_.now(), sim_.now(), SpanKind::Send,
-                            SpanStatus::Dropped);
-        return;
-    }
-    if (cfg_.dropRate > 0 && rng_.chance(cfg_.dropRate)) {
-        nm.reg->inc(nm.drops);
-        if (tr)
-            tr->messageSpan(msg.type, from, to,
-                            static_cast<std::uint32_t>(bytes),
-                            sim_.now(), sim_.now(), SpanKind::Send,
-                            SpanStatus::Dropped);
-        return;
-    }
-
-    double lat = deliveryLatency(from, to, bytes);
-    bool dup = false;
-    if (fault_) {
-        auto v = fault_->onSend(from, to, bytes);
-        if (v.drop) {
-            nm.reg->inc(nm.drops);
-            if (tr)
-                tr->messageSpan(msg.type, from, to,
-                                static_cast<std::uint32_t>(bytes),
-                                sim_.now(), sim_.now(), SpanKind::Send,
-                                SpanStatus::Dropped);
-            return;
-        }
-        lat += v.extraDelay;
-        dup = v.duplicate;
-    }
-    // The duplicate's latency is drawn *before* tracing so the rng
-    // stream is identical whether or not a tracer is attached.
-    double dupLat = 0.0;
-    if (dup) {
-        nm.reg->inc(nm.dup);
-        dupLat = lat + deliveryLatency(from, to, bytes);
-    }
-    if (tr)
-        msg.trace = tr->messageSpan(
-            msg.type, from, to, static_cast<std::uint32_t>(bytes),
-            sim_.now(), sim_.now() + (dup ? dupLat : lat),
-            SpanKind::Send, SpanStatus::Ok);
-    std::uint32_t flight = allocFlight(std::move(msg));
-    if (dup) {
-        // Pin the flight so both copies share one payload slot.
-        pinFlight(flight);
-        scheduleDelivery(flight, to, lat);
-        scheduleDelivery(flight, to, dupLat);
-        releaseFlight(flight);
-        return;
-    }
-    scheduleDelivery(flight, to, lat);
+    transmit(from, {&to, 1}, std::move(msg), SpanKind::Send);
 }
 
 void
 Network::multicast(NodeId from, const std::vector<NodeId> &tos,
                    Message msg)
 {
+    transmit(from, tos, std::move(msg), SpanKind::Multicast);
+}
+
+void
+Network::transmit(NodeId from, std::span<const NodeId> tos,
+                  Message &&msg, SpanKind kind)
+{
     if (from >= nodes_.size())
-        fatal("Network::multicast: unknown sender");
+        fatal("Network: unknown sender");
     if (tos.empty())
         return;
-
-    msg.src = from;
-    std::size_t bytes = msg.totalBytes();
-    // Every destination is one link crossing, exactly as if sent
-    // individually.
     for (NodeId to : tos) {
         if (to >= nodes_.size())
-            fatal("Network::multicast: unknown node");
-        totalBytes_ += bytes;
-        totalMessages_++;
+            fatal("Network: unknown destination");
     }
-    byType_.bump(msg.type, bytes * tos.size());
+
+    // Every destination is one link crossing, exactly as if sent
+    // individually.
+    msg.src = from;
+    const std::size_t bytes = msg.totalBytes();
+    const std::size_t copies = tos.size();
+    totalBytes_ += bytes * copies;
+    totalMessages_ += copies;
+    byType_[msg.type] += bytes * copies;
     NetMetricIds &nm = netMetrics();
-    nm.reg->inc(nm.sends, tos.size());
-    nm.reg->inc(nm.bytes, bytes * tos.size());
+    nm.reg->inc(nm.sends, copies);
+    nm.reg->inc(nm.bytes, bytes * copies);
+
+    // One span per call, ending at the latest scheduled delivery.  It
+    // is recorded with the first surviving copy, whose flight carries
+    // it; a call that schedules no copy records it Dropped, so retry
+    // trees show every attempt.
     Tracer *tr = Tracer::active();
+    const auto peer = static_cast<std::uint32_t>(
+        kind == SpanKind::Send ? tos[0] : copies);
+    const auto spanBytes = static_cast<std::uint32_t>(bytes);
+    const SimTime now = sim_.now();
+    std::uint32_t span = 0;
+    std::optional<std::uint32_t> flight;
 
+    // A crashed sender cannot transmit.
     if (!up_[from]) {
-        nm.reg->inc(nm.drops, tos.size());
-        if (tr)
-            tr->messageSpan(msg.type, from,
-                            static_cast<std::uint32_t>(tos.size()),
-                            static_cast<std::uint32_t>(bytes),
-                            sim_.now(), sim_.now(),
-                            SpanKind::Multicast, SpanStatus::Dropped);
-        return;
-    }
-
-    // One span covers the whole fan-out (peer = destination count);
-    // its end time is extended to the latest scheduled delivery as
-    // the legs below are drawn.
-    std::uint32_t fanoutSpan = 0;
-    if (tr) {
-        msg.trace = tr->messageSpan(
-            msg.type, from, static_cast<std::uint32_t>(tos.size()),
-            static_cast<std::uint32_t>(bytes), sim_.now(), sim_.now(),
-            SpanKind::Multicast, SpanStatus::Ok);
-        fanoutSpan = msg.trace.spanId;
-    }
-    std::uint32_t flight = allocFlight(std::move(msg));
-    // Pin the flight while scheduling so an immediate zero-ref free
-    // cannot recycle it if every destination drops.
-    pinFlight(flight);
-    for (NodeId to : tos) {
-        if (cfg_.dropRate > 0 && rng_.chance(cfg_.dropRate)) {
-            nm.reg->inc(nm.drops);
-            continue;
-        }
-        double lat = deliveryLatency(from, to, bytes);
-        if (fault_) {
-            auto v = fault_->onSend(from, to, bytes);
-            if (v.drop) {
-                nm.reg->inc(nm.drops);
-                continue;
+        nm.reg->inc(nm.drops, copies);
+    } else {
+        // Label every delivery event with the message's component
+        // prefix ("pbft.prepare" -> "pbft") so the profiler attributes
+        // the event-loop phase breakdown per protocol layer.
+        PhaseProfiler *pp = PhaseProfiler::active();
+        ScopedPhase phase(pp, pp ? pp->labelForMessageType(msg.type) : 0);
+        for (NodeId to : tos) {
+            // Draw order per leg: jitter, injector verdict, then the
+            // duplicate's jitter.
+            double lat = deliveryLatency(from, to, bytes);
+            bool dup = false;
+            if (fault_) {
+                FaultInjector::Verdict v = fault_->onSend(from, to, bytes);
+                if (v.drop) {
+                    nm.reg->inc(nm.drops);
+                    continue;
+                }
+                lat += v.extraDelay;
+                dup = v.duplicate;
             }
-            lat += v.extraDelay;
-            if (v.duplicate) {
+            double dupLat = 0.0;
+            if (dup) {
                 nm.reg->inc(nm.dup);
-                double dupLat = lat + deliveryLatency(from, to, bytes);
-                if (tr)
-                    tr->setSpanEnd(fanoutSpan, sim_.now() + dupLat);
-                scheduleDelivery(flight, to, dupLat);
+                dupLat = lat + deliveryLatency(from, to, bytes);
             }
+            const double end = now + (dup ? dupLat : lat);
+            if (!flight) {
+                if (tr) {
+                    msg.trace = tr->messageSpan(msg.type, from, peer,
+                                                spanBytes, now, end, kind,
+                                                SpanStatus::Ok);
+                    span = msg.trace.spanId;
+                }
+                flight = allocFlight(std::move(msg));
+            } else if (tr) {
+                tr->setSpanEnd(span, end);
+            }
+            // Both copies share the one pooled payload.
+            scheduleDelivery(*flight, to, lat);
+            if (dup)
+                scheduleDelivery(*flight, to, dupLat);
         }
-        if (tr)
-            tr->setSpanEnd(fanoutSpan, sim_.now() + lat);
-        scheduleDelivery(flight, to, lat);
     }
-    releaseFlight(flight);
+    if (!flight && tr)
+        tr->messageSpan(msg.type, from, peer, spanBytes, now, now, kind,
+                        SpanStatus::Dropped);
 }
 
 void

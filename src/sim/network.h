@@ -4,17 +4,21 @@
  *
  * Models point-to-point IP delivery between simulated nodes: latency
  * derived from geometric node positions (plus a per-message jitter and
- * a bandwidth term), byte accounting for every link crossing, message
- * drops, node failures and network partitions.  The OceanStore routing
- * layer (Section 4.3) runs *on top of* this, exactly as the paper's
- * layer runs on top of IP.
+ * a bandwidth term), byte accounting for every link crossing, node
+ * failures and network partitions.  Message loss, duplication and
+ * extra delay come only from an attached FaultInjector (sim/fault.h).
+ * The OceanStore routing layer (Section 4.3) runs *on top of* this,
+ * exactly as the paper's layer runs on top of IP.
  *
- * Hot path (DESIGN.md section 9): in-flight messages live in a pooled
- * store — the scheduled delivery closure captures only (pool index,
- * destination), which fits the simulator's inline EventFn buffer, so
- * a send costs no closure heap allocation.  multicast() ships one
- * payload to many destinations through a single reference-counted
- * pool slot instead of one deep Message copy per receiver.
+ * Hot path (DESIGN.md section 9): send() and multicast() are two
+ * entries into one transmission routine over a span of destinations.
+ * In-flight messages live in a pooled store, allocated only once the
+ * first copy survives its fault verdict; the scheduled delivery
+ * closure captures only (pool index, destination), which fits the
+ * simulator's inline EventFn buffer, so a send costs no heap
+ * allocation.  A multicast ships one payload to many destinations
+ * through a single reference-counted pool slot instead of one deep
+ * Message copy per receiver.
  */
 
 #ifndef OCEANSTORE_SIM_NETWORK_H
@@ -22,15 +26,17 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/message.h"
 #include "sim/simulator.h"
 #include "util/bytes.h"
 #include "util/mutex.h"
 #include "util/random.h"
-#include "util/stats.h"
 
 namespace oceanstore {
 
@@ -73,9 +79,7 @@ struct NetworkConfig
     double bandwidth = 10e6;
     /** Fractional latency jitter (uniform +/-). */
     double jitter = 0.05;
-    /** Probability an individual message is silently dropped. */
-    double dropRate = 0.0;
-    /** Seed for jitter/drop randomness. */
+    /** Seed for jitter randomness. */
     std::uint64_t seed = 0x6e657477u;
 };
 
@@ -116,11 +120,12 @@ class Network
 
     /**
      * Send one message from @p from to every node in @p tos — the
-     * batched fan-out path for protocol broadcast/tree-push.
-     * Semantically identical to a send() per destination (per-link
-     * byte accounting, per-destination jitter/drop/liveness), but the
-     * payload is stored once and shared by reference across all
-     * deliveries instead of deep-copied per receiver.
+     * batched fan-out path for protocol broadcast/tree-push.  Each
+     * destination is one leg of the same transmission routine send()
+     * uses (per-link byte accounting, jitter, fault verdict and
+     * liveness), but the payload is stored once and shared by
+     * reference across all deliveries, and one Multicast span covers
+     * the fan-out.
      */
     void multicast(NodeId from, const std::vector<NodeId> &tos,
                    Message msg);
@@ -160,21 +165,12 @@ class Network
      */
     void heal(int a, int b);
 
-    /** Remove all partitions; alias of healPartitions(). */
-    void healAll() { healPartitions(); }
-
-    /** Set the global message drop probability. */
-    void setDropRate(double p) { cfg_.dropRate = p; }
-
     /**
      * Attach (or with nullptr detach) a fault injector consulted for
      * every transmission whose sender is alive.  When none is
      * attached the send path pays exactly one null check.
      */
     void setFaultInjector(FaultInjector *f) { fault_ = f; }
-
-    /** The attached fault injector (nullptr when faults are off). */
-    FaultInjector *faultInjector() const { return fault_; }
 
     /** Attach (or with nullptr detach) a frame codec; when none is
      *  attached the send and delivery paths pay one null check. */
@@ -197,8 +193,11 @@ class Network
     /** Reset the byte/message counters (not node state). */
     void resetCounters();
 
-    /** Per-message-type byte counters, for protocol cost breakdowns. */
-    const Counters &byteCounters() const { return byType_; }
+    /** Bytes sent per message type, for protocol cost breakdowns. */
+    const std::map<std::string, std::uint64_t> &bytesByType() const
+    {
+        return byType_;
+    }
 
     /** The simulator driving this network. */
     Simulator &sim() { return sim_; }
@@ -213,10 +212,14 @@ class Network
         Bytes frame;
     };
 
+    /** The one transmission routine: a send is its one-destination
+     *  case.  Each leg draws its jitter, then the injector's verdict,
+     *  then a duplicate's jitter; the pooled flight is allocated when
+     *  the first copy survives.  Records one span of @p kind. */
+    void transmit(NodeId from, std::span<const NodeId> tos,
+                  Message &&msg, SpanKind kind);
     std::uint32_t allocFlight(Message &&msg) OS_EXCLUDES(mu_);
     void releaseFlight(std::uint32_t flight) OS_EXCLUDES(mu_);
-    /** Add one delivery reference to a pooled flight. */
-    void pinFlight(std::uint32_t flight) OS_EXCLUDES(mu_);
     /** The pooled flight @p flight.  The reference stays valid across
      *  reentrant sends (deque slots are stable) and is only mutated
      *  once the last reference is released. */
@@ -246,7 +249,7 @@ class Network
      *  reentrantly send (and thus allocate) new flights. */
     std::deque<Flight> flights_ OS_GUARDED_BY(mu_);
     std::vector<std::uint32_t> freeFlights_ OS_GUARDED_BY(mu_);
-    Counters byType_;
+    std::map<std::string, std::uint64_t> byType_;
 };
 
 } // namespace oceanstore

@@ -58,13 +58,6 @@ struct DiskFaultPlan
 
     /** Seed for every tear/flip decision. */
     std::uint64_t seed = 0xd15cf417u;
-
-    /** True when a crash can damage the image at all. */
-    bool
-    anyCrashFaults() const
-    {
-        return tornWriteOnCrash > 0 || bitFlipOnCrash > 0;
-    }
 };
 
 /**

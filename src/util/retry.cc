@@ -39,8 +39,6 @@ RetrySchedule::nextDelay()
     if (policy_.jitter > 0)
         base *= 1.0 + rng_.uniform(-policy_.jitter, policy_.jitter);
 
-    if (issued_ < policy_.maxAttempts)
-        attempts_++;
     issued_++;
     return base;
 }

@@ -61,10 +61,6 @@ class RetrySchedule
      *  budget (plus the final grace wait) is consumed. */
     std::optional<double> nextDelay();
 
-    /** Attempts the consumed delays account for (1 after
-     *  construction: the caller launched the initial attempt). */
-    unsigned attemptsStarted() const { return attempts_; }
-
     /** True once every delay has been handed out. */
     bool exhausted() const { return issued_ > policy_.maxAttempts; }
 
@@ -74,8 +70,7 @@ class RetrySchedule
   private:
     RetryPolicy policy_;
     Rng rng_;
-    unsigned attempts_ = 1; //!< Initial attempt is the caller's.
-    unsigned issued_ = 1;   //!< Next delay index to hand out.
+    unsigned issued_ = 1; //!< Next delay index to hand out.
 };
 
 } // namespace oceanstore

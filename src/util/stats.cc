@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 #include "util/check.h"
 
@@ -81,61 +79,6 @@ Accumulator::clear()
     sum_ = mean_ = m2_ = min_ = max_ = 0.0;
     samples_.clear();
     sorted_ = true;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0)
-{
-    if (!(lo < hi) || bins == 0)
-        throw std::invalid_argument("Histogram: bad range or bin count");
-}
-
-void
-Histogram::add(double x)
-{
-    double clamped = std::min(std::max(x, lo_),
-                              std::nexttoward(hi_, lo_));
-    double frac = (clamped - lo_) / (hi_ - lo_);
-    std::size_t i = static_cast<std::size_t>(
-        frac * static_cast<double>(bins_.size()));
-    if (i >= bins_.size())
-        i = bins_.size() - 1;
-    bins_[i]++;
-    total_++;
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-        static_cast<double>(bins_.size());
-}
-
-std::string
-Histogram::summary() const
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < bins_.size(); i++) {
-        if (i)
-            os << " ";
-        os << bins_[i];
-    }
-    os << "]";
-    return os.str();
-}
-
-void
-Counters::bump(const std::string &name, std::uint64_t delta)
-{
-    c_[name] += delta;
-}
-
-std::uint64_t
-Counters::get(const std::string &name) const
-{
-    auto it = c_.find(name);
-    return it == c_.end() ? 0 : it->second;
 }
 
 } // namespace oceanstore

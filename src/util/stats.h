@@ -8,8 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace oceanstore {
@@ -73,63 +71,6 @@ class Accumulator
     double max_ = 0.0;
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Fixed-width histogram over [lo, hi) with out-of-range clamping,
- * used by introspective observation modules.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one sample (clamped into range). */
-    void add(double x);
-
-    /** Count in bin @p i. */
-    std::uint64_t bin(std::size_t i) const { return bins_.at(i); }
-
-    /** Number of bins. */
-    std::size_t numBins() const { return bins_.size(); }
-
-    /** Total samples added. */
-    std::uint64_t total() const { return total_; }
-
-    /** Lower edge of bin @p i. */
-    double binLow(std::size_t i) const;
-
-    /** Render a compact one-line summary (for logs). */
-    std::string summary() const;
-
-  private:
-    double lo_, hi_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t total_ = 0;
-};
-
-/**
- * Named counter set: a tiny metrics registry that protocol components
- * use to report message/byte counts, which the Figure 6 benchmark
- * reads back.
- */
-class Counters
-{
-  public:
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void bump(const std::string &name, std::uint64_t delta = 1);
-
-    /** Current value (0 if never bumped). */
-    std::uint64_t get(const std::string &name) const;
-
-    /** All counters, sorted by name. */
-    const std::map<std::string, std::uint64_t> &all() const { return c_; }
-
-    /** Reset every counter to zero. */
-    void clear() { c_.clear(); }
-
-  private:
-    std::map<std::string, std::uint64_t> c_;
 };
 
 } // namespace oceanstore

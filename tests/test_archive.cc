@@ -12,6 +12,7 @@
 #include "erasure/reed_solomon.h"
 #include "runtime/runtime.h"
 #include "sim/churn.h"
+#include "sim/fault.h"
 #include "util/stats.h"
 
 namespace oceanstore {
@@ -22,8 +23,11 @@ struct ArchiveFixture
     explicit ArchiveFixture(std::size_t servers = 40,
                             ArchiveConfig cfg = {},
                             double drop_rate = 0.0)
-        : net(sim, netCfg(drop_rate)), codec(8, 16)
+        : net(sim, netCfg()),
+          faults(sim, net, FaultPlan{.drop = drop_rate}), codec(8, 16)
     {
+        if (drop_rate > 0)
+            faults.arm();
         Rng rng(0xa5c1);
         std::vector<std::pair<double, double>> pos;
         std::vector<unsigned> domains;
@@ -40,11 +44,10 @@ struct ArchiveFixture
     }
 
     static NetworkConfig
-    netCfg(double drop_rate)
+    netCfg()
     {
         NetworkConfig cfg;
         cfg.jitter = 0.01;
-        cfg.dropRate = drop_rate;
         return cfg;
     }
 
@@ -146,6 +149,7 @@ struct ArchiveFixture
 
     Simulator sim;
     Network net;
+    FaultInjector faults;
     Runtime rt{sim, net};
     ReedSolomonCode codec;
     std::vector<std::unique_ptr<NodeStorage>> disks; //!< One per server.

@@ -19,8 +19,11 @@ struct PbftFixture
 {
     explicit PbftFixture(unsigned m, double drop_rate = 0.0,
                          RetryPolicy client_retry = PbftConfig{}.clientRetry)
-        : net(sim, netCfg(drop_rate))
+        : net(sim, netCfg()),
+          faults(sim, net, FaultPlan{.drop = drop_rate})
     {
+        if (drop_rate > 0)
+            faults.arm();
         unsigned n = 3 * m + 1;
         std::vector<std::pair<double, double>> pos;
         for (unsigned r = 0; r < n; r++) {
@@ -43,11 +46,10 @@ struct PbftFixture
     }
 
     static NetworkConfig
-    netCfg(double drop_rate)
+    netCfg()
     {
         NetworkConfig cfg;
         cfg.jitter = 0.02;
-        cfg.dropRate = drop_rate;
         return cfg;
     }
 
@@ -64,6 +66,7 @@ struct PbftFixture
 
     Simulator sim;
     Network net;
+    FaultInjector faults;
     Runtime rt{sim, net};
     KeyRegistry registry;
     std::unique_ptr<PbftCluster> cluster;

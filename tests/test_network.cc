@@ -1,7 +1,12 @@
 /** @file Simulated network tests. */
 
+#include <memory>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "sim/fault.h"
 #include "sim/network.h"
 
@@ -67,9 +72,8 @@ TEST_F(NetFixture, PerTypeByteCounters)
     net->send(a, b, makeMessage("x", 1, 10));
     net->send(a, b, makeMessage("x", 1, 10));
     net->send(a, b, makeMessage("y", 1, 20));
-    EXPECT_EQ(net->byteCounters().get("x"),
-              2 * (10 + messageHeaderBytes));
-    EXPECT_EQ(net->byteCounters().get("y"), 20 + messageHeaderBytes);
+    EXPECT_EQ(net->bytesByType().at("x"), 2 * (10 + messageHeaderBytes));
+    EXPECT_EQ(net->bytesByType().at("y"), 20 + messageHeaderBytes);
 }
 
 TEST_F(NetFixture, DownDestinationLosesMessage)
@@ -126,9 +130,10 @@ TEST(Network, DropRateDropsRoughlyThatFraction)
 {
     Simulator sim;
     NetworkConfig cfg;
-    cfg.dropRate = 0.5;
     cfg.jitter = 0;
     Network net(sim, cfg);
+    FaultInjector inj(sim, net, FaultPlan{.drop = 0.5});
+    inj.arm();
     Sink sa, sb;
     NodeId a = net.addNode(&sa, 0, 0);
     NodeId b = net.addNode(&sb, 0.1, 0);
@@ -261,13 +266,13 @@ TEST_F(NetFixture, MulticastFromDownSenderIsLost)
 
 TEST(Network, MulticastAllDropsReclaimsFlightSlot)
 {
-    // With dropRate 1 every destination is dropped at send time; the
-    // pinned flight must still be released so the pool slot can be
-    // reused by the very next send.
+    // With drop 1 every destination is dropped at send time; no
+    // flight may be left behind, so the very next send is delivered
+    // from a clean pool.
     Simulator sim;
-    NetworkConfig cfg;
-    cfg.dropRate = 1.0;
-    Network net(sim, cfg);
+    Network net(sim, {});
+    FaultInjector inj(sim, net, FaultPlan{.drop = 1.0});
+    inj.arm();
     Sink sa, sb;
     NodeId a = net.addNode(&sa, 0, 0);
     NodeId b = net.addNode(&sb, 0.1, 0);
@@ -276,11 +281,131 @@ TEST(Network, MulticastAllDropsReclaimsFlightSlot)
     sim.run();
     EXPECT_TRUE(sb.received.empty());
 
-    net.setDropRate(0.0);
+    inj.disarm();
     net.send(a, b, makeMessage("m", 2, 10));
     sim.run();
     ASSERT_EQ(sb.received.size(), 1u);
     EXPECT_EQ(messageBody<int>(sb.received[0]), 2);
+}
+
+/** (arrival time, receiver, body) of one delivery. */
+using Arrival = std::tuple<double, NodeId, int>;
+
+/** Appends every delivery to a log shared by all the network's nodes,
+ *  so the log holds the network-wide arrival order. */
+class LogSink : public SimNode
+{
+  public:
+    LogSink(const Simulator &sim, std::vector<Arrival> &log)
+        : sim_(sim), log_(log)
+    {
+    }
+
+    void
+    handleMessage(const Message &msg) override
+    {
+        log_.emplace_back(sim_.now(), id, messageBody<int>(msg));
+    }
+
+    NodeId id = invalidNode;
+
+  private:
+    const Simulator &sim_;
+    std::vector<Arrival> &log_;
+};
+
+/** What one run of 200 lossy transmissions leaves behind. */
+struct LossyRun
+{
+    std::vector<Arrival> arrivals;
+    std::uint64_t bytes = 0, messages = 0;
+    std::uint64_t dropped = 0, duplicated = 0, delayed = 0, hash = 0;
+};
+
+/** 200 transmissions among four nodes under drops, duplicates and
+ *  extra delay, each a send() or a one-destination multicast(). */
+LossyRun
+runLossy(bool viaMulticast)
+{
+    Simulator sim;
+    Network net(sim, {});
+    FaultInjector inj(
+        sim, net,
+        FaultPlan{.drop = 0.2, .duplicate = 0.2, .delayJitter = 0.01});
+    inj.arm();
+    LossyRun out;
+    std::vector<std::unique_ptr<LogSink>> sinks;
+    for (int i = 0; i < 4; i++) {
+        sinks.push_back(std::make_unique<LogSink>(sim, out.arrivals));
+        sinks.back()->id = net.addNode(sinks.back().get(), 0.2 * i, 0.1 * i);
+    }
+    for (int i = 0; i < 200; i++) {
+        sim.scheduleAt(0.01 * i, [&net, i, viaMulticast] {
+            NodeId from = static_cast<NodeId>(i % 4);
+            NodeId to = static_cast<NodeId>((3 * i + 1) % 4);
+            Message msg = makeMessage("t", i, 10 + i);
+            if (viaMulticast)
+                net.multicast(from, {to}, std::move(msg));
+            else
+                net.send(from, to, std::move(msg));
+        });
+    }
+    sim.run();
+    out.bytes = net.totalBytes();
+    out.messages = net.totalMessages();
+    out.dropped = inj.dropped();
+    out.duplicated = inj.duplicated();
+    out.delayed = inj.delayed();
+    out.hash = inj.traceHash();
+    return out;
+}
+
+TEST(Network, SendMatchesOneDestinationMulticast)
+{
+    LossyRun sent = runLossy(false);
+    LossyRun cast = runLossy(true);
+    EXPECT_GT(sent.dropped, 0u);
+    EXPECT_GT(sent.duplicated, 0u);
+    EXPECT_EQ(sent.arrivals, cast.arrivals);
+    EXPECT_EQ(sent.bytes, cast.bytes);
+    EXPECT_EQ(sent.messages, cast.messages);
+    EXPECT_EQ(sent.dropped, cast.dropped);
+    EXPECT_EQ(sent.duplicated, cast.duplicated);
+    EXPECT_EQ(sent.delayed, cast.delayed);
+    EXPECT_EQ(sent.hash, cast.hash);
+}
+
+TEST(Network, MulticastWithNoCopyIsADroppedSpan)
+{
+    Tracer tracer;
+    TraceScope scope(tracer);
+    Simulator sim;
+    NetworkConfig cfg;
+    cfg.jitter = 0;
+    cfg.bandwidth = 0;
+    Network net(sim, cfg);
+    FaultInjector inj(sim, net, FaultPlan{.drop = 1.0});
+    inj.arm();
+    Sink sa, sb;
+    NodeId a = net.addNode(&sa, 0, 0);
+    NodeId b = net.addNode(&sb, 0.1, 0);
+    net.multicast(a, {b, b, b}, makeMessage("m", 1, 10));
+    inj.disarm();
+    net.multicast(a, {a, b}, makeMessage("m", 2, 10));
+    sim.run();
+
+    std::vector<SpanRecord> spans = tracer.buffer().snapshot();
+    ASSERT_EQ(spans.size(), 2u);
+    // Every copy dropped: one Dropped span over the whole fan-out.
+    EXPECT_EQ(spans[0].kind, SpanKind::Multicast);
+    EXPECT_EQ(spans[0].peer, 3u);
+    EXPECT_EQ(spans[0].status, SpanStatus::Dropped);
+    EXPECT_EQ(spans[0].end, spans[0].start);
+    // A delivered fan-out ends at its latest scheduled delivery.
+    EXPECT_EQ(spans[1].peer, 2u);
+    EXPECT_EQ(spans[1].status, SpanStatus::Ok);
+    EXPECT_DOUBLE_EQ(spans[1].end, net.latency(a, b));
+    EXPECT_EQ(sb.received.size(), 1u);
 }
 
 TEST_F(NetFixture, HealMergesTwoPartitionsAndLeavesOthersSplit)
@@ -305,8 +430,8 @@ TEST_F(NetFixture, HealMergesTwoPartitionsAndLeavesOthersSplit)
     EXPECT_EQ(messageBody<int>(nb.received[0]), 3);
     EXPECT_TRUE(nc.received.empty());
 
-    // healAll() removes every remaining split.
-    net->healAll();
+    // healPartitions() removes every remaining split.
+    net->healPartitions();
     net->send(a, c, makeMessage("t", 5, 10));
     sim.run();
     ASSERT_EQ(nc.received.size(), 1u);

@@ -72,7 +72,6 @@ struct Backend
         NetworkConfig cfg;
         cfg.jitter = 0.0;
         cfg.bandwidth = 0.0; // infinite
-        cfg.dropRate = 0.0;
         return cfg;
     }
 

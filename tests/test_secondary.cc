@@ -458,8 +458,11 @@ TEST(SecondaryTier, SharedStateMatchesPrivateModel)
             retransmits += tier->pushRetransmits();
         }
         sim.run();
-        fetches += net.byteCounters().get("sec.fetch");
-        repairs += net.byteCounters().get("sec.updates");
+        const auto &sent = net.bytesByType();
+        if (auto it = sent.find("sec.fetch"); it != sent.end())
+            fetches += it->second;
+        if (auto it = sent.find("sec.updates"); it != sent.end())
+            repairs += it->second;
 
         for (int t = 0; t < 2; t++) {
             for (std::size_t o = 0; o < kObjects; o++) {
@@ -521,7 +524,7 @@ TEST(SecondaryTier, ForwardsEachVersionOnce)
     EXPECT_EQ(fx.tier->pushRetransmits(), 0u);
     std::uint64_t per_round = (u1->wireSize() + 8 + messageHeaderBytes) +
                               (u2->wireSize() + 8 + messageHeaderBytes);
-    EXPECT_EQ(fx.net.byteCounters().get("sec.push"),
+    EXPECT_EQ(fx.net.bytesByType().at("sec.push"),
               (fx.tier->size() - 1) * per_round);
 }
 

@@ -71,43 +71,5 @@ TEST(Accumulator, SingleSample)
     EXPECT_EQ(a.percentile(50), 3.5);
 }
 
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);  // bin 0
-    h.add(9.5);  // bin 4
-    h.add(-3);   // clamped to bin 0
-    h.add(25);   // clamped to bin 4
-    h.add(5.0);  // bin 2
-    EXPECT_EQ(h.bin(0), 2u);
-    EXPECT_EQ(h.bin(2), 1u);
-    EXPECT_EQ(h.bin(4), 2u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, BinEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLow(2), 4.0);
-}
-
-TEST(Histogram, RejectsBadConfig)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Counters, BumpAndGet)
-{
-    Counters c;
-    EXPECT_EQ(c.get("x"), 0u);
-    c.bump("x");
-    c.bump("x", 4);
-    EXPECT_EQ(c.get("x"), 5u);
-    c.clear();
-    EXPECT_EQ(c.get("x"), 0u);
-}
-
 } // namespace
 } // namespace oceanstore

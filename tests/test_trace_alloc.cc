@@ -1,8 +1,9 @@
 /**
  * @file
- * Allocation contract of detached tracing (DESIGN.md section 11):
- * with no Tracer attached, a span costs one null check and touches
- * no heap.  Its own executable because it replaces the global
+ * Allocation contracts of the hot paths: with no Tracer attached, a
+ * span costs one null check and touches no heap (DESIGN.md section
+ * 11), and a warmed-up network send or multicast allocates nothing
+ * (section 9).  Its own executable because it replaces the global
  * operator new/delete to count allocations; os_tests keeps the
  * sanitizers' own new/delete checks.
  */
@@ -12,8 +13,10 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "obs/trace.h"
+#include "sim/network.h"
 
 namespace {
 
@@ -56,6 +59,42 @@ TEST(Trace, DetachedSpanAllocatesNothing)
         span.end(2.0);
     }
     EXPECT_EQ(tlAllocations - before, 0u);
+}
+
+/** Accepts and forgets every message. */
+class NullNode : public SimNode
+{
+  public:
+    void handleMessage(const Message &) override {}
+};
+
+TEST(Network, DetachedSendAndMulticastAllocateNothing)
+{
+    ASSERT_EQ(Tracer::active(), nullptr);
+    Simulator sim;
+    Network net(sim, {});
+    NullNode nodes[4];
+    NodeId a = net.addNode(&nodes[0], 0.0, 0.0);
+    std::vector<NodeId> tos;
+    for (int i = 1; i < 4; i++)
+        tos.push_back(net.addNode(&nodes[i], 0.1 * i, 0.0));
+
+    // Warm-up grows the flight pool, the event queue and the per-type
+    // byte map past what the measured calls need.
+    for (int i = 0; i < 4; i++) {
+        net.send(a, tos[0], makeMessage("t", i, 8));
+        net.multicast(a, tos, makeMessage("t", i, 8));
+    }
+    sim.run();
+
+    Message one = makeMessage("t", 1, 8);
+    Message many = makeMessage("t", 2, 8);
+    std::size_t before = tlAllocations;
+    net.send(a, tos[0], std::move(one));
+    net.multicast(a, tos, std::move(many));
+    EXPECT_EQ(tlAllocations - before, 0u);
+    EXPECT_EQ(net.inFlight(), 4u);
+    sim.run();
 }
 
 } // namespace
