@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -163,21 +164,24 @@ SecondaryReplica::SecondaryReplica(SecondaryTier &tier, std::size_t index)
 }
 
 const SecondaryReplica::Held *
+SecondaryReplica::entry(const Guid &obj) const
+{
+    const std::uint32_t slot = tier_.findSlot(obj);
+    return slot == SecondaryTier::noSlot ? nullptr
+                                         : tier_.heldAt(slot, index_);
+}
+
+const SecondaryReplica::Held *
 SecondaryReplica::find(const Guid &obj) const
 {
-    std::uint32_t slot = tier_.findSlot(obj);
-    if (slot == SecondaryTier::noSlot)
-        return nullptr;
-    const Held *h = tier_.heldAt(slot, index_);
+    const Held *h = entry(obj);
     return h && h->state ? h : nullptr;
 }
 
 SecondaryReplica::Held *
 SecondaryReplica::hold(std::uint32_t slot)
 {
-    // Without a declared set any replica may hold the object; with
-    // one, only its members (who already have entries) do.
-    Held *h = tier_.heldAt(slot, index_, !tier_.sets_[slot].tree);
+    Held *h = tier_.heldAt(slot, index_);
     if (h && !h->state)
         h->state = tier_.sets_[slot].empty;
     return h;
@@ -238,6 +242,20 @@ SecondaryReplica::committedState(const Guid &obj) const
 {
     const Held *h = find(obj);
     return h ? h->state : nullptr;
+}
+
+bool
+SecondaryReplica::isStale(const Guid &obj) const
+{
+    const Held *h = entry(obj);
+    return h && h->staleUntil != 0;
+}
+
+std::size_t
+SecondaryReplica::bufferedCount(const Guid &obj) const
+{
+    const Held *h = entry(obj);
+    return h ? h->buffered.size() : 0;
 }
 
 DataObject
@@ -333,46 +351,38 @@ SecondaryReplica::applyCommitted(Held &h, SharedUpdate u,
         return false; // duplicate
 
     if (version > h.state->version() + 1) {
-        buffered_[obj_guid][version] = std::move(u);
+        auto &run = h.buffered;
+        auto it = std::lower_bound(
+            run.begin(), run.end(), version,
+            [](const auto &e, VersionNum v) { return e.first < v; });
+        if (it != run.end() && it->first == version)
+            it->second = std::move(u);
+        else
+            run.emplace(it, version, std::move(u));
         return true;
     }
 
     Guid uid = u->id();
     h.state = DataObject::successor(h.state, std::move(u));
     tentative_.erase(uid);
-
-    auto sit = stale_.find(obj_guid);
-    if (sit != stale_.end() && h.state->version() >= sit->second)
-        stale_.erase(sit);
-
-    drainBuffered(h, obj_guid);
+    drainBuffered(h);
+    if (h.state->version() >= h.staleUntil)
+        h.staleUntil = 0;
     return false;
 }
 
 void
-SecondaryReplica::drainBuffered(Held &h, const Guid &obj)
+SecondaryReplica::drainBuffered(Held &h)
 {
-    auto bit = buffered_.find(obj);
-    if (bit == buffered_.end())
-        return;
-    auto &pending = bit->second;
-    while (!pending.empty() &&
-           pending.begin()->first == h.state->version() + 1) {
-        SharedUpdate u = std::move(pending.begin()->second);
-        pending.erase(pending.begin());
+    auto &run = h.buffered;
+    std::size_t n = 0;
+    while (n < run.size() && run[n].first == h.state->version() + 1) {
+        SharedUpdate u = std::move(run[n++].second);
         Guid uid = u->id();
         h.state = DataObject::successor(h.state, std::move(u));
         tentative_.erase(uid);
     }
-    if (pending.empty())
-        buffered_.erase(bit);
-}
-
-void
-SecondaryReplica::forget(const Guid &obj)
-{
-    buffered_.erase(obj);
-    stale_.erase(obj);
+    run.erase(run.begin(), run.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 void
@@ -430,7 +440,7 @@ SecondaryReplica::forward(const Message &cause, std::uint32_t slot,
     // once, not deep-copied per child.
     const PushBody body{u, version, slot};
     const Guid uid = u->id();
-    const DisseminationTree &tree = tier_.treeAt(slot);
+    const DisseminationTree &tree = *tier_.sets_[slot].tree;
     std::vector<NodeId> push_children;
     std::vector<NodeId> inval_children;
     for (NodeId child : tree.childrenOf(nodeId_)) {
@@ -497,11 +507,10 @@ SecondaryReplica::onInvalidate(const Message &msg)
         SecMetricIds &sm = secMetrics();
         sm.reg->inc(sm.invalidations);
     }
-    if (committedVersion(body.object) >= body.version ||
-        !tier_.isMember(body.object, index_))
+    Held *h = tier_.heldAt(tier_.slotFor(body.object), index_);
+    if (!h || (h->state && h->state->version() >= body.version))
         return;
-    auto &needed = stale_[body.object];
-    needed = std::max(needed, body.version);
+    h->staleUntil = std::max(h->staleUntil, body.version);
     // The invalidated tentative entry no longer reflects reality.
     tentative_.erase(body.updateId);
 }
@@ -509,7 +518,7 @@ SecondaryReplica::onInvalidate(const Message &msg)
 void
 SecondaryReplica::fetchFromParent(const Guid &obj)
 {
-    NodeId parent = tier_.treeOf(obj).parentOf(nodeId_);
+    NodeId parent = tier_.sets_[tier_.slotFor(obj)].tree->parentOf(nodeId_);
     if (parent == invalidNode)
         return;
     // Entry-point span: the fetch request up the tree becomes its
@@ -708,28 +717,13 @@ SecondaryTier::SecondaryTier(
         byNode_[rep->nodeId_] = i;
         replicas_.push_back(std::move(rep));
     }
-
-    std::vector<NodeId> members;
-    for (std::size_t i = 1; i < replicas_.size(); i++)
-        members.push_back(replicas_[i]->nodeId());
-    tree_ = std::make_unique<DisseminationTree>(
-        rt_, replicas_[0]->nodeId(), members, cfg_.treeFanout);
 }
 
 void
 SecondaryTier::rebuildTree()
 {
-    std::vector<NodeId> members;
-    for (std::size_t i = 1; i < replicas_.size(); i++) {
-        if (rt_.isUp(replicas_[i]->nodeId()))
-            members.push_back(replicas_[i]->nodeId());
-    }
-    tree_ = std::make_unique<DisseminationTree>(
-        rt_, replicas_[0]->nodeId(), members, cfg_.treeFanout);
-    for (ReplicaSet &set : sets_) {
-        if (set.tree)
-            buildTree(set, true);
-    }
+    for (ReplicaSet &set : sets_)
+        buildTree(set, true);
 }
 
 void
@@ -749,23 +743,20 @@ SecondaryTier::buildTree(ReplicaSet &set, bool upOnly)
 void
 SecondaryTier::addHosts(const Guid &obj, const std::vector<std::size_t> &hosts)
 {
-    const std::uint32_t slot = slotFor(obj);
+    std::uint32_t slot = findSlot(obj);
+    if (slot == noSlot)
+        slot = makeSet(obj, {0}, false);
     ReplicaSet &set = sets_[slot];
-    if (!set.tree) {
-        // Declaring the set keeps only the root's entry; a host gets a
-        // fresh one below and catches up.
-        Held root;
-        if (!set.members.empty() && set.members.front() == 0)
-            root = std::move(set.held.front());
-        set.members.assign(1, 0);
-        set.held.clear();
-        set.held.push_back(std::move(root));
-    }
     for (std::size_t i : hosts) {
-        if (i == 0)
+        if (i == 0) {
             set.rootHosts = true;
-        else
-            heldAt(slot, i, true);
+            continue;
+        }
+        auto pos = std::lower_bound(set.members.begin(), set.members.end(), i);
+        if (pos != set.members.end() && *pos == i)
+            continue;
+        set.held.emplace(set.held.begin() + (pos - set.members.begin()));
+        set.members.insert(pos, static_cast<std::uint32_t>(i));
     }
     buildTree(set, false);
     catchUp(obj, set);
@@ -794,7 +785,6 @@ SecondaryTier::removeHost(const Guid &obj, std::size_t i)
     auto pos = std::lower_bound(set.members.begin(), set.members.end(), i);
     set.held.erase(set.held.begin() + (pos - set.members.begin()));
     set.members.erase(pos);
-    replicas_[i]->forget(obj);
     buildTree(set, false);
     catchUp(obj, set);
 }
@@ -803,7 +793,7 @@ bool
 SecondaryTier::isHost(const Guid &obj, std::size_t i) const
 {
     const std::uint32_t slot = findSlot(obj);
-    if (slot == noSlot || !sets_[slot].tree)
+    if (slot == noSlot)
         return false;
     const ReplicaSet &set = sets_[slot];
     return i == 0 ? set.rootHosts
@@ -816,7 +806,7 @@ SecondaryTier::hosts(const Guid &obj) const
 {
     std::vector<std::size_t> out;
     const std::uint32_t slot = findSlot(obj);
-    if (slot == noSlot || !sets_[slot].tree)
+    if (slot == noSlot)
         return out;
     const ReplicaSet &set = sets_[slot];
     for (std::uint32_t i : set.members) {
@@ -827,57 +817,34 @@ SecondaryTier::hosts(const Guid &obj) const
 }
 
 std::vector<Guid>
-SecondaryTier::declaredObjects() const
+SecondaryTier::objects() const
 {
     std::vector<Guid> out;
-    for (std::uint32_t slot : slotsByGuid_) {
-        if (sets_[slot].tree)
-            out.push_back(sets_[slot].empty->guid());
-    }
+    out.reserve(slotsByGuid_.size());
+    for (std::uint32_t slot : slotsByGuid_)
+        out.push_back(sets_[slot].empty->guid());
     return out;
-}
-
-bool
-SecondaryTier::declared(const Guid &obj) const
-{
-    const std::uint32_t slot = findSlot(obj);
-    return slot != noSlot && sets_[slot].tree;
 }
 
 bool
 SecondaryTier::isMember(const Guid &obj, std::size_t i) const
 {
     const std::uint32_t slot = findSlot(obj);
-    return slot == noSlot || !sets_[slot].tree ||
-           heldAt(slot, i) != nullptr;
+    return slot != noSlot && heldAt(slot, i) != nullptr;
 }
 
 const DisseminationTree &
 SecondaryTier::treeOf(const Guid &obj) const
 {
     const std::uint32_t slot = findSlot(obj);
-    return slot == noSlot ? *tree_ : treeAt(slot);
-}
-
-const DisseminationTree &
-SecondaryTier::treeAt(std::uint32_t slot) const
-{
-    const auto &tree = sets_[slot].tree;
-    return tree ? *tree : *tree_;
+    OS_CHECK(slot != noSlot, "SecondaryTier::treeOf: unseen object");
+    return *sets_[slot].tree;
 }
 
 SecondaryTier::Held *
-SecondaryTier::heldAt(std::uint32_t slot, std::size_t i, bool add)
+SecondaryTier::heldAt(std::uint32_t slot, std::size_t i)
 {
-    ReplicaSet &set = sets_[slot];
-    auto pos = std::lower_bound(set.members.begin(), set.members.end(), i);
-    auto at = set.held.begin() + (pos - set.members.begin());
-    if (pos != set.members.end() && *pos == i)
-        return &*at;
-    if (!add)
-        return nullptr;
-    set.members.insert(pos, static_cast<std::uint32_t>(i));
-    return &*set.held.insert(at, Held{});
+    return const_cast<Held *>(std::as_const(*this).heldAt(slot, i));
 }
 
 const SecondaryTier::Held *
@@ -893,18 +860,33 @@ SecondaryTier::heldAt(std::uint32_t slot, std::size_t i) const
 std::uint32_t
 SecondaryTier::slotFor(const Guid &obj)
 {
-    auto [it, fresh] = slotOf_.try_emplace(
-        obj, static_cast<std::uint32_t>(sets_.size()));
-    if (fresh) {
-        sets_.push_back(ReplicaSet{DataObject::empty(obj), {}, {}, {}, false});
-        auto pos = std::lower_bound(
-            slotsByGuid_.begin(), slotsByGuid_.end(), obj,
-            [this](std::uint32_t slot, const Guid &g) {
-                return sets_[slot].empty->guid() < g;
-            });
-        slotsByGuid_.insert(pos, it->second);
-    }
-    return it->second;
+    const std::uint32_t slot = findSlot(obj);
+    if (slot != noSlot)
+        return slot;
+    std::vector<std::uint32_t> every(replicas_.size());
+    for (std::size_t i = 0; i < every.size(); i++)
+        every[i] = static_cast<std::uint32_t>(i);
+    const std::uint32_t made = makeSet(obj, std::move(every), true);
+    buildTree(sets_[made], false);
+    return made;
+}
+
+std::uint32_t
+SecondaryTier::makeSet(const Guid &obj, std::vector<std::uint32_t> members,
+                       bool rootHosts)
+{
+    const auto slot = static_cast<std::uint32_t>(sets_.size());
+    slotOf_.emplace(obj, slot);
+    const std::size_t n = members.size();
+    sets_.push_back(ReplicaSet{DataObject::empty(obj), std::move(members),
+                               std::vector<Held>(n), {}, rootHosts});
+    auto pos = std::lower_bound(
+        slotsByGuid_.begin(), slotsByGuid_.end(), obj,
+        [this](std::uint32_t s, const Guid &g) {
+            return sets_[s].empty->guid() < g;
+        });
+    slotsByGuid_.insert(pos, slot);
+    return slot;
 }
 
 std::uint32_t
@@ -956,8 +938,11 @@ SecondaryTier::injectCommitted(SharedUpdate u, VersionNum version)
 bool
 SecondaryTier::allCommitted(const Guid &obj, VersionNum v) const
 {
-    for (std::size_t i = 0; i < replicas_.size(); i++) {
-        if (isMember(obj, i) && replicas_[i]->committedVersion(obj) < v)
+    const std::uint32_t slot = findSlot(obj);
+    if (slot == noSlot)
+        return v == 0;
+    for (const Held &h : sets_[slot].held) {
+        if ((h.state ? h.state->version() : 0) < v)
             return false;
     }
     return true;

@@ -9,10 +9,11 @@
  * arrive from the primary tier down the object's dissemination tree
  * (or, in the epidemic-only ablation, via anti-entropy alone).  An
  * object's tree spans its replica set, the root plus its hosts
- * (DESIGN.md section 23); an object that declared none uses the
- * tier-wide tree over every replica.  Parents can
- * transform updates into *invalidations* for bandwidth-limited
- * leaves, which then pull data on demand.
+ * (DESIGN.md section 23).  The set is made once, when the tier first
+ * sees the object: addHosts() names its hosts, and any other first
+ * sight makes every replica a host.  Parents can transform updates
+ * into *invalidations* for bandwidth-limited leaves, which then pull
+ * data on demand.
  */
 
 #ifndef OCEANSTORE_CONSISTENCY_SECONDARY_H
@@ -71,9 +72,10 @@ class SecondaryReplica : public SimNode
     /**
      * Committed object state; on a member of @p obj's replica set an
      * unknown object becomes known here at version 0, sharing the
-     * tier's empty state for it.  A non-member gets that shared empty
-     * state and records nothing.  The reference is valid until this
-     * replica next applies an update to @p obj.
+     * tier's empty state for it (an object the tier has not seen gets
+     * a set of every replica first).  A non-member gets that shared
+     * empty state and records nothing.  The reference is valid until
+     * this replica next applies an update to @p obj.
      */
     const DataObject &committedObject(const Guid &obj);
 
@@ -91,7 +93,10 @@ class SecondaryReplica : public SimNode
     std::size_t tentativeCount() const { return tentative_.size(); }
 
     /** True when an invalidation marked @p obj stale here. */
-    bool isStale(const Guid &obj) const { return stale_.count(obj) > 0; }
+    bool isStale(const Guid &obj) const;
+
+    /** Committed updates of @p obj buffered here behind a gap. */
+    std::size_t bufferedCount(const Guid &obj) const;
 
     /** Pull missing committed updates for @p obj from the parent in
      *  @p obj's tree. */
@@ -111,13 +116,20 @@ class SecondaryReplica : public SimNode
 
     /**
      * What a member replica holds of one object (DESIGN.md section
-     * 20).  The tier keeps one per member beside the object's tree.
+     * 20).  The tier keeps one per member beside the object's tree;
+     * a Retire erases it, and everything below goes with it.
      */
     struct Held
     {
-        /** The committed version it commits to; null when the object
+        /** The committed version it commits to; null while the object
          *  is unknown here. */
         SharedState state;
+        /** Committed updates that arrived behind a gap, by ascending
+         *  version (each above state's). */
+        std::vector<std::pair<VersionNum, SharedUpdate>> buffered;
+        /** The version an invalidation marked this entry stale for,
+         *  until it is reached; 0 when not stale. */
+        VersionNum staleUntil = 0;
         /** Versions already forwarded down the tree: every version up
          *  to forwardedThrough, plus forwardedAbove (sorted, each
          *  above forwardedThrough + 1).  The (object, version) of a
@@ -127,11 +139,14 @@ class SecondaryReplica : public SimNode
         std::vector<VersionNum> forwardedAbove;
     };
 
-    /** This replica's entry for @p obj, or null when the object is
-     *  unknown here or this replica is not in its replica set. */
+    /** This replica's entry for @p obj, or null when it is not in
+     *  the object's replica set (or the tier has not seen it). */
+    const Held *entry(const Guid &obj) const;
+    /** entry(), but null also while the object is unknown here. */
     const Held *find(const Guid &obj) const;
-    /** This replica's entry at @p slot, made known at version 0 if
-     *  new; null when this replica is not in the slot's replica set. */
+    /** This replica's entry at @p slot, its object made known at
+     *  version 0 if it was not; null when this replica is not in the
+     *  slot's replica set. */
     Held *hold(std::uint32_t slot);
     /** Call @p visit on every object held here, in GUID order (the
      *  order digests and repair records are built in). */
@@ -151,10 +166,7 @@ class SecondaryReplica : public SimNode
      *  it a child here. */
     void forward(const Message &cause, std::uint32_t slot,
                  const SharedUpdate &u, VersionNum version);
-    void drainBuffered(Held &h, const Guid &obj);
-    /** Forget what this replica holds of @p obj beyond its entry
-     *  (buffered commits, stale marks): it left the replica set. */
-    void forget(const Guid &obj);
+    void drainBuffered(Held &h);
     void scheduleAntiEntropy();
     void runAntiEntropy();
 
@@ -167,10 +179,6 @@ class SecondaryReplica : public SimNode
      *  and pushes are built by iterating this map, so its order feeds
      *  message emission and must be deterministic. */
     std::map<Guid, SharedUpdate> tentative_;
-    /** Committed updates that arrived out of order. */
-    std::map<Guid, std::map<VersionNum, SharedUpdate>> buffered_;
-    /** Objects invalidated but not yet re-fetched: obj -> needed version. */
-    std::unordered_map<Guid, VersionNum> stale_;
     /** (child, update id) -> retransmit driver for an unacked push. */
     std::map<std::pair<NodeId, Guid>, std::unique_ptr<RpcCall>>
         pushPending_;
@@ -182,8 +190,9 @@ class SecondaryReplica : public SimNode
 
 /**
  * Manager of a flock of secondary replicas for one object community:
- * creates them, wires the epidemic process, and (optionally) builds
- * the dissemination tree rooted at a primary-tier contact.
+ * creates them, wires the epidemic process, and keeps each object's
+ * replica set and its dissemination tree rooted at a primary-tier
+ * contact.
  */
 class SecondaryTier
 {
@@ -248,18 +257,14 @@ class SecondaryTier
      *  suite asserts this stays bounded). */
     std::uint64_t pushRetransmits() const;
 
-    /** The tier-wide dissemination tree: the tree of every object
-     *  without a declared replica set. */
-    const DisseminationTree &tree() const { return *tree_; }
-
     /**
      * Make replicas @p hosts hosts of @p obj (DESIGN.md section 23).
      * The object's replica set is replica 0 (the tree root) plus its
-     * hosts, and the tier is the one record of it.  The first call
-     * declares the set, turning the object from the tier-wide tree to
-     * its own tree over the set, rebuilt here once.  Every member then
-     * behind the root (a new one, above all) sends sec.fetch to its
-     * parent in that tree.
+     * hosts, and the tier is the one record of it.  On an object the
+     * tier has not seen, this makes the set: replica 0 plus @p hosts.
+     * Either way the object's tree is rebuilt over the set, and every
+     * member then behind the root (a new one, above all) sends
+     * sec.fetch to its parent in that tree.
      */
     void addHosts(const Guid &obj, const std::vector<std::size_t> &hosts);
 
@@ -273,30 +278,26 @@ class SecondaryTier
     /** True when replica @p i is one of @p obj's hosts. */
     bool isHost(const Guid &obj, std::size_t i) const;
 
-    /** The hosts of @p obj, ascending; none without a declared set. */
+    /** The hosts of @p obj, ascending; none for an unseen object. */
     std::vector<std::size_t> hosts(const Guid &obj) const;
 
-    /** Every object with a declared replica set, in GUID order. */
-    std::vector<Guid> declaredObjects() const;
+    /** Every object with a replica set, in GUID order. */
+    std::vector<Guid> objects() const;
 
-    /** True when @p obj has a declared replica set. */
-    bool declared(const Guid &obj) const;
-
-    /** True when replica @p i keeps state for @p obj: it is in the
-     *  object's declared set, or the object has none. */
+    /** True when replica @p i is in @p obj's replica set (never for
+     *  an object the tier has not seen). */
     bool isMember(const Guid &obj, std::size_t i) const;
 
-    /** The tree @p obj's commits travel: its own, or tree(). */
+    /** The tree @p obj's commits travel; @p obj must have been seen. */
     const DisseminationTree &treeOf(const Guid &obj) const;
 
     /**
      * Adjust the dissemination trees after membership changes
      * (Section 4.7.2: "notification of a replica's termination ...
      * propagates to parent nodes, which can adjust that object's
-     * dissemination tree"): rebuild tree() over the currently-up
-     * replicas and every declared set's tree over its up members.
-     * Downed replicas drop out; recovered ones rejoin and catch up
-     * via anti-entropy or an explicit fetchFromParent().
+     * dissemination tree"): rebuild every set's tree over its up
+     * members.  Downed replicas drop out; recovered ones rejoin and
+     * catch up via anti-entropy or an explicit fetchFromParent().
      */
     void rebuildTree();
 
@@ -319,28 +320,29 @@ class SecondaryTier
     {
         /** The object's one shared version-0 state. */
         SharedState empty;
-        /** Replica indices with an entry, sorted; held is parallel.
-         *  A declared set's members are the root (0) and its hosts;
-         *  without one, every replica that has held the object. */
+        /** The members, the root (0) and the hosts, sorted; held is
+         *  parallel. */
         std::vector<std::uint32_t> members;
         std::vector<Held> held;
-        /** The tree over a declared set; null when the object has
-         *  none, so its commits travel the tier-wide tree. */
+        /** The tree over the members. */
         std::unique_ptr<DisseminationTree> tree;
-        /** In a declared set: replica 0 is a host, not only the root. */
+        /** Replica 0 is a host, not only the root. */
         bool rootHosts = false;
     };
 
-    /** The slot of @p obj, assigned on first sight. */
+    /** The slot of @p obj; on first sight, a new set of every replica. */
     std::uint32_t slotFor(const Guid &obj);
     /** The slot of @p obj, or noSlot. */
     std::uint32_t findSlot(const Guid &obj) const;
-    /** Replica @p i's entry at @p slot, or null when it has none
-     *  and @p add is false; with @p add it gets a fresh one. */
-    Held *heldAt(std::uint32_t slot, std::size_t i, bool add);
+    /** A new slot for unseen @p obj whose set is @p members (sorted,
+     *  starting with 0); the caller builds its tree. */
+    std::uint32_t makeSet(const Guid &obj,
+                          std::vector<std::uint32_t> members,
+                          bool rootHosts);
+    /** Replica @p i's entry at @p slot, or null when it is not a
+     *  member. */
+    Held *heldAt(std::uint32_t slot, std::size_t i);
     const Held *heldAt(std::uint32_t slot, std::size_t i) const;
-    /** The tree commits at @p slot travel. */
-    const DisseminationTree &treeAt(std::uint32_t slot) const;
     /** Rebuild @p set's tree over its members (only the up ones when
      *  @p upOnly). */
     void buildTree(ReplicaSet &set, bool upOnly);
@@ -354,7 +356,6 @@ class SecondaryTier
     bool antiEntropyOn_ = false;
     std::vector<std::unique_ptr<SecondaryReplica>> replicas_;
     std::unordered_map<NodeId, std::size_t> byNode_;
-    std::unique_ptr<DisseminationTree> tree_;
 
     /** Object GUID -> dense slot.  Only looked up, never iterated. */
     std::unordered_map<Guid, std::uint32_t> slotOf_;

@@ -381,8 +381,10 @@ Universe::collocateClusters(double min_weight)
             }
         }
         for (const Guid &obj : cluster) {
-            if (!tier_->declared(obj))
-                continue; // not an object we host (noise GUID)
+            // Replica 0 is in every set: a non-member of it is no
+            // object we host (noise GUID).
+            if (!tier_->isMember(obj, 0))
+                continue;
             if (!tier_->isHost(obj, best)) {
                 addHost(obj, best);
                 created++;
@@ -788,7 +790,7 @@ Universe::runReplicaManagementEpoch()
     }
 
     std::vector<ReplicaLoad> loads;
-    for (const Guid &obj : tier_->declaredObjects()) {
+    for (const Guid &obj : tier_->objects()) {
         for (std::size_t idx : tier_->hosts(obj)) {
             ReplicaLoad l;
             l.object = obj;
@@ -1017,7 +1019,7 @@ Universe::statusReport()
     rt_->execute([&]() {
         stats = rt_->stats();
         nodes = rt_->nodeCount();
-        objects = tier_->declaredObjects().size();
+        objects = tier_->objects().size();
     });
     publishRuntimeStats(stats);
     std::ostringstream out;

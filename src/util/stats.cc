@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
-
 namespace oceanstore {
 
 void
@@ -23,10 +21,8 @@ Accumulator::add(double x)
         mean_ += delta / static_cast<double>(count_);
         m2_ += delta * (x - mean_);
     }
-    if (keepSamples_) {
-        samples_.push_back(x);
-        sorted_ = false;
-    }
+    samples_.push_back(x);
+    sorted_ = false;
 }
 
 double
@@ -52,8 +48,6 @@ Accumulator::stddev() const
 double
 Accumulator::percentile(double p) const
 {
-    OS_CHECK(keepSamples_,
-             "Accumulator::percentile requires keep_samples=true");
     if (samples_.empty())
         return 0.0;
     if (!sorted_) {

@@ -15,17 +15,13 @@ namespace oceanstore {
 /**
  * Online accumulator of scalar samples.
  *
- * Tracks count, sum, min, max and (via Welford's algorithm) variance.
- * Optionally retains samples so that percentiles can be queried; the
+ * Tracks count, sum, min, max and (via Welford's algorithm) variance,
+ * and retains samples so that percentiles can be queried; the
  * benchmark harnesses rely on this for stretch CDFs.
  */
 class Accumulator
 {
   public:
-    /** @param keep_samples retain raw samples for percentile queries. */
-    explicit Accumulator(bool keep_samples = true)
-        : keepSamples_(keep_samples) {}
-
     /** Add one sample. */
     void add(double x);
 
@@ -51,10 +47,8 @@ class Accumulator
     double max() const { return count_ ? max_ : 0.0; }
 
     /**
-     * p-th percentile, p in [0, 100].  Contract: the accumulator must
-     * have been constructed with keep_samples=true (OS_CHECK aborts
-     * otherwise — a percentile over discarded samples would silently
-     * misreport).  Uses nearest-rank on the sorted samples.
+     * p-th percentile, p in [0, 100] (0 when empty), interpolated
+     * between the two nearest ranks of the sorted samples.
      */
     double percentile(double p) const;
 
@@ -62,7 +56,6 @@ class Accumulator
     void clear();
 
   private:
-    bool keepSamples_;
     std::size_t count_ = 0;
     double sum_ = 0.0;
     double mean_ = 0.0;

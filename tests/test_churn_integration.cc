@@ -246,8 +246,10 @@ TEST(Churn, DisseminationTreeRebuildRoutesAroundDeadInterior)
         return u;
     };
 
-    // Kill an interior node (a direct child of the root).
-    NodeId interior = tier.tree().childrenOf(
+    // Kill an interior node (a direct child of the root) of the tree
+    // the object gets when the tier first sees it.
+    tier.replica(0).committedObject(obj);
+    NodeId interior = tier.treeOf(obj).childrenOf(
         tier.replica(0).nodeId())[0];
     net.setDown(interior);
 
@@ -274,7 +276,7 @@ TEST(Churn, DisseminationTreeRebuildRoutesAroundDeadInterior)
             auto &rep = tier.replica(i);
             if (net.isUp(rep.nodeId()) &&
                 rep.committedVersion(obj) < 2 &&
-                tier.tree().contains(rep.nodeId())) {
+                tier.treeOf(obj).contains(rep.nodeId())) {
                 rep.fetchFromParent(obj);
             }
         }

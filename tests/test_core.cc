@@ -14,6 +14,7 @@
 
 #include "core/universe.h"
 #include "obs/metrics.h"
+#include "sim/fault.h"
 
 namespace oceanstore {
 namespace {
@@ -934,6 +935,76 @@ TEST_F(SecondaryMembership, HostDownDuringCommitCatchesUp)
     EXPECT_EQ(rr.servedBy, victim);
     EXPECT_EQ(rr.version, 3u);
     EXPECT_EQ(toString(h.decryptContent(rr.blocks)), "abc");
+}
+
+TEST_F(SecondaryMembership, UnknownObjectHasNoMembers)
+{
+    ObjectHandle h = uni.createObject(owner, "doc");
+    ASSERT_TRUE(uni.writeSync(appendText(h, "one", 0)).committed);
+    const Guid unseen = Guid::hashOf("never-created");
+    EXPECT_TRUE(members(unseen).empty());
+    EXPECT_TRUE(uni.hosts(unseen).empty());
+
+    // A read of it misses, and the tier still has not seen it.
+    const std::size_t known = uni.secondaryTier().objects().size();
+    ReadResult rr = uni.readSync(0, unseen);
+    EXPECT_FALSE(rr.found);
+    EXPECT_EQ(uni.secondaryTier().objects().size(), known);
+    EXPECT_TRUE(members(unseen).empty());
+}
+
+TEST_F(SecondaryMembership, RetireDropsBufferedAndStale)
+{
+    // A standalone three-replica tier with fanout 1, so the test sets
+    // the tree: in the set {0, h}, h is a leaf and is sent
+    // invalidations; adding b, farther from the root, puts h between.
+    Simulator sim;
+    Network net(sim, NetworkConfig{});
+    Runtime rt(sim, net);
+    SecondaryConfig scfg;
+    scfg.treeFanout = 1;
+    scfg.invalidateAtLeaves = true;
+    SecondaryTier tier(rt, {{0.0, 0.0}, {0.1, 0.0}, {0.2, 0.0}}, scfg);
+    const std::size_t h = 1, b = 2;
+    const Guid obj = Guid::hashOf("retired-object");
+    auto commit = [&](VersionNum v) {
+        Update u;
+        u.objectGuid = obj;
+        UpdateClause clause;
+        clause.actions.push_back(AppendBlock{toBytes("v")});
+        u.clauses.push_back(std::move(clause));
+        u.timestamp = {v, 1};
+        tier.injectCommitted(u, v);
+        sim.runUntil(sim.now() + 10.0);
+    };
+    // Everything h sends the root (its fetches, its acks) is lost.
+    FaultPlan plan;
+    plan.links.push_back(
+        {tier.replica(h).nodeId(), tier.replica(0).nodeId(), 1.0});
+    FaultInjector inj(sim, net, plan);
+    inj.arm();
+    const SecondaryReplica &rep = tier.replica(h);
+
+    tier.addHosts(obj, {h});
+    commit(1); // h, a leaf, only hears that v1 exists
+    ASSERT_TRUE(rep.isStale(obj));
+    tier.addHosts(obj, {b});
+    commit(2); // h, now interior, gets v2 behind its gap
+    ASSERT_EQ(rep.committedVersion(obj), 0u);
+    ASSERT_EQ(rep.bufferedCount(obj), 1u);
+    ASSERT_TRUE(rep.isStale(obj));
+
+    // Retired and re-added, h starts from nothing and catches up.
+    tier.removeHost(obj, h);
+    inj.disarm();
+    tier.addHosts(obj, {h});
+    EXPECT_FALSE(rep.isStale(obj));
+    EXPECT_EQ(rep.bufferedCount(obj), 0u);
+    EXPECT_EQ(rep.committedVersion(obj), 0u);
+    sim.runUntil(sim.now() + 10.0);
+    EXPECT_EQ(rep.committedVersion(obj), 2u);
+    EXPECT_FALSE(rep.isStale(obj));
+    EXPECT_TRUE(tier.allCommitted(obj, 2));
 }
 
 TEST_F(SecondaryMembership, ThreadedCreateRetireWhileReading)

@@ -42,17 +42,6 @@ TEST(Accumulator, Percentiles)
     EXPECT_NEAR(a.percentile(90), 90.1, 0.2);
 }
 
-TEST(Accumulator, PercentileWithoutSamplesAborts)
-{
-    // Calling percentile() on an accumulator constructed with
-    // keep_samples=false is a programming error; the OS_CHECK runtime
-    // contract (DESIGN.md section 3) aborts rather than returning a
-    // silently wrong quantile.
-    Accumulator a(false);
-    a.add(1.0);
-    EXPECT_DEATH(a.percentile(50), "keep_samples");
-}
-
 TEST(Accumulator, ClearResets)
 {
     Accumulator a;
